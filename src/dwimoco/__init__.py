@@ -16,7 +16,7 @@ from .objective import (
     smoothness_loss,
     total_loss,
 )
-from .phantom import PhantomSpec, apply_synthetic_motion, make_cohort, make_phantom, simulate_series
+from .phantom import PhantomSpec, apply_synthetic_motion, make_phantom, simulate_series
 from .pipeline import CaseResult, PipelineConfig, check_convergence, run_case
 from .registration import InnerOptConfig, optimize_fields
 from .signal_model import (
@@ -62,7 +62,6 @@ __all__ = [
     "forward_signal",
     "irls_fit",
     "lls_fit",
-    "make_cohort",
     "make_phantom",
     "model_fit_loss",
     "normalize_series",

@@ -1,31 +1,17 @@
 """Low-level numeric kernels shared by the warping and loss machinery.
 
-Every kernel exists twice: a plain numpy version (`*_numpy`) that serves as
-the readable reference, and a numba-compiled version used by default because
-the inner registration loop calls these thousands of times per case.  Both
-variants implement identical per-voxel arithmetic; the test suite checks them
-against each other.  All kernels are sequential and therefore bit-for-bit
-reproducible across runs.
+Each kernel has one vectorized numpy implementation.  The inner
+registration loop calls them thousands of times per case, so they work on
+raw arrays and accumulate gradients into caller-owned buffers instead of
+allocating per-term results.  The tests check them against independent
+code: the scalar `volume.trilinear_sample`, the per-term losses in
+`objective`, and finite differences.  All kernels are sequential and
+therefore bit-for-bit reproducible across runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but degrade gracefully
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def _clamp_axis(coord, n):
@@ -43,13 +29,13 @@ def _clamp_axis(coord, n):
     return i0, c - i0, inside.astype(np.float64)
 
 
-def warp3d_numpy(vol, disp):
+def warp3d(vol, disp):
     """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge."""
-    out, _ = warp3d_with_point_grad_numpy(vol, disp)
+    out, _ = warp3d_with_point_grad(vol, disp)
     return out
 
 
-def warp3d_with_point_grad_numpy(vol, disp):
+def warp3d_with_point_grad(vol, disp):
     """Warp plus the derivative of each sample w.r.t. its sample coordinate.
 
     Returns (out, dout) with dout[..., a] = d out / d coordinate_a, zeroed
@@ -92,181 +78,17 @@ def warp3d_with_point_grad_numpy(vol, disp):
     return out, dout
 
 
-@njit(cache=True)
-def _warp3d_jit(vol, disp, out, dout, want_grad):
-    nx, ny, nz = vol.shape
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                x = i + disp[i, j, k, 0]
-                y = j + disp[i, j, k, 1]
-                z = k + disp[i, j, k, 2]
-                inx = 1.0 if (0.0 <= x <= nx - 1.0) else 0.0
-                iny = 1.0 if (0.0 <= y <= ny - 1.0) else 0.0
-                inz = 1.0 if (0.0 <= z <= nz - 1.0) else 0.0
-                if x < 0.0:
-                    x = 0.0
-                elif x > nx - 1.0:
-                    x = nx - 1.0
-                if y < 0.0:
-                    y = 0.0
-                elif y > ny - 1.0:
-                    y = ny - 1.0
-                if z < 0.0:
-                    z = 0.0
-                elif z > nz - 1.0:
-                    z = nz - 1.0
-                x0 = int(x)
-                y0 = int(y)
-                z0 = int(z)
-                if x0 > nx - 2:
-                    x0 = nx - 2 if nx >= 2 else 0
-                if y0 > ny - 2:
-                    y0 = ny - 2 if ny >= 2 else 0
-                if z0 > nz - 2:
-                    z0 = nz - 2 if nz >= 2 else 0
-                x1 = x0 + 1 if x0 + 1 <= nx - 1 else x0
-                y1 = y0 + 1 if y0 + 1 <= ny - 1 else y0
-                z1 = z0 + 1 if z0 + 1 <= nz - 1 else z0
-                fx = x - x0
-                fy = y - y0
-                fz = z - z0
-                c000 = vol[x0, y0, z0]
-                c100 = vol[x1, y0, z0]
-                c010 = vol[x0, y1, z0]
-                c110 = vol[x1, y1, z0]
-                c001 = vol[x0, y0, z1]
-                c101 = vol[x1, y0, z1]
-                c011 = vol[x0, y1, z1]
-                c111 = vol[x1, y1, z1]
-                c00 = c000 * (1 - fx) + c100 * fx
-                c10 = c010 * (1 - fx) + c110 * fx
-                c01 = c001 * (1 - fx) + c101 * fx
-                c11 = c011 * (1 - fx) + c111 * fx
-                c0 = c00 * (1 - fy) + c10 * fy
-                c1 = c01 * (1 - fy) + c11 * fy
-                out[i, j, k] = c0 * (1 - fz) + c1 * fz
-                if want_grad:
-                    dx0 = (c100 - c000) * (1 - fy) + (c110 - c010) * fy
-                    dx1 = (c101 - c001) * (1 - fy) + (c111 - c011) * fy
-                    dout[i, j, k, 0] = (dx0 * (1 - fz) + dx1 * fz) * inx
-                    dout[i, j, k, 1] = ((c10 - c00) * (1 - fz) + (c11 - c01) * fz) * iny
-                    dout[i, j, k, 2] = (c1 - c0) * inz
-
-
-_DUMMY_GRAD = np.zeros((1, 1, 1, 3), dtype=np.float64)
-
-
-def warp3d_jit(vol, disp):
-    out = np.empty(vol.shape, dtype=np.float64)
-    _warp3d_jit(vol, disp, out, _DUMMY_GRAD, False)
-    return out
-
-
-def warp3d_with_point_grad_jit(vol, disp):
-    out = np.empty(vol.shape, dtype=np.float64)
-    dout = np.empty(vol.shape + (3,), dtype=np.float64)
-    _warp3d_jit(vol, disp, out, dout, True)
-    return out, dout
-
-
-@njit(cache=True)
-def _match_terms_jit(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
+def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
     """Fused similarity + model-fit contribution of one b-value image.
 
-    Warps `vol` by `disp`, accumulates the L1 distance to `fixed` (sum over
-    all voxels) and the squared log residual against `pred_log` (sum over
-    roi voxels), and adds the chain-ruled gradient w.r.t. `disp` into
+    Warps `vol` by `disp`, returns the L1 distance to `fixed` (sum over all
+    voxels) and the squared log residual against `pred_log` (sum over roi
+    voxels), and adds the chain-ruled gradient w.r.t. `disp` into
     `grad_out` using the prefactors sim_c (applied to the L1 subgradient)
     and mf_c (applied to 2 * residual / warped_value).  Warped values below
     floor_eps contribute log(floor_eps) and a zero model-fit gradient.
     """
-    nx, ny, nz = vol.shape
-    sim_sum = 0.0
-    mf_sum = 0.0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                x = i + disp[i, j, k, 0]
-                y = j + disp[i, j, k, 1]
-                z = k + disp[i, j, k, 2]
-                inx = 1.0 if (0.0 <= x <= nx - 1.0) else 0.0
-                iny = 1.0 if (0.0 <= y <= ny - 1.0) else 0.0
-                inz = 1.0 if (0.0 <= z <= nz - 1.0) else 0.0
-                if x < 0.0:
-                    x = 0.0
-                elif x > nx - 1.0:
-                    x = nx - 1.0
-                if y < 0.0:
-                    y = 0.0
-                elif y > ny - 1.0:
-                    y = ny - 1.0
-                if z < 0.0:
-                    z = 0.0
-                elif z > nz - 1.0:
-                    z = nz - 1.0
-                x0 = int(x)
-                y0 = int(y)
-                z0 = int(z)
-                if x0 > nx - 2:
-                    x0 = nx - 2 if nx >= 2 else 0
-                if y0 > ny - 2:
-                    y0 = ny - 2 if ny >= 2 else 0
-                if z0 > nz - 2:
-                    z0 = nz - 2 if nz >= 2 else 0
-                x1 = x0 + 1 if x0 + 1 <= nx - 1 else x0
-                y1 = y0 + 1 if y0 + 1 <= ny - 1 else y0
-                z1 = z0 + 1 if z0 + 1 <= nz - 1 else z0
-                fx = x - x0
-                fy = y - y0
-                fz = z - z0
-                c000 = vol[x0, y0, z0]
-                c100 = vol[x1, y0, z0]
-                c010 = vol[x0, y1, z0]
-                c110 = vol[x1, y1, z0]
-                c001 = vol[x0, y0, z1]
-                c101 = vol[x1, y0, z1]
-                c011 = vol[x0, y1, z1]
-                c111 = vol[x1, y1, z1]
-                c00 = c000 * (1 - fx) + c100 * fx
-                c10 = c010 * (1 - fx) + c110 * fx
-                c01 = c001 * (1 - fx) + c101 * fx
-                c11 = c011 * (1 - fx) + c111 * fx
-                c0 = c00 * (1 - fy) + c10 * fy
-                c1 = c01 * (1 - fy) + c11 * fy
-                w = c0 * (1 - fz) + c1 * fz
-                dx0 = (c100 - c000) * (1 - fy) + (c110 - c010) * fy
-                dx1 = (c101 - c001) * (1 - fy) + (c111 - c011) * fy
-                gx = (dx0 * (1 - fz) + dx1 * fz) * inx
-                gy = ((c10 - c00) * (1 - fz) + (c11 - c01) * fz) * iny
-                gz = (c1 - c0) * inz
-
-                r = w - fixed[i, j, k]
-                sim_sum += abs(r)
-                s = 0.0
-                if r > 0.0:
-                    s = sim_c
-                elif r < 0.0:
-                    s = -sim_c
-                coeff = s
-                if roi[i, j, k]:
-                    if w > floor_eps:
-                        lw = np.log(w)
-                        res = lw - pred_log[i, j, k]
-                        mf_sum += res * res
-                        coeff += mf_c * 2.0 * res / w
-                    else:
-                        res = np.log(floor_eps) - pred_log[i, j, k]
-                        mf_sum += res * res
-                grad_out[i, j, k, 0] += coeff * gx
-                grad_out[i, j, k, 1] += coeff * gy
-                grad_out[i, j, k, 2] += coeff * gz
-    return sim_sum, mf_sum
-
-
-def match_terms_numpy(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
-    """Reference implementation of `_match_terms_jit` (same contract)."""
-    w, dout = warp3d_with_point_grad_numpy(vol, disp)
+    w, dout = warp3d_with_point_grad(vol, disp)
     r = w - fixed
     sim_sum = float(np.abs(r).sum())
     coeff = np.sign(r) * sim_c
@@ -279,92 +101,13 @@ def match_terms_numpy(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, g
     return sim_sum, mf_sum
 
 
-@njit(inline="always")
-def _stencil_terms(um2, um1, u0, up1, up2, q, n):
-    """Diff value and adjoint at position q of an n-line (np.gradient stencil).
-
-    um2..up2 are the line values at q-2..q+2 (garbage where out of range;
-    the guards below never read those).  Returns (d_at_q, adjoint_at_q) for
-    the scalar loss sum_m d_m^2 along this line.
-    """
-    if n == 2:
-        d0 = up1 - u0 if q == 0 else u0 - um1
-        # both entries of the 2-line equal the same one-sided difference
-        return d0, (-2.0 * d0) if q == 0 else (2.0 * d0)
-    if q == 0:
-        d = up1 - u0
-    elif q == n - 1:
-        d = u0 - um1
-    else:
-        d = 0.5 * (up1 - um1)
-    v = 0.0
-    if 2 <= q:
-        v += 0.5 * (0.5 * (u0 - um2))  # d at q-1 is interior when q >= 2
-    if q <= n - 3:
-        v -= 0.5 * (0.5 * (up2 - u0))  # d at q+1 is interior when q <= n-3
-    if q == 0:
-        v -= up1 - u0
-    elif q == 1:
-        v += u0 - um1
-    if q == n - 1:
-        v += u0 - um1
-    elif q == n - 2:
-        v -= up1 - u0
-    return d, v
-
-
-@njit(cache=True)
-def _smooth_loss_grad_jit(u, grad_out, weight):
-    """Sum of squared finite-difference Jacobian entries of a vector field.
-
-    Accumulates weight * d(loss)/d(u) into grad_out and returns the raw loss
-    (central differences interior, one-sided at borders, per np.gradient).
-    Pure gather form: each output voxel is written once per axis, serial and
-    deterministic.
-    """
-    nx, ny, nz = u.shape[:3]
-    loss = 0.0
-    w2 = weight * 2.0
-    for c in range(3):
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    g = 0.0
-                    # x axis
-                    um2 = u[i - 2, j, k, c] if i >= 2 else 0.0
-                    um1 = u[i - 1, j, k, c] if i >= 1 else 0.0
-                    up1 = u[i + 1, j, k, c] if i <= nx - 2 else 0.0
-                    up2 = u[i + 2, j, k, c] if i <= nx - 3 else 0.0
-                    d, v = _stencil_terms(um2, um1, u[i, j, k, c], up1, up2, i, nx)
-                    loss += d * d
-                    g += v
-                    # y axis
-                    um2 = u[i, j - 2, k, c] if j >= 2 else 0.0
-                    um1 = u[i, j - 1, k, c] if j >= 1 else 0.0
-                    up1 = u[i, j + 1, k, c] if j <= ny - 2 else 0.0
-                    up2 = u[i, j + 2, k, c] if j <= ny - 3 else 0.0
-                    d, v = _stencil_terms(um2, um1, u[i, j, k, c], up1, up2, j, ny)
-                    loss += d * d
-                    g += v
-                    # z axis
-                    um2 = u[i, j, k - 2, c] if k >= 2 else 0.0
-                    um1 = u[i, j, k - 1, c] if k >= 1 else 0.0
-                    up1 = u[i, j, k + 1, c] if k <= nz - 2 else 0.0
-                    up2 = u[i, j, k + 2, c] if k <= nz - 3 else 0.0
-                    d, v = _stencil_terms(um2, um1, u[i, j, k, c], up1, up2, k, nz)
-                    loss += d * d
-                    g += v
-                    grad_out[i, j, k, c] += w2 * g
-    return loss
-
-
-def axis_diff_numpy(a, axis):
+def axis_diff(a, axis):
     """First difference along one axis, matching np.gradient with spacing 1."""
     return np.gradient(a, axis=axis)
 
 
-def axis_diff_adjoint_numpy(w, axis):
-    """Adjoint of `axis_diff_numpy`: <diff(a), w> == <a, adjoint(w)> exactly."""
+def axis_diff_adjoint(w, axis):
+    """Adjoint of `axis_diff`: <diff(a), w> == <a, adjoint(w)> exactly."""
     w = np.moveaxis(w, axis, 0)
     v = np.zeros_like(w)
     n = w.shape[0]
@@ -381,45 +124,26 @@ def axis_diff_adjoint_numpy(w, axis):
     return np.moveaxis(v, 0, axis)
 
 
-def smooth_loss_grad_numpy(u, grad_out, weight):
-    """Reference implementation of `_smooth_loss_grad_jit` (same contract)."""
+def smooth_loss_grad(u, grad_out, weight):
+    """Sum of squared finite-difference Jacobian entries of a vector field.
+
+    Accumulates weight * d(loss)/d(u) into grad_out and returns the raw loss
+    (central differences interior, one-sided at borders, per np.gradient).
+    """
     loss = 0.0
     for c in range(3):
         for a in range(3):
-            d = axis_diff_numpy(u[..., c], a)
+            d = axis_diff(u[..., c], a)
             loss += float((d * d).sum())
-            grad_out[..., c] += weight * 2.0 * axis_diff_adjoint_numpy(d, a)
+            grad_out[..., c] += weight * 2.0 * axis_diff_adjoint(d, a)
     return loss
 
 
-@njit(cache=True)
-def adam_update_jit(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
+def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t."""
-    for i in range(x.shape[0]):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-        mh = m[i] / bc1
-        vh = v[i] / bc2
-        x[i] -= lr * mh / (np.sqrt(vh) + eps)
-
-
-def adam_update_numpy(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-
-if HAVE_NUMBA:
-    warp3d = warp3d_jit
-    warp3d_with_point_grad = warp3d_with_point_grad_jit
-    match_terms = _match_terms_jit
-    smooth_loss_grad = _smooth_loss_grad_jit
-    adam_update = adam_update_jit
-else:  # pragma: no cover
-    warp3d = warp3d_numpy
-    warp3d_with_point_grad = warp3d_with_point_grad_numpy
-    match_terms = match_terms_numpy
-    smooth_loss_grad = smooth_loss_grad_numpy
-    adam_update = adam_update_numpy

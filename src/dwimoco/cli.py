@@ -6,6 +6,11 @@ writes the fully resolved configuration to <out>/effective_config.json;
 re-running from that file with the same seed reproduces the outputs
 byte-for-byte.  Progress goes to stderr; machine-readable outputs only to
 files.  Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+
+`cohort` analyzes either simulated cases or a directory of case manifests
+through the same `pipeline.run_cohort`, so both sources share one analysis
+path.  Next to the cohort report it writes failures.csv with one row per
+failed method or case; exit code 3 means no method kept 3 cases.
 """
 
 from __future__ import annotations
@@ -13,21 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
-from .maturity import CohortPoint, fit_saturation
 from .objective import LossWeights
 from .phantom import PhantomSpec, apply_synthetic_motion, make_phantom, simulate_series
 from .pipeline import (
     PipelineConfig,
-    fit_case_summary,
     make_cohort_case_specs,
     run_case,
+    run_cohort,
     run_simulated_cohort,
 )
 from .registration import InnerOptConfig
@@ -166,7 +166,6 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
             max_inner_steps=int(p["max_inner_steps"]),
             plateau_window=int(p["plateau_window"]),
             plateau_rel_tol=p["plateau_rel_tol"],
-            seed=int(cfg["seed"]),
         ),
         max_outer_iters=int(p["max_outer_iters"]),
         converge_window=int(p["converge_window"]),
@@ -271,21 +270,10 @@ def cmd_morph(args) -> int:
     return 0
 
 
-def _disk_case_methods(manifest_path, pcfg: PipelineConfig):
-    """All three methods on one on-disk case; returns rows for the cohort table."""
+def _read_case_source(manifest_path):
+    """Cohort case loader for on-disk cases; the case id is the directory name."""
     series, roi, ga = dio.read_case(manifest_path)
-    case_id = Path(manifest_path).parent.name
-    out = {}
-    adc, r2 = fit_case_summary(series, roi)
-    out["no_compensation"] = (adc, r2, False)
-    for method, weights in (
-        ("no_model_fit", replace(pcfg.weights, alpha2=0.0)),
-        ("full", pcfg.weights),
-    ):
-        result = run_case(series, roi, replace(pcfg, weights=weights))
-        rec = result.best_record
-        out[method] = (rec.roi_mean_adc, rec.roi_r2, result.failed)
-    return case_id, ga, out
+    return Path(manifest_path).parent.name, ga, series, roi
 
 
 def cmd_cohort(args) -> int:
@@ -301,30 +289,8 @@ def cmd_cohort(args) -> int:
             print(f"error: no case manifests under {case_dir}", file=sys.stderr)
             return 2
         echo_config(cfg, out)
-        results = []
-        failures = []
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_disk_case_methods, str(m), pcfg) for m in manifests]
-                for m, f in zip(manifests, futs):
-                    try:
-                        results.append(f.result())
-                    except Exception as err:
-                        failures.append((m.parent.name, repr(err)))
-        else:
-            for m in manifests:
-                try:
-                    results.append(_disk_case_methods(str(m), pcfg))
-                except Exception as err:
-                    failures.append((m.parent.name, repr(err)))
-        points = {m: [] for m in ("no_compensation", "no_model_fit", "full")}
-        for case_id, ga, methods in results:
-            _progress(f"cohort: case {case_id} done")
-            for method, (adc, r2, failed) in methods.items():
-                if failed:
-                    failures.append((case_id, f"{method}: diverged"))
-                    continue
-                points[method].append(CohortPoint(case_id, ga, adc, r2))
+        _progress(f"cohort: analyzing {len(manifests)} cases from {case_dir} (workers={workers})")
+        study = run_cohort(_read_case_source, manifests, pcfg, workers)
     else:
         co = cfg["cohort"]
         specs = make_cohort_case_specs(
@@ -341,21 +307,16 @@ def cmd_cohort(args) -> int:
         echo_config(cfg, out)
         _progress(f"cohort: simulating and analyzing {len(specs)} cases (workers={workers})")
         study = run_simulated_cohort(specs, pcfg, workers=workers)
-        points = study.points
-        failures = study.failures
 
-    for case_id, reason in failures:
+    for case_id, reason in study.failures:
         _progress(f"cohort: case {case_id} failed: {reason}")
-    fits = {}
-    for method, pts in points.items():
-        if len(pts) >= 3:
-            fits[method] = fit_saturation(pts)
-    if not fits:
-        print("error: all cohort cases failed", file=sys.stderr)
+    dio.write_csv(out / "failures.csv", ["case_id", "reason"], study.failures)
+    if not study.fits:
+        print("error: fewer than 3 cases succeeded with every method", file=sys.stderr)
         return 3
-    dio.write_cohort_report(points, fits, out)
-    for method in sorted(fits):
-        _progress(f"cohort[{method}]: ADC-GA R2 = {fits[method].r2:.4f}")
+    dio.write_cohort_report(study.points, study.fits, out)
+    for method in sorted(study.fits):
+        _progress(f"cohort[{method}]: ADC-GA R2 = {study.fits[method].r2:.4f}")
     return 0
 
 

@@ -118,6 +118,8 @@ def _read_container(path):
             f"({n_expected} float32), got {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ContainerError(f"{raw_path}: payload holds non-finite values")
     return side, dims, flat, components
 
 
@@ -237,12 +239,22 @@ def read_case(manifest_path):
     return series, roi, float(manifest["ga_weeks"])
 
 
+def _csv_cell(c) -> str:
+    if not isinstance(c, str):
+        return fmt(c)
+    if any(ch in c for ch in ',"\r\n'):
+        return '"' + c.replace('"', '""') + '"'
+    return c
+
+
 def write_csv(path, header, rows) -> None:
-    """CSV with fixed column order; floats at 9 significant digits."""
+    """CSV with fixed column order; floats at 9 significant digits.
+
+    Strings holding a comma, quote or line break are quoted (RFC 4180).
+    """
     lines = [",".join(header)]
     for row in rows:
-        cells = [c if isinstance(c, str) else fmt(c) for c in row]
-        lines.append(",".join(cells))
+        lines.append(",".join(_csv_cell(c) for c in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -475,10 +487,3 @@ def write_cohort_report(points_by_method: dict, fits_by_method: dict, out_dir):
         rows,
     )
 
-
-def write_report(result, out_dir, **kwargs):
-    """Dispatch to the case or cohort report writer."""
-    if isinstance(result, CaseResult):
-        return write_case_report(result, out_dir, **kwargs)
-    points, fits = result
-    return write_cohort_report(points, fits, out_dir)

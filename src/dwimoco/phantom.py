@@ -1,4 +1,4 @@
-"""Synthetic ground truth: parameter maps, decay series, motion, cohorts.
+"""Synthetic ground truth: parameter maps, decay series and motion.
 
 The phantom is a smoothed ellipsoidal "lung" (high diffusivity) inside a
 uniform background, with an ROI eroded a little from the ellipsoid so the
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .maturity import CohortPoint, SaturationFit, predict_adc
 from .signal_model import ParameterMaps, forward_signal
 from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, warp
 
@@ -191,21 +190,3 @@ def apply_synthetic_motion(series: BValueSeries, spec: PhantomSpec, seed: int):
         vols.append(warp(vol, f))
     return BValueSeries(series.bvalues, tuple(vols)), fields
 
-
-def make_cohort(n: int, ga_range, sat_params, adc_noise: float, seed: int):
-    """Sample a synthetic cohort from the saturation model.
-
-    sat_params is (adc_sat, alpha); GA is uniform over ga_range and the ADC
-    gets additive Gaussian noise of std adc_noise.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3 cohort cases")
-    adc_sat, alpha = sat_params
-    truth = SaturationFit(adc_sat=adc_sat, alpha=alpha, r2=1.0)
-    rng = np.random.default_rng(seed)
-    pts = []
-    for i in range(n):
-        ga = float(rng.uniform(*ga_range))
-        adc = predict_adc(ga, truth) + float(rng.normal(0.0, adc_noise))
-        pts.append(CohortPoint(f"sim{i:03d}", ga, adc))
-    return pts

@@ -7,15 +7,24 @@ produce the next iteration's series.  The recorded per-iteration summary ADC
 comes from a robust (IRLS) fit of the ROI-mean decay curve; the iteration
 with the highest IRLS R^2 wins.  Iteration 0 is always the uncompensated
 input state.
+
+A cohort study runs three methods on every case (`analyze_methods`): the
+uncompensated curve fit, registration without the model-fit term, and the
+full loop.  `run_cohort` is the one cohort path: it loads each case through
+a caller-supplied loader (phantom simulation for `run_simulated_cohort`,
+case manifests for the CLI), runs the cases in worker processes, records
+failures and fits the ADC-vs-GA saturation curve per method.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import phantom
 from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import LossBreakdown, LossWeights, total_loss
 from .registration import DivergedError, InnerOptConfig, optimize_fields
@@ -241,41 +250,107 @@ class CohortCaseSpec:
     motion_amplitude: float
     seed: int
 
+    def __str__(self) -> str:
+        """The case id, which names the case in cohort failure records."""
+        return self.case_id
+
 
 @dataclass
 class CohortStudyResult:
+    """Per-method cohort points and saturation fits.
+
+    Every method's points cover the same cases: those on which all methods
+    succeeded.  failures holds one (case_id, reason) per failed method, or
+    per case that could not be analyzed at all.  true_points carries the
+    ground truth when the cohort was simulated and is empty otherwise.
+    """
+
     points: dict  # method -> list[CohortPoint]
     fits: dict  # method -> SaturationFit
     true_points: list
     failures: list
 
 
-def _analyze_cohort_case(spec: CohortCaseSpec, cfg: PipelineConfig):
-    # local import: phantom imports maturity, keep module import graph acyclic
-    from .phantom import PhantomSpec, apply_synthetic_motion, make_phantom, simulate_series
+def analyze_methods(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> dict:
+    """Run every cohort method on one case.
 
-    pspec = PhantomSpec(
+    Returns {method: (adc, r2, failure)}, where failure is None or the
+    reason a registered method diverged.  no_model_fit is `cfg` with
+    alpha2 = 0; full is `cfg` as given.
+    """
+    adc, r2 = fit_case_summary(series, roi)
+    out = {"no_compensation": (adc, r2, None)}
+    for method, weights in (
+        ("no_model_fit", replace(cfg.weights, alpha2=0.0)),
+        ("full", cfg.weights),
+    ):
+        result = run_case(series, roi, replace(cfg, weights=weights))
+        rec = result.best_record
+        out[method] = (rec.roi_mean_adc, rec.roi_r2, result.failure_reason)
+    return out
+
+
+def _analyze_source(load_case, source, cfg: PipelineConfig):
+    case_id, ga, series, roi = load_case(source)
+    return case_id, ga, analyze_methods(series, roi, cfg)
+
+
+def _result_or_error(call):
+    try:
+        return call()
+    except Exception as err:  # a cohort records a failed case and goes on
+        return err
+
+
+def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> CohortStudyResult:
+    """Analyze every case with all three methods and fit ADC vs GA per method.
+
+    load_case maps one source to (case_id, ga_weeks, series, roi).  It must
+    be a module-level function, so worker processes can unpickle it.  Cases
+    run independently (in worker processes when workers > 1) and the
+    outputs keep the order of `sources`, so the result does not depend on
+    scheduling.  A case that raised is recorded under str(source).  Methods
+    with fewer than 3 points get no fit.
+    """
+    sources = list(sources)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_analyze_source, load_case, s, cfg) for s in sources]
+            results = [_result_or_error(fut.result) for fut in futures]
+    else:
+        results = [
+            _result_or_error(partial(_analyze_source, load_case, s, cfg)) for s in sources
+        ]
+
+    points = {m: [] for m in COHORT_METHODS}
+    failures = []
+    for source, res in zip(sources, results):
+        if isinstance(res, Exception):
+            failures.append((str(source), repr(res)))
+            continue
+        case_id, ga, out = res
+        failed = [(case_id, f"{m}: {why}") for m, (_, _, why) in out.items() if why is not None]
+        failures.extend(failed)
+        if not failed:
+            for method, (adc, r2, _) in out.items():
+                points[method].append(CohortPoint(case_id, ga, adc, r2))
+    fits = {m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= 3}
+    return CohortStudyResult(points, fits, [], failures)
+
+
+def _simulate_case(spec: CohortCaseSpec):
+    """Cohort case loader: the motion-corrupted phantom series of a spec."""
+    pspec = phantom.PhantomSpec(
         dims=spec.dims,
         lung_adc=spec.true_adc,
         noise_sigma=spec.noise_sigma,
         motion_amplitude=spec.motion_amplitude,
         seed=spec.seed,
     )
-    maps, roi = make_phantom(pspec)
-    clean = simulate_series(maps, roi, pspec.bvalues, pspec.noise_sigma, spec.seed)
-    moved, _fields = apply_synthetic_motion(clean, pspec, spec.seed + 1)
-
-    out = {}
-    adc, r2 = fit_case_summary(moved, roi)
-    out["no_compensation"] = (adc, r2)
-    for method, weights in (
-        ("no_model_fit", replace(cfg.weights, alpha2=0.0)),
-        ("full", cfg.weights),
-    ):
-        result = run_case(moved, roi, replace(cfg, weights=weights))
-        rec = result.best_record
-        out[method] = (rec.roi_mean_adc, rec.roi_r2, result.failed)
-    return spec.case_id, spec.ga_weeks, out
+    maps, roi = phantom.make_phantom(pspec)
+    clean = phantom.simulate_series(maps, roi, pspec.bvalues, pspec.noise_sigma, spec.seed)
+    moved, _fields = phantom.apply_synthetic_motion(clean, pspec, spec.seed + 1)
+    return spec.case_id, spec.ga_weeks, moved, roi
 
 
 def run_simulated_cohort(
@@ -283,45 +358,16 @@ def run_simulated_cohort(
     cfg: PipelineConfig,
     workers: int = 1,
 ) -> CohortStudyResult:
-    """Analyze a simulated cohort with all three methods and fit ADC vs GA.
+    """`run_cohort` over simulated cases, ordered by case_id.
 
-    Cases run independently (optionally in worker processes); the outputs
-    are ordered by case_id, so the result does not depend on scheduling.
+    true_points holds each spec's true ADC at its GA.
     """
     case_specs = sorted(case_specs, key=lambda s: s.case_id)
-    true_points = [
+    study = run_cohort(_simulate_case, case_specs, cfg, workers)
+    study.true_points = [
         CohortPoint(s.case_id, s.ga_weeks, s.true_adc, 1.0) for s in case_specs
     ]
-    results = []
-    failures = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_analyze_cohort_case, s, cfg) for s in case_specs]
-            for spec, fut in zip(case_specs, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as err:  # keep going; cohort tolerates case failures
-                    failures.append((spec.case_id, repr(err)))
-    else:
-        for spec in case_specs:
-            try:
-                results.append(_analyze_cohort_case(spec, cfg))
-            except Exception as err:
-                failures.append((spec.case_id, repr(err)))
-
-    points = {m: [] for m in COHORT_METHODS}
-    true_points = []
-    for case_id, ga, out in results:
-        adc0, r20 = out["no_compensation"]
-        points["no_compensation"].append(CohortPoint(case_id, ga, adc0, r20))
-        for method in ("no_model_fit", "full"):
-            adc, r2, case_failed = out[method]
-            if case_failed:
-                failures.append((case_id, f"{method}: diverged"))
-                continue
-            points[method].append(CohortPoint(case_id, ga, adc, r2))
-    fits = {m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= 3}
-    return CohortStudyResult(points, fits, true_points, failures)
+    return study
 
 
 def make_cohort_case_specs(

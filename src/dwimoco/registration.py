@@ -9,7 +9,7 @@ initial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class InnerOptConfig:
     adam_eps: float = 1e-8
     plateau_window: int = 10
     plateau_rel_tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -8,7 +8,7 @@ of an (nx, ny, nz) array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,6 +88,8 @@ class BValueSeries:
         for v in vols:
             if v.dims != dims:
                 raise DimensionMismatchError("all volumes must share dims")
+            if not np.isfinite(v.data).all():
+                raise ValueError("signal values must be finite")
             if float(v.data.min()) < 0.0:
                 raise ValueError("signal values must be >= 0")
 

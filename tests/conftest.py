@@ -1,19 +1,6 @@
 import numpy as np
 import pytest
 
-ACCEPTANCE_LINES = []
-
-
-def record_acceptance(line: str) -> None:
-    ACCEPTANCE_LINES.append(line)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if ACCEPTANCE_LINES:
-        terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
-
 
 @pytest.fixture
 def rng():

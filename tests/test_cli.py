@@ -1,0 +1,75 @@
+import csv
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from dwimoco import cli, pipeline
+from dwimoco import io as dio
+from dwimoco.registration import DivergedError
+
+CAPS = ["--max-outer", "2", "--max-inner", "3"]
+
+
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cases")
+    for s in (1, 2, 3):
+        argv = ["simulate", "--dims", "16,16,8", "--seed", str(s), "--ga", str(20 + 5 * s)]
+        assert cli.main(argv + ["--out", str(root / f"sim00{s}")]) == 0
+    return root
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_cohort_cases_points_equal_analyze_methods(cases, tmp_path):
+    out = tmp_path / "cohort"
+    assert cli.main(["cohort", "--cases", str(cases), *CAPS, "--out", str(out)]) == 0
+    cfg = cli.pipeline_config(json.loads((out / "effective_config.json").read_text()))
+    want = {m: [] for m in pipeline.COHORT_METHODS}
+    for manifest in sorted(cases.glob("*/manifest.json")):
+        series, roi, ga = dio.read_case(manifest)
+        for method, (adc, r2, failure) in pipeline.analyze_methods(series, roi, cfg).items():
+            assert failure is None
+            want[method].append([manifest.parent.name, dio.fmt(ga), dio.fmt(adc), dio.fmt(r2)])
+    for method in pipeline.COHORT_METHODS:
+        assert read_rows(out / f"cohort_points_{method}.csv")[1:] == want[method]
+    assert read_rows(out / "failures.csv") == [["case_id", "reason"]]
+
+
+def test_cohort_exits_3_and_lists_failures_when_every_case_diverges(
+    cases, tmp_path, monkeypatch
+):
+    def diverge(*args, **kwargs):
+        raise DivergedError("diverged: injected, at step 0", [])
+
+    monkeypatch.setattr(pipeline, "optimize_fields", diverge)
+    out = tmp_path / "cohort"
+    assert cli.main(["cohort", "--cases", str(cases), *CAPS, "--out", str(out)]) == 3
+    assert read_rows(out / "failures.csv") == [["case_id", "reason"]] + [
+        [case_id, f"{method}: diverged: injected, at step 0"]
+        for case_id in ("sim001", "sim002", "sim003")
+        for method in ("no_model_fit", "full")
+    ]
+    assert not (out / "summary.csv").exists()
+
+
+def test_cohort_empty_case_directory_exits_2(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["cohort", "--cases", str(empty), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_fit_non_finite_case_exits_2(cases, tmp_path):
+    case = tmp_path / "case"
+    shutil.copytree(cases / "sim001", case)
+    raw = case / "b0.raw"
+    flat = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
+    flat[0] = np.nan
+    raw.write_bytes(flat.tobytes())
+    argv = ["fit", "--case", str(case / "manifest.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2

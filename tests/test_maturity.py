@@ -8,7 +8,7 @@ from dwimoco.maturity import (
     fit_saturation,
     predict_adc,
 )
-from dwimoco.phantom import make_cohort
+from dwimoco.pipeline import make_cohort_case_specs
 
 TRUE_ADC_SAT = 3.2e-3
 TRUE_ALPHA = 0.07
@@ -92,10 +92,18 @@ class TestFitSaturation:
     def test_noisy_recovery_within_ten_percent(self):
         errs = []
         for seed in range(30):
-            pts = make_cohort(
-                38, (20.0, 38.0), (TRUE_ADC_SAT, TRUE_ALPHA), 0.1 * TRUE_ADC_SAT, seed
+            specs = make_cohort_case_specs(
+                n_cases=38,
+                dims=(8, 8, 8),
+                ga_range=(20.0, 38.0),
+                sat_adc=TRUE_ADC_SAT,
+                sat_alpha=TRUE_ALPHA,
+                adc_bio_noise=0.1 * TRUE_ADC_SAT,
+                noise_sigma=0.0,
+                motion_range=(0.0, 0.0),
+                seed=seed,
             )
-            fit = fit_saturation(pts)
+            fit = fit_saturation([CohortPoint(s.case_id, s.ga_weeks, s.true_adc) for s in specs])
             errs.append(fit.adc_sat / TRUE_ADC_SAT - 1.0)
         assert abs(np.mean(errs)) < 0.1
 

@@ -22,6 +22,8 @@ from dwimoco.volume import (
     DisplacementField,
     RoiMask,
     ScalarVolume,
+    trilinear_sample,
+    warp_series,
 )
 
 DIMS = (10, 9, 7)
@@ -269,45 +271,87 @@ class TestAdjointProperty:
         for axis in range(3):
             a = rng.normal(0, 1, (6, 5, 4))
             w = rng.normal(0, 1, (6, 5, 4))
-            lhs = float((_kernels.axis_diff_numpy(a, axis) * w).sum())
-            rhs = float((a * _kernels.axis_diff_adjoint_numpy(w, axis)).sum())
+            lhs = float((_kernels.axis_diff(a, axis) * w).sum())
+            rhs = float((a * _kernels.axis_diff_adjoint(w, axis)).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_jit_matches_numpy_reference(self, rng):
-        for dims in [(2, 2, 2), (3, 5, 2), (8, 7, 6)]:
-            u = rng.normal(0, 1, dims + (3,))
-            g1 = np.zeros_like(u)
-            g2 = np.zeros_like(u)
-            l1 = _kernels.smooth_loss_grad(u, g1, 0.37)
-            l2 = _kernels.smooth_loss_grad_numpy(u, g2, 0.37)
-            assert l1 == pytest.approx(l2, rel=1e-12)
-            np.testing.assert_allclose(g1, g2, rtol=1e-10, atol=1e-14)
 
-    def test_match_terms_jit_equals_numpy(self, setup):
-        maps, roi, fixed, moving, _, u = setup
-        pred = maps.log_s0.data - BVALUES[2] * maps.adc.data
-        g1 = np.zeros(DIMS + (3,))
-        g2 = np.zeros(DIMS + (3,))
-        s1, m1 = _kernels._match_terms_jit(
-            moving.volumes[2].data, u[2], fixed.volumes[2].data, pred, roi.data,
-            1e-6, 0.3, 0.7, g1,
-        ) if _kernels.HAVE_NUMBA else (None, None)
-        s2, m2 = _kernels.match_terms_numpy(
-            moving.volumes[2].data, u[2], fixed.volumes[2].data, pred, roi.data,
-            1e-6, 0.3, 0.7, g2,
-        )
-        if s1 is not None:
-            assert s1 == pytest.approx(s2, rel=1e-12)
-            assert m1 == pytest.approx(m2, rel=1e-12)
-            np.testing.assert_allclose(g1, g2, rtol=1e-10, atol=1e-15)
+class TestKernelOracles:
+    """The vectorized kernels against independent scalar or per-term code."""
 
-    def test_warp_jit_equals_numpy(self, rng):
+    def test_warp_matches_trilinear_sample(self, rng):
         vol = rng.random((6, 5, 7))
-        disp = rng.uniform(-3, 3, (6, 5, 7, 3))
-        w1, d1 = _kernels.warp3d_with_point_grad_numpy(vol, disp)
-        w2, d2 = _kernels.warp3d_with_point_grad(vol, disp)
-        np.testing.assert_allclose(w1, w2, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(d1, d2, rtol=1e-13, atol=1e-15)
+        disp = rng.uniform(-3, 3, (6, 5, 7, 3))  # reaches past every border
+        out, _ = _kernels.warp3d_with_point_grad(vol, disp)
+        sv = ScalarVolume(vol)
+        for p in np.ndindex(vol.shape):
+            want = trilinear_sample(sv, np.add(p, disp[p]))
+            assert out[p] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_point_grad_matches_central_differences(self, rng):
+        dims = (6, 5, 7)
+        vol = rng.random(dims)
+        # off-grid interior points: a random cell plus a fraction in [0.1, 0.9]
+        cells = np.stack([rng.integers(0, n - 1, dims) for n in dims], axis=-1)
+        points = cells + rng.uniform(0.1, 0.9, dims + (3,))
+        disp = points - np.stack(np.indices(dims), axis=-1)
+        _, dout = _kernels.warp3d_with_point_grad(vol, disp)
+        sv = ScalarVolume(vol)
+        h = 1e-4
+        for p in np.ndindex(dims):
+            for a in range(3):
+                step = np.zeros(3)
+                step[a] = h
+                fd = (
+                    trilinear_sample(sv, points[p] + step) - trilinear_sample(sv, points[p] - step)
+                ) / (2 * h)
+                assert dout[p + (a,)] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+    def test_match_terms_sums_match_term_losses(self, setup):
+        maps, roi, fixed, moving, fields, u = setup
+        n_b = len(BVALUES)
+        n_vox = int(np.prod(DIMS))
+        sim_total = 0.0
+        mf_total = 0.0
+        for i, b in enumerate(BVALUES):
+            pred = maps.log_s0.data - b * maps.adc.data
+            s, m = _kernels.match_terms(
+                moving.volumes[i].data, u[i], fixed.volumes[i].data, pred, roi.data,
+                1e-6, 0.3, 0.7, np.zeros(DIMS + (3,)),
+            )
+            sim_total += s
+            mf_total += m
+        warped = warp_series(moving, fields)
+        assert sim_total / (n_b * n_vox) == pytest.approx(
+            similarity_loss(fixed, warped), rel=1e-12
+        )
+        assert mf_total / (n_b * roi.count) == pytest.approx(
+            model_fit_loss(warped, maps, roi, 1e-6), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2), (3, 5, 2), (8, 7, 6)], ids=["2x2x2", "3x5x2", "8x7x6"]
+    )
+    def test_smooth_loss_grad_matches_smoothness_loss(self, rng, dims):
+        u = rng.normal(0, 1, dims + (3,))
+        grad = np.zeros_like(u)
+        weight = 0.37
+        loss = _kernels.smooth_loss_grad(u, grad, weight)
+        assert loss == pytest.approx(
+            smoothness_loss(DisplacementField(u), normalize=False), rel=1e-12
+        )
+        # the loss is quadratic in u, so central differences are exact up to rounding
+        h = 1e-3
+        for idx in np.ndindex(u.shape):
+            up = u.copy()
+            up[idx] += h
+            dn = u.copy()
+            dn[idx] -= h
+            fd = (
+                smoothness_loss(DisplacementField(up), normalize=False)
+                - smoothness_loss(DisplacementField(dn), normalize=False)
+            ) / (2 * h)
+            assert grad[idx] == pytest.approx(weight * fd, rel=1e-7, abs=1e-9)
 
 
 class TestLossWeights:

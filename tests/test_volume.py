@@ -76,6 +76,14 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             BValueSeries((0.0, 100.0), (v, neg))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_signal(self, bad):
+        v = constant_volume((2, 2, 2), 1.0)
+        data = np.ones((2, 2, 2))
+        data[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BValueSeries((0.0, 100.0), (v, ScalarVolume(data)))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             BValueSeries(
