@@ -47,8 +47,6 @@ DEFAULTS = {
         "max_outer_iters": 50,
         "converge_window": 5,
         "adc_change_tol": 1e-3,
-        "floor_eps": 1e-6,
-        "normalize_smooth": True,
     },
     "phantom": {
         "dims": [96, 96, 16],
@@ -138,7 +136,10 @@ def resolve_config(args) -> dict:
         if value is None:
             continue
         if flag == "dims":
-            value = [int(v) for v in value.split(",")]
+            try:
+                value = [int(v) for v in value.split(",")]
+            except ValueError:
+                value = []
             if len(value) != 3:
                 raise ConfigError("--dims needs three comma-separated integers")
         if section is None:
@@ -157,42 +158,46 @@ def echo_config(cfg: dict, out_dir) -> None:
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
+    """The PipelineConfig of a resolved config; ConfigError if a value is invalid."""
     p = cfg["pipeline"]
-    return PipelineConfig(
-        weights=LossWeights(p["alpha1"], p["alpha2"]),
-        inner=InnerOptConfig(
-            learning_rate=p["learning_rate"],
-            lr_drop_factor=p["lr_drop_factor"],
-            max_inner_steps=int(p["max_inner_steps"]),
-            plateau_window=int(p["plateau_window"]),
-            plateau_rel_tol=p["plateau_rel_tol"],
-        ),
-        max_outer_iters=int(p["max_outer_iters"]),
-        converge_window=int(p["converge_window"]),
-        adc_change_tol=p["adc_change_tol"],
-        floor_eps=p["floor_eps"],
-        normalize_smooth=bool(p["normalize_smooth"]),
-    )
+    try:
+        return PipelineConfig(
+            weights=LossWeights(p["alpha1"], p["alpha2"]),
+            inner=InnerOptConfig(
+                learning_rate=p["learning_rate"],
+                lr_drop_factor=p["lr_drop_factor"],
+                max_inner_steps=int(p["max_inner_steps"]),
+                plateau_window=int(p["plateau_window"]),
+                plateau_rel_tol=p["plateau_rel_tol"],
+            ),
+            max_outer_iters=int(p["max_outer_iters"]),
+            converge_window=int(p["converge_window"]),
+            adc_change_tol=p["adc_change_tol"],
+        )
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid pipeline config: {err}") from err
 
 
-def phantom_spec(cfg: dict, lung_adc=None, motion_amplitude=None, seed=None) -> PhantomSpec:
+def phantom_spec(cfg: dict) -> PhantomSpec:
+    """The PhantomSpec of a resolved config; ConfigError if a value is invalid."""
     ph = cfg["phantom"]
-    return PhantomSpec(
-        dims=tuple(int(d) for d in ph["dims"]),
-        bvalues=tuple(float(b) for b in ph["bvalues"]),
-        lung_adc=float(lung_adc if lung_adc is not None else ph["lung_adc"]),
-        background_adc=float(ph["background_adc"]),
-        lung_s0=float(ph["lung_s0"]),
-        background_s0=float(ph["background_s0"]),
-        roi_margin=float(ph["roi_margin"]),
-        boundary_sigma=float(ph["boundary_sigma"]),
-        noise_sigma=float(ph["noise_sigma"]),
-        motion_amplitude=float(
-            motion_amplitude if motion_amplitude is not None else ph["motion_amplitude"]
-        ),
-        motion_smoothness=float(ph["motion_smoothness"]),
-        seed=int(seed if seed is not None else cfg["seed"]),
-    )
+    try:
+        return PhantomSpec(
+            dims=tuple(int(d) for d in ph["dims"]),
+            bvalues=tuple(float(b) for b in ph["bvalues"]),
+            lung_adc=float(ph["lung_adc"]),
+            background_adc=float(ph["background_adc"]),
+            lung_s0=float(ph["lung_s0"]),
+            background_s0=float(ph["background_s0"]),
+            roi_margin=float(ph["roi_margin"]),
+            boundary_sigma=float(ph["boundary_sigma"]),
+            noise_sigma=float(ph["noise_sigma"]),
+            motion_amplitude=float(ph["motion_amplitude"]),
+            motion_smoothness=float(ph["motion_smoothness"]),
+            seed=int(cfg["seed"]),
+        )
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid phantom config: {err}") from err
 
 
 def _progress(msg: str) -> None:
@@ -203,7 +208,7 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
     spec = phantom_spec(cfg)
-    seed = int(cfg["seed"])
+    seed = spec.seed
     maps, roi = make_phantom(spec)
     series = simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, seed)
     moved, true_fields = apply_synthetic_motion(series, spec, seed + 1)
@@ -223,17 +228,16 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     echo_config(cfg, out)
     norm, _scale = normalize_series(series)
-    floor_eps = cfg["pipeline"]["floor_eps"]
     means = roi_mean_signals(norm, roi)
     rows = []
     methods = ("lls", "irls") if args.method == "both" else (args.method,)
     for method in methods:
         if method == "lls":
-            maps = lls_fit(norm, floor_eps)
-            _c_log_s0, c_adc, c_r2 = lls_fit_curve(means, norm.bvalues, floor_eps)
+            maps = lls_fit(norm)
+            _c_log_s0, c_adc, c_r2 = lls_fit_curve(means, norm.bvalues)
         else:
-            maps, _r2map = irls_fit_volume(norm, floor_eps=floor_eps)
-            _ls, c_adc, diag = irls_fit(means, norm.bvalues, floor_eps=floor_eps)
+            maps, _r2map = irls_fit_volume(norm)
+            _ls, c_adc, diag = irls_fit(means, norm.bvalues)
             c_r2 = diag.r2
         dio.write_volume(maps.adc, out / f"{method}_adc")
         dio.write_volume(maps.log_s0, out / f"{method}_log_s0")
@@ -250,10 +254,10 @@ def cmd_fit(args) -> int:
 
 def cmd_morph(args) -> int:
     cfg = resolve_config(args)
+    pcfg = pipeline_config(cfg)
     series, roi, _ga = dio.read_case(args.case)
     out = Path(args.out)
     echo_config(cfg, out)
-    pcfg = pipeline_config(cfg)
     variant = "full" if pcfg.weights.alpha2 > 0 else "no_model_fit"
     _progress(f"morph[{variant}]: running up to {pcfg.max_outer_iters} iterations")
     result = run_case(series, roi, pcfg)
@@ -293,16 +297,17 @@ def cmd_cohort(args) -> int:
         study = run_cohort(_read_case_source, manifests, pcfg, workers)
     else:
         co = cfg["cohort"]
+        spec = phantom_spec(cfg)
         specs = make_cohort_case_specs(
             n_cases=int(co["n_cases"]),
-            dims=tuple(int(d) for d in cfg["phantom"]["dims"]),
+            dims=spec.dims,
             ga_range=(co["ga_min"], co["ga_max"]),
             sat_adc=co["sat_adc"],
             sat_alpha=co["sat_alpha"],
             adc_bio_noise=co["adc_bio_noise"],
-            noise_sigma=cfg["phantom"]["noise_sigma"],
+            noise_sigma=spec.noise_sigma,
             motion_range=(co["motion_min"], co["motion_max"]),
-            seed=int(cfg["seed"]),
+            seed=spec.seed,
         )
         echo_config(cfg, out)
         _progress(f"cohort: simulating and analyzing {len(specs)} cases (workers={workers})")

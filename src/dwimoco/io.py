@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .maturity import CohortPoint, SaturationFit
+from .maturity import SaturationFit
 from .pipeline import CaseResult
-from .signal_model import ParameterMaps, forward_signal
+from .signal_model import forward_signal
 from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume
 
 
@@ -168,6 +168,16 @@ def read_field(path) -> DisplacementField:
 _MANIFEST_KEYS = {"case_id", "ga_weeks", "roi", "volumes"}
 
 
+def _manifest_number(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as err:
+        raise ManifestError(f"{what} must be a number, got {value!r}") from err
+    if not np.isfinite(number):
+        raise ManifestError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def write_case(series: BValueSeries, roi: RoiMask, ga_weeks: float, case_id: str, out_dir) -> Path:
     """Write a whole case (manifest + per-b volumes + ROI); returns manifest path."""
     out = Path(out_dir)
@@ -194,7 +204,8 @@ def read_case(manifest_path):
 
     Volumes are assembled in ascending b-value order regardless of how the
     manifest lists them.  Rejects duplicate b-values, a missing b=0 entry,
-    and any grid mismatch.
+    any grid mismatch and any series `BValueSeries` rejects (negative
+    b-values or signals), always with ManifestError or ContainerError.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -218,9 +229,13 @@ def read_case(manifest_path):
     seen = set()
     loaded = []
     for entry in entries:
-        if set(entry) != {"bvalue", "path"}:
-            raise ManifestError(f"bad volume entry keys {sorted(entry)}")
-        b = float(entry["bvalue"])
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"bvalue", "path"}
+            or not isinstance(entry["path"], str)
+        ):
+            raise ManifestError(f"volume entry needs a bvalue and a path string, got {entry!r}")
+        b = _manifest_number(entry["bvalue"], "bvalue")
         if b in seen:
             raise ManifestError(f"duplicate b-value {b:g}")
         seen.add(b)
@@ -232,11 +247,17 @@ def read_case(manifest_path):
     for b, vol in loaded:
         if vol.dims != dims:
             raise ManifestError(f"volume at b={b:g} has dims {vol.dims}, expected {dims}")
+    if not isinstance(manifest["roi"], str):
+        raise ManifestError(f"roi must be a path, got {manifest['roi']!r}")
     roi = read_mask(base / manifest["roi"])
     if roi.dims != dims:
         raise ManifestError(f"roi dims {roi.dims} do not match volumes {dims}")
-    series = BValueSeries(tuple(b for b, _ in loaded), tuple(v for _, v in loaded))
-    return series, roi, float(manifest["ga_weeks"])
+    ga_weeks = _manifest_number(manifest["ga_weeks"], "ga_weeks")
+    try:
+        series = BValueSeries(tuple(b for b, _ in loaded), tuple(v for _, v in loaded))
+    except ValueError as err:
+        raise ManifestError(f"{manifest_path}: {err}") from err
+    return series, roi, ga_weeks
 
 
 def _csv_cell(c) -> str:
@@ -379,7 +400,7 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
     out = _svg_open()
     out.extend(_svg_frame(ax, "gestational age (weeks)", "ADC (mm^2/s)", title))
     curve_ga = np.linspace(ax.x0, ax.x1, 80)
-    curve = fit.adc_sat * (1.0 - fit.b_coeff * np.exp(-fit.alpha * curve_ga))
+    curve = fit.adc_sat * (1.0 - np.exp(-fit.alpha * curve_ga))
     out.append(_svg_polyline(ax, curve_ga, curve, "gray"))
     for p in pts:
         out.append(_svg_dot(ax, p.ga, p.adc, shade=1.0 - min(max(p.fit_r2, 0.0), 1.0)))

@@ -38,8 +38,6 @@ class CohortPoint:
 class SaturationFit:
     """Fitted saturation parameters.
 
-    b_coeff is 1.0 for the standard two-parameter model; the optional
-    three-parameter variant ADC = A * (1 - B * exp(-C * GA)) stores B here.
     `flagged` marks fits whose parameters are not physiologically meaningful
     (non-positive adc_sat or alpha) or whose cohort had no ADC variance.
     """
@@ -47,7 +45,6 @@ class SaturationFit:
     adc_sat: float
     alpha: float
     r2: float
-    b_coeff: float = 1.0
     flagged: bool = False
 
 
@@ -59,37 +56,33 @@ def predict_adc(ga, fit: SaturationFit):
     ga = np.asarray(ga, dtype=np.float64)
     if np.any(ga < 0):
         raise ValueError("ga must be >= 0")
-    out = fit.adc_sat * (1.0 - fit.b_coeff * np.exp(-fit.alpha * ga))
+    out = _model(ga, fit.adc_sat, fit.alpha)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _model(ga, adc_sat, alpha, b_coeff):
-    return adc_sat * (1.0 - b_coeff * np.exp(-alpha * ga))
+def _model(ga, adc_sat, alpha):
+    return adc_sat * (1.0 - np.exp(-alpha * ga))
 
 
-def _sse(adc, ga, adc_sat, alpha, b_coeff):
+def _sse(adc, ga, adc_sat, alpha):
     # overflow for wildly negative alpha trial steps just yields an inf SSE,
     # which the backtracking line search rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _model(ga, adc_sat, alpha, b_coeff) - adc
+        r = _model(ga, adc_sat, alpha) - adc
         return float((r * r).sum())
 
 
-def _gauss_newton(ga, adc, p0, three_param, max_iter=100):
-    """Damped Gauss-Newton on (adc_sat, alpha[, b_coeff])."""
+def _gauss_newton(ga, adc, p0, max_iter=100):
+    """Damped Gauss-Newton on (adc_sat, alpha)."""
     p = np.array(p0, dtype=np.float64)
-    sse = _sse(adc, ga, p[0], p[1], p[2] if three_param else 1.0)
+    sse = _sse(adc, ga, p[0], p[1])
     for _ in range(max_iter):
         a, al = p[0], p[1]
-        b = p[2] if three_param else 1.0
         e = np.exp(-al * ga)
-        resid = _model(ga, a, al, b) - adc
-        cols = [1.0 - b * e, a * b * ga * e]
-        if three_param:
-            cols.append(-a * e)
-        J = np.stack(cols, axis=1)
+        resid = _model(ga, a, al) - adc
+        J = np.stack([1.0 - e, a * ga * e], axis=1)
         g = J.T @ resid
         H = J.T @ J
         try:
@@ -101,7 +94,7 @@ def _gauss_newton(ga, adc, p0, three_param, max_iter=100):
         improved = False
         for _ in range(20):
             cand = p - lam * step
-            cand_sse = _sse(adc, ga, cand[0], cand[1], cand[2] if three_param else 1.0)
+            cand_sse = _sse(adc, ga, cand[0], cand[1])
             if cand_sse <= sse:
                 improved = True
                 break
@@ -116,7 +109,7 @@ def _gauss_newton(ga, adc, p0, three_param, max_iter=100):
     return p, sse
 
 
-def fit_saturation(points, three_param: bool = False) -> SaturationFit:
+def fit_saturation(points) -> SaturationFit:
     """Least-squares fit of the saturation model to cohort (GA, ADC) points.
 
     Needs at least 3 points with non-constant GA.  A cohort with zero ADC
@@ -137,23 +130,18 @@ def fit_saturation(points, three_param: bool = False) -> SaturationFit:
         if denom <= 0:
             continue
         adc_sat = float((adc * g).sum() / denom)
-        sse = _sse(adc, ga, adc_sat, alpha, 1.0)
+        sse = _sse(adc, ga, adc_sat, alpha)
         if best is None or sse < best[0]:
             best = (sse, adc_sat, alpha)
     _, adc_sat, alpha = best
 
-    if three_param:
-        p, sse = _gauss_newton(ga, adc, (adc_sat, alpha, 1.0), True)
-        adc_sat, alpha, b_coeff = (float(v) for v in p)
-    else:
-        p, sse = _gauss_newton(ga, adc, (adc_sat, alpha), False)
-        adc_sat, alpha = (float(v) for v in p)
-        b_coeff = 1.0
+    p, sse = _gauss_newton(ga, adc, (adc_sat, alpha))
+    adc_sat, alpha = (float(v) for v in p)
 
     ss_tot = float(((adc - adc.mean()) ** 2).sum())
     # zero ADC variance up to accumulation rounding: nothing to explain
     if ss_tot <= 1e-28 * float((adc * adc).sum()):
-        return SaturationFit(adc_sat, alpha, 0.0, b_coeff, flagged=True)
+        return SaturationFit(adc_sat, alpha, 0.0, flagged=True)
     r2 = 1.0 - sse / ss_tot
     flagged = not (adc_sat > 0 and alpha > 0)
-    return SaturationFit(adc_sat, alpha, r2, b_coeff, flagged=flagged)
+    return SaturationFit(adc_sat, alpha, r2, flagged=flagged)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .signal_model import DEFAULT_FLOOR_EPS, ParameterMaps
+from .signal_model import FLOOR_EPS, ParameterMaps
 from .volume import (
     BValueSeries,
     DimensionMismatchError,
@@ -81,26 +81,17 @@ def similarity_loss(fixed: BValueSeries, warped: BValueSeries) -> float:
     return total / fixed.b_count
 
 
-def smoothness_loss(field: DisplacementField, normalize: bool = True) -> float:
-    """Sum over voxels of the squared Frobenius norm of the field Jacobian.
+def smoothness_loss(field: DisplacementField) -> float:
+    """Mean over voxels of the squared Frobenius norm of the field Jacobian.
 
-    With normalize=True (default) the sum is divided by the voxel count so
-    the weight alpha1 transfers across resolutions; normalize=False gives
-    the raw sum.
+    Dividing the sum by the voxel count lets the weight alpha1 transfer
+    across resolutions.
     """
     jac = spatial_gradient(field)
-    raw = float((jac * jac).sum())
-    if normalize:
-        return raw / float(np.prod(field.dims))
-    return raw
+    return float((jac * jac).sum()) / float(np.prod(field.dims))
 
 
-def model_fit_loss(
-    warped: BValueSeries,
-    maps: ParameterMaps,
-    roi: RoiMask,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-) -> float:
+def model_fit_loss(warped: BValueSeries, maps: ParameterMaps, roi: RoiMask) -> float:
     """Mean squared log-domain decay residual inside the ROI.
 
     Residual per voxel and b-value: log_s0 - b * adc - log(max(S, eps)).
@@ -117,7 +108,7 @@ def model_fit_loss(
     adc = maps.adc.data[mask]
     total = 0.0
     for b, vol in zip(warped.bvalues, warped.volumes):
-        s = np.maximum(vol.data[mask], floor_eps)
+        s = np.maximum(vol.data[mask], FLOOR_EPS)
         r = log_s0 - b * adc - np.log(s)
         total += float((r * r).mean())
     return total / warped.b_count
@@ -140,18 +131,16 @@ def total_loss(
     maps: ParameterMaps | None,
     roi: RoiMask,
     weights: LossWeights,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-    normalize_smooth: bool = True,
 ) -> LossBreakdown:
     """Warp `moving` by the per-b-value fields and evaluate all three terms."""
     _check_series_pair(fixed, moving)
     fields = _check_fields(moving, fields)
     warped = warp_series(moving, fields)
     sim = similarity_loss(fixed, warped)
-    smooth = sum(smoothness_loss(f, normalize_smooth) for f in fields)
+    smooth = sum(smoothness_loss(f) for f in fields)
     mf = 0.0
     if weights.alpha2 != 0.0:
-        mf = model_fit_loss(warped, maps, roi, floor_eps)
+        mf = model_fit_loss(warped, maps, roi)
     return LossBreakdown(sim, smooth, mf, sim + weights.alpha1 * smooth + weights.alpha2 * mf)
 
 
@@ -162,8 +151,6 @@ def loss_and_gradient(
     maps: ParameterMaps | None,
     roi: RoiMask,
     weights: LossWeights,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-    normalize_smooth: bool = True,
 ):
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
@@ -199,7 +186,7 @@ def loss_and_gradient(
         roi_mask = _NO_ROI.setdefault(dims, np.zeros(dims, dtype=bool))
         mf_c = 0.0
     sim_c = 1.0 / (n_b * n_vox)
-    smooth_w = weights.alpha1 / n_vox if normalize_smooth else weights.alpha1
+    smooth_w = weights.alpha1 / n_vox
 
     grad = np.zeros_like(fields_arr)
     sim_sum = 0.0
@@ -219,7 +206,7 @@ def loss_and_gradient(
             fixed.volumes[i].data,
             pred_log,
             roi_mask,
-            floor_eps,
+            FLOOR_EPS,
             sim_c,
             mf_c,
             grad[i],
@@ -230,34 +217,12 @@ def loss_and_gradient(
 
     sim = sim_sum / (n_b * n_vox)
     mf = mf_sum / (n_b * n_roi) if use_mf else 0.0
-    smooth = smooth_sum / n_vox if normalize_smooth else smooth_sum
+    smooth = smooth_sum / n_vox
     bd = LossBreakdown(sim, smooth, mf, sim + weights.alpha1 * smooth + weights.alpha2 * mf)
     return bd, grad
 
 
 _NO_ROI: dict = {}
-
-
-def loss_gradient(
-    fixed: BValueSeries,
-    moving: BValueSeries,
-    fields,
-    maps: ParameterMaps | None,
-    roi: RoiMask,
-    weights: LossWeights,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-    normalize_smooth: bool = True,
-):
-    """Analytic gradient of `total_loss` w.r.t. every displacement vector.
-
-    Returns one (nx, ny, nz, 3) array per b-value.
-    """
-    fields = _check_fields(moving, fields)
-    fields_arr = np.stack([f.data for f in fields])
-    _, grad = loss_and_gradient(
-        fixed, moving, fields_arr, maps, roi, weights, floor_eps, normalize_smooth
-    )
-    return [grad[i].copy() for i in range(len(fields))]
 
 
 def per_term_gradients(
@@ -266,8 +231,6 @@ def per_term_gradients(
     fields,
     maps: ParameterMaps,
     roi: RoiMask,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-    normalize_smooth: bool = True,
 ):
     """Unweighted gradient of each loss term separately (for verification).
 
@@ -287,18 +250,18 @@ def per_term_gradients(
     g_sm = np.zeros(shape)
     sim_c = 1.0 / (n_b * n_vox)
     mf_c = 1.0 / (n_b * roi.count)
-    smooth_w = 1.0 / n_vox if normalize_smooth else 1.0
+    smooth_w = 1.0 / n_vox
     no_roi = np.zeros(dims, dtype=bool)
     zeros = np.zeros(dims, dtype=np.float64)
     for i in range(n_b):
         pred_log = maps.log_s0.data - moving.bvalues[i] * maps.adc.data
         _kernels.match_terms(
             moving.volumes[i].data, fields[i].data, fixed.volumes[i].data,
-            zeros, no_roi, floor_eps, sim_c, 0.0, g_sim[i],
+            zeros, no_roi, FLOOR_EPS, sim_c, 0.0, g_sim[i],
         )
         _kernels.match_terms(
             moving.volumes[i].data, fields[i].data, fixed.volumes[i].data,
-            pred_log, roi.data, floor_eps, 0.0, mf_c, g_mf[i],
+            pred_log, roi.data, FLOOR_EPS, 0.0, mf_c, g_mf[i],
         )
         _kernels.smooth_loss_grad(fields[i].data, g_sm[i], smooth_w)
     return {"similarity": g_sim, "smooth": g_sm, "model_fit": g_mf}

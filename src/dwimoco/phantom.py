@@ -17,23 +17,25 @@ from .signal_model import ParameterMaps, forward_signal
 from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, warp
 
 DEFAULT_BVALUES = (0.0, 50.0, 100.0, 200.0, 400.0, 600.0)
+S0_TEXTURE = 0.15  # relative amplitude of smooth S0 variation in the lung
+ADC_TEXTURE = 0.08  # relative amplitude of smooth ADC variation in the lung
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Geometry, tissue parameters, noise and motion of a synthetic case."""
+    """Geometry, tissue parameters, noise and motion of a synthetic case.
+
+    The lung ellipsoid sits at the volume center with radii of about 30% of
+    each extent (at least 2 voxels), so dims must leave room for it.
+    """
 
     dims: tuple = (96, 96, 16)
     lung_adc: float = 2.5e-3  # mm^2/s
     background_adc: float = 1.0e-3
     lung_s0: float = 1.0
     background_s0: float = 0.55
-    roi_center: tuple | None = None  # voxels; defaults to the volume center
-    roi_radii: tuple | None = None  # voxels; defaults to ~30% of each extent
     roi_margin: float = 2.0  # erosion of the ROI vs. the ellipsoid, voxels
     boundary_sigma: float = 1.0  # gaussian blur of the lung boundary, voxels
-    s0_texture: float = 0.15  # relative amplitude of smooth S0 variation
-    adc_texture: float = 0.08  # relative amplitude of smooth ADC variation
     noise_sigma: float = 0.0  # additive noise std, fraction of max S0
     motion_amplitude: float = 0.0  # max displacement magnitude, voxels
     motion_smoothness: float = 48.0  # approx. wavelength of the fields, voxels
@@ -45,15 +47,16 @@ class PhantomSpec:
             raise ValueError("noise_sigma and motion_amplitude must be >= 0")
         if min(self.dims) < 2:
             raise ValueError("phantom dims must be >= 2 along every axis")
+        center, radii = self.center(), self.radii()
+        if any(c - r < 0 or c + r > n - 1 for c, r, n in zip(center, radii, self.dims)):
+            raise ValueError(
+                f"roi out of bounds: center {center} radii {radii} in dims {self.dims}"
+            )
 
     def center(self) -> tuple:
-        if self.roi_center is not None:
-            return tuple(float(c) for c in self.roi_center)
         return tuple((n - 1) / 2.0 for n in self.dims)
 
     def radii(self) -> tuple:
-        if self.roi_radii is not None:
-            return tuple(float(r) for r in self.roi_radii)
         nx, ny, nz = self.dims
         return (max(0.3 * nx, 2.0), max(0.3 * ny, 2.0), max(0.25 * nz, 2.0))
 
@@ -87,13 +90,6 @@ def make_phantom(spec: PhantomSpec):
     dims = spec.dims
     center = spec.center()
     radii = spec.radii()
-    for c, r, n in zip(center, radii, dims):
-        if r <= 0:
-            raise ValueError("roi out of bounds: non-positive radius")
-        if c - r < 0 or c + r > n - 1:
-            raise ValueError(
-                f"roi out of bounds: center {center} radii {radii} in dims {dims}"
-            )
     lung = _ellipsoid_mask(dims, center, radii).astype(np.float64)
     blend = gaussian_filter(lung, sigma=spec.boundary_sigma, mode="nearest")
     adc = spec.background_adc + (spec.lung_adc - spec.background_adc) * blend
@@ -101,12 +97,10 @@ def make_phantom(spec: PhantomSpec):
     # smooth parenchyma-like texture so per-voxel decay is motion-sensitive
     # away from the boundary too; zero-mean modulation restricted to the lung
     tex = _texture(dims, center, radii)
-    s0 = s0 * (1.0 + spec.s0_texture * blend * tex)
-    adc = adc * (1.0 + spec.adc_texture * blend * tex)
+    s0 = s0 * (1.0 + S0_TEXTURE * blend * tex)
+    adc = adc * (1.0 + ADC_TEXTURE * blend * tex)
     # keep at least half of each radius so small phantoms retain an ROI
     roi_radii = tuple(max(r - spec.roi_margin, 0.5 * r) for r in radii)
-    if min(roi_radii) <= 0:
-        raise ValueError("roi radii collapse to zero after erosion")
     roi = RoiMask(_ellipsoid_mask(dims, center, roi_radii))
     if roi.count == 0:
         raise ValueError("empty ROI")

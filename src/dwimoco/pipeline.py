@@ -28,14 +28,7 @@ from . import phantom
 from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import LossBreakdown, LossWeights, total_loss
 from .registration import DivergedError, InnerOptConfig, optimize_fields
-from .signal_model import (
-    DEFAULT_FLOOR_EPS,
-    ParameterMaps,
-    irls_fit,
-    lls_fit,
-    reconstruct,
-    roi_mean_signals,
-)
+from .signal_model import ParameterMaps, irls_fit, lls_fit, reconstruct, roi_mean_signals
 from .volume import (
     BValueSeries,
     DisplacementField,
@@ -49,21 +42,13 @@ from .volume import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Outer-loop settings; defaults follow the reference hyper-parameters.
-
-    freeze_fields skips registration entirely (fields stay zero), which
-    reduces the pipeline to the plain no-compensation baseline while keeping
-    identical bookkeeping.
-    """
+    """Outer-loop settings; defaults follow the reference hyper-parameters."""
 
     weights: LossWeights = LossWeights()
     inner: InnerOptConfig = InnerOptConfig()
     max_outer_iters: int = 50
     converge_window: int = 5
     adc_change_tol: float = 1e-3
-    floor_eps: float = DEFAULT_FLOOR_EPS
-    normalize_smooth: bool = True
-    freeze_fields: bool = False
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -128,14 +113,6 @@ def check_convergence(adc_history, window: int, tol: float) -> bool:
     return True
 
 
-def select_best_iteration(r2_values) -> int:
-    """Index of the maximum R^2; ties resolve to the earliest iteration."""
-    vals = list(r2_values)
-    if not vals:
-        raise ValueError("no recorded iterations")
-    return int(np.argmax(vals))
-
-
 def _curve_stats(series: BValueSeries, roi: RoiMask):
     means = roi_mean_signals(series, roi)
     log_s0, adc, diag = irls_fit(means, series.bvalues)
@@ -171,13 +148,10 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     for k in range(cfg.max_outer_iters):
         current, scale = normalize_series(current)
         total_scale *= scale
-        maps = lls_fit(current, cfg.floor_eps)
+        maps = lls_fit(current)
         fixed = reconstruct(maps, bvalues)
         means, log_s0_c, adc_c, diag = _curve_stats(current, roi)
-        loss0 = total_loss(
-            fixed, current, zero_fields, maps, roi, cfg.weights,
-            cfg.floor_eps, cfg.normalize_smooth,
-        )
+        loss0 = total_loss(fixed, current, zero_fields, maps, roi, cfg.weights)
         records.append(
             CaseRecord(k, adc_c, diag.r2, log_s0_c, tuple(means.tolist()), loss0)
         )
@@ -188,12 +162,11 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         ):
             converged = True
             break
-        if k == cfg.max_outer_iters - 1 or cfg.freeze_fields:
-            continue
+        if k == cfg.max_outer_iters - 1:
+            break
         try:
             fields, _trace = optimize_fields(
-                fixed, current, zero_fields, maps, roi, cfg.weights, cfg.inner,
-                cfg.floor_eps, cfg.normalize_smooth,
+                fixed, current, zero_fields, maps, roi, cfg.weights, cfg.inner
             )
         except DivergedError as err:
             failed = True

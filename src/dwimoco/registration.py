@@ -15,8 +15,12 @@ import numpy as np
 
 from . import _kernels
 from .objective import LossWeights, loss_and_gradient
-from .signal_model import DEFAULT_FLOOR_EPS
 from .volume import BValueSeries, DimensionMismatchError, DisplacementField, RoiMask
+
+# Adam moment decay rates and denominator guard (Kingma & Ba, 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -31,9 +35,6 @@ class InnerOptConfig:
     learning_rate: float = 0.1
     lr_drop_factor: float = 10.0
     max_inner_steps: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     plateau_window: int = 10
     plateau_rel_tol: float = 1e-5
 
@@ -89,8 +90,8 @@ def adam_minimize(value_and_grad, x0: np.ndarray, cfg: InnerOptConfig) -> AdamRe
     for t in range(1, cfg.max_inner_steps + 1):
         _kernels.adam_update(
             x, grad.ravel(), m, v, lr,
-            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-            1.0 - cfg.adam_beta1**t, 1.0 - cfg.adam_beta2**t,
+            ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+            1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t,
         )
         loss, grad, aux = value_and_grad(x)
         trace.append(aux)
@@ -120,8 +121,6 @@ def optimize_fields(
     roi: RoiMask,
     weights: LossWeights,
     cfg: InnerOptConfig,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-    normalize_smooth: bool = True,
 ):
     """Find per-b-value displacement fields minimizing the total loss.
 
@@ -144,10 +143,7 @@ def optimize_fields(
 
     def value_and_grad(x):
         fields_arr = x.reshape(shape)
-        bd, grad = loss_and_gradient(
-            fixed, moving, fields_arr, maps, roi, weights,
-            floor_eps, normalize_smooth,
-        )
+        bd, grad = loss_and_gradient(fixed, moving, fields_arr, maps, roi, weights)
         return bd.total, grad.reshape(-1), bd
 
     res = adam_minimize(value_and_grad, x0, cfg)

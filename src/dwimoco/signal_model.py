@@ -15,8 +15,10 @@ import numpy as np
 
 from .volume import BValueSeries, RoiMask, ScalarVolume
 
-DEFAULT_FLOOR_EPS = 1e-6
+FLOOR_EPS = 1e-6  # signals are floored here before the log
 IRLS_RESIDUAL_FLOOR = 1e-4  # residual magnitude floor in the weight update
+IRLS_MAX_ITER = 50  # weighted solves per IRLS fit, the first (plain LLS) included
+IRLS_TOL = 1e-6  # relative ADC change at which IRLS stops
 
 
 class DegenerateDesignError(ValueError):
@@ -80,48 +82,40 @@ def _weighted_log_linear_solve(b, y, w=None):
     return log_s0, adc
 
 
-def _floored_log(signals, floor_eps):
-    return np.log(np.maximum(signals, floor_eps))
+def _floored_log(signals):
+    return np.log(np.maximum(signals, FLOOR_EPS))
 
 
-def lls_fit(series: BValueSeries, floor_eps: float = DEFAULT_FLOOR_EPS) -> ParameterMaps:
+def lls_fit(series: BValueSeries) -> ParameterMaps:
     """Per-voxel linear least-squares fit in the log domain.
 
-    Signals are floored at floor_eps before the log so zeros at high b
+    Signals are floored at FLOOR_EPS before the log so zeros at high b
     cannot produce infinities.  ADC is left unclamped; negative estimates
     are reported as-is.
     """
-    if floor_eps <= 0:
-        raise ValueError("floor_eps must be > 0")
     b = np.asarray(series.bvalues, dtype=np.float64)
-    y = _floored_log(series.stack(), floor_eps)
+    y = _floored_log(series.stack())
     log_s0, adc = _weighted_log_linear_solve(b, y)
     spacing = series.volumes[0].spacing
     return ParameterMaps(ScalarVolume(log_s0, spacing), ScalarVolume(adc, spacing))
 
 
-def lls_fit_curve(signals, bvalues, floor_eps: float = DEFAULT_FLOOR_EPS):
+def lls_fit_curve(signals, bvalues):
     """Plain LLS fit of a single decay curve; returns (log_s0, adc, r2)."""
     b = np.asarray(bvalues, dtype=np.float64)
-    y = _floored_log(np.asarray(signals, dtype=np.float64), floor_eps)
+    y = _floored_log(np.asarray(signals, dtype=np.float64))
     log_s0, adc = _weighted_log_linear_solve(b, y)
     return float(log_s0), float(adc), r_squared(y, log_s0 - b * adc)
 
 
-def irls_fit(
-    signals,
-    bvalues,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-):
+def irls_fit(signals, bvalues):
     """Robust fit of one decay curve by iteratively reweighted least squares.
 
     Starts from unit weights (plain LLS) and re-weights each measurement by
     the inverse of its absolute log-domain residual, floored at 1e-4, which
     drives the solution toward the least-absolute-deviations line and
-    down-weights outliers.  Stops when the relative ADC change is <= tol or
-    after max_iter solves.
+    down-weights outliers.  Stops when the relative ADC change is <= IRLS_TOL
+    or after IRLS_MAX_ITER solves.
 
     Returns (log_s0, adc, FitDiagnostics); diagnostics carry the final
     weights, log-domain residuals, iteration count, and the R^2 of the fit
@@ -131,16 +125,16 @@ def irls_fit(
     s = np.asarray(signals, dtype=np.float64)
     if b.shape != s.shape or b.ndim != 1 or b.size < 2:
         raise ValueError("need matching 1-d signals and bvalues with B >= 2")
-    y = _floored_log(s, floor_eps)
+    y = _floored_log(s)
     w = np.ones_like(y)
     log_s0, adc = _weighted_log_linear_solve(b, y, w)
     iterations = 1
-    for _ in range(max_iter - 1):
+    for _ in range(IRLS_MAX_ITER - 1):
         resid = (log_s0 - b * adc) - y
         w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
         new_log_s0, new_adc = _weighted_log_linear_solve(b, y, w)
         iterations += 1
-        change_ok = abs(new_adc - adc) <= tol * max(abs(adc), np.finfo(float).tiny)
+        change_ok = abs(new_adc - adc) <= IRLS_TOL * max(abs(adc), np.finfo(float).tiny)
         log_s0, adc = new_log_s0, new_adc
         if change_ok:
             break
@@ -155,27 +149,23 @@ def irls_fit(
     return float(log_s0), float(adc), diag
 
 
-def irls_fit_volume(
-    series: BValueSeries,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-):
+def irls_fit_volume(series: BValueSeries):
     """Vectorized IRLS over every voxel of a series.
 
     Same iteration as `irls_fit`, run on all voxels at once until every
-    voxel satisfies the relative ADC tolerance (or max_iter).  Returns
+    voxel satisfies the relative ADC tolerance (or IRLS_MAX_ITER).  Returns
     (ParameterMaps, r2 map as ScalarVolume).
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
-    y = _floored_log(series.stack(), floor_eps)
+    y = _floored_log(series.stack())
     log_s0, adc = _weighted_log_linear_solve(b, y)
     bcol = b.reshape((-1, 1, 1, 1))
-    for _ in range(max_iter - 1):
+    for _ in range(IRLS_MAX_ITER - 1):
         resid = (log_s0[None] - bcol * adc[None]) - y
         w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
         new_log_s0, new_adc = _weighted_log_linear_solve(b, y, w)
-        done = np.all(np.abs(new_adc - adc) <= tol * np.maximum(np.abs(adc), np.finfo(float).tiny))
+        tol = IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
+        done = np.all(np.abs(new_adc - adc) <= tol)
         log_s0, adc = new_log_s0, new_adc
         if done:
             break

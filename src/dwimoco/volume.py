@@ -151,9 +151,6 @@ class DisplacementField:
     def zero(cls, dims) -> "DisplacementField":
         return cls(np.zeros(tuple(dims) + (3,), dtype=np.float64))
 
-    def max_magnitude(self) -> float:
-        return float(np.sqrt((self.data**2).sum(axis=-1)).max())
-
 
 def trilinear_sample(vol: ScalarVolume, point) -> float:
     """Trilinear interpolation at a voxel-space point, clamp-to-edge.

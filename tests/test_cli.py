@@ -7,6 +7,7 @@ import pytest
 
 from dwimoco import cli, pipeline
 from dwimoco import io as dio
+from dwimoco.phantom import PhantomSpec
 from dwimoco.registration import DivergedError
 
 CAPS = ["--max-outer", "2", "--max-inner", "3"]
@@ -73,3 +74,57 @@ def test_fit_non_finite_case_exits_2(cases, tmp_path):
     raw.write_bytes(flat.tobytes())
     argv = ["fit", "--case", str(case / "manifest.json"), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
+
+
+def test_default_config_builds_the_library_defaults():
+    cfg = cli.load_config(None)
+    assert cli.pipeline_config(cfg) == pipeline.PipelineConfig()
+    assert cli.phantom_spec(cfg) == PhantomSpec(noise_sigma=0.02, motion_amplitude=3.0)
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("morph", {"pipeline": {"max_outer_iters": 0}}, []),
+        ("morph", {"pipeline": {"max_inner_steps": "abc"}}, []),
+        ("morph", {"pipeline": {"floor_eps": 1e-6}}, []),
+        ("morph", {}, ["--alpha1", "-1"]),
+        ("simulate", {}, ["--dims", "16,16,x"]),
+        ("simulate", {}, ["--dims", "4,4,4"]),
+        ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
+    ],
+    ids=[
+        "max_outer_zero",
+        "max_inner_text",
+        "removed_key",
+        "alpha1_negative",
+        "dims_text",
+        "roi_out_of_bounds",
+        "noise_negative",
+    ],
+)
+def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out), *flags]
+    if command == "morph":
+        argv += ["--case", str(cases / "sim001" / "manifest.json")]
+    assert cli.main(argv) == 2
+    assert not (out / "effective_config.json").exists()
+
+
+def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
+    case = tmp_path / "case"
+    assert cli.main(["simulate", "--dims", "16,16,6", "--seed", "4", "--out", str(case)]) == 0
+    manifest = str(case / "manifest.json")
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["morph", "--case", manifest, "--max-outer", "3", "--max-inner", "5"]
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    config = str(first / "effective_config.json")
+    assert cli.main(["morph", "--case", manifest, "--config", config, "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == names
+    assert {"effective_config.json", "summary.csv", "best_adc.raw"} <= set(names)
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name

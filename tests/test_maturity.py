@@ -116,17 +116,6 @@ class TestFitSaturation:
         with pytest.raises(DegenerateCohortError):
             fit_saturation(pts)
 
-    def test_three_param_variant_recovers(self):
-        truth = SaturationFit(3.2e-3, 0.07, 1.0, b_coeff=0.9)
-        pts = [
-            CohortPoint(f"c{i}", float(ga), predict_adc(float(ga), truth))
-            for i, ga in enumerate(range(20, 39))
-        ]
-        fit = fit_saturation(pts, three_param=True)
-        assert fit.adc_sat == pytest.approx(3.2e-3, rel=1e-4)
-        assert fit.alpha == pytest.approx(0.07, rel=1e-3)
-        assert fit.b_coeff == pytest.approx(0.9, rel=1e-3)
-
 
 class TestCohortPoint:
     def test_validates_ga(self):

@@ -84,10 +84,6 @@ class TestLlsFit:
         with pytest.raises(DegenerateDesignError, match="degenerate design"):
             lls_fit_curve([1.0, 1.0, 1.0], [100.0, 100.0, 100.0])
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValueError):
-            lls_fit(series_from_maps(np.ones((2, 2, 2)), np.ones((2, 2, 2)) * 1e-3), 0.0)
-
 
 class TestIrlsFit:
     def test_matches_lls_on_clean_data(self):
