@@ -1,81 +1,146 @@
 """Low-level numeric kernels shared by the warping and loss machinery.
 
-Each kernel has one vectorized numpy implementation.  The inner
-registration loop calls them thousands of times per case, so they work on
-raw arrays and accumulate gradients into caller-owned buffers instead of
-allocating per-term results.  The tests check them against independent
-code: the scalar `volume.trilinear_sample`, the per-term losses in
-`objective`, and finite differences.  All kernels are sequential and
-therefore bit-for-bit reproducible across runs.
+Each kernel has one vectorized numpy float64 implementation.  The inner
+registration loop calls them hundreds to thousands of times per case, so
+they work on raw arrays, write into buffers they own or the caller passes,
+and accumulate gradients into caller-owned buffers instead of allocating
+per-term results.  The tests check them against independent code: the
+scalar `volume.trilinear_sample`, the per-term losses in `objective`,
+`np.gradient`, the textbook Adam step and finite differences.  All kernels
+are sequential and therefore bit-for-bit reproducible across runs.  Each
+one rounds exactly as the per-voxel formula in its docstring, evaluated in
+the written order, does; at most the sign of a zero gradient entry differs.
+So regrouping the array operations of a kernel, as long as every voxel
+still sees the same operations, changes no result bit.
+
+`warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
+flat base index per voxel and a constant +1 stride per axis, so the 8 cell
+corners are 8 gathers from the raveled volume.  `warp3d` computes no point
+gradient, because none of its callers (resampling a series, composing
+fields, the loss at zero fields) differentiates the warped values;
+`match_terms` is the one caller that needs the gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Elements per block of the Adam step: the 6 block arrays (x, g, m, v and two
+# scratch rows) of 128 KiB each stay in L2 cache across the 13 passes.
+ADAM_BLOCK = 16384
 
-def _clamp_axis(coord, n):
-    """Clamp-to-edge index math for one axis (numpy arrays).
+# Corner k of a trilinear cell sits at offsets (k & 1, (k >> 1) & 1, k >> 2)
+# from the base voxel, so corner pairs (k, k + 1), k = 0, 2, 4, 6, are the
+# x-edges at (y, z) = (0, 0), (1, 0), (0, 1), (1, 1).
+_CORNER_BITS = np.array([[k & 1, (k >> 1) & 1, k >> 2] for k in range(8)], dtype=np.intp)
 
-    Returns (cell index i0, fraction in [0,1], inside indicator) where the
-    sampled value is (1-f)*v[i0] + f*v[i1] with i1 = min(i0+1, n-1).  The
-    indicator is 0 where the raw coordinate fell outside [0, n-1]; there the
-    clamped value is constant, so its derivative w.r.t. the coordinate is 0.
+
+def _coords(disp):
+    """Sample coordinates p + disp[p] per axis, as 3 fresh (nx, ny, nz) arrays."""
+    shape = disp.shape[:3]
+    out = []
+    for a, n in enumerate(shape):
+        grid = np.arange(n, dtype=np.float64).reshape([n if b == a else 1 for b in range(3)])
+        out.append(grid + disp[..., a])
+    return out
+
+
+def _cell(vol, coords):
+    """Corners and fractions of the trilinear cell sampled at each voxel.
+
+    Clamp-to-edge per axis: the coordinate is clipped to [0, n-1] and the
+    cell index to [0, n-2], so the upper neighbour is always index + 1
+    (index + 0 on an axis of length 1).  The coordinate arrays are
+    overwritten with the fractions in [0, 1].  Returns (corners, fracs):
+    8 flat corner arrays in `_CORNER_BITS` order, and the flat x, y and z
+    fractions.  Each corner is one gather with the shared base index from
+    the raveled volume shifted by that corner's constant offset; 8 separate
+    (n,) gathers, not one (8, n) gather, because a temporary of several MB
+    costs more in fresh pages than the gather itself.
     """
-    inside = (coord >= 0.0) & (coord <= n - 1.0)
-    c = np.clip(coord, 0.0, n - 1.0)
-    i0 = np.floor(c).astype(np.intp)
-    np.clip(i0, 0, max(n - 2, 0), out=i0)
-    return i0, c - i0, inside.astype(np.float64)
+    shape = vol.shape
+    strides = (shape[1] * shape[2], shape[2], 1)
+    base = None
+    fracs = []
+    for a, n in enumerate(shape):
+        c = np.clip(coords[a], 0.0, n - 1.0, out=coords[a])
+        i0 = np.floor(c)
+        np.fmin(i0, max(n - 2, 0), out=i0)  # fmin: a NaN coordinate still indexes
+        np.subtract(c, i0, out=c)
+        fracs.append(c.reshape(-1))
+        i0 *= strides[a]
+        base = i0 if base is None else np.add(base, i0, out=base)
+    base = base.astype(np.intp).reshape(-1)
+    steps = _CORNER_BITS @ np.array([s if n > 1 else 0 for s, n in zip(strides, shape)])
+    flat = vol.ravel()
+    return [flat[s:].take(base) for s in steps], fracs
+
+
+def _lerp(lo, hi, f, g):
+    """lo * g + hi * f with g = 1 - f, written into lo; hi is overwritten."""
+    lo *= g
+    hi *= f
+    lo += hi
+    return lo
+
+
+def _lerp_x(c, fx):
+    """x-lerp of the 8 corners into the 4 x-edges (y, z) = 00, 10, 01, 11."""
+    gx = 1 - fx
+    return [_lerp(c[k], c[k + 1], fx, gx) for k in (0, 2, 4, 6)]
 
 
 def warp3d(vol, disp):
-    """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge."""
-    out, _ = warp3d_with_point_grad(vol, disp)
-    return out
+    """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge.
+
+    With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
+    c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.
+    """
+    corners, (fx, fy, fz) = _cell(vol, _coords(disp))
+    c00, c10, c01, c11 = _lerp_x(corners, fx)
+    gy = 1 - fy
+    c0 = _lerp(c00, c10, fy, gy)
+    c1 = _lerp(c01, c11, fy, gy)
+    return _lerp(c0, c1, fz, 1 - fz).reshape(vol.shape)
+
+
+def _point_grad_parts(vol, disp):
+    """Flat warped values and the 3 flat point-gradient components.
+
+    The parts are what `warp3d_with_point_grad` stacks; they are fresh
+    arrays the caller may overwrite.
+    """
+    coords = _coords(disp)
+    inside = [((c >= 0.0) & (c <= n - 1.0)).reshape(-1) for c, n in zip(coords, vol.shape)]
+    c, (fx, fy, fz) = _cell(vol, coords)
+    gy, gz = 1 - fy, 1 - fz
+    d00, d10, d01, d11 = (np.subtract(c[k + 1], c[k]) for k in (0, 2, 4, 6))
+    c00, c10, c01, c11 = _lerp_x(c, fx)  # c[1], c[3], c[5], c[7] are free now
+    dy0 = np.subtract(c10, c00, out=c[1])
+    dy1 = np.subtract(c11, c01, out=c[3])
+    c0 = _lerp(c00, c10, fy, gy)
+    c1 = _lerp(c01, c11, fy, gy)
+    dz = np.subtract(c1, c0, out=c[5])
+    out = _lerp(c0, c1, fz, gz)
+    dx = _lerp(_lerp(d00, d10, fy, gy), _lerp(d01, d11, fy, gy), fz, gz)
+    dy = _lerp(dy0, dy1, fz, gz)
+    for part, ins in zip((dx, dy, dz), inside):
+        part *= ins
+    return out, (dx, dy, dz)
 
 
 def warp3d_with_point_grad(vol, disp):
     """Warp plus the derivative of each sample w.r.t. its sample coordinate.
 
     Returns (out, dout) with dout[..., a] = d out / d coordinate_a, zeroed
-    where the coordinate was clamped.
+    where the coordinate was clamped.  out is `warp3d`, bit for bit.  With
+    the edge differences d_yz = c_1yz - c_0yz:
+    dout_x = ((d_00 * gy + d_10 * fy) * gz + (d_01 * gy + d_11 * fy) * fz) * in_x,
+    dout_y = ((c_10 - c_00) * gz + (c_11 - c_01) * fz) * in_y,
+    dout_z = (c_1 - c_0) * in_z, where in_a is 1 inside [0, n_a - 1], else 0.
     """
-    nx, ny, nz = vol.shape
-    x = np.arange(nx, dtype=np.float64)[:, None, None] + disp[..., 0]
-    y = np.arange(ny, dtype=np.float64)[None, :, None] + disp[..., 1]
-    z = np.arange(nz, dtype=np.float64)[None, None, :] + disp[..., 2]
-    x0, fx, inx = _clamp_axis(x, nx)
-    y0, fy, iny = _clamp_axis(y, ny)
-    z0, fz, inz = _clamp_axis(z, nz)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-
-    c000 = vol[x0, y0, z0]
-    c100 = vol[x1, y0, z0]
-    c010 = vol[x0, y1, z0]
-    c110 = vol[x1, y1, z0]
-    c001 = vol[x0, y0, z1]
-    c101 = vol[x1, y0, z1]
-    c011 = vol[x0, y1, z1]
-    c111 = vol[x1, y1, z1]
-
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
-
-    dx0 = (c100 - c000) * (1 - fy) + (c110 - c010) * fy
-    dx1 = (c101 - c001) * (1 - fy) + (c111 - c011) * fy
-    dout = np.empty(vol.shape + (3,), dtype=np.float64)
-    dout[..., 0] = (dx0 * (1 - fz) + dx1 * fz) * inx
-    dout[..., 1] = ((c10 - c00) * (1 - fz) + (c11 - c01) * fz) * iny
-    dout[..., 2] = (c1 - c0) * inz
-    return out, dout
+    out, parts = _point_grad_parts(vol, disp)
+    return out.reshape(vol.shape), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
 
 def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
@@ -87,41 +152,90 @@ def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_ou
     `grad_out` using the prefactors sim_c (applied to the L1 subgradient)
     and mf_c (applied to 2 * residual / warped_value).  Warped values below
     floor_eps contribute log(floor_eps) and a zero model-fit gradient.
+
+    Per voxel, with w the warped value, r = w - fixed, wfl = w if
+    w > floor_eps else floor_eps and res = log(wfl) - pred_log on roi, 0
+    elsewhere: coeff = sign(r) * sim_c, plus (mf_c * 2 * res) / wfl where
+    roi and w > floor_eps; grad_out[..., a] += dout_a * coeff, with dout
+    as in `warp3d_with_point_grad`.  Only the sign of a zero gradient entry
+    can differ from that formula.
     """
-    w, dout = warp3d_with_point_grad(vol, disp)
-    r = w - fixed
-    sim_sum = float(np.abs(r).sum())
-    coeff = np.sign(r) * sim_c
-    wfl = np.where(w > floor_eps, w, floor_eps)
-    res = np.where(roi, np.log(wfl) - pred_log, 0.0)
-    mf_sum = float((res * res).sum())
-    live = roi & (w > floor_eps)
-    coeff = coeff + np.where(live, mf_c * 2.0 * res / wfl, 0.0)
-    grad_out += coeff[..., None] * dout
+    w, parts = _point_grad_parts(vol, disp)
+    w = w.reshape(vol.shape)
+    r = np.subtract(w, fixed)
+    coeff = np.sign(r)
+    coeff *= sim_c
+    sim_sum = float(np.abs(r, out=r).sum())
+
+    live = w > floor_eps
+    live &= roi
+    wfl = np.full(w.shape, floor_eps)
+    np.copyto(wfl, w, where=live)
+    res = r
+    res.fill(0.0)
+    np.log(wfl, out=res, where=roi)
+    np.subtract(res, pred_log, out=res, where=roi)
+    mf_sum = float(np.multiply(res, res).sum())
+    np.multiply(res, mf_c * 2.0, out=res, where=live)
+    np.divide(res, wfl, out=res, where=live)
+    np.add(coeff, res, out=coeff, where=live)
+
+    coeff = coeff.reshape(-1)
+    for a, part in enumerate(parts):
+        part *= coeff
+        grad_out[..., a] += part.reshape(w.shape)
     return sim_sum, mf_sum
 
 
-def axis_diff(a, axis):
-    """First difference along one axis, matching np.gradient with spacing 1."""
-    return np.gradient(a, axis=axis)
+def _along(axis, index):
+    """Index tuple selecting `index` (an int or a slice) along one axis."""
+    return (slice(None),) * axis + (index,)
 
 
-def axis_diff_adjoint(w, axis):
-    """Adjoint of `axis_diff`: <diff(a), w> == <a, adjoint(w)> exactly."""
-    w = np.moveaxis(w, axis, 0)
-    v = np.zeros_like(w)
-    n = w.shape[0]
+def field_diff(u, axis, out):
+    """First difference of a (nx, ny, nz, 3) field along one spatial axis.
+
+    Central (u[i+1] - u[i-1]) / 2 inside, one-sided at both borders: the
+    same operations, hence the same bits, as np.gradient with spacing 1.
+    Writes into `out` (shaped like u) and returns it.  Needs at least 2
+    voxels along the axis.
+    """
+    n = u.shape[axis]
+    if n < 2:
+        raise ValueError(f"need at least 2 voxels along axis {axis} to differentiate")
+    at = lambda i: _along(axis, i)  # noqa: E731
+    inner = out[at(slice(1, -1))]
+    np.subtract(u[at(slice(2, None))], u[at(slice(None, -2))], out=inner)
+    inner /= 2.0
+    np.subtract(u[at(1)], u[at(0)], out=out[at(0)])
+    np.subtract(u[at(n - 1)], u[at(n - 2)], out=out[at(n - 1)])
+    return out
+
+
+def field_diff_adjoint(w, axis, out):
+    """Adjoint of `field_diff`: <diff(a), w> == <a, adjoint(w)> exactly.
+
+    Writes into `out` (shaped like w) and returns it.  With h = 0.5 * w:
+    out[i] = h[i-1] - h[i+1] inside, and the one-sided border rows of
+    `field_diff` add -w[0] to out[0], w[0] to out[1], w[n-1] to out[n-1]
+    and -w[n-1] to out[n-2], in that order.
+    """
+    n = w.shape[axis]
+    at = lambda i: _along(axis, i)  # noqa: E731
     if n == 2:
-        v[0] = -(w[0] + w[1])
-        v[1] = w[0] + w[1]
-    else:
-        v[2:] += 0.5 * w[1:-1]
-        v[: n - 2] -= 0.5 * w[1:-1]
-        v[0] -= w[0]
-        v[1] += w[0]
-        v[n - 1] += w[n - 1]
-        v[n - 2] -= w[n - 1]
-    return np.moveaxis(v, 0, axis)
+        np.add(w[at(0)], w[at(1)], out=out[at(1)])
+        np.negative(out[at(1)], out=out[at(0)])
+        return out
+    # out[i] = -h[i+1] up to n-3, 0 above; then out[i] -= out[i-2] from 2 on,
+    # which adds h[i-1] (negation is exact)
+    np.multiply(w[at(slice(1, -1))], -0.5, out=out[at(slice(None, -2))])
+    out[at(slice(-2, None))] = 0.0
+    np.subtract(out[at(slice(2, None))], out[at(slice(None, -2))], out=out[at(slice(2, None))])
+    out[at(0)] -= w[at(0)]
+    out[at(1)] += w[at(0)]
+    out[at(n - 1)] += w[at(n - 1)]
+    out[at(n - 2)] -= w[at(n - 1)]
+    return out
 
 
 def smooth_loss_grad(u, grad_out, weight):
@@ -129,21 +243,54 @@ def smooth_loss_grad(u, grad_out, weight):
 
     Accumulates weight * d(loss)/d(u) into grad_out and returns the raw loss
     (central differences interior, one-sided at borders, per np.gradient).
+    The loss sums the per-entry sums in component-major order (u_0 along x,
+    y, z, then u_1, then u_2), and each component of grad_out receives
+    (weight * 2) * adjoint(diff) along x, then y, then z.
     """
+    d = np.empty_like(u)
+    work = np.empty_like(u)
+    sums = np.empty((3, 3))
+    k = weight * 2.0
+    for a in range(3):
+        field_diff(u, a, d)
+        np.multiply(d, d, out=work)
+        for c in range(3):
+            sums[c, a] = work[..., c].sum()
+        field_diff_adjoint(d, a, work)
+        work *= k
+        grad_out += work
     loss = 0.0
-    for c in range(3):
-        for a in range(3):
-            d = axis_diff(u[..., c], a)
-            loss += float((d * d).sum())
-            grad_out[..., c] += weight * 2.0 * axis_diff_adjoint(d, a)
+    for s in sums.flat:
+        loss += float(s)
     return loss
 
 
 def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t.
 
+    m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
+    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  The arrays are worked
+    through ADAM_BLOCK elements at a time, with two block-sized scratch
+    rows, so every block stays in cache across all the steps and no
+    full-size temporary is allocated.
+    """
+    size = x.size
+    scratch = np.empty((2, min(size, ADAM_BLOCK)))
+    for lo in range(0, size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, size)
+        xb, gb, mb, vb = x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        s, t = scratch[:, : hi - lo]
+        np.multiply(gb, 1.0 - beta1, out=s)
+        mb *= beta1
+        mb += s
+        np.multiply(gb, 1.0 - beta2, out=s)
+        s *= gb
+        vb *= beta2
+        vb += s
+        np.divide(mb, bc1, out=s)
+        s *= lr
+        np.divide(vb, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        s /= t
+        xb -= s

@@ -200,6 +200,39 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
         raise ConfigError(f"invalid phantom config: {err}") from err
 
 
+def cohort_case_specs(cfg: dict) -> list:
+    """The simulated cohort's case specs of a resolved config; ConfigError if a
+    value is invalid."""
+    co = cfg["cohort"]
+    spec = phantom_spec(cfg)
+    try:
+        return make_cohort_case_specs(
+            n_cases=int(co["n_cases"]),
+            dims=spec.dims,
+            ga_range=(float(co["ga_min"]), float(co["ga_max"])),
+            sat_adc=float(co["sat_adc"]),
+            sat_alpha=float(co["sat_alpha"]),
+            adc_bio_noise=float(co["adc_bio_noise"]),
+            noise_sigma=spec.noise_sigma,
+            motion_range=(float(co["motion_min"]), float(co["motion_max"])),
+            seed=spec.seed,
+        )
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid cohort config: {err}") from err
+
+
+def case_ga_weeks(cfg: dict) -> float:
+    """phantom.ga_weeks of a resolved config; ConfigError unless it is > 0."""
+    ga = cfg["phantom"]["ga_weeks"]
+    try:
+        ga = float(ga)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid phantom config: ga_weeks must be a number, got {ga!r}") from err
+    if not 0.0 < ga < float("inf"):
+        raise ConfigError(f"invalid phantom config: ga_weeks must be finite and > 0, got {ga}")
+    return ga
+
+
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -208,12 +241,13 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
     spec = phantom_spec(cfg)
+    ga_weeks = case_ga_weeks(cfg)
     seed = spec.seed
     maps, roi = make_phantom(spec)
     series = simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, seed)
     moved, true_fields = apply_synthetic_motion(series, spec, seed + 1)
     echo_config(cfg, out)
-    manifest = dio.write_case(moved, roi, cfg["phantom"]["ga_weeks"], f"sim{seed:03d}", out)
+    manifest = dio.write_case(moved, roi, ga_weeks, f"sim{seed:03d}", out)
     dio.write_volume(maps.adc, out / "truth_adc")
     dio.write_volume(maps.log_s0, out / "truth_log_s0")
     for b, f in zip(moved.bvalues, true_fields):
@@ -296,19 +330,7 @@ def cmd_cohort(args) -> int:
         _progress(f"cohort: analyzing {len(manifests)} cases from {case_dir} (workers={workers})")
         study = run_cohort(_read_case_source, manifests, pcfg, workers)
     else:
-        co = cfg["cohort"]
-        spec = phantom_spec(cfg)
-        specs = make_cohort_case_specs(
-            n_cases=int(co["n_cases"]),
-            dims=spec.dims,
-            ga_range=(co["ga_min"], co["ga_max"]),
-            sat_adc=co["sat_adc"],
-            sat_alpha=co["sat_alpha"],
-            adc_bio_noise=co["adc_bio_noise"],
-            noise_sigma=spec.noise_sigma,
-            motion_range=(co["motion_min"], co["motion_max"]),
-            seed=spec.seed,
-        )
+        specs = cohort_case_specs(cfg)
         echo_config(cfg, out)
         _progress(f"cohort: simulating and analyzing {len(specs)} cases (workers={workers})")
         study = run_simulated_cohort(specs, pcfg, workers=workers)

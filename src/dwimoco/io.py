@@ -204,8 +204,9 @@ def read_case(manifest_path):
 
     Volumes are assembled in ascending b-value order regardless of how the
     manifest lists them.  Rejects duplicate b-values, a missing b=0 entry,
-    any grid mismatch and any series `BValueSeries` rejects (negative
-    b-values or signals), always with ManifestError or ContainerError.
+    any grid mismatch, a gestational age <= 0 and any series `BValueSeries`
+    rejects (negative b-values or signals), always with ManifestError or
+    ContainerError.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -253,6 +254,8 @@ def read_case(manifest_path):
     if roi.dims != dims:
         raise ManifestError(f"roi dims {roi.dims} do not match volumes {dims}")
     ga_weeks = _manifest_number(manifest["ga_weeks"], "ga_weeks")
+    if ga_weeks <= 0.0:
+        raise ManifestError(f"ga_weeks must be > 0, got {ga_weeks:g}")
     try:
         series = BValueSeries(tuple(b for b, _ in loaded), tuple(v for _, v in loaded))
     except ValueError as err:

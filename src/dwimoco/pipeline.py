@@ -264,8 +264,18 @@ def analyze_methods(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> 
 
 
 def _analyze_source(load_case, source, cfg: PipelineConfig):
+    """One cohort case: (failures, {method: CohortPoint}).
+
+    The points exist only when every method succeeded; building them here
+    puts an invalid point (a GA <= 0, a non-finite ADC) under the caller's
+    per-case error guard.
+    """
     case_id, ga, series, roi = load_case(source)
-    return case_id, ga, analyze_methods(series, roi, cfg)
+    out = analyze_methods(series, roi, cfg)
+    failed = [(case_id, f"{m}: {why}") for m, (_, _, why) in out.items() if why is not None]
+    if failed:
+        return failed, {}
+    return [], {m: CohortPoint(case_id, ga, adc, r2) for m, (adc, r2, _) in out.items()}
 
 
 def _result_or_error(call):
@@ -282,8 +292,9 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     be a module-level function, so worker processes can unpickle it.  Cases
     run independently (in worker processes when workers > 1) and the
     outputs keep the order of `sources`, so the result does not depend on
-    scheduling.  A case that raised is recorded under str(source).  Methods
-    with fewer than 3 points get no fit.
+    scheduling.  A case that raised, in loading, analysis or building its
+    cohort points, is recorded under str(source).  Methods with fewer than
+    3 points get no fit.
     """
     sources = list(sources)
     if workers > 1:
@@ -301,12 +312,10 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
         if isinstance(res, Exception):
             failures.append((str(source), repr(res)))
             continue
-        case_id, ga, out = res
-        failed = [(case_id, f"{m}: {why}") for m, (_, _, why) in out.items() if why is not None]
+        failed, case_points = res
         failures.extend(failed)
-        if not failed:
-            for method, (adc, r2, _) in out.items():
-                points[method].append(CohortPoint(case_id, ga, adc, r2))
+        for method, point in case_points.items():
+            points[method].append(point)
     fits = {m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= 3}
     return CohortStudyResult(points, fits, [], failures)
 
@@ -358,7 +367,15 @@ def make_cohort_case_specs(
 
     The true ADC follows the saturation curve plus biological scatter; the
     motion amplitude is uniform over motion_range.  Deterministic in seed.
+    Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
+    reversed, and a motion range below 0 or reversed.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
+    if not 0.0 < ga_range[0] <= ga_range[1] < np.inf:
+        raise ValueError(f"ga_range must satisfy 0 < min <= max < inf, got {ga_range}")
+    if not 0.0 <= motion_range[0] <= motion_range[1] < np.inf:
+        raise ValueError(f"motion_range must satisfy 0 <= min <= max < inf, got {motion_range}")
     rng = np.random.default_rng(seed)
     specs = []
     truth = SaturationFit(adc_sat=sat_adc, alpha=sat_alpha, r2=1.0)

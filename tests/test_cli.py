@@ -11,6 +11,8 @@ from dwimoco.phantom import PhantomSpec
 from dwimoco.registration import DivergedError
 
 CAPS = ["--max-outer", "2", "--max-inner", "3"]
+# keeps a cohort whose invalid config went unnoticed small
+SMALL_COHORT = ["--n-cases", "3", "--dims", "12,12,6", *CAPS]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,11 @@ def test_default_config_builds_the_library_defaults():
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
         ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
+        ("simulate", {}, ["--ga", "-5"]),
+        ("simulate", {"phantom": {"ga_weeks": 0}}, []),
+        ("cohort", {"cohort": {"n_cases": "x"}}, []),
+        ("cohort", {"cohort": {"ga_min": -5.0}}, SMALL_COHORT),
+        ("cohort", {"cohort": {"motion_min": 3.0, "motion_max": 1.0}}, SMALL_COHORT),
     ],
     ids=[
         "max_outer_zero",
@@ -101,6 +108,11 @@ def test_default_config_builds_the_library_defaults():
         "dims_text",
         "roi_out_of_bounds",
         "noise_negative",
+        "ga_negative",
+        "ga_zero",
+        "n_cases_text",
+        "ga_min_negative",
+        "motion_range_reversed",
     ],
 )
 def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):
@@ -128,3 +140,21 @@ def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
     assert {"effective_config.json", "summary.csv", "best_adc.raw"} <= set(names)
     for name in names:
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_cohort_cases_reports_a_case_with_invalid_ga_and_keeps_the_rest(cases, tmp_path):
+    root = tmp_path / "cases"
+    shutil.copytree(cases, root)
+    bad = root / "sim004"
+    assert cli.main(["simulate", "--dims", "16,16,8", "--seed", "4", "--out", str(bad)]) == 0
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["ga_weeks"] = -5.0
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "cohort"
+    assert cli.main(["cohort", "--cases", str(root), *CAPS, "--out", str(out)]) == 0
+    rows = read_rows(out / "failures.csv")
+    assert [r[0] for r in rows[1:]] == [str(bad / "manifest.json")]
+    assert "ga_weeks must be > 0" in rows[1][1]
+    for method in pipeline.COHORT_METHODS:
+        points = read_rows(out / f"cohort_points_{method}.csv")[1:]
+        assert [r[0] for r in points] == ["sim001", "sim002", "sim003"]

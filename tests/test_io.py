@@ -56,6 +56,8 @@ def _negative_signal(_manifest, case):
         _set_bvalue(None),
         _set_ga("thirty"),
         _set_ga(None),
+        _set_ga(-5.0),
+        _set_ga(0.0),
         _set_bvalue(-50.0),
         _negative_signal,
     ],
@@ -66,6 +68,8 @@ def _negative_signal(_manifest, case):
         "bvalue_null",
         "ga_text",
         "ga_null",
+        "ga_negative",
+        "ga_zero",
         "bvalue_negative",
         "signal_negative",
     ],

@@ -278,25 +278,45 @@ class TestGradients:
 
 class TestAdjointProperty:
     def test_axis_diff_adjoint_dot_product(self, rng):
-        for axis in range(3):
-            a = rng.normal(0, 1, (6, 5, 4))
-            w = rng.normal(0, 1, (6, 5, 4))
-            lhs = float((_kernels.axis_diff(a, axis) * w).sum())
-            rhs = float((a * _kernels.axis_diff_adjoint(w, axis)).sum())
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        # axis lengths 2, 3, 4 and 6 reach every branch of the border rows
+        for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]:
+            for axis in range(3):
+                a = rng.normal(0, 1, shape + (3,))
+                w = rng.normal(0, 1, shape + (3,))
+                diff = _kernels.field_diff(a, axis, np.empty_like(a))
+                for c in range(3):
+                    np.testing.assert_array_equal(diff[..., c], np.gradient(a[..., c], axis=axis))
+                lhs = float((diff * w).sum())
+                rhs = float((a * _kernels.field_diff_adjoint(w, axis, np.empty_like(w))).sum())
+                assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_field_diff_needs_two_voxels(self):
+        u = np.zeros((3, 1, 4, 3))
+        with pytest.raises(ValueError, match="at least 2 voxels"):
+            _kernels.field_diff(u, 1, np.empty_like(u))
 
 
 class TestKernelOracles:
     """The vectorized kernels against independent scalar or per-term code."""
 
     def test_warp_matches_trilinear_sample(self, rng):
-        vol = rng.random((6, 5, 7))
-        disp = rng.uniform(-3, 3, (6, 5, 7, 3))  # reaches past every border
-        out, _ = _kernels.warp3d_with_point_grad(vol, disp)
-        sv = ScalarVolume(vol)
-        for p in np.ndindex(vol.shape):
-            want = trilinear_sample(sv, np.add(p, disp[p]))
-            assert out[p] == pytest.approx(want, rel=1e-13, abs=1e-15)
+        # axes of length 1 and 2 have a single cell; (6, 5, 7) has interior cells too
+        for shape in [(6, 5, 7), (4, 3, 1), (2, 2, 2)]:
+            vol = rng.random(shape)
+            disp = rng.uniform(-3, 3, shape + (3,))  # reaches past every border
+            sv = ScalarVolume(vol)
+            for out in (_kernels.warp3d(vol, disp), _kernels.warp3d_with_point_grad(vol, disp)[0]):
+                for p in np.ndindex(shape):
+                    want = trilinear_sample(sv, np.add(p, disp[p]))
+                    assert out[p] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_plain_warp_equals_point_grad_warp(self, rng):
+        for shape in [(6, 5, 7), (4, 3, 1), (2, 2, 2), (1, 1, 1)]:
+            vol = rng.random(shape)
+            disp = rng.uniform(-3, 3, shape + (3,))
+            np.testing.assert_array_equal(
+                _kernels.warp3d(vol, disp), _kernels.warp3d_with_point_grad(vol, disp)[0]
+            )
 
     def test_point_grad_matches_central_differences(self, rng):
         dims = (6, 5, 7)
@@ -361,6 +381,30 @@ class TestKernelOracles:
                 - n_vox * smoothness_loss(DisplacementField(dn))
             ) / (2 * h)
             assert grad[idx] == pytest.approx(weight * fd, rel=1e-7, abs=1e-9)
+
+    def test_adam_update_matches_textbook_adam(self, rng):
+        # more than two blocks, the last one partial
+        n = 2 * _kernels.ADAM_BLOCK + 5
+        x = rng.normal(0, 1, n)
+        m = np.zeros(n)
+        v = np.zeros(n)
+        lr, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
+
+        def close(got, a, b):
+            # each update is a sum of two terms; rounding is relative to them
+            assert np.all(np.abs(got - (a + b)) <= 1e-14 * (np.abs(a) + np.abs(b)))
+
+        for t in range(1, 4):
+            g = rng.normal(0, 1, n)
+            x0, m0, v0 = x.copy(), m.copy(), v.copy()
+            _kernels.adam_update(
+                x, g, m, v, lr, beta1, beta2, eps, 1.0 - beta1**t, 1.0 - beta2**t
+            )
+            close(m, beta1 * m0, (1 - beta1) * g)
+            close(v, beta2 * v0, (1 - beta2) * g**2)
+            m_hat = (beta1 * m0 + (1 - beta1) * g) / (1 - beta1**t)
+            v_hat = (beta2 * v0 + (1 - beta2) * g**2) / (1 - beta2**t)
+            close(x, x0, -lr * m_hat / (np.sqrt(v_hat) + eps))
 
 
 class TestLossWeights:

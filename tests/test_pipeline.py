@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dwimoco import pipeline
@@ -67,3 +68,73 @@ def test_case_that_raises_is_recorded_and_leaves_no_fit():
     for method in pipeline.COHORT_METHODS:
         assert case_ids(study.points[method]) == ["sim000", "sim002"]
     assert study.fits == {}
+
+
+def test_case_with_invalid_ga_is_one_failure_not_a_crash():
+    specs = small_specs(4)
+    specs[1] = replace(specs[1], ga_weeks=-5.0)
+    study = pipeline.run_cohort(pipeline._simulate_case, specs, CFG, workers=1)
+    assert study.failures == [("sim001", "ValueError('ga must be > 0')")]
+    for method in pipeline.COHORT_METHODS:
+        assert case_ids(study.points[method]) == ["sim000", "sim002", "sim003"]
+    assert set(study.fits) == set(pipeline.COHORT_METHODS)
+
+
+def small_case():
+    """One 16x16x6 phantom with motion: (series, roi)."""
+    spec = pipeline.phantom.PhantomSpec(
+        dims=(16, 16, 6), noise_sigma=0.02, motion_amplitude=2.0, seed=7
+    )
+    maps, roi = pipeline.phantom.make_phantom(spec)
+    clean = pipeline.phantom.simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, spec.seed)
+    moved, _fields = pipeline.phantom.apply_synthetic_motion(clean, spec, spec.seed + 1)
+    return moved, roi
+
+
+# three outer iterations; a converge window as long as the run keeps the
+# ADC-convergence stop from firing
+RUN_CFG = pipeline.PipelineConfig(
+    inner=InnerOptConfig(max_inner_steps=4, plateau_window=0),
+    max_outer_iters=3,
+    converge_window=3,
+)
+
+
+def test_run_case_records_and_best_iteration():
+    series, roi = small_case()
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    assert [r.iteration for r in result.records] == [0, 1, 2]
+    assert result.converged is False
+    # record 0 describes the raw input
+    raw_adc, raw_r2 = pipeline.fit_case_summary(series, roi)
+    assert result.records[0].roi_mean_adc == raw_adc
+    assert result.records[0].roi_r2 == raw_r2
+    r2 = [r.roi_r2 for r in result.records]
+    assert result.best_iteration == int(np.argmax(r2))
+    assert result.best_record is result.records[result.best_iteration]
+    fields_moved = any(np.any(f.data != 0.0) for f in result.best_fields)
+    assert fields_moved == (result.best_iteration > 0)
+
+
+def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
+    series, roi = small_case()
+    real = pipeline._curve_stats
+    calls = []
+
+    def r2_falls_every_iteration(current, roi_mask):
+        means, log_s0, adc, diag = real(current, roi_mask)
+        calls.append(None)
+        return means, log_s0, adc, replace(diag, r2=1.0 - 0.1 * len(calls))
+
+    monkeypatch.setattr(pipeline, "_curve_stats", r2_falls_every_iteration)
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    assert len(result.records) == 3 and result.converged is False
+    assert result.best_iteration == 0
+    for f in result.best_fields:
+        np.testing.assert_array_equal(f.data, 0.0)
+    # the registration did move the later iterations
+    assert result.records[2].roi_mean_adc != result.records[0].roi_mean_adc
+    normalized, scale = pipeline.normalize_series(series)
+    assert result.normalization_scale == scale
+    for got, want in zip(result.best_series_resampled.volumes, normalized.volumes):
+        np.testing.assert_array_equal(got.data, want.data)
