@@ -32,7 +32,7 @@ from .pipeline import (
 )
 from .registration import InnerOptConfig
 from .signal_model import irls_fit, irls_fit_volume, lls_fit, lls_fit_curve, roi_mean_signals
-from .volume import normalize_series
+from .volume import GridTooSmallError, check_differentiable, normalize_series
 
 DEFAULTS = {
     "seed": 0,
@@ -290,6 +290,7 @@ def cmd_morph(args) -> int:
     cfg = resolve_config(args)
     pcfg = pipeline_config(cfg)
     series, roi, _ga = dio.read_case(args.case)
+    check_differentiable(series.dims)
     out = Path(args.out)
     echo_config(cfg, out)
     variant = "full" if pcfg.weights.alpha2 > 0 else "no_model_fit"
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dio.ManifestError, dio.ContainerError) as err:
+    except (ConfigError, dio.ManifestError, dio.ContainerError, GridTooSmallError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

@@ -204,9 +204,9 @@ def read_case(manifest_path):
 
     Volumes are assembled in ascending b-value order regardless of how the
     manifest lists them.  Rejects duplicate b-values, a missing b=0 entry,
-    any grid mismatch, a gestational age <= 0 and any series `BValueSeries`
-    rejects (negative b-values or signals), always with ManifestError or
-    ContainerError.
+    any grid mismatch, an empty ROI, a gestational age <= 0 and any series
+    `BValueSeries` rejects (negative b-values or signals), always with
+    ManifestError or ContainerError.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -253,6 +253,8 @@ def read_case(manifest_path):
     roi = read_mask(base / manifest["roi"])
     if roi.dims != dims:
         raise ManifestError(f"roi dims {roi.dims} do not match volumes {dims}")
+    if roi.count == 0:
+        raise ManifestError(f"roi {manifest['roi']} holds no voxel")
     ga_weeks = _manifest_number(manifest["ga_weeks"], "ga_weeks")
     if ga_weeks <= 0.0:
         raise ManifestError(f"ga_weeks must be > 0, got {ga_weeks:g}")

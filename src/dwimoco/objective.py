@@ -9,12 +9,15 @@ reconstruction and the warped acquisition (averaged over b-values and the
 full domain), L_smooth penalizes squared spatial gradients of every
 displacement field, and L_model_fit is the mean squared log-domain decay
 residual of the warped signals inside the ROI, holding the parameter maps
-fixed.
+fixed.  alpha2 is a weight, not a switch: the registration-only method is
+alpha2 = 0 on the same path, and every term is always evaluated and
+reported unweighted, so both methods can be compared on the same terms.
 
 Two evaluation routes exist on purpose: the public per-term functions below
-are plain numpy and easy to audit, while `loss_and_gradient` runs the fused
-kernels used by the optimizer.  The tests pin them against each other and
-against finite differences.
+are plain numpy and easy to audit, while `loss_and_gradient` and
+`per_term_gradients` run the fused kernels through one per-b-value loop.
+The tests pin the routes against each other and against finite
+differences.
 """
 
 from __future__ import annotations
@@ -55,16 +58,18 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Raw term values plus the weighted total.
-
-    `model_fit` is reported as 0.0 when alpha2 == 0: the term is skipped
-    entirely so the parameter maps are never read in that configuration.
-    """
+    """Raw (unweighted) term values plus the weighted total."""
 
     similarity: float
     smooth: float
     model_fit: float
     total: float
+
+    @classmethod
+    def weighted(cls, similarity, smooth, model_fit, weights: LossWeights) -> LossBreakdown:
+        """The breakdown whose total is similarity + alpha1*smooth + alpha2*model_fit."""
+        total = similarity + weights.alpha1 * smooth + weights.alpha2 * model_fit
+        return cls(similarity, smooth, model_fit, total)
 
 
 def _check_series_pair(a: BValueSeries, b: BValueSeries):
@@ -128,7 +133,7 @@ def total_loss(
     fixed: BValueSeries,
     moving: BValueSeries,
     fields,
-    maps: ParameterMaps | None,
+    maps: ParameterMaps,
     roi: RoiMask,
     weights: LossWeights,
 ) -> LossBreakdown:
@@ -138,74 +143,39 @@ def total_loss(
     warped = warp_series(moving, fields)
     sim = similarity_loss(fixed, warped)
     smooth = sum(smoothness_loss(f) for f in fields)
-    mf = 0.0
-    if weights.alpha2 != 0.0:
-        mf = model_fit_loss(warped, maps, roi)
-    return LossBreakdown(sim, smooth, mf, sim + weights.alpha1 * smooth + weights.alpha2 * mf)
+    return LossBreakdown.weighted(sim, smooth, model_fit_loss(warped, maps, roi), weights)
 
 
-def loss_and_gradient(
-    fixed: BValueSeries,
-    moving: BValueSeries,
-    fields_arr: np.ndarray,
-    maps: ParameterMaps | None,
-    roi: RoiMask,
-    weights: LossWeights,
-):
-    """Fused evaluation of the total loss and its gradient w.r.t. the fields.
+def _term_scales(moving: BValueSeries, roi: RoiMask):
+    """The divisors that turn raw kernel sums into mean terms.
 
-    fields_arr has shape (B, nx, ny, nz, 3).  Returns (LossBreakdown, grad)
-    with grad of the same shape, holding d(total)/d(u).  The L1 subgradient
-    is 0 at exact ties and the trilinear derivative is 0 where sampling was
-    clamped, so the gradient is defined everywhere.
-
-    At an exact model fit (moving == fixed == reconstruct(maps), zero fields)
-    the similarity and smoothness gradients are exactly 0.  The model-fit
-    gradient is 0 only up to float64 rounding of log(exp(.)) in the residual
-    (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
+    (B * n_vox, B * n_roi, n_vox) for similarity, model fit and smoothness.
     """
-    _check_series_pair(fixed, moving)
-    dims = moving.dims
-    n_b = moving.b_count
-    if fields_arr.shape != (n_b,) + dims + (3,):
-        raise DimensionMismatchError(
-            f"fields_arr shape {fields_arr.shape} != {(n_b,) + dims + (3,)}"
-        )
-    n_vox = int(np.prod(dims))
-    use_mf = weights.alpha2 != 0.0
-    if use_mf:
-        if roi.count == 0:
-            raise EmptyRoiError("model-fit loss needs a non-empty ROI")
-        n_roi = roi.count
-        roi_mask = roi.data
-        log_s0 = maps.log_s0.data
-        adc = maps.adc.data
-        mf_c = weights.alpha2 / (n_b * n_roi)
-    else:
-        n_roi = 1
-        roi_mask = _NO_ROI.setdefault(dims, np.zeros(dims, dtype=bool))
-        mf_c = 0.0
-    sim_c = 1.0 / (n_b * n_vox)
-    smooth_w = weights.alpha1 / n_vox
+    if roi.count == 0:
+        raise EmptyRoiError("model-fit loss needs a non-empty ROI")
+    n_vox = int(np.prod(moving.dims))
+    return moving.b_count * n_vox, moving.b_count * roi.count, n_vox
 
-    grad = np.zeros_like(fields_arr)
+
+def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad):
+    """Per-b-value loop over the fused kernels.
+
+    Adds sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
+    d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
+    raw sums (similarity, model fit, smoothness).  A zero prefactor adds
+    only signed zeros, so one term is isolated exactly by zeroing the
+    other two prefactors.
+    """
     sim_sum = 0.0
     mf_sum = 0.0
     smooth_sum = 0.0
-    zeros = None
-    for i in range(n_b):
-        if use_mf:
-            pred_log = log_s0 - moving.bvalues[i] * adc
-        else:
-            if zeros is None:
-                zeros = np.zeros(dims, dtype=np.float64)
-            pred_log = zeros
+    for i, b in enumerate(moving.bvalues):
         s, m = _kernels.match_terms(
             moving.volumes[i].data,
             fields_arr[i],
             fixed.volumes[i].data,
-            pred_log,
-            roi_mask,
+            maps.log_s0.data - b * maps.adc.data,
+            roi.data,
             FLOOR_EPS,
             sim_c,
             mf_c,
@@ -214,15 +184,43 @@ def loss_and_gradient(
         sim_sum += s
         mf_sum += m
         smooth_sum += _kernels.smooth_loss_grad(fields_arr[i], grad[i], smooth_w)
+    return sim_sum, mf_sum, smooth_sum
 
-    sim = sim_sum / (n_b * n_vox)
-    mf = mf_sum / (n_b * n_roi) if use_mf else 0.0
-    smooth = smooth_sum / n_vox
-    bd = LossBreakdown(sim, smooth, mf, sim + weights.alpha1 * smooth + weights.alpha2 * mf)
+
+def loss_and_gradient(
+    fixed: BValueSeries,
+    moving: BValueSeries,
+    fields_arr: np.ndarray,
+    maps: ParameterMaps,
+    roi: RoiMask,
+    weights: LossWeights,
+):
+    """Fused evaluation of the total loss and its gradient w.r.t. the fields.
+
+    fields_arr has shape (B, nx, ny, nz, 3).  Returns (LossBreakdown, grad)
+    with grad of the same shape, holding d(total)/d(u).  Every term is
+    evaluated for every weight; with alpha2 = 0 the model-fit term is
+    reported unweighted and adds nothing to the total or the gradient.  The
+    L1 subgradient is 0 at exact ties and the trilinear derivative is 0
+    where sampling was clamped, so the gradient is defined everywhere.
+
+    At an exact model fit (moving == fixed == reconstruct(maps), zero fields)
+    the similarity and smoothness gradients are exactly 0.  The model-fit
+    gradient is 0 only up to float64 rounding of log(exp(.)) in the residual
+    (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
+    """
+    _check_series_pair(fixed, moving)
+    shape = (moving.b_count,) + moving.dims + (3,)
+    if fields_arr.shape != shape:
+        raise DimensionMismatchError(f"fields_arr shape {fields_arr.shape} != {shape}")
+    n_sim, n_mf, n_vox = _term_scales(moving, roi)
+    grad = np.zeros_like(fields_arr)
+    sim_sum, mf_sum, smooth_sum = _term_sums(
+        fixed, moving, fields_arr, maps, roi,
+        1.0 / n_sim, weights.alpha2 / n_mf, weights.alpha1 / n_vox, grad,
+    )
+    bd = LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, weights)
     return bd, grad
-
-
-_NO_ROI: dict = {}
 
 
 def per_term_gradients(
@@ -234,34 +232,20 @@ def per_term_gradients(
 ):
     """Unweighted gradient of each loss term separately (for verification).
 
-    Each term is isolated exactly by zeroing the other terms' prefactors in
-    the kernels.  Returns {"similarity": g, "smooth": g, "model_fit": g},
-    each of shape (B, nx, ny, nz, 3).
+    Runs the loop of `loss_and_gradient` once per term, with the other
+    two prefactors zero.  Returns {"similarity": g, "smooth": g,
+    "model_fit": g}, each of shape (B, nx, ny, nz, 3).
     """
     fields = _check_fields(moving, fields)
-    if roi.count == 0:
-        raise EmptyRoiError("model-fit loss needs a non-empty ROI")
-    dims = moving.dims
-    n_b = moving.b_count
-    n_vox = int(np.prod(dims))
-    shape = (n_b,) + dims + (3,)
-    g_sim = np.zeros(shape)
-    g_mf = np.zeros(shape)
-    g_sm = np.zeros(shape)
-    sim_c = 1.0 / (n_b * n_vox)
-    mf_c = 1.0 / (n_b * roi.count)
-    smooth_w = 1.0 / n_vox
-    no_roi = np.zeros(dims, dtype=bool)
-    zeros = np.zeros(dims, dtype=np.float64)
-    for i in range(n_b):
-        pred_log = maps.log_s0.data - moving.bvalues[i] * maps.adc.data
-        _kernels.match_terms(
-            moving.volumes[i].data, fields[i].data, fixed.volumes[i].data,
-            zeros, no_roi, FLOOR_EPS, sim_c, 0.0, g_sim[i],
-        )
-        _kernels.match_terms(
-            moving.volumes[i].data, fields[i].data, fixed.volumes[i].data,
-            pred_log, roi.data, FLOOR_EPS, 0.0, mf_c, g_mf[i],
-        )
-        _kernels.smooth_loss_grad(fields[i].data, g_sm[i], smooth_w)
-    return {"similarity": g_sim, "smooth": g_sm, "model_fit": g_mf}
+    fields_arr = np.stack([f.data for f in fields])
+    n_sim, n_mf, n_vox = _term_scales(moving, roi)
+    prefactors = {
+        "similarity": (1.0 / n_sim, 0.0, 0.0),
+        "model_fit": (0.0, 1.0 / n_mf, 0.0),
+        "smooth": (0.0, 0.0, 1.0 / n_vox),
+    }
+    out = {}
+    for term, (sim_c, mf_c, smooth_w) in prefactors.items():
+        out[term] = np.zeros_like(fields_arr)
+        _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, out[term])
+    return out

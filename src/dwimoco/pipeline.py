@@ -26,7 +26,13 @@ import numpy as np
 
 from . import phantom
 from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
-from .objective import LossBreakdown, LossWeights, total_loss
+from .objective import (
+    LossBreakdown,
+    LossWeights,
+    model_fit_loss,
+    similarity_loss,
+    total_loss,  # noqa: F401  unused here; perfbench/spans.py wraps pipeline.total_loss
+)
 from .registration import DivergedError, InnerOptConfig, optimize_fields
 from .signal_model import ParameterMaps, irls_fit, lls_fit, reconstruct, roi_mean_signals
 from .volume import (
@@ -34,6 +40,7 @@ from .volume import (
     DisplacementField,
     RoiMask,
     ScalarVolume,
+    check_differentiable,
     compose_displacements,
     normalize_series,
     warp_series,
@@ -126,12 +133,18 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     (k = 0 is the raw input), so a run capped at max_outer_iters produces at
     most max_outer_iters records and performs one fewer registration pass.
     Stops early once the ROI-mean ADC is stable for converge_window
-    consecutive iterations.
+    consecutive iterations.  Each record's loss is the objective at zero
+    fields, the state entering that iteration's registration: similarity
+    and model fit of the current series against its own fit, smoothness 0.
+
+    Raises GridTooSmallError for a grid with an axis shorter than 2 voxels,
+    where the smoothness term has no finite differences.
     """
     if roi.dims != series.dims:
         raise ValueError("roi dims must match series dims")
     if roi.count == 0:
         raise ValueError("empty ROI")
+    check_differentiable(series.dims)
     bvalues = series.bvalues
     dims = series.dims
     zero_fields = [DisplacementField.zero(dims) for _ in bvalues]
@@ -151,7 +164,9 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         maps = lls_fit(current)
         fixed = reconstruct(maps, bvalues)
         means, log_s0_c, adc_c, diag = _curve_stats(current, roi)
-        loss0 = total_loss(fixed, current, zero_fields, maps, roi, cfg.weights)
+        loss0 = LossBreakdown.weighted(
+            similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.weights
+        )
         records.append(
             CaseRecord(k, adc_c, diag.r2, log_s0_c, tuple(means.tolist()), loss0)
         )

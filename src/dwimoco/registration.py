@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .objective import LossWeights, loss_and_gradient
+from .signal_model import ParameterMaps
 from .volume import BValueSeries, DimensionMismatchError, DisplacementField, RoiMask
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, 2015 defaults)
@@ -117,7 +118,7 @@ def optimize_fields(
     fixed: BValueSeries,
     moving: BValueSeries,
     init_fields,
-    maps,
+    maps: ParameterMaps,
     roi: RoiMask,
     weights: LossWeights,
     cfg: InnerOptConfig,
@@ -125,9 +126,11 @@ def optimize_fields(
     """Find per-b-value displacement fields minimizing the total loss.
 
     Each b-value image of `moving` is registered to the same-b image of
-    `fixed`; all B fields are optimized jointly.  With weights.alpha2 == 0
-    the parameter maps are never read.  Returns (fields, trace) where trace
-    is the per-step LossBreakdown list and fields is the best-visited state.
+    `fixed`; all B fields are optimized jointly against the weighted total
+    of `loss_and_gradient`, for every weight setting (alpha2 = 0 is the
+    registration-only method).  Returns (fields, trace) where trace is the
+    per-step LossBreakdown list, every term unweighted, and fields is the
+    best-visited state.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.

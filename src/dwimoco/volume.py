@@ -23,6 +23,20 @@ class DegenerateSeriesError(ValueError):
     """Series cannot be normalized (non-positive maximum at b=0)."""
 
 
+class GridTooSmallError(ValueError):
+    """A grid axis is shorter than the 2 voxels a finite difference needs."""
+
+
+def check_differentiable(dims) -> None:
+    """Raise GridTooSmallError naming the first axis with fewer than 2 voxels."""
+    for axis, n in zip("xyz", dims):
+        if n < 2:
+            raise GridTooSmallError(
+                f"grid {tuple(dims)} has {n} voxel(s) along {axis}; "
+                "differentiating a field needs at least 2 along every axis"
+            )
+
+
 def _as_volume_array(data) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if arr.ndim != 3:
@@ -205,8 +219,7 @@ def spatial_gradient(disp: DisplacementField) -> np.ndarray:
     requires at least 2 voxels along every axis.
     """
     dims = disp.dims
-    if min(dims) < 2:
-        raise ValueError("need dims >= 2 along every axis to differentiate")
+    check_differentiable(dims)
     jac = np.empty(dims + (3, 3), dtype=np.float64)
     for c in range(3):
         for a in range(3):

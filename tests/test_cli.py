@@ -142,19 +142,76 @@ def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
-def test_cohort_cases_reports_a_case_with_invalid_ga_and_keeps_the_rest(cases, tmp_path):
+def _cohort_failures_with_a_bad_case(cases, tmp_path, edit):
+    """Run `cohort --cases` over the three good cases plus sim004 spoiled by
+    `edit`; check the good cases keep their points and return failures.csv."""
     root = tmp_path / "cases"
     shutil.copytree(cases, root)
     bad = root / "sim004"
     assert cli.main(["simulate", "--dims", "16,16,8", "--seed", "4", "--out", str(bad)]) == 0
-    manifest = json.loads((bad / "manifest.json").read_text())
-    manifest["ga_weeks"] = -5.0
-    (bad / "manifest.json").write_text(json.dumps(manifest))
+    edit(bad)
     out = tmp_path / "cohort"
     assert cli.main(["cohort", "--cases", str(root), *CAPS, "--out", str(out)]) == 0
-    rows = read_rows(out / "failures.csv")
-    assert [r[0] for r in rows[1:]] == [str(bad / "manifest.json")]
-    assert "ga_weeks must be > 0" in rows[1][1]
     for method in pipeline.COHORT_METHODS:
         points = read_rows(out / f"cohort_points_{method}.csv")[1:]
         assert [r[0] for r in points] == ["sim001", "sim002", "sim003"]
+    rows = read_rows(out / "failures.csv")
+    assert [r[0] for r in rows[1:]] == [str(bad / "manifest.json")]
+    return rows
+
+
+def test_cohort_cases_reports_a_case_with_invalid_ga_and_keeps_the_rest(cases, tmp_path):
+    def negative_ga(case):
+        manifest = json.loads((case / "manifest.json").read_text())
+        manifest["ga_weeks"] = -5.0
+        (case / "manifest.json").write_text(json.dumps(manifest))
+
+    rows = _cohort_failures_with_a_bad_case(cases, tmp_path, negative_ga)
+    assert "ga_weeks must be > 0" in rows[1][1]
+
+
+def test_cohort_cases_reports_a_case_with_an_empty_roi_and_keeps_the_rest(cases, tmp_path):
+    def empty_roi(case):
+        roi = dio.read_mask(case / "roi")
+        dio.write_mask(dio.RoiMask(np.zeros(roi.dims, dtype=bool)), case / "roi")
+
+    rows = _cohort_failures_with_a_bad_case(cases, tmp_path, empty_roi)
+    assert rows[1][1].startswith("ManifestError(") and "holds no voxel" in rows[1][1]
+
+
+def test_fit_both_methods_exits_0_with_a_row_each(cases, tmp_path):
+    out = tmp_path / "fit"
+    argv = ["fit", "--case", str(cases / "sim001" / "manifest.json"), "--method", "both"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    rows = read_rows(out / "roi_summary.csv")
+    assert rows[0] == ["method", "roi_mean_adc_mm2s", "curve_adc_mm2s", "curve_r2"]
+    assert [r[0] for r in rows[1:]] == ["lls", "irls"]
+    for method in ("lls", "irls"):
+        assert (out / f"{method}_adc.raw").exists()
+
+
+def test_morph_exits_3_and_writes_failure_when_registration_diverges(
+    cases, tmp_path, monkeypatch
+):
+    def diverge(*args, **kwargs):
+        raise DivergedError("diverged: injected, at step 0", [])
+
+    monkeypatch.setattr(pipeline, "optimize_fields", diverge)
+    out = tmp_path / "morph"
+    argv = ["morph", "--case", str(cases / "sim001" / "manifest.json"), *CAPS]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert (out / "failure.txt").read_text() == "diverged: injected, at step 0\n"
+
+
+def test_one_voxel_thick_case_fits_but_morph_exits_2_before_writing(tmp_path):
+    dims = (12, 12, 1)
+    bvalues = (0.0, 200.0, 600.0)
+    vols = tuple(dio.ScalarVolume(np.full(dims, np.exp(-2e-3 * b))) for b in bvalues)
+    mask = np.zeros(dims, dtype=bool)
+    mask[4:8, 4:8, 0] = True
+    series = dio.BValueSeries(bvalues, vols)
+    manifest = str(dio.write_case(series, dio.RoiMask(mask), 30.0, "flat", tmp_path / "flat"))
+    assert cli.main(["fit", "--case", manifest, "--out", str(tmp_path / "fit")]) == 0
+    out = tmp_path / "morph"
+    assert cli.main(["morph", "--case", manifest, *CAPS, "--out", str(out)]) == 2
+    assert not out.exists()

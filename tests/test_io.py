@@ -5,7 +5,7 @@ import pytest
 
 from dwimoco import cli
 from dwimoco import io as dio
-from dwimoco.volume import BValueSeries, RoiMask, ScalarVolume
+from dwimoco.volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -40,6 +40,10 @@ def _set_ga(value):
     return edit
 
 
+def _empty_roi(_manifest, case):
+    dio.write_mask(RoiMask(np.zeros((4, 3, 2), dtype=bool)), case / "roi")
+
+
 def _negative_signal(_manifest, case):
     raw = case / "b50.raw"
     flat = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
@@ -60,6 +64,7 @@ def _negative_signal(_manifest, case):
         _set_ga(0.0),
         _set_bvalue(-50.0),
         _negative_signal,
+        _empty_roi,
     ],
     ids=[
         "entry_number",
@@ -72,6 +77,7 @@ def _negative_signal(_manifest, case):
         "ga_zero",
         "bvalue_negative",
         "signal_negative",
+        "roi_empty",
     ],
 )
 def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
@@ -84,3 +90,39 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
     with pytest.raises(dio.ManifestError):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_field_round_trip_keeps_component_order(tmp_path, rng):
+    data = np.stack([np.full((4, 3, 2), c) for c in (1.0, 2.0, 3.0)], axis=-1)
+    data += rng.normal(0.0, 0.1, data.shape)
+    field = DisplacementField(data.astype(np.float32).astype(np.float64))
+    dio.write_field(field, tmp_path / "field")
+    np.testing.assert_array_equal(dio.read_field(tmp_path / "field").data, field.data)
+
+
+def test_mask_round_trip(tmp_path, rng):
+    mask = RoiMask(rng.random((5, 4, 3)) > 0.5)
+    dio.write_mask(mask, tmp_path / "roi")
+    np.testing.assert_array_equal(dio.read_mask(tmp_path / "roi").data, mask.data)
+
+
+def test_volume_round_trip_keeps_spacing(tmp_path, rng):
+    vol = ScalarVolume(rng.random((4, 3, 2)).astype(np.float32), spacing=(1.5, 2.0, 3.25))
+    dio.write_volume(vol, tmp_path / "vol")
+    back = dio.read_volume(tmp_path / "vol")
+    assert back.spacing == (1.5, 2.0, 3.25)
+    np.testing.assert_array_equal(back.data, vol.data)
+
+
+def test_read_case_sorts_reversed_volume_entries(tmp_path, rng):
+    bvalues = (0.0, 50.0, 100.0)
+    vols = tuple(ScalarVolume(rng.random((4, 3, 2)) + 1.0 - 0.2 * i) for i in range(3))
+    roi = RoiMask(np.ones((4, 3, 2), dtype=bool))
+    path = dio.write_case(BValueSeries(bvalues, vols), roi, 30.0, "c", tmp_path / "c")
+    manifest = json.loads(path.read_text())
+    manifest["volumes"].reverse()
+    path.write_text(json.dumps(manifest))
+    series, _roi, _ga = dio.read_case(path)
+    assert series.bvalues == bvalues
+    for got, want in zip(series.volumes, vols):
+        np.testing.assert_array_equal(got.data, want.data.astype(np.float32))

@@ -5,7 +5,9 @@ import pytest
 
 from dwimoco import pipeline
 from dwimoco.maturity import CohortPoint
+from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
+from dwimoco.volume import GridTooSmallError
 
 CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer_iters=2)
 
@@ -138,3 +140,39 @@ def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
     assert result.normalization_scale == scale
     for got, want in zip(result.best_series_resampled.volumes, normalized.volumes):
         np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("alpha2", [1000.0, 0.0])
+def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
+    series, roi = small_case()
+    cfg = replace(RUN_CFG, weights=replace(RUN_CFG.weights, alpha2=alpha2))
+    entering = []  # the normalized series entering each outer iteration
+    real_lls_fit = pipeline.lls_fit
+
+    def spy(current):
+        entering.append(current)
+        return real_lls_fit(current)
+
+    monkeypatch.setattr(pipeline, "lls_fit", spy)
+    result = pipeline.run_case(series, roi, cfg)
+    assert len(entering) == len(result.records) == 3
+    zero = [pipeline.DisplacementField.zero(series.dims) for _ in series.bvalues]
+    for current, rec in zip(entering, result.records):
+        maps = real_lls_fit(current)
+        fixed = pipeline.reconstruct(maps, series.bvalues)
+        want = total_loss(fixed, current, zero, maps, roi, cfg.weights)
+        assert rec.loss.similarity == want.similarity
+        assert rec.loss.smooth == want.smooth == 0.0
+        assert rec.loss.model_fit == want.model_fit
+        assert rec.loss.total == want.total
+        assert rec.loss.model_fit > 0.0
+
+
+def test_run_case_rejects_a_grid_with_one_voxel_along_an_axis():
+    dims = (12, 12, 1)
+    bvalues = (0.0, 200.0, 600.0)
+    vols = tuple(pipeline.ScalarVolume(np.full(dims, np.exp(-2e-3 * b))) for b in bvalues)
+    mask = np.zeros(dims, dtype=bool)
+    mask[4:8, 4:8, 0] = True
+    with pytest.raises(GridTooSmallError, match="along z"):
+        pipeline.run_case(pipeline.BValueSeries(bvalues, vols), pipeline.RoiMask(mask), RUN_CFG)
