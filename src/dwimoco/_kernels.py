@@ -16,9 +16,11 @@ still sees the same operations, changes no result bit.
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
 corners are 8 gathers from the raveled volume.  `warp3d` computes no point
-gradient, because none of its callers (resampling a series, composing
-fields, the loss at zero fields) differentiates the warped values;
-`match_terms` is the one caller that needs the gradient.
+gradient, because none of its callers differentiates the warped values:
+`volume.warp`, which resamples the input once per outer iteration
+(`pipeline.run_case`), moves the phantoms and serves `objective.total_loss`,
+and `volume.compose_displacements`.  `match_terms` is the one caller that
+needs the gradient.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import io as dio
@@ -309,10 +310,11 @@ def cmd_morph(args) -> int:
     return 0
 
 
-def _read_case_source(manifest_path):
-    """Cohort case loader for on-disk cases; the case id is the directory name."""
-    series, roi, ga = dio.read_case(manifest_path)
-    return Path(manifest_path).parent.name, ga, series, roi
+def _read_case_source(case_dir, name):
+    """Cohort case loader for the on-disk case `case_dir/name`; the case id is
+    the directory name."""
+    series, roi, ga = dio.read_case(Path(case_dir) / name / "manifest.json")
+    return name, ga, series, roi
 
 
 def cmd_cohort(args) -> int:
@@ -323,13 +325,13 @@ def cmd_cohort(args) -> int:
 
     if args.cases is not None:
         case_dir = Path(args.cases)
-        manifests = sorted(case_dir.glob("*/manifest.json"))
-        if not manifests:
+        names = sorted(p.parent.name for p in case_dir.glob("*/manifest.json"))
+        if not names:
             print(f"error: no case manifests under {case_dir}", file=sys.stderr)
             return 2
         echo_config(cfg, out)
-        _progress(f"cohort: analyzing {len(manifests)} cases from {case_dir} (workers={workers})")
-        study = run_cohort(_read_case_source, manifests, pcfg, workers)
+        _progress(f"cohort: analyzing {len(names)} cases from {case_dir} (workers={workers})")
+        study = run_cohort(partial(_read_case_source, case_dir), names, pcfg, workers)
     else:
         specs = cohort_case_specs(cfg)
         echo_config(cfg, out)

@@ -107,6 +107,18 @@ def _read_container(path):
     dims = side["dims"]
     if len(dims) != 3 or any((not isinstance(d, int)) or d < 1 for d in dims):
         raise SidecarFormatError(f"bad dims {dims} in {side_path}")
+    spacing = side["spacing"]
+    if not (
+        isinstance(spacing, list)
+        and len(spacing) == 3
+        and all(
+            isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 < s < np.inf
+            for s in spacing
+        )
+    ):
+        raise SidecarFormatError(
+            f"spacing must be 3 finite numbers > 0, got {spacing!r} in {side_path}"
+        )
     components = side.get("components", 1)
     if components not in (1, 3):
         raise SidecarFormatError(f"bad components {components} in {side_path}")
@@ -204,9 +216,11 @@ def read_case(manifest_path):
 
     Volumes are assembled in ascending b-value order regardless of how the
     manifest lists them.  Rejects duplicate b-values, a missing b=0 entry,
-    any grid mismatch, an empty ROI, a gestational age <= 0 and any series
-    `BValueSeries` rejects (negative b-values or signals), always with
-    ManifestError or ContainerError.
+    any grid mismatch, a volume whose spacing differs from the b=0 volume's
+    (the ROI mask is written with spacing 1, so only its grid is compared),
+    an empty ROI, a gestational age <= 0 and any series `BValueSeries`
+    rejects (negative b-values or signals), always with ManifestError or
+    ContainerError.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -244,10 +258,12 @@ def read_case(manifest_path):
     if 0.0 not in seen:
         raise ManifestError("manifest lacks a b=0 volume")
     loaded.sort(key=lambda t: t[0])
-    dims = loaded[0][1].dims
+    dims, spacing = loaded[0][1].dims, loaded[0][1].spacing
     for b, vol in loaded:
         if vol.dims != dims:
             raise ManifestError(f"volume at b={b:g} has dims {vol.dims}, expected {dims}")
+        if vol.spacing != spacing:
+            raise ManifestError(f"volume at b={b:g} has spacing {vol.spacing}, expected {spacing}")
     if not isinstance(manifest["roi"], str):
         raise ManifestError(f"roi must be a path, got {manifest['roi']!r}")
     roi = read_mask(base / manifest["roi"])
@@ -419,7 +435,12 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
 
 def write_case_report(result: CaseResult, out_dir, case_id: str = "case", variant: str = "full"):
     """Emit the per-case artifacts: iteration trace CSV, case summary CSV,
-    per-iteration decay-curve SVG, best-iteration maps, fields and series."""
+    per-iteration decay-curve SVG, best-iteration maps, fields and series.
+
+    The compensated series is one resample of the input, so the
+    compensated_single_resample_b* files equal the compensated_b* ones byte
+    for byte; they stay only while the benchmark still checks them.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(

@@ -1,12 +1,14 @@
 """Outer motion-compensation loop and cohort-level studies.
 
-One iteration of a case: normalize by the maximum b=0 intensity, fit the
-decay model per voxel (LLS), reconstruct the model series, register every
-b-value image of the current series to its reconstruction, then warp to
-produce the next iteration's series.  The recorded per-iteration summary ADC
-comes from a robust (IRLS) fit of the ROI-mean decay curve; the iteration
-with the highest IRLS R^2 wins.  Iteration 0 is always the uncompensated
-input state.
+A case is normalized once, by the maximum b=0 intensity of the input.  One
+iteration fits the decay model per voxel (LLS) to the current series,
+reconstructs the model series, and optimizes the accumulated per-b-value
+fields against the normalized input, starting from the previous iteration's
+fields; the next iteration's series is the normalized input warped by those
+fields, so every series is one resample of the input.  The recorded
+per-iteration summary ADC comes from a robust (IRLS) fit of the ROI-mean
+decay curve; the iteration with the highest IRLS R^2 wins.  Iteration 0 is
+always the uncompensated input state.
 
 A cohort study runs three methods on every case (`analyze_methods`): the
 uncompensated curve fit, registration without the model-fit term, and the
@@ -39,9 +41,9 @@ from .volume import (
     BValueSeries,
     DisplacementField,
     RoiMask,
-    ScalarVolume,
+    ScalarVolume,  # noqa: F401  unused here; tests build series through pipeline
     check_differentiable,
-    compose_displacements,
+    compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
     warp_series,
 )
@@ -80,11 +82,11 @@ class CaseRecord:
 class CaseResult:
     """Per-iteration trace plus the outputs of the best (highest-R^2) state.
 
-    best_fields hold the accumulated displacement from the input grid to the
-    best iteration, so `best_series_resampled` is a single-resample version
-    of the iteratively warped `best_series` (repeated resampling blurs; both
-    are kept).  Intensities are in normalized units; multiply by
-    normalization_scale to return to input units.
+    best_fields hold the displacement from the input grid to the best
+    iteration, and best_series is the normalized input warped by them: one
+    resample of the input.  Intensities are in normalized units; multiply by
+    normalization_scale, the input's maximum b=0 intensity, to return to
+    input units.
     """
 
     bvalues: tuple
@@ -93,7 +95,6 @@ class CaseResult:
     best_maps: ParameterMaps
     best_fields: list
     best_series: BValueSeries
-    best_series_resampled: BValueSeries
     normalization_scale: float
     converged: bool
     failed: bool = False
@@ -102,6 +103,11 @@ class CaseResult:
     @property
     def best_record(self) -> CaseRecord:
         return self.records[self.best_iteration]
+
+    @property
+    def best_series_resampled(self) -> BValueSeries:
+        """best_series, which is already a single resample of the input."""
+        return self.best_series
 
 
 def check_convergence(adc_history, window: int, tol: float) -> bool:
@@ -132,6 +138,10 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     Record k describes the series state after k registration passes
     (k = 0 is the raw input), so a run capped at max_outer_iters produces at
     most max_outer_iters records and performs one fewer registration pass.
+    The input is normalized once (normalization_scale is its maximum b=0
+    intensity).  Each pass optimizes the accumulated fields against the
+    normalized input, warm-started from the previous pass's fields, and the
+    next series is the normalized input warped by them: one resample each.
     Stops early once the ROI-mean ADC is stable for converge_window
     consecutive iterations.  Each record's loss is the objective at zero
     fields, the state entering that iteration's registration: similarity
@@ -146,21 +156,17 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         raise ValueError("empty ROI")
     check_differentiable(series.dims)
     bvalues = series.bvalues
-    dims = series.dims
-    zero_fields = [DisplacementField.zero(dims) for _ in bvalues]
+    normalized, scale = normalize_series(series)
+    fields = [DisplacementField.zero(series.dims) for _ in bvalues]
 
-    current = series
-    total_scale = 1.0
-    acc_fields = list(zero_fields)
+    current = normalized
     records: list[CaseRecord] = []
-    best = None  # (r2, record_index, maps, acc_fields, series, scale)
+    best = None  # (r2, record_index, maps, fields, series)
     failed = False
     failure_reason = None
     converged = False
 
     for k in range(cfg.max_outer_iters):
-        current, scale = normalize_series(current)
-        total_scale *= scale
         maps = lls_fit(current)
         fixed = reconstruct(maps, bvalues)
         means, log_s0_c, adc_c, diag = _curve_stats(current, roi)
@@ -171,7 +177,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
             CaseRecord(k, adc_c, diag.r2, log_s0_c, tuple(means.tolist()), loss0)
         )
         if best is None or diag.r2 > best[0]:
-            best = (diag.r2, k, maps, [f for f in acc_fields], current, total_scale)
+            best = (diag.r2, k, maps, fields, current)
         if check_convergence(
             [r.roi_mean_adc for r in records], cfg.converge_window, cfg.adc_change_tol
         ):
@@ -181,32 +187,23 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
             break
         try:
             fields, _trace = optimize_fields(
-                fixed, current, zero_fields, maps, roi, cfg.weights, cfg.inner
+                fixed, normalized, fields, maps, roi, cfg.weights, cfg.inner
             )
         except DivergedError as err:
             failed = True
             failure_reason = str(err)
             break
-        current = warp_series(current, fields)
-        acc_fields = [compose_displacements(f, a) for f, a in zip(fields, acc_fields)]
+        current = warp_series(normalized, fields)
 
-    _, best_iter, best_maps, best_acc, best_series, best_scale = best
-    resampled = BValueSeries(
-        bvalues,
-        tuple(
-            ScalarVolume(v.data / best_scale, v.spacing)
-            for v in warp_series(series, best_acc).volumes
-        ),
-    )
+    _, best_iter, best_maps, best_fields, best_series = best
     return CaseResult(
         bvalues=bvalues,
         records=records,
         best_iteration=best_iter,
         best_maps=best_maps,
-        best_fields=best_acc,
+        best_fields=best_fields,
         best_series=best_series,
-        best_series_resampled=resampled,
-        normalization_scale=best_scale,
+        normalization_scale=scale,
         converged=converged,
         failed=failed,
         failure_reason=failure_reason,
@@ -304,14 +301,15 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     """Analyze every case with all three methods and fit ADC vs GA per method.
 
     load_case maps one source to (case_id, ga_weeks, series, roi).  It must
-    be a module-level function, so worker processes can unpickle it.  Cases
-    run independently (in worker processes when workers > 1) and the
-    outputs keep the order of `sources`, so the result does not depend on
-    scheduling.  A case that raised, in loading, analysis or building its
-    cohort points, is recorded under str(source).  Methods with fewer than
-    3 points get no fit.
+    be a module-level function or a partial of one, so worker processes can
+    unpickle it.  Cases run independently, in min(workers, len(sources))
+    worker processes when that is more than 1, and the outputs keep the
+    order of `sources`, so the result does not depend on scheduling.  A case
+    that raised, in loading, analysis or building its cohort points, is
+    recorded under str(source).  Methods with fewer than 3 points get no fit.
     """
     sources = list(sources)
+    workers = min(workers, len(sources))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_analyze_source, load_case, s, cfg) for s in sources]

@@ -128,9 +128,11 @@ def optimize_fields(
     Each b-value image of `moving` is registered to the same-b image of
     `fixed`; all B fields are optimized jointly against the weighted total
     of `loss_and_gradient`, for every weight setting (alpha2 = 0 is the
-    registration-only method).  Returns (fields, trace) where trace is the
+    registration-only method).  init_fields are the starting fields: the
+    outer loop passes the fields of its previous pass, so Adam resumes from
+    them with fresh moments.  Returns (fields, trace) where trace is the
     per-step LossBreakdown list, every term unweighted, and fields is the
-    best-visited state.
+    best-visited state, never worse than init_fields.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.

@@ -156,7 +156,7 @@ def _cohort_failures_with_a_bad_case(cases, tmp_path, edit):
         points = read_rows(out / f"cohort_points_{method}.csv")[1:]
         assert [r[0] for r in points] == ["sim001", "sim002", "sim003"]
     rows = read_rows(out / "failures.csv")
-    assert [r[0] for r in rows[1:]] == [str(bad / "manifest.json")]
+    assert [r[0] for r in rows[1:]] == ["sim004"]
     return rows
 
 

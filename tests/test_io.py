@@ -51,6 +51,13 @@ def _negative_signal(_manifest, case):
     raw.write_bytes(flat.tobytes())
 
 
+def _write_small_case(tmp_path):
+    """A 4x3x2 case at b = 0, 50, 100 under tmp_path/c; returns its manifest path."""
+    vols = tuple(ScalarVolume(np.full((4, 3, 2), s)) for s in (1.0, 0.9, 0.8))
+    roi = RoiMask(np.ones((4, 3, 2), dtype=bool))
+    return dio.write_case(BValueSeries((0.0, 50.0, 100.0), vols), roi, 30.0, "c", tmp_path / "c")
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -81,13 +88,33 @@ def _negative_signal(_manifest, case):
     ],
 )
 def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
-    vols = tuple(ScalarVolume(np.full((4, 3, 2), s)) for s in (1.0, 0.9, 0.8))
-    roi = RoiMask(np.ones((4, 3, 2), dtype=bool))
-    path = dio.write_case(BValueSeries((0.0, 50.0, 100.0), vols), roi, 30.0, "c", tmp_path / "c")
+    path = _write_small_case(tmp_path)
     manifest = json.loads(path.read_text())
     edit(manifest, path.parent)
     path.write_text(json.dumps(manifest))
     with pytest.raises(dio.ManifestError):
+        dio.read_case(path)
+    assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "spacing, error",
+    [
+        ("abc", dio.SidecarFormatError),
+        ([1.0, 1.0], dio.SidecarFormatError),
+        (None, dio.SidecarFormatError),
+        ([-1, 1, 1], dio.SidecarFormatError),
+        ([2, 1, 1], dio.ManifestError),
+    ],
+    ids=["text", "two_entries", "null", "negative", "differs_from_b0"],
+)
+def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, spacing, error):
+    path = _write_small_case(tmp_path)
+    sidecar = path.parent / "b50.json"
+    side = json.loads(sidecar.read_text())
+    side["spacing"] = spacing
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(error, match="spacing"):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
 

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,42 @@ def test_case_with_invalid_ga_is_one_failure_not_a_crash():
     assert set(study.fits) == set(pipeline.COHORT_METHODS)
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    task in this process."""
+
+    def __init__(self, max_workers, created):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
+@pytest.mark.parametrize("n_cases, workers, pools", [(3, 64, [3]), (3, 2, [2]), (1, 64, [])])
+def test_run_cohort_starts_no_more_workers_than_cases(monkeypatch, n_cases, workers, pools):
+    created = []
+    monkeypatch.setattr(
+        pipeline, "ProcessPoolExecutor", lambda max_workers: InlineExecutor(max_workers, created)
+    )
+    specs = small_specs(n_cases)
+    study = pipeline.run_cohort(pipeline._simulate_case, specs, CFG, workers=workers)
+    assert created == pools
+    assert study.failures == []
+    for method in pipeline.COHORT_METHODS:
+        assert case_ids(study.points[method]) == [s.case_id for s in specs]
+
+
 def small_case():
     """One 16x16x6 phantom with motion: (series, roi)."""
     spec = pipeline.phantom.PhantomSpec(
@@ -140,6 +177,49 @@ def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
     assert result.normalization_scale == scale
     for got, want in zip(result.best_series_resampled.volumes, normalized.volumes):
         np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_best_series_is_one_resample_of_the_normalized_input():
+    series, roi = small_case()
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    # from the second pass on, re-warping the warped series would differ
+    assert result.best_iteration == 2
+    normalized, _ = pipeline.normalize_series(series)
+    want = pipeline.warp_series(normalized, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want.volumes):
+        np.testing.assert_array_equal(got.data, w.data)
+
+
+def test_best_series_resampled_is_best_series():
+    series, roi = small_case()
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    assert result.best_iteration == 2
+    for got, want in zip(result.best_series_resampled.volumes, result.best_series.volumes):
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch):
+    series, roi = small_case()
+    real = pipeline.optimize_fields
+    calls = []  # (moving, init_fields, returned fields) per pass
+
+    def spy(fixed, moving, init_fields, *rest):
+        fields, trace = real(fixed, moving, init_fields, *rest)
+        calls.append((moving, list(init_fields), fields))
+        return fields, trace
+
+    monkeypatch.setattr(pipeline, "optimize_fields", spy)
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    assert len(calls) == len(result.records) - 1 == 2
+    normalized, _ = pipeline.normalize_series(series)
+    previous = [np.zeros(series.dims + (3,)) for _ in series.bvalues]
+    for moving, init_fields, fields in calls:
+        for got, want in zip(moving.volumes, normalized.volumes):
+            np.testing.assert_array_equal(got.data, want.data)
+        for got, want in zip(init_fields, previous):
+            np.testing.assert_array_equal(got.data, want)
+        previous = [f.data for f in fields]
+    assert any(np.any(p != 0.0) for p in previous)
 
 
 @pytest.mark.parametrize("alpha2", [1000.0, 0.0])
