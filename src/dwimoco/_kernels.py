@@ -19,8 +19,9 @@ corners are 8 gathers from the raveled volume.  `warp3d` computes no point
 gradient, because none of its callers differentiates the warped values:
 `volume.warp`, which resamples the input once per outer iteration
 (`pipeline.run_case`), moves the phantoms and serves `objective.total_loss`,
-and `volume.compose_displacements`.  `match_terms` is the one caller that
-needs the gradient.
+and `volume.compose_displacements`.  The pipeline calls neither of the last
+two: only the tests and the benchmark's name bindings in `pipeline` reach
+them.  `match_terms` is the one caller that needs the gradient.
 """
 
 from __future__ import annotations

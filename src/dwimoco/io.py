@@ -105,8 +105,12 @@ def _read_container(path):
     if side["order"] != _ORDER_TAG:
         raise SidecarFormatError(f"unknown order tag {side['order']!r}")
     dims = side["dims"]
-    if len(dims) != 3 or any((not isinstance(d, int)) or d < 1 for d in dims):
-        raise SidecarFormatError(f"bad dims {dims} in {side_path}")
+    if not (
+        isinstance(dims, list)
+        and len(dims) == 3
+        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+    ):
+        raise SidecarFormatError(f"dims must be 3 integers >= 1, got {dims!r} in {side_path}")
     spacing = side["spacing"]
     if not (
         isinstance(spacing, list)
@@ -356,17 +360,17 @@ def _svg_frame(ax, xlabel, ylabel, title):
     return parts
 
 
-def _svg_polyline(ax, xs, ys, color="black"):
+def _svg_polyline(ax, xs, ys):
     pts = " ".join(f"{fmt(ax.px(x))},{fmt(ax.py(y))}" for x, y in zip(xs, ys))
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+    return f'<polyline points="{pts}" fill="none" stroke="gray" stroke-width="1.2"/>'
 
 
-def _svg_dot(ax, x, y, shade=0.0, r=3.0):
+def _svg_dot(ax, x, y, shade=0.0):
     # shade 0 -> black, 1 -> light gray
     level = int(round(200 * min(max(shade, 0.0), 1.0)))
     color = f"rgb({level},{level},{level})"
     return (
-        f'<circle cx="{fmt(ax.px(x))}" cy="{fmt(ax.py(y))}" r="{fmt(r)}" '
+        f'<circle cx="{fmt(ax.px(x))}" cy="{fmt(ax.py(y))}" r="3" '
         f'fill="{color}" stroke="black" stroke-width="0.4"/>'
     )
 
@@ -379,7 +383,7 @@ def _decay_panel_svg(bvalues, signals, log_s0, adc, title):
     top = max(float(sig.max()), float(curve_s.max())) * 1.1
     ax = _Axes((0.0, float(b[-1])), (0.0, top))
     parts = _svg_frame(ax, "b-value (s/mm^2)", "ROI mean signal", title)
-    parts.append(_svg_polyline(ax, curve_b, curve_s, "gray"))
+    parts.append(_svg_polyline(ax, curve_b, curve_s))
     parts.extend(_svg_dot(ax, x, y) for x, y in zip(b, sig))
     return parts
 
@@ -422,7 +426,7 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
     out.extend(_svg_frame(ax, "gestational age (weeks)", "ADC (mm^2/s)", title))
     curve_ga = np.linspace(ax.x0, ax.x1, 80)
     curve = fit.adc_sat * (1.0 - np.exp(-fit.alpha * curve_ga))
-    out.append(_svg_polyline(ax, curve_ga, curve, "gray"))
+    out.append(_svg_polyline(ax, curve_ga, curve))
     for p in pts:
         out.append(_svg_dot(ax, p.ga, p.adc, shade=1.0 - min(max(p.fit_r2, 0.0), 1.0)))
     out.append(

@@ -49,6 +49,7 @@ class SaturationFit:
 
 
 ALPHA_GRID = np.logspace(np.log10(0.001), np.log10(1.0), 60)
+GN_MAX_ITER = 100  # Gauss-Newton steps after the grid search
 
 
 def predict_adc(ga, fit: SaturationFit):
@@ -74,11 +75,11 @@ def _sse(adc, ga, adc_sat, alpha):
         return float((r * r).sum())
 
 
-def _gauss_newton(ga, adc, p0, max_iter=100):
+def _gauss_newton(ga, adc, p0):
     """Damped Gauss-Newton on (adc_sat, alpha)."""
     p = np.array(p0, dtype=np.float64)
     sse = _sse(adc, ga, p[0], p[1])
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         a, al = p[0], p[1]
         e = np.exp(-al * ga)
         resid = _model(ga, a, al) - adc

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .signal_model import FLOOR_EPS, ParameterMaps
+from .signal_model import FLOOR_EPS, ParameterMaps, floored_log
 from .volume import (
     BValueSeries,
     DimensionMismatchError,
@@ -113,8 +113,7 @@ def model_fit_loss(warped: BValueSeries, maps: ParameterMaps, roi: RoiMask) -> f
     adc = maps.adc.data[mask]
     total = 0.0
     for b, vol in zip(warped.bvalues, warped.volumes):
-        s = np.maximum(vol.data[mask], FLOOR_EPS)
-        r = log_s0 - b * adc - np.log(s)
+        r = log_s0 - b * adc - floored_log(vol.data[mask])
         total += float((r * r).mean())
     return total / warped.b_count
 

@@ -10,8 +10,9 @@ per-iteration summary ADC comes from a robust (IRLS) fit of the ROI-mean
 decay curve; the iteration with the highest IRLS R^2 wins.  Iteration 0 is
 always the uncompensated input state.
 
-A cohort study runs three methods on every case (`analyze_methods`): the
-uncompensated curve fit, registration without the model-fit term, and the
+A cohort study runs three methods on every case (`analyze_methods`):
+no compensation, which is record 0 of a registered run (the curve fit of
+the normalized input), registration without the model-fit term, and the
 full loop.  `run_cohort` is the one cohort path: it loads each case through
 a caller-supplied loader (phantom simulation for `run_simulated_cohort`,
 case manifests for the CLI), runs the cases in worker processes, records
@@ -41,7 +42,6 @@ from .volume import (
     BValueSeries,
     DisplacementField,
     RoiMask,
-    ScalarVolume,  # noqa: F401  unused here; tests build series through pipeline
     check_differentiable,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
@@ -86,7 +86,8 @@ class CaseResult:
     iteration, and best_series is the normalized input warped by them: one
     resample of the input.  Intensities are in normalized units; multiply by
     normalization_scale, the input's maximum b=0 intensity, to return to
-    input units.
+    input units.  converged is True when the run stopped because the ROI-mean
+    ADC was stable or because a pass returned its starting fields unchanged.
     """
 
     bvalues: tuple
@@ -143,9 +144,12 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     normalized input, warm-started from the previous pass's fields, and the
     next series is the normalized input warped by them: one resample each.
     Stops early once the ROI-mean ADC is stable for converge_window
-    consecutive iterations.  Each record's loss is the objective at zero
-    fields, the state entering that iteration's registration: similarity
-    and model fit of the current series against its own fit, smoothness 0.
+    consecutive iterations, or right after a pass that returns its starting
+    fields bit for bit, which every later pass would repeat (its record
+    would duplicate the last one).  Both stops set converged.  Each
+    record's loss is the objective at zero fields, the state entering that
+    iteration's registration: similarity and model fit of the current
+    series against its own fit, smoothness 0.
 
     Raises GridTooSmallError for a grid with an axis shorter than 2 voxels,
     where the smoothness term has no finite differences.
@@ -186,13 +190,17 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         if k == cfg.max_outer_iters - 1:
             break
         try:
-            fields, _trace = optimize_fields(
+            new_fields, _trace = optimize_fields(
                 fixed, normalized, fields, maps, roi, cfg.weights, cfg.inner
             )
         except DivergedError as err:
             failed = True
             failure_reason = str(err)
             break
+        if all(np.array_equal(new.data, old.data) for new, old in zip(new_fields, fields)):
+            converged = True
+            break
+        fields = new_fields
         current = warp_series(normalized, fields)
 
     _, best_iter, best_maps, best_fields, best_series = best
@@ -208,16 +216,6 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         failed=failed,
         failure_reason=failure_reason,
     )
-
-
-def fit_case_summary(series: BValueSeries, roi: RoiMask):
-    """No-compensation baseline: robust ROI-mean curve fit of the raw series.
-
-    Returns (adc, r2).
-    """
-    norm, _ = normalize_series(series)
-    _, _, adc, diag = _curve_stats(norm, roi)
-    return adc, diag.r2
 
 
 COHORT_METHODS = ("no_compensation", "no_model_fit", "full")
@@ -261,15 +259,15 @@ def analyze_methods(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> 
 
     Returns {method: (adc, r2, failure)}, where failure is None or the
     reason a registered method diverged.  no_model_fit is `cfg` with
-    alpha2 = 0; full is `cfg` as given.
+    alpha2 = 0; full is `cfg` as given.  no_compensation is record 0 of the
+    no_model_fit run: the curve fit of the normalized input, made before
+    any registration pass.
     """
-    adc, r2 = fit_case_summary(series, roi)
-    out = {"no_compensation": (adc, r2, None)}
-    for method, weights in (
-        ("no_model_fit", replace(cfg.weights, alpha2=0.0)),
-        ("full", cfg.weights),
-    ):
-        result = run_case(series, roi, replace(cfg, weights=weights))
+    no_model_fit = run_case(series, roi, replace(cfg, weights=replace(cfg.weights, alpha2=0.0)))
+    full = run_case(series, roi, cfg)
+    raw = no_model_fit.records[0]
+    out = {"no_compensation": (raw.roi_mean_adc, raw.roi_r2, None)}
+    for method, result in (("no_model_fit", no_model_fit), ("full", full)):
         rec = result.best_record
         out[method] = (rec.roi_mean_adc, rec.roi_r2, result.failure_reason)
     return out

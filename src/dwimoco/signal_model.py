@@ -5,6 +5,9 @@ domain, where the model is linear with design matrix rows (1, -b_i) and
 unknowns (log S0, ADC).  The per-voxel solve uses the closed 2x2 form of the
 normal equations; this is the hot path, so no general linear algebra is
 involved.
+
+The robust fit is one IRLS loop, `_irls`, over the leading b-value axis:
+`irls_fit` runs it on a (B,) curve, `irls_fit_volume` on a (B, nx, ny, nz) stack.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ def _weighted_log_linear_solve(b, y, w=None):
     return log_s0, adc
 
 
-def _floored_log(signals):
+def floored_log(signals):
+    """log(max(signals, FLOOR_EPS)): the log domain every fit and loss works in."""
     return np.log(np.maximum(signals, FLOOR_EPS))
 
 
@@ -94,7 +98,7 @@ def lls_fit(series: BValueSeries) -> ParameterMaps:
     are reported as-is.
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
-    y = _floored_log(series.stack())
+    y = floored_log(series.stack())
     log_s0, adc = _weighted_log_linear_solve(b, y)
     spacing = series.volumes[0].spacing
     return ParameterMaps(ScalarVolume(log_s0, spacing), ScalarVolume(adc, spacing))
@@ -103,43 +107,50 @@ def lls_fit(series: BValueSeries) -> ParameterMaps:
 def lls_fit_curve(signals, bvalues):
     """Plain LLS fit of a single decay curve; returns (log_s0, adc, r2)."""
     b = np.asarray(bvalues, dtype=np.float64)
-    y = _floored_log(np.asarray(signals, dtype=np.float64))
+    y = floored_log(np.asarray(signals, dtype=np.float64))
     log_s0, adc = _weighted_log_linear_solve(b, y)
     return float(log_s0), float(adc), r_squared(y, log_s0 - b * adc)
+
+
+def _irls(b, y):
+    """IRLS fit of b: (B,) b-values to y: (B, ...) floored log signals.
+
+    Starts from plain LLS and re-weights each measurement by the inverse of
+    its absolute log residual, floored at IRLS_RESIDUAL_FLOOR, which pulls
+    every curve toward its least-absolute-deviations line.  Stops once every
+    curve's relative ADC change is <= IRLS_TOL, or after IRLS_MAX_ITER
+    solves.  Returns (log_s0, adc, residuals, weights, iterations); the
+    residuals (model minus data) and weights, shaped like y, are final.
+    """
+    bcol = b.reshape((-1,) + (1,) * (y.ndim - 1))
+    log_s0, adc = _weighted_log_linear_solve(b, y)
+    iterations = 1
+    done = False
+    while True:
+        resid = (log_s0 - bcol * adc) - y
+        w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
+        if done or iterations == IRLS_MAX_ITER:
+            return log_s0, adc, resid, w, iterations
+        new_log_s0, new_adc = _weighted_log_linear_solve(b, y, w)
+        iterations += 1
+        tol = IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
+        done = bool(np.all(np.abs(new_adc - adc) <= tol))
+        log_s0, adc = new_log_s0, new_adc
 
 
 def irls_fit(signals, bvalues):
     """Robust fit of one decay curve by iteratively reweighted least squares.
 
-    Starts from unit weights (plain LLS) and re-weights each measurement by
-    the inverse of its absolute log-domain residual, floored at 1e-4, which
-    drives the solution toward the least-absolute-deviations line and
-    down-weights outliers.  Stops when the relative ADC change is <= IRLS_TOL
-    or after IRLS_MAX_ITER solves.
-
-    Returns (log_s0, adc, FitDiagnostics); diagnostics carry the final
-    weights, log-domain residuals, iteration count, and the R^2 of the fit
-    against the unweighted mean.
+    Runs `_irls` on the curve.  Returns (log_s0, adc, FitDiagnostics);
+    diagnostics carry the final weights, log-domain residuals, iteration
+    count, and the R^2 of the fit against the unweighted mean.
     """
     b = np.asarray(bvalues, dtype=np.float64)
     s = np.asarray(signals, dtype=np.float64)
     if b.shape != s.shape or b.ndim != 1 or b.size < 2:
         raise ValueError("need matching 1-d signals and bvalues with B >= 2")
-    y = _floored_log(s)
-    w = np.ones_like(y)
-    log_s0, adc = _weighted_log_linear_solve(b, y, w)
-    iterations = 1
-    for _ in range(IRLS_MAX_ITER - 1):
-        resid = (log_s0 - b * adc) - y
-        w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
-        new_log_s0, new_adc = _weighted_log_linear_solve(b, y, w)
-        iterations += 1
-        change_ok = abs(new_adc - adc) <= IRLS_TOL * max(abs(adc), np.finfo(float).tiny)
-        log_s0, adc = new_log_s0, new_adc
-        if change_ok:
-            break
-    resid = (log_s0 - b * adc) - y
-    w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
+    y = floored_log(s)
+    log_s0, adc, resid, w, iterations = _irls(b, y)
     diag = FitDiagnostics(
         r2=r_squared(y, log_s0 - b * adc),
         residuals=resid,
@@ -150,27 +161,15 @@ def irls_fit(signals, bvalues):
 
 
 def irls_fit_volume(series: BValueSeries):
-    """Vectorized IRLS over every voxel of a series.
+    """`_irls` on every voxel at once, until all meet the tolerance.
 
-    Same iteration as `irls_fit`, run on all voxels at once until every
-    voxel satisfies the relative ADC tolerance (or IRLS_MAX_ITER).  Returns
-    (ParameterMaps, r2 map as ScalarVolume).
+    Returns (ParameterMaps, r2 map as ScalarVolume); a voxel whose log
+    signals have zero variance gets R^2 = 0.
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
-    y = _floored_log(series.stack())
-    log_s0, adc = _weighted_log_linear_solve(b, y)
-    bcol = b.reshape((-1, 1, 1, 1))
-    for _ in range(IRLS_MAX_ITER - 1):
-        resid = (log_s0[None] - bcol * adc[None]) - y
-        w = 1.0 / np.maximum(np.abs(resid), IRLS_RESIDUAL_FLOOR)
-        new_log_s0, new_adc = _weighted_log_linear_solve(b, y, w)
-        tol = IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
-        done = np.all(np.abs(new_adc - adc) <= tol)
-        log_s0, adc = new_log_s0, new_adc
-        if done:
-            break
-    pred = log_s0[None] - bcol * adc[None]
-    ss_res = ((y - pred) ** 2).sum(axis=0)
+    y = floored_log(series.stack())
+    log_s0, adc, resid, _w, _iterations = _irls(b, y)
+    ss_res = (resid**2).sum(axis=0)
     ymean = y.mean(axis=0)
     ss_tot = ((y - ymean[None]) ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,13 +181,9 @@ def irls_fit_volume(series: BValueSeries):
 
 def reconstruct(maps: ParameterMaps, bvalues) -> BValueSeries:
     """Model-generated series R_i = exp(log_s0) * exp(-b_i * adc), voxel-wise."""
-    log_s0 = maps.log_s0.data
-    adc = maps.adc.data
+    s0 = np.exp(maps.log_s0.data)
     spacing = maps.log_s0.spacing
-    s0 = np.exp(log_s0)
-    vols = tuple(
-        ScalarVolume(s0 * np.exp(-float(b) * adc), spacing) for b in bvalues
-    )
+    vols = tuple(ScalarVolume(forward_signal(s0, maps.adc.data, b), spacing) for b in bvalues)
     return BValueSeries(tuple(float(b) for b in bvalues), vols)
 
 

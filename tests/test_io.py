@@ -98,23 +98,39 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
 
 
 @pytest.mark.parametrize(
-    "spacing, error",
+    "key, value, error",
     [
-        ("abc", dio.SidecarFormatError),
-        ([1.0, 1.0], dio.SidecarFormatError),
-        (None, dio.SidecarFormatError),
-        ([-1, 1, 1], dio.SidecarFormatError),
-        ([2, 1, 1], dio.ManifestError),
+        ("spacing", "abc", dio.SidecarFormatError),
+        ("spacing", [1.0, 1.0], dio.SidecarFormatError),
+        ("spacing", None, dio.SidecarFormatError),
+        ("spacing", [-1, 1, 1], dio.SidecarFormatError),
+        ("spacing", [2, 1, 1], dio.ManifestError),
+        ("dims", 5, dio.SidecarFormatError),
+        ("dims", None, dio.SidecarFormatError),
+        ("dims", [4, 3], dio.SidecarFormatError),
+        ("dims", "abc", dio.SidecarFormatError),
+        ("dims", [4, 3, True], dio.SidecarFormatError),
     ],
-    ids=["text", "two_entries", "null", "negative", "differs_from_b0"],
+    ids=[
+        "text",
+        "two_entries",
+        "null",
+        "negative",
+        "differs_from_b0",
+        "dims_int",
+        "dims_null",
+        "dims_two_entries",
+        "dims_text",
+        "dims_bool",
+    ],
 )
-def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, spacing, error):
+def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, key, value, error):
     path = _write_small_case(tmp_path)
     sidecar = path.parent / "b50.json"
     side = json.loads(sidecar.read_text())
-    side["spacing"] = spacing
+    side[key] = value
     sidecar.write_text(json.dumps(side))
-    with pytest.raises(error, match="spacing"):
+    with pytest.raises(error, match=key):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
 

@@ -8,7 +8,8 @@ from dwimoco import pipeline
 from dwimoco.maturity import CohortPoint
 from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
-from dwimoco.volume import GridTooSmallError
+from dwimoco.signal_model import irls_fit, roi_mean_signals
+from dwimoco.volume import GridTooSmallError, ScalarVolume, normalize_series
 
 CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer_iters=2)
 
@@ -144,15 +145,37 @@ def test_run_case_records_and_best_iteration():
     result = pipeline.run_case(series, roi, RUN_CFG)
     assert [r.iteration for r in result.records] == [0, 1, 2]
     assert result.converged is False
-    # record 0 describes the raw input
-    raw_adc, raw_r2 = pipeline.fit_case_summary(series, roi)
+    # record 0 describes the normalized input
+    means = roi_mean_signals(normalize_series(series)[0], roi)
+    _log_s0, raw_adc, diag = irls_fit(means, series.bvalues)
     assert result.records[0].roi_mean_adc == raw_adc
-    assert result.records[0].roi_r2 == raw_r2
+    assert result.records[0].roi_r2 == diag.r2
     r2 = [r.roi_r2 for r in result.records]
     assert result.best_iteration == int(np.argmax(r2))
     assert result.best_record is result.records[result.best_iteration]
     fields_moved = any(np.any(f.data != 0.0) for f in result.best_fields)
     assert fields_moved == (result.best_iteration > 0)
+
+
+def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatch):
+    # pass 2 finds no step better than its starting fields; without the stop,
+    # passes 3 and 4 repeat it and records 2-5 are identical
+    series, roi = small_case()
+    cfg = replace(RUN_CFG, max_outer_iters=6, converge_window=6)
+    real = pipeline.optimize_fields
+    unchanged = []  # per pass: returned fields equal the starting fields
+
+    def spy(fixed, moving, init_fields, *rest):
+        fields, trace = real(fixed, moving, init_fields, *rest)
+        unchanged.append(all(np.array_equal(a.data, b.data) for a, b in zip(fields, init_fields)))
+        return fields, trace
+
+    monkeypatch.setattr(pipeline, "optimize_fields", spy)
+    result = pipeline.run_case(series, roi, cfg)
+    assert unchanged == [False, False, True]
+    assert [r.iteration for r in result.records] == [0, 1, 2]
+    assert result.best_iteration == 2
+    assert result.converged is True and result.failed is False
 
 
 def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
@@ -251,7 +274,7 @@ def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
 def test_run_case_rejects_a_grid_with_one_voxel_along_an_axis():
     dims = (12, 12, 1)
     bvalues = (0.0, 200.0, 600.0)
-    vols = tuple(pipeline.ScalarVolume(np.full(dims, np.exp(-2e-3 * b))) for b in bvalues)
+    vols = tuple(ScalarVolume(np.full(dims, np.exp(-2e-3 * b))) for b in bvalues)
     mask = np.zeros(dims, dtype=bool)
     mask[4:8, 4:8, 0] = True
     with pytest.raises(GridTooSmallError, match="along z"):

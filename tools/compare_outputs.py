@@ -14,9 +14,11 @@ the trees are identical.
 
 The command set: `simulate` for seeds 1-3 at 24x24x8 and seed 4 at 48x48x12,
 `fit --method both`, `morph` with alpha2 = 1000 and with alpha2 = 0,
-`cohort --cases`, and a simulated `cohort --n-cases 4 --workers 2`.  A change
-that means to alter outputs fails this check by design, so it is a tool to
-run by hand, not a CI gate.
+a longer `morph` (8 outer passes) that stops at a pass returning its
+starting fields, `cohort --cases`, and a simulated `cohort --n-cases 4
+--workers 2`.  Against another ref it is a tool to run by hand, since a
+change that means to alter outputs fails it by design; CI runs it against
+HEAD, where it checks that the outputs repeat on two copies of the sources.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ COMMANDS = [
     (
         "morph_nomf",
         ["morph", "--case", "{out}/cases/sim001/manifest.json", "--alpha2", "0", *CAPS],
+    ),
+    (
+        "morph_fixed_point",
+        [
+            "morph", "--case", "{out}/cases/sim001/manifest.json",
+            "--max-outer", "8", "--max-inner", "10",
+        ],
     ),
     ("cohort_cases", ["cohort", "--cases", "{out}/cases", *CAPS]),
     (
