@@ -6,12 +6,21 @@ they work on raw arrays, write into buffers they own or the caller passes,
 and accumulate gradients into caller-owned buffers instead of allocating
 per-term results.  The tests check them against independent code: the
 scalar `volume.trilinear_sample`, the per-term losses in `objective`,
-`np.gradient`, the textbook Adam step and finite differences.  All kernels
-are sequential and therefore bit-for-bit reproducible across runs.  Each
-one rounds exactly as the per-voxel formula in its docstring, evaluated in
-the written order, does; at most the sign of a zero gradient entry differs.
+`np.gradient`, the textbook Adam step and finite differences.  Each kernel
+rounds exactly as the per-voxel formula in its docstring, evaluated in the
+written order, does; at most the sign of a zero gradient entry differs.
 So regrouping the array operations of a kernel, as long as every voxel
 still sees the same operations, changes no result bit.
+
+That is what lets the work use several threads without changing a bit.
+`fan_out` runs independent tasks over the process's thread budget (the
+CPUs it may run on, or its share of them in a cohort worker) and returns
+the results in task order.  `adam_update` splits its arrays into one
+contiguous run of blocks per thread, and `objective` runs one task per
+b-value image, each writing only its own gradient slice, and adds the
+returned sums in b-value order.  numpy releases the interpreter lock inside
+its array loops, so the threads overlap.  A budget of 1, or tasks too small
+to pay for the handoffs (FAN_OUT_MIN_ELEMENTS), is the plain serial loop.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
@@ -26,11 +35,29 @@ them.  `match_terms` is the one caller that needs the gradient.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 # Elements per block of the Adam step: the 6 block arrays (x, g, m, v and two
 # scratch rows) of 128 KiB each stay in L2 cache across the 13 passes.
 ADAM_BLOCK = 16384
+
+# Threads `fan_out` may use in this process: the CPUs it may run on, until
+# `set_thread_budget` gives it a share of them.
+_budget = len(os.sched_getaffinity(0))
+# (pid, helper count, ThreadPoolExecutor), made on first use; the pid tells a
+# forked child that the pool's threads stayed behind in its parent.
+_pool = None
+# Array elements a task must cover before `fan_out` gives it a thread.  Two
+# threads hand the interpreter lock back and forth around every numpy call,
+# and on small arrays that costs more than the second core saves.  On 2
+# cores, `objective.loss_and_gradient` breaks even at about 8k voxels per
+# b-value image (24k field elements) and takes 2x as long with 2 threads at
+# 20x20x8; `adam_update` breaks even at about 180k elements (90k per part).
+FAN_OUT_MIN_ELEMENTS = 1 << 16
 
 # Corner k of a trilinear cell sits at offsets (k & 1, (k >> 1) & 1, k >> 2)
 # from the base voxel, so corner pairs (k, k + 1), k = 0, 2, 4, 6, are the
@@ -268,15 +295,65 @@ def smooth_loss_grad(u, grad_out, weight):
     return loss
 
 
-def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t.
+def set_thread_budget(n):
+    """Let `fan_out` use up to n threads in this process (n >= 1)."""
+    global _budget
+    if n < 1:
+        raise ValueError(f"thread budget must be >= 1, got {n}")
+    _budget = n
 
-    m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
-    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  The arrays are worked
-    through ADAM_BLOCK elements at a time, with two block-sized scratch
-    rows, so every block stays in cache across all the steps and no
-    full-size temporary is allocated.
+
+def _helpers(n):
+    """This process's pool of n helper threads, made on first use and made
+    again after a fork or a change of budget."""
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[:2] != (pid, n):
+        _pool = (pid, n, ThreadPoolExecutor(max_workers=n, thread_name_prefix="dwimoco"))
+    return _pool[2]
+
+
+def fan_out(task, n, elements):
+    """[task(0), ..., task(n - 1)], run on up to the thread budget at once.
+
+    Each task works through about `elements` array elements; below
+    FAN_OUT_MIN_ELEMENTS the tasks run in the calling thread.  The calling
+    thread takes tasks too, so t threads need t - 1 helpers; each thread
+    claims the next unclaimed index until none is left.  The results come
+    back in task order however the tasks were scheduled, so tasks that write
+    only their own outputs give the bits of the serial loop, which is what
+    a budget of 1 runs.  If a task raises, the exception is raised once
+    every thread has stopped.  A task must not call `fan_out`: the helpers
+    would wait on themselves.
     """
+    threads = min(_budget, n) if elements >= FAN_OUT_MIN_ELEMENTS else 1
+    if threads <= 1:
+        return [task(i) for i in range(n)]
+    results = [None] * n
+    indices = iter(range(n))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = task(i)
+
+    pool = _helpers(threads - 1)
+    futures = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for fut in futures:
+        fut.result()
+    return results
+
+
+def _adam_blocks(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
+    """The Adam step of `adam_update` on one run of blocks, block by block."""
     size = x.size
     scratch = np.empty((2, min(size, ADAM_BLOCK)))
     for lo in range(0, size, ADAM_BLOCK):
@@ -297,3 +374,25 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
         t += eps
         s /= t
         xb -= s
+
+
+def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
+    """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t.
+
+    m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
+    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  The arrays are worked
+    through ADAM_BLOCK elements at a time, with two block-sized scratch
+    rows per thread, so every block stays in cache across all the steps and
+    no full-size temporary is allocated.  Each thread of `fan_out` takes
+    one contiguous run of whole blocks (the last block may be partial), and
+    there are only as many runs as have FAN_OUT_MIN_ELEMENTS elements each.
+    """
+    n_blocks = -(-x.size // ADAM_BLOCK)
+    parts = max(1, min(_budget, x.size // FAN_OUT_MIN_ELEMENTS))
+
+    def part(j):
+        lo = j * n_blocks // parts * ADAM_BLOCK
+        hi = (j + 1) * n_blocks // parts * ADAM_BLOCK
+        _adam_blocks(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], lr, beta1, beta2, eps, bc1, bc2)
+
+    fan_out(part, parts, x.size // parts)

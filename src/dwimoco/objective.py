@@ -17,7 +17,11 @@ Two evaluation routes exist on purpose: the public per-term functions below
 are plain numpy and easy to audit, while `loss_and_gradient` and
 `per_term_gradients` run the fused kernels through one per-b-value loop.
 The tests pin the routes against each other and against finite
-differences.
+differences.  With the parameter maps held fixed, the b-value images are
+independent, so that loop is one `_kernels.fan_out` task per b-value: each
+writes only its own gradient slice, and the returned sums are added in
+b-value order, so the result has the bits of the serial loop at any thread
+budget.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ from .volume import (
     spatial_gradient,
     warp_series,
 )
+
+
+# Bound at import: the per-b-value tasks run on helper threads, which must
+# not enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps
+# one span stack for all threads).
+_match_terms = _kernels.match_terms
+_smooth_loss_grad = _kernels.smooth_loss_grad
 
 
 class EmptyRoiError(ValueError):
@@ -157,32 +168,38 @@ def _term_scales(moving: BValueSeries, roi: RoiMask):
 
 
 def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad):
-    """Per-b-value loop over the fused kernels.
+    """The fused kernels on every b-value image, one `fan_out` task each.
 
-    Adds sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
+    Writes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
     d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
-    raw sums (similarity, model fit, smoothness).  A zero prefactor adds
-    only signed zeros, so one term is isolated exactly by zeroing the
-    other two prefactors.
+    raw sums (similarity, model fit, smoothness), added in b-value order.
+    A zero prefactor adds only signed zeros, so one term is isolated
+    exactly by zeroing the other two prefactors.
     """
-    sim_sum = 0.0
-    mf_sum = 0.0
-    smooth_sum = 0.0
-    for i, b in enumerate(moving.bvalues):
-        s, m = _kernels.match_terms(
+
+    def one_bvalue(i):
+        g = grad[i]
+        g.fill(0.0)
+        s, m = _match_terms(
             moving.volumes[i].data,
             fields_arr[i],
             fixed.volumes[i].data,
-            maps.log_s0.data - b * maps.adc.data,
+            maps.log_s0.data - moving.bvalues[i] * maps.adc.data,
             roi.data,
             FLOOR_EPS,
             sim_c,
             mf_c,
-            grad[i],
+            g,
         )
+        return s, m, _smooth_loss_grad(fields_arr[i], g, smooth_w)
+
+    sim_sum = 0.0
+    mf_sum = 0.0
+    smooth_sum = 0.0
+    for s, m, smooth in _kernels.fan_out(one_bvalue, moving.b_count, fields_arr[0].size):
         sim_sum += s
         mf_sum += m
-        smooth_sum += _kernels.smooth_loss_grad(fields_arr[i], grad[i], smooth_w)
+        smooth_sum += smooth
     return sim_sum, mf_sum, smooth_sum
 
 
@@ -193,15 +210,17 @@ def loss_and_gradient(
     maps: ParameterMaps,
     roi: RoiMask,
     weights: LossWeights,
-):
+    grad: np.ndarray,
+) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
-    fields_arr has shape (B, nx, ny, nz, 3).  Returns (LossBreakdown, grad)
-    with grad of the same shape, holding d(total)/d(u).  Every term is
-    evaluated for every weight; with alpha2 = 0 the model-fit term is
-    reported unweighted and adds nothing to the total or the gradient.  The
-    L1 subgradient is 0 at exact ties and the trilinear derivative is 0
-    where sampling was clamped, so the gradient is defined everywhere.
+    fields_arr and grad have shape (B, nx, ny, nz, 3).  Overwrites grad
+    with d(total)/d(u), so the caller can reuse one buffer across
+    evaluations, and returns the LossBreakdown.  Every term is evaluated
+    for every weight; with alpha2 = 0 the model-fit term is reported
+    unweighted and adds nothing to the total or the gradient.  The L1
+    subgradient is 0 at exact ties and the trilinear derivative is 0 where
+    sampling was clamped, so the gradient is defined everywhere.
 
     At an exact model fit (moving == fixed == reconstruct(maps), zero fields)
     the similarity and smoothness gradients are exactly 0.  The model-fit
@@ -210,16 +229,15 @@ def loss_and_gradient(
     """
     _check_series_pair(fixed, moving)
     shape = (moving.b_count,) + moving.dims + (3,)
-    if fields_arr.shape != shape:
-        raise DimensionMismatchError(f"fields_arr shape {fields_arr.shape} != {shape}")
+    for name, arr in (("fields_arr", fields_arr), ("grad", grad)):
+        if arr.shape != shape:
+            raise DimensionMismatchError(f"{name} shape {arr.shape} != {shape}")
     n_sim, n_mf, n_vox = _term_scales(moving, roi)
-    grad = np.zeros_like(fields_arr)
     sim_sum, mf_sum, smooth_sum = _term_sums(
         fixed, moving, fields_arr, maps, roi,
         1.0 / n_sim, weights.alpha2 / n_mf, weights.alpha1 / n_vox, grad,
     )
-    bd = LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, weights)
-    return bd, grad
+    return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, weights)
 
 
 def per_term_gradients(
@@ -245,6 +263,6 @@ def per_term_gradients(
     }
     out = {}
     for term, (sim_c, mf_c, smooth_w) in prefactors.items():
-        out[term] = np.zeros_like(fields_arr)
+        out[term] = np.empty_like(fields_arr)
         _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, out[term])
     return out

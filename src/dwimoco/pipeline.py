@@ -21,13 +21,14 @@ failures and fits the ADC-vs-GA saturation curve per method.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import phantom
+from . import _kernels, phantom
 from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import (
     LossBreakdown,
@@ -64,6 +65,8 @@ class PipelineConfig:
             raise ValueError("max_outer_iters must be >= 1")
         if self.converge_window < 1:
             raise ValueError("converge_window must be >= 1")
+        if not 0 <= self.adc_change_tol < np.inf:
+            raise ValueError(f"adc_change_tol must be finite and >= 0, got {self.adc_change_tol}")
 
 
 @dataclass(frozen=True)
@@ -302,14 +305,20 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     be a module-level function or a partial of one, so worker processes can
     unpickle it.  Cases run independently, in min(workers, len(sources))
     worker processes when that is more than 1, and the outputs keep the
-    order of `sources`, so the result does not depend on scheduling.  A case
-    that raised, in loading, analysis or building its cohort points, is
-    recorded under str(source).  Methods with fewer than 3 points get no fit.
+    order of `sources`, so the result does not depend on scheduling.  Each
+    worker's kernels get an equal share of this process's CPUs, at least 1
+    thread, as their budget (`_kernels.fan_out`), so the workers' threads
+    outnumber the CPUs only when the workers alone do.  A case that raised,
+    in loading, analysis or building its cohort points, is recorded under
+    str(source).  Methods with fewer than 3 points get no fit.
     """
     sources = list(sources)
     workers = min(workers, len(sources))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        budget = max(1, len(os.sched_getaffinity(0)) // workers)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_kernels.set_thread_budget, initargs=(budget,)
+        ) as pool:
             futures = [pool.submit(_analyze_source, load_case, s, cfg) for s in sources]
             results = [_result_or_error(fut.result) for fut in futures]
     else:

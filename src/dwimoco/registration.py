@@ -40,12 +40,18 @@ class InnerOptConfig:
     plateau_rel_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.lr_drop_factor <= 1:
-            raise ValueError("lr_drop_factor must be > 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 1 < self.lr_drop_factor < np.inf:
+            raise ValueError(f"lr_drop_factor must be finite and > 1, got {self.lr_drop_factor}")
         if self.max_inner_steps < 0:
             raise ValueError("max_inner_steps must be >= 0")
+        if self.plateau_window < 0:
+            raise ValueError(f"plateau_window must be >= 0, got {self.plateau_window}")
+        if not 0 <= self.plateau_rel_tol < np.inf:
+            raise ValueError(
+                f"plateau_rel_tol must be finite and >= 0, got {self.plateau_rel_tol}"
+            )
 
 
 class DivergedError(RuntimeError):
@@ -66,15 +72,19 @@ class AdamResult:
     lr_drops: int = 0
 
 
-def adam_minimize(value_and_grad, x0: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
+def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
     """Minimize a scalar function of a flat parameter vector with Adam.
 
-    value_and_grad(x) must return (loss, grad, aux); aux is recorded in the
-    trace.  On a step whose loss exceeds the previous step's loss, the
-    learning rate is divided by cfg.lr_drop_factor (once per offending
-    step).  Returns the lowest-loss visited state.
+    x is the flat float64 starting point; Adam steps it in place, so it
+    ends at the last visited state and no second copy of the start is
+    kept.  value_and_grad(x) must return (loss, grad, aux); aux is recorded
+    in the trace, and grad may be the same buffer on every call.  On a step
+    whose loss exceeds the previous step's loss, the learning rate is
+    divided by cfg.lr_drop_factor (once per offending step).  Returns the
+    lowest-loss visited state.
     """
-    x = np.array(x0, dtype=np.float64).ravel()
+    if x.dtype != np.float64 or x.ndim != 1:
+        raise ValueError(f"x must be a flat float64 array, got {x.dtype} of shape {x.shape}")
     loss, grad, aux = value_and_grad(x)
     trace = [aux]
     if not np.isfinite(loss) or not np.isfinite(grad).all():
@@ -90,7 +100,7 @@ def adam_minimize(value_and_grad, x0: np.ndarray, cfg: InnerOptConfig) -> AdamRe
     steps = 0
     for t in range(1, cfg.max_inner_steps + 1):
         _kernels.adam_update(
-            x, grad.ravel(), m, v, lr,
+            x, grad, m, v, lr,
             ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
             1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t,
         )
@@ -132,7 +142,11 @@ def optimize_fields(
     outer loop passes the fields of its previous pass, so Adam resumes from
     them with fresh moments.  Returns (fields, trace) where trace is the
     per-step LossBreakdown list, every term unweighted, and fields is the
-    best-visited state, never worse than init_fields.
+    best-visited state, never worse than init_fields.  Every evaluation
+    writes its gradient into one buffer made here, and Adam steps the
+    stacked init_fields in place, so the loop holds five arrays the size of
+    all fields: the iterate, the best state, the two moments and the
+    gradient.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.
@@ -144,14 +158,16 @@ def optimize_fields(
         raise DimensionMismatchError("need one init field per b-value")
     dims = moving.dims
     shape = (moving.b_count,) + dims + (3,)
-    x0 = np.stack([f.data for f in init_fields]).reshape(-1)
+    x = np.stack([f.data for f in init_fields]).reshape(-1)
+    grad = np.empty_like(x)
 
     def value_and_grad(x):
-        fields_arr = x.reshape(shape)
-        bd, grad = loss_and_gradient(fixed, moving, fields_arr, maps, roi, weights)
-        return bd.total, grad.reshape(-1), bd
+        bd = loss_and_gradient(
+            fixed, moving, x.reshape(shape), maps, roi, weights, grad.reshape(shape)
+        )
+        return bd.total, grad, bd
 
-    res = adam_minimize(value_and_grad, x0, cfg)
+    res = adam_minimize(value_and_grad, x, cfg)
     best = res.x.reshape(shape)
     fields = [DisplacementField(best[i].copy()) for i in range(moving.b_count)]
     return fields, res.trace

@@ -54,8 +54,8 @@ class FitDiagnostics:
 
     r2: float
     residuals: np.ndarray  # log-domain, per b-value
-    weights: np.ndarray | None = None  # IRLS only
-    iterations: int = 1
+    weights: np.ndarray  # final IRLS weights, per b-value
+    iterations: int
 
 
 def forward_signal(s0, adc, b):

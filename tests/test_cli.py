@@ -91,6 +91,14 @@ def test_default_config_builds_the_library_defaults():
         ("morph", {"pipeline": {"max_inner_steps": "abc"}}, []),
         ("morph", {"pipeline": {"floor_eps": 1e-6}}, []),
         ("morph", {}, ["--alpha1", "-1"]),
+        ("morph", {}, ["--lr", "nan"]),
+        ("morph", {}, ["--lr", "inf"]),
+        ("morph", {"pipeline": {"lr_drop_factor": float("nan")}}, []),
+        ("morph", {"pipeline": {"plateau_window": -2}}, []),
+        ("morph", {"pipeline": {"plateau_rel_tol": float("nan")}}, []),
+        ("morph", {"pipeline": {"plateau_rel_tol": -1e-5}}, []),
+        ("morph", {"pipeline": {"adc_change_tol": -1}}, []),
+        ("morph", {"pipeline": {"adc_change_tol": float("nan")}}, []),
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
         ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
@@ -105,6 +113,14 @@ def test_default_config_builds_the_library_defaults():
         "max_inner_text",
         "removed_key",
         "alpha1_negative",
+        "lr_nan",
+        "lr_inf",
+        "lr_drop_factor_nan",
+        "plateau_window_negative",
+        "plateau_rel_tol_nan",
+        "plateau_rel_tol_negative",
+        "adc_change_tol_negative",
+        "adc_change_tol_nan",
         "dims_text",
         "roi_out_of_bounds",
         "noise_negative",

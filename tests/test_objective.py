@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -175,7 +181,7 @@ class TestTotalLoss:
         for alpha2 in ALPHA2_SETTINGS:
             w = LossWeights(0.01, alpha2)
             ref = total_loss(fixed, moving, fields, maps, roi, w)
-            fused, _ = loss_and_gradient(fixed, moving, u, maps, roi, w)
+            fused = loss_and_gradient(fixed, moving, u, maps, roi, w, np.empty_like(u))
             assert fused.similarity == pytest.approx(ref.similarity, rel=1e-12)
             assert fused.smooth == pytest.approx(ref.smooth, rel=1e-12)
             assert fused.model_fit == pytest.approx(ref.model_fit, rel=1e-12)
@@ -203,7 +209,8 @@ class TestGradients:
         maps, roi, fixed, _, _, _ = setup
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
         weights = LossWeights(0.01, 1000.0)
-        _, grad = loss_and_gradient(fixed, fixed, zero, maps, roi, weights)
+        grad = np.full_like(zero, np.nan)  # every entry is overwritten
+        loss_and_gradient(fixed, fixed, zero, maps, roi, weights, grad)
         terms = per_term_gradients(
             fixed, fixed, [DisplacementField(z) for z in zero], maps, roi
         )
@@ -253,7 +260,8 @@ class TestGradients:
         terms = per_term_gradients(fixed, moving, fields, maps, roi)
         for alpha2 in ALPHA2_SETTINGS:
             w = LossWeights(0.01, alpha2)
-            _, grad = loss_and_gradient(fixed, moving, u, maps, roi, w)
+            grad = np.empty_like(u)
+            loss_and_gradient(fixed, moving, u, maps, roi, w, grad)
             combo = (
                 terms["similarity"] + w.alpha1 * terms["smooth"] + w.alpha2 * terms["model_fit"]
             )
@@ -406,6 +414,123 @@ class TestKernelOracles:
             m_hat = (beta1 * m0 + (1 - beta1) * g) / (1 - beta1**t)
             v_hat = (beta2 * v0 + (1 - beta2) * g**2) / (1 - beta2**t)
             close(x, x0, -lr * m_hat / (np.sqrt(v_hat) + eps))
+
+
+def _fan_out_in_forked_worker():
+    """Squares 0..5 through `fan_out`, and whether its pool is this process's."""
+    squares = _kernels.fan_out(lambda i: i * i, 6, 1)
+    return squares, _kernels._pool[0] == os.getpid()
+
+
+class TestThreadBudget:
+    """Budget 1 is the serial loop and the oracle: every budget gives its bits.
+
+    The test arrays are small, so the size floor of `fan_out` is lowered to
+    let them take the threaded path.
+    """
+
+    @pytest.fixture
+    def at_budget(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)
+
+        def run(budget, fn, *args):
+            monkeypatch.setattr(_kernels, "_budget", budget)
+            return fn(*args)
+
+        return run
+
+    def test_fan_out_keeps_task_order_and_raises_task_errors(self, at_budget):
+        squares = at_budget(2, _kernels.fan_out, lambda i: i * i, 7, 1)
+        assert squares == [i * i for i in range(7)]
+        assert at_budget(2, _kernels.fan_out, lambda i: i, 0, 1) == []
+
+        def fail_on_three(i):
+            if i == 3:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            at_budget(2, _kernels.fan_out, fail_on_three, 6, 1)
+
+    def test_fan_out_runs_each_task_once_under_thread_switching(self, at_budget):
+        # more threads than cores and a thread switch at almost every
+        # bytecode: a task claimed twice or never shows in `ran`
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert at_budget(8, _kernels.fan_out, task, 200, 1) == [-i for i in range(200)]
+                assert sorted(ran) == list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fan_out_keeps_small_tasks_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_budget", 2)
+        small = _kernels.FAN_OUT_MIN_ELEMENTS - 1
+        threads = _kernels.fan_out(lambda i: threading.get_ident(), 4, small)
+        assert threads == [threading.get_ident()] * 4
+
+    @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
+    def test_loss_and_gradient_bits_match_serial(self, setup, at_budget, alpha2):
+        maps, roi, fixed, moving, _, u = setup
+        w = LossWeights(0.01, alpha2)
+        out = {}
+        for budget in (1, 2):
+            grad = np.full_like(u, np.nan)
+            bd = at_budget(budget, loss_and_gradient, fixed, moving, u, maps, roi, w, grad)
+            out[budget] = bd, grad
+        assert out[2][0] == out[1][0]
+        np.testing.assert_array_equal(out[2][1], out[1][1])
+
+    def test_per_term_gradients_bits_match_serial(self, setup, at_budget):
+        maps, roi, fixed, moving, fields, _ = setup
+        serial = at_budget(1, per_term_gradients, fixed, moving, fields, maps, roi)
+        threaded = at_budget(2, per_term_gradients, fixed, moving, fields, maps, roi)
+        for term, grad in serial.items():
+            np.testing.assert_array_equal(threaded[term], grad)
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    @pytest.mark.parametrize("n", [5, 3 * _kernels.ADAM_BLOCK + 5])
+    def test_adam_update_bits_match_serial(self, rng, at_budget, budget, n):
+        # one partial block, and 4 blocks with the last one partial, which
+        # the parts split between whole blocks
+        start = [rng.normal(0, 1, n), np.zeros(n), np.zeros(n)]
+        out = {}
+        for b in (1, budget):
+            x, m, v = (a.copy() for a in start)
+            for t in range(1, 4):
+                g = np.random.default_rng(t).normal(0, 1, n)
+                bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+                at_budget(b, _kernels.adam_update, x, g, m, v, 0.1, 0.9, 0.999, 1e-8, bc1, bc2)
+            out[b] = x, m, v
+        for got, want in zip(out[budget], out[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_forked_worker_makes_its_own_pool(self, at_budget):
+        # the parent's pool exists before the fork; its threads do not
+        # exist in the child, which must start its own
+        at_budget(2, _kernels.fan_out, lambda i: i, 4, 1)
+        assert _kernels._pool[0] == os.getpid()
+        with ProcessPoolExecutor(
+            1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_kernels.set_thread_budget,
+            initargs=(2,),
+        ) as pool:
+            squares, own_pool = pool.submit(_fan_out_in_forked_worker).result(timeout=60)
+        assert squares == [i * i for i in range(6)]
+        assert own_pool
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError):
+            _kernels.set_thread_budget(0)
 
 
 class TestLossWeights:

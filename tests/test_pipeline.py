@@ -1,10 +1,11 @@
+import os
 from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dwimoco import pipeline
+from dwimoco import _kernels, pipeline
 from dwimoco.maturity import CohortPoint
 from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
@@ -85,11 +86,14 @@ def test_case_with_invalid_ga_is_one_failure_not_a_crash():
 
 
 class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs each
-    task in this process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    worker initializer and each task in this process, and records the
+    kernels' thread budget each task ran with."""
 
-    def __init__(self, max_workers, created):
+    def __init__(self, max_workers, created, budgets, initializer, initargs):
         created.append(max_workers)
+        self.budgets = budgets
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -98,6 +102,7 @@ class InlineExecutor:
         return False
 
     def submit(self, fn, *args):
+        self.budgets.append(_kernels._budget)
         future = Future()
         try:
             future.set_result(fn(*args))
@@ -108,13 +113,24 @@ class InlineExecutor:
 
 @pytest.mark.parametrize("n_cases, workers, pools", [(3, 64, [3]), (3, 2, [2]), (1, 64, [])])
 def test_run_cohort_starts_no_more_workers_than_cases(monkeypatch, n_cases, workers, pools):
-    created = []
+    # 8 CPUs: each of w workers gets 8 // w threads; one case runs here
+    # with this process's budget
+    budget = 8 // pools[0] if pools else 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(_kernels, "_budget", 8)
+    created, budgets = [], []
     monkeypatch.setattr(
-        pipeline, "ProcessPoolExecutor", lambda max_workers: InlineExecutor(max_workers, created)
+        pipeline,
+        "ProcessPoolExecutor",
+        lambda max_workers, initializer, initargs: InlineExecutor(
+            max_workers, created, budgets, initializer, initargs
+        ),
     )
     specs = small_specs(n_cases)
     study = pipeline.run_cohort(pipeline._simulate_case, specs, CFG, workers=workers)
     assert created == pools
+    assert budgets == ([budget] * n_cases if pools else [])
+    assert _kernels._budget == budget
     assert study.failures == []
     for method in pipeline.COHORT_METHODS:
         assert case_ids(study.points[method]) == [s.case_id for s in specs]

@@ -98,3 +98,14 @@ def test_diverged_error_carries_every_evaluation(bad_eval, part):
         adam_minimize(value_and_grad, np.array([1.0, -2.0]), cfg)
     assert err.value.trace == list(range(bad_eval + 1))
     assert calls == list(range(bad_eval + 1))
+
+
+def test_steps_the_start_in_place_and_rejects_other_layouts():
+    f = Recorder(square)
+    x = np.array([1.0, -2.0])
+    cfg = InnerOptConfig(learning_rate=0.1, max_inner_steps=3, plateau_window=0)
+    adam_minimize(f, x, cfg)
+    np.testing.assert_array_equal(x, f.points[-1])
+    for bad in (np.array([[1.0]]), np.array([1], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            adam_minimize(Recorder(square), bad, cfg)

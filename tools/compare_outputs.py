@@ -15,8 +15,9 @@ the trees are identical.
 The command set: `simulate` for seeds 1-3 at 24x24x8 and seed 4 at 48x48x12,
 `fit --method both`, `morph` with alpha2 = 1000 and with alpha2 = 0,
 a longer `morph` (8 outer passes) that stops at a pass returning its
-starting fields, `cohort --cases`, and a simulated `cohort --n-cases 4
---workers 2`.  Against another ref it is a tool to run by hand, since a
+starting fields, a `morph` of the 48x48x12 case, whose kernels are large
+enough to run on every thread the process may use (24x24x8 ones stay on
+one), `cohort --cases`, and a simulated `cohort --n-cases 4 --workers 2`.  Against another ref it is a tool to run by hand, since a
 change that means to alter outputs fails it by design; CI runs it against
 HEAD, where it checks that the outputs repeat on two copies of the sources.
 """
@@ -43,6 +44,7 @@ COMMANDS = [
     ],
     ("big", ["simulate", "--dims", "48,48,12", "--seed", "4"]),
     ("fit", ["fit", "--case", "{out}/big/manifest.json", "--method", "both"]),
+    ("morph_big", ["morph", "--case", "{out}/big/manifest.json", *CAPS]),
     ("morph", ["morph", "--case", "{out}/cases/sim001/manifest.json", *CAPS]),
     (
         "morph_nomf",
