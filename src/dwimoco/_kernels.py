@@ -15,12 +15,19 @@ still sees the same operations, changes no result bit.
 That is what lets the work use several threads without changing a bit.
 `fan_out` runs independent tasks over the process's thread budget (the
 CPUs it may run on, or its share of them in a cohort worker) and returns
-the results in task order.  `adam_update` splits its arrays into one
-contiguous run of blocks per thread, and `objective` runs one task per
-b-value image, each writing only its own gradient slice, and adds the
-returned sums in b-value order.  numpy releases the interpreter lock inside
-its array loops, so the threads overlap.  A budget of 1, or tasks too small
-to pay for the handoffs (FAN_OUT_MIN_ELEMENTS), is the plain serial loop.
+the results in task order.  It has three users:
+
+- `objective` runs one task per b-value image, each writing only its own
+  gradient slice, and adds the returned sums in b-value order;
+- `adam_update` gives each thread one contiguous range of its flat arrays
+  through `fan_out_ranges`, which the thread works through block by block;
+- `signal_model` does the same with the voxels of every decay fit, LLS and
+  each IRLS iteration: one range per thread, solved block by block, and
+  the "all voxels within tolerance" flags of the ranges combined afterwards.
+
+numpy releases the interpreter lock inside its array loops, so the threads
+overlap.  A budget of 1, or tasks too small to pay for the handoffs
+(FAN_OUT_MIN_ELEMENTS), is the plain serial loop.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
@@ -352,6 +359,23 @@ def fan_out(task, n, elements):
     return results
 
 
+def fan_out_ranges(task, n, elements):
+    """[task(lo, hi), ...] over one contiguous range of 0..n-1 per thread.
+
+    The n items (array elements, voxels) covering `elements` array elements
+    in all are split into ranges as even as whole items allow, at most one
+    per thread of the budget and only as many as have FAN_OUT_MIN_ELEMENTS
+    elements each, and run through `fan_out`.  The results come back in
+    range order.
+    """
+    parts = max(1, min(_budget, n, elements // FAN_OUT_MIN_ELEMENTS))
+
+    def run(j):
+        return task(j * n // parts, (j + 1) * n // parts)
+
+    return fan_out(run, parts, elements // parts)
+
+
 def _adam_blocks(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """The Adam step of `adam_update` on one run of blocks, block by block."""
     size = x.size
@@ -383,16 +407,12 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  The arrays are worked
     through ADAM_BLOCK elements at a time, with two block-sized scratch
     rows per thread, so every block stays in cache across all the steps and
-    no full-size temporary is allocated.  Each thread of `fan_out` takes
-    one contiguous run of whole blocks (the last block may be partial), and
-    there are only as many runs as have FAN_OUT_MIN_ELEMENTS elements each.
+    no full-size temporary is allocated.  `fan_out_ranges` gives each
+    thread one contiguous range, which it works through block by block (the
+    last block of a range may be partial).
     """
-    n_blocks = -(-x.size // ADAM_BLOCK)
-    parts = max(1, min(_budget, x.size // FAN_OUT_MIN_ELEMENTS))
 
-    def part(j):
-        lo = j * n_blocks // parts * ADAM_BLOCK
-        hi = (j + 1) * n_blocks // parts * ADAM_BLOCK
+    def run(lo, hi):
         _adam_blocks(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], lr, beta1, beta2, eps, bc1, bc2)
 
-    fan_out(part, parts, x.size // parts)
+    fan_out_ranges(run, x.size, x.size)

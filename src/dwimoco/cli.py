@@ -5,7 +5,8 @@ config file (--config), optionally overlaid by explicit flags.  Every run
 writes the fully resolved configuration to <out>/effective_config.json;
 re-running from that file with the same seed reproduces the outputs
 byte-for-byte.  Progress goes to stderr; machine-readable outputs only to
-files.  Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+files.  Exit codes: 0 success, 2 usage or input error (nothing is written),
+3 numerical failure.
 
 `cohort` analyzes either simulated cases or a directory of case manifests
 through the same `pipeline.run_cohort`, so both sources share one analysis
@@ -32,8 +33,20 @@ from .pipeline import (
     run_simulated_cohort,
 )
 from .registration import InnerOptConfig
-from .signal_model import irls_fit, irls_fit_volume, lls_fit, lls_fit_curve, roi_mean_signals
-from .volume import GridTooSmallError, check_differentiable, normalize_series
+from .signal_model import (
+    UndefinedRSquaredError,
+    irls_fit,
+    irls_fit_volume,
+    lls_fit,
+    lls_fit_curve,
+    roi_mean_signals,
+)
+from .volume import (
+    DegenerateSeriesError,
+    GridTooSmallError,
+    check_differentiable,
+    normalize_series,
+)
 
 DEFAULTS = {
     "seed": 0,
@@ -260,20 +273,25 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     series, roi, _ga = dio.read_case(args.case)
-    out = Path(args.out)
-    echo_config(cfg, out)
     norm, _scale = normalize_series(series)
     means = roi_mean_signals(norm, roi)
-    rows = []
     methods = ("lls", "irls") if args.method == "both" else (args.method,)
+    # the curve fits come first: a flat ROI-mean curve stops the run before
+    # anything is written
+    curves = {}
     for method in methods:
         if method == "lls":
-            maps = lls_fit(norm)
             _c_log_s0, c_adc, c_r2 = lls_fit_curve(means, norm.bvalues)
         else:
-            maps, _r2map = irls_fit_volume(norm)
             _ls, c_adc, diag = irls_fit(means, norm.bvalues)
             c_r2 = diag.r2
+        curves[method] = c_adc, c_r2
+    out = Path(args.out)
+    echo_config(cfg, out)
+    rows = []
+    for method in methods:
+        maps = lls_fit(norm) if method == "lls" else irls_fit_volume(norm)[0]
+        c_adc, c_r2 = curves[method]
         dio.write_volume(maps.adc, out / f"{method}_adc")
         dio.write_volume(maps.log_s0, out / f"{method}_log_s0")
         roi_mean_adc = float(maps.adc.data[roi.data].mean())
@@ -292,11 +310,12 @@ def cmd_morph(args) -> int:
     pcfg = pipeline_config(cfg)
     series, roi, _ga = dio.read_case(args.case)
     check_differentiable(series.dims)
-    out = Path(args.out)
-    echo_config(cfg, out)
     variant = "full" if pcfg.weights.alpha2 > 0 else "no_model_fit"
     _progress(f"morph[{variant}]: running up to {pcfg.max_outer_iters} iterations")
+    # written after the run, so input that run_case rejects leaves no output
     result = run_case(series, roi, pcfg)
+    out = Path(args.out)
+    echo_config(cfg, out)
     dio.write_case_report(result, out, case_id=Path(args.case).parent.name, variant=variant)
     if result.failed:
         (out / "failure.txt").write_text(f"{result.failure_reason}\n")
@@ -407,8 +426,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dio.ManifestError, dio.ContainerError, GridTooSmallError) as err:
+    except (
+        ConfigError,
+        dio.ManifestError,
+        dio.ContainerError,
+        GridTooSmallError,
+        DegenerateSeriesError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UndefinedRSquaredError as err:
+        print(f"error: the ROI-mean decay curve is flat: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -231,3 +231,29 @@ def test_one_voxel_thick_case_fits_but_morph_exits_2_before_writing(tmp_path):
     out = tmp_path / "morph"
     assert cli.main(["morph", "--case", manifest, *CAPS, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _constant_case(tmp_path, value):
+    """An 8x8x4 case with 2 b-values whose every voxel holds `value`."""
+    dims = (8, 8, 4)
+    bvalues = (0.0, 500.0)
+    vols = tuple(dio.ScalarVolume(np.full(dims, value)) for _ in bvalues)
+    mask = np.zeros(dims, dtype=bool)
+    mask[2:6, 2:6, 1:3] = True
+    series = dio.BValueSeries(bvalues, vols)
+    return str(dio.write_case(series, dio.RoiMask(mask), 30.0, "flat", tmp_path / "case"))
+
+
+@pytest.mark.parametrize("command", ["fit", "morph"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(0.0, "degenerate series"), (1.0, "the ROI-mean decay curve is flat")],
+    ids=["all_zero_b0", "flat_roi_curve"],
+)
+def test_unfittable_case_exits_2_before_writing(tmp_path, capsys, command, value, message):
+    manifest = _constant_case(tmp_path, value)
+    out = tmp_path / "out"
+    caps = CAPS if command == "morph" else []
+    assert cli.main([command, "--case", manifest, *caps, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

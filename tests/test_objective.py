@@ -452,6 +452,15 @@ class TestThreadBudget:
         with pytest.raises(KeyError):
             at_budget(2, _kernels.fan_out, fail_on_three, 6, 1)
 
+    def test_fan_out_ranges_split_evenly_in_order(self, at_budget):
+        def ranges(budget, n, elements):
+            return at_budget(budget, _kernels.fan_out_ranges, lambda lo, hi: (lo, hi), n, elements)
+
+        assert ranges(3, 10, 10) == [(0, 3), (3, 6), (6, 10)]
+        assert ranges(3, 2, 10) == [(0, 1), (1, 2)]  # no empty range
+        assert ranges(1, 10, 10) == [(0, 10)]
+        assert ranges(3, 10, 2) == [(0, 5), (5, 10)]  # FAN_OUT_MIN_ELEMENTS (1) per range
+
     def test_fan_out_runs_each_task_once_under_thread_switching(self, at_budget):
         # more threads than cores and a thread switch at almost every
         # bytecode: a task claimed twice or never shows in `ran`

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from dwimoco import _kernels, signal_model
 from dwimoco.signal_model import (
     DegenerateDesignError,
     UndefinedRSquaredError,
@@ -209,3 +212,172 @@ class TestRoiMeanSignals:
         series = series_from_maps(np.ones((2, 2, 2)), np.full((2, 2, 2), 1e-3))
         with pytest.raises(ValueError, match="empty ROI"):
             roi_mean_signals(series, RoiMask(np.zeros((2, 2, 2), dtype=bool)))
+
+
+def _oracle_solve(b, y, w=None):
+    """The whole-array weighted LLS that the block solve replaced."""
+    b = b.reshape((-1,) + (1,) * (y.ndim - 1))
+    if w is None:
+        w = np.ones_like(y)
+    sw = w.sum(axis=0)
+    sb = (w * b).sum(axis=0)
+    sbb = (w * b * b).sum(axis=0)
+    sy = (w * y).sum(axis=0)
+    sby = (w * b * y).sum(axis=0)
+    det = sw * sbb - sb * sb
+    if np.any(det <= 0) or not np.all(np.isfinite(det)):
+        raise DegenerateDesignError("degenerate design: b-values carry no spread")
+    return (sbb * sy - sb * sby) / det, (sb * sy - sw * sby) / det
+
+
+def _oracle_irls(b, y):
+    """The whole-array IRLS loop over a (B, ...) stack that the blocked one replaced."""
+    bcol = b.reshape((-1,) + (1,) * (y.ndim - 1))
+    log_s0, adc = _oracle_solve(b, y)
+    iterations = 1
+    done = False
+    while True:
+        resid = (log_s0 - bcol * adc) - y
+        w = 1.0 / np.maximum(np.abs(resid), signal_model.IRLS_RESIDUAL_FLOOR)
+        if done or iterations == signal_model.IRLS_MAX_ITER:
+            return log_s0, adc, resid, w, iterations
+        new_log_s0, new_adc = _oracle_solve(b, y, w)
+        iterations += 1
+        tol = signal_model.IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
+        done = bool(np.all(np.abs(new_adc - adc) <= tol))
+        log_s0, adc = new_log_s0, new_adc
+
+
+def _noisy_series(rng, dims, bvalues, noise):
+    """Decay series with per-voxel S0 and ADC.  Where noise (a number, or an
+    array that broadcasts to dims) is > 0, the voxels get Gaussian noise of
+    that relative size and one corrupted b-value, an outlier for IRLS."""
+    b = np.asarray(bvalues)
+    s0 = 0.5 + rng.random(dims)
+    adc = 1e-3 + 2e-3 * rng.random(dims)
+    stack = forward_signal(s0, adc, b.reshape(-1, 1, 1, 1))
+    noise = np.broadcast_to(noise, dims)
+    stack *= 1.0 + noise * rng.standard_normal(stack.shape)
+    corrupt = rng.integers(0, len(b), dims)
+    outlier = np.where(noise > 0, 1.5, 1.0) * np.take_along_axis(stack, corrupt[None], 0)
+    np.put_along_axis(stack, corrupt[None], outlier, 0)
+    return BValueSeries(tuple(bvalues), tuple(ScalarVolume(v) for v in stack))
+
+
+NINE_BVALUES = (0.0, 25.0, 50.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0)
+
+
+class TestBlockedIrlsMatchesWholeArrayLoop:
+    """The blocked, threaded IRLS gives the old whole-array loop's bits.
+
+    The grids hold more voxels than FAN_OUT_MIN_ELEMENTS / B, so budgets 2
+    and 3 take the threaded path, and no voxel count is a multiple of
+    FIT_BLOCK.  16385 voxels at 9 b-values is one voxel past a block: a
+    1-voxel block would sum its 9 rows pairwise, unlike the whole stack.
+    """
+
+    @pytest.fixture
+    def at_budget(self, monkeypatch):
+        def run(budget, fn, *args):
+            monkeypatch.setattr(_kernels, "_budget", budget)
+            return fn(*args)
+
+        return run
+
+    @pytest.mark.parametrize(
+        "dims, bvalues, noise",
+        [
+            ((40, 40, 24), PAPER_BVALUES, 0.05),
+            ((40, 40, 24), PAPER_BVALUES, 0.0),
+            # the first half of the voxels is noisy, the second converges at
+            # once: a stop that asked one thread's range only would end early
+            ((40, 40, 24), PAPER_BVALUES, np.repeat([[[0.05]], [[0.0]]], 20, axis=0)),
+            ((5, 29, 113), NINE_BVALUES, 0.05),
+        ],
+        ids=[
+            "stops_at_the_cap",
+            "stops_at_the_tolerance",
+            "one_range_within_tolerance_early",
+            "nine_b_one_voxel_past_a_block",
+        ],
+    )
+    def test_irls_fit_volume_bits_match_the_whole_array_loop(
+        self, rng, at_budget, monkeypatch, dims, bvalues, noise
+    ):
+        n = int(np.prod(dims))
+        assert n % signal_model.FIT_BLOCK != 0
+        assert n * len(bvalues) >= 2 * _kernels.FAN_OUT_MIN_ELEMENTS
+        series = _noisy_series(rng, dims, bvalues, noise)
+        b = np.asarray(bvalues)
+        y = signal_model.floored_log(series.stack())
+        log_s0, adc, resid, _w, iterations = _oracle_irls(b, y)
+        ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = np.where(ss_tot > 0, 1.0 - (resid**2).sum(axis=0) / ss_tot, 0.0)
+        threads = set()
+        solve_block = signal_model._solve_block
+
+        def record_thread(*args):
+            threads.add(threading.get_ident())
+            return solve_block(*args)
+
+        monkeypatch.setattr(signal_model, "_solve_block", record_thread)
+        for budget in (1, 2, 3):
+            threads.clear()
+            maps, r2_map = at_budget(budget, irls_fit_volume, series)
+            np.testing.assert_array_equal(maps.log_s0.data, log_s0)
+            np.testing.assert_array_equal(maps.adc.data, adc)
+            np.testing.assert_array_equal(r2_map.data, r2)
+            blocked = at_budget(budget, signal_model._irls, b, y.reshape(len(b), -1))
+            assert blocked[2] == iterations
+            assert len(threads) == min(budget, y.size // _kernels.FAN_OUT_MIN_ELEMENTS)
+        cap = signal_model.IRLS_MAX_ITER
+        assert (iterations == cap) if np.any(noise) else (iterations < cap)
+        lls = at_budget(2, lls_fit, series)
+        want_log_s0, want_adc = _oracle_solve(b, y)
+        np.testing.assert_array_equal(lls.log_s0.data, want_log_s0)
+        np.testing.assert_array_equal(lls.adc.data, want_adc)
+
+    @pytest.mark.parametrize(
+        "bvalues", [PAPER_BVALUES, NINE_BVALUES, tuple(50.0 * k for k in range(13))]
+    )
+    def test_curve_fits_match_the_whole_array_loop(self, rng, bvalues):
+        # from 8 values up numpy sums a 1-d curve pairwise, not in order, so
+        # the curve must reach the block solve as a 1-voxel block
+        b = np.asarray(bvalues)
+        for _ in range(20):
+            sig = forward_signal(0.5 + rng.random(), 1e-3 + 2e-3 * rng.random(), b)
+            sig *= 1.0 + 0.05 * rng.standard_normal(b.size)
+            sig[rng.integers(0, b.size)] *= 1.5
+            y = signal_model.floored_log(sig)
+            log_s0, adc, resid, w, iterations = _oracle_irls(b, y)
+            got_log_s0, got_adc, diag = irls_fit(sig, b)
+            assert (got_log_s0, got_adc) == (float(log_s0), float(adc))
+            assert diag.iterations == iterations
+            assert diag.r2 == r_squared(y, log_s0 - b * adc)
+            np.testing.assert_array_equal(diag.residuals, resid)
+            np.testing.assert_array_equal(diag.weights, w)
+            lls_log_s0, lls_adc = _oracle_solve(b, y)
+            assert lls_fit_curve(sig, b) == (
+                float(lls_log_s0),
+                float(lls_adc),
+                r_squared(y, lls_log_s0 - b * lls_adc),
+            )
+
+    def test_degenerate_design_in_a_helper_thread_reaches_the_caller(
+        self, rng, at_budget, monkeypatch
+    ):
+        raised_in = []
+        solve_block = signal_model._solve_block
+
+        def fail_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raised_in.append(threading.current_thread().name)
+                raise DegenerateDesignError("degenerate design: injected")
+            return solve_block(*args)
+
+        monkeypatch.setattr(signal_model, "_solve_block", fail_off_the_calling_thread)
+        series = _noisy_series(rng, (40, 40, 24), PAPER_BVALUES, 0.05)
+        with pytest.raises(DegenerateDesignError, match="injected"):
+            at_budget(2, irls_fit_volume, series)
+        assert raised_in and all(name.startswith("dwimoco") for name in raised_in)
