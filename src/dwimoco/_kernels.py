@@ -13,21 +13,25 @@ So regrouping the array operations of a kernel, as long as every voxel
 still sees the same operations, changes no result bit.
 
 That is what lets the work use several threads without changing a bit.
-`fan_out` runs independent tasks over the process's thread budget (the
-CPUs it may run on, or its share of them in a cohort worker) and returns
-the results in task order.  It has three users:
+`fan_out_ranges` is the one thread primitive: it splits n items into one
+contiguous range per thread of the process's budget (the CPUs it may run
+on, or its share of them in a cohort worker), runs the first range in the
+calling thread and the others on the process's one helper pool, and
+returns the results in range order.  It has three users:
 
-- `objective` runs one task per b-value image, each writing only its own
-  gradient slice, and adds the returned sums in b-value order;
-- `adam_update` gives each thread one contiguous range of its flat arrays
-  through `fan_out_ranges`, which the thread works through block by block;
+- `objective` gives each thread one range of b-value images; each image
+  writes only its own gradient slice, and the returned sums are added in
+  b-value order;
+- `adam_update` gives each thread one range of its flat arrays, which the
+  thread works through in cache-sized blocks;
 - `signal_model` does the same with the voxels of every decay fit, LLS and
-  each IRLS iteration: one range per thread, solved block by block, and
-  the "all voxels within tolerance" flags of the ranges combined afterwards.
+  each IRLS iteration, and combines the "all voxels within tolerance"
+  flags of the ranges afterwards.
 
 numpy releases the interpreter lock inside its array loops, so the threads
-overlap.  A budget of 1, or tasks too small to pay for the handoffs
-(FAN_OUT_MIN_ELEMENTS), is the plain serial loop.
+overlap.  A budget of 1, or work too small to pay for the handoffs
+(FAN_OUT_MIN_ELEMENTS per range), is the plain serial loop.  The pool
+holds budget - 1 threads and is made once per process and budget.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
@@ -43,7 +47,6 @@ them.  `match_terms` is the one caller that needs the gradient.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -52,18 +55,21 @@ import numpy as np
 # scratch rows) of 128 KiB each stay in L2 cache across the 13 passes.
 ADAM_BLOCK = 16384
 
-# Threads `fan_out` may use in this process: the CPUs it may run on, until
-# `set_thread_budget` gives it a share of them.
+# Threads `fan_out_ranges` may use in this process: the CPUs it may run on,
+# until `set_thread_budget` gives it a share of them.
 _budget = len(os.sched_getaffinity(0))
-# (pid, helper count, ThreadPoolExecutor), made on first use; the pid tells a
-# forked child that the pool's threads stayed behind in its parent.
+# (pid, budget, ThreadPoolExecutor of budget - 1 threads), made on first use;
+# the pid tells a forked child that the pool's threads stayed behind in its
+# parent.
 _pool = None
-# Array elements a task must cover before `fan_out` gives it a thread.  Two
-# threads hand the interpreter lock back and forth around every numpy call,
-# and on small arrays that costs more than the second core saves.  On 2
-# cores, `objective.loss_and_gradient` breaks even at about 8k voxels per
-# b-value image (24k field elements) and takes 2x as long with 2 threads at
-# 20x20x8; `adam_update` breaks even at about 180k elements (90k per part).
+# Array elements each range must hold before `fan_out_ranges` gives it a
+# thread.  Two threads hand the interpreter lock back and forth around every
+# numpy call, and on small arrays that costs more than the second core saves.
+# On 2 cores, `objective.loss_and_gradient` breaks even at about 8k voxels
+# per b-value image and takes 2x as long with 2 threads at 20x20x8; it
+# threads from 7,282 voxels at 6 b-values (2 ranges of 3 images x 3
+# components).  `adam_update` breaks even at about 180k elements (90k per
+# range).
 FAN_OUT_MIN_ELEMENTS = 1 << 16
 
 # Corner k of a trilinear cell sits at offsets (k & 1, (k >> 1) & 1, k >> 2)
@@ -303,116 +309,87 @@ def smooth_loss_grad(u, grad_out, weight):
 
 
 def set_thread_budget(n):
-    """Let `fan_out` use up to n threads in this process (n >= 1)."""
+    """Let `fan_out_ranges` use up to n threads in this process (n >= 1)."""
     global _budget
     if n < 1:
         raise ValueError(f"thread budget must be >= 1, got {n}")
     _budget = n
 
 
-def _helpers(n):
-    """This process's pool of n helper threads, made on first use and made
-    again after a fork or a change of budget."""
+def _helpers():
+    """This process's pool of `_budget` - 1 helper threads, made on first use
+    and made again after a fork or a change of budget."""
     global _pool
-    pid = os.getpid()
-    if _pool is None or _pool[:2] != (pid, n):
-        _pool = (pid, n, ThreadPoolExecutor(max_workers=n, thread_name_prefix="dwimoco"))
+    key = (os.getpid(), _budget)
+    if _pool is None or _pool[:2] != key:
+        _pool = key + (ThreadPoolExecutor(max_workers=_budget - 1, thread_name_prefix="dwimoco"),)
     return _pool[2]
 
 
-def fan_out(task, n, elements):
-    """[task(0), ..., task(n - 1)], run on up to the thread budget at once.
-
-    Each task works through about `elements` array elements; below
-    FAN_OUT_MIN_ELEMENTS the tasks run in the calling thread.  The calling
-    thread takes tasks too, so t threads need t - 1 helpers; each thread
-    claims the next unclaimed index until none is left.  The results come
-    back in task order however the tasks were scheduled, so tasks that write
-    only their own outputs give the bits of the serial loop, which is what
-    a budget of 1 runs.  If a task raises, the exception is raised once
-    every thread has stopped.  A task must not call `fan_out`: the helpers
-    would wait on themselves.
-    """
-    threads = min(_budget, n) if elements >= FAN_OUT_MIN_ELEMENTS else 1
-    if threads <= 1:
-        return [task(i) for i in range(n)]
-    results = [None] * n
-    indices = iter(range(n))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            results[i] = task(i)
-
-    pool = _helpers(threads - 1)
-    futures = [pool.submit(drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        wait(futures)
-    for fut in futures:
-        fut.result()
-    return results
+def near_equal_ranges(lo, hi, parts):
+    """lo..hi cut into `parts` contiguous (start, stop) ranges, as even as
+    whole items allow: the thread ranges, and the cache-sized blocks of a
+    range with parts = ceil((hi - lo) / block size)."""
+    edges = [lo + i * (hi - lo) // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def fan_out_ranges(task, n, elements):
     """[task(lo, hi), ...] over one contiguous range of 0..n-1 per thread.
 
-    The n items (array elements, voxels) covering `elements` array elements
-    in all are split into ranges as even as whole items allow, at most one
-    per thread of the budget and only as many as have FAN_OUT_MIN_ELEMENTS
-    elements each, and run through `fan_out`.  The results come back in
-    range order.
+    The n items (b-value images, array elements, voxels) cover `elements`
+    array elements in all.  They are split into `near_equal_ranges`, at
+    most one per thread of the budget and only as many as hold
+    FAN_OUT_MIN_ELEMENTS elements each, so a budget of 1 or a small n is
+    one range: the serial loop.  The calling thread runs the first range
+    and the helpers the others.  Once every range has finished, the results
+    come back in range order, or the error of the first range that raised
+    is raised.  Tasks that write only their own outputs give the bits of
+    the serial loop.  A task must not call `fan_out_ranges`: the helpers
+    would wait on themselves.
     """
     parts = max(1, min(_budget, n, elements // FAN_OUT_MIN_ELEMENTS))
-
-    def run(j):
-        return task(j * n // parts, (j + 1) * n // parts)
-
-    return fan_out(run, parts, elements // parts)
-
-
-def _adam_blocks(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """The Adam step of `adam_update` on one run of blocks, block by block."""
-    size = x.size
-    scratch = np.empty((2, min(size, ADAM_BLOCK)))
-    for lo in range(0, size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, size)
-        xb, gb, mb, vb = x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        s, t = scratch[:, : hi - lo]
-        np.multiply(gb, 1.0 - beta1, out=s)
-        mb *= beta1
-        mb += s
-        np.multiply(gb, 1.0 - beta2, out=s)
-        s *= gb
-        vb *= beta2
-        vb += s
-        np.divide(mb, bc1, out=s)
-        s *= lr
-        np.divide(vb, bc2, out=t)
-        np.sqrt(t, out=t)
-        t += eps
-        s /= t
-        xb -= s
+    if parts == 1:  # no handoff: a 1-voxel curve fit calls this once per solve
+        return [task(0, n)]
+    first, *rest = near_equal_ranges(0, n, parts)
+    pool = _helpers()
+    futures = [pool.submit(task, lo, hi) for lo, hi in rest]
+    try:
+        result = task(*first)
+    finally:
+        wait(futures)
+    return [result] + [fut.result() for fut in futures]
 
 
 def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t.
 
     m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
-    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  The arrays are worked
-    through ADAM_BLOCK elements at a time, with two block-sized scratch
-    rows per thread, so every block stays in cache across all the steps and
-    no full-size temporary is allocated.  `fan_out_ranges` gives each
-    thread one contiguous range, which it works through block by block (the
-    last block of a range may be partial).
+    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  `fan_out_ranges` gives
+    each thread one contiguous range, which it works through in near-equal
+    blocks of at most ADAM_BLOCK elements with two block-sized scratch rows,
+    so every block stays in cache across all the steps and no full-size
+    temporary is allocated.
     """
 
     def run(lo, hi):
-        _adam_blocks(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], lr, beta1, beta2, eps, bc1, bc2)
+        scratch = np.empty((2, min(hi - lo, ADAM_BLOCK)))
+        for i, j in near_equal_ranges(lo, hi, -(-(hi - lo) // ADAM_BLOCK)):
+            xb, gb, mb, vb = x[i:j], g[i:j], m[i:j], v[i:j]
+            s, t = scratch[:, : j - i]
+            np.multiply(gb, 1.0 - beta1, out=s)
+            mb *= beta1
+            mb += s
+            np.multiply(gb, 1.0 - beta2, out=s)
+            s *= gb
+            vb *= beta2
+            vb += s
+            np.divide(mb, bc1, out=s)
+            s *= lr
+            np.divide(vb, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            s /= t
+            xb -= s
 
     fan_out_ranges(run, x.size, x.size)

@@ -219,11 +219,11 @@ def read_case(manifest_path):
     """Load a case: returns (BValueSeries, RoiMask, ga_weeks).
 
     Volumes are assembled in ascending b-value order regardless of how the
-    manifest lists them.  Rejects duplicate b-values, a missing b=0 entry,
-    any grid mismatch, a volume whose spacing differs from the b=0 volume's
-    (the ROI mask is written with spacing 1, so only its grid is compared),
-    an empty ROI, a gestational age <= 0 and any series `BValueSeries`
-    rejects (negative b-values or signals), always with ManifestError or
+    manifest lists them.  Rejects any grid mismatch, a volume whose spacing
+    differs from the b=0 volume's (the ROI mask is written with spacing 1,
+    so only its grid is compared), an empty ROI, a gestational age <= 0 and
+    any series `BValueSeries` rejects (duplicate or negative b-values, a
+    missing b=0 entry, negative signals), always with ManifestError or
     ContainerError.
     """
     manifest_path = Path(manifest_path)
@@ -245,7 +245,6 @@ def read_case(manifest_path):
     entries = manifest["volumes"]
     if not isinstance(entries, list) or len(entries) < 2:
         raise ManifestError("manifest needs >= 2 volume entries")
-    seen = set()
     loaded = []
     for entry in entries:
         if (
@@ -255,12 +254,7 @@ def read_case(manifest_path):
         ):
             raise ManifestError(f"volume entry needs a bvalue and a path string, got {entry!r}")
         b = _manifest_number(entry["bvalue"], "bvalue")
-        if b in seen:
-            raise ManifestError(f"duplicate b-value {b:g}")
-        seen.add(b)
         loaded.append((b, read_volume(base / entry["path"])))
-    if 0.0 not in seen:
-        raise ManifestError("manifest lacks a b=0 volume")
     loaded.sort(key=lambda t: t[0])
     dims, spacing = loaded[0][1].dims, loaded[0][1].spacing
     for b, vol in loaded:

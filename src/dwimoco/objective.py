@@ -18,10 +18,10 @@ are plain numpy and easy to audit, while `loss_and_gradient` and
 `per_term_gradients` run the fused kernels through one per-b-value loop.
 The tests pin the routes against each other and against finite
 differences.  With the parameter maps held fixed, the b-value images are
-independent, so that loop is one `_kernels.fan_out` task per b-value: each
-writes only its own gradient slice, and the returned sums are added in
-b-value order, so the result has the bits of the serial loop at any thread
-budget.
+independent, so that loop gives each thread one contiguous range of them
+(`_kernels.fan_out_ranges`): each image writes only its own gradient slice,
+and the returned sums are added in b-value order, so the result has the
+bits of the serial loop at any thread budget.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _term_scales(moving: BValueSeries, roi: RoiMask):
 
 
 def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad):
-    """The fused kernels on every b-value image, one `fan_out` task each.
+    """The fused kernels on every b-value image, one range of images per thread.
 
     Writes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
     d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
@@ -177,29 +177,33 @@ def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad
     exactly by zeroing the other two prefactors.
     """
 
-    def one_bvalue(i):
-        g = grad[i]
-        g.fill(0.0)
-        s, m = _match_terms(
-            moving.volumes[i].data,
-            fields_arr[i],
-            fixed.volumes[i].data,
-            maps.log_s0.data - moving.bvalues[i] * maps.adc.data,
-            roi.data,
-            FLOOR_EPS,
-            sim_c,
-            mf_c,
-            g,
-        )
-        return s, m, _smooth_loss_grad(fields_arr[i], g, smooth_w)
+    def bvalue_range(lo, hi):
+        sums = []
+        for i in range(lo, hi):
+            g = grad[i]
+            g.fill(0.0)
+            s, m = _match_terms(
+                moving.volumes[i].data,
+                fields_arr[i],
+                fixed.volumes[i].data,
+                maps.log_s0.data - moving.bvalues[i] * maps.adc.data,
+                roi.data,
+                FLOOR_EPS,
+                sim_c,
+                mf_c,
+                g,
+            )
+            sums.append((s, m, _smooth_loss_grad(fields_arr[i], g, smooth_w)))
+        return sums
 
     sim_sum = 0.0
     mf_sum = 0.0
     smooth_sum = 0.0
-    for s, m, smooth in _kernels.fan_out(one_bvalue, moving.b_count, fields_arr[0].size):
-        sim_sum += s
-        mf_sum += m
-        smooth_sum += smooth
+    for sums in _kernels.fan_out_ranges(bvalue_range, moving.b_count, fields_arr.size):
+        for s, m, smooth in sums:
+            sim_sum += s
+            mf_sum += m
+            smooth_sum += smooth
     return sim_sum, mf_sum, smooth_sum
 
 

@@ -14,11 +14,15 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .signal_model import ParameterMaps, forward_signal
-from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, warp
+from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, checked_bvalues, warp
 
 DEFAULT_BVALUES = (0.0, 50.0, 100.0, 200.0, 400.0, 600.0)
 S0_TEXTURE = 0.15  # relative amplitude of smooth S0 variation in the lung
 ADC_TEXTURE = 0.08  # relative amplitude of smooth ADC variation in the lung
+_POSITIVE_FIELDS = ("lung_s0", "background_s0", "motion_smoothness")
+_NON_NEGATIVE_FIELDS = (
+    "lung_adc", "background_adc", "roi_margin", "boundary_sigma", "noise_sigma", "motion_amplitude"
+)
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,9 @@ class PhantomSpec:
     """Geometry, tissue parameters, noise and motion of a synthetic case.
 
     The lung ellipsoid sits at the volume center with radii of about 30% of
-    each extent (at least 2 voxels), so dims must leave room for it.
+    each extent (at least 2 voxels), so dims must leave room for it.  Every
+    value must be finite; S0 values and motion_smoothness > 0, the other
+    numbers >= 0, and the b-values as `BValueSeries` requires them.
     """
 
     dims: tuple = (96, 96, 16)
@@ -43,8 +49,13 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0 or self.motion_amplitude < 0:
-            raise ValueError("noise_sigma and motion_amplitude must be >= 0")
+        for name in _POSITIVE_FIELDS:
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in _NON_NEGATIVE_FIELDS:
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        checked_bvalues(self.bvalues)
         if min(self.dims) < 2:
             raise ValueError("phantom dims must be >= 2 along every axis")
         center, radii = self.center(), self.radii()

@@ -307,8 +307,8 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     worker processes when that is more than 1, and the outputs keep the
     order of `sources`, so the result does not depend on scheduling.  Each
     worker's kernels get an equal share of this process's CPUs, at least 1
-    thread, as their budget (`_kernels.fan_out`), so the workers' threads
-    outnumber the CPUs only when the workers alone do.  A case that raised,
+    thread, as their budget (`_kernels.fan_out_ranges`), so the workers'
+    threads outnumber the CPUs only when the workers alone do.  A case that raised,
     in loading, analysis or building its cohort points, is recorded under
     str(source).  Methods with fewer than 3 points get no fit.
     """
@@ -388,10 +388,16 @@ def make_cohort_case_specs(
     The true ADC follows the saturation curve plus biological scatter; the
     motion amplitude is uniform over motion_range.  Deterministic in seed.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
-    reversed, and a motion range below 0 or reversed.
+    reversed, a motion range below 0 or reversed, a sat_adc or sat_alpha
+    not inside (0, inf) and an adc_bio_noise not inside [0, inf).
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
+    for name, value in (("sat_adc", sat_adc), ("sat_alpha", sat_alpha)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not 0.0 <= adc_bio_noise < np.inf:
+        raise ValueError(f"adc_bio_noise must be finite and >= 0, got {adc_bio_noise}")
     if not 0.0 < ga_range[0] <= ga_range[1] < np.inf:
         raise ValueError(f"ga_range must satisfy 0 < min <= max < inf, got {ga_range}")
     if not 0.0 <= motion_range[0] <= motion_range[1] < np.inf:

@@ -144,20 +144,18 @@ def _weighted_log_linear_solve(b, y, log_s0, adc, weighted):
 
     log_s0 and adc, (N,), hold the current fit and are overwritten with the
     new one.  `fan_out_ranges` gives each thread one contiguous range of
-    voxels, which it cuts into ceil(width / FIT_BLOCK) blocks of near-equal
-    width and solves one after another with one scratch buffer.  So no block
-    is 1 voxel wide unless its whole range is: numpy sums the B rows of a
-    1-wide block pairwise, as it does a 1-d curve, and those of a wider one
-    in row order, as it does a whole (B, nx, ny, nz) stack.
+    voxels, which it cuts into `_kernels.near_equal_ranges` of at most
+    FIT_BLOCK voxels and solves one after another with one scratch buffer.
+    So no block is 1 voxel wide unless its whole range is: numpy sums the B
+    rows of a 1-wide block pairwise, as it does a 1-d curve, and those of a
+    wider one in row order, as it does a whole (B, nx, ny, nz) stack.
     """
 
     def run(lo, hi):
-        n_blocks = -(-(hi - lo) // FIT_BLOCK)
-        edges = [lo + i * (hi - lo) // n_blocks for i in range(n_blocks + 1)]
-        scratch = np.empty((2, y.shape[0], -(-(hi - lo) // n_blocks)))
+        scratch = np.empty((2, y.shape[0], min(hi - lo, FIT_BLOCK)))
         flags = [
             _solve_block(b, y[:, i:j], log_s0[i:j], adc[i:j], weighted, scratch)
-            for i, j in zip(edges, edges[1:])
+            for i, j in _kernels.near_equal_ranges(lo, hi, -(-(hi - lo) // FIT_BLOCK))
         ]
         return all(flags)
 

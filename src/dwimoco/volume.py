@@ -78,6 +78,21 @@ class ScalarVolume:
         return self.data.ravel(order="F")
 
 
+def checked_bvalues(bvalues) -> tuple:
+    """bvalues as floats; ValueError unless there are at least 2, all finite,
+    the first 0 and the rest strictly increasing."""
+    bvals = tuple(float(b) for b in bvalues)
+    if len(bvals) < 2:
+        raise ValueError("need at least 2 b-values")
+    if not np.isfinite(bvals).all():
+        raise ValueError(f"b-values must be finite, got {bvals}")
+    if bvals[0] != 0.0:
+        raise ValueError(f"first b-value must be 0, got {bvals}")
+    if any(b1 >= b2 for b1, b2 in zip(bvals, bvals[1:])):
+        raise ValueError(f"b-values must be strictly increasing, got {bvals}")
+    return bvals
+
+
 @dataclass(frozen=True, eq=False)
 class BValueSeries:
     """Per-b-value image stack: bvalues[0] == 0, strictly ascending."""
@@ -86,18 +101,12 @@ class BValueSeries:
     volumes: tuple
 
     def __post_init__(self):
-        bvals = tuple(float(b) for b in self.bvalues)
+        bvals = checked_bvalues(self.bvalues)
         vols = tuple(self.volumes)
         object.__setattr__(self, "bvalues", bvals)
         object.__setattr__(self, "volumes", vols)
-        if len(bvals) < 2:
-            raise ValueError("need at least 2 b-values")
         if len(bvals) != len(vols):
             raise ValueError("bvalues and volumes length mismatch")
-        if bvals[0] != 0.0:
-            raise ValueError("first b-value must be 0")
-        if any(b1 >= b2 for b1, b2 in zip(bvals, bvals[1:])):
-            raise ValueError("b-values must be strictly increasing")
         dims = vols[0].dims
         for v in vols:
             if v.dims != dims:

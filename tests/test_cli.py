@@ -13,6 +13,9 @@ from dwimoco.registration import DivergedError
 CAPS = ["--max-outer", "2", "--max-inner", "3"]
 # keeps a cohort whose invalid config went unnoticed small
 SMALL_COHORT = ["--n-cases", "3", "--dims", "12,12,6", *CAPS]
+# keeps a simulated case whose invalid config went unnoticed small
+SMALL_CASE = ["--dims", "12,12,6"]
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +105,22 @@ def test_default_config_builds_the_library_defaults():
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
         ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
+        ("simulate", {}, [*SMALL_CASE, "--noise-sigma", "nan"]),
+        ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "nan"]),
+        ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "inf"]),
+        ("simulate", {}, [*SMALL_CASE, "--lung-adc", "nan"]),
+        ("simulate", {"phantom": {"background_s0": 0.0}}, SMALL_CASE),
+        ("simulate", {"phantom": {"bvalues": [50, 100]}}, SMALL_CASE),
+        ("simulate", {"phantom": {"motion_smoothness": 0}}, SMALL_CASE),
+        ("simulate", {"phantom": {"boundary_sigma": -1}}, SMALL_CASE),
         ("simulate", {}, ["--ga", "-5"]),
         ("simulate", {"phantom": {"ga_weeks": 0}}, []),
         ("cohort", {"cohort": {"n_cases": "x"}}, []),
         ("cohort", {"cohort": {"ga_min": -5.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"motion_min": 3.0, "motion_max": 1.0}}, SMALL_COHORT),
+        ("cohort", {"cohort": {"sat_adc": NAN}}, SMALL_COHORT),
+        ("cohort", {"cohort": {"sat_alpha": -1}}, SMALL_COHORT),
+        ("cohort", {"cohort": {"adc_bio_noise": NAN}}, SMALL_COHORT),
     ],
     ids=[
         "max_outer_zero",
@@ -124,11 +138,22 @@ def test_default_config_builds_the_library_defaults():
         "dims_text",
         "roi_out_of_bounds",
         "noise_negative",
+        "noise_nan",
+        "motion_amplitude_nan",
+        "motion_amplitude_inf",
+        "lung_adc_nan",
+        "background_s0_zero",
+        "bvalues_without_b0",
+        "motion_smoothness_zero",
+        "boundary_sigma_negative",
         "ga_negative",
         "ga_zero",
         "n_cases_text",
         "ga_min_negative",
         "motion_range_reversed",
+        "sat_adc_nan",
+        "sat_alpha_negative",
+        "adc_bio_noise_nan",
     ],
 )
 def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):

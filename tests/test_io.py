@@ -26,9 +26,9 @@ def _set_volume_entry(value):
     return edit
 
 
-def _set_bvalue(value):
+def _set_bvalue(value, entry=1):
     def edit(manifest, _case):
-        manifest["volumes"][1]["bvalue"] = value
+        manifest["volumes"][entry]["bvalue"] = value
 
     return edit
 
@@ -70,6 +70,8 @@ def _write_small_case(tmp_path):
         _set_ga(-5.0),
         _set_ga(0.0),
         _set_bvalue(-50.0),
+        _set_bvalue(100.0),
+        _set_bvalue(25.0, entry=0),
         _negative_signal,
         _empty_roi,
     ],
@@ -83,6 +85,8 @@ def _write_small_case(tmp_path):
         "ga_negative",
         "ga_zero",
         "bvalue_negative",
+        "bvalue_duplicate",
+        "b0_missing",
         "signal_negative",
         "roi_empty",
     ],

@@ -416,17 +416,17 @@ class TestKernelOracles:
             close(x, x0, -lr * m_hat / (np.sqrt(v_hat) + eps))
 
 
-def _fan_out_in_forked_worker():
-    """Squares 0..5 through `fan_out`, and whether its pool is this process's."""
-    squares = _kernels.fan_out(lambda i: i * i, 6, 1)
-    return squares, _kernels._pool[0] == os.getpid()
+def _ranges_in_forked_worker():
+    """0..5 in ranges at budget 2, and whether the pool is this process's."""
+    ranges = _kernels.fan_out_ranges(lambda lo, hi: list(range(lo, hi)), 6, 6)
+    return ranges, _kernels._pool[0] == os.getpid()
 
 
 class TestThreadBudget:
     """Budget 1 is the serial loop and the oracle: every budget gives its bits.
 
-    The test arrays are small, so the size floor of `fan_out` is lowered to
-    let them take the threaded path.
+    The test arrays are small, so the size floor of `fan_out_ranges` is
+    lowered to let them take the threaded path.
     """
 
     @pytest.fixture
@@ -439,19 +439,6 @@ class TestThreadBudget:
 
         return run
 
-    def test_fan_out_keeps_task_order_and_raises_task_errors(self, at_budget):
-        squares = at_budget(2, _kernels.fan_out, lambda i: i * i, 7, 1)
-        assert squares == [i * i for i in range(7)]
-        assert at_budget(2, _kernels.fan_out, lambda i: i, 0, 1) == []
-
-        def fail_on_three(i):
-            if i == 3:
-                raise KeyError(i)
-            return i
-
-        with pytest.raises(KeyError):
-            at_budget(2, _kernels.fan_out, fail_on_three, 6, 1)
-
     def test_fan_out_ranges_split_evenly_in_order(self, at_budget):
         def ranges(budget, n, elements):
             return at_budget(budget, _kernels.fan_out_ranges, lambda lo, hi: (lo, hi), n, elements)
@@ -460,50 +447,82 @@ class TestThreadBudget:
         assert ranges(3, 2, 10) == [(0, 1), (1, 2)]  # no empty range
         assert ranges(1, 10, 10) == [(0, 10)]
         assert ranges(3, 10, 2) == [(0, 5), (5, 10)]  # FAN_OUT_MIN_ELEMENTS (1) per range
+        assert ranges(2, 0, 0) == [(0, 0)]
 
-    def test_fan_out_runs_each_task_once_under_thread_switching(self, at_budget):
+    def test_fan_out_ranges_raises_a_helper_range_error(self, at_budget):
+        def fail_in_last_range(lo, hi):
+            if hi == 6:
+                raise KeyError(lo)
+            return lo
+
+        with pytest.raises(KeyError):
+            at_budget(3, _kernels.fan_out_ranges, fail_in_last_range, 6, 6)
+
+        def fail_everywhere(lo, hi):
+            raise (ValueError if lo == 0 else KeyError)(lo)
+
+        with pytest.raises(ValueError):  # the first range's error, in range order
+            at_budget(3, _kernels.fan_out_ranges, fail_everywhere, 6, 6)
+
+    def test_fan_out_ranges_covers_each_item_once_under_thread_switching(self, at_budget):
         # more threads than cores and a thread switch at almost every
-        # bytecode: a task claimed twice or never shows in `ran`
+        # bytecode: an item run twice or never shows in `ran`
         ran = []
 
-        def task(i):
-            ran.append(i)
-            return -i
+        def task(lo, hi):
+            for i in range(lo, hi):
+                ran.append(i)
+            return lo, hi
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 ran.clear()
-                assert at_budget(8, _kernels.fan_out, task, 200, 1) == [-i for i in range(200)]
+                got = at_budget(8, _kernels.fan_out_ranges, task, 200, 200)
+                assert got == [(25 * j, 25 * (j + 1)) for j in range(8)]
                 assert sorted(ran) == list(range(200))
         finally:
             sys.setswitchinterval(interval)
 
-    def test_fan_out_keeps_small_tasks_on_the_calling_thread(self, monkeypatch):
+    def test_fan_out_ranges_runs_small_work_and_the_first_range_on_the_calling_thread(
+        self, monkeypatch
+    ):
         monkeypatch.setattr(_kernels, "_budget", 2)
-        small = _kernels.FAN_OUT_MIN_ELEMENTS - 1
-        threads = _kernels.fan_out(lambda i: threading.get_ident(), 4, small)
-        assert threads == [threading.get_ident()] * 4
+        me = threading.get_ident()
+        small = 2 * _kernels.FAN_OUT_MIN_ELEMENTS - 1  # two ranges would be below the floor
+        assert _kernels.fan_out_ranges(lambda lo, hi: threading.get_ident(), 4, small) == [me]
+        first, second = _kernels.fan_out_ranges(lambda lo, hi: threading.get_ident(), 4, small + 1)
+        assert first == me != second
+
+    def test_calls_with_different_part_counts_share_one_pool(self, at_budget):
+        pools = []
+        for n in (2, 3, 4):
+            assert len(at_budget(4, _kernels.fan_out_ranges, lambda lo, hi: lo, n, n)) == n
+            pools.append(_kernels._pool[-1])
+        assert pools[0] is pools[1] is pools[2]
 
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
     def test_loss_and_gradient_bits_match_serial(self, setup, at_budget, alpha2):
+        # 4 b-values: 2 images per thread, 1-1-2 at budget 3, 1 each at 4
         maps, roi, fixed, moving, _, u = setup
         w = LossWeights(0.01, alpha2)
         out = {}
-        for budget in (1, 2):
+        for budget in (1, 2, 3, 4):
             grad = np.full_like(u, np.nan)
             bd = at_budget(budget, loss_and_gradient, fixed, moving, u, maps, roi, w, grad)
             out[budget] = bd, grad
-        assert out[2][0] == out[1][0]
-        np.testing.assert_array_equal(out[2][1], out[1][1])
+        for budget in (2, 3, 4):
+            assert out[budget][0] == out[1][0]
+            np.testing.assert_array_equal(out[budget][1], out[1][1])
 
     def test_per_term_gradients_bits_match_serial(self, setup, at_budget):
         maps, roi, fixed, moving, fields, _ = setup
         serial = at_budget(1, per_term_gradients, fixed, moving, fields, maps, roi)
-        threaded = at_budget(2, per_term_gradients, fixed, moving, fields, maps, roi)
-        for term, grad in serial.items():
-            np.testing.assert_array_equal(threaded[term], grad)
+        for budget in (2, 3, 4):
+            threaded = at_budget(budget, per_term_gradients, fixed, moving, fields, maps, roi)
+            for term, grad in serial.items():
+                np.testing.assert_array_equal(threaded[term], grad)
 
     @pytest.mark.parametrize("budget", [2, 3])
     @pytest.mark.parametrize("n", [5, 3 * _kernels.ADAM_BLOCK + 5])
@@ -525,16 +544,16 @@ class TestThreadBudget:
     def test_forked_worker_makes_its_own_pool(self, at_budget):
         # the parent's pool exists before the fork; its threads do not
         # exist in the child, which must start its own
-        at_budget(2, _kernels.fan_out, lambda i: i, 4, 1)
-        assert _kernels._pool[0] == os.getpid()
+        at_budget(2, _kernels.fan_out_ranges, lambda lo, hi: lo, 4, 4)
+        assert _kernels._pool[:2] == (os.getpid(), 2)
         with ProcessPoolExecutor(
             1,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_kernels.set_thread_budget,
             initargs=(2,),
         ) as pool:
-            squares, own_pool = pool.submit(_fan_out_in_forked_worker).result(timeout=60)
-        assert squares == [i * i for i in range(6)]
+            ranges, own_pool = pool.submit(_ranges_in_forked_worker).result(timeout=60)
+        assert ranges == [[0, 1, 2], [3, 4, 5]]
         assert own_pool
 
     def test_budget_must_be_positive(self):
