@@ -33,6 +33,28 @@ overlap.  A budget of 1, or work too small to pay for the handoffs
 (FAN_OUT_MIN_ELEMENTS per range), is the plain serial loop.  The pool
 holds budget - 1 threads and is made once per process and budget.
 
+The objective's kernels, `match_terms` and `smooth_loss_grad`, take each
+displacement field component-major, as a C-contiguous (3, nx, ny, nz)
+array, so every full-volume pass over a field or its gradient reads or
+writes one contiguous plane per component.  `DisplacementField`, the warps
+and the case files keep the voxel-major (nx, ny, nz, 3) layout; only the
+optimizer's iterate is component-major (`objective.stack_fields`).  The
+model-fit term lives on the ROI, a few percent of the voxels: `match_terms`
+takes the ROI as flat voxel indices and computes the floor, the log, the
+residual and its gradient coefficient on those voxels alone.  It scatters
+the squared residuals into a zeroed full-size array before summing, so the
+sum adds the same values in the same order as a whole-volume sum.
+
+`field_diff` and `field_diff_adjoint` compute their interior with one op
+over the flat array at the axis stride s.  At the border planes the flat
+neighbours p - s and p + s wrap into the previous or next row, so the op
+gets those entries wrong; they are exactly the border planes, which are
+then rewritten by the per-axis formula.  In the adjoint the wrapped
+subtrahend is the zeroed last two planes of the row before, and x - 0.0
+is x bit for bit.  This reads memory order, so both refuse arrays that
+are not C-contiguous, and `objective.loss_and_gradient` checks its
+buffers up front.
+
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
 corners are 8 gathers from the raveled volume.  `warp3d` computes no point
@@ -46,6 +68,7 @@ them.  `match_terms` is the one caller that needs the gradient.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -78,13 +101,18 @@ FAN_OUT_MIN_ELEMENTS = 1 << 16
 _CORNER_BITS = np.array([[k & 1, (k >> 1) & 1, k >> 2] for k in range(8)], dtype=np.intp)
 
 
-def _coords(disp):
-    """Sample coordinates p + disp[p] per axis, as 3 fresh (nx, ny, nz) arrays."""
-    shape = disp.shape[:3]
+def _coords(planes):
+    """Sample coordinates p + u_a[p] per axis, as 3 fresh (nx, ny, nz) arrays.
+
+    planes[a] is the (nx, ny, nz) component a of the displacement: a
+    contiguous plane of a component-major field, or a strided view
+    (`np.moveaxis(disp, -1, 0)`) of a (nx, ny, nz, 3) one.
+    """
+    shape = planes[0].shape
     out = []
     for a, n in enumerate(shape):
         grid = np.arange(n, dtype=np.float64).reshape([n if b == a else 1 for b in range(3)])
-        out.append(grid + disp[..., a])
+        out.append(grid + planes[a])
     return out
 
 
@@ -139,7 +167,7 @@ def warp3d(vol, disp):
     With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
     c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.
     """
-    corners, (fx, fy, fz) = _cell(vol, _coords(disp))
+    corners, (fx, fy, fz) = _cell(vol, _coords(np.moveaxis(disp, -1, 0)))
     c00, c10, c01, c11 = _lerp_x(corners, fx)
     gy = 1 - fy
     c0 = _lerp(c00, c10, fy, gy)
@@ -147,13 +175,14 @@ def warp3d(vol, disp):
     return _lerp(c0, c1, fz, 1 - fz).reshape(vol.shape)
 
 
-def _point_grad_parts(vol, disp):
+def _point_grad_parts(vol, planes):
     """Flat warped values and the 3 flat point-gradient components.
 
-    The parts are what `warp3d_with_point_grad` stacks; they are fresh
-    arrays the caller may overwrite.
+    planes are the 3 displacement components as `_coords` takes them.  The
+    parts are what `warp3d_with_point_grad` stacks; they are fresh arrays
+    the caller may overwrite.
     """
-    coords = _coords(disp)
+    coords = _coords(planes)
     inside = [((c >= 0.0) & (c <= n - 1.0)).reshape(-1) for c, n in zip(coords, vol.shape)]
     c, (fx, fy, fz) = _cell(vol, coords)
     gy, gz = 1 - fy, 1 - fz
@@ -182,14 +211,17 @@ def warp3d_with_point_grad(vol, disp):
     dout_y = ((c_10 - c_00) * gz + (c_11 - c_01) * fz) * in_y,
     dout_z = (c_1 - c_0) * in_z, where in_a is 1 inside [0, n_a - 1], else 0.
     """
-    out, parts = _point_grad_parts(vol, disp)
+    out, parts = _point_grad_parts(vol, np.moveaxis(disp, -1, 0))
     return out.reshape(vol.shape), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
 
 def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
     """Fused similarity + model-fit contribution of one b-value image.
 
-    Warps `vol` by `disp`, returns the L1 distance to `fixed` (sum over all
+    disp and grad_out are component-major (3, nx, ny, nz) fields; roi holds
+    the ascending flat indices of the ROI voxels (`np.flatnonzero`) and
+    pred_log the predicted log signal on them, in the same order.  Warps
+    `vol` by `disp`, returns the L1 distance to `fixed` (sum over all
     voxels) and the squared log residual against `pred_log` (sum over roi
     voxels), and adds the chain-ruled gradient w.r.t. `disp` into
     `grad_out` using the prefactors sim_c (applied to the L1 subgradient)
@@ -199,34 +231,34 @@ def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_ou
     Per voxel, with w the warped value, r = w - fixed, wfl = w if
     w > floor_eps else floor_eps and res = log(wfl) - pred_log on roi, 0
     elsewhere: coeff = sign(r) * sim_c, plus (mf_c * 2 * res) / wfl where
-    roi and w > floor_eps; grad_out[..., a] += dout_a * coeff, with dout
-    as in `warp3d_with_point_grad`.  Only the sign of a zero gradient entry
-    can differ from that formula.
+    roi and w > floor_eps; grad_out[a] += dout_a * coeff, with dout as in
+    `warp3d_with_point_grad`.  Only the sign of a zero gradient entry can
+    differ from that formula.  The model-fit steps run on the roi voxels
+    alone, and their squares are summed in a zeroed full-size array, in the
+    order of a sum over the whole volume.
     """
     w, parts = _point_grad_parts(vol, disp)
-    w = w.reshape(vol.shape)
-    r = np.subtract(w, fixed)
+    r = np.subtract(w, fixed.reshape(-1))
     coeff = np.sign(r)
     coeff *= sim_c
     sim_sum = float(np.abs(r, out=r).sum())
 
-    live = w > floor_eps
-    live &= roi
-    wfl = np.full(w.shape, floor_eps)
-    np.copyto(wfl, w, where=live)
-    res = r
-    res.fill(0.0)
-    np.log(wfl, out=res, where=roi)
-    np.subtract(res, pred_log, out=res, where=roi)
-    mf_sum = float(np.multiply(res, res).sum())
-    np.multiply(res, mf_c * 2.0, out=res, where=live)
-    np.divide(res, wfl, out=res, where=live)
-    np.add(coeff, res, out=coeff, where=live)
+    w_roi = w[roi]
+    live = w_roi > floor_eps
+    wfl = np.where(live, w_roi, floor_eps)
+    res = np.log(wfl)
+    res -= pred_log
+    sq = r
+    sq.fill(0.0)
+    sq[roi] = np.multiply(res, res)
+    mf_sum = float(sq.sum())
+    res *= mf_c * 2.0
+    res /= wfl
+    coeff[roi[live]] += res[live]
 
-    coeff = coeff.reshape(-1)
     for a, part in enumerate(parts):
         part *= coeff
-        grad_out[..., a] += part.reshape(w.shape)
+        grad_out[a] += part.reshape(vol.shape)
     return sim_sum, mf_sum
 
 
@@ -235,20 +267,29 @@ def _along(axis, index):
     return (slice(None),) * axis + (index,)
 
 
+def _flat(arr, axis):
+    """A flat view of a C-contiguous array and the flat distance between
+    neighbours along `axis`; ValueError if the array is not C-contiguous."""
+    return arr.reshape(-1, copy=False), math.prod(arr.shape[axis + 1 :])
+
+
 def field_diff(u, axis, out):
-    """First difference of a (nx, ny, nz, 3) field along one spatial axis.
+    """First difference of a C-contiguous array along one of its axes.
 
     Central (u[i+1] - u[i-1]) / 2 inside, one-sided at both borders: the
     same operations, hence the same bits, as np.gradient with spacing 1.
-    Writes into `out` (shaped like u) and returns it.  Needs at least 2
-    voxels along the axis.
+    Writes into `out` (shaped like u, C-contiguous too) and returns it.
+    Needs at least 2 voxels along the axis.  The interior is one pass over
+    the flat arrays at the axis stride; the border planes it gets wrong are
+    then overwritten with the one-sided differences.
     """
     n = u.shape[axis]
     if n < 2:
         raise ValueError(f"need at least 2 voxels along axis {axis} to differentiate")
     at = lambda i: _along(axis, i)  # noqa: E731
-    inner = out[at(slice(1, -1))]
-    np.subtract(u[at(slice(2, None))], u[at(slice(None, -2))], out=inner)
+    (fu, s), (fo, _) = _flat(u, axis), _flat(out, axis)
+    inner = fo[s:-s]
+    np.subtract(fu[2 * s :], fu[: -2 * s], out=inner)
     inner /= 2.0
     np.subtract(u[at(1)], u[at(0)], out=out[at(0)])
     np.subtract(u[at(n - 1)], u[at(n - 2)], out=out[at(n - 1)])
@@ -258,10 +299,10 @@ def field_diff(u, axis, out):
 def field_diff_adjoint(w, axis, out):
     """Adjoint of `field_diff`: <diff(a), w> == <a, adjoint(w)> exactly.
 
-    Writes into `out` (shaped like w) and returns it.  With h = 0.5 * w:
-    out[i] = h[i-1] - h[i+1] inside, and the one-sided border rows of
-    `field_diff` add -w[0] to out[0], w[0] to out[1], w[n-1] to out[n-1]
-    and -w[n-1] to out[n-2], in that order.
+    Writes into `out` (shaped like w; both C-contiguous) and returns it.
+    With h = 0.5 * w: out[i] = h[i-1] - h[i+1] inside, and the one-sided
+    border rows of `field_diff` add -w[0] to out[0], w[0] to out[1],
+    w[n-1] to out[n-1] and -w[n-1] to out[n-2], in that order.
     """
     n = w.shape[axis]
     at = lambda i: _along(axis, i)  # noqa: E731
@@ -270,36 +311,42 @@ def field_diff_adjoint(w, axis, out):
         np.negative(out[at(1)], out=out[at(0)])
         return out
     # out[i] = -h[i+1] up to n-3, 0 above; then out[i] -= out[i-2] from 2 on,
-    # which adds h[i-1] (negation is exact)
-    np.multiply(w[at(slice(1, -1))], -0.5, out=out[at(slice(None, -2))])
-    out[at(slice(-2, None))] = 0.0
-    np.subtract(out[at(slice(2, None))], out[at(slice(None, -2))], out=out[at(slice(2, None))])
-    out[at(0)] -= w[at(0)]
-    out[at(1)] += w[at(0)]
-    out[at(n - 1)] += w[at(n - 1)]
-    out[at(n - 2)] -= w[at(n - 1)]
+    # which adds h[i-1] (negation is exact).  Both steps are one pass over
+    # the flat arrays at the axis stride s.  The first also writes planes
+    # n-2 and n-1, which are zeroed after it; in the second, planes 0 and 1
+    # of every row but the first subtract planes n-2 and n-1 of the row
+    # before, those zeros, and x - 0.0 is x bit for bit.
+    (fw, s), (fo, _) = _flat(w, axis), _flat(out, axis)
+    np.multiply(fw[s:-s], -0.5, out=fo[: -2 * s])
+    out[at(slice(-2, None))].fill(0.0)
+    np.subtract(fo[2 * s :], fo[: -2 * s], out=fo[2 * s :])
+    w_first, w_last = w[at(0)], w[at(n - 1)]
+    for i, op, wb in ((0, np.subtract, w_first), (1, np.add, w_first),
+                      (n - 1, np.add, w_last), (n - 2, np.subtract, w_last)):
+        o = out[at(i)]
+        op(o, wb, out=o)
     return out
 
 
 def smooth_loss_grad(u, grad_out, weight):
     """Sum of squared finite-difference Jacobian entries of a vector field.
 
-    Accumulates weight * d(loss)/d(u) into grad_out and returns the raw loss
-    (central differences interior, one-sided at borders, per np.gradient).
-    The loss sums the per-entry sums in component-major order (u_0 along x,
-    y, z, then u_1, then u_2), and each component of grad_out receives
-    (weight * 2) * adjoint(diff) along x, then y, then z.
+    u and grad_out are component-major (3, nx, ny, nz) C-contiguous fields.
+    Accumulates weight * d(loss)/d(u) into grad_out and returns the raw
+    loss (central differences interior, one-sided at borders, per
+    np.gradient).  The loss sums the per-entry sums in component-major
+    order (u_0 along x, y, z, then u_1, then u_2), and each component of
+    grad_out receives (weight * 2) * adjoint(diff) along x, then y, then z.
     """
     d = np.empty_like(u)
     work = np.empty_like(u)
     sums = np.empty((3, 3))
     k = weight * 2.0
     for a in range(3):
-        field_diff(u, a, d)
+        field_diff(u, a + 1, d)
         np.multiply(d, d, out=work)
-        for c in range(3):
-            sums[c, a] = work[..., c].sum()
-        field_diff_adjoint(d, a, work)
+        work.reshape(3, -1).sum(axis=1, out=sums[:, a])
+        field_diff_adjoint(d, a + 1, work)
         work *= k
         grad_out += work
     loss = 0.0

@@ -230,6 +230,7 @@ def cohort_case_specs(cfg: dict) -> list:
             noise_sigma=spec.noise_sigma,
             motion_range=(float(co["motion_min"]), float(co["motion_max"])),
             seed=spec.seed,
+            base_phantom=spec,
         )
     except (ValueError, TypeError) as err:
         raise ConfigError(f"invalid cohort config: {err}") from err

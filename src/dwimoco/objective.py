@@ -167,6 +167,23 @@ def _term_scales(moving: BValueSeries, roi: RoiMask):
     return moving.b_count * n_vox, moving.b_count * roi.count, n_vox
 
 
+def stack_fields(fields) -> np.ndarray:
+    """The fields as one C-contiguous component-major (B, 3, nx, ny, nz) array.
+
+    This is the layout of the iterate in `loss_and_gradient`: each
+    component of each field is one contiguous plane.
+    """
+    out = np.empty((len(fields), 3) + fields[0].dims)
+    for i, f in enumerate(fields):
+        out[i] = np.moveaxis(f.data, -1, 0)
+    return out
+
+
+def unstack_fields(arr: np.ndarray) -> list:
+    """The DisplacementFields, (nx, ny, nz, 3) each, of a `stack_fields` array."""
+    return [DisplacementField(np.moveaxis(a, 0, -1)) for a in arr]
+
+
 def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad):
     """The fused kernels on every b-value image, one range of images per thread.
 
@@ -174,8 +191,12 @@ def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad
     d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
     raw sums (similarity, model fit, smoothness), added in b-value order.
     A zero prefactor adds only signed zeros, so one term is isolated
-    exactly by zeroing the other two prefactors.
+    exactly by zeroing the other two prefactors.  The parameter maps are
+    read on the ROI voxels only, gathered once here.
     """
+    roi_idx = np.flatnonzero(roi.data)
+    log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
+    adc = maps.adc.data.reshape(-1)[roi_idx]
 
     def bvalue_range(lo, hi):
         sums = []
@@ -186,8 +207,8 @@ def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad
                 moving.volumes[i].data,
                 fields_arr[i],
                 fixed.volumes[i].data,
-                maps.log_s0.data - moving.bvalues[i] * maps.adc.data,
-                roi.data,
+                log_s0 - moving.bvalues[i] * adc,
+                roi_idx,
                 FLOOR_EPS,
                 sim_c,
                 mf_c,
@@ -218,13 +239,17 @@ def loss_and_gradient(
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
-    fields_arr and grad have shape (B, nx, ny, nz, 3).  Overwrites grad
-    with d(total)/d(u), so the caller can reuse one buffer across
-    evaluations, and returns the LossBreakdown.  Every term is evaluated
-    for every weight; with alpha2 = 0 the model-fit term is reported
-    unweighted and adds nothing to the total or the gradient.  The L1
-    subgradient is 0 at exact ties and the trilinear derivative is 0 where
-    sampling was clamped, so the gradient is defined everywhere.
+    fields_arr and grad are component-major (B, 3, nx, ny, nz) C-contiguous
+    float64 arrays (`stack_fields`); anything else raises
+    DimensionMismatchError for a wrong shape and ValueError for a wrong
+    dtype or memory order, since the kernels step through memory at the
+    axis strides.  Overwrites grad with d(total)/d(u), so the caller can
+    reuse one buffer across evaluations, and returns the LossBreakdown.
+    Every term is evaluated for every weight; with alpha2 = 0 the model-fit
+    term is reported unweighted and adds nothing to the total or the
+    gradient.  The L1 subgradient is 0 at exact ties and the trilinear
+    derivative is 0 where sampling was clamped, so the gradient is defined
+    everywhere.
 
     At an exact model fit (moving == fixed == reconstruct(maps), zero fields)
     the similarity and smoothness gradients are exactly 0.  The model-fit
@@ -232,10 +257,12 @@ def loss_and_gradient(
     (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
     """
     _check_series_pair(fixed, moving)
-    shape = (moving.b_count,) + moving.dims + (3,)
+    shape = (moving.b_count, 3) + moving.dims
     for name, arr in (("fields_arr", fields_arr), ("grad", grad)):
         if arr.shape != shape:
             raise DimensionMismatchError(f"{name} shape {arr.shape} != {shape}")
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous float64 array")
     n_sim, n_mf, n_vox = _term_scales(moving, roi)
     sim_sum, mf_sum, smooth_sum = _term_sums(
         fixed, moving, fields_arr, maps, roi,
@@ -255,10 +282,10 @@ def per_term_gradients(
 
     Runs the loop of `loss_and_gradient` once per term, with the other
     two prefactors zero.  Returns {"similarity": g, "smooth": g,
-    "model_fit": g}, each of shape (B, nx, ny, nz, 3).
+    "model_fit": g}, each of shape (B, nx, ny, nz, 3), the fields' layout.
     """
     fields = _check_fields(moving, fields)
-    fields_arr = np.stack([f.data for f in fields])
+    fields_arr = stack_fields(fields)
     n_sim, n_mf, n_vox = _term_scales(moving, roi)
     prefactors = {
         "similarity": (1.0 / n_sim, 0.0, 0.0),
@@ -267,6 +294,7 @@ def per_term_gradients(
     }
     out = {}
     for term, (sim_c, mf_c, smooth_w) in prefactors.items():
-        out[term] = np.empty_like(fields_arr)
-        _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, out[term])
+        grad = np.empty_like(fields_arr)
+        _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad)
+        out[term] = np.moveaxis(grad, 1, -1)
     return out

@@ -226,7 +226,12 @@ COHORT_METHODS = ("no_compensation", "no_model_fit", "full")
 
 @dataclass(frozen=True)
 class CohortCaseSpec:
-    """Everything needed to simulate and analyze one cohort case."""
+    """Everything needed to simulate and analyze one cohort case.
+
+    base_phantom holds the phantom settings the cases share (b-values,
+    tissue values, geometry and motion smoothness); `phantom_spec` replaces
+    its per-case fields with this case's.
+    """
 
     case_id: str
     ga_weeks: float
@@ -235,10 +240,22 @@ class CohortCaseSpec:
     noise_sigma: float
     motion_amplitude: float
     seed: int
+    base_phantom: phantom.PhantomSpec
 
     def __str__(self) -> str:
         """The case id, which names the case in cohort failure records."""
         return self.case_id
+
+    def phantom_spec(self) -> phantom.PhantomSpec:
+        """base_phantom with this case's dims, lung ADC, noise, motion and seed."""
+        return replace(
+            self.base_phantom,
+            dims=self.dims,
+            lung_adc=self.true_adc,
+            noise_sigma=self.noise_sigma,
+            motion_amplitude=self.motion_amplitude,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -342,13 +359,7 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
 
 def _simulate_case(spec: CohortCaseSpec):
     """Cohort case loader: the motion-corrupted phantom series of a spec."""
-    pspec = phantom.PhantomSpec(
-        dims=spec.dims,
-        lung_adc=spec.true_adc,
-        noise_sigma=spec.noise_sigma,
-        motion_amplitude=spec.motion_amplitude,
-        seed=spec.seed,
-    )
+    pspec = spec.phantom_spec()
     maps, roi = phantom.make_phantom(pspec)
     clean = phantom.simulate_series(maps, roi, pspec.bvalues, pspec.noise_sigma, spec.seed)
     moved, _fields = phantom.apply_synthetic_motion(clean, pspec, spec.seed + 1)
@@ -382,11 +393,13 @@ def make_cohort_case_specs(
     noise_sigma: float,
     motion_range,
     seed: int,
+    base_phantom: phantom.PhantomSpec = phantom.PhantomSpec(),
 ):
     """Draw per-case cohort specs: GA, true lung ADC, motion amplitude.
 
     The true ADC follows the saturation curve plus biological scatter; the
-    motion amplitude is uniform over motion_range.  Deterministic in seed.
+    motion amplitude is uniform over motion_range.  Every case shares
+    base_phantom's other settings.  Deterministic in seed.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
     reversed, a motion range below 0 or reversed, a sat_adc or sat_alpha
     not inside (0, inf) and an adc_bio_noise not inside [0, inf).
@@ -419,6 +432,7 @@ def make_cohort_case_specs(
                 noise_sigma=noise_sigma,
                 motion_amplitude=amp,
                 seed=int(rng.integers(0, 2**31 - 1)),
+                base_phantom=base_phantom,
             )
         )
     return specs

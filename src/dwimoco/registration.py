@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .objective import LossWeights, loss_and_gradient
+from .objective import LossWeights, loss_and_gradient, stack_fields, unstack_fields
 from .signal_model import ParameterMaps
-from .volume import BValueSeries, DimensionMismatchError, DisplacementField, RoiMask
+from .volume import BValueSeries, DimensionMismatchError, RoiMask
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, 2015 defaults)
 ADAM_BETA1 = 0.9
@@ -142,11 +142,13 @@ def optimize_fields(
     outer loop passes the fields of its previous pass, so Adam resumes from
     them with fresh moments.  Returns (fields, trace) where trace is the
     per-step LossBreakdown list, every term unweighted, and fields is the
-    best-visited state, never worse than init_fields.  Every evaluation
-    writes its gradient into one buffer made here, and Adam steps the
-    stacked init_fields in place, so the loop holds five arrays the size of
-    all fields: the iterate, the best state, the two moments and the
-    gradient.
+    best-visited state, never worse than init_fields.  The iterate is one
+    C-contiguous component-major (B, 3, nx, ny, nz) stack of init_fields
+    (`objective.stack_fields`), made once here; Adam steps it in place, and
+    only the best state is turned back into (nx, ny, nz, 3) fields at the
+    end.  Every evaluation writes its gradient into one buffer of the same
+    layout, made here too, so the loop holds five arrays the size of all
+    fields: the iterate, the best state, the two moments and the gradient.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.
@@ -156,9 +158,9 @@ def optimize_fields(
     init_fields = list(init_fields)
     if len(init_fields) != moving.b_count:
         raise DimensionMismatchError("need one init field per b-value")
-    dims = moving.dims
-    shape = (moving.b_count,) + dims + (3,)
-    x = np.stack([f.data for f in init_fields]).reshape(-1)
+    x = stack_fields(init_fields)
+    shape = x.shape
+    x = x.reshape(-1)
     grad = np.empty_like(x)
 
     def value_and_grad(x):
@@ -168,6 +170,4 @@ def optimize_fields(
         return bd.total, grad, bd
 
     res = adam_minimize(value_and_grad, x, cfg)
-    best = res.x.reshape(shape)
-    fields = [DisplacementField(best[i].copy()) for i in range(moving.b_count)]
-    return fields, res.trace
+    return unstack_fields(res.x.reshape(shape)), res.trace

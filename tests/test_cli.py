@@ -183,6 +183,27 @@ def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
+def test_simulated_cohort_uses_the_phantom_config(tmp_path):
+    config_path = tmp_path / "config.json"
+    bvalues = [0, 100, 200, 400, 800]
+    config_path.write_text(json.dumps({"phantom": {"bvalues": bvalues, "lung_s0": 0.5}}))
+    argv = ["cohort", "--n-cases", "3", "--dims", "16,16,6", *CAPS]
+    default, custom = tmp_path / "default", tmp_path / "custom"
+    assert cli.main(argv + ["--out", str(default)]) == 0
+    assert cli.main(argv + ["--config", str(config_path), "--out", str(custom)]) == 0
+    for method in pipeline.COHORT_METHODS:
+        name = f"cohort_points_{method}.csv"
+        assert (custom / name).read_bytes() != (default / name).read_bytes(), name
+
+    cfg = cli.load_config(config_path)
+    cfg["phantom"]["dims"] = [16, 16, 6]
+    cfg["cohort"]["n_cases"] = 2
+    for spec in cli.cohort_case_specs(cfg):
+        assert spec.phantom_spec().lung_s0 == 0.5
+        _case_id, _ga, series, _roi = pipeline._simulate_case(spec)
+        assert series.bvalues == tuple(float(b) for b in bvalues)
+
+
 def _cohort_failures_with_a_bad_case(cases, tmp_path, edit):
     """Run `cohort --cases` over the three good cases plus sim004 spoiled by
     `edit`; check the good cases keep their points and return failures.csv."""

@@ -17,10 +17,12 @@ from dwimoco.objective import (
     per_term_gradients,
     similarity_loss,
     smoothness_loss,
+    stack_fields,
     total_loss,
+    unstack_fields,
 )
 from dwimoco.phantom import PhantomSpec, make_phantom
-from dwimoco.signal_model import ParameterMaps, reconstruct
+from dwimoco.signal_model import FLOOR_EPS, ParameterMaps, reconstruct
 from dwimoco.volume import (
     BValueSeries,
     DimensionMismatchError,
@@ -177,11 +179,12 @@ class TestTotalLoss:
         assert bd.total == pytest.approx(0.33, rel=1e-12)
 
     def test_fused_path_matches_reference(self, setup):
-        maps, roi, fixed, moving, fields, u = setup
+        maps, roi, fixed, moving, fields, _ = setup
         for alpha2 in ALPHA2_SETTINGS:
             w = LossWeights(0.01, alpha2)
             ref = total_loss(fixed, moving, fields, maps, roi, w)
-            fused = loss_and_gradient(fixed, moving, u, maps, roi, w, np.empty_like(u))
+            uc = stack_fields(fields)
+            fused = loss_and_gradient(fixed, moving, uc, maps, roi, w, np.empty_like(uc))
             assert fused.similarity == pytest.approx(ref.similarity, rel=1e-12)
             assert fused.smooth == pytest.approx(ref.smooth, rel=1e-12)
             assert fused.model_fit == pytest.approx(ref.model_fit, rel=1e-12)
@@ -204,13 +207,43 @@ def _fd_term(term, fixed, moving, maps, roi, u, i, c, idx, h=1e-3):
     return (getattr(t_up, term) - getattr(t_dn, term)) / (2 * h)
 
 
+class TestFieldStack:
+    def test_stack_is_component_major_and_round_trips(self, setup):
+        *_, fields, u = setup
+        stacked = stack_fields(fields)
+        assert stacked.flags.c_contiguous and stacked.dtype == np.float64
+        np.testing.assert_array_equal(stacked, np.moveaxis(u, -1, 1))
+        for back, f in zip(unstack_fields(stacked), fields):
+            np.testing.assert_array_equal(back.data, f.data)
+
+    def test_loss_and_gradient_needs_c_contiguous_float64(self, setup):
+        # flat-stride differences read memory order, so a strided stack would
+        # give wrong smoothness gradients instead of an error
+        maps, roi, fixed, moving, fields, _ = setup
+        good = stack_fields(fields)
+        w = LossWeights()
+        strided = np.stack([np.moveaxis(f.data, -1, 0) for f in fields])
+        assert strided.shape == good.shape and not strided.flags.c_contiguous
+        bad = [
+            ("fields_arr", strided, np.empty_like(good)),
+            ("grad", good, np.empty_like(good, order="F")),
+            ("fields_arr", good.astype(np.float32), np.empty_like(good)),
+            ("grad", good, np.empty(good.shape, np.float32)),
+        ]
+        for name, fields_arr, grad in bad:
+            with pytest.raises(ValueError, match=f"{name} must be a C-contiguous float64"):
+                loss_and_gradient(fixed, moving, fields_arr, maps, roi, w, grad)
+        loss_and_gradient(fixed, moving, good, maps, roi, w, np.empty_like(good))
+
+
 class TestGradients:
     def test_zero_gradient_at_global_minimum(self, setup):
         maps, roi, fixed, _, _, _ = setup
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
         weights = LossWeights(0.01, 1000.0)
-        grad = np.full_like(zero, np.nan)  # every entry is overwritten
-        loss_and_gradient(fixed, fixed, zero, maps, roi, weights, grad)
+        grad = np.full((len(BVALUES), 3) + DIMS, np.nan)  # every entry is overwritten
+        loss_and_gradient(fixed, fixed, np.zeros_like(grad), maps, roi, weights, grad)
+        grad = np.moveaxis(grad, 1, -1)
         terms = per_term_gradients(
             fixed, fixed, [DisplacementField(z) for z in zero], maps, roi
         )
@@ -256,12 +289,14 @@ class TestGradients:
         assert worst < 1e-4, f"{term}: worst rel err {worst}"
 
     def test_total_gradient_is_weighted_sum_of_terms(self, setup):
-        maps, roi, fixed, moving, fields, u = setup
+        maps, roi, fixed, moving, fields, _ = setup
         terms = per_term_gradients(fixed, moving, fields, maps, roi)
         for alpha2 in ALPHA2_SETTINGS:
             w = LossWeights(0.01, alpha2)
-            grad = np.empty_like(u)
-            loss_and_gradient(fixed, moving, u, maps, roi, w, grad)
+            uc = stack_fields(fields)
+            grad = np.empty_like(uc)
+            loss_and_gradient(fixed, moving, uc, maps, roi, w, grad)
+            grad = np.moveaxis(grad, 1, -1)
             combo = (
                 terms["similarity"] + w.alpha1 * terms["smooth"] + w.alpha2 * terms["model_fit"]
             )
@@ -286,18 +321,56 @@ class TestGradients:
 
 
 class TestAdjointProperty:
+    # (shape, axes): voxel-major (nx, ny, nz, 3) fields along axes 0-2 and
+    # component-major (3, nx, ny, nz) ones along axes 1-3.  Axis lengths 2,
+    # 3, 4 and 6 reach every branch of the border rows; (3, 24, 24, 16) has
+    # component planes of 9,216 elements, more than one 8,192-element ufunc
+    # buffer.
+    CASES = [
+        *[(shape + (3,), (0, 1, 2)) for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]],
+        *[((3,) + shape, (1, 2, 3)) for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]],
+        ((3, 24, 24, 16), (1, 2, 3)),
+    ]
+
+    @staticmethod
+    def adjoint_by_rows(w, axis):
+        """field_diff_adjoint written row by row: out[i] = A - B, with
+        A = -0.5 * w[i+1] and B = -0.5 * w[i-1] where those rows are
+        interior and 0.0 elsewhere, then the four border updates."""
+        w = np.moveaxis(w, axis, 0)
+        n = len(w)
+
+        def half(j):
+            return -0.5 * w[j] if 1 <= j <= n - 2 else 0.0
+
+        out = np.empty_like(w)
+        for i in range(n):
+            out[i] = half(i + 1) - half(i - 1)
+        out[0] -= w[0]
+        out[1] += w[0]
+        out[n - 1] += w[n - 1]
+        out[n - 2] -= w[n - 1]
+        return np.moveaxis(out, 0, axis)
+
     def test_axis_diff_adjoint_dot_product(self, rng):
-        # axis lengths 2, 3, 4 and 6 reach every branch of the border rows
-        for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]:
-            for axis in range(3):
-                a = rng.normal(0, 1, shape + (3,))
-                w = rng.normal(0, 1, shape + (3,))
-                diff = _kernels.field_diff(a, axis, np.empty_like(a))
-                for c in range(3):
-                    np.testing.assert_array_equal(diff[..., c], np.gradient(a[..., c], axis=axis))
+        for shape, axes in self.CASES:
+            for axis in axes:
+                a = rng.normal(0, 1, shape)
+                w = rng.normal(0, 1, shape)
+                diff = _kernels.field_diff(a, axis, np.full_like(a, np.nan))
+                np.testing.assert_array_equal(diff, np.gradient(a, axis=axis))
+                adj = _kernels.field_diff_adjoint(w, axis, np.full_like(w, np.nan))
+                assert adj.tobytes() == self.adjoint_by_rows(w, axis).tobytes()
                 lhs = float((diff * w).sum())
-                rhs = float((a * _kernels.field_diff_adjoint(w, axis, np.empty_like(w))).sum())
+                rhs = float((a * adj).sum())
                 assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_diff_refuses_arrays_out_of_memory_order(self):
+        u = np.zeros((3, 4, 5, 6))
+        with pytest.raises(ValueError):
+            _kernels.field_diff(u, 1, np.empty_like(u, order="F"))
+        with pytest.raises(ValueError):
+            _kernels.field_diff_adjoint(u, 2, np.empty_like(u)[:, ::-1])
 
     def test_field_diff_needs_two_voxels(self):
         u = np.zeros((3, 1, 4, 3))
@@ -347,16 +420,18 @@ class TestKernelOracles:
                 assert dout[p + (a,)] == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
     def test_match_terms_sums_match_term_losses(self, setup):
-        maps, roi, fixed, moving, fields, u = setup
+        maps, roi, fixed, moving, fields, _ = setup
+        uc = stack_fields(fields)
+        roi_idx = np.flatnonzero(roi.data)
         n_b = len(BVALUES)
         n_vox = int(np.prod(DIMS))
         sim_total = 0.0
         mf_total = 0.0
         for i, b in enumerate(BVALUES):
-            pred = maps.log_s0.data - b * maps.adc.data
+            pred = (maps.log_s0.data - b * maps.adc.data).reshape(-1)[roi_idx]
             s, m = _kernels.match_terms(
-                moving.volumes[i].data, u[i], fixed.volumes[i].data, pred, roi.data,
-                1e-6, 0.3, 0.7, np.zeros(DIMS + (3,)),
+                moving.volumes[i].data, uc[i], fixed.volumes[i].data, pred, roi_idx,
+                1e-6, 0.3, 0.7, np.zeros((3,) + DIMS),
             )
             sim_total += s
             mf_total += m
@@ -368,16 +443,82 @@ class TestKernelOracles:
             model_fit_loss(warped, maps, roi), rel=1e-12
         )
 
+    @staticmethod
+    def masked_match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
+        """match_terms as whole-volume arrays masked with `where=`: disp and
+        grad_out (nx, ny, nz, 3), pred_log and the boolean roi full-size."""
+        w, dout = _kernels.warp3d_with_point_grad(vol, disp)
+        r = np.subtract(w, fixed)
+        coeff = np.sign(r)
+        coeff *= sim_c
+        sim_sum = float(np.abs(r, out=r).sum())
+        live = w > floor_eps
+        live &= roi
+        wfl = np.full(w.shape, floor_eps)
+        np.copyto(wfl, w, where=live)
+        res = r
+        res.fill(0.0)
+        np.log(wfl, out=res, where=roi)
+        np.subtract(res, pred_log, out=res, where=roi)
+        mf_sum = float(np.multiply(res, res).sum())
+        np.multiply(res, mf_c * 2.0, out=res, where=live)
+        np.divide(res, wfl, out=res, where=live)
+        np.add(coeff, res, out=coeff, where=live)
+        for a in range(3):
+            grad_out[..., a] += dout[..., a] * coeff
+        return sim_sum, mf_sum
+
+    def test_roi_only_match_terms_equal_masked_whole_volume(self, rng):
+        dims = (9, 8, 7)
+        vol = rng.uniform(0.2, 1.0, dims)
+        vol[2:5, 2:5, 2:5] = 0.0  # (3, 3, 3) samples only zeros: below FLOOR_EPS
+        disp = rng.uniform(-0.4, 0.4, dims + (3,))
+        w = _kernels.warp3d(vol, disp)
+        assert w[3, 3, 3] == 0.0
+        fixed = w * rng.uniform(0.8, 1.2, dims)
+        fixed[::2, 1::3] = w[::2, 1::3]  # exact L1 ties: sign 0
+        fixed[3, 3, 3] = 0.5  # sign -1 at the floored voxel: -0.0 at sim_c = 0
+        single = np.zeros(dims, dtype=bool)
+        single[3, 3, 3] = True
+        rois = [("single_floored", single), ("all", np.ones(dims, dtype=bool))]
+        for k in range(6):
+            # a sparse ROI: summing only its squares would round differently
+            sparse = rng.random(dims) < 0.3
+            sparse[3, 3, 3] = True
+            rois.append((f"sparse{k}", sparse))
+        disp_c = np.ascontiguousarray(np.moveaxis(disp, -1, 0))
+        for name, roi in rois:
+            pred = rng.normal(-0.5, 0.3, dims)
+            idx = np.flatnonzero(roi)
+            for sim_c, mf_c in [(0.3, 0.7), (0.0, 0.7), (0.3, 0.0)]:
+                # -0.0 start: an added zero of the wrong sign would show
+                want_grad = np.full(dims + (3,), -0.0)
+                want = self.masked_match_terms(
+                    vol, disp, fixed, pred, roi, FLOOR_EPS, sim_c, mf_c, want_grad
+                )
+                grad = np.full((3,) + dims, -0.0)
+                got = _kernels.match_terms(
+                    vol, disp_c, fixed, pred.reshape(-1)[idx], idx, FLOOR_EPS, sim_c, mf_c, grad
+                )
+                assert got == want, (name, sim_c, mf_c)
+                got_grad = np.moveaxis(grad, 0, -1)
+                np.testing.assert_array_equal(got_grad, want_grad)
+                np.testing.assert_array_equal(np.signbit(got_grad), np.signbit(want_grad))
+
     @pytest.mark.parametrize(
         "dims", [(2, 2, 2), (3, 5, 2), (8, 7, 6)], ids=["2x2x2", "3x5x2", "8x7x6"]
     )
     def test_smooth_loss_grad_matches_smoothness_loss(self, rng, dims):
-        u = rng.normal(0, 1, dims + (3,))
+        u = rng.normal(0, 1, (3,) + dims)  # component-major
         grad = np.zeros_like(u)
         weight = 0.37
         loss = _kernels.smooth_loss_grad(u, grad, weight)
         n_vox = np.prod(dims)
-        assert loss == pytest.approx(n_vox * smoothness_loss(DisplacementField(u)), rel=1e-12)
+
+        def field(c):
+            return DisplacementField(np.moveaxis(c, 0, -1))
+
+        assert loss == pytest.approx(n_vox * smoothness_loss(field(u)), rel=1e-12)
         # the loss is quadratic in u, so central differences are exact up to rounding
         h = 1e-3
         for idx in np.ndindex(u.shape):
@@ -386,8 +527,7 @@ class TestKernelOracles:
             dn = u.copy()
             dn[idx] -= h
             fd = (
-                n_vox * smoothness_loss(DisplacementField(up))
-                - n_vox * smoothness_loss(DisplacementField(dn))
+                n_vox * smoothness_loss(field(up)) - n_vox * smoothness_loss(field(dn))
             ) / (2 * h)
             assert grad[idx] == pytest.approx(weight * fd, rel=1e-7, abs=1e-9)
 
@@ -505,7 +645,8 @@ class TestThreadBudget:
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
     def test_loss_and_gradient_bits_match_serial(self, setup, at_budget, alpha2):
         # 4 b-values: 2 images per thread, 1-1-2 at budget 3, 1 each at 4
-        maps, roi, fixed, moving, _, u = setup
+        maps, roi, fixed, moving, fields, _ = setup
+        u = stack_fields(fields)
         w = LossWeights(0.01, alpha2)
         out = {}
         for budget in (1, 2, 3, 4):
