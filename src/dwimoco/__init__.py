@@ -20,7 +20,6 @@ from .phantom import PhantomSpec, apply_synthetic_motion, make_phantom, simulate
 from .pipeline import CaseResult, PipelineConfig, check_convergence, run_case
 from .registration import InnerOptConfig, optimize_fields
 from .signal_model import (
-    FitDiagnostics,
     ParameterMaps,
     forward_signal,
     irls_fit,
@@ -46,7 +45,6 @@ __all__ = [
     "CaseResult",
     "CohortPoint",
     "DisplacementField",
-    "FitDiagnostics",
     "InnerOptConfig",
     "LossBreakdown",
     "LossWeights",

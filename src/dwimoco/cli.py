@@ -8,6 +8,13 @@ byte-for-byte.  Progress goes to stderr; machine-readable outputs only to
 files.  Exit codes: 0 success, 2 usage or input error (nothing is written),
 3 numerical failure.
 
+The "pipeline" keys are the loss weights, the optimizer schedule and the
+stop rules' caps and windows.  The schedule's drop factor and the stop
+rules' tolerances are module constants, not keys
+(`registration.LR_DROP_FACTOR`, `registration.PLATEAU_REL_TOL`,
+`pipeline.ADC_CHANGE_TOL`); a config that names one exits 2 as an
+unknown key.
+
 `cohort` analyzes either simulated cases or a directory of case manifests
 through the same `pipeline.run_cohort`, so both sources share one analysis
 path.  Next to the cohort report it writes failures.csv with one row per
@@ -54,13 +61,10 @@ DEFAULTS = {
         "alpha1": 0.01,
         "alpha2": 1000.0,
         "learning_rate": 0.1,
-        "lr_drop_factor": 10.0,
         "max_inner_steps": 100,
         "plateau_window": 10,
-        "plateau_rel_tol": 1e-5,
         "max_outer_iters": 50,
         "converge_window": 5,
-        "adc_change_tol": 1e-3,
     },
     "phantom": {
         "dims": [96, 96, 16],
@@ -179,14 +183,11 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
             weights=LossWeights(p["alpha1"], p["alpha2"]),
             inner=InnerOptConfig(
                 learning_rate=p["learning_rate"],
-                lr_drop_factor=p["lr_drop_factor"],
                 max_inner_steps=int(p["max_inner_steps"]),
                 plateau_window=int(p["plateau_window"]),
-                plateau_rel_tol=p["plateau_rel_tol"],
             ),
             max_outer_iters=int(p["max_outer_iters"]),
             converge_window=int(p["converge_window"]),
-            adc_change_tol=p["adc_change_tol"],
         )
     except (ValueError, TypeError) as err:
         raise ConfigError(f"invalid pipeline config: {err}") from err
@@ -279,14 +280,9 @@ def cmd_fit(args) -> int:
     methods = ("lls", "irls") if args.method == "both" else (args.method,)
     # the curve fits come first: a flat ROI-mean curve stops the run before
     # anything is written
-    curves = {}
-    for method in methods:
-        if method == "lls":
-            _c_log_s0, c_adc, c_r2 = lls_fit_curve(means, norm.bvalues)
-        else:
-            _ls, c_adc, diag = irls_fit(means, norm.bvalues)
-            c_r2 = diag.r2
-        curves[method] = c_adc, c_r2
+    curves = {
+        m: (lls_fit_curve if m == "lls" else irls_fit)(means, norm.bvalues)[1:] for m in methods
+    }
     out = Path(args.out)
     echo_config(cfg, out)
     rows = []
@@ -341,7 +337,9 @@ def cmd_cohort(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
     pcfg = pipeline_config(cfg)
-    workers = max(1, int(args.workers))
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    workers = args.workers
 
     if args.cases is not None:
         case_dir = Path(args.cases)

@@ -5,7 +5,9 @@ A volume container is a pair of files sharing a stem: `<stem>.json` (dims,
 spacing, dtype tag, storage order, optional b-value, optional component
 count) and `<stem>.raw` (32-bit little-endian floats, x-fastest).  Masks are
 stored as 0/1 volumes; displacement fields as 3-component containers with
-the components concatenated (all of u_x, then u_y, then u_z).
+the components concatenated (all of u_x, then u_y, then u_z).  Both layouts
+are the Fortran-order ravel of the in-memory array, (nx, ny, nz) or
+(nx, ny, nz, 3): flat index = x + nx*(y + ny*(z + nz*c)).
 
 Readers validate and reject; they never repair.  Writers emit byte-stable
 output for a fixed input: no timestamps, fixed key order, fixed float
@@ -80,6 +82,16 @@ def _write_container(stem: Path, flat32: np.ndarray, dims, spacing, bvalue, comp
     stem.with_suffix(".raw").write_bytes(flat32.astype("<f4").tobytes())
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
+
+
 def _read_container(path):
     stem = _stem(path)
     side_path = stem.with_suffix(".json")
@@ -106,26 +118,25 @@ def _read_container(path):
         raise SidecarFormatError(f"unknown order tag {side['order']!r}")
     dims = side["dims"]
     if not (
-        isinstance(dims, list)
-        and len(dims) == 3
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+        isinstance(dims, list) and len(dims) == 3 and all(_is_integer(d) and d >= 1 for d in dims)
     ):
         raise SidecarFormatError(f"dims must be 3 integers >= 1, got {dims!r} in {side_path}")
     spacing = side["spacing"]
     if not (
         isinstance(spacing, list)
         and len(spacing) == 3
-        and all(
-            isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 < s < np.inf
-            for s in spacing
-        )
+        and all(_is_number(s) and s > 0.0 for s in spacing)
     ):
         raise SidecarFormatError(
             f"spacing must be 3 finite numbers > 0, got {spacing!r} in {side_path}"
         )
+    if "bvalue" in side and not _is_number(side["bvalue"]):
+        raise SidecarFormatError(
+            f"bvalue must be a finite number, got {side['bvalue']!r} in {side_path}"
+        )
     components = side.get("components", 1)
-    if components not in (1, 3):
-        raise SidecarFormatError(f"bad components {components} in {side_path}")
+    if not (_is_integer(components) and components in (1, 3)):
+        raise SidecarFormatError(f"components must be 1 or 3, got {components!r} in {side_path}")
     n_expected = dims[0] * dims[1] * dims[2] * components
     payload = raw_path.read_bytes()
     if len(payload) != 4 * n_expected:
@@ -141,15 +152,21 @@ def _read_container(path):
 
 def write_volume(vol: ScalarVolume, path, bvalue=None) -> None:
     """Write one volume as a raw+JSON container at the given stem."""
-    _write_container(_stem(path), vol.to_flat(), vol.dims, vol.spacing, bvalue, None)
+    _write_container(_stem(path), vol.data.ravel(order="F"), vol.dims, vol.spacing, bvalue, None)
+
+
+def _read_scalar(path):
+    """(ScalarVolume, the sidecar's b-value or None) of a scalar container."""
+    side, dims, flat, components = _read_container(path)
+    if components != 1:
+        raise SidecarFormatError(f"{path}: expected a scalar container, got components=3")
+    vol = ScalarVolume(flat.reshape(dims, order="F"), tuple(side["spacing"]))
+    return vol, side.get("bvalue")
 
 
 def read_volume(path) -> ScalarVolume:
     """Read a raw+JSON container back into a ScalarVolume."""
-    side, dims, flat, components = _read_container(path)
-    if components != 1:
-        raise SidecarFormatError(f"{path}: expected a scalar container, got components=3")
-    return ScalarVolume.from_flat(dims, flat, tuple(side["spacing"]))
+    return _read_scalar(path)[0]
 
 
 def write_mask(mask: RoiMask, path) -> None:
@@ -164,21 +181,14 @@ def read_mask(path) -> RoiMask:
 
 def write_field(field: DisplacementField, path) -> None:
     """Write a displacement field: 3 x-fastest component blocks (ux, uy, uz)."""
-    nx, ny, nz = field.dims
-    flat = np.concatenate([field.data[..., c].ravel(order="F") for c in range(3)])
-    _write_container(_stem(path), flat, (nx, ny, nz), (1.0, 1.0, 1.0), None, 3)
+    _write_container(_stem(path), field.data.ravel(order="F"), field.dims, (1.0, 1.0, 1.0), None, 3)
 
 
 def read_field(path) -> DisplacementField:
     side, dims, flat, components = _read_container(path)
     if components != 3:
         raise SidecarFormatError(f"{path}: expected a 3-component container")
-    nx, ny, nz = dims
-    n = nx * ny * nz
-    data = np.empty((nx, ny, nz, 3), dtype=np.float64)
-    for c in range(3):
-        data[..., c] = flat[c * n : (c + 1) * n].reshape((nx, ny, nz), order="F")
-    return DisplacementField(data)
+    return DisplacementField(flat.reshape((*dims, 3), order="F"))
 
 
 _MANIFEST_KEYS = {"case_id", "ga_weeks", "roi", "volumes"}
@@ -223,8 +233,9 @@ def read_case(manifest_path):
     differs from the b=0 volume's (the ROI mask is written with spacing 1,
     so only its grid is compared), an empty ROI, a gestational age <= 0 and
     any series `BValueSeries` rejects (duplicate or negative b-values, a
-    missing b=0 entry, negative signals), always with ManifestError or
-    ContainerError.
+    missing b=0 entry, negative signals) and a volume whose sidecar
+    records a b-value other than its manifest entry's, always with
+    ManifestError or ContainerError.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -254,7 +265,12 @@ def read_case(manifest_path):
         ):
             raise ManifestError(f"volume entry needs a bvalue and a path string, got {entry!r}")
         b = _manifest_number(entry["bvalue"], "bvalue")
-        loaded.append((b, read_volume(base / entry["path"])))
+        vol, side_b = _read_scalar(base / entry["path"])
+        if side_b is not None and float(side_b) != b:
+            raise ManifestError(
+                f"{entry['path']} records bvalue {side_b:g}, the manifest says {b:g}"
+            )
+        loaded.append((b, vol))
     loaded.sort(key=lambda t: t[0])
     dims, spacing = loaded[0][1].dims, loaded[0][1].spacing
     for b, vol in loaded:

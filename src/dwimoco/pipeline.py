@@ -8,7 +8,9 @@ fields; the next iteration's series is the normalized input warped by those
 fields, so every series is one resample of the input.  The recorded
 per-iteration summary ADC comes from a robust (IRLS) fit of the ROI-mean
 decay curve; the iteration with the highest IRLS R^2 wins.  Iteration 0 is
-always the uncompensated input state.
+always the uncompensated input state.  The loop stops once the ROI-mean ADC
+has changed by at most ADC_CHANGE_TOL, relative to the previous value, over
+converge_window consecutive iterations.
 
 A cohort study runs three methods on every case (`analyze_methods`):
 no compensation, which is record 0 of a registered run (the curve fit of
@@ -49,6 +51,8 @@ from .volume import (
     warp_series,
 )
 
+ADC_CHANGE_TOL = 1e-3  # relative ROI-mean ADC change that counts as stable
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -58,15 +62,12 @@ class PipelineConfig:
     inner: InnerOptConfig = InnerOptConfig()
     max_outer_iters: int = 50
     converge_window: int = 5
-    adc_change_tol: float = 1e-3
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.converge_window < 1:
             raise ValueError("converge_window must be >= 1")
-        if not 0 <= self.adc_change_tol < np.inf:
-            raise ValueError(f"adc_change_tol must be finite and >= 0, got {self.adc_change_tol}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,9 @@ class CaseResult:
         return self.best_series
 
 
-def check_convergence(adc_history, window: int, tol: float) -> bool:
-    """True iff the last `window` consecutive relative ADC changes are <= tol.
+def check_convergence(adc_history, window: int) -> bool:
+    """True iff the last `window` consecutive relative ADC changes are <=
+    ADC_CHANGE_TOL, each relative to the earlier value.
 
     Needs at least window + 1 history entries to provide evidence.
     """
@@ -125,15 +127,14 @@ def check_convergence(adc_history, window: int, tol: float) -> bool:
     if len(hist) < window + 1:
         return False
     for prev, cur in zip(hist[-window - 1 : -1], hist[-window:]):
-        if abs(cur - prev) > tol * max(abs(prev), np.finfo(float).tiny):
+        if abs(cur - prev) > ADC_CHANGE_TOL * max(abs(prev), np.finfo(float).tiny):
             return False
     return True
 
 
 def _curve_stats(series: BValueSeries, roi: RoiMask):
     means = roi_mean_signals(series, roi)
-    log_s0, adc, diag = irls_fit(means, series.bvalues)
-    return means, log_s0, adc, diag
+    return (means, *irls_fit(means, series.bvalues))
 
 
 def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseResult:
@@ -146,10 +147,10 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     intensity).  Each pass optimizes the accumulated fields against the
     normalized input, warm-started from the previous pass's fields, and the
     next series is the normalized input warped by them: one resample each.
-    Stops early once the ROI-mean ADC is stable for converge_window
-    consecutive iterations, or right after a pass that returns its starting
-    fields bit for bit, which every later pass would repeat (its record
-    would duplicate the last one).  Both stops set converged.  Each
+    Stops early once the ROI-mean ADC is stable (`check_convergence`) for
+    converge_window consecutive iterations, or right after a pass that
+    returns its starting fields bit for bit, which every later pass would
+    repeat (its record would duplicate the last one).  Both stops set converged.  Each
     record's loss is the objective at zero fields, the state entering that
     iteration's registration: similarity and model fit of the current
     series against its own fit, smoothness 0.
@@ -176,18 +177,16 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     for k in range(cfg.max_outer_iters):
         maps = lls_fit(current)
         fixed = reconstruct(maps, bvalues)
-        means, log_s0_c, adc_c, diag = _curve_stats(current, roi)
+        means, log_s0_c, adc_c, r2_c = _curve_stats(current, roi)
         loss0 = LossBreakdown.weighted(
             similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.weights
         )
         records.append(
-            CaseRecord(k, adc_c, diag.r2, log_s0_c, tuple(means.tolist()), loss0)
+            CaseRecord(k, adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0)
         )
-        if best is None or diag.r2 > best[0]:
-            best = (diag.r2, k, maps, fields, current)
-        if check_convergence(
-            [r.roi_mean_adc for r in records], cfg.converge_window, cfg.adc_change_tol
-        ):
+        if best is None or r2_c > best[0]:
+            best = (r2_c, k, maps, fields, current)
+        if check_convergence([r.roi_mean_adc for r in records], cfg.converge_window):
             converged = True
             break
         if k == cfg.max_outer_iters - 1:

@@ -2,9 +2,10 @@
 
 The fields are optimized directly (one dense 3-vector per voxel per b-value)
 with a self-contained Adam implementation.  Whenever the total loss rises
-relative to the previous step the learning rate is divided by a fixed factor.
-The best-visited state is returned, so the final loss never exceeds the
-initial one.
+relative to the previous step the learning rate is divided by LR_DROP_FACTOR.
+Once the best-seen loss gains no more than PLATEAU_REL_TOL of itself over a
+window of steps, the loop stops.  The best-visited state is returned, so the
+final loss never exceeds the initial one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .volume import BValueSeries, DimensionMismatchError, RoiMask
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_DROP_FACTOR = 10.0  # the learning rate is divided by this on a rising step
+PLATEAU_REL_TOL = 1e-5  # relative best-loss gain over a window that counts as a plateau
 
 
 @dataclass(frozen=True)
@@ -29,29 +32,22 @@ class InnerOptConfig:
     """Adam settings for one registration pass.
 
     The learning rate is in voxels per step since the parameters are raw
-    displacements.  plateau_window/plateau_rel_tol stop the loop early once
-    the best-seen loss stagnates; set plateau_window = 0 to disable.
+    displacements.  plateau_window stops the loop early once the best-seen
+    loss gains no more than PLATEAU_REL_TOL of itself over that many steps;
+    set plateau_window = 0 to disable.
     """
 
     learning_rate: float = 0.1
-    lr_drop_factor: float = 10.0
     max_inner_steps: int = 100
     plateau_window: int = 10
-    plateau_rel_tol: float = 1e-5
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 1 < self.lr_drop_factor < np.inf:
-            raise ValueError(f"lr_drop_factor must be finite and > 1, got {self.lr_drop_factor}")
         if self.max_inner_steps < 0:
             raise ValueError("max_inner_steps must be >= 0")
         if self.plateau_window < 0:
             raise ValueError(f"plateau_window must be >= 0, got {self.plateau_window}")
-        if not 0 <= self.plateau_rel_tol < np.inf:
-            raise ValueError(
-                f"plateau_rel_tol must be finite and >= 0, got {self.plateau_rel_tol}"
-            )
 
 
 class DivergedError(RuntimeError):
@@ -80,7 +76,7 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     kept.  value_and_grad(x) must return (loss, grad, aux); aux is recorded
     in the trace, and grad may be the same buffer on every call.  On a step
     whose loss exceeds the previous step's loss, the learning rate is
-    divided by cfg.lr_drop_factor (once per offending step).  Returns the
+    divided by LR_DROP_FACTOR (once per offending step).  Returns the
     lowest-loss visited state.
     """
     if x.dtype != np.float64 or x.ndim != 1:
@@ -110,7 +106,7 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
         if not np.isfinite(loss) or not np.isfinite(grad).all():
             raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace)
         if loss > prev_loss:
-            lr /= cfg.lr_drop_factor
+            lr /= LR_DROP_FACTOR
             lr_drops += 1
         if loss < best_loss:
             best_loss = loss
@@ -119,7 +115,7 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
         best_history.append(best_loss)
         if cfg.plateau_window > 0 and t >= cfg.plateau_window:
             gain = best_history[t - cfg.plateau_window] - best_loss
-            if gain <= cfg.plateau_rel_tol * max(abs(best_loss), np.finfo(float).tiny):
+            if gain <= PLATEAU_REL_TOL * max(abs(best_loss), np.finfo(float).tiny):
                 break
     return AdamResult(best_x, best_loss, trace, steps, lr, lr_drops)
 

@@ -73,16 +73,6 @@ class ParameterMaps:
         return self.log_s0.dims
 
 
-@dataclass(frozen=True, eq=False)
-class FitDiagnostics:
-    """Goodness-of-fit record for one decay curve."""
-
-    r2: float
-    residuals: np.ndarray  # log-domain, per b-value
-    weights: np.ndarray  # final IRLS weights, per b-value
-    iterations: int
-
-
 def forward_signal(s0, adc, b):
     """Model signal S0 * exp(-b * ADC); broadcasts over array inputs."""
     return s0 * np.exp(-np.asarray(b, dtype=np.float64) * adc)
@@ -206,40 +196,29 @@ def _irls(b, y):
     its absolute log residual, floored at IRLS_RESIDUAL_FLOOR, which pulls
     every curve toward its least-absolute-deviations line.  Stops once every
     curve's relative ADC change is <= IRLS_TOL, or after IRLS_MAX_ITER
-    solves.  Returns (log_s0, adc, iterations), log_s0 and adc (N,).
+    solves.  Returns (log_s0, adc), each (N,).
     """
     log_s0, adc = _lls(b, y)
-    iterations = 1
-    while iterations < IRLS_MAX_ITER:
-        iterations += 1
+    for _ in range(IRLS_MAX_ITER - 1):
         if _weighted_log_linear_solve(b, y, log_s0, adc, weighted=True):
             break
-    return log_s0, adc, iterations
+    return log_s0, adc
 
 
 def irls_fit(signals, bvalues):
     """Robust fit of one decay curve by iteratively reweighted least squares.
 
-    Runs `_irls` on the curve as one voxel.  Returns (log_s0, adc,
-    FitDiagnostics); diagnostics carry the final weights, log-domain
-    residuals, iteration count, and the R^2 of the fit against the
-    unweighted mean.
+    Runs `_irls` on the curve as one voxel.  Returns (log_s0, adc, r2), as
+    `lls_fit_curve` does; r2 is the R^2 of the fit in the log domain against
+    the unweighted mean.
     """
     b = np.asarray(bvalues, dtype=np.float64)
     s = np.asarray(signals, dtype=np.float64)
     if b.shape != s.shape or b.ndim != 1 or b.size < 2:
         raise ValueError("need matching 1-d signals and bvalues with B >= 2")
     y = floored_log(s)
-    log_s0, adc, iterations = _irls(b, y.reshape(-1, 1))
-    resid = _residuals(b, y.reshape(-1, 1), log_s0, adc).reshape(-1)
-    log_s0, adc = float(log_s0[0]), float(adc[0])
-    diag = FitDiagnostics(
-        r2=r_squared(y, log_s0 - b * adc),
-        residuals=resid,
-        weights=_irls_weights(resid),
-        iterations=iterations,
-    )
-    return log_s0, adc, diag
+    log_s0, adc = (float(v[0]) for v in _irls(b, y.reshape(-1, 1)))
+    return log_s0, adc, r_squared(y, log_s0 - b * adc)
 
 
 def irls_fit_volume(series: BValueSeries):
@@ -250,7 +229,7 @@ def irls_fit_volume(series: BValueSeries):
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
     y = floored_log(series.stack()).reshape(len(b), -1)
-    log_s0, adc, _iterations = _irls(b, y)
+    log_s0, adc = _irls(b, y)
     ss_res = (_residuals(b, y, log_s0, adc) ** 2).sum(axis=0)
     ymean = y.mean(axis=0)
     ss_tot = ((y - ymean[None]) ** 2).sum(axis=0)

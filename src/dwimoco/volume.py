@@ -1,9 +1,8 @@
 """3D/4D containers and spatial primitives: sampling, warping, gradients.
 
 All coordinates and displacements are in voxel units; voxel spacing is
-carried as metadata only.  Arrays are stored x-fastest when flattened, i.e.
-flat index = x + nx*(y + ny*z), which corresponds to Fortran-order raveling
-of an (nx, ny, nz) array.
+carried as metadata only.  Arrays are indexed data[x, y, z]; the on-disk
+x-fastest layout belongs to `io`.
 """
 
 from __future__ import annotations
@@ -63,19 +62,6 @@ class ScalarVolume:
     @property
     def dims(self) -> tuple:
         return self.data.shape
-
-    @classmethod
-    def from_flat(cls, dims, flat, spacing=(1.0, 1.0, 1.0)) -> "ScalarVolume":
-        """Build from an x-fastest flat array."""
-        nx, ny, nz = dims
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != nx * ny * nz:
-            raise ValueError(f"flat length {flat.size} != {nx * ny * nz}")
-        return cls(flat.reshape((nx, ny, nz), order="F"), spacing)
-
-    def to_flat(self) -> np.ndarray:
-        """x-fastest flat copy of the data."""
-        return self.data.ravel(order="F")
 
 
 def checked_bvalues(bvalues) -> tuple:

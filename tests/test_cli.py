@@ -93,15 +93,14 @@ def test_default_config_builds_the_library_defaults():
         ("morph", {"pipeline": {"max_outer_iters": 0}}, []),
         ("morph", {"pipeline": {"max_inner_steps": "abc"}}, []),
         ("morph", {"pipeline": {"floor_eps": 1e-6}}, []),
+        # settings that became module constants, at the values they had as keys
+        ("morph", {"pipeline": {"lr_drop_factor": 10.0}}, []),
+        ("morph", {"pipeline": {"plateau_rel_tol": 1e-5}}, []),
+        ("morph", {"pipeline": {"adc_change_tol": 1e-3}}, []),
         ("morph", {}, ["--alpha1", "-1"]),
         ("morph", {}, ["--lr", "nan"]),
         ("morph", {}, ["--lr", "inf"]),
-        ("morph", {"pipeline": {"lr_drop_factor": float("nan")}}, []),
         ("morph", {"pipeline": {"plateau_window": -2}}, []),
-        ("morph", {"pipeline": {"plateau_rel_tol": float("nan")}}, []),
-        ("morph", {"pipeline": {"plateau_rel_tol": -1e-5}}, []),
-        ("morph", {"pipeline": {"adc_change_tol": -1}}, []),
-        ("morph", {"pipeline": {"adc_change_tol": float("nan")}}, []),
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
         ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
@@ -121,20 +120,20 @@ def test_default_config_builds_the_library_defaults():
         ("cohort", {"cohort": {"sat_adc": NAN}}, SMALL_COHORT),
         ("cohort", {"cohort": {"sat_alpha": -1}}, SMALL_COHORT),
         ("cohort", {"cohort": {"adc_bio_noise": NAN}}, SMALL_COHORT),
+        ("cohort", {}, [*SMALL_COHORT, "--workers", "0"]),
+        ("cohort", {}, [*SMALL_COHORT, "--workers", "-3"]),
     ],
     ids=[
         "max_outer_zero",
         "max_inner_text",
         "removed_key",
+        "removed_key_lr_drop_factor",
+        "removed_key_plateau_rel_tol",
+        "removed_key_adc_change_tol",
         "alpha1_negative",
         "lr_nan",
         "lr_inf",
-        "lr_drop_factor_nan",
         "plateau_window_negative",
-        "plateau_rel_tol_nan",
-        "plateau_rel_tol_negative",
-        "adc_change_tol_negative",
-        "adc_change_tol_nan",
         "dims_text",
         "roi_out_of_bounds",
         "noise_negative",
@@ -154,6 +153,8 @@ def test_default_config_builds_the_library_defaults():
         "sat_adc_nan",
         "sat_alpha_negative",
         "adc_bio_noise_nan",
+        "workers_zero",
+        "workers_negative",
     ],
 )
 def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):

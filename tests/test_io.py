@@ -114,6 +114,11 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
         ("dims", [4, 3], dio.SidecarFormatError),
         ("dims", "abc", dio.SidecarFormatError),
         ("dims", [4, 3, True], dio.SidecarFormatError),
+        ("components", True, dio.SidecarFormatError),
+        ("components", 1.0, dio.SidecarFormatError),
+        ("bvalue", 600, dio.ManifestError),
+        ("bvalue", True, dio.SidecarFormatError),
+        ("bvalue", "fifty", dio.SidecarFormatError),
     ],
     ids=[
         "text",
@@ -126,6 +131,11 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
         "dims_two_entries",
         "dims_text",
         "dims_bool",
+        "components_bool",
+        "components_float",
+        "bvalue_differs_from_manifest",
+        "bvalue_bool",
+        "bvalue_text",
     ],
 )
 def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, key, value, error):
@@ -137,6 +147,23 @@ def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, key, value, error
     with pytest.raises(error, match=key):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_written_bytes_are_x_fastest_component_blocks(tmp_path):
+    nx, ny, nz = 3, 4, 2
+    n = nx * ny * nz
+    x, y, z = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    # each voxel holds its x-fastest flat index: x + nx*(y + ny*z)
+    index = (x + nx * (y + ny * z)).astype(np.float64)
+    vol = ScalarVolume(index)
+    dio.write_volume(vol, tmp_path / "vol")
+    assert (tmp_path / "vol.raw").read_bytes() == np.arange(n, dtype="<f4").tobytes()
+    np.testing.assert_array_equal(dio.read_volume(tmp_path / "vol").data, vol.data)
+    # component c follows the whole of component c - 1
+    field = DisplacementField(np.stack([index + c * n for c in range(3)], axis=-1))
+    dio.write_field(field, tmp_path / "field")
+    assert (tmp_path / "field.raw").read_bytes() == np.arange(3 * n, dtype="<f4").tobytes()
+    np.testing.assert_array_equal(dio.read_field(tmp_path / "field").data, field.data)
 
 
 def test_field_round_trip_keeps_component_order(tmp_path, rng):

@@ -163,9 +163,9 @@ def test_run_case_records_and_best_iteration():
     assert result.converged is False
     # record 0 describes the normalized input
     means = roi_mean_signals(normalize_series(series)[0], roi)
-    _log_s0, raw_adc, diag = irls_fit(means, series.bvalues)
+    _log_s0, raw_adc, raw_r2 = irls_fit(means, series.bvalues)
     assert result.records[0].roi_mean_adc == raw_adc
-    assert result.records[0].roi_r2 == diag.r2
+    assert result.records[0].roi_r2 == raw_r2
     r2 = [r.roi_r2 for r in result.records]
     assert result.best_iteration == int(np.argmax(r2))
     assert result.best_record is result.records[result.best_iteration]
@@ -200,9 +200,9 @@ def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
     calls = []
 
     def r2_falls_every_iteration(current, roi_mask):
-        means, log_s0, adc, diag = real(current, roi_mask)
+        means, log_s0, adc, _r2 = real(current, roi_mask)
         calls.append(None)
-        return means, log_s0, adc, replace(diag, r2=1.0 - 0.1 * len(calls))
+        return means, log_s0, adc, 1.0 - 0.1 * len(calls)
 
     monkeypatch.setattr(pipeline, "_curve_stats", r2_falls_every_iteration)
     result = pipeline.run_case(series, roi, RUN_CFG)
@@ -295,3 +295,38 @@ def test_run_case_rejects_a_grid_with_one_voxel_along_an_axis():
     mask[4:8, 4:8, 0] = True
     with pytest.raises(GridTooSmallError, match="along z"):
         pipeline.run_case(pipeline.BValueSeries(bvalues, vols), pipeline.RoiMask(mask), RUN_CFG)
+
+
+def test_check_convergence_needs_window_plus_1_entries():
+    assert not pipeline.check_convergence([], 1)
+    assert not pipeline.check_convergence([2e-3], 1)
+    assert pipeline.check_convergence([2e-3, 2e-3], 1)
+    assert not pipeline.check_convergence([2e-3] * 3, 3)
+    assert pipeline.check_convergence([2e-3] * 4, 3)
+    # only the last `window` changes count
+    assert pipeline.check_convergence([5e-3, 2e-3, 2e-3, 2e-3], 2)
+    assert not pipeline.check_convergence([5e-3, 2e-3, 2e-3, 2e-3], 3)
+
+
+def test_check_convergence_accepts_a_change_of_exactly_the_tolerance():
+    prev = 1000.0
+    step = pipeline.ADC_CHANGE_TOL * prev
+    assert step == 1.0  # so prev +- step is exact
+    assert pipeline.check_convergence([prev, prev + step], 1)
+    assert not pipeline.check_convergence([prev, np.nextafter(prev + step, np.inf)], 1)
+    # relative to the earlier value: relative to the later one, 999, a step
+    # of 1 would exceed the tolerance
+    assert pipeline.check_convergence([prev, prev - step], 1)
+    assert not pipeline.check_convergence([prev, np.nextafter(prev - step, -np.inf)], 1)
+
+
+def test_check_convergence_after_an_adc_of_zero():
+    assert pipeline.check_convergence([0.0, 0.0], 1)
+    assert not pipeline.check_convergence([0.0, 1e-12], 1)
+    assert not pipeline.check_convergence([0.0, -1e-12], 1)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_check_convergence_rejects_a_window_below_1(window):
+    with pytest.raises(ValueError, match="window"):
+        pipeline.check_convergence([1.0, 1.0], window)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dwimoco import registration
 from dwimoco.registration import DivergedError, InnerOptConfig, adam_minimize
 
 
@@ -41,11 +42,10 @@ def test_returns_best_visited_state_when_last_step_is_worse():
     assert res.steps == 2
 
 
-def test_learning_rate_drops_once_per_rising_step():
+def test_learning_rate_drops_once_per_rising_step(monkeypatch):
+    monkeypatch.setattr(registration, "LR_DROP_FACTOR", 2.0)
     f = Recorder(square)
-    cfg = InnerOptConfig(
-        learning_rate=1.5, lr_drop_factor=2.0, max_inner_steps=12, plateau_window=0
-    )
+    cfg = InnerOptConfig(learning_rate=1.5, max_inner_steps=12, plateau_window=0)
     res = adam_minimize(f, np.array([1.0]), cfg)
     rises = rising_steps(f.losses)
     # steps that are worse than the best but better than the previous one

@@ -88,21 +88,27 @@ class TestLlsFit:
             lls_fit_curve([1.0, 1.0, 1.0], [100.0, 100.0, 100.0])
 
 
+def _weights(resid):
+    """The IRLS weight of each log residual."""
+    return 1.0 / np.maximum(np.abs(resid), signal_model.IRLS_RESIDUAL_FLOOR)
+
+
 class TestIrlsFit:
     def test_matches_lls_on_clean_data(self):
         b = np.array(PAPER_BVALUES)
         sig = forward_signal(1.3, 2.2e-3, b)
-        log_s0, adc, diag = irls_fit(sig, b)
+        log_s0, adc, r2 = irls_fit(sig, b)
         assert adc == pytest.approx(2.2e-3, rel=1e-10)
         assert log_s0 == pytest.approx(np.log(1.3), rel=1e-10)
-        assert diag.r2 == pytest.approx(1.0, abs=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_floor_makes_weights_uniform_on_clean_data(self):
         b = np.array(PAPER_BVALUES)
         sig = forward_signal(1.0, 2e-3, b)
-        _, adc, diag = irls_fit(sig, b)
+        log_s0, adc, _ = irls_fit(sig, b)
         # all residuals < 1e-4 -> every weight hits the 1/1e-4 cap
-        np.testing.assert_allclose(diag.weights, 1e4, rtol=0, atol=0)
+        resid = (log_s0 - b * adc) - signal_model.floored_log(sig)
+        np.testing.assert_allclose(_weights(resid), 1e4, rtol=0, atol=0)
         _, adc_lls, _ = lls_fit_curve(sig, b)
         assert adc == pytest.approx(adc_lls, rel=1e-12)
 
@@ -114,20 +120,11 @@ class TestIrlsFit:
             corrupt = int(rng.integers(0, len(b)))
             sig = forward_signal(s0, adc, b)
             sig[corrupt] *= 2.0
-            _, adc_irls, diag = irls_fit(sig, b)
+            log_s0_irls, adc_irls, _ = irls_fit(sig, b)
             _, adc_lls, _ = lls_fit_curve(sig, b)
-            assert np.argmin(diag.weights) == corrupt
+            resid = (log_s0_irls - b * adc_irls) - signal_model.floored_log(sig)
+            assert np.argmin(_weights(resid)) == corrupt
             assert abs(adc_irls - adc) < abs(adc_lls - adc)
-
-    def test_diagnostics_shapes(self):
-        b = np.array(PAPER_BVALUES)
-        sig = forward_signal(1.0, 2e-3, b)
-        sig[2] *= 1.5
-        _, _, diag = irls_fit(sig, b)
-        assert diag.residuals.shape == b.shape
-        assert diag.weights.shape == b.shape
-        assert diag.iterations >= 1
-        assert np.all(diag.weights > 0)
 
     def test_volume_variant_matches_scalar(self, rng):
         dims = (4, 3, 2)
@@ -142,9 +139,9 @@ class TestIrlsFit:
         b = np.array(series.bvalues)
         stack = series.stack()
         for p in [(0, 0, 0), (3, 2, 1), (1, 1, 1)]:
-            _, adc_p, diag = irls_fit(stack[(slice(None),) + p], b)
+            _, adc_p, r2_p = irls_fit(stack[(slice(None),) + p], b)
             assert maps.adc.data[p] == pytest.approx(adc_p, rel=1e-9)
-            assert r2.data[p] == pytest.approx(diag.r2, rel=1e-9)
+            assert r2.data[p] == pytest.approx(r2_p, rel=1e-9)
 
 
 class TestReconstruct:
@@ -238,10 +235,9 @@ def _oracle_irls(b, y):
     done = False
     while True:
         resid = (log_s0 - bcol * adc) - y
-        w = 1.0 / np.maximum(np.abs(resid), signal_model.IRLS_RESIDUAL_FLOOR)
         if done or iterations == signal_model.IRLS_MAX_ITER:
-            return log_s0, adc, resid, w, iterations
-        new_log_s0, new_adc = _oracle_solve(b, y, w)
+            return log_s0, adc, resid, iterations
+        new_log_s0, new_adc = _oracle_solve(b, y, _weights(resid))
         iterations += 1
         tol = signal_model.IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
         done = bool(np.all(np.abs(new_adc - adc) <= tol))
@@ -310,26 +306,34 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         series = _noisy_series(rng, dims, bvalues, noise)
         b = np.asarray(bvalues)
         y = signal_model.floored_log(series.stack())
-        log_s0, adc, resid, _w, iterations = _oracle_irls(b, y)
+        log_s0, adc, resid, iterations = _oracle_irls(b, y)
         ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             r2 = np.where(ss_tot > 0, 1.0 - (resid**2).sum(axis=0) / ss_tot, 0.0)
         threads = set()
+        solves = []  # one entry per whole-stack solve, so per IRLS iteration
         solve_block = signal_model._solve_block
+        solve = signal_model._weighted_log_linear_solve
 
         def record_thread(*args):
             threads.add(threading.get_ident())
             return solve_block(*args)
 
+        def count_solve(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
         monkeypatch.setattr(signal_model, "_solve_block", record_thread)
+        monkeypatch.setattr(signal_model, "_weighted_log_linear_solve", count_solve)
         for budget in (1, 2, 3):
             threads.clear()
             maps, r2_map = at_budget(budget, irls_fit_volume, series)
             np.testing.assert_array_equal(maps.log_s0.data, log_s0)
             np.testing.assert_array_equal(maps.adc.data, adc)
             np.testing.assert_array_equal(r2_map.data, r2)
-            blocked = at_budget(budget, signal_model._irls, b, y.reshape(len(b), -1))
-            assert blocked[2] == iterations
+            solves.clear()
+            at_budget(budget, signal_model._irls, b, y.reshape(len(b), -1))
+            assert len(solves) == iterations
             assert len(threads) == min(budget, y.size // _kernels.FAN_OUT_MIN_ELEMENTS)
         cap = signal_model.IRLS_MAX_ITER
         assert (iterations == cap) if np.any(noise) else (iterations < cap)
@@ -350,13 +354,12 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
             sig *= 1.0 + 0.05 * rng.standard_normal(b.size)
             sig[rng.integers(0, b.size)] *= 1.5
             y = signal_model.floored_log(sig)
-            log_s0, adc, resid, w, iterations = _oracle_irls(b, y)
-            got_log_s0, got_adc, diag = irls_fit(sig, b)
-            assert (got_log_s0, got_adc) == (float(log_s0), float(adc))
-            assert diag.iterations == iterations
-            assert diag.r2 == r_squared(y, log_s0 - b * adc)
-            np.testing.assert_array_equal(diag.residuals, resid)
-            np.testing.assert_array_equal(diag.weights, w)
+            log_s0, adc, _resid, _iterations = _oracle_irls(b, y)
+            assert irls_fit(sig, b) == (
+                float(log_s0),
+                float(adc),
+                r_squared(y, log_s0 - b * adc),
+            )
             lls_log_s0, lls_adc = _oracle_solve(b, y)
             assert lls_fit_curve(sig, b) == (
                 float(lls_log_s0),
