@@ -1,24 +1,33 @@
 """Command-line entry point: simulate, fit, morph, cohort.
 
 Configuration comes from built-in defaults, optionally overlaid by a JSON
-config file (--config), optionally overlaid by explicit flags.  Every run
-writes the fully resolved configuration to <out>/effective_config.json;
-re-running from that file with the same seed reproduces the outputs
-byte-for-byte.  Progress goes to stderr; machine-readable outputs only to
-files.  Exit codes: 0 success, 2 usage or input error (nothing is written),
-3 numerical failure.
+config file (--config), optionally overlaid by explicit flags.  One config
+file serves every command of a study; a key DEFAULTS lacks exits 2.  Each
+flag sets one key (SETTING_FLAGS), and each command reads, checks and takes
+the flags of only these keys (COMMAND_FLAGS):
 
-The "pipeline" keys are the loss weights, the optimizer schedule and the
-stop rules' caps and windows.  The schedule's drop factor and the stop
-rules' tolerances are module constants, not keys
-(`registration.LR_DROP_FACTOR`, `registration.PLATEAU_REL_TOL`,
-`pipeline.ADC_CHANGE_TOL`); a config that names one exits 2 as an
-unknown key.
+- simulate: seed and phantom.*; fit: none; morph: pipeline.*.
+- cohort: pipeline.*, and for a simulated cohort seed, cohort.* and
+  phantom.dims, noise_sigma and bvalues.  With --cases the flags of a
+  simulated cohort exit 2.  Fewer than 3 cases exit 2 before any work.
 
-`cohort` analyzes either simulated cases or a directory of case manifests
-through the same `pipeline.run_cohort`, so both sources share one analysis
-path.  Next to the cohort report it writes failures.csv with one row per
-failed method or case; exit code 3 means no method kept 3 cases.
+Every run writes the fully resolved configuration to
+<out>/effective_config.json; re-running from that file with the same seed
+reproduces the outputs byte-for-byte.  Progress goes to stderr;
+machine-readable outputs only to files.  Exit codes: 0 success, 2 usage or
+input error (nothing is written; argparse raises SystemExit(2) for a usage
+error, such as a flag the command does not take), 3 numerical failure.
+
+The schedule's drop factor, the stop rules' tolerances and the phantom's
+tissue values, ROI margin, boundary blur and motion wavelength are module
+constants, not keys (`registration.LR_DROP_FACTOR`, `pipeline.ADC_CHANGE_TOL`,
+`phantom.BACKGROUND_ADC` and the others next to them); a config that names
+one exits 2 as an unknown key.
+
+`cohort` analyzes simulated cases or a directory of case manifests through
+the same `pipeline.run_cohort`.  Next to the cohort report it writes
+failures.csv with one row per failed method or case; exit code 3 means no
+method kept 3 cases.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from functools import partial
 from pathlib import Path
 
 from . import io as dio
+from .maturity import MIN_FIT_POINTS
 from .objective import LossWeights
-from .phantom import PhantomSpec, apply_synthetic_motion, make_phantom, simulate_series
+from .phantom import PhantomSpec, simulate_case
 from .pipeline import (
     PipelineConfig,
     make_cohort_case_specs,
@@ -70,14 +80,8 @@ DEFAULTS = {
         "dims": [96, 96, 16],
         "bvalues": [0.0, 50.0, 100.0, 200.0, 400.0, 600.0],
         "lung_adc": 2.5e-3,
-        "background_adc": 1.0e-3,
-        "lung_s0": 1.0,
-        "background_s0": 0.55,
-        "roi_margin": 2.0,
-        "boundary_sigma": 1.0,
         "noise_sigma": 0.02,
         "motion_amplitude": 3.0,
-        "motion_smoothness": 48.0,
         "ga_weeks": 30.0,
     },
     "cohort": {
@@ -128,42 +132,58 @@ def load_config(config_path) -> dict:
     return cfg
 
 
-_FLAG_MAP = {
-    "seed": (None, "seed"),
-    "alpha1": ("pipeline", "alpha1"),
-    "alpha2": ("pipeline", "alpha2"),
-    "lr": ("pipeline", "learning_rate"),
-    "max_inner": ("pipeline", "max_inner_steps"),
-    "max_outer": ("pipeline", "max_outer_iters"),
-    "window": ("pipeline", "converge_window"),
-    "dims": ("phantom", "dims"),
-    "lung_adc": ("phantom", "lung_adc"),
-    "noise_sigma": ("phantom", "noise_sigma"),
-    "motion_amplitude": ("phantom", "motion_amplitude"),
-    "ga": ("phantom", "ga_weeks"),
-    "n_cases": ("cohort", "n_cases"),
-    "motion_min": ("cohort", "motion_min"),
-    "motion_max": ("cohort", "motion_max"),
+# flag -> (the config key it sets, argparse type, help); --dims is parsed
+# in resolve_config, so a malformed one is an input error, not a usage error
+SETTING_FLAGS = {
+    "--seed": ("seed", int, "master RNG seed"),
+    "--dims": ("phantom.dims", str, "nx,ny,nz (e.g. 96,96,16)"),
+    "--lung-adc": ("phantom.lung_adc", float, "lung ADC, mm^2/s"),
+    "--noise-sigma": ("phantom.noise_sigma", float, "noise std, fraction of max S0"),
+    "--motion-amplitude": ("phantom.motion_amplitude", float, "max displacement, voxels"),
+    "--ga": ("phantom.ga_weeks", float, "gestational age recorded in the manifest"),
+    "--alpha1": ("pipeline.alpha1", float, "smoothness weight"),
+    "--alpha2": ("pipeline.alpha2", float, "model-fit weight (0 disables)"),
+    "--lr": ("pipeline.learning_rate", float, "inner-loop learning rate (voxels)"),
+    "--max-inner": ("pipeline.max_inner_steps", int, "inner steps per pass"),
+    "--max-outer": ("pipeline.max_outer_iters", int, "outer iterations"),
+    "--window": ("pipeline.converge_window", int, "convergence window (iterations)"),
+    "--n-cases": ("cohort.n_cases", int, "simulated cases"),
+    "--motion-min": ("cohort.motion_min", float, "least motion amplitude, voxels"),
+    "--motion-max": ("cohort.motion_max", float, "largest motion amplitude, voxels"),
+}
+_PIPELINE_FLAGS = ("--alpha1", "--alpha2", "--lr", "--max-inner", "--max-outer", "--window")
+# what `cohort` simulates its cases from; `cohort --cases` rejects them
+_COHORT_SIMULATION_FLAGS = (
+    "--seed", "--dims", "--noise-sigma", "--n-cases", "--motion-min", "--motion-max"
+)
+COMMAND_FLAGS = {
+    "simulate": ("--seed", "--dims", "--lung-adc", "--noise-sigma", "--motion-amplitude", "--ga"),
+    "fit": (),
+    "morph": _PIPELINE_FLAGS,
+    "cohort": _COHORT_SIMULATION_FLAGS + _PIPELINE_FLAGS,
 }
 
 
+def _flag_value(args, flag):
+    """The value given for `flag`, or None if it was not given."""
+    return getattr(args, SETTING_FLAGS[flag][0], None)
+
+
 def resolve_config(args) -> dict:
-    cfg = load_config(getattr(args, "config", None))
-    for flag, (section, key) in _FLAG_MAP.items():
-        value = getattr(args, flag, None)
+    cfg = load_config(args.config)
+    for flag, (key, _type, _help) in SETTING_FLAGS.items():
+        value = _flag_value(args, flag)
         if value is None:
             continue
-        if flag == "dims":
+        if flag == "--dims":
             try:
                 value = [int(v) for v in value.split(",")]
             except ValueError:
                 value = []
             if len(value) != 3:
                 raise ConfigError("--dims needs three comma-separated integers")
-        if section is None:
-            cfg[key] = value
-        else:
-            cfg[section][key] = value
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
     return cfg
 
 
@@ -201,14 +221,8 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
             dims=tuple(int(d) for d in ph["dims"]),
             bvalues=tuple(float(b) for b in ph["bvalues"]),
             lung_adc=float(ph["lung_adc"]),
-            background_adc=float(ph["background_adc"]),
-            lung_s0=float(ph["lung_s0"]),
-            background_s0=float(ph["background_s0"]),
-            roi_margin=float(ph["roi_margin"]),
-            boundary_sigma=float(ph["boundary_sigma"]),
             noise_sigma=float(ph["noise_sigma"]),
             motion_amplitude=float(ph["motion_amplitude"]),
-            motion_smoothness=float(ph["motion_smoothness"]),
             seed=int(cfg["seed"]),
         )
     except (ValueError, TypeError) as err:
@@ -217,24 +231,26 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
 
 def cohort_case_specs(cfg: dict) -> list:
     """The simulated cohort's case specs of a resolved config; ConfigError if a
-    value is invalid."""
-    co = cfg["cohort"]
-    spec = phantom_spec(cfg)
+    value is invalid, checked by building every case's PhantomSpec."""
+    co, ph = cfg["cohort"], cfg["phantom"]
     try:
-        return make_cohort_case_specs(
+        specs = make_cohort_case_specs(
             n_cases=int(co["n_cases"]),
-            dims=spec.dims,
+            dims=tuple(int(d) for d in ph["dims"]),
             ga_range=(float(co["ga_min"]), float(co["ga_max"])),
             sat_adc=float(co["sat_adc"]),
             sat_alpha=float(co["sat_alpha"]),
             adc_bio_noise=float(co["adc_bio_noise"]),
-            noise_sigma=spec.noise_sigma,
+            noise_sigma=float(ph["noise_sigma"]),
             motion_range=(float(co["motion_min"]), float(co["motion_max"])),
-            seed=spec.seed,
-            base_phantom=spec,
+            seed=int(cfg["seed"]),
+            bvalues=ph["bvalues"],
         )
+        for spec in specs:
+            spec.phantom_spec()
     except (ValueError, TypeError) as err:
         raise ConfigError(f"invalid cohort config: {err}") from err
+    return specs
 
 
 def case_ga_weeks(cfg: dict) -> float:
@@ -258,12 +274,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     spec = phantom_spec(cfg)
     ga_weeks = case_ga_weeks(cfg)
-    seed = spec.seed
-    maps, roi = make_phantom(spec)
-    series = simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, seed)
-    moved, true_fields = apply_synthetic_motion(series, spec, seed + 1)
+    maps, roi, moved, true_fields = simulate_case(spec)
     echo_config(cfg, out)
-    manifest = dio.write_case(moved, roi, ga_weeks, f"sim{seed:03d}", out)
+    manifest = dio.write_case(moved, roi, ga_weeks, f"sim{spec.seed:03d}", out)
     dio.write_volume(maps.adc, out / "truth_adc")
     dio.write_volume(maps.log_s0, out / "truth_log_s0")
     for b, f in zip(moved.bvalues, true_fields):
@@ -339,22 +352,26 @@ def cmd_cohort(args) -> int:
     pcfg = pipeline_config(cfg)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    workers = args.workers
 
     if args.cases is not None:
+        given = [f for f in _COHORT_SIMULATION_FLAGS if _flag_value(args, f) is not None]
+        if given:
+            raise ConfigError(f"--cases takes no simulation flag, got {', '.join(given)}")
         case_dir = Path(args.cases)
-        names = sorted(p.parent.name for p in case_dir.glob("*/manifest.json"))
-        if not names:
-            print(f"error: no case manifests under {case_dir}", file=sys.stderr)
-            return 2
-        echo_config(cfg, out)
-        _progress(f"cohort: analyzing {len(names)} cases from {case_dir} (workers={workers})")
-        study = run_cohort(partial(_read_case_source, case_dir), names, pcfg, workers)
+        sources = sorted(p.parent.name for p in case_dir.glob("*/manifest.json"))
+        found = f"{len(sources)} case manifests under {case_dir}"
+        task = f"analyzing {len(sources)} cases from {case_dir}"
+        run = partial(run_cohort, partial(_read_case_source, case_dir))
     else:
-        specs = cohort_case_specs(cfg)
-        echo_config(cfg, out)
-        _progress(f"cohort: simulating and analyzing {len(specs)} cases (workers={workers})")
-        study = run_simulated_cohort(specs, pcfg, workers=workers)
+        sources = cohort_case_specs(cfg)
+        found = f"{len(sources)} simulated cases"
+        task = f"simulating and analyzing {len(sources)} cases"
+        run = run_simulated_cohort
+    if len(sources) < MIN_FIT_POINTS:
+        raise ConfigError(f"a cohort needs {MIN_FIT_POINTS} cases or more, got {found}")
+    echo_config(cfg, out)
+    _progress(f"cohort: {task} (workers={args.workers})")
+    study = run(sources, pcfg, args.workers)
 
     for case_id, reason in study.failures:
         _progress(f"cohort: case {case_id} failed: {reason}")
@@ -375,49 +392,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phantom=False, pipeline=False, cohort=False):
+    commands = {
+        "simulate": (cmd_simulate, "write a synthetic motion-corrupted case"),
+        "fit": (cmd_fit, "decay-model fitting only, no registration"),
+        "morph": (cmd_morph, "full motion-compensated analysis of one case"),
+        "cohort": (cmd_cohort, "three-method comparison over a cohort"),
+    }
+    subs = {}
+    for name, (func, help_text) in commands.items():
+        p = subs[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        if phantom:
-            p.add_argument("--dims", help="nx,ny,nz (e.g. 96,96,16)")
-            p.add_argument("--lung-adc", dest="lung_adc", type=float)
-            p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-            p.add_argument("--motion-amplitude", dest="motion_amplitude", type=float)
-        if pipeline:
-            p.add_argument("--alpha1", type=float, help="smoothness weight")
-            p.add_argument("--alpha2", type=float, help="model-fit weight (0 disables)")
-            p.add_argument("--lr", type=float, help="inner-loop learning rate (voxels)")
-            p.add_argument("--max-inner", dest="max_inner", type=int)
-            p.add_argument("--max-outer", dest="max_outer", type=int)
-            p.add_argument("--window", type=int, help="convergence window (iterations)")
-        if cohort:
-            p.add_argument("--n-cases", dest="n_cases", type=int)
-            p.add_argument("--motion-min", dest="motion_min", type=float)
-            p.add_argument("--motion-max", dest="motion_max", type=float)
-
-    p = sub.add_parser("simulate", help="write a synthetic motion-corrupted case")
-    common(p, phantom=True)
-    p.add_argument("--ga", type=float, help="gestational age recorded in the manifest")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="decay-model fitting only, no registration")
-    common(p)
-    p.add_argument("--case", required=True, help="path to a case manifest.json")
-    p.add_argument("--method", choices=("lls", "irls", "both"), default="both")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("morph", help="full motion-compensated analysis of one case")
-    common(p, pipeline=True)
-    p.add_argument("--case", required=True, help="path to a case manifest.json")
-    p.set_defaults(func=cmd_morph)
-
-    p = sub.add_parser("cohort", help="three-method comparison over a cohort")
-    common(p, phantom=True, pipeline=True, cohort=True)
-    p.add_argument("--cases", help="directory of case subdirectories with manifests")
-    p.add_argument("--workers", type=int, default=1, help="parallel case workers")
-    p.set_defaults(func=cmd_cohort)
-
+        for flag in COMMAND_FLAGS[name]:
+            key, kind, flag_help = SETTING_FLAGS[flag]
+            p.add_argument(flag, dest=key, type=kind, help=flag_help)
+        p.set_defaults(func=func)
+    for name in ("fit", "morph"):
+        subs[name].add_argument("--case", required=True, help="path to a case manifest.json")
+    subs["fit"].add_argument("--method", choices=("lls", "irls", "both"), default="both")
+    subs["cohort"].add_argument("--cases", help="directory of case subdirectories with manifests")
+    subs["cohort"].add_argument("--workers", type=int, default=1, help="parallel case workers")
     return parser
 
 
@@ -431,14 +425,12 @@ def main(argv=None) -> int:
         dio.ContainerError,
         GridTooSmallError,
         DegenerateSeriesError,
+        FileNotFoundError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except UndefinedRSquaredError as err:
         print(f"error: the ROI-mean decay curve is flat: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_FIT_POINTS = 3  # cohort points a saturation fit needs
+
 
 class DegenerateCohortError(ValueError):
     """Too few points or no spread in gestational age."""
@@ -113,12 +115,12 @@ def _gauss_newton(ga, adc, p0):
 def fit_saturation(points) -> SaturationFit:
     """Least-squares fit of the saturation model to cohort (GA, ADC) points.
 
-    Needs at least 3 points with non-constant GA.  A cohort with zero ADC
-    variance yields a flagged fit with r2 = 0.
+    Needs at least MIN_FIT_POINTS points with non-constant GA.  A cohort
+    with zero ADC variance yields a flagged fit with r2 = 0.
     """
     pts = list(points)
-    if len(pts) < 3:
-        raise DegenerateCohortError(f"need >= 3 cohort points, got {len(pts)}")
+    if len(pts) < MIN_FIT_POINTS:
+        raise DegenerateCohortError(f"need >= {MIN_FIT_POINTS} cohort points, got {len(pts)}")
     ga = np.array([p.ga for p in pts], dtype=np.float64)
     adc = np.array([p.adc for p in pts], dtype=np.float64)
     if np.all(ga == ga[0]):

@@ -4,6 +4,10 @@ The phantom is a smoothed ellipsoidal "lung" (high diffusivity) inside a
 uniform background, with an ROI eroded a little from the ellipsoid so the
 boundary blur barely touches the ROI statistics.  Everything is a pure
 function of (spec, seed).
+
+What every case shares is a module constant: BACKGROUND_ADC, LUNG_S0,
+BACKGROUND_S0, ROI_MARGIN, BOUNDARY_SIGMA, MOTION_SMOOTHNESS, S0_TEXTURE
+and ADC_TEXTURE.
 """
 
 from __future__ import annotations
@@ -17,41 +21,35 @@ from .signal_model import ParameterMaps, forward_signal
 from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, checked_bvalues, warp
 
 DEFAULT_BVALUES = (0.0, 50.0, 100.0, 200.0, 400.0, 600.0)
+BACKGROUND_ADC = 1.0e-3  # mm^2/s
+LUNG_S0 = 1.0
+BACKGROUND_S0 = 0.55
+ROI_MARGIN = 2.0  # erosion of the ROI vs. the ellipsoid, voxels
+BOUNDARY_SIGMA = 1.0  # gaussian blur of the lung boundary, voxels
+MOTION_SMOOTHNESS = 48.0  # approx. wavelength of the fields, voxels
 S0_TEXTURE = 0.15  # relative amplitude of smooth S0 variation in the lung
 ADC_TEXTURE = 0.08  # relative amplitude of smooth ADC variation in the lung
-_POSITIVE_FIELDS = ("lung_s0", "background_s0", "motion_smoothness")
-_NON_NEGATIVE_FIELDS = (
-    "lung_adc", "background_adc", "roi_margin", "boundary_sigma", "noise_sigma", "motion_amplitude"
-)
+_NON_NEGATIVE_FIELDS = ("lung_adc", "noise_sigma", "motion_amplitude")
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Geometry, tissue parameters, noise and motion of a synthetic case.
+    """Geometry, lung ADC, noise, motion and b-values of a synthetic case.
 
     The lung ellipsoid sits at the volume center with radii of about 30% of
     each extent (at least 2 voxels), so dims must leave room for it.  Every
-    value must be finite; S0 values and motion_smoothness > 0, the other
-    numbers >= 0, and the b-values as `BValueSeries` requires them.
+    number must be finite and >= 0, and the b-values as `BValueSeries`
+    requires them.
     """
 
     dims: tuple = (96, 96, 16)
     lung_adc: float = 2.5e-3  # mm^2/s
-    background_adc: float = 1.0e-3
-    lung_s0: float = 1.0
-    background_s0: float = 0.55
-    roi_margin: float = 2.0  # erosion of the ROI vs. the ellipsoid, voxels
-    boundary_sigma: float = 1.0  # gaussian blur of the lung boundary, voxels
     noise_sigma: float = 0.0  # additive noise std, fraction of max S0
     motion_amplitude: float = 0.0  # max displacement magnitude, voxels
-    motion_smoothness: float = 48.0  # approx. wavelength of the fields, voxels
     bvalues: tuple = DEFAULT_BVALUES
     seed: int = 0
 
     def __post_init__(self):
-        for name in _POSITIVE_FIELDS:
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in _NON_NEGATIVE_FIELDS:
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -95,23 +93,23 @@ def make_phantom(spec: PhantomSpec):
 
     Returns (ParameterMaps, RoiMask).  The ADC and S0 maps blend lung and
     background values across a gaussian-smoothed ellipsoid boundary; the ROI
-    is the ellipsoid eroded by roi_margin voxels, so the ROI-mean true ADC
+    is the ellipsoid eroded by ROI_MARGIN voxels, so the ROI-mean true ADC
     sits within a couple percent of lung_adc.
     """
     dims = spec.dims
     center = spec.center()
     radii = spec.radii()
     lung = _ellipsoid_mask(dims, center, radii).astype(np.float64)
-    blend = gaussian_filter(lung, sigma=spec.boundary_sigma, mode="nearest")
-    adc = spec.background_adc + (spec.lung_adc - spec.background_adc) * blend
-    s0 = spec.background_s0 + (spec.lung_s0 - spec.background_s0) * blend
+    blend = gaussian_filter(lung, sigma=BOUNDARY_SIGMA, mode="nearest")
+    adc = BACKGROUND_ADC + (spec.lung_adc - BACKGROUND_ADC) * blend
+    s0 = BACKGROUND_S0 + (LUNG_S0 - BACKGROUND_S0) * blend
     # smooth parenchyma-like texture so per-voxel decay is motion-sensitive
     # away from the boundary too; zero-mean modulation restricted to the lung
     tex = _texture(dims, center, radii)
     s0 = s0 * (1.0 + S0_TEXTURE * blend * tex)
     adc = adc * (1.0 + ADC_TEXTURE * blend * tex)
     # keep at least half of each radius so small phantoms retain an ROI
-    roi_radii = tuple(max(r - spec.roi_margin, 0.5 * r) for r in radii)
+    roi_radii = tuple(max(r - ROI_MARGIN, 0.5 * r) for r in radii)
     roi = RoiMask(_ellipsoid_mask(dims, center, roi_radii))
     if roi.count == 0:
         raise ValueError("empty ROI")
@@ -189,9 +187,17 @@ def apply_synthetic_motion(series: BValueSeries, spec: PhantomSpec, seed: int):
     for vol in series.volumes[1:]:
         severity = float(rng.uniform(0.3, 1.0)) if spec.motion_amplitude > 0 else 0.0
         f = _smooth_random_field(
-            series.dims, severity * spec.motion_amplitude, spec.motion_smoothness, rng
+            series.dims, severity * spec.motion_amplitude, MOTION_SMOOTHNESS, rng
         )
         fields.append(f)
         vols.append(warp(vol, f))
     return BValueSeries(series.bvalues, tuple(vols)), fields
 
+
+def simulate_case(spec: PhantomSpec):
+    """(truth maps, ROI, moved series, true fields) of a simulated case: the
+    noise comes from spec.seed and the motion from spec.seed + 1."""
+    maps, roi = make_phantom(spec)
+    clean = simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, spec.seed)
+    moved, true_fields = apply_synthetic_motion(clean, spec, spec.seed + 1)
+    return maps, roi, moved, true_fields

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels, phantom
-from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
+from .maturity import MIN_FIT_POINTS, CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import (
     LossBreakdown,
     LossWeights,
@@ -46,6 +46,7 @@ from .volume import (
     DisplacementField,
     RoiMask,
     check_differentiable,
+    checked_bvalues,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
     warp_series,
@@ -225,12 +226,7 @@ COHORT_METHODS = ("no_compensation", "no_model_fit", "full")
 
 @dataclass(frozen=True)
 class CohortCaseSpec:
-    """Everything needed to simulate and analyze one cohort case.
-
-    base_phantom holds the phantom settings the cases share (b-values,
-    tissue values, geometry and motion smoothness); `phantom_spec` replaces
-    its per-case fields with this case's.
-    """
+    """Everything needed to simulate and analyze one cohort case."""
 
     case_id: str
     ga_weeks: float
@@ -239,20 +235,20 @@ class CohortCaseSpec:
     noise_sigma: float
     motion_amplitude: float
     seed: int
-    base_phantom: phantom.PhantomSpec
+    bvalues: tuple
 
     def __str__(self) -> str:
         """The case id, which names the case in cohort failure records."""
         return self.case_id
 
     def phantom_spec(self) -> phantom.PhantomSpec:
-        """base_phantom with this case's dims, lung ADC, noise, motion and seed."""
-        return replace(
-            self.base_phantom,
+        """The phantom of this case: its true ADC is the lung ADC."""
+        return phantom.PhantomSpec(
             dims=self.dims,
             lung_adc=self.true_adc,
             noise_sigma=self.noise_sigma,
             motion_amplitude=self.motion_amplitude,
+            bvalues=self.bvalues,
             seed=self.seed,
         )
 
@@ -326,7 +322,7 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     thread, as their budget (`_kernels.fan_out_ranges`), so the workers'
     threads outnumber the CPUs only when the workers alone do.  A case that raised,
     in loading, analysis or building its cohort points, is recorded under
-    str(source).  Methods with fewer than 3 points get no fit.
+    str(source).  Methods with fewer than MIN_FIT_POINTS points get no fit.
     """
     sources = list(sources)
     workers = min(workers, len(sources))
@@ -352,16 +348,15 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
         failures.extend(failed)
         for method, point in case_points.items():
             points[method].append(point)
-    fits = {m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= 3}
+    fits = {
+        m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= MIN_FIT_POINTS
+    }
     return CohortStudyResult(points, fits, [], failures)
 
 
 def _simulate_case(spec: CohortCaseSpec):
     """Cohort case loader: the motion-corrupted phantom series of a spec."""
-    pspec = spec.phantom_spec()
-    maps, roi = phantom.make_phantom(pspec)
-    clean = phantom.simulate_series(maps, roi, pspec.bvalues, pspec.noise_sigma, spec.seed)
-    moved, _fields = phantom.apply_synthetic_motion(clean, pspec, spec.seed + 1)
+    _maps, roi, moved, _fields = phantom.simulate_case(spec.phantom_spec())
     return spec.case_id, spec.ga_weeks, moved, roi
 
 
@@ -392,16 +387,17 @@ def make_cohort_case_specs(
     noise_sigma: float,
     motion_range,
     seed: int,
-    base_phantom: phantom.PhantomSpec = phantom.PhantomSpec(),
+    bvalues=phantom.DEFAULT_BVALUES,
 ):
     """Draw per-case cohort specs: GA, true lung ADC, motion amplitude.
 
     The true ADC follows the saturation curve plus biological scatter; the
     motion amplitude is uniform over motion_range.  Every case shares
-    base_phantom's other settings.  Deterministic in seed.
+    dims, noise_sigma and bvalues.  Deterministic in seed.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
     reversed, a motion range below 0 or reversed, a sat_adc or sat_alpha
-    not inside (0, inf) and an adc_bio_noise not inside [0, inf).
+    not inside (0, inf), an adc_bio_noise not inside [0, inf) and b-values
+    that `checked_bvalues` rejects.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
@@ -414,6 +410,7 @@ def make_cohort_case_specs(
         raise ValueError(f"ga_range must satisfy 0 < min <= max < inf, got {ga_range}")
     if not 0.0 <= motion_range[0] <= motion_range[1] < np.inf:
         raise ValueError(f"motion_range must satisfy 0 <= min <= max < inf, got {motion_range}")
+    bvalues = checked_bvalues(bvalues)
     rng = np.random.default_rng(seed)
     specs = []
     truth = SaturationFit(adc_sat=sat_adc, alpha=sat_alpha, r2=1.0)
@@ -431,7 +428,7 @@ def make_cohort_case_specs(
                 noise_sigma=noise_sigma,
                 motion_amplitude=amp,
                 seed=int(rng.integers(0, 2**31 - 1)),
-                base_phantom=base_phantom,
+                bvalues=bvalues,
             )
         )
     return specs

@@ -108,10 +108,15 @@ def test_default_config_builds_the_library_defaults():
         ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "nan"]),
         ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "inf"]),
         ("simulate", {}, [*SMALL_CASE, "--lung-adc", "nan"]),
-        ("simulate", {"phantom": {"background_s0": 0.0}}, SMALL_CASE),
         ("simulate", {"phantom": {"bvalues": [50, 100]}}, SMALL_CASE),
-        ("simulate", {"phantom": {"motion_smoothness": 0}}, SMALL_CASE),
-        ("simulate", {"phantom": {"boundary_sigma": -1}}, SMALL_CASE),
+        # phantom settings that became module constants, at their old values
+        ("simulate", {"phantom": {"background_adc": 1.0e-3}}, SMALL_CASE),
+        ("simulate", {"phantom": {"lung_s0": 1.0}}, SMALL_CASE),
+        ("simulate", {"phantom": {"background_s0": 0.55}}, SMALL_CASE),
+        ("simulate", {"phantom": {"roi_margin": 2.0}}, SMALL_CASE),
+        ("simulate", {"phantom": {"boundary_sigma": 1.0}}, SMALL_CASE),
+        ("simulate", {"phantom": {"motion_smoothness": 48.0}}, SMALL_CASE),
+        ("cohort", {"phantom": {"lung_s0": 1.0}}, SMALL_COHORT),
         ("simulate", {}, ["--ga", "-5"]),
         ("simulate", {"phantom": {"ga_weeks": 0}}, []),
         ("cohort", {"cohort": {"n_cases": "x"}}, []),
@@ -122,6 +127,8 @@ def test_default_config_builds_the_library_defaults():
         ("cohort", {"cohort": {"adc_bio_noise": NAN}}, SMALL_COHORT),
         ("cohort", {}, [*SMALL_COHORT, "--workers", "0"]),
         ("cohort", {}, [*SMALL_COHORT, "--workers", "-3"]),
+        ("cohort", {}, [*SMALL_COHORT[2:], "--n-cases", "2"]),
+        ("cohort", {"cohort": {"n_cases": 1}}, SMALL_COHORT[2:]),
     ],
     ids=[
         "max_outer_zero",
@@ -141,10 +148,14 @@ def test_default_config_builds_the_library_defaults():
         "motion_amplitude_nan",
         "motion_amplitude_inf",
         "lung_adc_nan",
-        "background_s0_zero",
         "bvalues_without_b0",
-        "motion_smoothness_zero",
-        "boundary_sigma_negative",
+        "removed_key_background_adc",
+        "removed_key_lung_s0",
+        "removed_key_background_s0",
+        "removed_key_roi_margin",
+        "removed_key_boundary_sigma",
+        "removed_key_motion_smoothness",
+        "removed_key_lung_s0_cohort",
         "ga_negative",
         "ga_zero",
         "n_cases_text",
@@ -155,6 +166,8 @@ def test_default_config_builds_the_library_defaults():
         "adc_bio_noise_nan",
         "workers_zero",
         "workers_negative",
+        "two_cases",
+        "one_case",
     ],
 )
 def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):
@@ -166,6 +179,65 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         argv += ["--case", str(cases / "sim001" / "manifest.json")]
     assert cli.main(argv) == 2
     assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("fit", ["--seed", "3"]),
+        ("morph", ["--seed", "3"]),
+        ("cohort", ["--lung-adc", "1e-4"]),
+        ("cohort", ["--motion-amplitude", "9"]),
+    ],
+    ids=["fit_seed", "morph_seed", "cohort_lung_adc", "cohort_motion_amplitude"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, command, flag):
+    out = tmp_path / "out"
+    argv = [command, *flag, "--out", str(out)]
+    if command != "cohort":
+        argv += ["--case", str(cases / "sim001" / "manifest.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--seed", "3"],
+        ["--dims", "16,16,8"],
+        ["--noise-sigma", "0.05"],
+        ["--n-cases", "5"],
+        ["--motion-min", "1"],
+        ["--motion-max", "5"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_cohort_cases_rejects_the_simulation_flags(cases, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    argv = ["cohort", "--cases", str(cases), *CAPS, *flag, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"error: --cases takes no simulation flag, got {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cohort_cases_with_fewer_than_3_cases_exits_2_before_work(
+    cases, tmp_path, capsys, monkeypatch
+):
+    root = tmp_path / "cases"
+    for name in ("sim001", "sim002"):
+        shutil.copytree(cases / name, root / name)
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a cohort of 2 cases was analyzed")
+
+    monkeypatch.setattr(pipeline, "analyze_methods", no_analysis)
+    out = tmp_path / "out"
+    assert cli.main(["cohort", "--cases", str(root), *CAPS, "--out", str(out)]) == 2
+    want = f"error: a cohort needs 3 cases or more, got 2 case manifests under {root}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
@@ -187,7 +259,7 @@ def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
 def test_simulated_cohort_uses_the_phantom_config(tmp_path):
     config_path = tmp_path / "config.json"
     bvalues = [0, 100, 200, 400, 800]
-    config_path.write_text(json.dumps({"phantom": {"bvalues": bvalues, "lung_s0": 0.5}}))
+    config_path.write_text(json.dumps({"phantom": {"bvalues": bvalues}}))
     argv = ["cohort", "--n-cases", "3", "--dims", "16,16,6", *CAPS]
     default, custom = tmp_path / "default", tmp_path / "custom"
     assert cli.main(argv + ["--out", str(default)]) == 0
@@ -200,7 +272,6 @@ def test_simulated_cohort_uses_the_phantom_config(tmp_path):
     cfg["phantom"]["dims"] = [16, 16, 6]
     cfg["cohort"]["n_cases"] = 2
     for spec in cli.cohort_case_specs(cfg):
-        assert spec.phantom_spec().lung_s0 == 0.5
         _case_id, _ga, series, _roi = pipeline._simulate_case(spec)
         assert series.bvalues == tuple(float(b) for b in bvalues)
 

@@ -42,7 +42,7 @@ ALPHA2_SETTINGS = (1000.0, 0.0)
 @pytest.fixture(scope="module")
 def setup():
     """Smooth fixed/moving pair with residuals bounded away from L1 ties."""
-    maps, roi = make_phantom(PhantomSpec(dims=DIMS, roi_margin=1.0, boundary_sigma=0.8))
+    maps, roi = make_phantom(PhantomSpec(dims=DIMS))
     fixed = reconstruct(maps, BVALUES)
     fac = 0.9 + 0.03 * np.sin(np.arange(DIMS[0]) / 3.0)[:, None, None] * np.ones(DIMS)
     moving = BValueSeries(BVALUES, tuple(ScalarVolume(v.data * fac) for v in fixed.volumes))

@@ -141,9 +141,7 @@ def small_case():
     spec = pipeline.phantom.PhantomSpec(
         dims=(16, 16, 6), noise_sigma=0.02, motion_amplitude=2.0, seed=7
     )
-    maps, roi = pipeline.phantom.make_phantom(spec)
-    clean = pipeline.phantom.simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, spec.seed)
-    moved, _fields = pipeline.phantom.apply_synthetic_motion(clean, spec, spec.seed + 1)
+    _maps, roi, moved, _fields = pipeline.phantom.simulate_case(spec)
     return moved, roi
 
 

@@ -310,31 +310,31 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             r2 = np.where(ss_tot > 0, 1.0 - (resid**2).sum(axis=0) / ss_tot, 0.0)
-        threads = set()
-        solves = []  # one entry per whole-stack solve, so per IRLS iteration
-        solve_block = signal_model._solve_block
-        solve = signal_model._weighted_log_linear_solve
+        solves = []  # the (lo, hi) ranges of each whole-stack solve, one per IRLS iteration
+        fan_out_ranges = _kernels.fan_out_ranges
 
-        def record_thread(*args):
-            threads.add(threading.get_ident())
-            return solve_block(*args)
+        def record_ranges(task, n, elements):
+            ranges = []
 
-        def count_solve(*args, **kwargs):
-            solves.append(None)
-            return solve(*args, **kwargs)
+            def recorded(lo, hi):
+                ranges.append((lo, hi))
+                return task(lo, hi)
 
-        monkeypatch.setattr(signal_model, "_solve_block", record_thread)
-        monkeypatch.setattr(signal_model, "_weighted_log_linear_solve", count_solve)
+            solves.append(ranges)
+            return fan_out_ranges(recorded, n, elements)
+
+        monkeypatch.setattr(_kernels, "fan_out_ranges", record_ranges)
+        n_voxels = y[0].size
         for budget in (1, 2, 3):
-            threads.clear()
             maps, r2_map = at_budget(budget, irls_fit_volume, series)
             np.testing.assert_array_equal(maps.log_s0.data, log_s0)
             np.testing.assert_array_equal(maps.adc.data, adc)
             np.testing.assert_array_equal(r2_map.data, r2)
             solves.clear()
             at_budget(budget, signal_model._irls, b, y.reshape(len(b), -1))
-            assert len(solves) == iterations
-            assert len(threads) == min(budget, y.size // _kernels.FAN_OUT_MIN_ELEMENTS)
+            parts = min(budget, y.size // _kernels.FAN_OUT_MIN_ELEMENTS)
+            want = _kernels.near_equal_ranges(0, n_voxels, parts)
+            assert [sorted(ranges) for ranges in solves] == [want] * iterations
         cap = signal_model.IRLS_MAX_ITER
         assert (iterations == cap) if np.any(noise) else (iterations < cap)
         lls = at_budget(2, lls_fit, series)
