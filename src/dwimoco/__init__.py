@@ -10,7 +10,6 @@ simulator for end-to-end verification.
 from .maturity import CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import (
     LossBreakdown,
-    LossWeights,
     model_fit_loss,
     similarity_loss,
     smoothness_loss,
@@ -47,7 +46,6 @@ __all__ = [
     "DisplacementField",
     "InnerOptConfig",
     "LossBreakdown",
-    "LossWeights",
     "ParameterMaps",
     "PhantomSpec",
     "PipelineConfig",

@@ -2,9 +2,11 @@
 
 Configuration comes from built-in defaults, optionally overlaid by a JSON
 config file (--config), optionally overlaid by explicit flags.  One config
-file serves every command of a study; a key DEFAULTS lacks exits 2.  Each
-flag sets one key (SETTING_FLAGS), and each command reads, checks and takes
-the flags of only these keys (COMMAND_FLAGS):
+file serves every command of a study.  DEFAULTS holds every key and fixes
+its JSON type (`_has_type_of`); a key DEFAULTS lacks, or a value of another
+type, exits 2.  Each flag sets one key (SETTING_FLAGS), parsed as its type,
+and each command reads, checks and takes the flags of only these keys
+(COMMAND_FLAGS):
 
 - simulate: seed and phantom.*; fit: none; morph: pipeline.*.
 - cohort: pipeline.*, and for a simulated cohort seed, cohort.* and
@@ -18,11 +20,12 @@ machine-readable outputs only to files.  Exit codes: 0 success, 2 usage or
 input error (nothing is written; argparse raises SystemExit(2) for a usage
 error, such as a flag the command does not take), 3 numerical failure.
 
-The schedule's drop factor, the stop rules' tolerances and the phantom's
-tissue values, ROI margin, boundary blur and motion wavelength are module
-constants, not keys (`registration.LR_DROP_FACTOR`, `pipeline.ADC_CHANGE_TOL`,
-`phantom.BACKGROUND_ADC` and the others next to them); a config that names
-one exits 2 as an unknown key.
+The one loss setting is pipeline.alpha2, the model-fit weight (0 is the
+registration-only method).  The other loss, schedule, stop-rule and phantom
+values are module constants, not keys (`objective.ALPHA1`,
+`registration.LEARNING_RATE`, `registration.LR_DROP_FACTOR`,
+`pipeline.ADC_CHANGE_TOL`, `phantom.BACKGROUND_ADC` and the others next to
+them); a config that names one exits 2 as an unknown key.
 
 `cohort` analyzes simulated cases or a directory of case manifests through
 the same `pipeline.run_cohort`.  Next to the cohort report it writes
@@ -40,7 +43,6 @@ from pathlib import Path
 
 from . import io as dio
 from .maturity import MIN_FIT_POINTS
-from .objective import LossWeights
 from .phantom import PhantomSpec, simulate_case
 from .pipeline import (
     PipelineConfig,
@@ -68,9 +70,7 @@ from .volume import (
 DEFAULTS = {
     "seed": 0,
     "pipeline": {
-        "alpha1": 0.01,
         "alpha2": 1000.0,
-        "learning_rate": 0.1,
         "max_inner_steps": 100,
         "plateau_window": 10,
         "max_outer_iters": 50,
@@ -101,7 +101,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _has_type_of(default, value) -> bool:
+    """Whether `value` has the JSON type of a setting whose default is
+    `default`: an int takes an integer, a float an integer or a float, a list
+    a list of what its first item takes; true and false are neither."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type_of(default[0], v) for v in value)
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
+
+
+def _kind(default) -> str:
+    """The JSON type `_has_type_of` wants for a setting, as an error names it."""
+    item = default[0] if isinstance(default, list) else default
+    name = "integer" if isinstance(item, int) else "number"
+    return f"a list of {name}s" if isinstance(default, list) else f"a JSON {name}"
+
+
 def _merge_config(base: dict, overlay: dict, path="") -> dict:
+    """`overlay` laid over `base`, whose keys and leaf types it must keep."""
     out = dict(base)
     for key, value in overlay.items():
         where = f"{path}.{key}" if path else key
@@ -111,6 +130,8 @@ def _merge_config(base: dict, overlay: dict, path="") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{where}' must be an object")
             out[key] = _merge_config(base[key], value, where)
+        elif not _has_type_of(base[key], value):
+            raise ConfigError(f"config key '{where}' must be {_kind(base[key])}, got {value!r}")
         else:
             out[key] = value
     return out
@@ -132,26 +153,25 @@ def load_config(config_path) -> dict:
     return cfg
 
 
-# flag -> (the config key it sets, argparse type, help); --dims is parsed
-# in resolve_config, so a malformed one is an input error, not a usage error
+# flag -> (the config key it sets, help); a value parses as the key's type,
+# but --dims is parsed in resolve_config, so a malformed one is an input
+# error, not a usage error
 SETTING_FLAGS = {
-    "--seed": ("seed", int, "master RNG seed"),
-    "--dims": ("phantom.dims", str, "nx,ny,nz (e.g. 96,96,16)"),
-    "--lung-adc": ("phantom.lung_adc", float, "lung ADC, mm^2/s"),
-    "--noise-sigma": ("phantom.noise_sigma", float, "noise std, fraction of max S0"),
-    "--motion-amplitude": ("phantom.motion_amplitude", float, "max displacement, voxels"),
-    "--ga": ("phantom.ga_weeks", float, "gestational age recorded in the manifest"),
-    "--alpha1": ("pipeline.alpha1", float, "smoothness weight"),
-    "--alpha2": ("pipeline.alpha2", float, "model-fit weight (0 disables)"),
-    "--lr": ("pipeline.learning_rate", float, "inner-loop learning rate (voxels)"),
-    "--max-inner": ("pipeline.max_inner_steps", int, "inner steps per pass"),
-    "--max-outer": ("pipeline.max_outer_iters", int, "outer iterations"),
-    "--window": ("pipeline.converge_window", int, "convergence window (iterations)"),
-    "--n-cases": ("cohort.n_cases", int, "simulated cases"),
-    "--motion-min": ("cohort.motion_min", float, "least motion amplitude, voxels"),
-    "--motion-max": ("cohort.motion_max", float, "largest motion amplitude, voxels"),
+    "--seed": ("seed", "master RNG seed"),
+    "--dims": ("phantom.dims", "nx,ny,nz (e.g. 96,96,16)"),
+    "--lung-adc": ("phantom.lung_adc", "lung ADC, mm^2/s"),
+    "--noise-sigma": ("phantom.noise_sigma", "noise std, fraction of max S0"),
+    "--motion-amplitude": ("phantom.motion_amplitude", "max displacement, voxels"),
+    "--ga": ("phantom.ga_weeks", "gestational age recorded in the manifest"),
+    "--alpha2": ("pipeline.alpha2", "model-fit weight (0 disables)"),
+    "--max-inner": ("pipeline.max_inner_steps", "inner steps per pass"),
+    "--max-outer": ("pipeline.max_outer_iters", "outer iterations"),
+    "--window": ("pipeline.converge_window", "convergence window (iterations)"),
+    "--n-cases": ("cohort.n_cases", "simulated cases"),
+    "--motion-min": ("cohort.motion_min", "least motion amplitude, voxels"),
+    "--motion-max": ("cohort.motion_max", "largest motion amplitude, voxels"),
 }
-_PIPELINE_FLAGS = ("--alpha1", "--alpha2", "--lr", "--max-inner", "--max-outer", "--window")
+_PIPELINE_FLAGS = ("--alpha2", "--max-inner", "--max-outer", "--window")
 # what `cohort` simulates its cases from; `cohort --cases` rejects them
 _COHORT_SIMULATION_FLAGS = (
     "--seed", "--dims", "--noise-sigma", "--n-cases", "--motion-min", "--motion-max"
@@ -171,7 +191,7 @@ def _flag_value(args, flag):
 
 def resolve_config(args) -> dict:
     cfg = load_config(args.config)
-    for flag, (key, _type, _help) in SETTING_FLAGS.items():
+    for flag, (key, _help) in SETTING_FLAGS.items():
         value = _flag_value(args, flag)
         if value is None:
             continue
@@ -200,16 +220,15 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
     p = cfg["pipeline"]
     try:
         return PipelineConfig(
-            weights=LossWeights(p["alpha1"], p["alpha2"]),
+            alpha2=p["alpha2"],
             inner=InnerOptConfig(
-                learning_rate=p["learning_rate"],
-                max_inner_steps=int(p["max_inner_steps"]),
-                plateau_window=int(p["plateau_window"]),
+                max_inner_steps=p["max_inner_steps"],
+                plateau_window=p["plateau_window"],
             ),
-            max_outer_iters=int(p["max_outer_iters"]),
-            converge_window=int(p["converge_window"]),
+            max_outer_iters=p["max_outer_iters"],
+            converge_window=p["converge_window"],
         )
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"invalid pipeline config: {err}") from err
 
 
@@ -218,14 +237,14 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
     ph = cfg["phantom"]
     try:
         return PhantomSpec(
-            dims=tuple(int(d) for d in ph["dims"]),
-            bvalues=tuple(float(b) for b in ph["bvalues"]),
-            lung_adc=float(ph["lung_adc"]),
-            noise_sigma=float(ph["noise_sigma"]),
-            motion_amplitude=float(ph["motion_amplitude"]),
-            seed=int(cfg["seed"]),
+            dims=tuple(ph["dims"]),
+            bvalues=tuple(ph["bvalues"]),
+            lung_adc=ph["lung_adc"],
+            noise_sigma=ph["noise_sigma"],
+            motion_amplitude=ph["motion_amplitude"],
+            seed=cfg["seed"],
         )
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"invalid phantom config: {err}") from err
 
 
@@ -235,20 +254,20 @@ def cohort_case_specs(cfg: dict) -> list:
     co, ph = cfg["cohort"], cfg["phantom"]
     try:
         specs = make_cohort_case_specs(
-            n_cases=int(co["n_cases"]),
-            dims=tuple(int(d) for d in ph["dims"]),
-            ga_range=(float(co["ga_min"]), float(co["ga_max"])),
-            sat_adc=float(co["sat_adc"]),
-            sat_alpha=float(co["sat_alpha"]),
-            adc_bio_noise=float(co["adc_bio_noise"]),
-            noise_sigma=float(ph["noise_sigma"]),
-            motion_range=(float(co["motion_min"]), float(co["motion_max"])),
-            seed=int(cfg["seed"]),
+            n_cases=co["n_cases"],
+            dims=ph["dims"],
+            ga_range=(co["ga_min"], co["ga_max"]),
+            sat_adc=co["sat_adc"],
+            sat_alpha=co["sat_alpha"],
+            adc_bio_noise=co["adc_bio_noise"],
+            noise_sigma=ph["noise_sigma"],
+            motion_range=(co["motion_min"], co["motion_max"]),
+            seed=cfg["seed"],
             bvalues=ph["bvalues"],
         )
         for spec in specs:
             spec.phantom_spec()
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"invalid cohort config: {err}") from err
     return specs
 
@@ -256,10 +275,6 @@ def cohort_case_specs(cfg: dict) -> list:
 def case_ga_weeks(cfg: dict) -> float:
     """phantom.ga_weeks of a resolved config; ConfigError unless it is > 0."""
     ga = cfg["phantom"]["ga_weeks"]
-    try:
-        ga = float(ga)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"invalid phantom config: ga_weeks must be a number, got {ga!r}") from err
     if not 0.0 < ga < float("inf"):
         raise ConfigError(f"invalid phantom config: ga_weeks must be finite and > 0, got {ga}")
     return ga
@@ -274,7 +289,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     spec = phantom_spec(cfg)
     ga_weeks = case_ga_weeks(cfg)
-    maps, roi, moved, true_fields = simulate_case(spec)
+    maps, roi, _clean, moved, true_fields = simulate_case(spec)
     echo_config(cfg, out)
     manifest = dio.write_case(moved, roi, ga_weeks, f"sim{spec.seed:03d}", out)
     dio.write_volume(maps.adc, out / "truth_adc")
@@ -320,7 +335,7 @@ def cmd_morph(args) -> int:
     pcfg = pipeline_config(cfg)
     series, roi, _ga = dio.read_case(args.case)
     check_differentiable(series.dims)
-    variant = "full" if pcfg.weights.alpha2 > 0 else "no_model_fit"
+    variant = "full" if pcfg.alpha2 > 0 else "no_model_fit"
     _progress(f"morph[{variant}]: running up to {pcfg.max_outer_iters} iterations")
     # written after the run, so input that run_case rejects leaves no output
     result = run_case(series, roi, pcfg)
@@ -404,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
         for flag in COMMAND_FLAGS[name]:
-            key, kind, flag_help = SETTING_FLAGS[flag]
+            key, flag_help = SETTING_FLAGS[flag]
+            section, _, leaf = key.rpartition(".")
+            default = (DEFAULTS[section] if section else DEFAULTS)[leaf]
+            kind = str if isinstance(default, list) else type(default)
             p.add_argument(flag, dest=key, type=kind, help=flag_help)
         p.set_defaults(func=func)
     for name in ("fit", "morph"):

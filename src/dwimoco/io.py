@@ -195,13 +195,9 @@ _MANIFEST_KEYS = {"case_id", "ga_weeks", "roi", "volumes"}
 
 
 def _manifest_number(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as err:
-        raise ManifestError(f"{what} must be a number, got {value!r}") from err
-    if not np.isfinite(number):
-        raise ManifestError(f"{what} must be finite, got {value!r}")
-    return number
+    if not _is_number(value):
+        raise ManifestError(f"{what} must be a finite JSON number, got {value!r}")
+    return float(value)
 
 
 def write_case(series: BValueSeries, roi: RoiMask, ga_weeks: float, case_id: str, out_dir) -> Path:

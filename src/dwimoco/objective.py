@@ -2,7 +2,7 @@
 
 The total loss is
 
-    L = L_similarity + alpha1 * L_smooth + alpha2 * L_model_fit
+    L = L_similarity + ALPHA1 * L_smooth + alpha2 * L_model_fit
 
 where L_similarity is the mean absolute difference between the model
 reconstruction and the warped acquisition (averaged over b-values and the
@@ -49,22 +49,11 @@ _match_terms = _kernels.match_terms
 _smooth_loss_grad = _kernels.smooth_loss_grad
 
 
+ALPHA1 = 0.01  # weight of the smoothness term
+
+
 class EmptyRoiError(ValueError):
     """Model-fit loss needs at least one ROI voxel."""
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Term weights: alpha1 scales smoothness, alpha2 scales model fit."""
-
-    alpha1: float = 0.01
-    alpha2: float = 1000.0
-
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +66,9 @@ class LossBreakdown:
     total: float
 
     @classmethod
-    def weighted(cls, similarity, smooth, model_fit, weights: LossWeights) -> LossBreakdown:
-        """The breakdown whose total is similarity + alpha1*smooth + alpha2*model_fit."""
-        total = similarity + weights.alpha1 * smooth + weights.alpha2 * model_fit
+    def weighted(cls, similarity, smooth, model_fit, alpha2: float) -> LossBreakdown:
+        """The breakdown whose total is similarity + ALPHA1*smooth + alpha2*model_fit."""
+        total = similarity + ALPHA1 * smooth + alpha2 * model_fit
         return cls(similarity, smooth, model_fit, total)
 
 
@@ -100,7 +89,7 @@ def similarity_loss(fixed: BValueSeries, warped: BValueSeries) -> float:
 def smoothness_loss(field: DisplacementField) -> float:
     """Mean over voxels of the squared Frobenius norm of the field Jacobian.
 
-    Dividing the sum by the voxel count lets the weight alpha1 transfer
+    Dividing the sum by the voxel count lets the weight ALPHA1 transfer
     across resolutions.
     """
     jac = spatial_gradient(field)
@@ -145,7 +134,7 @@ def total_loss(
     fields,
     maps: ParameterMaps,
     roi: RoiMask,
-    weights: LossWeights,
+    alpha2: float,
 ) -> LossBreakdown:
     """Warp `moving` by the per-b-value fields and evaluate all three terms."""
     _check_series_pair(fixed, moving)
@@ -153,7 +142,7 @@ def total_loss(
     warped = warp_series(moving, fields)
     sim = similarity_loss(fixed, warped)
     smooth = sum(smoothness_loss(f) for f in fields)
-    return LossBreakdown.weighted(sim, smooth, model_fit_loss(warped, maps, roi), weights)
+    return LossBreakdown.weighted(sim, smooth, model_fit_loss(warped, maps, roi), alpha2)
 
 
 def _term_scales(moving: BValueSeries, roi: RoiMask):
@@ -234,7 +223,7 @@ def loss_and_gradient(
     fields_arr: np.ndarray,
     maps: ParameterMaps,
     roi: RoiMask,
-    weights: LossWeights,
+    alpha2: float,
     grad: np.ndarray,
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
@@ -245,7 +234,7 @@ def loss_and_gradient(
     dtype or memory order, since the kernels step through memory at the
     axis strides.  Overwrites grad with d(total)/d(u), so the caller can
     reuse one buffer across evaluations, and returns the LossBreakdown.
-    Every term is evaluated for every weight; with alpha2 = 0 the model-fit
+    Every term is evaluated for every alpha2; with alpha2 = 0 the model-fit
     term is reported unweighted and adds nothing to the total or the
     gradient.  The L1 subgradient is 0 at exact ties and the trilinear
     derivative is 0 where sampling was clamped, so the gradient is defined
@@ -266,9 +255,9 @@ def loss_and_gradient(
     n_sim, n_mf, n_vox = _term_scales(moving, roi)
     sim_sum, mf_sum, smooth_sum = _term_sums(
         fixed, moving, fields_arr, maps, roi,
-        1.0 / n_sim, weights.alpha2 / n_mf, weights.alpha1 / n_vox, grad,
+        1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad,
     )
-    return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, weights)
+    return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, alpha2)
 
 
 def per_term_gradients(

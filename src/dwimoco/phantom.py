@@ -195,9 +195,9 @@ def apply_synthetic_motion(series: BValueSeries, spec: PhantomSpec, seed: int):
 
 
 def simulate_case(spec: PhantomSpec):
-    """(truth maps, ROI, moved series, true fields) of a simulated case: the
-    noise comes from spec.seed and the motion from spec.seed + 1."""
+    """(truth maps, ROI, motion-free series, moved series, true fields) of a
+    simulated case: noise from spec.seed, motion from spec.seed + 1."""
     maps, roi = make_phantom(spec)
     clean = simulate_series(maps, roi, spec.bvalues, spec.noise_sigma, spec.seed)
     moved, true_fields = apply_synthetic_motion(clean, spec, spec.seed + 1)
-    return maps, roi, moved, true_fields
+    return maps, roi, clean, moved, true_fields

@@ -34,7 +34,6 @@ from . import _kernels, phantom
 from .maturity import MIN_FIT_POINTS, CohortPoint, SaturationFit, fit_saturation, predict_adc
 from .objective import (
     LossBreakdown,
-    LossWeights,
     model_fit_loss,
     similarity_loss,
     total_loss,  # noqa: F401  unused here; perfbench/spans.py wraps pipeline.total_loss
@@ -57,14 +56,17 @@ ADC_CHANGE_TOL = 1e-3  # relative ROI-mean ADC change that counts as stable
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Outer-loop settings; defaults follow the reference hyper-parameters."""
+    """Outer-loop settings; defaults follow the reference hyper-parameters.
+    alpha2 weighs the model-fit term; alpha2 = 0 is registration only."""
 
-    weights: LossWeights = LossWeights()
+    alpha2: float = 1000.0
     inner: InnerOptConfig = InnerOptConfig()
     max_outer_iters: int = 50
     converge_window: int = 5
 
     def __post_init__(self):
+        if not 0.0 <= self.alpha2 < np.inf:
+            raise ValueError(f"alpha2 must be finite and >= 0, got {self.alpha2}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.converge_window < 1:
@@ -180,7 +182,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         fixed = reconstruct(maps, bvalues)
         means, log_s0_c, adc_c, r2_c = _curve_stats(current, roi)
         loss0 = LossBreakdown.weighted(
-            similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.weights
+            similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.alpha2
         )
         records.append(
             CaseRecord(k, adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0)
@@ -194,7 +196,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
             break
         try:
             new_fields, _trace = optimize_fields(
-                fixed, normalized, fields, maps, roi, cfg.weights, cfg.inner
+                fixed, normalized, fields, maps, roi, cfg.alpha2, cfg.inner
             )
         except DivergedError as err:
             failed = True
@@ -278,7 +280,7 @@ def analyze_methods(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> 
     no_model_fit run: the curve fit of the normalized input, made before
     any registration pass.
     """
-    no_model_fit = run_case(series, roi, replace(cfg, weights=replace(cfg.weights, alpha2=0.0)))
+    no_model_fit = run_case(series, roi, replace(cfg, alpha2=0.0))
     full = run_case(series, roi, cfg)
     raw = no_model_fit.records[0]
     out = {"no_compensation": (raw.roi_mean_adc, raw.roi_r2, None)}
@@ -356,7 +358,7 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
 
 def _simulate_case(spec: CohortCaseSpec):
     """Cohort case loader: the motion-corrupted phantom series of a spec."""
-    _maps, roi, moved, _fields = phantom.simulate_case(spec.phantom_spec())
+    _maps, roi, _clean, moved, _fields = phantom.simulate_case(spec.phantom_spec())
     return spec.case_id, spec.ga_weeks, moved, roi
 
 

@@ -1,8 +1,9 @@
 """Inner-loop optimizer: fit per-b-value displacement fields to the objective.
 
 The fields are optimized directly (one dense 3-vector per voxel per b-value)
-with a self-contained Adam implementation.  Whenever the total loss rises
-relative to the previous step the learning rate is divided by LR_DROP_FACTOR.
+with a self-contained Adam implementation, at a learning rate that starts
+at LEARNING_RATE.  Whenever the total loss rises relative to the previous
+step the learning rate is divided by LR_DROP_FACTOR.
 Once the best-seen loss gains no more than PLATEAU_REL_TOL of itself over a
 window of steps, the loop stops.  The best-visited state is returned, so the
 final loss never exceeds the initial one.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .objective import LossWeights, loss_and_gradient, stack_fields, unstack_fields
+from .objective import loss_and_gradient, stack_fields, unstack_fields
 from .signal_model import ParameterMaps
 from .volume import BValueSeries, DimensionMismatchError, RoiMask
 
@@ -23,27 +24,21 @@ from .volume import BValueSeries, DimensionMismatchError, RoiMask
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 0.1  # voxels per step, since the parameters are raw displacements
 LR_DROP_FACTOR = 10.0  # the learning rate is divided by this on a rising step
 PLATEAU_REL_TOL = 1e-5  # relative best-loss gain over a window that counts as a plateau
 
 
 @dataclass(frozen=True)
 class InnerOptConfig:
-    """Adam settings for one registration pass.
+    """Adam settings for one registration pass: plateau_window stops the
+    loop once the best-seen loss gains no more than PLATEAU_REL_TOL of
+    itself over that many steps (0 disables the stop)."""
 
-    The learning rate is in voxels per step since the parameters are raw
-    displacements.  plateau_window stops the loop early once the best-seen
-    loss gains no more than PLATEAU_REL_TOL of itself over that many steps;
-    set plateau_window = 0 to disable.
-    """
-
-    learning_rate: float = 0.1
     max_inner_steps: int = 100
     plateau_window: int = 10
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_inner_steps < 0:
             raise ValueError("max_inner_steps must be >= 0")
         if self.plateau_window < 0:
@@ -74,10 +69,10 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     x is the flat float64 starting point; Adam steps it in place, so it
     ends at the last visited state and no second copy of the start is
     kept.  value_and_grad(x) must return (loss, grad, aux); aux is recorded
-    in the trace, and grad may be the same buffer on every call.  On a step
-    whose loss exceeds the previous step's loss, the learning rate is
-    divided by LR_DROP_FACTOR (once per offending step).  Returns the
-    lowest-loss visited state.
+    in the trace, and grad may be the same buffer on every call.  The
+    learning rate starts at LEARNING_RATE; on a step whose loss exceeds the
+    previous step's loss, it is divided by LR_DROP_FACTOR (once per
+    offending step).  Returns the lowest-loss visited state.
     """
     if x.dtype != np.float64 or x.ndim != 1:
         raise ValueError(f"x must be a flat float64 array, got {x.dtype} of shape {x.shape}")
@@ -90,7 +85,7 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     best_history = [best_loss]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     lr_drops = 0
     prev_loss = loss
     steps = 0
@@ -126,15 +121,15 @@ def optimize_fields(
     init_fields,
     maps: ParameterMaps,
     roi: RoiMask,
-    weights: LossWeights,
+    alpha2: float,
     cfg: InnerOptConfig,
 ):
     """Find per-b-value displacement fields minimizing the total loss.
 
     Each b-value image of `moving` is registered to the same-b image of
     `fixed`; all B fields are optimized jointly against the weighted total
-    of `loss_and_gradient`, for every weight setting (alpha2 = 0 is the
-    registration-only method).  init_fields are the starting fields: the
+    of `loss_and_gradient`, for every model-fit weight alpha2 (alpha2 = 0 is
+    the registration-only method).  init_fields are the starting fields: the
     outer loop passes the fields of its previous pass, so Adam resumes from
     them with fresh moments.  Returns (fields, trace) where trace is the
     per-step LossBreakdown list, every term unweighted, and fields is the
@@ -161,7 +156,7 @@ def optimize_fields(
 
     def value_and_grad(x):
         bd = loss_and_gradient(
-            fixed, moving, x.reshape(shape), maps, roi, weights, grad.reshape(shape)
+            fixed, moving, x.reshape(shape), maps, roi, alpha2, grad.reshape(shape)
         )
         return bd.total, grad, bd
 

@@ -97,9 +97,14 @@ def test_default_config_builds_the_library_defaults():
         ("morph", {"pipeline": {"lr_drop_factor": 10.0}}, []),
         ("morph", {"pipeline": {"plateau_rel_tol": 1e-5}}, []),
         ("morph", {"pipeline": {"adc_change_tol": 1e-3}}, []),
-        ("morph", {}, ["--alpha1", "-1"]),
-        ("morph", {}, ["--lr", "nan"]),
-        ("morph", {}, ["--lr", "inf"]),
+        ("morph", {"pipeline": {"alpha1": 0.01}}, []),
+        ("morph", {"pipeline": {"learning_rate": 0.1}}, []),
+        # values of another JSON type than the key's default
+        ("morph", {"pipeline": {"max_outer_iters": 2.9}}, []),
+        ("morph", {"pipeline": {"max_inner_steps": True}}, []),
+        ("simulate", {"seed": 1.7}, SMALL_CASE),
+        ("simulate", {"phantom": {"noise_sigma": "0.02"}}, SMALL_CASE),
+        ("simulate", {"phantom": {"dims": [20.5, 20, 8]}}, []),
         ("morph", {"pipeline": {"plateau_window": -2}}, []),
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
@@ -137,9 +142,13 @@ def test_default_config_builds_the_library_defaults():
         "removed_key_lr_drop_factor",
         "removed_key_plateau_rel_tol",
         "removed_key_adc_change_tol",
-        "alpha1_negative",
-        "lr_nan",
-        "lr_inf",
+        "removed_key_alpha1",
+        "removed_key_learning_rate",
+        "max_outer_float",
+        "max_inner_bool",
+        "seed_float",
+        "noise_sigma_text",
+        "dims_float",
         "plateau_window_negative",
         "dims_text",
         "roi_out_of_bounds",
@@ -188,8 +197,18 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         ("morph", ["--seed", "3"]),
         ("cohort", ["--lung-adc", "1e-4"]),
         ("cohort", ["--motion-amplitude", "9"]),
+        # flags of settings that became module constants
+        ("morph", ["--alpha1", "0.01"]),
+        ("morph", ["--lr", "0.1"]),
     ],
-    ids=["fit_seed", "morph_seed", "cohort_lung_adc", "cohort_motion_amplitude"],
+    ids=[
+        "fit_seed",
+        "morph_seed",
+        "cohort_lung_adc",
+        "cohort_motion_amplitude",
+        "morph_alpha1",
+        "morph_lr",
+    ],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, command, flag):
     out = tmp_path / "out"

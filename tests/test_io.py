@@ -66,12 +66,15 @@ def _write_small_case(tmp_path):
         _set_bvalue("fifty"),
         _set_bvalue(None),
         _set_ga("thirty"),
+        _set_ga("31"),
+        _set_ga(True),
         _set_ga(None),
         _set_ga(-5.0),
         _set_ga(0.0),
         _set_bvalue(-50.0),
         _set_bvalue(100.0),
         _set_bvalue(25.0, entry=0),
+        _set_bvalue(False, entry=0),
         _negative_signal,
         _empty_roi,
     ],
@@ -81,12 +84,15 @@ def _write_small_case(tmp_path):
         "bvalue_text",
         "bvalue_null",
         "ga_text",
+        "ga_numeric_text",
+        "ga_bool",
         "ga_null",
         "ga_negative",
         "ga_zero",
         "bvalue_negative",
         "bvalue_duplicate",
         "b0_missing",
+        "b0_bool",
         "signal_negative",
         "roi_empty",
     ],

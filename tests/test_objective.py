@@ -7,11 +7,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dwimoco import _kernels
+from dwimoco import _kernels, objective
 from dwimoco.objective import (
+    ALPHA1,
     EmptyRoiError,
     LossBreakdown,
-    LossWeights,
     loss_and_gradient,
     model_fit_loss,
     per_term_gradients,
@@ -157,41 +157,41 @@ class TestTotalLoss:
     def test_global_minimum_is_zero(self, setup):
         maps, roi, fixed, _, _, _ = setup
         zero = [DisplacementField.zero(DIMS) for _ in BVALUES]
-        bd = total_loss(fixed, fixed, zero, maps, roi, LossWeights(0.01, 1000.0))
+        bd = total_loss(fixed, fixed, zero, maps, roi, 1000.0)
         assert bd.similarity == 0.0
         assert bd.smooth == 0.0
         assert bd.model_fit == pytest.approx(0.0, abs=1e-24)
         assert bd.total == pytest.approx(0.0, abs=1e-20)
 
-    def test_zero_weights_reduce_to_similarity(self, setup):
+    def test_zero_weights_reduce_to_similarity(self, monkeypatch, setup):
         maps, roi, fixed, moving, fields, _ = setup
-        bd = total_loss(fixed, moving, fields, maps, roi, LossWeights(0.0, 0.0))
+        monkeypatch.setattr(objective, "ALPHA1", 0.0)
+        bd = total_loss(fixed, moving, fields, maps, roi, 0.0)
         assert bd.total == bd.similarity
 
     def test_weighted_sum_identity(self, setup):
         maps, roi, fixed, moving, fields, _ = setup
-        w = LossWeights(0.01, 1000.0)
-        bd = total_loss(fixed, moving, fields, maps, roi, w)
-        assert bd.total == bd.similarity + w.alpha1 * bd.smooth + w.alpha2 * bd.model_fit
+        bd = total_loss(fixed, moving, fields, maps, roi, 1000.0)
+        assert bd.total == bd.similarity + ALPHA1 * bd.smooth + 1000.0 * bd.model_fit
 
     def test_paper_weight_arithmetic(self):
-        bd = LossBreakdown(0.2, 3.0, 1e-4, 0.2 + 0.01 * 3.0 + 1000.0 * 1e-4)
+        # the paper's weights: alpha1 = 0.01, alpha2 = 1000
+        bd = LossBreakdown.weighted(0.2, 3.0, 1e-4, 1000.0)
         assert bd.total == pytest.approx(0.33, rel=1e-12)
 
     def test_fused_path_matches_reference(self, setup):
         maps, roi, fixed, moving, fields, _ = setup
         for alpha2 in ALPHA2_SETTINGS:
-            w = LossWeights(0.01, alpha2)
-            ref = total_loss(fixed, moving, fields, maps, roi, w)
+            ref = total_loss(fixed, moving, fields, maps, roi, alpha2)
             uc = stack_fields(fields)
-            fused = loss_and_gradient(fixed, moving, uc, maps, roi, w, np.empty_like(uc))
+            fused = loss_and_gradient(fixed, moving, uc, maps, roi, alpha2, np.empty_like(uc))
             assert fused.similarity == pytest.approx(ref.similarity, rel=1e-12)
             assert fused.smooth == pytest.approx(ref.smooth, rel=1e-12)
             assert fused.model_fit == pytest.approx(ref.model_fit, rel=1e-12)
             assert fused.model_fit > 0.0  # reported unweighted at every alpha2
             if alpha2 == 0.0:
                 for bd in (ref, fused):
-                    assert bd.total == bd.similarity + w.alpha1 * bd.smooth
+                    assert bd.total == bd.similarity + ALPHA1 * bd.smooth
 
 
 def _fd_term(term, fixed, moving, maps, roi, u, i, c, idx, h=1e-3):
@@ -199,11 +199,10 @@ def _fd_term(term, fixed, moving, maps, roi, u, i, c, idx, h=1e-3):
     up[(i,) + idx + (c,)] += h
     dn = u.copy()
     dn[(i,) + idx + (c,)] -= h
-    w = LossWeights(0.01, 1000.0)
     f_up = [DisplacementField(up[j]) for j in range(u.shape[0])]
     f_dn = [DisplacementField(dn[j]) for j in range(u.shape[0])]
-    t_up = total_loss(fixed, moving, f_up, maps, roi, w)
-    t_dn = total_loss(fixed, moving, f_dn, maps, roi, w)
+    t_up = total_loss(fixed, moving, f_up, maps, roi, 1000.0)
+    t_dn = total_loss(fixed, moving, f_dn, maps, roi, 1000.0)
     return (getattr(t_up, term) - getattr(t_dn, term)) / (2 * h)
 
 
@@ -221,7 +220,6 @@ class TestFieldStack:
         # give wrong smoothness gradients instead of an error
         maps, roi, fixed, moving, fields, _ = setup
         good = stack_fields(fields)
-        w = LossWeights()
         strided = np.stack([np.moveaxis(f.data, -1, 0) for f in fields])
         assert strided.shape == good.shape and not strided.flags.c_contiguous
         bad = [
@@ -232,17 +230,17 @@ class TestFieldStack:
         ]
         for name, fields_arr, grad in bad:
             with pytest.raises(ValueError, match=f"{name} must be a C-contiguous float64"):
-                loss_and_gradient(fixed, moving, fields_arr, maps, roi, w, grad)
-        loss_and_gradient(fixed, moving, good, maps, roi, w, np.empty_like(good))
+                loss_and_gradient(fixed, moving, fields_arr, maps, roi, 1000.0, grad)
+        loss_and_gradient(fixed, moving, good, maps, roi, 1000.0, np.empty_like(good))
 
 
 class TestGradients:
     def test_zero_gradient_at_global_minimum(self, setup):
         maps, roi, fixed, _, _, _ = setup
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
-        weights = LossWeights(0.01, 1000.0)
+        alpha2 = 1000.0
         grad = np.full((len(BVALUES), 3) + DIMS, np.nan)  # every entry is overwritten
-        loss_and_gradient(fixed, fixed, np.zeros_like(grad), maps, roi, weights, grad)
+        loss_and_gradient(fixed, fixed, np.zeros_like(grad), maps, roi, alpha2, grad)
         grad = np.moveaxis(grad, 1, -1)
         terms = per_term_gradients(
             fixed, fixed, [DisplacementField(z) for z in zero], maps, roi
@@ -260,7 +258,7 @@ class TestGradients:
             _, dw = _kernels.warp3d_with_point_grad(w_i, zero[i])
             res_bound = np.where(roi.data, 2 * eps * np.maximum(1.0, np.abs(y)), 0.0)
             bound[i] = (
-                weights.alpha2 * 2 / (len(BVALUES) * roi.count)
+                alpha2 * 2 / (len(BVALUES) * roi.count)
                 * (res_bound / w_i)[..., None] * np.abs(dw)
             )
         assert bound.max() <= 1e-14
@@ -292,13 +290,12 @@ class TestGradients:
         maps, roi, fixed, moving, fields, _ = setup
         terms = per_term_gradients(fixed, moving, fields, maps, roi)
         for alpha2 in ALPHA2_SETTINGS:
-            w = LossWeights(0.01, alpha2)
             uc = stack_fields(fields)
             grad = np.empty_like(uc)
-            loss_and_gradient(fixed, moving, uc, maps, roi, w, grad)
+            loss_and_gradient(fixed, moving, uc, maps, roi, alpha2, grad)
             grad = np.moveaxis(grad, 1, -1)
             combo = (
-                terms["similarity"] + w.alpha1 * terms["smooth"] + w.alpha2 * terms["model_fit"]
+                terms["similarity"] + ALPHA1 * terms["smooth"] + alpha2 * terms["model_fit"]
             )
             np.testing.assert_allclose(grad, combo, rtol=1e-9, atol=1e-15)
 
@@ -647,11 +644,10 @@ class TestThreadBudget:
         # 4 b-values: 2 images per thread, 1-1-2 at budget 3, 1 each at 4
         maps, roi, fixed, moving, fields, _ = setup
         u = stack_fields(fields)
-        w = LossWeights(0.01, alpha2)
         out = {}
         for budget in (1, 2, 3, 4):
             grad = np.full_like(u, np.nan)
-            bd = at_budget(budget, loss_and_gradient, fixed, moving, u, maps, roi, w, grad)
+            bd = at_budget(budget, loss_and_gradient, fixed, moving, u, maps, roi, alpha2, grad)
             out[budget] = bd, grad
         for budget in (2, 3, 4):
             assert out[budget][0] == out[1][0]
@@ -701,10 +697,3 @@ class TestThreadBudget:
         with pytest.raises(ValueError):
             _kernels.set_thread_budget(0)
 
-
-class TestLossWeights:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LossWeights(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            LossWeights(0.1, np.inf)

@@ -49,8 +49,8 @@ def test_diverged_method_drops_its_case_from_every_fit(monkeypatch):
     diverged = []
 
     def diverge_once_without_model_fit(*args, **kwargs):
-        weights = args[5]
-        if weights.alpha2 == 0.0 and not diverged:
+        alpha2 = args[5]
+        if alpha2 == 0.0 and not diverged:
             diverged.append(True)
             raise DivergedError("diverged: injected", [])
         return real(*args, **kwargs)
@@ -141,7 +141,7 @@ def small_case():
     spec = pipeline.phantom.PhantomSpec(
         dims=(16, 16, 6), noise_sigma=0.02, motion_amplitude=2.0, seed=7
     )
-    _maps, roi, moved, _fields = pipeline.phantom.simulate_case(spec)
+    _maps, roi, _clean, moved, _fields = pipeline.phantom.simulate_case(spec)
     return moved, roi
 
 
@@ -262,7 +262,7 @@ def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch
 @pytest.mark.parametrize("alpha2", [1000.0, 0.0])
 def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
     series, roi = small_case()
-    cfg = replace(RUN_CFG, weights=replace(RUN_CFG.weights, alpha2=alpha2))
+    cfg = replace(RUN_CFG, alpha2=alpha2)
     entering = []  # the normalized series entering each outer iteration
     real_lls_fit = pipeline.lls_fit
 
@@ -277,12 +277,18 @@ def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
     for current, rec in zip(entering, result.records):
         maps = real_lls_fit(current)
         fixed = pipeline.reconstruct(maps, series.bvalues)
-        want = total_loss(fixed, current, zero, maps, roi, cfg.weights)
+        want = total_loss(fixed, current, zero, maps, roi, alpha2)
         assert rec.loss.similarity == want.similarity
         assert rec.loss.smooth == want.smooth == 0.0
         assert rec.loss.model_fit == want.model_fit
         assert rec.loss.total == want.total
         assert rec.loss.model_fit > 0.0
+
+
+def test_pipeline_config_rejects_an_alpha2_below_0_or_not_finite():
+    for alpha2 in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha2 must be finite and >= 0"):
+            pipeline.PipelineConfig(alpha2=alpha2)
 
 
 def test_run_case_rejects_a_grid_with_one_voxel_along_an_axis():

@@ -30,9 +30,10 @@ def rising_steps(losses):
     return sum(1 for a, b in zip(losses, losses[1:]) if b > a)
 
 
-def test_returns_best_visited_state_when_last_step_is_worse():
+def test_returns_best_visited_state_when_last_step_is_worse(monkeypatch):
+    monkeypatch.setattr(registration, "LEARNING_RATE", 1.5)
     f = Recorder(square)
-    cfg = InnerOptConfig(learning_rate=1.5, max_inner_steps=2, plateau_window=0)
+    cfg = InnerOptConfig(max_inner_steps=2, plateau_window=0)
     res = adam_minimize(f, np.array([1.0]), cfg)
     # the first step overshoots to -0.5; the second moves away again
     assert len(f.losses) == 3 and f.losses[2] > f.losses[1] < f.losses[0]
@@ -44,8 +45,9 @@ def test_returns_best_visited_state_when_last_step_is_worse():
 
 def test_learning_rate_drops_once_per_rising_step(monkeypatch):
     monkeypatch.setattr(registration, "LR_DROP_FACTOR", 2.0)
+    monkeypatch.setattr(registration, "LEARNING_RATE", 1.5)
     f = Recorder(square)
-    cfg = InnerOptConfig(learning_rate=1.5, max_inner_steps=12, plateau_window=0)
+    cfg = InnerOptConfig(max_inner_steps=12, plateau_window=0)
     res = adam_minimize(f, np.array([1.0]), cfg)
     rises = rising_steps(f.losses)
     # steps that are worse than the best but better than the previous one
@@ -57,15 +59,16 @@ def test_learning_rate_drops_once_per_rising_step(monkeypatch):
     assert res.loss == min(f.losses)
 
 
-def test_plateau_stop_fires_after_window_steps_without_gain():
+def test_plateau_stop_fires_after_window_steps_without_gain(monkeypatch):
     # constant unit gradient: Adam moves x by lr each step; the loss stops
     # improving once x passes 1, after step 3 from x0 = 3.5 with lr = 1
     def hinge(x):
         return float(max(x[0], 1.0)), np.ones(1)
 
+    monkeypatch.setattr(registration, "LEARNING_RATE", 1.0)
     window = 3
     f = Recorder(hinge)
-    cfg = InnerOptConfig(learning_rate=1.0, max_inner_steps=20, plateau_window=window)
+    cfg = InnerOptConfig(max_inner_steps=20, plateau_window=window)
     res = adam_minimize(f, np.array([3.5]), cfg)
     last_gain = max(i for i in range(1, len(f.losses)) if f.losses[i] < f.losses[i - 1])
     assert last_gain == 3
@@ -93,7 +96,7 @@ def test_diverged_error_carries_every_evaluation(bad_eval, part):
                 grad = np.full_like(grad, np.inf)
         return loss, grad, k
 
-    cfg = InnerOptConfig(learning_rate=0.1, max_inner_steps=10, plateau_window=0)
+    cfg = InnerOptConfig(max_inner_steps=10, plateau_window=0)
     with pytest.raises(DivergedError) as err:
         adam_minimize(value_and_grad, np.array([1.0, -2.0]), cfg)
     assert err.value.trace == list(range(bad_eval + 1))
@@ -103,7 +106,7 @@ def test_diverged_error_carries_every_evaluation(bad_eval, part):
 def test_steps_the_start_in_place_and_rejects_other_layouts():
     f = Recorder(square)
     x = np.array([1.0, -2.0])
-    cfg = InnerOptConfig(learning_rate=0.1, max_inner_steps=3, plateau_window=0)
+    cfg = InnerOptConfig(max_inner_steps=3, plateau_window=0)
     adam_minimize(f, x, cfg)
     np.testing.assert_array_equal(x, f.points[-1])
     for bad in (np.array([[1.0]]), np.array([1], dtype=np.int64)):

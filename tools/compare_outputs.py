@@ -17,9 +17,12 @@ The command set: `simulate` for seeds 1-3 at 24x24x8 and seed 4 at 48x48x12,
 a longer `morph` (8 outer passes) that stops at a pass returning its
 starting fields, a `morph` of the 48x48x12 case, whose kernels are large
 enough to run on every thread the process may use (24x24x8 ones stay on
-one), `cohort --cases`, and a simulated `cohort --n-cases 4 --workers 2`.  Against another ref it is a tool to run by hand, since a
-change that means to alter outputs fails it by design; CI runs it against
-HEAD, where it checks that the outputs repeat on two copies of the sources.
+one), a `morph --config` of that case with the settings of the benchmark's
+case_ref workload (plateau and ADC stops off), so the config loader runs
+too, `cohort --cases`, and a simulated `cohort --n-cases 4 --workers 2`.
+Against another ref it is a tool to run by hand, since a change that means
+to alter outputs fails it by design; CI runs it against HEAD, where it
+checks that the outputs repeat on two copies of the sources.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ import tempfile
 from pathlib import Path
 
 CAPS = ["--max-outer", "3", "--max-inner", "10"]
+# the morph config of perfbench's case_ref workload, written to {out}/morph_config.json
+MORPH_CONFIG = (
+    '{"pipeline": {"max_outer_iters": 3, "max_inner_steps": 5, '
+    '"plateau_window": 0, "converge_window": 3}}\n'
+)
 
 # (output subdirectory, dwimoco arguments); "{out}" is the output root
 COMMANDS = [
@@ -45,6 +53,10 @@ COMMANDS = [
     ("big", ["simulate", "--dims", "48,48,12", "--seed", "4"]),
     ("fit", ["fit", "--case", "{out}/big/manifest.json", "--method", "both"]),
     ("morph_big", ["morph", "--case", "{out}/big/manifest.json", *CAPS]),
+    (
+        "morph_config",
+        ["morph", "--case", "{out}/big/manifest.json", "--config", "{out}/morph_config.json"],
+    ),
     ("morph", ["morph", "--case", "{out}/cases/sim001/manifest.json", *CAPS]),
     (
         "morph_nomf",
@@ -74,6 +86,8 @@ def export_ref(repo: Path, ref: str, dest: Path) -> None:
 
 def run_commands(src: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    out.mkdir(parents=True)
+    (out / "morph_config.json").write_text(MORPH_CONFIG)
     for sub, argv in COMMANDS:
         target = out / sub
         args = [a.replace("{out}", str(out)) for a in argv] + ["--out", str(target)]

@@ -17,12 +17,14 @@ per case and as means over the set:
 - the best iteration.
 
 Each source tree runs in its own child process with that tree's `src/` on
-the path.  Both import `simulate_case`, `field_epe`, `reference_adc` and
-`rel_err` from this checkout's perfbench/workloads.py, so the metrics are
-the benchmark's.  With <ref>, the ref is exported with `git archive` and
-studied too, in parallel with the working tree.  A tree takes about 2.5
-minutes on one core of a 2-core x86 host, so this is a tool to run by hand,
-not a CI gate.
+the path, and simulates its cases with that tree's `phantom.simulate_case`.
+Both import `field_epe`, `reference_adc` and `rel_err` from this checkout's
+perfbench/workloads.py, so the metrics are the benchmark's.  With <ref>, the
+ref is exported with `git archive` and studied too, in parallel with the
+working tree; the ref needs the library calls this script makes
+(`simulate_case` returning the motion-free series, `PipelineConfig.alpha2`).
+A tree takes about 2.5 minutes on one core of a 2-core x86 host, so this is
+a tool to run by hand, not a CI gate.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def study_cases() -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from dataclasses import replace
 
-    from workloads import field_epe, reference_adc, rel_err, simulate_case
+    from workloads import field_epe, reference_adc, rel_err
 
     from dwimoco import phantom, pipeline
     from dwimoco.volume import DisplacementField
@@ -59,7 +61,7 @@ def study_cases() -> None:
             spec = phantom.PhantomSpec(
                 dims=DIMS, noise_sigma=NOISE, motion_amplitude=amp, seed=seed
             )
-            clean, moved, roi, true_fields = simulate_case(spec)
+            _maps, roi, clean, moved, true_fields = phantom.simulate_case(spec)
             ref = reference_adc(clean, roi)
             zero = [DisplacementField.zero(DIMS) for _ in moved.bvalues]
             row = {
@@ -71,8 +73,7 @@ def study_cases() -> None:
             }
             cfg = pipeline.PipelineConfig(max_outer_iters=MAX_OUTER)
             for method, alpha2 in METHODS:
-                weights = replace(cfg.weights, alpha2=alpha2)
-                result = pipeline.run_case(moved, roi, replace(cfg, weights=weights))
+                result = pipeline.run_case(moved, roi, replace(cfg, alpha2=alpha2))
                 row["epe"][method] = field_epe(result.best_fields, true_fields, roi)
                 row["adc_err"][method] = rel_err(result.best_record.roi_mean_adc, ref)
                 row["best_iter"][method] = result.best_iteration
