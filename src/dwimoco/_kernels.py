@@ -24,9 +24,8 @@ returns the results in range order.  It has three users:
   b-value order;
 - `adam_update` gives each thread one range of its flat arrays, which the
   thread works through in cache-sized blocks;
-- `signal_model` does the same with the voxels of every decay fit, LLS and
-  each IRLS iteration, and combines the "all voxels within tolerance"
-  flags of the ranges afterwards.
+- `signal_model` does the same with the voxels of every decay fit, LLS
+  and the robust L1 fit.
 
 numpy releases the interpreter lock inside its array loops, so the threads
 overlap.  A budget of 1, or work too small to pay for the handoffs

@@ -427,7 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
     for name in ("fit", "morph"):
         subs[name].add_argument("--case", required=True, help="path to a case manifest.json")
-    subs["fit"].add_argument("--method", choices=("lls", "irls", "both"), default="both")
+    subs["fit"].add_argument(
+        "--method",
+        choices=("lls", "irls", "both"),
+        default="both",
+        help="lls: least squares; irls: robust least-absolute-deviations line (default: both)",
+    )
     subs["cohort"].add_argument("--cases", help="directory of case subdirectories with manifests")
     subs["cohort"].add_argument("--workers", type=int, default=1, help="parallel case workers")
     return parser

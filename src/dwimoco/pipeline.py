@@ -6,11 +6,12 @@ reconstructs the model series, and optimizes the accumulated per-b-value
 fields against the normalized input, starting from the previous iteration's
 fields; the next iteration's series is the normalized input warped by those
 fields, so every series is one resample of the input.  The recorded
-per-iteration summary ADC comes from a robust (IRLS) fit of the ROI-mean
-decay curve; the iteration with the highest IRLS R^2 wins.  Iteration 0 is
-always the uncompensated input state.  The loop stops once the ROI-mean ADC
-has changed by at most ADC_CHANGE_TOL, relative to the previous value, over
-converge_window consecutive iterations.
+per-iteration summary ADC comes from the robust L1 fit
+(`signal_model.irls_fit`) of the ROI-mean decay curve; the iteration with
+the highest R^2 of that fit wins.  Iteration 0 is always the uncompensated
+input state.  The loop stops once the ROI-mean ADC has changed by at most
+ADC_CHANGE_TOL, relative to the previous value, over converge_window
+consecutive iterations.
 
 A cohort study runs three methods on every case (`analyze_methods`):
 no compensation, which is record 0 of a registered run (the curve fit of

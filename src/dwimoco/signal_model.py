@@ -1,35 +1,40 @@
-"""Mono-exponential decay model: forward evaluation, LLS and IRLS fitting.
+"""Mono-exponential decay model: forward evaluation, LLS and robust L1 fitting.
 
 The data model is S_i = S0 * exp(-b_i * ADC).  Fitting happens in the log
-domain, where the model is linear with design matrix rows (1, -b_i) and
-unknowns (log S0, ADC).  The per-voxel solve uses the closed 2x2 form of the
-normal equations; this is the hot path, so no general linear algebra is
-involved.
+domain, where the model is the line log S0 - b * ADC in the unknowns
+(log S0, ADC).  Both per-voxel fits are closed form:
 
-Every fit goes through one block-wise solve, `_weighted_log_linear_solve`,
-on log signals flattened to (B, N): `lls_fit` and `irls_fit_volume` pass a
-whole stack, `lls_fit_curve` and `irls_fit` one curve as N = 1.
-`_kernels.fan_out_ranges` gives each thread one contiguous range of voxels
-(a stack too small to pay for a thread stays on the calling one), which the
-thread cuts into blocks of at most FIT_BLOCK voxels.  For each block it
-computes the residuals of the current fit, the IRLS weights and the new fit
-in turn, so the block's arrays stay in cache through all of it, where a
-solve over the whole stack sent a dozen full-size temporaries through
-memory.
+- plain least squares (LLS) solves the 2x2 normal equations; this is the
+  hot path of registration, so no general linear algebra is involved;
+- the robust fit is the least-absolute-deviations (LAD) line, the one with
+  the lowest sum of absolute log residuals.  A two-parameter L1 fit has an
+  optimum on a line through two of the samples, a vertex of its linear
+  program (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).  So the fit
+  scores the line through each pair of samples with distinct b-values,
+  C(6, 2) = 15 lines at 6 b-values, and keeps the lowest: exact, with no
+  tolerance and no iteration cap.
 
-The robust fit is one IRLS loop, `_irls`, one block-wise solve per
-iteration.  Its stop is global, as in a loop over the whole stack: every
-voxel is solved again until all of them meet IRLS_TOL at once, or
-IRLS_MAX_ITER solves have run.  Every voxel sees the same operations in
-the same order whatever the blocks and threads, so the fit keeps its bits
-at every thread budget.  On the 96x96x16 phantoms (6 b-values, noise
-0.02) the stop is the cap: all 50 solves run, with 32k-34k of 147,456
-voxels still outside the tolerance at the last one.
+The robust fit's public names, `irls_fit` and `irls_fit_volume`, and the
+`irls` method and output names come from the IRLS fit it replaced.  They
+stay because the benchmark's span targets and the output file names use
+them.
+
+Both fits run on log signals flattened to (B, N), in `_fit_blocks`:
+`lls_fit` and `irls_fit_volume` pass a whole stack, `lls_fit_curve` and
+`irls_fit` one curve as N = 1.  `_kernels.fan_out_ranges` gives each thread
+one contiguous range of voxels (a stack too small to pay for a thread stays
+on the calling one), which the thread cuts into blocks of at most FIT_BLOCK
+voxels, so a block's arrays stay in cache through the whole solve.  Every
+voxel sees the same operations in the same order whatever the blocks and
+threads, so both fits keep their bits at every thread budget.  The L1 fit
+adds each line's absolute residuals row by row, so a curve also gets the
+bits of the same voxel in a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,20 +42,17 @@ from . import _kernels
 from .volume import BValueSeries, RoiMask, ScalarVolume
 
 FLOOR_EPS = 1e-6  # signals are floored here before the log
-IRLS_RESIDUAL_FLOOR = 1e-4  # residual magnitude floor in the weight update
-IRLS_MAX_ITER = 50  # weighted solves per IRLS fit, the first (plain LLS) included
-IRLS_TOL = 1e-6  # relative ADC change at which IRLS stops
-# Voxels per block of a fit.  A block's log signals and its 2 scratch arrays
-# take 768 KiB each at 6 b-values.  Of 8192-24576, 16384 was the fastest on
-# 2 threads of a 2-core x86 host (2 MiB L2 per core), where smaller blocks
-# make more numpy calls and so more interpreter-lock handoffs; on 1 thread
-# 8192 was up to 10% faster.
+# Voxels per block of a fit.  At 6 b-values a block's log signals take
+# 768 KiB, as does each of LLS's 2 scratch arrays; the L1 fit's scratch is
+# one such array plus 4 rows of 128 KiB.  Of 8192-24576, 16384 was the
+# fastest LLS on 2 threads of a 2-core x86 host (2 MiB L2 per core), where
+# smaller blocks make more numpy calls and so more interpreter-lock
+# handoffs; on 1 thread 8192 was up to 10% faster.
 FIT_BLOCK = 16384
-_TINY = np.finfo(float).tiny
 
 
 class DegenerateDesignError(ValueError):
-    """All b-values equal: the normal matrix is singular."""
+    """All b-values equal: no line through the samples has a defined slope."""
 
 
 class UndefinedRSquaredError(ValueError):
@@ -86,28 +88,37 @@ def _residuals(b, y, log_s0, adc, out=None):
     return resid
 
 
-def _irls_weights(resid, out=None):
-    """1 / max(|resid|, IRLS_RESIDUAL_FLOOR), the IRLS weight of each residual."""
-    w = np.abs(resid, out=out)
-    np.maximum(w, IRLS_RESIDUAL_FLOOR, out=w)
-    return np.divide(1.0, w, out=w)
+def _fit_blocks(solve_block, y, scratch_rows):
+    """(log_s0, adc), each (N,): `solve_block` on every block of y (B, N).
 
-
-def _solve_block(b, y, log_s0, adc, weighted, scratch):
-    """One closed-form LLS of y ~ log S0 - b * ADC on a block, in place.
-
-    b: (B,) b-values; y: (B, n) log signals; log_s0, adc: (n,) views of the
-    fit, overwritten with the new one.  With `weighted`, each measurement
-    is weighted by `_irls_weights` of the residual of the current fit,
-    otherwise by 1.  scratch: (2, B, m) with m >= n.  Returns True iff
-    `weighted` and every voxel's ADC moved by at most IRLS_TOL relative to
-    the old one.
+    `fan_out_ranges` gives each thread one contiguous range of voxels,
+    which it cuts into `_kernels.near_equal_ranges` of at most FIT_BLOCK
+    voxels and solves one after another as
+    solve_block(y_block, log_s0_block, adc_block, scratch) with one
+    (scratch_rows, block width) scratch buffer.  So no block is 1 voxel
+    wide unless its whole range is, which LLS needs: numpy sums the B rows
+    of a 1-wide block pairwise, as it does a 1-d curve, and those of a
+    wider one in row order, as it does a whole (B, nx, ny, nz) stack.
     """
-    w, t = scratch[:, :, : y.shape[1]]
-    if weighted:
-        _irls_weights(_residuals(b, y, log_s0, adc, out=w), out=w)
-    else:
-        w.fill(1.0)
+    log_s0, adc = np.empty((2, y.shape[1]))
+
+    def run(lo, hi):
+        scratch = np.empty((scratch_rows, min(hi - lo, FIT_BLOCK)))
+        for i, j in _kernels.near_equal_ranges(lo, hi, -(-(hi - lo) // FIT_BLOCK)):
+            solve_block(y[:, i:j], log_s0[i:j], adc[i:j], scratch[:, : j - i])
+
+    _kernels.fan_out_ranges(run, y.shape[1], y.size)
+    return log_s0, adc
+
+
+def _lls_block(b, y, log_s0, adc, scratch):
+    """Closed-form LLS of y ~ log S0 - b * ADC on a block.
+
+    b: (B,) b-values; y: (B, n) log signals; log_s0, adc: (n,) views that
+    receive the fit.  scratch: (2B, n).
+    """
+    w, t = scratch.reshape(2, len(b), -1)
+    w.fill(1.0)
     bcol = b[:, None]
     sw = w.sum(axis=0)
     sy = np.multiply(w, y, out=t).sum(axis=0)
@@ -116,40 +127,48 @@ def _solve_block(b, y, log_s0, adc, weighted, scratch):
     sbb = np.multiply(w, bcol, out=t).sum(axis=0)
     sby = np.multiply(w, y, out=t).sum(axis=0)
     det = sw * sbb - sb * sb
-    # array methods, not np.all: this runs once per iteration of every
-    # 1-voxel curve fit, where the function wrappers cost more than the math
+    # array methods, not np.all: this runs once per 1-voxel curve fit, where
+    # the function wrappers cost more than the math
     if not ((det > 0).all() and np.isfinite(det).all()):
         raise DegenerateDesignError("degenerate design: b-values carry no spread")
-    new_adc = (sb * sy - sw * sby) / det
     log_s0[:] = (sbb * sy - sb * sby) / det
-    within = weighted and bool(
-        (np.abs(new_adc - adc) <= IRLS_TOL * np.maximum(np.abs(adc), _TINY)).all()
-    )
-    adc[:] = new_adc
-    return within
+    adc[:] = (sb * sy - sw * sby) / det
 
 
-def _weighted_log_linear_solve(b, y, log_s0, adc, weighted):
-    """`_solve_block` on every block of y (B, N); True iff all are within IRLS_TOL.
+def _pair_line(b, y, i, j, log_s0, adc, cost, resid):
+    """The line through samples i and j of every voxel, and its L1 cost.
 
-    log_s0 and adc, (N,), hold the current fit and are overwritten with the
-    new one.  `fan_out_ranges` gives each thread one contiguous range of
-    voxels, which it cuts into `_kernels.near_equal_ranges` of at most
-    FIT_BLOCK voxels and solves one after another with one scratch buffer.
-    So no block is 1 voxel wide unless its whole range is: numpy sums the B
-    rows of a 1-wide block pairwise, as it does a 1-d curve, and those of a
-    wider one in row order, as it does a whole (B, nx, ny, nz) stack.
+    Writes ADC = (y_i - y_j) / (b_j - b_i) and log S0 = y_i + b_i * ADC to
+    adc and log_s0, and the sum over k of |residual_k|, added in row order,
+    to cost; resid (B, n) is scratch.
     """
+    np.subtract(y[i], y[j], out=adc)
+    adc /= b[j] - b[i]
+    np.multiply(adc, b[i], out=log_s0)
+    log_s0 += y[i]
+    np.abs(_residuals(b, y, log_s0, adc, out=resid), out=resid)
+    np.copyto(cost, resid[0])
+    for row in resid[1:]:
+        cost += row
 
-    def run(lo, hi):
-        scratch = np.empty((2, y.shape[0], min(hi - lo, FIT_BLOCK)))
-        flags = [
-            _solve_block(b, y[:, i:j], log_s0[i:j], adc[i:j], weighted, scratch)
-            for i, j in _kernels.near_equal_ranges(lo, hi, -(-(hi - lo) // FIT_BLOCK))
-        ]
-        return all(flags)
 
-    return all(_kernels.fan_out_ranges(run, y.shape[1], y.size))
+def _lad_block(b, pairs, y, log_s0, adc, scratch):
+    """Least-absolute-deviations line of y ~ log S0 - b * ADC on a block.
+
+    pairs: the sample pairs (i, j), i < j, with b_i != b_j, in order.  Each
+    voxel gets the first pair's line with the lowest L1 cost (`_pair_line`).
+    The first pair seeds every voxel, so a voxel whose costs are all NaN
+    keeps that line.  y, log_s0, adc as in `_lls_block`; scratch: (B + 4, n).
+    """
+    resid, (line_s0, line_adc, cost, best) = scratch[: len(b)], scratch[len(b) :]
+    (i, j), *rest = pairs
+    _pair_line(b, y, i, j, log_s0, adc, best, resid)
+    for i, j in rest:
+        _pair_line(b, y, i, j, line_s0, line_adc, cost, resid)
+        better = cost < best
+        np.copyto(log_s0, line_s0, where=better)
+        np.copyto(adc, line_adc, where=better)
+        np.copyto(best, cost, where=better)
 
 
 def floored_log(signals):
@@ -159,9 +178,19 @@ def floored_log(signals):
 
 def _lls(b, y):
     """Plain LLS of y: (B, N) log signals; returns (log_s0, adc), each (N,)."""
-    log_s0, adc = np.empty((2, y.shape[1]))
-    _weighted_log_linear_solve(b, y, log_s0, adc, weighted=False)
-    return log_s0, adc
+    return _fit_blocks(partial(_lls_block, b), y, 2 * len(b))
+
+
+def _lad(b, y):
+    """Least-absolute-deviations fit of y: (B, N) log signals to b: (B,).
+
+    Returns (log_s0, adc), each (N,).  Raises DegenerateDesignError when no
+    two b-values differ.
+    """
+    pairs = [(i, j) for i in range(len(b)) for j in range(i + 1, len(b)) if b[i] != b[j]]
+    if not pairs:
+        raise DegenerateDesignError("degenerate design: b-values carry no spread")
+    return _fit_blocks(partial(_lad_block, b, pairs), y, len(b) + 4)
 
 
 def lls_fit(series: BValueSeries) -> ParameterMaps:
@@ -189,47 +218,30 @@ def lls_fit_curve(signals, bvalues):
     return log_s0, adc, r_squared(y, log_s0 - b * adc)
 
 
-def _irls(b, y):
-    """IRLS fit of b: (B,) b-values to y: (B, N) floored log signals.
-
-    Starts from plain LLS and re-weights each measurement by the inverse of
-    its absolute log residual, floored at IRLS_RESIDUAL_FLOOR, which pulls
-    every curve toward its least-absolute-deviations line.  Stops once every
-    curve's relative ADC change is <= IRLS_TOL, or after IRLS_MAX_ITER
-    solves.  Returns (log_s0, adc), each (N,).
-    """
-    log_s0, adc = _lls(b, y)
-    for _ in range(IRLS_MAX_ITER - 1):
-        if _weighted_log_linear_solve(b, y, log_s0, adc, weighted=True):
-            break
-    return log_s0, adc
-
-
 def irls_fit(signals, bvalues):
-    """Robust fit of one decay curve by iteratively reweighted least squares.
+    """Robust fit of one decay curve: its least-absolute-deviations line.
 
-    Runs `_irls` on the curve as one voxel.  Returns (log_s0, adc, r2), as
-    `lls_fit_curve` does; r2 is the R^2 of the fit in the log domain against
-    the unweighted mean.
+    Runs `_lad` on the curve as one voxel.  Returns (log_s0, adc, r2), as
+    `lls_fit_curve` does; r2 is the R^2 of the fit in the log domain.
     """
     b = np.asarray(bvalues, dtype=np.float64)
     s = np.asarray(signals, dtype=np.float64)
     if b.shape != s.shape or b.ndim != 1 or b.size < 2:
         raise ValueError("need matching 1-d signals and bvalues with B >= 2")
     y = floored_log(s)
-    log_s0, adc = (float(v[0]) for v in _irls(b, y.reshape(-1, 1)))
+    log_s0, adc = (float(v[0]) for v in _lad(b, y.reshape(-1, 1)))
     return log_s0, adc, r_squared(y, log_s0 - b * adc)
 
 
 def irls_fit_volume(series: BValueSeries):
-    """`_irls` on every voxel at once, until all meet the tolerance.
+    """`_lad` on every voxel: the robust fit of each voxel's decay curve.
 
     Returns (ParameterMaps, r2 map as ScalarVolume); a voxel whose log
     signals have zero variance gets R^2 = 0.
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
     y = floored_log(series.stack()).reshape(len(b), -1)
-    log_s0, adc = _irls(b, y)
+    log_s0, adc = _lad(b, y)
     ss_res = (_residuals(b, y, log_s0, adc) ** 2).sum(axis=0)
     ymean = y.mean(axis=0)
     ss_tot = ((y - ymean[None]) ** 2).sum(axis=0)

@@ -1,7 +1,10 @@
+import itertools
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dwimoco import _kernels, signal_model
 from dwimoco.signal_model import (
@@ -88,11 +91,6 @@ class TestLlsFit:
             lls_fit_curve([1.0, 1.0, 1.0], [100.0, 100.0, 100.0])
 
 
-def _weights(resid):
-    """The IRLS weight of each log residual."""
-    return 1.0 / np.maximum(np.abs(resid), signal_model.IRLS_RESIDUAL_FLOOR)
-
-
 class TestIrlsFit:
     def test_matches_lls_on_clean_data(self):
         b = np.array(PAPER_BVALUES)
@@ -102,29 +100,20 @@ class TestIrlsFit:
         assert log_s0 == pytest.approx(np.log(1.3), rel=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_floor_makes_weights_uniform_on_clean_data(self):
+    def test_one_corrupted_b_value_leaves_the_true_adc(self, rng):
+        # five samples on the true line out-score any line an outlier pulls
+        # away, so the L1 fit is that line up to rounding, where LLS is not
         b = np.array(PAPER_BVALUES)
-        sig = forward_signal(1.0, 2e-3, b)
-        log_s0, adc, _ = irls_fit(sig, b)
-        # all residuals < 1e-4 -> every weight hits the 1/1e-4 cap
-        resid = (log_s0 - b * adc) - signal_model.floored_log(sig)
-        np.testing.assert_allclose(_weights(resid), 1e4, rtol=0, atol=0)
-        _, adc_lls, _ = lls_fit_curve(sig, b)
-        assert adc == pytest.approx(adc_lls, rel=1e-12)
-
-    def test_outlier_gets_minimum_weight_and_better_adc(self, rng):
-        b = np.array(PAPER_BVALUES)
-        for trial in range(25):
+        for trial in range(200):
             s0 = 0.5 + rng.random()
             adc = 1e-3 + 2e-3 * rng.random()
-            corrupt = int(rng.integers(0, len(b)))
             sig = forward_signal(s0, adc, b)
-            sig[corrupt] *= 2.0
-            log_s0_irls, adc_irls, _ = irls_fit(sig, b)
+            sig[rng.integers(0, len(b))] *= 2.0
+            log_s0_fit, adc_fit, _ = irls_fit(sig, b)
+            assert adc_fit == pytest.approx(adc, rel=1e-12)
+            assert log_s0_fit == pytest.approx(np.log(s0), rel=1e-12)
             _, adc_lls, _ = lls_fit_curve(sig, b)
-            resid = (log_s0_irls - b * adc_irls) - signal_model.floored_log(sig)
-            assert np.argmin(_weights(resid)) == corrupt
-            assert abs(adc_irls - adc) < abs(adc_lls - adc)
+            assert abs(adc_lls - adc) > 1e-3 * adc
 
     def test_volume_variant_matches_scalar(self, rng):
         dims = (4, 3, 2)
@@ -138,10 +127,36 @@ class TestIrlsFit:
         maps, r2 = irls_fit_volume(series)
         b = np.array(series.bvalues)
         stack = series.stack()
-        for p in [(0, 0, 0), (3, 2, 1), (1, 1, 1)]:
-            _, adc_p, r2_p = irls_fit(stack[(slice(None),) + p], b)
-            assert maps.adc.data[p] == pytest.approx(adc_p, rel=1e-9)
-            assert r2.data[p] == pytest.approx(r2_p, rel=1e-9)
+        for p in np.ndindex(dims):
+            log_s0_p, adc_p, r2_p = irls_fit(stack[(slice(None),) + p], b)
+            assert maps.log_s0.data[p] == log_s0_p
+            assert maps.adc.data[p] == adc_p
+            assert r2.data[p] == r2_p
+
+    def test_equal_b_values_are_a_degenerate_design(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesignError, match="degenerate design"):
+                irls_fit([1.0, 1.0, 1.0], [100.0, 100.0, 100.0])
+
+    def test_pairs_of_equal_b_values_are_skipped(self, rng):
+        b = np.array([0.0, 0.0, 300.0, 300.0, 600.0])
+        sig = forward_signal(1.0, 2e-3, b) * (1.0 + 0.05 * rng.standard_normal(b.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_s0, adc, _ = irls_fit(sig, b)
+        y = signal_model.floored_log(sig)
+        assert (log_s0, adc) == tuple(float(v) for v in _oracle_lad(b, y))
+        assert _l1_cost(b, y, log_s0, adc) <= _lp_l1_cost(b, y) + 1e-12
+
+    def test_a_voxel_whose_costs_are_all_nan_keeps_its_first_pair_line(self):
+        b = np.array(PAPER_BVALUES)
+        y = np.log(forward_signal(1.0, 2e-3, b))[:, None].repeat(2, axis=1)
+        y[-1, 1] = np.nan  # every line has a NaN residual at b = 600 in voxel 1
+        log_s0, adc = signal_model._lad(b, y)
+        assert adc[1] == (y[0, 1] - y[1, 1]) / (b[1] - b[0])
+        assert log_s0[1] == y[0, 1] + b[0] * adc[1]
+        assert adc[0] == pytest.approx(2e-3, rel=1e-12)
 
 
 class TestReconstruct:
@@ -211,11 +226,50 @@ class TestRoiMeanSignals:
             roi_mean_signals(series, RoiMask(np.zeros((2, 2, 2), dtype=bool)))
 
 
-def _oracle_solve(b, y, w=None):
-    """The whole-array weighted LLS that the block solve replaced."""
+def _oracle_lad(b, y):
+    """The L1 fit as one whole-array search over a (B, ...) stack: the line
+    through every pair of samples with distinct b-values and its cost at
+    once, then the first pair with the lowest cost."""
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(b)), 2) if b[i] != b[j]]
+    i, j = np.array(pairs).T
+    bpair = (-1,) + (1,) * (y.ndim - 1)
+    adc = (y[i] - y[j]) / (b[j] - b[i]).reshape(bpair)
+    log_s0 = y[i] + b[i].reshape(bpair) * adc
+    cost = sum(abs((log_s0 - bk * adc) - yk) for bk, yk in zip(b, y))
+    first_best = np.argmin(cost, axis=0)[None]
+    return tuple(np.take_along_axis(v, first_best, 0)[0] for v in (log_s0, adc))
+
+
+def _l1_cost(b, y, log_s0, adc):
+    """Sum of the absolute log residuals of the line (log_s0, adc) on a curve y (B,)."""
+    return float(np.abs((log_s0 - b * adc) - y).sum())
+
+
+def _lp_l1_cost(b, y):
+    """The L1 cost of the line that the HiGHS LP solver finds for a curve y (B,).
+
+    The LP: minimize sum_k e_k over (log S0, ADC, e) subject to
+    -e_k <= log S0 - b_k ADC - y_k <= e_k.  The cost is recomputed from the
+    line, not taken from the LP's objective, which may sit below the true
+    optimum by the solver's feasibility tolerance.
+    """
+    n = len(b)
+    line = np.column_stack([np.ones(n), -b])
+    res = linprog(
+        np.r_[0.0, 0.0, np.ones(n)],
+        A_ub=np.block([[line, -np.eye(n)], [-line, -np.eye(n)]]),
+        b_ub=np.r_[y, -y],
+        bounds=[(None, None)] * 2 + [(0.0, None)] * n,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return _l1_cost(b, y, *res.x[:2])
+
+
+def _oracle_solve(b, y):
+    """The whole-array LLS that the block solve replaced."""
     b = b.reshape((-1,) + (1,) * (y.ndim - 1))
-    if w is None:
-        w = np.ones_like(y)
+    w = np.ones_like(y)
     sw = w.sum(axis=0)
     sb = (w * b).sum(axis=0)
     sbb = (w * b * b).sum(axis=0)
@@ -227,27 +281,10 @@ def _oracle_solve(b, y, w=None):
     return (sbb * sy - sb * sby) / det, (sb * sy - sw * sby) / det
 
 
-def _oracle_irls(b, y):
-    """The whole-array IRLS loop over a (B, ...) stack that the blocked one replaced."""
-    bcol = b.reshape((-1,) + (1,) * (y.ndim - 1))
-    log_s0, adc = _oracle_solve(b, y)
-    iterations = 1
-    done = False
-    while True:
-        resid = (log_s0 - bcol * adc) - y
-        if done or iterations == signal_model.IRLS_MAX_ITER:
-            return log_s0, adc, resid, iterations
-        new_log_s0, new_adc = _oracle_solve(b, y, _weights(resid))
-        iterations += 1
-        tol = signal_model.IRLS_TOL * np.maximum(np.abs(adc), np.finfo(float).tiny)
-        done = bool(np.all(np.abs(new_adc - adc) <= tol))
-        log_s0, adc = new_log_s0, new_adc
-
-
 def _noisy_series(rng, dims, bvalues, noise):
     """Decay series with per-voxel S0 and ADC.  Where noise (a number, or an
     array that broadcasts to dims) is > 0, the voxels get Gaussian noise of
-    that relative size and one corrupted b-value, an outlier for IRLS."""
+    that relative size and one corrupted b-value, an outlier for the L1 fit."""
     b = np.asarray(bvalues)
     s0 = 0.5 + rng.random(dims)
     adc = 1e-3 + 2e-3 * rng.random(dims)
@@ -264,12 +301,14 @@ NINE_BVALUES = (0.0, 25.0, 50.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0)
 
 
 class TestBlockedIrlsMatchesWholeArrayLoop:
-    """The blocked, threaded IRLS gives the old whole-array loop's bits.
+    """The blocked, threaded L1 fit gives the bits of the whole-array search
+    `_oracle_lad`, and its L1 cost is the optimum of the LP that scipy's
+    HiGHS solver finds.
 
     The grids hold more voxels than FAN_OUT_MIN_ELEMENTS / B, so budgets 2
     and 3 take the threaded path, and no voxel count is a multiple of
     FIT_BLOCK.  16385 voxels at 9 b-values is one voxel past a block: a
-    1-voxel block would sum its 9 rows pairwise, unlike the whole stack.
+    1-voxel block would sum LLS's 9 rows pairwise, unlike the whole stack.
     """
 
     @pytest.fixture
@@ -284,18 +323,14 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         "dims, bvalues, noise",
         [
             ((40, 40, 24), PAPER_BVALUES, 0.05),
+            # noiseless curves: every pair's line is the true one up to
+            # rounding, so the first pair must win the near and exact ties
             ((40, 40, 24), PAPER_BVALUES, 0.0),
-            # the first half of the voxels is noisy, the second converges at
-            # once: a stop that asked one thread's range only would end early
+            # the first half of the voxels is noisy, the second clean
             ((40, 40, 24), PAPER_BVALUES, np.repeat([[[0.05]], [[0.0]]], 20, axis=0)),
             ((5, 29, 113), NINE_BVALUES, 0.05),
         ],
-        ids=[
-            "stops_at_the_cap",
-            "stops_at_the_tolerance",
-            "one_range_within_tolerance_early",
-            "nine_b_one_voxel_past_a_block",
-        ],
+        ids=["noisy", "clean", "half_noisy", "nine_b_one_voxel_past_a_block"],
     )
     def test_irls_fit_volume_bits_match_the_whole_array_loop(
         self, rng, at_budget, monkeypatch, dims, bvalues, noise
@@ -306,11 +341,12 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         series = _noisy_series(rng, dims, bvalues, noise)
         b = np.asarray(bvalues)
         y = signal_model.floored_log(series.stack())
-        log_s0, adc, resid, iterations = _oracle_irls(b, y)
+        log_s0, adc = _oracle_lad(b, y)
+        resid = (log_s0 - b.reshape(-1, 1, 1, 1) * adc) - y
         ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             r2 = np.where(ss_tot > 0, 1.0 - (resid**2).sum(axis=0) / ss_tot, 0.0)
-        solves = []  # the (lo, hi) ranges of each whole-stack solve, one per IRLS iteration
+        solves = []  # the (lo, hi) ranges of each whole-stack solve
         fan_out_ranges = _kernels.fan_out_ranges
 
         def record_ranges(task, n, elements):
@@ -326,35 +362,62 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         monkeypatch.setattr(_kernels, "fan_out_ranges", record_ranges)
         n_voxels = y[0].size
         for budget in (1, 2, 3):
+            solves.clear()
             maps, r2_map = at_budget(budget, irls_fit_volume, series)
             np.testing.assert_array_equal(maps.log_s0.data, log_s0)
             np.testing.assert_array_equal(maps.adc.data, adc)
             np.testing.assert_array_equal(r2_map.data, r2)
-            solves.clear()
-            at_budget(budget, signal_model._irls, b, y.reshape(len(b), -1))
             parts = min(budget, y.size // _kernels.FAN_OUT_MIN_ELEMENTS)
-            want = _kernels.near_equal_ranges(0, n_voxels, parts)
-            assert [sorted(ranges) for ranges in solves] == [want] * iterations
-        cap = signal_model.IRLS_MAX_ITER
-        assert (iterations == cap) if np.any(noise) else (iterations < cap)
+            assert [sorted(ranges) for ranges in solves] == [
+                _kernels.near_equal_ranges(0, n_voxels, parts)
+            ]
+        for p in zip(*(rng.integers(0, d, 10) for d in dims)):
+            curve = y[(slice(None),) + p]
+            assert _l1_cost(b, curve, log_s0[p], adc[p]) <= _lp_l1_cost(b, curve) + 1e-12
         lls = at_budget(2, lls_fit, series)
         want_log_s0, want_adc = _oracle_solve(b, y)
         np.testing.assert_array_equal(lls.log_s0.data, want_log_s0)
         np.testing.assert_array_equal(lls.adc.data, want_adc)
+
+    @pytest.mark.parametrize("n_b", [2, 3, 6, 9, 13])
+    def test_fit_reaches_the_lp_optimum(self, rng, n_b):
+        # b = 0, then n_b - 1 distinct multiples of 10 up to 600
+        steps = np.sort(rng.choice(np.arange(1, 61), n_b - 1, replace=False))
+        bvalues = (0.0, *(10.0 * steps))
+        series = _noisy_series(rng, (3, 4, 5), bvalues, 0.05)
+        maps, _r2 = irls_fit_volume(series)
+        b = np.asarray(bvalues)
+        y = signal_model.floored_log(series.stack())
+        for p in np.ndindex(series.dims):
+            curve = y[(slice(None),) + p]
+            fit = _l1_cost(b, curve, maps.log_s0.data[p], maps.adc.data[p])
+            assert fit <= _lp_l1_cost(b, curve) + 1e-12
+
+    def test_the_first_pair_wins_an_exact_tie(self):
+        # at b = 0..3 the lines through samples (0, 2), (0, 3), (1, 2) and
+        # (1, 3) all cost exactly 2, and every other line costs 4
+        b = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        log_s0, adc = signal_model._lad(b, y)
+        np.testing.assert_array_equal(log_s0, [0.0, 1.0])  # the (0, 2) lines
+        np.testing.assert_array_equal(adc, [-0.5, 0.5])
+        for v in range(2):
+            assert _l1_cost(b, y[:, v], log_s0[v], adc[v]) == 2.0
+            assert _lp_l1_cost(b, y[:, v]) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "bvalues", [PAPER_BVALUES, NINE_BVALUES, tuple(50.0 * k for k in range(13))]
     )
     def test_curve_fits_match_the_whole_array_loop(self, rng, bvalues):
         # from 8 values up numpy sums a 1-d curve pairwise, not in order, so
-        # the curve must reach the block solve as a 1-voxel block
+        # the LLS of a curve must reach the block solve as a 1-voxel block
         b = np.asarray(bvalues)
         for _ in range(20):
             sig = forward_signal(0.5 + rng.random(), 1e-3 + 2e-3 * rng.random(), b)
             sig *= 1.0 + 0.05 * rng.standard_normal(b.size)
             sig[rng.integers(0, b.size)] *= 1.5
             y = signal_model.floored_log(sig)
-            log_s0, adc, _resid, _iterations = _oracle_irls(b, y)
+            log_s0, adc = _oracle_lad(b, y)
             assert irls_fit(sig, b) == (
                 float(log_s0),
                 float(adc),
@@ -371,15 +434,15 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         self, rng, at_budget, monkeypatch
     ):
         raised_in = []
-        solve_block = signal_model._solve_block
+        lad_block = signal_model._lad_block
 
         def fail_off_the_calling_thread(*args):
             if threading.current_thread() is not threading.main_thread():
                 raised_in.append(threading.current_thread().name)
                 raise DegenerateDesignError("degenerate design: injected")
-            return solve_block(*args)
+            return lad_block(*args)
 
-        monkeypatch.setattr(signal_model, "_solve_block", fail_off_the_calling_thread)
+        monkeypatch.setattr(signal_model, "_lad_block", fail_off_the_calling_thread)
         series = _noisy_series(rng, (40, 40, 24), PAPER_BVALUES, 0.05)
         with pytest.raises(DegenerateDesignError, match="injected"):
             at_budget(2, irls_fit_volume, series)

@@ -12,8 +12,8 @@ only (alpha2 = 0) and the full method (alpha2 = 1000).  For each it prints,
 per case and as means over the set:
 
 - EPE, the motion left in the ROI after the best-iteration fields, in voxels;
-- the relative error of the best-record ADC against the IRLS fit of the
-  motion-free ROI-mean curve;
+- the relative error of the best-record ADC against the robust L1 fit of
+  the motion-free ROI-mean curve;
 - the best iteration.
 
 Each source tree runs in its own child process with that tree's `src/` on
@@ -23,8 +23,11 @@ perfbench/workloads.py, so the metrics are the benchmark's.  With <ref>, the
 ref is exported with `git archive` and studied too, in parallel with the
 working tree; the ref needs the library calls this script makes
 (`simulate_case` returning the motion-free series, `PipelineConfig.alpha2`).
-A tree takes about 2.5 minutes on one core of a 2-core x86 host, so this is
-a tool to run by hand, not a CI gate.
+Each child is pinned to one CPU of this process's affinity set before it
+imports dwimoco, so its kernels run on one thread; with <ref> the two trees
+get different CPUs where there are two.  A tree takes about 1.5 minutes on
+one CPU of a 2-vCPU x86 host, so this is a tool to run by hand, not a CI
+gate.
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ def study_cases() -> None:
             print(json.dumps(row), flush=True)
 
 
-def start_child(src: Path) -> subprocess.Popen:
+def start_child(src: Path, cpu: int) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src / "src"), OMP_NUM_THREADS="1")
     return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(cpu)],
         env=env,
         stdout=subprocess.PIPE,
         text=True,
@@ -112,9 +115,12 @@ def report(name: str, rows: list) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", nargs="?", help="git ref to study as well, e.g. HEAD~1")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child", type=int, metavar="CPU", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
+    if args.child is not None:
+        # before dwimoco is imported: its kernels size their thread budget
+        # from the CPUs the process may run on
+        os.sched_setaffinity(0, {args.child})
         study_cases()
         return 0
     from compare_outputs import export_ref
@@ -125,7 +131,10 @@ def main(argv=None) -> int:
             ref_src = Path(tmp)
             export_ref(ROOT, args.ref, ref_src)
             trees.append((args.ref, ref_src))
-        children = [(name, start_child(src)) for name, src in trees]
+        cpus = sorted(os.sched_getaffinity(0))
+        children = [
+            (name, start_child(src, cpus[k % len(cpus)])) for k, (name, src) in enumerate(trees)
+        ]
         failed = False
         for name, child in children:
             out, _ = child.communicate()
