@@ -32,7 +32,6 @@ from .volume import (
     RoiMask,
     ScalarVolume,
     normalize_series,
-    spatial_gradient,
     trilinear_sample,
     warp,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "similarity_loss",
     "simulate_series",
     "smoothness_loss",
-    "spatial_gradient",
     "total_loss",
     "trilinear_sample",
     "warp",

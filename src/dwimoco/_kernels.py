@@ -6,7 +6,7 @@ they work on raw arrays, write into buffers they own or the caller passes,
 and accumulate gradients into caller-owned buffers instead of allocating
 per-term results.  The tests check them against independent code: the
 scalar `volume.trilinear_sample`, the per-term losses in `objective`,
-`np.gradient`, the textbook Adam step and finite differences.  Each kernel
+`np.diff`, the textbook Adam step and finite differences.  Each kernel
 rounds exactly as the per-voxel formula in its docstring, evaluated in the
 written order, does; at most the sign of a zero gradient entry differs.
 So regrouping the array operations of a kernel, as long as every voxel
@@ -44,15 +44,14 @@ residual and its gradient coefficient on those voxels alone.  It scatters
 the squared residuals into a zeroed full-size array before summing, so the
 sum adds the same values in the same order as a whole-volume sum.
 
-`field_diff` and `field_diff_adjoint` compute their interior with one op
-over the flat array at the axis stride s.  At the border planes the flat
-neighbours p - s and p + s wrap into the previous or next row, so the op
-gets those entries wrong; they are exactly the border planes, which are
-then rewritten by the per-axis formula.  In the adjoint the wrapped
-subtrahend is the zeroed last two planes of the row before, and x - 0.0
-is x bit for bit.  This reads memory order, so both refuse arrays that
-are not C-contiguous, and `objective.loss_and_gradient` checks its
-buffers up front.
+`field_diff` and `field_diff_adjoint` are each one op over the flat
+array at the axis stride s, plus a fill or a negation.  In the difference
+the last plane of every row takes a wrong value from the next row's first
+plane, which `field_diff` then overwrites with 0.  In the adjoint each row's
+first plane adds the last plane of the row before, which `field_diff`
+left at 0.  This reads memory order, so both refuse arrays that are not
+C-contiguous, and `objective.loss_and_gradient` checks its buffers up
+front.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel and a constant +1 stride per axis, so the 8 cell
@@ -261,11 +260,6 @@ def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_ou
     return sim_sum, mf_sum
 
 
-def _along(axis, index):
-    """Index tuple selecting `index` (an int or a slice) along one axis."""
-    return (slice(None),) * axis + (index,)
-
-
 def _flat(arr, axis):
     """A flat view of a C-contiguous array and the flat distance between
     neighbours along `axis`; ValueError if the array is not C-contiguous."""
@@ -273,69 +267,41 @@ def _flat(arr, axis):
 
 
 def field_diff(u, axis, out):
-    """First difference of a C-contiguous array along one of its axes.
+    """Forward difference of a C-contiguous array along one of its axes.
 
-    Central (u[i+1] - u[i-1]) / 2 inside, one-sided at both borders: the
-    same operations, hence the same bits, as np.gradient with spacing 1.
-    Writes into `out` (shaped like u, C-contiguous too) and returns it.
-    Needs at least 2 voxels along the axis.  The interior is one pass over
-    the flat arrays at the axis stride; the border planes it gets wrong are
-    then overwritten with the one-sided differences.
+    out[i] = u[i+1] - u[i] below the last plane, 0 on it: the bits of
+    np.diff padded with a zero plane.  Writes into `out` (shaped like u,
+    C-contiguous too) and returns it.  An axis of one voxel differences
+    to 0.
     """
-    n = u.shape[axis]
-    if n < 2:
-        raise ValueError(f"need at least 2 voxels along axis {axis} to differentiate")
-    at = lambda i: _along(axis, i)  # noqa: E731
     (fu, s), (fo, _) = _flat(u, axis), _flat(out, axis)
-    inner = fo[s:-s]
-    np.subtract(fu[2 * s :], fu[: -2 * s], out=inner)
-    inner /= 2.0
-    np.subtract(u[at(1)], u[at(0)], out=out[at(0)])
-    np.subtract(u[at(n - 1)], u[at(n - 2)], out=out[at(n - 1)])
+    np.subtract(fu[s:], fu[:-s], out=fo[:-s])
+    out[(slice(None),) * axis + (-1,)].fill(0.0)
     return out
 
 
 def field_diff_adjoint(w, axis, out):
-    """Adjoint of `field_diff`: <diff(a), w> == <a, adjoint(w)> exactly.
+    """Adjoint of `field_diff` on the w whose last plane along the axis is 0.
 
-    Writes into `out` (shaped like w; both C-contiguous) and returns it.
-    With h = 0.5 * w: out[i] = h[i-1] - h[i+1] inside, and the one-sided
-    border rows of `field_diff` add -w[0] to out[0], w[0] to out[1],
-    w[n-1] to out[n-1] and -w[n-1] to out[n-2], in that order.
+    Writes into `out` (shaped like w; both C-contiguous) and returns it:
+    out[0] = -w[0] and out[i] = w[i-1] - w[i] from 1 on, so that
+    <diff(a), w> == <a, adjoint(w)> for every a.
     """
-    n = w.shape[axis]
-    at = lambda i: _along(axis, i)  # noqa: E731
-    if n == 2:
-        np.add(w[at(0)], w[at(1)], out=out[at(1)])
-        np.negative(out[at(1)], out=out[at(0)])
-        return out
-    # out[i] = -h[i+1] up to n-3, 0 above; then out[i] -= out[i-2] from 2 on,
-    # which adds h[i-1] (negation is exact).  Both steps are one pass over
-    # the flat arrays at the axis stride s.  The first also writes planes
-    # n-2 and n-1, which are zeroed after it; in the second, planes 0 and 1
-    # of every row but the first subtract planes n-2 and n-1 of the row
-    # before, those zeros, and x - 0.0 is x bit for bit.
     (fw, s), (fo, _) = _flat(w, axis), _flat(out, axis)
-    np.multiply(fw[s:-s], -0.5, out=fo[: -2 * s])
-    out[at(slice(-2, None))].fill(0.0)
-    np.subtract(fo[2 * s :], fo[: -2 * s], out=fo[2 * s :])
-    w_first, w_last = w[at(0)], w[at(n - 1)]
-    for i, op, wb in ((0, np.subtract, w_first), (1, np.add, w_first),
-                      (n - 1, np.add, w_last), (n - 2, np.subtract, w_last)):
-        o = out[at(i)]
-        op(o, wb, out=o)
+    np.negative(fw, out=fo)
+    np.add(fo[s:], fw[:-s], out=fo[s:])
     return out
 
 
 def smooth_loss_grad(u, grad_out, weight):
-    """Sum of squared finite-difference Jacobian entries of a vector field.
+    """Sum of the squared forward differences of a vector field.
 
     u and grad_out are component-major (3, nx, ny, nz) C-contiguous fields.
     Accumulates weight * d(loss)/d(u) into grad_out and returns the raw
-    loss (central differences interior, one-sided at borders, per
-    np.gradient).  The loss sums the per-entry sums in component-major
-    order (u_0 along x, y, z, then u_1, then u_2), and each component of
-    grad_out receives (weight * 2) * adjoint(diff) along x, then y, then z.
+    loss: the squares of `field_diff` of every component along x, y and z.
+    The loss sums the per-entry sums in component-major order (u_0 along
+    x, y, z, then u_1, then u_2), and each component of grad_out receives
+    (weight * 2) * adjoint(diff) along x, then y, then z.
     """
     d = np.empty_like(u)
     work = np.empty_like(u)

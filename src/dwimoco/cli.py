@@ -18,7 +18,9 @@ Every run writes the fully resolved configuration to
 reproduces the outputs byte-for-byte.  Progress goes to stderr;
 machine-readable outputs only to files.  Exit codes: 0 success, 2 usage or
 input error (nothing is written; argparse raises SystemExit(2) for a usage
-error, such as a flag the command does not take), 3 numerical failure.
+error, such as a flag the command does not take), 3 numerical failure.  A
+case one voxel thick along an axis is valid input: `morph` registers it
+with the displacement along that axis held at 0.
 
 The one loss setting is pipeline.alpha2, the model-fit weight (0 is the
 registration-only method).  The other loss, schedule, stop-rule and phantom
@@ -60,12 +62,7 @@ from .signal_model import (
     lls_fit_curve,
     roi_mean_signals,
 )
-from .volume import (
-    DegenerateSeriesError,
-    GridTooSmallError,
-    check_differentiable,
-    normalize_series,
-)
+from .volume import DegenerateSeriesError, normalize_series
 
 DEFAULTS = {
     "seed": 0,
@@ -334,7 +331,6 @@ def cmd_morph(args) -> int:
     cfg = resolve_config(args)
     pcfg = pipeline_config(cfg)
     series, roi, _ga = dio.read_case(args.case)
-    check_differentiable(series.dims)
     variant = "full" if pcfg.alpha2 > 0 else "no_model_fit"
     _progress(f"morph[{variant}]: running up to {pcfg.max_outer_iters} iterations")
     # written after the run, so input that run_case rejects leaves no output
@@ -446,7 +442,6 @@ def main(argv=None) -> int:
         ConfigError,
         dio.ManifestError,
         dio.ContainerError,
-        GridTooSmallError,
         DegenerateSeriesError,
         FileNotFoundError,
     ) as err:

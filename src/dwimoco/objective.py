@@ -6,8 +6,9 @@ The total loss is
 
 where L_similarity is the mean absolute difference between the model
 reconstruction and the warped acquisition (averaged over b-values and the
-full domain), L_smooth penalizes squared spatial gradients of every
-displacement field, and L_model_fit is the mean squared log-domain decay
+full domain), L_smooth penalizes the squared forward differences of every
+displacement field (the diffusion regularizer of VoxelMorph, Balakrishnan
+et al., IEEE TMI 2019), and L_model_fit is the mean squared log-domain decay
 residual of the warped signals inside the ROI, holding the parameter maps
 fixed.  alpha2 is a weight, not a switch: the registration-only method is
 alpha2 = 0 on the same path, and every term is always evaluated and
@@ -37,7 +38,6 @@ from .volume import (
     DimensionMismatchError,
     DisplacementField,
     RoiMask,
-    spatial_gradient,
     warp_series,
 )
 
@@ -87,13 +87,14 @@ def similarity_loss(fixed: BValueSeries, warped: BValueSeries) -> float:
 
 
 def smoothness_loss(field: DisplacementField) -> float:
-    """Mean over voxels of the squared Frobenius norm of the field Jacobian.
+    """Mean over voxels of the squared forward differences of the field.
 
-    Dividing the sum by the voxel count lets the weight ALPHA1 transfer
-    across resolutions.
+    Sums (u_c[i+1] - u_c[i])^2 over every component c, axis and pair of
+    neighbours, and divides by the voxel count, which lets the weight
+    ALPHA1 transfer across resolutions.  An axis of one voxel has no pairs.
     """
-    jac = spatial_gradient(field)
-    return float((jac * jac).sum()) / float(np.prod(field.dims))
+    total = sum(float(np.square(np.diff(field.data, axis=a)).sum()) for a in range(3))
+    return total / float(np.prod(field.dims))
 
 
 def model_fit_loss(warped: BValueSeries, maps: ParameterMaps, roi: RoiMask) -> float:

@@ -53,6 +53,8 @@ class PhantomSpec:
         for name in _NON_NEGATIVE_FIELDS:
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         checked_bvalues(self.bvalues)
         if min(self.dims) < 2:
             raise ValueError("phantom dims must be >= 2 along every axis")

@@ -45,7 +45,6 @@ from .volume import (
     BValueSeries,
     DisplacementField,
     RoiMask,
-    check_differentiable,
     checked_bvalues,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
@@ -158,15 +157,11 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     record's loss is the objective at zero fields, the state entering that
     iteration's registration: similarity and model fit of the current
     series against its own fit, smoothness 0.
-
-    Raises GridTooSmallError for a grid with an axis shorter than 2 voxels,
-    where the smoothness term has no finite differences.
     """
     if roi.dims != series.dims:
         raise ValueError("roi dims must match series dims")
     if roi.count == 0:
         raise ValueError("empty ROI")
-    check_differentiable(series.dims)
     bvalues = series.bvalues
     normalized, scale = normalize_series(series)
     fields = [DisplacementField.zero(series.dims) for _ in bvalues]

@@ -26,9 +26,9 @@ one contiguous range of voxels (a stack too small to pay for a thread stays
 on the calling one), which the thread cuts into blocks of at most FIT_BLOCK
 voxels, so a block's arrays stay in cache through the whole solve.  Every
 voxel sees the same operations in the same order whatever the blocks and
-threads, so both fits keep their bits at every thread budget.  The L1 fit
-adds each line's absolute residuals row by row, so a curve also gets the
-bits of the same voxel in a stack.
+threads, so both fits keep their bits at every thread budget.  Both fits
+add their per-sample terms row by row, so a curve also gets the bits of the
+same voxel in a stack.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from .volume import BValueSeries, RoiMask, ScalarVolume
 
 FLOOR_EPS = 1e-6  # signals are floored here before the log
 # Voxels per block of a fit.  At 6 b-values a block's log signals take
-# 768 KiB, as does each of LLS's 2 scratch arrays; the L1 fit's scratch is
-# one such array plus 4 rows of 128 KiB.  Of 8192-24576, 16384 was the
-# fastest LLS on 2 threads of a 2-core x86 host (2 MiB L2 per core), where
-# smaller blocks make more numpy calls and so more interpreter-lock
-# handoffs; on 1 thread 8192 was up to 10% faster.
+# 768 KiB; LLS's scratch is 2 rows of 128 KiB, the L1 fit's one (B, n)
+# array of 768 KiB plus 4 rows.  On a 2-core x86 host (2 MiB L2 per core),
+# `lls_fit` at 96x96x16 took 11.6, 10.8, 8.6 and 10.7 ms on 1 thread at
+# blocks of 8192, 16384, 32768 and the whole stack, and 11.3, 8.7, 8.7 and
+# 8.8 ms on 2.  The L1 fit took 62, 62, 40, 39 and 39 ms on 2 threads at
+# 4096, 8192, 16384, 32768 and 73728.
 FIT_BLOCK = 16384
 
 
@@ -95,10 +96,8 @@ def _fit_blocks(solve_block, y, scratch_rows):
     which it cuts into `_kernels.near_equal_ranges` of at most FIT_BLOCK
     voxels and solves one after another as
     solve_block(y_block, log_s0_block, adc_block, scratch) with one
-    (scratch_rows, block width) scratch buffer.  So no block is 1 voxel
-    wide unless its whole range is, which LLS needs: numpy sums the B rows
-    of a 1-wide block pairwise, as it does a 1-d curve, and those of a
-    wider one in row order, as it does a whole (B, nx, ny, nz) stack.
+    (scratch_rows, block width) scratch buffer.  Both solves add the B rows
+    one by one, so a voxel's bits do not depend on its block's width.
     """
     log_s0, adc = np.empty((2, y.shape[1]))
 
@@ -111,26 +110,21 @@ def _fit_blocks(solve_block, y, scratch_rows):
     return log_s0, adc
 
 
-def _lls_block(b, y, log_s0, adc, scratch):
+def _lls_block(b, sums, y, log_s0, adc, scratch):
     """Closed-form LLS of y ~ log S0 - b * ADC on a block.
 
-    b: (B,) b-values; y: (B, n) log signals; log_s0, adc: (n,) views that
-    receive the fit.  scratch: (2B, n).
+    b: (B,) b-values; sums: the design's (B, sum b, sum b^2, determinant)
+    from `_lls`; y: (B, n) log signals; log_s0, adc: (n,) views that
+    receive the fit.  scratch: (2, n).  Sums y and b * y row by row, adc
+    holding each b_k * y_k on the way.
     """
-    w, t = scratch.reshape(2, len(b), -1)
-    w.fill(1.0)
-    bcol = b[:, None]
-    sw = w.sum(axis=0)
-    sy = np.multiply(w, y, out=t).sum(axis=0)
-    w *= bcol  # w * b from here on
-    sb = w.sum(axis=0)
-    sbb = np.multiply(w, bcol, out=t).sum(axis=0)
-    sby = np.multiply(w, y, out=t).sum(axis=0)
-    det = sw * sbb - sb * sb
-    # array methods, not np.all: this runs once per 1-voxel curve fit, where
-    # the function wrappers cost more than the math
-    if not ((det > 0).all() and np.isfinite(det).all()):
-        raise DegenerateDesignError("degenerate design: b-values carry no spread")
+    sw, sb, sbb, det = sums
+    sy, sby = scratch
+    np.copyto(sy, y[0])
+    np.multiply(y[0], b[0], out=sby)
+    for bk, yk in zip(b[1:], y[1:]):
+        sy += yk
+        sby += np.multiply(yk, bk, out=adc)
     log_s0[:] = (sbb * sy - sb * sby) / det
     adc[:] = (sb * sy - sw * sby) / det
 
@@ -177,8 +171,20 @@ def floored_log(signals):
 
 
 def _lls(b, y):
-    """Plain LLS of y: (B, N) log signals; returns (log_s0, adc), each (N,)."""
-    return _fit_blocks(partial(_lls_block, b), y, 2 * len(b))
+    """Plain LLS of y: (B, N) log signals; returns (log_s0, adc), each (N,).
+
+    The design's sums are constants of the b-values, added in row order
+    once here, so a degenerate design raises DegenerateDesignError before
+    any thread starts.
+    """
+    sw, sb, sbb = float(len(b)), 0.0, 0.0
+    for bk in b:
+        sb += bk
+        sbb += bk * bk
+    det = sw * sbb - sb * sb
+    if not 0.0 < det < np.inf:
+        raise DegenerateDesignError("degenerate design: b-values carry no spread")
+    return _fit_blocks(partial(_lls_block, b, (sw, sb, sbb, det)), y, 2)
 
 
 def _lad(b, y):
@@ -210,10 +216,19 @@ def lls_fit(series: BValueSeries) -> ParameterMaps:
     )
 
 
+def _curve(signals, bvalues):
+    """(b, floored log signals) of one decay curve, as (B,) float arrays;
+    ValueError unless both are 1-d of the same length B >= 2."""
+    b = np.asarray(bvalues, dtype=np.float64)
+    s = np.asarray(signals, dtype=np.float64)
+    if b.shape != s.shape or b.ndim != 1 or b.size < 2:
+        raise ValueError("need matching 1-d signals and bvalues with B >= 2")
+    return b, floored_log(s)
+
+
 def lls_fit_curve(signals, bvalues):
     """Plain LLS fit of a single decay curve; returns (log_s0, adc, r2)."""
-    b = np.asarray(bvalues, dtype=np.float64)
-    y = floored_log(np.asarray(signals, dtype=np.float64))
+    b, y = _curve(signals, bvalues)
     log_s0, adc = (float(v[0]) for v in _lls(b, y.reshape(-1, 1)))
     return log_s0, adc, r_squared(y, log_s0 - b * adc)
 
@@ -224,11 +239,7 @@ def irls_fit(signals, bvalues):
     Runs `_lad` on the curve as one voxel.  Returns (log_s0, adc, r2), as
     `lls_fit_curve` does; r2 is the R^2 of the fit in the log domain.
     """
-    b = np.asarray(bvalues, dtype=np.float64)
-    s = np.asarray(signals, dtype=np.float64)
-    if b.shape != s.shape or b.ndim != 1 or b.size < 2:
-        raise ValueError("need matching 1-d signals and bvalues with B >= 2")
-    y = floored_log(s)
+    b, y = _curve(signals, bvalues)
     log_s0, adc = (float(v[0]) for v in _lad(b, y.reshape(-1, 1)))
     return log_s0, adc, r_squared(y, log_s0 - b * adc)
 

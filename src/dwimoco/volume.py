@@ -1,4 +1,4 @@
-"""3D/4D containers and spatial primitives: sampling, warping, gradients.
+"""3D/4D containers and spatial primitives: sampling, warping, composition.
 
 All coordinates and displacements are in voxel units; voxel spacing is
 carried as metadata only.  Arrays are indexed data[x, y, z]; the on-disk
@@ -20,20 +20,6 @@ class DimensionMismatchError(ValueError):
 
 class DegenerateSeriesError(ValueError):
     """Series cannot be normalized (non-positive maximum at b=0)."""
-
-
-class GridTooSmallError(ValueError):
-    """A grid axis is shorter than the 2 voxels a finite difference needs."""
-
-
-def check_differentiable(dims) -> None:
-    """Raise GridTooSmallError naming the first axis with fewer than 2 voxels."""
-    for axis, n in zip("xyz", dims):
-        if n < 2:
-            raise GridTooSmallError(
-                f"grid {tuple(dims)} has {n} voxel(s) along {axis}; "
-                "differentiating a field needs at least 2 along every axis"
-            )
 
 
 def _as_volume_array(data) -> np.ndarray:
@@ -205,21 +191,6 @@ def warp_series(series: BValueSeries, fields) -> BValueSeries:
     if len(fields) != series.b_count:
         raise DimensionMismatchError("need exactly one field per b-value")
     return BValueSeries(series.bvalues, tuple(warp(v, f) for v, f in zip(series.volumes, fields)))
-
-
-def spatial_gradient(disp: DisplacementField) -> np.ndarray:
-    """Per-voxel Jacobian J[..., c, a] = d u_c / d x_a, in voxel/voxel.
-
-    Central differences at interior voxels, one-sided at the borders;
-    requires at least 2 voxels along every axis.
-    """
-    dims = disp.dims
-    check_differentiable(dims)
-    jac = np.empty(dims + (3, 3), dtype=np.float64)
-    for c in range(3):
-        for a in range(3):
-            jac[..., c, a] = np.gradient(disp.data[..., c], axis=a)
-    return jac
 
 
 def normalize_series(series: BValueSeries):

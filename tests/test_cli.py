@@ -103,6 +103,7 @@ def test_default_config_builds_the_library_defaults():
         ("morph", {"pipeline": {"max_outer_iters": 2.9}}, []),
         ("morph", {"pipeline": {"max_inner_steps": True}}, []),
         ("simulate", {"seed": 1.7}, SMALL_CASE),
+        ("simulate", {}, [*SMALL_CASE, "--seed", "-1"]),
         ("simulate", {"phantom": {"noise_sigma": "0.02"}}, SMALL_CASE),
         ("simulate", {"phantom": {"dims": [20.5, 20, 8]}}, []),
         ("morph", {"pipeline": {"plateau_window": -2}}, []),
@@ -147,6 +148,7 @@ def test_default_config_builds_the_library_defaults():
         "max_outer_float",
         "max_inner_bool",
         "seed_float",
+        "seed_negative",
         "noise_sigma_text",
         "dims_float",
         "plateau_window_negative",
@@ -356,18 +358,15 @@ def test_morph_exits_3_and_writes_failure_when_registration_diverges(
     assert (out / "failure.txt").read_text() == "diverged: injected, at step 0\n"
 
 
-def test_one_voxel_thick_case_fits_but_morph_exits_2_before_writing(tmp_path):
-    dims = (12, 12, 1)
-    bvalues = (0.0, 200.0, 600.0)
-    vols = tuple(dio.ScalarVolume(np.full(dims, np.exp(-2e-3 * b))) for b in bvalues)
-    mask = np.zeros(dims, dtype=bool)
-    mask[4:8, 4:8, 0] = True
-    series = dio.BValueSeries(bvalues, vols)
-    manifest = str(dio.write_case(series, dio.RoiMask(mask), 30.0, "flat", tmp_path / "flat"))
+def test_one_voxel_thick_case_fits_and_morphs_in_plane(tmp_path, one_slice_case):
+    series, roi = one_slice_case
+    manifest = str(dio.write_case(series, roi, 30.0, "slice", tmp_path / "slice"))
     assert cli.main(["fit", "--case", manifest, "--out", str(tmp_path / "fit")]) == 0
     out = tmp_path / "morph"
-    assert cli.main(["morph", "--case", manifest, *CAPS, "--out", str(out)]) == 2
-    assert not out.exists()
+    assert cli.main(["morph", "--case", manifest, *CAPS, "--out", str(out)]) == 0
+    fields = [dio.read_field(out / f"best_field_b{b:g}").data for b in series.bvalues]
+    assert not any(f[..., 2].any() for f in fields)
+    assert any(f[..., :2].any() for f in fields)
 
 
 def _constant_case(tmp_path, value):

@@ -56,6 +56,11 @@ def setup():
     return maps, roi, fixed, moving, fields, u
 
 
+def _along(axis, index):
+    """Index tuple selecting `index` along one axis."""
+    return (slice(None),) * axis + (index,)
+
+
 def constant_series(dims, value, bvalues=(0.0, 200.0)):
     vols = tuple(ScalarVolume(np.full(dims, value)) for _ in bvalues)
     return BValueSeries(bvalues, vols)
@@ -96,10 +101,12 @@ class TestSmoothnessLoss:
         u = np.zeros(dims + (3,))
         u[..., 0] = np.arange(dims[0], dtype=float)[:, None, None]
         field = DisplacementField(u)
-        # d u_x / d x == 1 everywhere (one-sided borders are exact on a ramp)
+        # u_x[i+1] - u_x[i] == 1 for each of the (nx - 1) * ny * nz voxels
+        # with a neighbour along x; every other difference is 0
         n_vox = np.prod(dims)
-        assert n_vox * smoothness_loss(field) == pytest.approx(n_vox, rel=1e-12)
-        assert smoothness_loss(field) == pytest.approx(1.0, rel=1e-12)
+        pairs = (dims[0] - 1) * dims[1] * dims[2]
+        assert n_vox * smoothness_loss(field) == pytest.approx(pairs, rel=1e-12)
+        assert smoothness_loss(field) == pytest.approx(pairs / n_vox, rel=1e-12)
 
     def test_quadratic_scaling(self, rng):
         u = rng.normal(0, 1, (5, 4, 3, 3))
@@ -112,6 +119,24 @@ class TestSmoothnessLoss:
         u = np.zeros(dims + (3,))
         u[..., 1] = 0.3 * np.arange(dims[2], dtype=float)[None, None, :]
         assert smoothness_loss(DisplacementField(u)) > 0
+
+
+    def test_checkerboard_costs_at_least_white_noise_of_its_amplitude(self, rng):
+        # +-0.5 alternating from voxel to voxel, against +-0.5 with random
+        # signs: the checkerboard is the rougher field, and a central
+        # difference (u[i+1] - u[i-1]) / 2 scores it 0 away from the borders
+        dims = (20, 20, 8)
+        checker = np.zeros(dims + (3,))
+        checker[..., 0] = 0.5 * (-1.0) ** np.indices(dims).sum(axis=0)
+        noise = np.zeros(dims + (3,))
+        noise[..., 0] = 0.5 * rng.choice([-1.0, 1.0], dims)
+        fields = [DisplacementField(u) for u in (checker, noise)]
+        assert smoothness_loss(fields[0]) >= smoothness_loss(fields[1])
+        raw = [
+            _kernels.smooth_loss_grad(stack_fields([f])[0], np.zeros((3,) + dims), 1.0)
+            for f in fields
+        ]
+        assert raw[0] >= raw[1]
 
 
 class TestModelFitLoss:
@@ -313,16 +338,16 @@ class TestGradients:
             ParameterMaps(ScalarVolume(np.zeros(dims)), ScalarVolume(np.zeros(dims))),
             RoiMask(np.ones(dims, dtype=bool)),
         )["smooth"]
-        np.testing.assert_allclose(g[0, 2:-2, 2:-2, 2:-2], 0.0, rtol=0, atol=1e-12)
-        assert np.abs(g[0]).max() > 0  # borders carry the one-sided terms
+        np.testing.assert_allclose(g[0, 1:-1], 0.0, rtol=0, atol=1e-12)
+        assert np.abs(g[0]).max() > 0  # the first and last x planes carry the ends
 
 
 class TestAdjointProperty:
     # (shape, axes): voxel-major (nx, ny, nz, 3) fields along axes 0-2 and
     # component-major (3, nx, ny, nz) ones along axes 1-3.  Axis lengths 2,
-    # 3, 4 and 6 reach every branch of the border rows; (3, 24, 24, 16) has
-    # component planes of 9,216 elements, more than one 8,192-element ufunc
-    # buffer.
+    # 3, 4 and 6 put the last plane of a row next to the first plane of the
+    # next row at every stride; (3, 24, 24, 16) has component planes of
+    # 9,216 elements, more than one 8,192-element ufunc buffer.
     CASES = [
         *[(shape + (3,), (0, 1, 2)) for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]],
         *[((3,) + shape, (1, 2, 3)) for shape in [(6, 5, 4), (2, 3, 4), (4, 2, 3), (3, 4, 2)]],
@@ -331,22 +356,13 @@ class TestAdjointProperty:
 
     @staticmethod
     def adjoint_by_rows(w, axis):
-        """field_diff_adjoint written row by row: out[i] = A - B, with
-        A = -0.5 * w[i+1] and B = -0.5 * w[i-1] where those rows are
-        interior and 0.0 elsewhere, then the four border updates."""
+        """field_diff_adjoint written row by row: out[0] = -w[0] and
+        out[i] = w[i-1] - w[i] from 1 on."""
         w = np.moveaxis(w, axis, 0)
-        n = len(w)
-
-        def half(j):
-            return -0.5 * w[j] if 1 <= j <= n - 2 else 0.0
-
         out = np.empty_like(w)
-        for i in range(n):
-            out[i] = half(i + 1) - half(i - 1)
-        out[0] -= w[0]
-        out[1] += w[0]
-        out[n - 1] += w[n - 1]
-        out[n - 2] -= w[n - 1]
+        out[0] = -w[0]
+        for i in range(1, len(w)):
+            out[i] = w[i - 1] - w[i]
         return np.moveaxis(out, 0, axis)
 
     def test_axis_diff_adjoint_dot_product(self, rng):
@@ -354,8 +370,11 @@ class TestAdjointProperty:
             for axis in axes:
                 a = rng.normal(0, 1, shape)
                 w = rng.normal(0, 1, shape)
+                w[_along(axis, -1)] = 0.0  # the range of field_diff
                 diff = _kernels.field_diff(a, axis, np.full_like(a, np.nan))
-                np.testing.assert_array_equal(diff, np.gradient(a, axis=axis))
+                zero_plane = np.zeros_like(a[_along(axis, [0])])
+                padded = np.concatenate([np.diff(a, axis=axis), zero_plane], axis)
+                assert diff.tobytes() == padded.tobytes()
                 adj = _kernels.field_diff_adjoint(w, axis, np.full_like(w, np.nan))
                 assert adj.tobytes() == self.adjoint_by_rows(w, axis).tobytes()
                 lhs = float((diff * w).sum())
@@ -369,10 +388,22 @@ class TestAdjointProperty:
         with pytest.raises(ValueError):
             _kernels.field_diff_adjoint(u, 2, np.empty_like(u)[:, ::-1])
 
-    def test_field_diff_needs_two_voxels(self):
-        u = np.zeros((3, 1, 4, 3))
-        with pytest.raises(ValueError, match="at least 2 voxels"):
-            _kernels.field_diff(u, 1, np.empty_like(u))
+    def test_a_one_voxel_axis_differences_to_zero(self, rng):
+        for shape, axis in [((3, 4, 1, 5), 2), ((3, 4, 5, 1), 3), ((3, 1, 4, 5), 1)]:
+            u = rng.normal(0, 1, shape)
+            diff = _kernels.field_diff(u, axis, np.full_like(u, np.nan))
+            assert diff.tobytes() == np.zeros_like(u).tobytes()
+
+    def test_field_diff_of_an_affine_field_is_its_matrix_below_the_last_plane(self, rng):
+        dims = (6, 6, 5)
+        A = rng.normal(0, 0.5, (3, 3))
+        u = np.einsum("ca,axyz->cxyz", A, np.indices(dims, dtype=float))
+        for a in range(3):
+            diff = _kernels.field_diff(u, a + 1, np.full_like(u, np.nan))
+            for c in range(3):
+                below = np.moveaxis(diff[c], a, 0)
+                np.testing.assert_allclose(below[:-1], A[c, a], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(below[-1], 0.0)
 
 
 class TestKernelOracles:
@@ -503,7 +534,9 @@ class TestKernelOracles:
                 np.testing.assert_array_equal(np.signbit(got_grad), np.signbit(want_grad))
 
     @pytest.mark.parametrize(
-        "dims", [(2, 2, 2), (3, 5, 2), (8, 7, 6)], ids=["2x2x2", "3x5x2", "8x7x6"]
+        "dims",
+        [(2, 2, 2), (3, 5, 2), (8, 7, 6), (5, 4, 1)],
+        ids=["2x2x2", "3x5x2", "8x7x6", "5x4x1"],
     )
     def test_smooth_loss_grad_matches_smoothness_loss(self, rng, dims):
         u = rng.normal(0, 1, (3,) + dims)  # component-major

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import threading
 import warnings
@@ -86,9 +87,23 @@ class TestLlsFit:
             lls_fit(scaled).adc.data, lls_fit(base).adc.data, rtol=1e-12
         )
 
-    def test_degenerate_design(self):
+    def test_degenerate_design(self, monkeypatch):
+        def no_threads(*args):
+            raise AssertionError("the design is checked before any fan-out")
+
+        monkeypatch.setattr(_kernels, "fan_out_ranges", no_threads)
         with pytest.raises(DegenerateDesignError, match="degenerate design"):
             lls_fit_curve([1.0, 1.0, 1.0], [100.0, 100.0, 100.0])
+
+    @pytest.mark.parametrize("fit", [lls_fit_curve, irls_fit])
+    def test_curve_needs_matching_1d_inputs(self, fit):
+        for signals, bvalues in [
+            ([1.0, 0.5, 0.2], [0.0, 500.0]),
+            ([[1.0, 0.5]], [[0.0, 500.0]]),
+            ([1.0], [0.0]),
+        ]:
+            with pytest.raises(ValueError, match="need matching 1-d signals and bvalues"):
+                fit(signals, bvalues)
 
 
 class TestIrlsFit:
@@ -266,15 +281,20 @@ def _lp_l1_cost(b, y):
     return _l1_cost(b, y, *res.x[:2])
 
 
+def _rows_in_order(a):
+    """a[0] + a[1] + ... over the first axis, added one row at a time."""
+    return functools.reduce(np.add, a)
+
+
 def _oracle_solve(b, y):
-    """The whole-array LLS that the block solve replaced."""
+    """The whole-array LLS, with every sum over the b-values added in row order."""
     b = b.reshape((-1,) + (1,) * (y.ndim - 1))
     w = np.ones_like(y)
-    sw = w.sum(axis=0)
-    sb = (w * b).sum(axis=0)
-    sbb = (w * b * b).sum(axis=0)
-    sy = (w * y).sum(axis=0)
-    sby = (w * b * y).sum(axis=0)
+    sw = _rows_in_order(w)
+    sb = _rows_in_order(w * b)
+    sbb = _rows_in_order(w * b * b)
+    sy = _rows_in_order(w * y)
+    sby = _rows_in_order(w * b * y)
     det = sw * sbb - sb * sb
     if np.any(det <= 0) or not np.all(np.isfinite(det)):
         raise DegenerateDesignError("degenerate design: b-values carry no spread")
@@ -307,8 +327,8 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
 
     The grids hold more voxels than FAN_OUT_MIN_ELEMENTS / B, so budgets 2
     and 3 take the threaded path, and no voxel count is a multiple of
-    FIT_BLOCK.  16385 voxels at 9 b-values is one voxel past a block: a
-    1-voxel block would sum LLS's 9 rows pairwise, unlike the whole stack.
+    FIT_BLOCK.  16385 voxels at 9 b-values is one voxel past a block, so
+    budget 1 cuts its one range into two near-equal blocks.
     """
 
     @pytest.fixture
@@ -409,8 +429,8 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         "bvalues", [PAPER_BVALUES, NINE_BVALUES, tuple(50.0 * k for k in range(13))]
     )
     def test_curve_fits_match_the_whole_array_loop(self, rng, bvalues):
-        # from 8 values up numpy sums a 1-d curve pairwise, not in order, so
-        # the LLS of a curve must reach the block solve as a 1-voxel block
+        # from 8 values up numpy sums a 1-d curve pairwise, not in order;
+        # both fits add a curve's rows in order, as they do a stack's
         b = np.asarray(bvalues)
         for _ in range(20):
             sig = forward_signal(0.5 + rng.random(), 1e-3 + 2e-3 * rng.random(), b)

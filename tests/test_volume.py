@@ -10,7 +10,6 @@ from dwimoco.volume import (
     ScalarVolume,
     compose_displacements,
     normalize_series,
-    spatial_gradient,
     trilinear_sample,
     warp,
     warp_series,
@@ -181,46 +180,6 @@ class TestWarp:
         series = model_series((3, 3, 3))
         with pytest.raises(DimensionMismatchError):
             warp_series(series, [DisplacementField.zero((3, 3, 3))])
-
-
-class TestSpatialGradient:
-    def test_constant_field_zero_jacobian(self):
-        field = DisplacementField(np.full((4, 4, 3, 3), 2.5))
-        np.testing.assert_array_equal(spatial_gradient(field), 0.0)
-
-    def test_unit_shear(self):
-        dims = (6, 5, 4)
-        u = np.zeros(dims + (3,))
-        u[..., 0] = np.arange(dims[0], dtype=float)[:, None, None]
-        jac = spatial_gradient(DisplacementField(u))
-        np.testing.assert_allclose(jac[..., 0, 0], 1.0, rtol=0, atol=1e-14)
-        jac_rest = jac.copy()
-        jac_rest[..., 0, 0] = 0.0
-        np.testing.assert_allclose(jac_rest, 0.0, rtol=0, atol=1e-14)
-
-    def test_double_shear_doubles_gradient(self):
-        dims = (5, 4, 3)
-        u = np.zeros(dims + (3,))
-        u[..., 0] = 2.0 * np.arange(dims[0], dtype=float)[:, None, None]
-        jac = spatial_gradient(DisplacementField(u))
-        np.testing.assert_allclose(jac[..., 0, 0], 2.0, rtol=0, atol=1e-13)
-
-    def test_affine_field_constant_jacobian(self, rng):
-        dims = (6, 6, 5)
-        A = rng.normal(0, 0.5, (3, 3))
-        x = np.arange(dims[0])[:, None, None]
-        y = np.arange(dims[1])[None, :, None]
-        z = np.arange(dims[2])[None, None, :]
-        u = np.zeros(dims + (3,))
-        for c in range(3):
-            u[..., c] = A[c, 0] * x + A[c, 1] * y + A[c, 2] * z
-        jac = spatial_gradient(DisplacementField(u))
-        inner = jac[1:-1, 1:-1, 1:-1]
-        np.testing.assert_allclose(inner, np.broadcast_to(A, inner.shape), rtol=0, atol=1e-12)
-
-    def test_needs_two_voxels_per_axis(self):
-        with pytest.raises(ValueError):
-            spatial_gradient(DisplacementField.zero((3, 3, 1)))
 
 
 class TestNormalizeSeries:
