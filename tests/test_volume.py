@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwimoco import _kernels
 from dwimoco.volume import (
     BValueSeries,
     DegenerateSeriesError,
@@ -180,6 +181,62 @@ class TestWarp:
         series = model_series((3, 3, 3))
         with pytest.raises(DimensionMismatchError):
             warp_series(series, [DisplacementField.zero((3, 3, 3))])
+
+
+def forward_gradient(field):
+    """jac[..., c, a] = u_c[x + e_a] - u_c[x], the forward differences of a
+    field as the smoothness term counts them; 0 on the last plane along a."""
+    u = field.data
+    return np.stack([_kernels.field_diff(u, a, np.full_like(u, np.nan)) for a in range(3)], -1)
+
+
+class TestSpatialGradient:
+    def test_constant_field_zero_jacobian(self):
+        field = DisplacementField(np.full((4, 4, 3, 3), 2.5))
+        np.testing.assert_array_equal(forward_gradient(field), 0.0)
+
+    def test_unit_shear(self):
+        dims = (6, 5, 4)
+        u = np.zeros(dims + (3,))
+        u[..., 0] = np.arange(dims[0], dtype=float)[:, None, None]
+        jac = forward_gradient(DisplacementField(u))
+        np.testing.assert_array_equal(jac[:-1, ..., 0, 0], 1.0)
+        jac_rest = jac.copy()
+        jac_rest[:-1, ..., 0, 0] = 0.0
+        np.testing.assert_array_equal(jac_rest, 0.0)
+
+    def test_double_shear_doubles_gradient(self):
+        dims = (5, 4, 3)
+        u = np.zeros(dims + (3,))
+        u[..., 0] = 2.0 * np.arange(dims[0], dtype=float)[:, None, None]
+        jac = forward_gradient(DisplacementField(u))
+        np.testing.assert_array_equal(jac[:-1, ..., 0, 0], 2.0)
+        np.testing.assert_array_equal(jac[-1, ..., 0, 0], 0.0)
+
+    def test_affine_field_constant_jacobian(self, rng):
+        dims = (6, 6, 5)
+        A = rng.normal(0, 0.5, (3, 3))
+        x = np.arange(dims[0])[:, None, None]
+        y = np.arange(dims[1])[None, :, None]
+        z = np.arange(dims[2])[None, None, :]
+        u = np.zeros(dims + (3,))
+        for c in range(3):
+            u[..., c] = A[c, 0] * x + A[c, 1] * y + A[c, 2] * z
+        jac = forward_gradient(DisplacementField(u))
+        for a in range(3):
+            below = np.moveaxis(jac[..., a], a, 0)  # (n_a, ..., ..., 3)
+            np.testing.assert_allclose(
+                below[:-1], np.broadcast_to(A[:, a], below[:-1].shape), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(below[-1], 0.0)
+
+    def test_needs_two_voxels_per_axis(self, rng):
+        # a difference needs two voxels along its axis: a one-voxel z axis
+        # has none, while x and y still difference
+        jac = forward_gradient(DisplacementField(rng.normal(0, 1, (3, 3, 1, 3))))
+        np.testing.assert_array_equal(jac[..., 2], 0.0)
+        assert np.all(jac[:-1, ..., 0] != 0.0)
+        assert np.all(jac[:, :-1, ..., 1] != 0.0)
 
 
 class TestNormalizeSeries:
