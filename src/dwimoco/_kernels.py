@@ -19,9 +19,11 @@ on, or its share of them in a cohort worker), runs the first range in the
 calling thread and the others on the process's one helper pool, and
 returns the results in range order.  It has three users:
 
-- `objective` gives each thread one range of b-value images; each image
-  writes only its own gradient slice, and the returned sums are added in
-  b-value order;
+- `objective` gives each thread one range of b-value images, which the
+  thread cuts into groups of consecutive images, as many as fit
+  GROUP_VOXELS and at least one, and hands each group to the kernels in
+  one call; each image writes only its own gradient slice, and the
+  returned per-image sums are added in b-value order;
 - `adam_update` gives each thread one range of its flat arrays, which the
   thread works through in cache-sized blocks;
 - `signal_model` does the same with the voxels of every decay fit, LLS
@@ -32,17 +34,24 @@ overlap.  A budget of 1, or work too small to pay for the handoffs
 (FAN_OUT_MIN_ELEMENTS per range), is the plain serial loop.  The pool
 holds budget - 1 threads and is made once per process and budget.
 
-The objective's kernels, `match_terms` and `smooth_loss_grad`, take each
-displacement field component-major, as a C-contiguous (3, nx, ny, nz)
-array, so every full-volume pass over a field or its gradient reads or
-writes one contiguous plane per component.  `DisplacementField`, the warps
-and the case files keep the voxel-major (nx, ny, nz, 3) layout; only the
+The objective's kernels, `match_terms` and `smooth_loss_grad`, take a
+group of G images and their displacement fields component-major, as a
+C-contiguous (G, 3, nx, ny, nz) array, so every full-volume pass over a
+field or its gradient reads or writes one contiguous plane per component.
+On a small grid one call covers every image, so the ~170 numpy calls of
+an evaluation are paid once per group rather than once per image; on a
+large grid a group is one image.  They work in a `GroupScratch` that
+`objective` makes once per optimizer pass and thread range, so an
+evaluation allocates no full-size array, and every voxel sees the same
+operations whatever its group.  `DisplacementField`, the warps and the
+case files keep the voxel-major (nx, ny, nz, 3) layout; only the
 optimizer's iterate is component-major (`objective.stack_fields`).  The
 model-fit term lives on the ROI, a few percent of the voxels: `match_terms`
 takes the ROI as flat voxel indices and computes the floor, the log, the
 residual and its gradient coefficient on those voxels alone.  It scatters
-the squared residuals into a zeroed full-size array before summing, so the
-sum adds the same values in the same order as a whole-volume sum.
+the squared residuals into a zeroed full-size row per image before
+summing, so each image's sum adds the same values in the same order as a
+whole-volume sum.
 
 `field_diff` and `field_diff_adjoint` are each one op over the flat
 array at the axis stride s, plus a fill or a negation.  In the difference
@@ -54,14 +63,17 @@ C-contiguous, and `objective.loss_and_gradient` checks its buffers up
 front.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
-flat base index per voxel and a constant +1 stride per axis, so the 8 cell
-corners are 8 gathers from the raveled volume.  `warp3d` computes no point
+flat base index per voxel, offset by its image's place in a group, and a
+constant +1 stride per axis, so the 8 cell corners are 8 gathers from the
+raveled volumes.  `warp3d` computes no point
 gradient, because none of its callers differentiates the warped values:
 `volume.warp`, which resamples the input once per outer iteration
 (`pipeline.run_case`), moves the phantoms and serves `objective.total_loss`,
 and `volume.compose_displacements`.  The pipeline calls neither of the last
 two: only the tests and the benchmark's name bindings in `pipeline` reach
-them.  `match_terms` is the one caller that needs the gradient.
+them.  `match_terms` is the one caller that needs the gradient; the tests
+use `warp3d_with_point_grad`, a one-image call of the same code, as its
+oracle.
 """
 
 from __future__ import annotations
@@ -86,11 +98,12 @@ _pool = None
 # Array elements each range must hold before `fan_out_ranges` gives it a
 # thread.  Two threads hand the interpreter lock back and forth around every
 # numpy call, and on small arrays that costs more than the second core saves.
-# On 2 cores, `objective.loss_and_gradient` breaks even at about 8k voxels
-# per b-value image and takes 2x as long with 2 threads at 20x20x8; it
-# threads from 7,282 voxels at 6 b-values (2 ranges of 3 images x 3
-# components).  `adam_update` breaks even at about 180k elements (90k per
-# range).
+# On 2 cores, `objective.loss_and_gradient` at 6 b-values took 2.3 ms on 1
+# thread and 2.7 ms on 2 at 20x20x8, 4.9 and 5.1 ms at 24x24x12, 6.4 and
+# 6.1 ms at 28x28x12 and 12.9 and 9.4 ms at 32x32x16: it breaks even at
+# about 8k voxels per b-value image, and threads from 7,282 voxels at 6
+# b-values (2 ranges of 3 images x 3 components).  `adam_update` breaks
+# even at about 180k elements (90k per range).
 FAN_OUT_MIN_ELEMENTS = 1 << 16
 
 # Corner k of a trilinear cell sits at offsets (k & 1, (k >> 1) & 1, k >> 2)
@@ -98,51 +111,106 @@ FAN_OUT_MIN_ELEMENTS = 1 << 16
 # x-edges at (y, z) = (0, 0), (1, 0), (0, 1), (1, 1).
 _CORNER_BITS = np.array([[k & 1, (k >> 1) & 1, k >> 2] for k in range(8)], dtype=np.intp)
 
+# Voxels of one group of b-value images in `match_terms` and
+# `smooth_loss_grad`: `objective` hands them as many whole images at once as
+# fit, at least one, so the ~170 numpy calls of an evaluation are paid once
+# per group instead of once per image.  The smoothness passes run over the
+# whole group while one field (3 planes) fits, and one component plane at a
+# time beyond that.  On a 2-core x86 host (2 MiB L2 per core),
+# `objective.loss_and_gradient` at 6 b-values took 4.3, 2.6 and 2.4 ms per
+# call at 20x20x8 with groups of 1, 3 and 6 images (1 image also smooths
+# plane by plane there), 13.0, 11.4 and 8.3 ms at 32x32x16 with 1, 2 and 3
+# (on 2 threads, 3 images each) and 33.5, 33.5 and 34.6 ms at 64x64x16: a
+# group stops paying at about 64k voxels.  One field's smoothness took 0.23
+# ms plane by plane against 0.13 ms whole at 20x20x8, 1.0 against 1.0 ms at
+# 48x48x12, 2.0 against 3.2 ms at 64x64x16 and 5.8 against 6.9 ms at
+# 96x96x16.
+GROUP_VOXELS = 1 << 16
 
-def _coords(planes):
-    """Sample coordinates p + u_a[p] per axis, as 3 fresh (nx, ny, nz) arrays.
+# Full-size rows of a group's scratch: the arrays `_point_grad_parts` holds
+# at its peak, 3 fractions, 8 corners, 1 - fx and one edge difference.
+_ROWS = 13
 
-    planes[a] is the (nx, ny, nz) component a of the displacement: a
-    contiguous plane of a component-major field, or a strided view
-    (`np.moveaxis(disp, -1, 0)`) of a (nx, ny, nz, 3) one.
+
+class GroupScratch:
+    """The buffers `match_terms` and `smooth_loss_grad` work in.
+
+    Sized for groups of up to `images` images on a `dims` grid with
+    `roi_voxels` ROI voxels each; a smaller group uses the leading part of
+    every row.  `objective` makes one per thread range and optimizer pass,
+    so no evaluation after the first allocates a full-size array.
+    """
+
+    def __init__(self, images, dims, roi_voxels):
+        n = images * math.prod(dims)
+        self.rows = np.empty((_ROWS, n))
+        self.inside = np.empty((4, n), dtype=bool)
+        self.roi = np.empty((3, images * roi_voxels))
+        self.live = np.empty((2, images * roi_voxels), dtype=bool)
+
+
+def _coords(planes, out):
+    """Sample coordinates p + u_a[p] per axis, written into the 3 rows of out.
+
+    planes[a] is component a of the displacement over (..., nx, ny, nz):
+    the contiguous planes of component-major fields, or a strided view
+    (`np.moveaxis(disp, -1, 0)`) of a (nx, ny, nz, 3) field.  out holds 3
+    flat rows of as many elements; returns them shaped like planes[a].
     """
     shape = planes[0].shape
-    out = []
-    for a, n in enumerate(shape):
+    coords = []
+    for a, n in enumerate(shape[-3:]):
         grid = np.arange(n, dtype=np.float64).reshape([n if b == a else 1 for b in range(3)])
-        out.append(grid + planes[a])
-    return out
+        coords.append(np.add(grid, planes[a], out=out[a].reshape(shape)))
+    return coords
 
 
-def _cell(vol, coords):
+def _cell(vols, coords, rows):
     """Corners and fractions of the trilinear cell sampled at each voxel.
 
-    Clamp-to-edge per axis: the coordinate is clipped to [0, n-1] and the
-    cell index to [0, n-2], so the upper neighbour is always index + 1
-    (index + 0 on an axis of length 1).  The coordinate arrays are
-    overwritten with the fractions in [0, 1].  Returns (corners, fracs):
-    8 flat corner arrays in `_CORNER_BITS` order, and the flat x, y and z
-    fractions.  Each corner is one gather with the shared base index from
-    the raveled volume shifted by that corner's constant offset; 8 separate
-    (n,) gathers, not one (8, n) gather, because a temporary of several MB
-    costs more in fresh pages than the gather itself.
+    vols is one (nx, ny, nz) volume or a C-contiguous (G, nx, ny, nz) group,
+    each image sampled by its own coordinates; coords are the 3 arrays of
+    `_coords`.  Clamp-to-edge per axis: the coordinate is clipped to
+    [0, n-1] and the cell index to [0, n-2], so the upper neighbour is
+    always index + 1 (index + 0 on an axis of length 1).  The coordinate
+    arrays are overwritten with the fractions in [0, 1].  rows are 9 flat
+    scratch rows of vols.size.  Returns (corners, fracs): 8 flat corner
+    arrays in `_CORNER_BITS` order, which are rows[0] and rows[2:], and the
+    flat x, y and z fractions; rows[1] is free again.  Each corner is one
+    gather with the shared base index, the image's offset plus the cell's,
+    from the raveled group shifted by that corner's constant offset; 8
+    separate (n,) gathers, not one (8, n) gather, keep the scratch at one
+    row per corner.
     """
-    shape = vol.shape
+    shape = vols.shape[-3:]
     strides = (shape[1] * shape[2], shape[2], 1)
-    base = None
-    fracs = []
+    base, spare = (r.reshape(coords[0].shape) for r in rows[:2])
     for a, n in enumerate(shape):
         c = np.clip(coords[a], 0.0, n - 1.0, out=coords[a])
-        i0 = np.floor(c)
+        i0 = spare if a else base
+        np.floor(c, out=i0)
         np.fmin(i0, max(n - 2, 0), out=i0)  # fmin: a NaN coordinate still indexes
         np.subtract(c, i0, out=c)
-        fracs.append(c.reshape(-1))
         i0 *= strides[a]
-        base = i0 if base is None else np.add(base, i0, out=base)
-    base = base.astype(np.intp).reshape(-1)
+        if a:
+            base += i0
+    n_vox = math.prod(shape)
+    images = vols.size // n_vox
+    index = rows[1].view(np.intp)
+    # whole numbers below 2**53, so the float sum is exact before the cast
+    np.add(
+        base.reshape(images, n_vox),
+        np.arange(images)[:, None] * n_vox,
+        out=index.reshape(images, n_vox),
+        casting="unsafe",
+    )
     steps = _CORNER_BITS @ np.array([s if n > 1 else 0 for s, n in zip(strides, shape)])
-    flat = vol.ravel()
-    return [flat[s:].take(base) for s in steps], fracs
+    flat = vols.reshape(-1)
+    corners = [rows[0], *rows[2:9]]
+    for s, out in zip(steps, corners):
+        # the indices are in range; mode "clip" only spares the copy "raise" makes
+        np.take(flat[s:], index, out=out, mode="clip")
+    return corners, [c.reshape(-1) for c in coords]
 
 
 def _lerp(lo, hi, f, g):
@@ -153,46 +221,56 @@ def _lerp(lo, hi, f, g):
     return lo
 
 
-def _lerp_x(c, fx):
-    """x-lerp of the 8 corners into the 4 x-edges (y, z) = 00, 10, 01, 11."""
-    gx = 1 - fx
-    return [_lerp(c[k], c[k + 1], fx, gx) for k in (0, 2, 4, 6)]
-
-
 def warp3d(vol, disp):
     """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge.
 
     With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
     c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.
     """
-    corners, (fx, fy, fz) = _cell(vol, _coords(np.moveaxis(disp, -1, 0)))
-    c00, c10, c01, c11 = _lerp_x(corners, fx)
-    gy = 1 - fy
+    rows = [np.empty(vol.size) for _ in range(12)]
+    c, (fx, fy, fz) = _cell(vol, _coords(np.moveaxis(disp, -1, 0), rows[:3]), rows[3:])
+    gx = np.subtract(1.0, fx, out=rows[4])  # the row `_cell` freed
+    c00, c10, c01, c11 = (_lerp(c[k], c[k + 1], fx, gx) for k in (0, 2, 4, 6))
+    gy = np.subtract(1.0, fy, out=c[1])  # the upper x-corners are free now
     c0 = _lerp(c00, c10, fy, gy)
     c1 = _lerp(c01, c11, fy, gy)
-    return _lerp(c0, c1, fz, 1 - fz).reshape(vol.shape)
+    return _lerp(c0, c1, fz, np.subtract(1.0, fz, out=c[3])).reshape(vol.shape)
 
 
-def _point_grad_parts(vol, planes):
+def _point_grad_parts(vols, planes, rows, inside):
     """Flat warped values and the 3 flat point-gradient components.
 
-    planes are the 3 displacement components as `_coords` takes them.  The
-    parts are what `warp3d_with_point_grad` stacks; they are fresh arrays
-    the caller may overwrite.
+    vols and planes as `_cell` and `_coords` take them; rows are 13 flat
+    scratch rows of vols.size and inside 4 boolean ones.  The values and
+    the parts come back in 4 of the rows; rows[1] and rows[2] are free
+    again.
     """
-    coords = _coords(planes)
-    inside = [((c >= 0.0) & (c <= n - 1.0)).reshape(-1) for c, n in zip(coords, vol.shape)]
-    c, (fx, fy, fz) = _cell(vol, coords)
-    gy, gz = 1 - fy, 1 - fz
-    d00, d10, d01, d11 = (np.subtract(c[k + 1], c[k]) for k in (0, 2, 4, 6))
-    c00, c10, c01, c11 = _lerp_x(c, fx)  # c[1], c[3], c[5], c[7] are free now
-    dy0 = np.subtract(c10, c00, out=c[1])
-    dy1 = np.subtract(c11, c01, out=c[3])
+    coords = _coords(planes, rows[:3])
+    for c, n, ins in zip(coords, vols.shape[-3:], inside):
+        ins = np.greater_equal(c, 0.0, out=ins.reshape(c.shape))
+        ins &= np.less_equal(c, n - 1.0, out=inside[3].reshape(c.shape))
+    c, (fx, fy, fz) = _cell(vols, coords, rows[3:12])
+    gx = np.subtract(1.0, fx, out=rows[12])
+    # each x-edge: its difference into a free row, then its lerp in place,
+    # which frees the edge's upper corner for the next difference
+    spare = rows[4]
+    d, e = [], []
+    for k in (0, 2, 4, 6):
+        d.append(np.subtract(c[k + 1], c[k], out=spare))
+        e.append(_lerp(c[k], c[k + 1], fx, gx))
+        spare = c[k + 1]
+    (d00, d10, d01, d11), (c00, c10, c01, c11) = d, e
+    gy = np.subtract(1.0, fy, out=fx)
+    dy0 = np.subtract(c10, c00, out=gx)
+    dy1 = np.subtract(c11, c01, out=spare)
     c0 = _lerp(c00, c10, fy, gy)
     c1 = _lerp(c01, c11, fy, gy)
-    dz = np.subtract(c1, c0, out=c[5])
+    ex0 = _lerp(d00, d10, fy, gy)
+    ex1 = _lerp(d01, d11, fy, gy)
+    gz = np.subtract(1.0, fz, out=fy)
+    dz = np.subtract(c1, c0, out=gy)
     out = _lerp(c0, c1, fz, gz)
-    dx = _lerp(_lerp(d00, d10, fy, gy), _lerp(d01, d11, fy, gy), fz, gz)
+    dx = _lerp(ex0, ex1, fz, gz)
     dy = _lerp(dy0, dy1, fz, gz)
     for part, ins in zip((dx, dy, dz), inside):
         part *= ins
@@ -209,21 +287,25 @@ def warp3d_with_point_grad(vol, disp):
     dout_y = ((c_10 - c_00) * gz + (c_11 - c_01) * fz) * in_y,
     dout_z = (c_1 - c_0) * in_z, where in_a is 1 inside [0, n_a - 1], else 0.
     """
-    out, parts = _point_grad_parts(vol, np.moveaxis(disp, -1, 0))
-    return out.reshape(vol.shape), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
+    scratch = GroupScratch(1, vol.shape, 0)
+    out, parts = _point_grad_parts(vol, np.moveaxis(disp, -1, 0), scratch.rows, scratch.inside)
+    return out.reshape(vol.shape).copy(), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
 
-def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out):
-    """Fused similarity + model-fit contribution of one b-value image.
+def match_terms(vols, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out, scratch):
+    """Fused similarity + model-fit contribution of a group of b-value images.
 
-    disp and grad_out are component-major (3, nx, ny, nz) fields; roi holds
-    the ascending flat indices of the ROI voxels (`np.flatnonzero`) and
-    pred_log the predicted log signal on them, in the same order.  Warps
-    `vol` by `disp`, returns the L1 distance to `fixed` (sum over all
-    voxels) and the squared log residual against `pred_log` (sum over roi
-    voxels), and adds the chain-ruled gradient w.r.t. `disp` into
-    `grad_out` using the prefactors sim_c (applied to the L1 subgradient)
-    and mf_c (applied to 2 * residual / warped_value).  Warped values below
+    vols and fixed are C-contiguous (G, nx, ny, nz) stacks of G images, disp
+    and grad_out their component-major (G, 3, nx, ny, nz) fields.  roi holds
+    the ascending flat indices of the ROI voxels in the raveled group (the
+    `np.flatnonzero` of G stacked masks) and pred_log the predicted log
+    signal on them, in the same order; scratch is a `GroupScratch` that
+    fits the group.  Warps each image by its field and returns two (G,)
+    arrays: per image, the L1 distance to its fixed image (sum over its
+    voxels) and the squared log residual against pred_log (sum over its roi
+    voxels).  Adds the chain-ruled gradient w.r.t. `disp` into `grad_out`
+    using the prefactors sim_c (applied to the L1 subgradient) and mf_c
+    (applied to 2 * residual / warped_value).  Warped values below
     floor_eps contribute log(floor_eps) and a zero model-fit gradient.
 
     Per voxel, with w the warped value, r = w - fixed, wfl = w if
@@ -232,32 +314,41 @@ def match_terms(vol, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_ou
     roi and w > floor_eps; grad_out[a] += dout_a * coeff, with dout as in
     `warp3d_with_point_grad`.  Only the sign of a zero gradient entry can
     differ from that formula.  The model-fit steps run on the roi voxels
-    alone, and their squares are summed in a zeroed full-size array, in the
-    order of a sum over the whole volume.
+    alone, and their squares are summed in a zeroed full-size row per
+    image, in the order of a sum over the whole image.  A voxel's bits do
+    not depend on the size of its group.
     """
-    w, parts = _point_grad_parts(vol, disp)
-    r = np.subtract(w, fixed.reshape(-1))
-    coeff = np.sign(r)
+    images = vols.shape[0]
+    rows = scratch.rows[:, : vols.size]
+    inside = scratch.inside[:, : vols.size]
+    w, parts = _point_grad_parts(vols, np.moveaxis(disp, 1, 0), rows, inside)
+    r = np.subtract(w, fixed.reshape(-1), out=rows[1])
+    coeff = np.sign(r, out=rows[2])
     coeff *= sim_c
-    sim_sum = float(np.abs(r, out=r).sum())
+    sim_sums = np.abs(r, out=r).reshape(images, -1).sum(axis=1)
 
-    w_roi = w[roi]
-    live = w_roi > floor_eps
-    wfl = np.where(live, w_roi, floor_eps)
-    res = np.log(wfl)
+    wfl, res, sq_roi = scratch.roi[:, : roi.size]
+    live, dead = scratch.live[:, : roi.size]
+    np.take(w, roi, out=wfl, mode="clip")
+    np.greater(wfl, floor_eps, out=live)
+    np.copyto(wfl, floor_eps, where=np.logical_not(live, out=dead))
+    np.log(wfl, out=res)
     res -= pred_log
     sq = r
     sq.fill(0.0)
-    sq[roi] = np.multiply(res, res)
-    mf_sum = float(sq.sum())
+    np.put(sq, roi, np.multiply(res, res, out=sq_roi), mode="clip")
+    mf_sums = sq.reshape(images, -1).sum(axis=1)
     res *= mf_c * 2.0
     res /= wfl
-    coeff[roi[live]] += res[live]
+    coeff_roi = np.take(coeff, roi, out=sq_roi, mode="clip")
+    np.add(coeff_roi, res, out=coeff_roi, where=live)
+    np.put(coeff, roi, coeff_roi, mode="clip")
 
     for a, part in enumerate(parts):
         part *= coeff
-        grad_out[a] += part.reshape(vol.shape)
-    return sim_sum, mf_sum
+        grad_a = grad_out[:, a]
+        grad_a += part.reshape(grad_a.shape)
+    return sim_sums, mf_sums
 
 
 def _flat(arr, axis):
@@ -293,31 +384,47 @@ def field_diff_adjoint(w, axis, out):
     return out
 
 
-def smooth_loss_grad(u, grad_out, weight):
-    """Sum of the squared forward differences of a vector field.
+def smooth_loss_grad(u, grad_out, weight, scratch):
+    """Sum of the squared forward differences of each field of a group.
 
-    u and grad_out are component-major (3, nx, ny, nz) C-contiguous fields.
-    Accumulates weight * d(loss)/d(u) into grad_out and returns the raw
-    loss: the squares of `field_diff` of every component along x, y and z.
-    The loss sums the per-entry sums in component-major order (u_0 along
-    x, y, z, then u_1, then u_2), and each component of grad_out receives
-    (weight * 2) * adjoint(diff) along x, then y, then z.
+    u and grad_out are component-major (G, 3, nx, ny, nz) C-contiguous
+    fields and scratch a `GroupScratch` that fits them.  Accumulates
+    weight * d(loss)/d(u) into grad_out and returns the G raw losses, a
+    list: the squares of `field_diff` of every component along x, y and z.
+    Each loss adds its field's per-(component, axis) row sums in
+    component-major order (u_0 along x, y, z, then u_1, then u_2), and each
+    component of grad_out receives (weight * 2) * adjoint(diff) along x,
+    then y, then z.  The passes run over the whole group while one field
+    fits GROUP_VOXELS, and one component plane at a time beyond that, so
+    the scratch stays cache-sized; every row sum and gradient entry keeps
+    its bits either way.
     """
-    d = np.empty_like(u)
-    work = np.empty_like(u)
-    sums = np.empty((3, 3))
+    planes = u.reshape((-1,) + u.shape[2:])
+    grads = grad_out.reshape(planes.shape)
+    step = len(planes) if 3 * planes[0].size <= GROUP_VOXELS else 1
+    size = step * planes[0].size
+    d, work = (
+        scratch.rows[k : k + 3].reshape(-1)[:size].reshape((step,) + planes.shape[1:])
+        for k in (0, 3)
+    )
+    sums = np.empty((len(planes), 3))
     k = weight * 2.0
-    for a in range(3):
-        field_diff(u, a + 1, d)
-        np.multiply(d, d, out=work)
-        work.reshape(3, -1).sum(axis=1, out=sums[:, a])
-        field_diff_adjoint(d, a + 1, work)
-        work *= k
-        grad_out += work
-    loss = 0.0
-    for s in sums.flat:
-        loss += float(s)
-    return loss
+    for lo in range(0, len(planes), step):
+        block, grad_block = planes[lo : lo + step], grads[lo : lo + step]
+        for a in range(3):
+            field_diff(block, a + 1, d)
+            np.multiply(d, d, out=work)
+            work.reshape(step, -1).sum(axis=1, out=sums[lo : lo + step, a])
+            field_diff_adjoint(d, a + 1, work)
+            work *= k
+            grad_block += work
+    losses = []
+    for field_sums in sums.reshape(-1, 9):
+        loss = 0.0
+        for s in field_sums:
+            loss += float(s)
+        losses.append(loss)
+    return losses
 
 
 def set_thread_budget(n):

@@ -16,13 +16,18 @@ reported unweighted, so both methods can be compared on the same terms.
 
 Two evaluation routes exist on purpose: the public per-term functions below
 are plain numpy and easy to audit, while `loss_and_gradient` and
-`per_term_gradients` run the fused kernels through one per-b-value loop.
-The tests pin the routes against each other and against finite
-differences.  With the parameter maps held fixed, the b-value images are
-independent, so that loop gives each thread one contiguous range of them
-(`_kernels.fan_out_ranges`): each image writes only its own gradient slice,
-and the returned sums are added in b-value order, so the result has the
-bits of the serial loop at any thread budget.
+`per_term_gradients` run the fused kernels through one loop over groups of
+b-value images.  The tests pin the routes against each other and against
+finite differences.  With the parameter maps held fixed, the b-value images
+are independent, so that loop gives each thread one contiguous range of
+them (`_kernels.fan_out_ranges`), which the thread cuts into groups of
+consecutive images, as many as fit `_kernels.GROUP_VOXELS`, one kernel call
+each.  Each image writes only its own gradient slice, and the per-image
+sums are added in b-value order, so the result has the bits of one image
+per call on one thread at any group size and thread budget.  What every
+evaluation of a pass shares, the stacked images, the ROI indices, the
+predicted logs and the kernels' scratch, lives in a `Workspace` that the
+optimizer makes once per pass.
 """
 
 from __future__ import annotations
@@ -146,17 +151,6 @@ def total_loss(
     return LossBreakdown.weighted(sim, smooth, model_fit_loss(warped, maps, roi), alpha2)
 
 
-def _term_scales(moving: BValueSeries, roi: RoiMask):
-    """The divisors that turn raw kernel sums into mean terms.
-
-    (B * n_vox, B * n_roi, n_vox) for similarity, model fit and smoothness.
-    """
-    if roi.count == 0:
-        raise EmptyRoiError("model-fit loss needs a non-empty ROI")
-    n_vox = int(np.prod(moving.dims))
-    return moving.b_count * n_vox, moving.b_count * roi.count, n_vox
-
-
 def stack_fields(fields) -> np.ndarray:
     """The fields as one C-contiguous component-major (B, 3, nx, ny, nz) array.
 
@@ -174,61 +168,111 @@ def unstack_fields(arr: np.ndarray) -> list:
     return [DisplacementField(np.moveaxis(a, 0, -1)) for a in arr]
 
 
-def _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad):
+class Workspace:
+    """What every evaluation of one fixed/moving/maps/roi problem shares.
+
+    Made once per optimizer pass: the moving and fixed images stacked
+    (B, nx, ny, nz) when a group holds several, the ROI's flat indices for
+    a group of images, each image's predicted log signal on the ROI, the
+    term scales, and the `_kernels.GroupScratch` of each thread range,
+    which the first evaluation that runs the range makes.  Raises
+    DimensionMismatchError for series, maps or roi on different grids or
+    b-values, and EmptyRoiError for an empty ROI.
+    """
+
+    def __init__(
+        self, fixed: BValueSeries, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask
+    ):
+        _check_series_pair(fixed, moving)
+        if roi.dims != moving.dims or maps.dims != moving.dims:
+            raise DimensionMismatchError("series, maps and roi must share dims")
+        if roi.count == 0:
+            raise EmptyRoiError("model-fit loss needs a non-empty ROI")
+        n_vox = int(np.prod(moving.dims))
+        # the divisors that turn raw kernel sums into the similarity, model
+        # fit and smoothness means
+        self.scales = (moving.b_count * n_vox, moving.b_count * roi.count, n_vox)
+        self.shape = (moving.b_count, 3) + moving.dims
+        self.group = max(1, _kernels.GROUP_VOXELS // n_vox)  # images per kernel call
+        # a stack is a copy, so one image per group is read in place instead
+        self._series = (moving, fixed)
+        self._stacks = (moving.stack(), fixed.stack()) if self.group > 1 else None
+        roi_idx = np.flatnonzero(roi.data)
+        # row g: the ROI of image g of a group, in the raveled group
+        self.roi = roi_idx + n_vox * np.arange(min(self.group, moving.b_count))[:, None]
+        log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
+        adc = maps.adc.data.reshape(-1)[roi_idx]
+        self.pred_log = np.stack([log_s0 - b * adc for b in moving.bvalues])
+        self._scratch = {}
+
+    def images(self, i, j):
+        """The moving and fixed images i..j-1, two (j - i, nx, ny, nz) arrays."""
+        if self._stacks is None:
+            return tuple(series.volumes[i].data[None] for series in self._series)
+        return tuple(stack[i:j] for stack in self._stacks)
+
+    def scratch(self, lo, hi):
+        """The GroupScratch of the thread range of images lo..hi-1."""
+        scratch = self._scratch.get((lo, hi))
+        if scratch is None:
+            images = min(self.group, hi - lo)
+            scratch = _kernels.GroupScratch(images, self.shape[2:], self.roi.shape[1])
+            self._scratch[lo, hi] = scratch
+        return scratch
+
+
+def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
     """The fused kernels on every b-value image, one range of images per thread.
 
     Writes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
     d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
     raw sums (similarity, model fit, smoothness), added in b-value order.
     A zero prefactor adds only signed zeros, so one term is isolated
-    exactly by zeroing the other two prefactors.  The parameter maps are
-    read on the ROI voxels only, gathered once here.
+    exactly by zeroing the other two prefactors.  Each thread cuts its
+    range into groups of ws.group consecutive images and hands each group
+    to the kernels in one call.
     """
-    roi_idx = np.flatnonzero(roi.data)
-    log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
-    adc = maps.adc.data.reshape(-1)[roi_idx]
 
     def bvalue_range(lo, hi):
+        scratch = ws.scratch(lo, hi)
         sums = []
-        for i in range(lo, hi):
-            g = grad[i]
+        for i in range(lo, hi, ws.group):
+            j = min(i + ws.group, hi)
+            g = grad[i:j]
             g.fill(0.0)
-            s, m = _match_terms(
-                moving.volumes[i].data,
-                fields_arr[i],
-                fixed.volumes[i].data,
-                log_s0 - moving.bvalues[i] * adc,
-                roi_idx,
+            moving, fixed = ws.images(i, j)
+            sim, mf = _match_terms(
+                moving,
+                fields_arr[i:j],
+                fixed,
+                ws.pred_log[i:j].reshape(-1),
+                ws.roi[: j - i].reshape(-1),
                 FLOOR_EPS,
                 sim_c,
                 mf_c,
                 g,
+                scratch,
             )
-            sums.append((s, m, _smooth_loss_grad(fields_arr[i], g, smooth_w)))
+            sums.extend(zip(sim, mf, _smooth_loss_grad(fields_arr[i:j], g, smooth_w, scratch)))
         return sums
 
     sim_sum = 0.0
     mf_sum = 0.0
     smooth_sum = 0.0
-    for sums in _kernels.fan_out_ranges(bvalue_range, moving.b_count, fields_arr.size):
+    for sums in _kernels.fan_out_ranges(bvalue_range, len(fields_arr), fields_arr.size):
         for s, m, smooth in sums:
-            sim_sum += s
-            mf_sum += m
+            sim_sum += float(s)
+            mf_sum += float(m)
             smooth_sum += smooth
     return sim_sum, mf_sum, smooth_sum
 
 
 def loss_and_gradient(
-    fixed: BValueSeries,
-    moving: BValueSeries,
-    fields_arr: np.ndarray,
-    maps: ParameterMaps,
-    roi: RoiMask,
-    alpha2: float,
-    grad: np.ndarray,
+    ws: Workspace, fields_arr: np.ndarray, alpha2: float, grad: np.ndarray
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
+    ws holds the fixed and moving series, maps and roi (`Workspace`).
     fields_arr and grad are component-major (B, 3, nx, ny, nz) C-contiguous
     float64 arrays (`stack_fields`); anything else raises
     DimensionMismatchError for a wrong shape and ValueError for a wrong
@@ -246,17 +290,14 @@ def loss_and_gradient(
     gradient is 0 only up to float64 rounding of log(exp(.)) in the residual
     (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
     """
-    _check_series_pair(fixed, moving)
-    shape = (moving.b_count, 3) + moving.dims
     for name, arr in (("fields_arr", fields_arr), ("grad", grad)):
-        if arr.shape != shape:
-            raise DimensionMismatchError(f"{name} shape {arr.shape} != {shape}")
+        if arr.shape != ws.shape:
+            raise DimensionMismatchError(f"{name} shape {arr.shape} != {ws.shape}")
         if arr.dtype != np.float64 or not arr.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous float64 array")
-    n_sim, n_mf, n_vox = _term_scales(moving, roi)
+    n_sim, n_mf, n_vox = ws.scales
     sim_sum, mf_sum, smooth_sum = _term_sums(
-        fixed, moving, fields_arr, maps, roi,
-        1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad,
+        ws, fields_arr, 1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad
     )
     return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, alpha2)
 
@@ -276,7 +317,8 @@ def per_term_gradients(
     """
     fields = _check_fields(moving, fields)
     fields_arr = stack_fields(fields)
-    n_sim, n_mf, n_vox = _term_scales(moving, roi)
+    ws = Workspace(fixed, moving, maps, roi)
+    n_sim, n_mf, n_vox = ws.scales
     prefactors = {
         "similarity": (1.0 / n_sim, 0.0, 0.0),
         "model_fit": (0.0, 1.0 / n_mf, 0.0),
@@ -285,6 +327,6 @@ def per_term_gradients(
     out = {}
     for term, (sim_c, mf_c, smooth_w) in prefactors.items():
         grad = np.empty_like(fields_arr)
-        _term_sums(fixed, moving, fields_arr, maps, roi, sim_c, mf_c, smooth_w, grad)
+        _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad)
         out[term] = np.moveaxis(grad, 1, -1)
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .objective import loss_and_gradient, stack_fields, unstack_fields
+from .objective import Workspace, loss_and_gradient, stack_fields, unstack_fields
 from .signal_model import ParameterMaps
 from .volume import BValueSeries, DimensionMismatchError, RoiMask
 
@@ -140,6 +140,8 @@ def optimize_fields(
     end.  Every evaluation writes its gradient into one buffer of the same
     layout, made here too, so the loop holds five arrays the size of all
     fields: the iterate, the best state, the two moments and the gradient.
+    The evaluations share one `objective.Workspace`, made here and dropped
+    on return, which holds the stacked images and the kernels' scratch.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.
@@ -153,11 +155,10 @@ def optimize_fields(
     shape = x.shape
     x = x.reshape(-1)
     grad = np.empty_like(x)
+    ws = Workspace(fixed, moving, maps, roi)
 
     def value_and_grad(x):
-        bd = loss_and_gradient(
-            fixed, moving, x.reshape(shape), maps, roi, alpha2, grad.reshape(shape)
-        )
+        bd = loss_and_gradient(ws, x.reshape(shape), alpha2, grad.reshape(shape))
         return bd.total, grad, bd
 
     res = adam_minimize(value_and_grad, x, cfg)

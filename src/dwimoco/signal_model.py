@@ -248,14 +248,16 @@ def irls_fit_volume(series: BValueSeries):
     """`_lad` on every voxel: the robust fit of each voxel's decay curve.
 
     Returns (ParameterMaps, r2 map as ScalarVolume); a voxel whose log
-    signals have zero variance gets R^2 = 0.
+    signals have zero variance gets R^2 = 0.  Both sums of squares are
+    built in one (B, N) buffer.
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
     y = floored_log(series.stack()).reshape(len(b), -1)
     log_s0, adc = _lad(b, y)
-    ss_res = (_residuals(b, y, log_s0, adc) ** 2).sum(axis=0)
+    sq = _residuals(b, y, log_s0, adc)
+    ss_res = np.square(sq, out=sq).sum(axis=0)
     ymean = y.mean(axis=0)
-    ss_tot = ((y - ymean[None]) ** 2).sum(axis=0)
+    ss_tot = np.square(np.subtract(y, ymean, out=sq), out=sq).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
     spacing = series.volumes[0].spacing

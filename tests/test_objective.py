@@ -12,6 +12,7 @@ from dwimoco.objective import (
     ALPHA1,
     EmptyRoiError,
     LossBreakdown,
+    Workspace,
     loss_and_gradient,
     model_fit_loss,
     per_term_gradients,
@@ -133,7 +134,9 @@ class TestSmoothnessLoss:
         fields = [DisplacementField(u) for u in (checker, noise)]
         assert smoothness_loss(fields[0]) >= smoothness_loss(fields[1])
         raw = [
-            _kernels.smooth_loss_grad(stack_fields([f])[0], np.zeros((3,) + dims), 1.0)
+            _kernels.smooth_loss_grad(
+                stack_fields([f]), np.zeros((1, 3) + dims), 1.0, _kernels.GroupScratch(1, dims, 0)
+            )[0]
             for f in fields
         ]
         assert raw[0] >= raw[1]
@@ -209,7 +212,8 @@ class TestTotalLoss:
         for alpha2 in ALPHA2_SETTINGS:
             ref = total_loss(fixed, moving, fields, maps, roi, alpha2)
             uc = stack_fields(fields)
-            fused = loss_and_gradient(fixed, moving, uc, maps, roi, alpha2, np.empty_like(uc))
+            ws = Workspace(fixed, moving, maps, roi)
+            fused = loss_and_gradient(ws, uc, alpha2, np.empty_like(uc))
             assert fused.similarity == pytest.approx(ref.similarity, rel=1e-12)
             assert fused.smooth == pytest.approx(ref.smooth, rel=1e-12)
             assert fused.model_fit == pytest.approx(ref.model_fit, rel=1e-12)
@@ -253,10 +257,23 @@ class TestFieldStack:
             ("fields_arr", good.astype(np.float32), np.empty_like(good)),
             ("grad", good, np.empty(good.shape, np.float32)),
         ]
+        ws = Workspace(fixed, moving, maps, roi)
         for name, fields_arr, grad in bad:
             with pytest.raises(ValueError, match=f"{name} must be a C-contiguous float64"):
-                loss_and_gradient(fixed, moving, fields_arr, maps, roi, 1000.0, grad)
-        loss_and_gradient(fixed, moving, good, maps, roi, 1000.0, np.empty_like(good))
+                loss_and_gradient(ws, fields_arr, 1000.0, grad)
+        loss_and_gradient(ws, good, 1000.0, np.empty_like(good))
+
+    def test_workspace_rejects_maps_or_roi_on_another_grid(self, setup):
+        # the kernels gather the ROI with clamped indices, so a mask of
+        # another grid would read wrong voxels instead of raising
+        maps, roi, fixed, moving, _, _ = setup
+        other = tuple(n + 1 for n in DIMS)
+        other_maps = ParameterMaps(ScalarVolume(np.zeros(other)), ScalarVolume(np.zeros(other)))
+        for bad_maps, bad_roi in ((maps, RoiMask(np.ones(other, bool))), (other_maps, roi)):
+            with pytest.raises(DimensionMismatchError):
+                Workspace(fixed, moving, bad_maps, bad_roi)
+        with pytest.raises(EmptyRoiError):
+            Workspace(fixed, moving, maps, RoiMask(np.zeros(DIMS, bool)))
 
 
 class TestGradients:
@@ -265,7 +282,7 @@ class TestGradients:
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
         alpha2 = 1000.0
         grad = np.full((len(BVALUES), 3) + DIMS, np.nan)  # every entry is overwritten
-        loss_and_gradient(fixed, fixed, np.zeros_like(grad), maps, roi, alpha2, grad)
+        loss_and_gradient(Workspace(fixed, fixed, maps, roi), np.zeros_like(grad), alpha2, grad)
         grad = np.moveaxis(grad, 1, -1)
         terms = per_term_gradients(
             fixed, fixed, [DisplacementField(z) for z in zero], maps, roi
@@ -317,7 +334,7 @@ class TestGradients:
         for alpha2 in ALPHA2_SETTINGS:
             uc = stack_fields(fields)
             grad = np.empty_like(uc)
-            loss_and_gradient(fixed, moving, uc, maps, roi, alpha2, grad)
+            loss_and_gradient(Workspace(fixed, moving, maps, roi), uc, alpha2, grad)
             grad = np.moveaxis(grad, 1, -1)
             combo = (
                 terms["similarity"] + ALPHA1 * terms["smooth"] + alpha2 * terms["model_fit"]
@@ -449,11 +466,12 @@ class TestKernelOracles:
         for i, b in enumerate(BVALUES):
             pred = (maps.log_s0.data - b * maps.adc.data).reshape(-1)[roi_idx]
             s, m = _kernels.match_terms(
-                moving.volumes[i].data, uc[i], fixed.volumes[i].data, pred, roi_idx,
-                1e-6, 0.3, 0.7, np.zeros((3,) + DIMS),
+                moving.volumes[i].data[None], uc[i : i + 1], fixed.volumes[i].data[None], pred,
+                roi_idx, 1e-6, 0.3, 0.7, np.zeros((1, 3) + DIMS),
+                _kernels.GroupScratch(1, DIMS, roi.count),
             )
-            sim_total += s
-            mf_total += m
+            sim_total += s[0]
+            mf_total += m[0]
         warped = warp_series(moving, fields)
         assert sim_total / (n_b * n_vox) == pytest.approx(
             similarity_loss(fixed, warped), rel=1e-12
@@ -515,12 +533,13 @@ class TestKernelOracles:
                 want = self.masked_match_terms(
                     vol, disp, fixed, pred, roi, FLOOR_EPS, sim_c, mf_c, want_grad
                 )
-                grad = np.full((3,) + dims, -0.0)
+                grad = np.full((1, 3) + dims, -0.0)
                 got = _kernels.match_terms(
-                    vol, disp_c, fixed, pred.reshape(-1)[idx], idx, FLOOR_EPS, sim_c, mf_c, grad
+                    vol[None], disp_c[None], fixed[None], pred.reshape(-1)[idx], idx,
+                    FLOOR_EPS, sim_c, mf_c, grad, _kernels.GroupScratch(1, dims, idx.size),
                 )
-                assert got == want, (name, sim_c, mf_c)
-                got_grad = np.moveaxis(grad, 0, -1)
+                assert (got[0][0], got[1][0]) == want, (name, sim_c, mf_c)
+                got_grad = np.moveaxis(grad[0], 0, -1)
                 np.testing.assert_array_equal(got_grad, want_grad)
                 np.testing.assert_array_equal(np.signbit(got_grad), np.signbit(want_grad))
 
@@ -530,10 +549,11 @@ class TestKernelOracles:
         ids=["2x2x2", "3x5x2", "8x7x6", "5x4x1"],
     )
     def test_smooth_loss_grad_matches_smoothness_loss(self, rng, dims):
-        u = rng.normal(0, 1, (3,) + dims)  # component-major
+        u = rng.normal(0, 1, (1, 3) + dims)  # one component-major field
         grad = np.zeros_like(u)
         weight = 0.37
-        loss = _kernels.smooth_loss_grad(u, grad, weight)
+        (loss,) = _kernels.smooth_loss_grad(u, grad, weight, _kernels.GroupScratch(1, dims, 0))
+        u, grad = u[0], grad[0]
         n_vox = np.prod(dims)
 
         def field(c):
@@ -575,6 +595,93 @@ class TestKernelOracles:
             m_hat = (beta1 * m0 + (1 - beta1) * g) / (1 - beta1**t)
             v_hat = (beta2 * v0 + (1 - beta2) * g**2) / (1 - beta2**t)
             close(x, x0, -lr * m_hat / (np.sqrt(v_hat) + eps))
+
+
+class TestImageGroups:
+    """A group of several b-value images gives the bits of one image per group.
+
+    GROUP_VOXELS is set to k images of the grid, so B = 6 splits as 6,
+    4 + 2, 3 + 3 and 1 x 6 at budget 1; one image per group also runs the
+    smoothness one component plane at a time.  The size floor of
+    `fan_out_ranges` is lowered so budgets 2 and 3 split the images between
+    threads, whose ranges are then cut into groups.
+    """
+
+    DIMS = (7, 6, 5)
+    BVALUES = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
+    SPLITS = {6: [6], 4: [4, 2], 3: [3, 3], 1: [1] * 6}
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(7)
+        dims = self.DIMS
+        maps = ParameterMaps(
+            ScalarVolume(rng.normal(0.0, 0.1, dims)), ScalarVolume(rng.uniform(0.0, 2e-3, dims))
+        )
+        roi = RoiMask(rng.random(dims) < 0.4)
+        fixed = reconstruct(maps, self.BVALUES)
+        moving = BValueSeries(
+            self.BVALUES,
+            tuple(ScalarVolume(v.data * rng.uniform(0.8, 1.2, dims)) for v in fixed.volumes),
+        )
+        u = rng.normal(0.0, 0.8, (len(self.BVALUES), 3) + dims)
+        u[1, 0, :2] = -4.0  # samples clamped at the grid's edge
+        return fixed, moving, maps, roi, u
+
+    @pytest.fixture
+    def grouped(self, monkeypatch):
+        """run(images, budget, fn, *args): fn's result with `images` images
+        per group at that thread budget, and the group sizes in call order."""
+        monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)
+        sizes = []
+        match_terms = objective._match_terms
+
+        def recording(vols, *args):
+            sizes.append(len(vols))
+            return match_terms(vols, *args)
+
+        monkeypatch.setattr(objective, "_match_terms", recording)
+
+        def run(images, budget, fn, *args):
+            monkeypatch.setattr(_kernels, "GROUP_VOXELS", images * int(np.prod(self.DIMS)))
+            monkeypatch.setattr(_kernels, "_budget", budget)
+            sizes.clear()
+            return fn(*args), list(sizes)
+
+        return run
+
+    @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
+    def test_loss_and_gradient_bits_match_one_image_groups(self, problem, grouped, alpha2):
+        fixed, moving, maps, roi, u = problem
+
+        def evaluate():
+            grad = np.full_like(u, np.nan)  # an entry left unwritten stays NaN
+            bd = loss_and_gradient(Workspace(fixed, moving, maps, roi), u, alpha2, grad)
+            return bd, grad
+
+        (want_bd, want_grad), _ = grouped(1, 1, evaluate)
+        assert np.isfinite(want_grad).all()
+        for images, split in self.SPLITS.items():
+            for budget in (1, 2, 3):
+                (bd, grad), sizes = grouped(images, budget, evaluate)
+                if budget == 1:
+                    assert sizes == split
+                assert bd == want_bd, (images, budget)
+                np.testing.assert_array_equal(grad, want_grad)
+                np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
+
+    def test_per_term_gradients_bits_match_one_image_groups(self, problem, grouped):
+        fixed, moving, maps, roi, u = problem
+        args = (per_term_gradients, fixed, moving, unstack_fields(u), maps, roi)
+        want, _ = grouped(1, 1, *args)
+        for images, split in self.SPLITS.items():
+            for budget in (1, 2, 3):
+                got, sizes = grouped(images, budget, *args)
+                if budget == 1:
+                    assert sizes == split * 3  # one pass per term
+                for term, grad in want.items():
+                    np.testing.assert_array_equal(got[term], grad)
+                    np.testing.assert_array_equal(np.signbit(got[term]), np.signbit(grad))
 
 
 def _ranges_in_forked_worker():
@@ -671,7 +778,8 @@ class TestThreadBudget:
         out = {}
         for budget in (1, 2, 3, 4):
             grad = np.full_like(u, np.nan)
-            bd = at_budget(budget, loss_and_gradient, fixed, moving, u, maps, roi, alpha2, grad)
+            ws = Workspace(fixed, moving, maps, roi)
+            bd = at_budget(budget, loss_and_gradient, ws, u, alpha2, grad)
             out[budget] = bd, grad
         for budget in (2, 3, 4):
             assert out[budget][0] == out[1][0]

@@ -1,10 +1,14 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dwimoco import registration
+from dwimoco.phantom import PhantomSpec, make_phantom
 from dwimoco.registration import DivergedError, InnerOptConfig, adam_minimize
+from dwimoco.signal_model import reconstruct
+from dwimoco.volume import BValueSeries, DisplacementField, ScalarVolume
 
 
 class Recorder:
@@ -112,3 +116,36 @@ def test_steps_the_start_in_place_and_rejects_other_layouts():
     for bad in (np.array([[1.0]]), np.array([1], dtype=np.int64)):
         with pytest.raises(ValueError):
             adam_minimize(Recorder(square), bad, cfg)
+
+
+def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypatch):
+    # the pass's workspace holds every full-size temporary of an evaluation,
+    # so only the first one, which makes the scratch, allocates that much
+    dims = (20, 20, 8)
+    bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
+    maps, roi = make_phantom(PhantomSpec(dims=dims))
+    fixed = reconstruct(maps, bvalues)
+    factor = 0.9 + 0.05 * np.sin(np.arange(dims[0]) / 2.0)[:, None, None]
+    moving = BValueSeries(bvalues, tuple(ScalarVolume(v.data * factor) for v in fixed.volumes))
+    stack_bytes = len(bvalues) * int(np.prod(dims)) * 8  # one (B, nx, ny, nz) float64 array
+    peaks = []
+    evaluate = registration.loss_and_gradient
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = evaluate(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(registration, "loss_and_gradient", traced)
+    zero = [DisplacementField.zero(dims)] * len(bvalues)
+    tracemalloc.start()
+    try:
+        cfg = InnerOptConfig(max_inner_steps=5, plateau_window=0)
+        registration.optimize_fields(fixed, moving, zero, maps, roi, 1000.0, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert peaks[0] > stack_bytes  # the scratch, so the tracing sees the kernels' arrays
+    assert max(peaks[1:]) < stack_bytes, peaks
