@@ -25,9 +25,9 @@ with the displacement along that axis held at 0.
 The one loss setting is pipeline.alpha2, the model-fit weight (0 is the
 registration-only method).  The other loss, schedule, stop-rule and phantom
 values are module constants, not keys (`objective.ALPHA1`,
-`registration.LEARNING_RATE`, `registration.LR_DROP_FACTOR`,
-`pipeline.ADC_CHANGE_TOL`, `phantom.BACKGROUND_ADC` and the others next to
-them); a config that names one exits 2 as an unknown key.
+`registration.LEARNING_RATE`, `pipeline.ADC_CHANGE_TOL`,
+`phantom.BACKGROUND_ADC` and the others next to them); a config that names
+one exits 2 as an unknown key.
 
 `cohort` analyzes simulated cases or a directory of case manifests through
 the same `pipeline.run_cohort`.  Next to the cohort report it writes

@@ -42,6 +42,7 @@ from .volume import (
     BValueSeries,
     DimensionMismatchError,
     DisplacementField,
+    EmptyRoiError,
     RoiMask,
     warp_series,
 )
@@ -55,10 +56,6 @@ _smooth_loss_grad = _kernels.smooth_loss_grad
 
 
 ALPHA1 = 0.01  # weight of the smoothness term
-
-
-class EmptyRoiError(ValueError):
-    """Model-fit loss needs at least one ROI voxel."""
 
 
 @dataclass(frozen=True)

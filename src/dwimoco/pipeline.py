@@ -43,7 +43,9 @@ from .registration import DivergedError, InnerOptConfig, optimize_fields
 from .signal_model import ParameterMaps, irls_fit, lls_fit, reconstruct, roi_mean_signals
 from .volume import (
     BValueSeries,
+    DimensionMismatchError,
     DisplacementField,
+    EmptyRoiError,
     RoiMask,
     checked_bvalues,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
@@ -157,11 +159,14 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     record's loss is the objective at zero fields, the state entering that
     iteration's registration: similarity and model fit of the current
     series against its own fit, smoothness 0.
+
+    Raises DimensionMismatchError for an ROI on another grid and
+    EmptyRoiError for an empty ROI.
     """
     if roi.dims != series.dims:
-        raise ValueError("roi dims must match series dims")
+        raise DimensionMismatchError("roi dims must match series dims")
     if roi.count == 0:
-        raise ValueError("empty ROI")
+        raise EmptyRoiError("empty ROI")
     bvalues = series.bvalues
     normalized, scale = normalize_series(series)
     fields = [DisplacementField.zero(series.dims) for _ in bvalues]

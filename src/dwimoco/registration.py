@@ -1,12 +1,11 @@
 """Inner-loop optimizer: fit per-b-value displacement fields to the objective.
 
 The fields are optimized directly (one dense 3-vector per voxel per b-value)
-with a self-contained Adam implementation, at a learning rate that starts
-at LEARNING_RATE.  Whenever the total loss rises relative to the previous
-step the learning rate is divided by LR_DROP_FACTOR.
-Once the best-seen loss gains no more than PLATEAU_REL_TOL of itself over a
-window of steps, the loop stops.  The best-visited state is returned, so the
-final loss never exceeds the initial one.
+with a self-contained Adam implementation (Kingma & Ba, 2015) that takes
+every step at the one learning rate LEARNING_RATE.  A step may raise the
+total loss; the loop keeps the best-visited state and returns it, so the
+final loss never exceeds the initial one.  Once the best-seen loss gains no
+more than PLATEAU_REL_TOL of itself over a window of steps, the loop stops.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LEARNING_RATE = 0.1  # voxels per step, since the parameters are raw displacements
-LR_DROP_FACTOR = 10.0  # the learning rate is divided by this on a rising step
 PLATEAU_REL_TOL = 1e-5  # relative best-loss gain over a window that counts as a plateau
 
 
@@ -58,9 +56,7 @@ class AdamResult:
     x: np.ndarray
     loss: float
     trace: list
-    steps: int = 0
-    lr_final: float = 0.0
-    lr_drops: int = 0
+    steps: int
 
 
 def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
@@ -69,10 +65,9 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     x is the flat float64 starting point; Adam steps it in place, so it
     ends at the last visited state and no second copy of the start is
     kept.  value_and_grad(x) must return (loss, grad, aux); aux is recorded
-    in the trace, and grad may be the same buffer on every call.  The
-    learning rate starts at LEARNING_RATE; on a step whose loss exceeds the
-    previous step's loss, it is divided by LR_DROP_FACTOR (once per
-    offending step).  Returns the lowest-loss visited state.
+    in the trace, and grad may be the same buffer on every call.  Every
+    step uses the learning rate LEARNING_RATE, also after a step whose loss
+    rose.  Returns the lowest-loss visited state.
     """
     if x.dtype != np.float64 or x.ndim != 1:
         raise ValueError(f"x must be a flat float64 array, got {x.dtype} of shape {x.shape}")
@@ -85,34 +80,25 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     best_history = [best_loss]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    lr = LEARNING_RATE
-    lr_drops = 0
-    prev_loss = loss
-    steps = 0
     for t in range(1, cfg.max_inner_steps + 1):
         _kernels.adam_update(
-            x, grad, m, v, lr,
+            x, grad, m, v, LEARNING_RATE,
             ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
             1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t,
         )
         loss, grad, aux = value_and_grad(x)
         trace.append(aux)
-        steps = t
         if not np.isfinite(loss) or not np.isfinite(grad).all():
             raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace)
-        if loss > prev_loss:
-            lr /= LR_DROP_FACTOR
-            lr_drops += 1
         if loss < best_loss:
             best_loss = loss
             best_x[:] = x
-        prev_loss = loss
         best_history.append(best_loss)
         if cfg.plateau_window > 0 and t >= cfg.plateau_window:
             gain = best_history[t - cfg.plateau_window] - best_loss
             if gain <= PLATEAU_REL_TOL * max(abs(best_loss), np.finfo(float).tiny):
                 break
-    return AdamResult(best_x, best_loss, trace, steps, lr, lr_drops)
+    return AdamResult(best_x, best_loss, trace, len(trace) - 1)
 
 
 def optimize_fields(

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .volume import BValueSeries, RoiMask, ScalarVolume
+from .volume import BValueSeries, DimensionMismatchError, EmptyRoiError, RoiMask, ScalarVolume
 
 FLOOR_EPS = 1e-6  # signals are floored here before the log
 # Voxels per block of a fit.  At 6 b-values a block's log signals take
@@ -290,10 +290,14 @@ def r_squared(observed_log, predicted_log) -> float:
 
 
 def roi_mean_signals(series: BValueSeries, roi: RoiMask) -> np.ndarray:
-    """Mean signal inside the ROI, one value per b-value."""
+    """Mean signal inside the ROI, one value per b-value.
+
+    Raises DimensionMismatchError for an ROI on another grid and
+    EmptyRoiError for an empty ROI.
+    """
     if roi.dims != series.dims:
-        raise ValueError("roi dims must match series dims")
+        raise DimensionMismatchError("roi dims must match series dims")
     if roi.count == 0:
-        raise ValueError("empty ROI")
+        raise EmptyRoiError("empty ROI")
     mask = roi.data
     return np.array([float(v.data[mask].mean()) for v in series.volumes])

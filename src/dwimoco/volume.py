@@ -18,6 +18,10 @@ class DimensionMismatchError(ValueError):
     """Operands live on different voxel grids."""
 
 
+class EmptyRoiError(ValueError):
+    """An ROI-mean signal or the model-fit loss needs at least one ROI voxel."""
+
+
 class DegenerateSeriesError(ValueError):
     """Series cannot be normalized (non-positive maximum at b=0)."""
 

@@ -5,12 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dwimoco import _kernels, pipeline
+from dwimoco import _kernels, objective, pipeline
 from dwimoco.maturity import CohortPoint
 from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
 from dwimoco.signal_model import irls_fit, roi_mean_signals
-from dwimoco.volume import normalize_series
+from dwimoco.volume import (
+    DimensionMismatchError,
+    EmptyRoiError,
+    RoiMask,
+    normalize_series,
+)
 
 CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer_iters=2)
 
@@ -172,8 +177,8 @@ def test_run_case_records_and_best_iteration():
 
 
 def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatch):
-    # pass 2 finds no step better than its starting fields; without the stop,
-    # passes 3 and 4 repeat it and records 2-5 are identical
+    # some pass k finds no step better than its starting fields; without the
+    # stop, every later pass repeats it and the records after k are identical
     series, roi = small_case()
     cfg = replace(RUN_CFG, max_outer_iters=6, converge_window=6)
     real = pipeline.optimize_fields
@@ -186,10 +191,29 @@ def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatc
 
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, cfg)
-    assert unchanged == [False, False, True]
-    assert [r.iteration for r in result.records] == [0, 1, 2]
-    assert result.best_iteration == 2
+    assert True in unchanged
+    k = unchanged.index(True)
+    assert unchanged == [False] * k + [True]
+    assert [r.iteration for r in result.records] == list(range(k + 1))
     assert result.converged is True and result.failed is False
+
+
+def test_run_case_rejects_an_roi_on_another_grid():
+    series, roi = small_case()
+    other = RoiMask(np.ones((16, 16, 5), dtype=bool))
+    with pytest.raises(DimensionMismatchError, match="roi dims"):
+        pipeline.run_case(series, other, RUN_CFG)
+    assert issubclass(DimensionMismatchError, ValueError)
+
+
+def test_run_case_rejects_an_empty_roi():
+    series, _roi = small_case()
+    empty = RoiMask(np.zeros(series.dims, dtype=bool))
+    with pytest.raises(EmptyRoiError, match="empty ROI"):
+        pipeline.run_case(series, empty, RUN_CFG)
+    # existing callers catch ValueError; the objective's name still resolves
+    assert issubclass(EmptyRoiError, ValueError)
+    assert objective.EmptyRoiError is EmptyRoiError
 
 
 def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
@@ -262,8 +286,8 @@ def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch
 @pytest.mark.parametrize("alpha2", [1000.0, 0.0])
 def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
     series, roi = small_case()
-    # 8 steps: at alpha2 = 0, 4 find no improving step and the run stops
-    # at the fixed point after record 0
+    # 8 steps, so that both weights improve on every pass and the run makes
+    # all 3 records
     inner = InnerOptConfig(max_inner_steps=8, plateau_window=0)
     cfg = replace(RUN_CFG, alpha2=alpha2, inner=inner)
     entering = []  # the normalized series entering each outer iteration

@@ -20,7 +20,13 @@ from dwimoco.signal_model import (
     reconstruct,
     roi_mean_signals,
 )
-from dwimoco.volume import BValueSeries, RoiMask, ScalarVolume
+from dwimoco.volume import (
+    BValueSeries,
+    DimensionMismatchError,
+    EmptyRoiError,
+    RoiMask,
+    ScalarVolume,
+)
 
 PAPER_BVALUES = (0.0, 50.0, 100.0, 200.0, 400.0, 600.0)
 
@@ -237,8 +243,13 @@ class TestRoiMeanSignals:
 
     def test_empty_roi_rejected(self):
         series = series_from_maps(np.ones((2, 2, 2)), np.full((2, 2, 2), 1e-3))
-        with pytest.raises(ValueError, match="empty ROI"):
+        with pytest.raises(EmptyRoiError, match="empty ROI"):
             roi_mean_signals(series, RoiMask(np.zeros((2, 2, 2), dtype=bool)))
+
+    def test_roi_on_another_grid_rejected(self):
+        series = series_from_maps(np.ones((2, 2, 2)), np.full((2, 2, 2), 1e-3))
+        with pytest.raises(DimensionMismatchError):
+            roi_mean_signals(series, RoiMask(np.ones((2, 2, 3), dtype=bool)))
 
 
 def _oracle_lad(b, y):
