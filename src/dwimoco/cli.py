@@ -385,10 +385,10 @@ def cmd_cohort(args) -> int:
     study = run(sources, pcfg, args.workers)
 
     for case_id, reason in study.failures:
-        _progress(f"cohort: case {case_id} failed: {reason}")
+        _progress(f"cohort: {case_id} failed: {reason}")
     dio.write_csv(out / "failures.csv", ["case_id", "reason"], study.failures)
     if not study.fits:
-        print("error: fewer than 3 cases succeeded with every method", file=sys.stderr)
+        print("error: no method's ADC-vs-GA curve could be fit; see failures.csv", file=sys.stderr)
         return 3
     dio.write_cohort_report(study.points, study.fits, out)
     for method in sorted(study.fits):

@@ -411,7 +411,7 @@ def write_decay_curves_svg(result: CaseResult, path) -> None:
                 rec.roi_mean_signals,
                 rec.curve_log_s0,
                 rec.roi_mean_adc,
-                f"iteration {rec.iteration} (R2={fmt(rec.roi_r2)})",
+                f"iteration {idx} (R2={fmt(rec.roi_r2)})",
             )
         )
         out.append("</g>")
@@ -445,7 +445,8 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
 
 def write_case_report(result: CaseResult, out_dir, case_id: str = "case", variant: str = "full"):
     """Emit the per-case artifacts: iteration trace CSV, case summary CSV,
-    per-iteration decay-curve SVG, best-iteration maps, fields and series.
+    per-iteration decay-curve SVG, and the maps, fields and series of the
+    state where the run stopped (the best_* files; `CaseResult`).
 
     The compensated series is one resample of the input, so the
     compensated_single_resample_b* files equal the compensated_b* ones byte
@@ -466,7 +467,7 @@ def write_case_report(result: CaseResult, out_dir, case_id: str = "case", varian
         ],
         [
             [
-                str(r.iteration),
+                str(k),
                 r.roi_mean_adc,
                 r.roi_r2,
                 r.loss.similarity,
@@ -474,7 +475,7 @@ def write_case_report(result: CaseResult, out_dir, case_id: str = "case", varian
                 r.loss.model_fit,
                 r.loss.total,
             ]
-            for r in result.records
+            for k, r in enumerate(result.records)
         ],
     )
     best = result.best_record

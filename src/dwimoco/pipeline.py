@@ -7,11 +7,11 @@ fields against the normalized input, starting from the previous iteration's
 fields; the next iteration's series is the normalized input warped by those
 fields, so every series is one resample of the input.  The recorded
 per-iteration summary ADC comes from the robust L1 fit
-(`signal_model.irls_fit`) of the ROI-mean decay curve; the iteration with
-the highest R^2 of that fit wins.  Iteration 0 is always the uncompensated
-input state.  The loop stops once the ROI-mean ADC has changed by at most
-ADC_CHANGE_TOL, relative to the previous value, over converge_window
-consecutive iterations.
+(`signal_model.irls_fit`) of the ROI-mean decay curve.  Iteration 0 is
+always the uncompensated input state.  The loop stops once the ROI-mean ADC
+has changed by at most ADC_CHANGE_TOL, relative to the previous value, over
+converge_window consecutive iterations, and the run's result is the state
+where it stopped.
 
 A cohort study runs three methods on every case (`analyze_methods`):
 no compensation, which is record 0 of a registered run (the curve fit of
@@ -32,7 +32,14 @@ from functools import partial
 import numpy as np
 
 from . import _kernels, phantom
-from .maturity import MIN_FIT_POINTS, CohortPoint, SaturationFit, fit_saturation, predict_adc
+from .maturity import (
+    MIN_FIT_POINTS,
+    CohortPoint,
+    DegenerateCohortError,
+    SaturationFit,
+    fit_saturation,
+    predict_adc,
+)
 from .objective import (
     LossBreakdown,
     model_fit_loss,
@@ -79,7 +86,6 @@ class PipelineConfig:
 class CaseRecord:
     """Summary of the series state entering one outer iteration."""
 
-    iteration: int
     roi_mean_adc: float
     roi_r2: float
     curve_log_s0: float
@@ -89,11 +95,13 @@ class CaseRecord:
 
 @dataclass
 class CaseResult:
-    """Per-iteration trace plus the outputs of the best (highest-R^2) state.
+    """Per-iteration trace plus the outputs of the state where the run stopped.
 
-    best_fields hold the displacement from the input grid to the best
-    iteration, and best_series is the normalized input warped by them: one
-    resample of the input.  Intensities are in normalized units; multiply by
+    The best_* names mean the final state, that of the last record:
+    best_iteration is len(records) - 1 and best_record is records[-1].
+    best_fields hold the displacement from the input grid to that state, and
+    best_series is the normalized input warped by them: one resample of the
+    input.  Intensities are in normalized units; multiply by
     normalization_scale, the input's maximum b=0 intensity, to return to
     input units.  converged is True when the run stopped because the ROI-mean
     ADC was stable or because a pass returned its starting fields unchanged.
@@ -101,7 +109,6 @@ class CaseResult:
 
     bvalues: tuple
     records: list
-    best_iteration: int
     best_maps: ParameterMaps
     best_fields: list
     best_series: BValueSeries
@@ -111,8 +118,12 @@ class CaseResult:
     failure_reason: str | None = None
 
     @property
+    def best_iteration(self) -> int:
+        return len(self.records) - 1
+
+    @property
     def best_record(self) -> CaseRecord:
-        return self.records[self.best_iteration]
+        return self.records[-1]
 
     @property
     def best_series_resampled(self) -> BValueSeries:
@@ -155,10 +166,12 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     Stops early once the ROI-mean ADC is stable (`check_convergence`) for
     converge_window consecutive iterations, or right after a pass that
     returns its starting fields bit for bit, which every later pass would
-    repeat (its record would duplicate the last one).  Both stops set converged.  Each
-    record's loss is the objective at zero fields, the state entering that
-    iteration's registration: similarity and model fit of the current
-    series against its own fit, smoothness 0.
+    repeat (its record would duplicate the last one).  Both stops set
+    converged.  A pass that diverges ends the run with failed set.  Whatever
+    the stop, the result's maps, fields and series are those of the last
+    record.  Each record's loss is the objective at zero fields, the state
+    entering that iteration's registration: similarity and model fit of the
+    current series against its own fit, smoothness 0.
 
     Raises DimensionMismatchError for an ROI on another grid and
     EmptyRoiError for an empty ROI.
@@ -173,7 +186,6 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
 
     current = normalized
     records: list[CaseRecord] = []
-    best = None  # (r2, record_index, maps, fields, series)
     failed = False
     failure_reason = None
     converged = False
@@ -185,11 +197,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         loss0 = LossBreakdown.weighted(
             similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.alpha2
         )
-        records.append(
-            CaseRecord(k, adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0)
-        )
-        if best is None or r2_c > best[0]:
-            best = (r2_c, k, maps, fields, current)
+        records.append(CaseRecord(adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0))
         if check_convergence([r.roi_mean_adc for r in records], cfg.converge_window):
             converged = True
             break
@@ -209,14 +217,12 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         fields = new_fields
         current = warp_series(normalized, fields)
 
-    _, best_iter, best_maps, best_fields, best_series = best
     return CaseResult(
         bvalues=bvalues,
         records=records,
-        best_iteration=best_iter,
-        best_maps=best_maps,
-        best_fields=best_fields,
-        best_series=best_series,
+        best_maps=maps,
+        best_fields=fields,
+        best_series=current,
         normalization_scale=scale,
         converged=converged,
         failed=failed,
@@ -262,8 +268,9 @@ class CohortStudyResult:
 
     Every method's points cover the same cases: those on which all methods
     succeeded.  failures holds one (case_id, reason) per failed method, or
-    per case that could not be analyzed at all.  true_points carries the
-    ground truth when the cohort was simulated and is empty otherwise.
+    per case that could not be analyzed at all, then one ("cohort", reason)
+    per method whose points admit no saturation fit.  true_points carries
+    the ground truth when the cohort was simulated and is empty otherwise.
     """
 
     points: dict  # method -> list[CohortPoint]
@@ -325,7 +332,9 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
     thread, as their budget (`_kernels.fan_out_ranges`), so the workers'
     threads outnumber the CPUs only when the workers alone do.  A case that raised,
     in loading, analysis or building its cohort points, is recorded under
-    str(source).  Methods with fewer than MIN_FIT_POINTS points get no fit.
+    str(source).  Methods with fewer than MIN_FIT_POINTS points get no fit,
+    and so does a method whose points share one gestational age: it is
+    recorded as ("cohort", "<method>: <reason>").
     """
     sources = list(sources)
     workers = min(workers, len(sources))
@@ -351,9 +360,13 @@ def run_cohort(load_case, sources, cfg: PipelineConfig, workers: int = 1) -> Coh
         failures.extend(failed)
         for method, point in case_points.items():
             points[method].append(point)
-    fits = {
-        m: fit_saturation(pts) for m, pts in points.items() if len(pts) >= MIN_FIT_POINTS
-    }
+    fits = {}
+    for method, pts in points.items():
+        if len(pts) >= MIN_FIT_POINTS:
+            try:
+                fits[method] = fit_saturation(pts)
+            except DegenerateCohortError as err:
+                failures.append(("cohort", f"{method}: {err}"))
     return CohortStudyResult(points, fits, [], failures)
 
 
@@ -398,9 +411,10 @@ def make_cohort_case_specs(
     motion amplitude is uniform over motion_range.  Every case shares
     dims, noise_sigma and bvalues.  Deterministic in seed.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
-    reversed, a motion range below 0 or reversed, a sat_adc or sat_alpha
-    not inside (0, inf), an adc_bio_noise not inside [0, inf) and b-values
-    that `checked_bvalues` rejects.
+    not wider than a point (a saturation fit needs GA spread), a motion
+    range below 0 or reversed, a sat_adc or sat_alpha not inside (0, inf),
+    an adc_bio_noise not inside [0, inf) and b-values that `checked_bvalues`
+    rejects.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
@@ -409,8 +423,8 @@ def make_cohort_case_specs(
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if not 0.0 <= adc_bio_noise < np.inf:
         raise ValueError(f"adc_bio_noise must be finite and >= 0, got {adc_bio_noise}")
-    if not 0.0 < ga_range[0] <= ga_range[1] < np.inf:
-        raise ValueError(f"ga_range must satisfy 0 < min <= max < inf, got {ga_range}")
+    if not 0.0 < ga_range[0] < ga_range[1] < np.inf:
+        raise ValueError(f"ga_range must satisfy 0 < min < max < inf, got {ga_range}")
     if not 0.0 <= motion_range[0] <= motion_range[1] < np.inf:
         raise ValueError(f"motion_range must satisfy 0 <= min <= max < inf, got {motion_range}")
     bvalues = checked_bvalues(bvalues)

@@ -64,6 +64,21 @@ def test_cohort_exits_3_and_lists_failures_when_every_case_diverges(
     assert not (out / "summary.csv").exists()
 
 
+def test_cohort_cases_of_one_ga_exits_3_and_lists_each_unfittable_method(tmp_path, capsys):
+    root = tmp_path / "cases"
+    for s in (1, 2, 3):  # every case at the default GA
+        argv = ["simulate", "--dims", "16,16,8", "--seed", str(s)]
+        assert cli.main(argv + ["--out", str(root / f"sim00{s}")]) == 0
+    out = tmp_path / "cohort"
+    assert cli.main(["cohort", "--cases", str(root), *CAPS, "--out", str(out)]) == 3
+    assert read_rows(out / "failures.csv") == [["case_id", "reason"]] + [
+        ["cohort", f"{method}: gestational ages are all equal"]
+        for method in pipeline.COHORT_METHODS
+    ]
+    assert not (out / "summary.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cohort_empty_case_directory_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -127,6 +142,7 @@ def test_default_config_builds_the_library_defaults():
         ("simulate", {"phantom": {"ga_weeks": 0}}, []),
         ("cohort", {"cohort": {"n_cases": "x"}}, []),
         ("cohort", {"cohort": {"ga_min": -5.0}}, SMALL_COHORT),
+        ("cohort", {"cohort": {"ga_min": 30.0, "ga_max": 30.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"motion_min": 3.0, "motion_max": 1.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"sat_adc": NAN}}, SMALL_COHORT),
         ("cohort", {"cohort": {"sat_alpha": -1}}, SMALL_COHORT),
@@ -171,6 +187,7 @@ def test_default_config_builds_the_library_defaults():
         "ga_zero",
         "n_cases_text",
         "ga_min_negative",
+        "ga_range_one_point",
         "motion_range_reversed",
         "sat_adc_nan",
         "sat_alpha_negative",

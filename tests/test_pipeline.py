@@ -162,16 +162,15 @@ RUN_CFG = pipeline.PipelineConfig(
 def test_run_case_records_and_best_iteration():
     series, roi = small_case()
     result = pipeline.run_case(series, roi, RUN_CFG)
-    assert [r.iteration for r in result.records] == [0, 1, 2]
+    assert len(result.records) == 3
     assert result.converged is False
     # record 0 describes the normalized input
     means = roi_mean_signals(normalize_series(series)[0], roi)
     _log_s0, raw_adc, raw_r2 = irls_fit(means, series.bvalues)
     assert result.records[0].roi_mean_adc == raw_adc
     assert result.records[0].roi_r2 == raw_r2
-    r2 = [r.roi_r2 for r in result.records]
-    assert result.best_iteration == int(np.argmax(r2))
-    assert result.best_record is result.records[result.best_iteration]
+    assert result.best_iteration == len(result.records) - 1
+    assert result.best_record is result.records[-1]
     fields_moved = any(np.any(f.data != 0.0) for f in result.best_fields)
     assert fields_moved == (result.best_iteration > 0)
 
@@ -194,7 +193,7 @@ def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatc
     assert True in unchanged
     k = unchanged.index(True)
     assert unchanged == [False] * k + [True]
-    assert [r.iteration for r in result.records] == list(range(k + 1))
+    assert len(result.records) == k + 1
     assert result.converged is True and result.failed is False
 
 
@@ -216,7 +215,7 @@ def test_run_case_rejects_an_empty_roi():
     assert objective.EmptyRoiError is EmptyRoiError
 
 
-def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
+def test_run_case_returns_the_last_record_state_when_r2_falls(monkeypatch):
     series, roi = small_case()
     real = pipeline._curve_stats
     calls = []
@@ -226,14 +225,44 @@ def test_run_case_keeps_zero_fields_when_iteration_0_is_best(monkeypatch):
         calls.append(None)
         return means, log_s0, adc, 1.0 - 0.1 * len(calls)
 
+    fields_per_pass = []
+    real_optimize = pipeline.optimize_fields
+
+    def spy(*args, **kwargs):
+        fields, trace = real_optimize(*args, **kwargs)
+        fields_per_pass.append(fields)
+        return fields, trace
+
     monkeypatch.setattr(pipeline, "_curve_stats", r2_falls_every_iteration)
+    monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, RUN_CFG)
-    assert len(result.records) == 3 and result.converged is False
-    assert result.best_iteration == 0
+    r2 = [r.roi_r2 for r in result.records]
+    assert len(r2) == 3 and r2[0] > r2[1] > r2[2] and result.converged is False
+    assert result.best_iteration == 2
+    assert result.best_record is result.records[-1]
+    # the fields of the second, last pass, and the input warped by them
+    assert len(fields_per_pass) == 2
+    for got, want in zip(result.best_fields, fields_per_pass[-1]):
+        assert got is want
+    assert any(np.any(f.data != 0.0) for f in result.best_fields)
+    normalized, _scale = pipeline.normalize_series(series)
+    want = pipeline.warp_series(normalized, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want.volumes):
+        np.testing.assert_array_equal(got.data, w.data)
+
+
+def test_run_case_keeps_zero_fields_when_the_first_pass_diverges(monkeypatch):
+    series, roi = small_case()
+
+    def diverge(*args, **kwargs):
+        raise DivergedError("diverged: injected", [])
+
+    monkeypatch.setattr(pipeline, "optimize_fields", diverge)
+    result = pipeline.run_case(series, roi, RUN_CFG)
+    assert result.failed is True and result.failure_reason == "diverged: injected"
+    assert len(result.records) == 1 and result.best_iteration == 0
     for f in result.best_fields:
         np.testing.assert_array_equal(f.data, 0.0)
-    # the registration did move the later iterations
-    assert result.records[2].roi_mean_adc != result.records[0].roi_mean_adc
     normalized, scale = pipeline.normalize_series(series)
     assert result.normalization_scale == scale
     for got, want in zip(result.best_series_resampled.volumes, normalized.volumes):

@@ -11,10 +11,10 @@ scored for three methods: zero fields (record 0 of the run), registration
 only (alpha2 = 0) and the full method (alpha2 = 1000).  For each it prints,
 per case and as means over the set:
 
-- EPE, the motion left in the ROI after the best-iteration fields, in voxels;
-- the relative error of the best-record ADC against the robust L1 fit of
-  the motion-free ROI-mean curve;
-- the best iteration.
+- EPE, the motion left in the ROI after the final fields, in voxels;
+- the relative error of the final record's ADC against the robust L1 fit
+  of the motion-free ROI-mean curve;
+- the final iteration, the index of the run's last record.
 
 Each source tree runs in its own child process with that tree's `src/` on
 the path, and simulates its cases with that tree's `phantom.simulate_case`.
@@ -73,14 +73,14 @@ def study_cases() -> None:
                 "seed": seed,
                 "epe": {"zero": field_epe(zero, true_fields, roi)},
                 "adc_err": {},
-                "best_iter": {},
+                "final_iter": {},
             }
             cfg = pipeline.PipelineConfig(max_outer_iters=MAX_OUTER)
             for method, alpha2 in METHODS:
                 result = pipeline.run_case(moved, roi, replace(cfg, alpha2=alpha2))
                 row["epe"][method] = field_epe(result.best_fields, true_fields, roi)
                 row["adc_err"][method] = rel_err(result.best_record.roi_mean_adc, ref)
-                row["best_iter"][method] = result.best_iteration
+                row["final_iter"][method] = result.best_iteration
             # record 0 is the input, the same in every method's run
             row["adc_err"]["zero"] = rel_err(result.records[0].roi_mean_adc, ref)
             print(json.dumps(row), flush=True)
@@ -101,13 +101,13 @@ def report(name: str, rows: list) -> None:
     print(f"== {name} ==")
     print(
         "amp seed | EPE (vox): zero  alpha2=0  alpha2=1000 | "
-        "ADC rel. err: zero  alpha2=0  alpha2=1000 | best iter: alpha2=0  alpha2=1000"
+        "ADC rel. err: zero  alpha2=0  alpha2=1000 | final iter: alpha2=0  alpha2=1000"
     )
     for r in rows:
         epe = "  ".join(f"{r['epe'][c]:.4f}" for c in cols)
         err = "  ".join(f"{r['adc_err'][c]:.5f}" for c in cols)
-        best = "  ".join(str(r["best_iter"][m]) for m, _ in METHODS)
-        print(f"{r['amp']:g} {r['seed']} | {epe} | {err} | {best}")
+        final = "  ".join(str(r["final_iter"][m]) for m, _ in METHODS)
+        print(f"{r['amp']:g} {r['seed']} | {epe} | {err} | {final}")
     epe = "  ".join(f"{sum(r['epe'][c] for r in rows) / len(rows):.4f}" for c in cols)
     err = "  ".join(f"{sum(r['adc_err'][c] for r in rows) / len(rows):.5f}" for c in cols)
     print(f"mean | {epe} | {err}")
