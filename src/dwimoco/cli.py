@@ -246,11 +246,11 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
 
 
 def cohort_case_specs(cfg: dict) -> list:
-    """The simulated cohort's case specs of a resolved config; ConfigError if a
-    value is invalid, checked by building every case's PhantomSpec."""
+    """The simulated cohort's case specs of a resolved config; ConfigError if
+    `make_cohort_case_specs` rejects a value."""
     co, ph = cfg["cohort"], cfg["phantom"]
     try:
-        specs = make_cohort_case_specs(
+        return make_cohort_case_specs(
             n_cases=co["n_cases"],
             dims=ph["dims"],
             ga_range=(co["ga_min"], co["ga_max"]),
@@ -262,11 +262,8 @@ def cohort_case_specs(cfg: dict) -> list:
             seed=cfg["seed"],
             bvalues=ph["bvalues"],
         )
-        for spec in specs:
-            spec.phantom_spec()
     except ValueError as err:
         raise ConfigError(f"invalid cohort config: {err}") from err
-    return specs
 
 
 def case_ga_weeks(cfg: dict) -> float:

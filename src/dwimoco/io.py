@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .maturity import SaturationFit
+from .maturity import SaturationFit, predict_adc
 from .pipeline import CaseResult
 from .signal_model import forward_signal
 from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume
@@ -420,7 +420,8 @@ def write_decay_curves_svg(result: CaseResult, path) -> None:
 
 
 def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
-    """ADC vs GA scatter, shaded by per-case fit R^2, with the fitted curve."""
+    """ADC vs GA scatter, shaded by per-case fit R^2, with the fitted curve
+    drawn over the plot's GA range from GA 0 on."""
     pts = sorted(points, key=lambda p: p.case_id)
     ga = np.array([p.ga for p in pts])
     adc = np.array([p.adc for p in pts])
@@ -430,9 +431,8 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
     )
     out = _svg_open()
     out.extend(_svg_frame(ax, "gestational age (weeks)", "ADC (mm^2/s)", title))
-    curve_ga = np.linspace(ax.x0, ax.x1, 80)
-    curve = fit.adc_sat * (1.0 - np.exp(-fit.alpha * curve_ga))
-    out.append(_svg_polyline(ax, curve_ga, curve))
+    curve_ga = np.linspace(max(ax.x0, 0.0), ax.x1, 80)
+    out.append(_svg_polyline(ax, curve_ga, predict_adc(curve_ga, fit)))
     for p in pts:
         out.append(_svg_dot(ax, p.ga, p.adc, shade=1.0 - min(max(p.fit_r2, 0.0), 1.0)))
     out.append(

@@ -1,10 +1,14 @@
 """ADC-versus-gestational-age saturation model over a cohort.
 
 The model is ADC(GA) = adc_sat * (1 - exp(-alpha * GA)): lung diffusivity
-rises with gestational age and saturates.  Fitting is nonlinear in alpha
-only, so a log-spaced grid over alpha (with adc_sat solved in closed form at
-each grid point) locates the basin and Gauss-Newton polishes both
-parameters.
+rises with gestational age and saturates.  It is linear in adc_sat, so for
+each alpha the least-squares adc_sat has a closed form, and the SSE left is
+a function of alpha alone (variable projection; Golub & Pereyra, SIAM J.
+Numer. Anal. 1973).  The fit evaluates that SSE on ALPHA_GRID, then
+searches log alpha between the grid neighbours of the best grid point,
+narrowing the bracket around its best point until it is 1e-10 wide.  When
+the best grid point is an end of the grid, the optimum lies outside the
+searched range: the fit returns that grid point and flags it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ class CohortPoint:
     fit_r2: float = 1.0
 
     def __post_init__(self):
-        if not (self.ga > 0):
-            raise ValueError("ga must be > 0")
+        if not 0.0 < self.ga < np.inf:
+            raise ValueError(f"ga must be finite and > 0, got {self.ga}")
         if not np.isfinite(self.adc):
             raise ValueError("adc must be finite")
 
@@ -40,8 +44,12 @@ class CohortPoint:
 class SaturationFit:
     """Fitted saturation parameters.
 
-    `flagged` marks fits whose parameters are not physiologically meaningful
-    (non-positive adc_sat or alpha) or whose cohort had no ADC variance.
+    `flagged` marks a fit whose parameters are not physiologically
+    meaningful, for one of three causes:
+    - adc_sat is not positive;
+    - the cohort has no ADC variance (r2 is then 0);
+    - alpha is an end of ALPHA_GRID, so the least-squares optimum lies
+      outside the searched range and alpha is that end, not the optimum.
     """
 
     adc_sat: float
@@ -51,7 +59,6 @@ class SaturationFit:
 
 
 ALPHA_GRID = np.logspace(np.log10(0.001), np.log10(1.0), 60)
-GN_MAX_ITER = 100  # Gauss-Newton steps after the grid search
 
 
 def predict_adc(ga, fit: SaturationFit):
@@ -59,57 +66,19 @@ def predict_adc(ga, fit: SaturationFit):
     ga = np.asarray(ga, dtype=np.float64)
     if np.any(ga < 0):
         raise ValueError("ga must be >= 0")
-    out = _model(ga, fit.adc_sat, fit.alpha)
+    out = fit.adc_sat * (1.0 - np.exp(-fit.alpha * ga))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _model(ga, adc_sat, alpha):
-    return adc_sat * (1.0 - np.exp(-alpha * ga))
-
-
-def _sse(adc, ga, adc_sat, alpha):
-    # overflow for wildly negative alpha trial steps just yields an inf SSE,
-    # which the backtracking line search rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _model(ga, adc_sat, alpha) - adc
-        return float((r * r).sum())
-
-
-def _gauss_newton(ga, adc, p0):
-    """Damped Gauss-Newton on (adc_sat, alpha)."""
-    p = np.array(p0, dtype=np.float64)
-    sse = _sse(adc, ga, p[0], p[1])
-    for _ in range(GN_MAX_ITER):
-        a, al = p[0], p[1]
-        e = np.exp(-al * ga)
-        resid = _model(ga, a, al) - adc
-        J = np.stack([1.0 - e, a * ga * e], axis=1)
-        g = J.T @ resid
-        H = J.T @ J
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        # backtrack until the step reduces the SSE
-        lam = 1.0
-        improved = False
-        for _ in range(20):
-            cand = p - lam * step
-            cand_sse = _sse(adc, ga, cand[0], cand[1])
-            if cand_sse <= sse:
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-        moved = np.max(np.abs(lam * step) / np.maximum(np.abs(p), 1e-12))
-        p = cand
-        sse = cand_sse
-        if moved < 1e-13:
-            break
-    return p, sse
+def _projection(alpha, ga, adc):
+    """The least-squares adc_sat at each alpha and the SSE it leaves; alpha
+    is a scalar or an array, and ga and adc are 1-D."""
+    g = 1.0 - np.exp(-np.multiply.outer(alpha, ga))
+    adc_sat = (g @ adc) / (g * g).sum(axis=-1)
+    r = adc_sat[..., None] * g - adc
+    return adc_sat, (r * r).sum(axis=-1)
 
 
 def fit_saturation(points) -> SaturationFit:
@@ -126,25 +95,24 @@ def fit_saturation(points) -> SaturationFit:
     if np.all(ga == ga[0]):
         raise DegenerateCohortError("gestational ages are all equal")
 
-    best = None
-    for alpha in ALPHA_GRID:
-        g = 1.0 - np.exp(-alpha * ga)
-        denom = float((g * g).sum())
-        if denom <= 0:
-            continue
-        adc_sat = float((adc * g).sum() / denom)
-        sse = _sse(adc, ga, adc_sat, alpha)
-        if best is None or sse < best[0]:
-            best = (sse, adc_sat, alpha)
-    _, adc_sat, alpha = best
-
-    p, sse = _gauss_newton(ga, adc, (adc_sat, alpha))
-    adc_sat, alpha = (float(v) for v in p)
+    k = int(np.argmin(_projection(ALPHA_GRID, ga, adc)[1]))
+    at_edge = k in (0, len(ALPHA_GRID) - 1)
+    alpha = ALPHA_GRID[k]
+    if not at_edge:
+        # zoom in on log alpha: 9 points over the bracket, then the bracket
+        # of the best point's neighbours, until it is 1e-10 wide
+        lo, hi = np.log(ALPHA_GRID[[k - 1, k + 1]])
+        while hi - lo > 1e-10:
+            t = np.linspace(lo, hi, 9)
+            j = int(np.argmin(_projection(np.exp(t), ga, adc)[1]))
+            lo, hi = t[max(j - 1, 0)], t[min(j + 1, 8)]
+        alpha = np.exp(t[j])
+    adc_sat, sse = (float(v) for v in _projection(alpha, ga, adc))
+    alpha = float(alpha)
 
     ss_tot = float(((adc - adc.mean()) ** 2).sum())
     # zero ADC variance up to accumulation rounding: nothing to explain
     if ss_tot <= 1e-28 * float((adc * adc).sum()):
         return SaturationFit(adc_sat, alpha, 0.0, flagged=True)
     r2 = 1.0 - sse / ss_tot
-    flagged = not (adc_sat > 0 and alpha > 0)
-    return SaturationFit(adc_sat, alpha, r2, flagged=flagged)
+    return SaturationFit(adc_sat, alpha, r2, flagged=at_edge or not adc_sat > 0)

@@ -413,8 +413,9 @@ def make_cohort_case_specs(
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
     not wider than a point (a saturation fit needs GA spread), a motion
     range below 0 or reversed, a sat_adc or sat_alpha not inside (0, inf),
-    an adc_bio_noise not inside [0, inf) and b-values that `checked_bvalues`
-    rejects.
+    an adc_bio_noise not inside [0, inf), b-values that `checked_bvalues`
+    rejects and a case whose `phantom.PhantomSpec` cannot be built (dims
+    with no room for the lung ROI, a noise_sigma not inside [0, inf)).
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
@@ -436,16 +437,16 @@ def make_cohort_case_specs(
         adc = predict_adc(ga, truth) + float(rng.normal(0.0, adc_bio_noise))
         adc = max(adc, 2e-4)
         amp = float(rng.uniform(*motion_range))
-        specs.append(
-            CohortCaseSpec(
-                case_id=f"sim{i:03d}",
-                ga_weeks=ga,
-                true_adc=adc,
-                dims=tuple(dims),
-                noise_sigma=noise_sigma,
-                motion_amplitude=amp,
-                seed=int(rng.integers(0, 2**31 - 1)),
-                bvalues=bvalues,
-            )
+        spec = CohortCaseSpec(
+            case_id=f"sim{i:03d}",
+            ga_weeks=ga,
+            true_adc=adc,
+            dims=tuple(dims),
+            noise_sigma=noise_sigma,
+            motion_amplitude=amp,
+            seed=int(rng.integers(0, 2**31 - 1)),
+            bvalues=bvalues,
         )
+        spec.phantom_spec()  # raises ValueError for a case that cannot be simulated
+        specs.append(spec)
     return specs

@@ -5,6 +5,7 @@ import pytest
 
 from dwimoco import cli
 from dwimoco import io as dio
+from dwimoco.maturity import CohortPoint, SaturationFit
 from dwimoco.volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume
 
 
@@ -206,3 +207,15 @@ def test_read_case_sorts_reversed_volume_entries(tmp_path, rng):
     assert series.bvalues == bvalues
     for got, want in zip(series.volumes, vols):
         np.testing.assert_array_equal(got.data, want.data.astype(np.float32))
+
+
+def test_ga_scatter_curve_starts_at_ga_0_below_1_week(tmp_path):
+    # the plot's GA range starts 1 week below the youngest case; the model
+    # curve is drawn from GA 0 on, where it starts at ADC 0
+    points = [CohortPoint(f"c{i}", ga, 1e-3 * ga) for i, ga in enumerate((0.5, 1.5, 2.5))]
+    fit = SaturationFit(3e-3, 0.5, 0.9)
+    dio.write_ga_scatter_svg(points, fit, tmp_path / "scatter.svg", "t")
+    svg = (tmp_path / "scatter.svg").read_text()
+    first = svg.split('<polyline points="')[1].split(" ")[0]
+    ax = dio._Axes((-0.5, 3.5), (0.0, 3e-3 * 1.15))
+    assert first == f"{dio.fmt(ax.px(0.0))},{dio.fmt(ax.py(0.0))}"

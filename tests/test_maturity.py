@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from dwimoco.maturity import (
+    ALPHA_GRID,
     CohortPoint,
     DegenerateCohortError,
     SaturationFit,
@@ -20,6 +22,25 @@ def clean_cohort(ga_values=tuple(range(20, 39))):
         CohortPoint(f"c{i:02d}", float(ga), predict_adc(float(ga), truth))
         for i, ga in enumerate(ga_values)
     ]
+
+
+def cohort_of(ga, adc):
+    return [CohortPoint(f"c{i:02d}", float(g), float(a)) for i, (g, a) in enumerate(zip(ga, adc))]
+
+
+def simulated_cohort(n_cases, adc_bio_noise, seed):
+    specs = make_cohort_case_specs(
+        n_cases=n_cases,
+        dims=(8, 8, 8),
+        ga_range=(20.0, 38.0),
+        sat_adc=TRUE_ADC_SAT,
+        sat_alpha=TRUE_ALPHA,
+        adc_bio_noise=adc_bio_noise,
+        noise_sigma=0.0,
+        motion_range=(0.0, 0.0),
+        seed=seed,
+    )
+    return [CohortPoint(s.case_id, s.ga_weeks, s.true_adc) for s in specs]
 
 
 class TestPredict:
@@ -92,20 +113,44 @@ class TestFitSaturation:
     def test_noisy_recovery_within_ten_percent(self):
         errs = []
         for seed in range(30):
-            specs = make_cohort_case_specs(
-                n_cases=38,
-                dims=(8, 8, 8),
-                ga_range=(20.0, 38.0),
-                sat_adc=TRUE_ADC_SAT,
-                sat_alpha=TRUE_ALPHA,
-                adc_bio_noise=0.1 * TRUE_ADC_SAT,
-                noise_sigma=0.0,
-                motion_range=(0.0, 0.0),
-                seed=seed,
-            )
-            fit = fit_saturation([CohortPoint(s.case_id, s.ga_weeks, s.true_adc) for s in specs])
+            fit = fit_saturation(simulated_cohort(38, 0.1 * TRUE_ADC_SAT, seed))
             errs.append(fit.adc_sat / TRUE_ADC_SAT - 1.0)
         assert abs(np.mean(errs)) < 0.1
+
+    def test_no_local_solver_improves_an_inside_grid_fit(self):
+        # oracle: a trust-region least-squares solver started at the fit
+        # finds no lower SSE
+        checked = 0
+        for seed in range(30):
+            pts = simulated_cohort(6 + seed, 3e-4, seed)
+            fit = fit_saturation(pts)
+            if fit.flagged:
+                continue
+            ga = np.array([p.ga for p in pts])
+            adc = np.array([p.adc for p in pts])
+
+            def resid(p):
+                return p[0] * (1.0 - np.exp(-p[1] * ga)) - adc
+
+            sse = float((resid([fit.adc_sat, fit.alpha]) ** 2).sum())
+            polished = least_squares(
+                resid, [fit.adc_sat, fit.alpha], x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15
+            )
+            assert 2.0 * polished.cost >= sse * (1.0 - 1e-10), seed
+            checked += 1
+        assert checked >= 20
+
+    def test_flat_cohort_stops_at_the_grid_end_and_is_flagged(self):
+        ga = np.arange(20.0, 39.0)
+        fit = fit_saturation(cohort_of(ga, 2.5e-3 + 1e-4 * np.sin(ga)))
+        assert fit.alpha == ALPHA_GRID[-1]
+        assert fit.flagged
+
+    def test_near_linear_cohort_stops_at_the_grid_start_and_is_flagged(self):
+        ga = np.arange(20.0, 39.0)
+        fit = fit_saturation(cohort_of(ga, 1e-4 * ga + 2e-5 * np.cos(ga)))
+        assert fit.alpha == ALPHA_GRID[0]
+        assert fit.flagged
 
     def test_needs_three_points(self):
         with pytest.raises(DegenerateCohortError):
@@ -121,6 +166,11 @@ class TestCohortPoint:
     def test_validates_ga(self):
         with pytest.raises(ValueError):
             CohortPoint("x", 0.0, 1e-3)
+
+    @pytest.mark.parametrize("ga", [np.inf, np.nan])
+    def test_rejects_a_ga_that_is_not_finite(self, ga):
+        with pytest.raises(ValueError, match="ga must be finite"):
+            CohortPoint("x", ga, 1e-3)
 
     def test_validates_adc_finite(self):
         with pytest.raises(ValueError):

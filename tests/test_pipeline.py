@@ -20,8 +20,8 @@ from dwimoco.volume import (
 CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer_iters=2)
 
 
-def small_specs(n_cases):
-    return pipeline.make_cohort_case_specs(
+def small_specs(n_cases, **change):
+    kwargs = dict(
         n_cases=n_cases,
         dims=(16, 16, 8),
         ga_range=(20.0, 38.0),
@@ -32,6 +32,17 @@ def small_specs(n_cases):
         motion_range=(2.0, 4.0),
         seed=5,
     )
+    return pipeline.make_cohort_case_specs(**{**kwargs, **change})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"dims": (3, 3, 3)}, "roi out of bounds"), ({"noise_sigma": -0.1}, "noise_sigma")],
+    ids=["roi_out_of_bounds", "noise_negative"],
+)
+def test_cohort_case_specs_reject_a_case_that_cannot_be_simulated(change, message):
+    with pytest.raises(ValueError, match=message):
+        small_specs(3, **change)
 
 
 def case_ids(points):
@@ -84,7 +95,7 @@ def test_case_with_invalid_ga_is_one_failure_not_a_crash():
     specs = small_specs(4)
     specs[1] = replace(specs[1], ga_weeks=-5.0)
     study = pipeline.run_cohort(pipeline._simulate_case, specs, CFG, workers=1)
-    assert study.failures == [("sim001", "ValueError('ga must be > 0')")]
+    assert study.failures == [("sim001", "ValueError('ga must be finite and > 0, got -5.0')")]
     for method in pipeline.COHORT_METHODS:
         assert case_ids(study.points[method]) == ["sim000", "sim002", "sim003"]
     assert set(study.fits) == set(pipeline.COHORT_METHODS)
