@@ -8,10 +8,11 @@ type, exits 2.  Each flag sets one key (SETTING_FLAGS), parsed as its type,
 and each command reads, checks and takes the flags of only these keys
 (COMMAND_FLAGS):
 
-- simulate: seed and phantom.*; fit: none; morph: pipeline.*.
-- cohort: pipeline.*, and for a simulated cohort seed, cohort.* and
-  phantom.dims, noise_sigma and bvalues.  With --cases the flags of a
-  simulated cohort exit 2.  Fewer than 3 cases exit 2 before any work.
+- simulate: seed, phantom.dims and phantom.ga_weeks; fit: none;
+  morph: pipeline.*.
+- cohort: pipeline.*, and for a simulated cohort seed, phantom.dims and
+  cohort.n_cases.  With --cases their flags (--seed, --dims, --n-cases)
+  exit 2.  Fewer than 3 cases exit 2 before any work.
 
 Every run writes the fully resolved configuration to
 <out>/effective_config.json; re-running from that file with the same seed
@@ -26,8 +27,12 @@ The one loss setting is pipeline.alpha2, the model-fit weight (0 is the
 registration-only method).  The other loss, schedule, stop-rule and phantom
 values are module constants, not keys (`objective.ALPHA1`,
 `registration.LEARNING_RATE`, `pipeline.ADC_CHANGE_TOL`,
-`phantom.BACKGROUND_ADC` and the others next to them); a config that names
-one exits 2 as an unknown key.
+`phantom.BACKGROUND_ADC` and the others next to them).  A simulated case
+has the noise and motion `phantom.STUDY_NOISE_SIGMA` and
+`phantom.STUDY_MOTION_AMPLITUDE`, and the lung ADC and b-values of the
+`PhantomSpec` defaults; a simulated cohort is the default population of
+`pipeline.make_cohort_case_specs`.  A config that names any of these
+values exits 2 as an unknown key.
 
 `cohort` analyzes simulated cases or a directory of case manifests through
 the same `pipeline.run_cohort`.  Next to the cohort report it writes
@@ -45,7 +50,7 @@ from pathlib import Path
 
 from . import io as dio
 from .maturity import MIN_FIT_POINTS
-from .phantom import PhantomSpec, simulate_case
+from .phantom import STUDY_MOTION_AMPLITUDE, STUDY_NOISE_SIGMA, PhantomSpec, simulate_case
 from .pipeline import (
     PipelineConfig,
     make_cohort_case_specs,
@@ -75,21 +80,10 @@ DEFAULTS = {
     },
     "phantom": {
         "dims": [96, 96, 16],
-        "bvalues": [0.0, 50.0, 100.0, 200.0, 400.0, 600.0],
-        "lung_adc": 2.5e-3,
-        "noise_sigma": 0.02,
-        "motion_amplitude": 3.0,
         "ga_weeks": 30.0,
     },
     "cohort": {
         "n_cases": 38,
-        "ga_min": 20.0,
-        "ga_max": 38.0,
-        "sat_adc": 3.2e-3,
-        "sat_alpha": 0.07,
-        "adc_bio_noise": 1.5e-4,
-        "motion_min": 2.0,
-        "motion_max": 4.0,
     },
 }
 
@@ -156,25 +150,18 @@ def load_config(config_path) -> dict:
 SETTING_FLAGS = {
     "--seed": ("seed", "master RNG seed"),
     "--dims": ("phantom.dims", "nx,ny,nz (e.g. 96,96,16)"),
-    "--lung-adc": ("phantom.lung_adc", "lung ADC, mm^2/s"),
-    "--noise-sigma": ("phantom.noise_sigma", "noise std, fraction of max S0"),
-    "--motion-amplitude": ("phantom.motion_amplitude", "max displacement, voxels"),
     "--ga": ("phantom.ga_weeks", "gestational age recorded in the manifest"),
     "--alpha2": ("pipeline.alpha2", "model-fit weight (0 disables)"),
     "--max-inner": ("pipeline.max_inner_steps", "inner steps per pass"),
     "--max-outer": ("pipeline.max_outer_iters", "outer iterations"),
     "--window": ("pipeline.converge_window", "convergence window (iterations)"),
     "--n-cases": ("cohort.n_cases", "simulated cases"),
-    "--motion-min": ("cohort.motion_min", "least motion amplitude, voxels"),
-    "--motion-max": ("cohort.motion_max", "largest motion amplitude, voxels"),
 }
 _PIPELINE_FLAGS = ("--alpha2", "--max-inner", "--max-outer", "--window")
 # what `cohort` simulates its cases from; `cohort --cases` rejects them
-_COHORT_SIMULATION_FLAGS = (
-    "--seed", "--dims", "--noise-sigma", "--n-cases", "--motion-min", "--motion-max"
-)
+_COHORT_SIMULATION_FLAGS = ("--seed", "--dims", "--n-cases")
 COMMAND_FLAGS = {
-    "simulate": ("--seed", "--dims", "--lung-adc", "--noise-sigma", "--motion-amplitude", "--ga"),
+    "simulate": ("--seed", "--dims", "--ga"),
     "fit": (),
     "morph": _PIPELINE_FLAGS,
     "cohort": _COHORT_SIMULATION_FLAGS + _PIPELINE_FLAGS,
@@ -231,14 +218,11 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
 
 def phantom_spec(cfg: dict) -> PhantomSpec:
     """The PhantomSpec of a resolved config; ConfigError if a value is invalid."""
-    ph = cfg["phantom"]
     try:
         return PhantomSpec(
-            dims=tuple(ph["dims"]),
-            bvalues=tuple(ph["bvalues"]),
-            lung_adc=ph["lung_adc"],
-            noise_sigma=ph["noise_sigma"],
-            motion_amplitude=ph["motion_amplitude"],
+            dims=tuple(cfg["phantom"]["dims"]),
+            noise_sigma=STUDY_NOISE_SIGMA,
+            motion_amplitude=STUDY_MOTION_AMPLITUDE,
             seed=cfg["seed"],
         )
     except ValueError as err:
@@ -248,19 +232,9 @@ def phantom_spec(cfg: dict) -> PhantomSpec:
 def cohort_case_specs(cfg: dict) -> list:
     """The simulated cohort's case specs of a resolved config; ConfigError if
     `make_cohort_case_specs` rejects a value."""
-    co, ph = cfg["cohort"], cfg["phantom"]
     try:
         return make_cohort_case_specs(
-            n_cases=co["n_cases"],
-            dims=ph["dims"],
-            ga_range=(co["ga_min"], co["ga_max"]),
-            sat_adc=co["sat_adc"],
-            sat_alpha=co["sat_alpha"],
-            adc_bio_noise=co["adc_bio_noise"],
-            noise_sigma=ph["noise_sigma"],
-            motion_range=(co["motion_min"], co["motion_max"]),
-            seed=cfg["seed"],
-            bvalues=ph["bvalues"],
+            cfg["cohort"]["n_cases"], cfg["phantom"]["dims"], seed=cfg["seed"]
         )
     except ValueError as err:
         raise ConfigError(f"invalid cohort config: {err}") from err

@@ -35,14 +35,6 @@ class SidecarFormatError(ContainerError):
     """Sidecar JSON is unreadable or has missing/unknown/invalid keys."""
 
 
-class UnknownDtypeError(ContainerError):
-    """Sidecar declares a dtype tag this reader does not support."""
-
-
-class LengthMismatchError(ContainerError):
-    """Raw payload length disagrees with the sidecar dims."""
-
-
 class ManifestError(ValueError):
     """Case manifest is malformed or references inconsistent data."""
 
@@ -113,7 +105,7 @@ def _read_container(path):
         if key not in side:
             raise SidecarFormatError(f"sidecar {side_path} missing key '{key}'")
     if side["dtype"] != _DTYPE_TAG:
-        raise UnknownDtypeError(f"unknown dtype tag {side['dtype']!r} (expected {_DTYPE_TAG!r})")
+        raise SidecarFormatError(f"unknown dtype tag {side['dtype']!r} (expected {_DTYPE_TAG!r})")
     if side["order"] != _ORDER_TAG:
         raise SidecarFormatError(f"unknown order tag {side['order']!r}")
     dims = side["dims"]
@@ -140,7 +132,7 @@ def _read_container(path):
     n_expected = dims[0] * dims[1] * dims[2] * components
     payload = raw_path.read_bytes()
     if len(payload) != 4 * n_expected:
-        raise LengthMismatchError(
+        raise ContainerError(
             f"{raw_path}: raw length mismatch, expected {4 * n_expected} bytes "
             f"({n_expected} float32), got {len(payload)}"
         )

@@ -84,8 +84,10 @@ def _projection(alpha, ga, adc):
 def fit_saturation(points) -> SaturationFit:
     """Least-squares fit of the saturation model to cohort (GA, ADC) points.
 
-    Needs at least MIN_FIT_POINTS points with non-constant GA.  A cohort
-    with zero ADC variance yields a flagged fit with r2 = 0.
+    Needs at least MIN_FIT_POINTS points with non-constant GA, not all so
+    small that 1 - exp(-alpha * GA) rounds to 0 at the smallest alpha of
+    ALPHA_GRID; DegenerateCohortError otherwise.  A cohort with zero ADC
+    variance yields a flagged fit with r2 = 0.
     """
     pts = list(points)
     if len(pts) < MIN_FIT_POINTS:
@@ -94,6 +96,13 @@ def fit_saturation(points) -> SaturationFit:
     adc = np.array([p.adc for p in pts], dtype=np.float64)
     if np.all(ga == ga[0]):
         raise DegenerateCohortError("gestational ages are all equal")
+    # else the model is 0 at every point for the smallest alphas of the
+    # grid, and their least-squares adc_sat is 0 / 0
+    if not (1.0 - np.exp(-ALPHA_GRID[0] * ga)).any():
+        raise DegenerateCohortError(
+            f"gestational ages too small: 1 - exp(-{ALPHA_GRID[0]:g} * GA) "
+            "rounds to 0 at every point"
+        )
 
     k = int(np.argmin(_projection(ALPHA_GRID, ga, adc)[1]))
     at_edge = k in (0, len(ALPHA_GRID) - 1)

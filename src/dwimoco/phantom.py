@@ -7,7 +7,10 @@ function of (spec, seed).
 
 What every case shares is a module constant: BACKGROUND_ADC, LUNG_S0,
 BACKGROUND_S0, ROI_MARGIN, BOUNDARY_SIGMA, MOTION_SMOOTHNESS, S0_TEXTURE
-and ADC_TEXTURE.
+and ADC_TEXTURE.  STUDY_NOISE_SIGMA and STUDY_MOTION_AMPLITUDE are the
+noise and motion of the simulated study cases: `dwimoco simulate` writes
+its case at both, and `pipeline.make_cohort_case_specs` draws its cohort at
+that noise by default.  A bare PhantomSpec has neither noise nor motion.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ BOUNDARY_SIGMA = 1.0  # gaussian blur of the lung boundary, voxels
 MOTION_SMOOTHNESS = 48.0  # approx. wavelength of the fields, voxels
 S0_TEXTURE = 0.15  # relative amplitude of smooth S0 variation in the lung
 ADC_TEXTURE = 0.08  # relative amplitude of smooth ADC variation in the lung
+STUDY_NOISE_SIGMA = 0.02  # noise std of a simulated study case, fraction of max S0
+STUDY_MOTION_AMPLITUDE = 3.0  # max displacement of a simulated study case, voxels
 _NON_NEGATIVE_FIELDS = ("lung_adc", "noise_sigma", "motion_amplitude")
 
 

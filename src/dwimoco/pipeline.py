@@ -396,12 +396,13 @@ def run_simulated_cohort(
 def make_cohort_case_specs(
     n_cases: int,
     dims,
-    ga_range,
-    sat_adc: float,
-    sat_alpha: float,
-    adc_bio_noise: float,
-    noise_sigma: float,
-    motion_range,
+    *,
+    ga_range=(20.0, 38.0),
+    sat_adc: float = 3.2e-3,
+    sat_alpha: float = 0.07,
+    adc_bio_noise: float = 1.5e-4,
+    noise_sigma: float = phantom.STUDY_NOISE_SIGMA,
+    motion_range=(2.0, 4.0),
     seed: int,
     bvalues=phantom.DEFAULT_BVALUES,
 ):
@@ -409,7 +410,11 @@ def make_cohort_case_specs(
 
     The true ADC follows the saturation curve plus biological scatter; the
     motion amplitude is uniform over motion_range.  Every case shares
-    dims, noise_sigma and bvalues.  Deterministic in seed.
+    dims, noise_sigma and bvalues.  Deterministic in seed.  The defaults
+    are the simulated population of `dwimoco cohort`: GA uniform over 20-38
+    weeks, a saturation curve of sat_adc 3.2e-3 mm^2/s and sat_alpha 0.07
+    per week, a biological scatter (std) of 1.5e-4 mm^2/s, motion 2-4
+    voxels, phantom.STUDY_NOISE_SIGMA and phantom.DEFAULT_BVALUES.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
     not wider than a point (a saturation fit needs GA spread), a motion
     range below 0 or reversed, a sat_adc or sat_alpha not inside (0, inf),

@@ -5,9 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from dwimoco import cli, pipeline
+from dwimoco import cli, phantom, pipeline
 from dwimoco import io as dio
-from dwimoco.phantom import PhantomSpec
 from dwimoco.registration import DivergedError
 
 CAPS = ["--max-outer", "2", "--max-inner", "3"]
@@ -99,7 +98,46 @@ def test_fit_non_finite_case_exits_2(cases, tmp_path):
 def test_default_config_builds_the_library_defaults():
     cfg = cli.load_config(None)
     assert cli.pipeline_config(cfg) == pipeline.PipelineConfig()
-    assert cli.phantom_spec(cfg) == PhantomSpec(noise_sigma=0.02, motion_amplitude=3.0)
+    assert cli.phantom_spec(cfg) == phantom.PhantomSpec(noise_sigma=0.02, motion_amplitude=3.0)
+    specs = cli.cohort_case_specs(cfg)
+    assert specs == pipeline.make_cohort_case_specs(38, [96, 96, 16], seed=0)
+    assert {s.noise_sigma for s in specs} == {0.02}
+
+
+# the values of the simulated cases and cohorts that were once config keys
+# (with their old defaults); a config that names one exits 2 as unknown
+RETIRED_KEYS = {
+    "phantom": {
+        "lung_adc": 2.5e-3,
+        "noise_sigma": 0.02,
+        "motion_amplitude": 3.0,
+        "bvalues": [0.0, 50.0, 100.0, 200.0, 400.0, 600.0],
+    },
+    "cohort": {
+        "ga_min": 20.0,
+        "ga_max": 38.0,
+        "sat_adc": 3.2e-3,
+        "sat_alpha": 0.07,
+        "adc_bio_noise": 1.5e-4,
+        "motion_min": 2.0,
+        "motion_max": 4.0,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, keys in RETIRED_KEYS.items() for key in keys],
+    ids=lambda v: v,
+)
+def test_a_retired_key_is_an_unknown_key(tmp_path, capsys, section, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({section: {key: RETIRED_KEYS[section][key]}}))
+    command = "simulate" if section == "phantom" else "cohort"
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"error: unknown config key '{section}.{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -119,17 +157,10 @@ def test_default_config_builds_the_library_defaults():
         ("morph", {"pipeline": {"max_inner_steps": True}}, []),
         ("simulate", {"seed": 1.7}, SMALL_CASE),
         ("simulate", {}, [*SMALL_CASE, "--seed", "-1"]),
-        ("simulate", {"phantom": {"noise_sigma": "0.02"}}, SMALL_CASE),
         ("simulate", {"phantom": {"dims": [20.5, 20, 8]}}, []),
         ("morph", {"pipeline": {"plateau_window": -2}}, []),
         ("simulate", {}, ["--dims", "16,16,x"]),
         ("simulate", {}, ["--dims", "4,4,4"]),
-        ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
-        ("simulate", {}, [*SMALL_CASE, "--noise-sigma", "nan"]),
-        ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "nan"]),
-        ("simulate", {}, [*SMALL_CASE, "--motion-amplitude", "inf"]),
-        ("simulate", {}, [*SMALL_CASE, "--lung-adc", "nan"]),
-        ("simulate", {"phantom": {"bvalues": [50, 100]}}, SMALL_CASE),
         # phantom settings that became module constants, at their old values
         ("simulate", {"phantom": {"background_adc": 1.0e-3}}, SMALL_CASE),
         ("simulate", {"phantom": {"lung_s0": 1.0}}, SMALL_CASE),
@@ -141,16 +172,25 @@ def test_default_config_builds_the_library_defaults():
         ("simulate", {}, ["--ga", "-5"]),
         ("simulate", {"phantom": {"ga_weeks": 0}}, []),
         ("cohort", {"cohort": {"n_cases": "x"}}, []),
+        ("cohort", {}, [*SMALL_COHORT, "--workers", "0"]),
+        ("cohort", {}, [*SMALL_COHORT, "--workers", "-3"]),
+        ("cohort", {}, [*SMALL_COHORT[2:], "--n-cases", "2"]),
+        ("cohort", {"cohort": {"n_cases": 1}}, SMALL_COHORT[2:]),
+        # keys of values that are no longer settings, at values the library
+        # rejects (test_phantom.py, test_pipeline.py): each is an unknown key
+        ("simulate", {"phantom": {"noise_sigma": "0.02"}}, SMALL_CASE),
+        ("simulate", {"phantom": {"noise_sigma": -0.1}}, []),
+        ("simulate", {"phantom": {"noise_sigma": NAN}}, SMALL_CASE),
+        ("simulate", {"phantom": {"motion_amplitude": NAN}}, SMALL_CASE),
+        ("simulate", {"phantom": {"motion_amplitude": float("inf")}}, SMALL_CASE),
+        ("simulate", {"phantom": {"lung_adc": NAN}}, SMALL_CASE),
+        ("simulate", {"phantom": {"bvalues": [50, 100]}}, SMALL_CASE),
         ("cohort", {"cohort": {"ga_min": -5.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"ga_min": 30.0, "ga_max": 30.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"motion_min": 3.0, "motion_max": 1.0}}, SMALL_COHORT),
         ("cohort", {"cohort": {"sat_adc": NAN}}, SMALL_COHORT),
         ("cohort", {"cohort": {"sat_alpha": -1}}, SMALL_COHORT),
         ("cohort", {"cohort": {"adc_bio_noise": NAN}}, SMALL_COHORT),
-        ("cohort", {}, [*SMALL_COHORT, "--workers", "0"]),
-        ("cohort", {}, [*SMALL_COHORT, "--workers", "-3"]),
-        ("cohort", {}, [*SMALL_COHORT[2:], "--n-cases", "2"]),
-        ("cohort", {"cohort": {"n_cases": 1}}, SMALL_COHORT[2:]),
     ],
     ids=[
         "max_outer_zero",
@@ -165,17 +205,10 @@ def test_default_config_builds_the_library_defaults():
         "max_inner_bool",
         "seed_float",
         "seed_negative",
-        "noise_sigma_text",
         "dims_float",
         "plateau_window_negative",
         "dims_text",
         "roi_out_of_bounds",
-        "noise_negative",
-        "noise_nan",
-        "motion_amplitude_nan",
-        "motion_amplitude_inf",
-        "lung_adc_nan",
-        "bvalues_without_b0",
         "removed_key_background_adc",
         "removed_key_lung_s0",
         "removed_key_background_s0",
@@ -186,16 +219,23 @@ def test_default_config_builds_the_library_defaults():
         "ga_negative",
         "ga_zero",
         "n_cases_text",
+        "workers_zero",
+        "workers_negative",
+        "two_cases",
+        "one_case",
+        "noise_sigma_text",
+        "noise_negative",
+        "noise_nan",
+        "motion_amplitude_nan",
+        "motion_amplitude_inf",
+        "lung_adc_nan",
+        "bvalues_without_b0",
         "ga_min_negative",
         "ga_range_one_point",
         "motion_range_reversed",
         "sat_adc_nan",
         "sat_alpha_negative",
         "adc_bio_noise_nan",
-        "workers_zero",
-        "workers_negative",
-        "two_cases",
-        "one_case",
     ],
 )
 def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config, flags):
@@ -219,6 +259,12 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         # flags of settings that became module constants
         ("morph", ["--alpha1", "0.01"]),
         ("morph", ["--lr", "0.1"]),
+        ("simulate", ["--lung-adc", "2.5e-3"]),
+        ("simulate", ["--noise-sigma", "0.02"]),
+        ("simulate", ["--motion-amplitude", "3"]),
+        ("cohort", ["--noise-sigma", "0.02"]),
+        ("cohort", ["--motion-min", "2"]),
+        ("cohort", ["--motion-max", "4"]),
     ],
     ids=[
         "fit_seed",
@@ -227,12 +273,18 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         "cohort_motion_amplitude",
         "morph_alpha1",
         "morph_lr",
+        "simulate_lung_adc",
+        "simulate_noise_sigma",
+        "simulate_motion_amplitude",
+        "cohort_noise_sigma",
+        "cohort_motion_min",
+        "cohort_motion_max",
     ],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, command, flag):
     out = tmp_path / "out"
     argv = [command, *flag, "--out", str(out)]
-    if command != "cohort":
+    if command in ("fit", "morph"):
         argv += ["--case", str(cases / "sim001" / "manifest.json")]
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
@@ -245,10 +297,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, comm
     [
         ["--seed", "3"],
         ["--dims", "16,16,8"],
-        ["--noise-sigma", "0.05"],
         ["--n-cases", "5"],
-        ["--motion-min", "1"],
-        ["--motion-max", "5"],
     ],
     ids=lambda flag: flag[0],
 )
@@ -278,6 +327,16 @@ def test_cohort_cases_with_fewer_than_3_cases_exits_2_before_work(
     assert not out.exists()
 
 
+def _assert_same_files(first, second, expected):
+    """`first` and `second` hold the same files, byte for byte, among them
+    `expected` and effective_config.json."""
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == names
+    assert {"effective_config.json", *expected} <= set(names)
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
     case = tmp_path / "case"
     assert cli.main(["simulate", "--dims", "16,16,6", "--seed", "4", "--out", str(case)]) == 0
@@ -287,31 +346,29 @@ def test_morph_rerun_from_effective_config_is_byte_identical(tmp_path):
     assert cli.main(argv + ["--out", str(first)]) == 0
     config = str(first / "effective_config.json")
     assert cli.main(["morph", "--case", manifest, "--config", config, "--out", str(second)]) == 0
-    names = sorted(p.name for p in first.iterdir())
-    assert sorted(p.name for p in second.iterdir()) == names
-    assert {"effective_config.json", "summary.csv", "best_adc.raw"} <= set(names)
-    for name in names:
-        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    _assert_same_files(first, second, {"summary.csv", "best_adc.raw"})
 
 
-def test_simulated_cohort_uses_the_phantom_config(tmp_path):
-    config_path = tmp_path / "config.json"
-    bvalues = [0, 100, 200, 400, 800]
-    config_path.write_text(json.dumps({"phantom": {"bvalues": bvalues}}))
-    argv = ["cohort", "--n-cases", "3", "--dims", "16,16,6", *CAPS]
-    default, custom = tmp_path / "default", tmp_path / "custom"
-    assert cli.main(argv + ["--out", str(default)]) == 0
-    assert cli.main(argv + ["--config", str(config_path), "--out", str(custom)]) == 0
-    for method in pipeline.COHORT_METHODS:
-        name = f"cohort_points_{method}.csv"
-        assert (custom / name).read_bytes() != (default / name).read_bytes(), name
-
-    cfg = cli.load_config(config_path)
-    cfg["phantom"]["dims"] = [16, 16, 6]
-    cfg["cohort"]["n_cases"] = 2
-    for spec in cli.cohort_case_specs(cfg):
-        _case_id, _ga, series, _roi = pipeline._simulate_case(spec)
-        assert series.bvalues == tuple(float(b) for b in bvalues)
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["simulate", "--dims", "16,16,6", "--seed", "4", "--ga", "25"],
+            {"manifest.json", "b600.raw", "truth_adc.raw", "truth_field_b600.raw"},
+        ),
+        (
+            ["cohort", "--n-cases", "3", "--dims", "12,12,6", "--seed", "2", *CAPS],
+            {"cohort_points_full.csv", "summary.csv", "failures.csv"},
+        ),
+    ],
+    ids=["simulate", "cohort"],
+)
+def test_rerun_from_effective_config_is_byte_identical(tmp_path, argv, expected):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    config = str(first / "effective_config.json")
+    assert cli.main([argv[0], "--config", config, "--out", str(second)]) == 0
+    _assert_same_files(first, second, expected)
 
 
 def _cohort_failures_with_a_bad_case(cases, tmp_path, edit):

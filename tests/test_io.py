@@ -126,6 +126,8 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
         ("bvalue", 600, dio.ManifestError),
         ("bvalue", True, dio.SidecarFormatError),
         ("bvalue", "fifty", dio.SidecarFormatError),
+        ("dtype", "f64le", dio.SidecarFormatError),
+        ("order", "z-fastest", dio.SidecarFormatError),
     ],
     ids=[
         "text",
@@ -143,6 +145,8 @@ def test_malformed_case_raises_manifest_error_and_exits_2(tmp_path, edit):
         "bvalue_differs_from_manifest",
         "bvalue_bool",
         "bvalue_text",
+        "dtype_f64le",
+        "order_z_fastest",
     ],
 )
 def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, key, value, error):
@@ -152,6 +156,15 @@ def test_bad_sidecar_spacing_is_rejected_and_exits_2(tmp_path, key, value, error
     side[key] = value
     sidecar.write_text(json.dumps(side))
     with pytest.raises(error, match=key):
+        dio.read_case(path)
+    assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_raw_one_float_short_is_rejected_and_exits_2(tmp_path):
+    path = _write_small_case(tmp_path)
+    raw = path.parent / "b50.raw"
+    raw.write_bytes(raw.read_bytes()[:-4])
+    with pytest.raises(dio.ContainerError, match="raw length mismatch, expected 96 bytes"):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
 

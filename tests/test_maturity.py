@@ -161,6 +161,16 @@ class TestFitSaturation:
         with pytest.raises(DegenerateCohortError):
             fit_saturation(pts)
 
+    @pytest.mark.parametrize(
+        "ga", [(1e-300, 2e-300, 3e-300), (1e-14, 2e-14, 3e-14)], ids=["1e-300", "1e-14"]
+    )
+    def test_rejects_gas_whose_model_rounds_to_0_at_every_alpha(self, ga):
+        # at the smallest alpha of the grid 1 - exp(-alpha * GA) is 0 for
+        # every point, so the least-squares amplitude would be 0 / 0
+        pts = [CohortPoint(f"c{i}", g, 1e-3 * (1 + i)) for i, g in enumerate(ga)]
+        with pytest.raises(DegenerateCohortError, match="too small"):
+            fit_saturation(pts)
+
 
 class TestCohortPoint:
     def test_validates_ga(self):

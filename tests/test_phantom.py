@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dwimoco import phantom
 
@@ -31,3 +32,27 @@ def test_perfbench_simulates_a_case_with_the_phantom_recipe(monkeypatch):
     assert any(np.any(f.data != 0.0) for f in fields)
     for a, b in zip(fields, b_fields, strict=True):
         assert b.data.tobytes() == a.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0"),
+        ({"noise_sigma": np.nan}, "noise_sigma must be finite and >= 0"),
+        ({"motion_amplitude": np.nan}, "motion_amplitude must be finite and >= 0"),
+        ({"motion_amplitude": np.inf}, "motion_amplitude must be finite and >= 0"),
+        ({"lung_adc": np.nan}, "lung_adc must be finite and >= 0"),
+        ({"bvalues": (50.0, 100.0)}, "first b-value must be 0"),
+    ],
+    ids=[
+        "noise_negative",
+        "noise_nan",
+        "motion_amplitude_nan",
+        "motion_amplitude_inf",
+        "lung_adc_nan",
+        "bvalues_without_b0",
+    ],
+)
+def test_phantom_spec_rejects_an_invalid_value(change, message):
+    with pytest.raises(ValueError, match=message):
+        phantom.PhantomSpec(dims=(12, 12, 6), **change)

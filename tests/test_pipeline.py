@@ -21,28 +21,44 @@ CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer
 
 
 def small_specs(n_cases, **change):
-    kwargs = dict(
-        n_cases=n_cases,
-        dims=(16, 16, 8),
-        ga_range=(20.0, 38.0),
-        sat_adc=3.2e-3,
-        sat_alpha=0.07,
-        adc_bio_noise=1.5e-4,
-        noise_sigma=0.02,
-        motion_range=(2.0, 4.0),
-        seed=5,
-    )
+    """Cases of 16x16x8 drawn from the default population, seed 5."""
+    kwargs = dict(n_cases=n_cases, dims=(16, 16, 8), seed=5)
     return pipeline.make_cohort_case_specs(**{**kwargs, **change})
 
 
 @pytest.mark.parametrize(
     "change, message",
-    [({"dims": (3, 3, 3)}, "roi out of bounds"), ({"noise_sigma": -0.1}, "noise_sigma")],
-    ids=["roi_out_of_bounds", "noise_negative"],
+    [
+        ({"dims": (3, 3, 3)}, "roi out of bounds"),
+        ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"ga_range": (-5.0, 38.0)}, "ga_range must satisfy"),
+        ({"ga_range": (30.0, 30.0)}, "ga_range must satisfy"),
+        ({"motion_range": (3.0, 1.0)}, "motion_range must satisfy"),
+        ({"sat_adc": np.nan}, "sat_adc must be finite and > 0"),
+        ({"sat_alpha": -1.0}, "sat_alpha must be finite and > 0"),
+        ({"adc_bio_noise": np.nan}, "adc_bio_noise must be finite and >= 0"),
+    ],
+    ids=[
+        "roi_out_of_bounds",
+        "noise_negative",
+        "ga_min_negative",
+        "ga_range_one_point",
+        "motion_range_reversed",
+        "sat_adc_nan",
+        "sat_alpha_negative",
+        "adc_bio_noise_nan",
+    ],
 )
 def test_cohort_case_specs_reject_a_case_that_cannot_be_simulated(change, message):
     with pytest.raises(ValueError, match=message):
         small_specs(3, **change)
+
+
+def test_cohort_case_specs_carry_their_bvalues_to_the_simulated_series():
+    specs = small_specs(2, dims=(12, 12, 6), bvalues=[0, 100, 200, 400, 800])
+    for spec in specs:
+        _case_id, _ga, series, _roi = pipeline._simulate_case(spec)
+        assert series.bvalues == (0.0, 100.0, 200.0, 400.0, 800.0)
 
 
 def case_ids(points):
