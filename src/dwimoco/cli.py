@@ -19,7 +19,11 @@ Every run writes the fully resolved configuration to
 reproduces the outputs byte-for-byte.  Progress goes to stderr;
 machine-readable outputs only to files.  Exit codes: 0 success, 2 usage or
 input error (nothing is written; argparse raises SystemExit(2) for a usage
-error, such as a flag the command does not take), 3 numerical failure.  A
+error, such as a flag the command does not take), 3 numerical failure.  An
+input error includes a --case, --config, manifest, sidecar or .raw path
+that is not a regular file, a config, manifest or sidecar that is not UTF-8
+JSON, and an --out that is not a directory and cannot become one (a file,
+a path under a file, a dangling link), found before any work.  A
 case one voxel thick along an axis is valid input: `morph` registers it
 with the displacement along that axis held at 0.
 
@@ -132,11 +136,11 @@ def load_config(config_path) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if config_path:
         path = Path(config_path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"missing config file {path}")
         try:
             user = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # also a file that is not UTF-8
             raise ConfigError(f"malformed config JSON: {err}") from err
         if not isinstance(user, dict):
             raise ConfigError("config must hold a JSON object")
@@ -408,6 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the nearest existing path of --out (a dangling link counts) must be
+        # a directory, or the run would fail only when it writes, after all
+        # its work
+        out = Path(args.out)
+        if not next(p for p in (out, *out.parents) if p.exists() or p.is_symlink()).is_dir():
+            raise ConfigError(f"--out {out} is not a directory and cannot become one")
         return args.func(args)
     except (
         ConfigError,

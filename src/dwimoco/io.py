@@ -88,13 +88,13 @@ def _read_container(path):
     stem = _stem(path)
     side_path = stem.with_suffix(".json")
     raw_path = stem.with_suffix(".raw")
-    if not side_path.exists():
+    if not side_path.is_file():
         raise SidecarFormatError(f"missing sidecar {side_path}")
-    if not raw_path.exists():
+    if not raw_path.is_file():
         raise ContainerError(f"missing raw file {raw_path}")
     try:
         side = json.loads(side_path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also a file that is not UTF-8
         raise SidecarFormatError(f"malformed sidecar JSON {side_path}: {err}") from err
     if not isinstance(side, dict):
         raise SidecarFormatError(f"sidecar {side_path} must hold a JSON object")
@@ -193,7 +193,13 @@ def _manifest_number(value, what: str) -> float:
 
 
 def write_case(series: BValueSeries, roi: RoiMask, ga_weeks: float, case_id: str, out_dir) -> Path:
-    """Write a whole case (manifest + per-b volumes + ROI); returns manifest path."""
+    """Write a whole case (manifest + per-b volumes + ROI); returns manifest path.
+
+    Raises ValueError, before writing anything, for a GA that `read_case`
+    rejects: one that is not finite and > 0.
+    """
+    if not 0.0 < ga_weeks < float("inf"):
+        raise ValueError(f"ga_weeks must be finite and > 0, got {ga_weeks}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -226,11 +232,11 @@ def read_case(manifest_path):
     ManifestError or ContainerError.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise ManifestError(f"missing manifest {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also a file that is not UTF-8
         raise ManifestError(f"malformed manifest JSON: {err}") from err
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must hold a JSON object")

@@ -327,6 +327,28 @@ def test_cohort_cases_with_fewer_than_3_cases_exits_2_before_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["file", "under_file", "dangling_link"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "morph", "cohort"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_work(
+    cases, tmp_path, capsys, monkeypatch, command, kind
+):
+    for name in ("cmd_simulate", "cmd_fit", "cmd_morph", "cmd_cohort"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail(f"{args.command} started"))
+    blocker = tmp_path / "f"
+    blocker.write_text("keep\n")
+    out = {"file": blocker, "under_file": blocker / "sub", "dangling_link": tmp_path / "link"}[kind]
+    if kind == "dangling_link":
+        out.symlink_to(tmp_path / "nowhere")
+    argv = [command, "--out", str(out)]
+    if command in ("fit", "morph"):
+        argv += ["--case", str(cases / "sim001" / "manifest.json")]
+    assert cli.main(argv) == 2
+    want = f"error: --out {out} is not a directory and cannot become one"
+    assert want in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+    assert not (tmp_path / "nowhere").exists()
+
+
 def _assert_same_files(first, second, expected):
     """`first` and `second` hold the same files, byte for byte, among them
     `expected` and effective_config.json."""

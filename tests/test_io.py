@@ -52,11 +52,12 @@ def _negative_signal(_manifest, case):
     raw.write_bytes(flat.tobytes())
 
 
-def _write_small_case(tmp_path):
+def _write_small_case(tmp_path, ga_weeks=30.0):
     """A 4x3x2 case at b = 0, 50, 100 under tmp_path/c; returns its manifest path."""
     vols = tuple(ScalarVolume(np.full((4, 3, 2), s)) for s in (1.0, 0.9, 0.8))
     roi = RoiMask(np.ones((4, 3, 2), dtype=bool))
-    return dio.write_case(BValueSeries((0.0, 50.0, 100.0), vols), roi, 30.0, "c", tmp_path / "c")
+    series = BValueSeries((0.0, 50.0, 100.0), vols)
+    return dio.write_case(series, roi, ga_weeks, "c", tmp_path / "c")
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,47 @@ def test_raw_one_float_short_is_rejected_and_exits_2(tmp_path):
     with pytest.raises(dio.ContainerError, match="raw length mismatch, expected 96 bytes"):
         dio.read_case(path)
     assert cli.main(["fit", "--case", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        ("manifest.json", "directory"),
+        ("manifest.json", "not_utf8"),
+        ("b50.json", "directory"),
+        ("b50.json", "not_utf8"),
+        ("b50.raw", "directory"),
+        ("config.json", "directory"),
+        ("config.json", "not_utf8"),
+    ],
+    ids=lambda v: v.replace(".", "_"),
+)
+def test_an_unreadable_input_file_exits_2_and_writes_nothing(tmp_path, capsys, name, kind):
+    path = _write_small_case(tmp_path)
+    config = path.parent / "config.json"
+    config.write_text("{}\n")
+    target = path.parent / name
+    target.unlink()
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    argv = ["fit", "--case", str(path), "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ga", [-1.0, 0.0, np.nan], ids=["negative", "zero", "nan"])
+def test_write_case_rejects_a_ga_that_read_case_rejects(tmp_path, ga):
+    with pytest.raises(ValueError, match="ga_weeks must be finite and > 0"):
+        _write_small_case(tmp_path, ga)
+    assert not (tmp_path / "c").exists()
+
+
+def test_write_case_ga_round_trips(tmp_path):
+    assert dio.read_case(_write_small_case(tmp_path, 30.0))[2] == 30.0
 
 
 def test_written_bytes_are_x_fastest_component_blocks(tmp_path):
