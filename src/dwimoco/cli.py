@@ -158,10 +158,9 @@ SETTING_FLAGS = {
     "--alpha2": ("pipeline.alpha2", "model-fit weight (0 disables)"),
     "--max-inner": ("pipeline.max_inner_steps", "inner steps per pass"),
     "--max-outer": ("pipeline.max_outer_iters", "outer iterations"),
-    "--window": ("pipeline.converge_window", "convergence window (iterations)"),
     "--n-cases": ("cohort.n_cases", "simulated cases"),
 }
-_PIPELINE_FLAGS = ("--alpha2", "--max-inner", "--max-outer", "--window")
+_PIPELINE_FLAGS = ("--alpha2", "--max-inner", "--max-outer")
 # what `cohort` simulates its cases from; `cohort --cases` rejects them
 _COHORT_SIMULATION_FLAGS = ("--seed", "--dims", "--n-cases")
 COMMAND_FLAGS = {

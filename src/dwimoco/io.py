@@ -441,7 +441,7 @@ def write_ga_scatter_svg(points, fit: SaturationFit, path, title) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def write_case_report(result: CaseResult, out_dir, case_id: str = "case", variant: str = "full"):
+def write_case_report(result: CaseResult, out_dir, case_id: str, variant: str):
     """Emit the per-case artifacts: iteration trace CSV, case summary CSV,
     per-iteration decay-curve SVG, and the maps, fields and series of the
     state where the run stopped (the best_* files; `CaseResult`).

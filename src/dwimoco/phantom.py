@@ -2,8 +2,10 @@
 
 The phantom is a smoothed ellipsoidal "lung" (high diffusivity) inside a
 uniform background, with an ROI eroded a little from the ellipsoid so the
-boundary blur barely touches the ROI statistics.  Everything is a pure
-function of (spec, seed).
+boundary blur barely touches the ROI statistics.  The boundary blur is
+`volume.gaussian_blur` at BOUNDARY_SIGMA, which has the bits of SciPy's
+`ndimage.gaussian_filter(..., mode="nearest")`, so every simulated case keeps
+its bits without SciPy.  Everything is a pure function of (spec, seed).
 
 What every case shares is a module constant: BACKGROUND_ADC, LUNG_S0,
 BACKGROUND_S0, ROI_MARGIN, BOUNDARY_SIGMA, MOTION_SMOOTHNESS, S0_TEXTURE
@@ -18,10 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .signal_model import ParameterMaps, forward_signal
-from .volume import BValueSeries, DisplacementField, RoiMask, ScalarVolume, checked_bvalues, warp
+from .volume import (
+    BValueSeries,
+    DisplacementField,
+    RoiMask,
+    ScalarVolume,
+    checked_bvalues,
+    gaussian_blur,
+    warp,
+)
 
 DEFAULT_BVALUES = (0.0, 50.0, 100.0, 200.0, 400.0, 600.0)
 BACKGROUND_ADC = 1.0e-3  # mm^2/s
@@ -107,7 +116,7 @@ def make_phantom(spec: PhantomSpec):
     center = spec.center()
     radii = spec.radii()
     lung = _ellipsoid_mask(dims, center, radii).astype(np.float64)
-    blend = gaussian_filter(lung, sigma=BOUNDARY_SIGMA, mode="nearest")
+    blend = gaussian_blur(lung, BOUNDARY_SIGMA)
     adc = BACKGROUND_ADC + (spec.lung_adc - BACKGROUND_ADC) * blend
     s0 = BACKGROUND_S0 + (LUNG_S0 - BACKGROUND_S0) * blend
     # smooth parenchyma-like texture so per-voxel decay is motion-sensitive

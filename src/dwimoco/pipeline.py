@@ -54,7 +54,6 @@ from .volume import (
     DisplacementField,
     EmptyRoiError,
     RoiMask,
-    checked_bvalues,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
     warp_series,
@@ -244,20 +243,19 @@ class CohortCaseSpec:
     noise_sigma: float
     motion_amplitude: float
     seed: int
-    bvalues: tuple
 
     def __str__(self) -> str:
         """The case id, which names the case in cohort failure records."""
         return self.case_id
 
     def phantom_spec(self) -> phantom.PhantomSpec:
-        """The phantom of this case: its true ADC is the lung ADC."""
+        """The phantom of this case: its true ADC is the lung ADC, and its
+        b-values are the `phantom.PhantomSpec` default."""
         return phantom.PhantomSpec(
             dims=self.dims,
             lung_adc=self.true_adc,
             noise_sigma=self.noise_sigma,
             motion_amplitude=self.motion_amplitude,
-            bvalues=self.bvalues,
             seed=self.seed,
         )
 
@@ -404,23 +402,22 @@ def make_cohort_case_specs(
     noise_sigma: float = phantom.STUDY_NOISE_SIGMA,
     motion_range=(2.0, 4.0),
     seed: int,
-    bvalues=phantom.DEFAULT_BVALUES,
 ):
     """Draw per-case cohort specs: GA, true lung ADC, motion amplitude.
 
     The true ADC follows the saturation curve plus biological scatter; the
     motion amplitude is uniform over motion_range.  Every case shares
-    dims, noise_sigma and bvalues.  Deterministic in seed.  The defaults
-    are the simulated population of `dwimoco cohort`: GA uniform over 20-38
-    weeks, a saturation curve of sat_adc 3.2e-3 mm^2/s and sat_alpha 0.07
-    per week, a biological scatter (std) of 1.5e-4 mm^2/s, motion 2-4
-    voxels, phantom.STUDY_NOISE_SIGMA and phantom.DEFAULT_BVALUES.
+    dims, noise_sigma and the b-values phantom.DEFAULT_BVALUES.
+    Deterministic in seed.  The defaults are the simulated population of
+    `dwimoco cohort`: GA uniform over 20-38 weeks, a saturation curve of
+    sat_adc 3.2e-3 mm^2/s and sat_alpha 0.07 per week, a biological scatter
+    (std) of 1.5e-4 mm^2/s, motion 2-4 voxels and phantom.STUDY_NOISE_SIGMA.
     Raises ValueError for n_cases < 1, a GA range not inside (0, inf) or
     not wider than a point (a saturation fit needs GA spread), a motion
     range below 0 or reversed, a sat_adc or sat_alpha not inside (0, inf),
-    an adc_bio_noise not inside [0, inf), b-values that `checked_bvalues`
-    rejects and a case whose `phantom.PhantomSpec` cannot be built (dims
-    with no room for the lung ROI, a noise_sigma not inside [0, inf)).
+    an adc_bio_noise not inside [0, inf) and a case whose
+    `phantom.PhantomSpec` cannot be built (dims with no room for the lung
+    ROI, a noise_sigma not inside [0, inf)).
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
@@ -433,7 +430,6 @@ def make_cohort_case_specs(
         raise ValueError(f"ga_range must satisfy 0 < min < max < inf, got {ga_range}")
     if not 0.0 <= motion_range[0] <= motion_range[1] < np.inf:
         raise ValueError(f"motion_range must satisfy 0 <= min <= max < inf, got {motion_range}")
-    bvalues = checked_bvalues(bvalues)
     rng = np.random.default_rng(seed)
     specs = []
     truth = SaturationFit(adc_sat=sat_adc, alpha=sat_alpha, r2=1.0)
@@ -450,7 +446,6 @@ def make_cohort_case_specs(
             noise_sigma=noise_sigma,
             motion_amplitude=amp,
             seed=int(rng.integers(0, 2**31 - 1)),
-            bvalues=bvalues,
         )
         spec.phantom_spec()  # raises ValueError for a case that cannot be simulated
         specs.append(spec)

@@ -265,6 +265,9 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         ("cohort", ["--noise-sigma", "0.02"]),
         ("cohort", ["--motion-min", "2"]),
         ("cohort", ["--motion-max", "4"]),
+        # the convergence window is set only by a config file
+        ("morph", ["--window", "3"]),
+        ("cohort", ["--window", "3"]),
     ],
     ids=[
         "fit_seed",
@@ -279,6 +282,8 @@ def test_invalid_config_exits_2_before_writing(cases, tmp_path, command, config,
         "cohort_noise_sigma",
         "cohort_motion_min",
         "cohort_motion_max",
+        "morph_window",
+        "cohort_window",
     ],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, command, flag):

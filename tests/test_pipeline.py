@@ -54,13 +54,6 @@ def test_cohort_case_specs_reject_a_case_that_cannot_be_simulated(change, messag
         small_specs(3, **change)
 
 
-def test_cohort_case_specs_carry_their_bvalues_to_the_simulated_series():
-    specs = small_specs(2, dims=(12, 12, 6), bvalues=[0, 100, 200, 400, 800])
-    for spec in specs:
-        _case_id, _ga, series, _roi = pipeline._simulate_case(spec)
-        assert series.bvalues == (0.0, 100.0, 200.0, 400.0, 800.0)
-
-
 def case_ids(points):
     return [p.case_id for p in points]
 

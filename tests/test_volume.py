@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
-from dwimoco import _kernels
+from dwimoco import _kernels, phantom
 from dwimoco.volume import (
     BValueSeries,
     DegenerateSeriesError,
@@ -10,6 +11,7 @@ from dwimoco.volume import (
     RoiMask,
     ScalarVolume,
     compose_displacements,
+    gaussian_blur,
     normalize_series,
     trilinear_sample,
     warp,
@@ -330,3 +332,29 @@ class TestRoiMask:
         bad[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             DisplacementField(bad)
+
+
+@pytest.mark.parametrize("sigma", [phantom.BOUNDARY_SIGMA, 0.7])
+@pytest.mark.parametrize(
+    "kind, dims",
+    [
+        ("lung", (96, 96, 16)),
+        ("lung", (48, 48, 12)),
+        ("lung", (20, 20, 8)),
+        ("lung", (12, 12, 6)),
+        # axes of 1 and 2 voxels, shorter than the kernel radius (4 at sigma
+        # 1, 3 at sigma 0.7), so the clamped edge feeds every tap along them
+        ("random", (5, 2, 1)),
+        ("random", (1, 7, 2)),
+        ("random", (2, 1, 9)),
+    ],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_gaussian_blur_has_the_bits_of_scipy_gaussian_filter(kind, dims, sigma):
+    if kind == "lung":
+        spec = phantom.PhantomSpec(dims=dims)
+        data = phantom._ellipsoid_mask(dims, spec.center(), spec.radii()).astype(np.float64)
+    else:
+        data = np.random.default_rng(7).standard_normal(dims)
+    expected = gaussian_filter(data, sigma, mode="nearest")
+    assert np.array_equal(gaussian_blur(data, sigma), expected)
