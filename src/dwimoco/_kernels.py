@@ -65,15 +65,15 @@ front.
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
 flat base index per voxel, offset by its image's place in a group, and a
 constant +1 stride per axis, so the 8 cell corners are 8 gathers from the
-raveled volumes.  `warp3d` computes no point
-gradient, because none of its callers differentiates the warped values:
-`volume.warp`, which resamples the input once per outer iteration
-(`pipeline.run_case`), moves the phantoms and serves `objective.total_loss`,
-and `volume.compose_displacements`.  The pipeline calls neither of the last
-two: only the tests and the benchmark's name bindings in `pipeline` reach
-them.  `match_terms` is the one caller that needs the gradient; the tests
-use `warp3d_with_point_grad`, a one-image call of the same code, as its
-oracle.
+raveled volumes.  `warp3d` computes no point gradient, because none of its
+callers differentiates the warped values: `volume.warp`, which resamples
+the input once per outer iteration (`pipeline.run_case`), moves the
+phantoms and serves `objective.total_loss` (the per-term reference, scored
+against the maps' reconstruction), and `volume.compose_displacements`.  The
+pipeline calls neither of the last two: only the tests and the benchmark's
+name bindings in `pipeline` reach them.  `match_terms` is the one caller
+that needs the gradient; the tests use `warp3d_with_point_grad`, a
+one-image call of the same code, as its oracle.
 """
 
 from __future__ import annotations
@@ -292,23 +292,23 @@ def warp3d_with_point_grad(vol, disp):
     return out.reshape(vol.shape).copy(), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
 
-def match_terms(vols, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_out, scratch):
+def match_terms(vols, disp, target, pred_log, roi, floor_eps, sim_c, mf_c, grad_out, scratch):
     """Fused similarity + model-fit contribution of a group of b-value images.
 
-    vols and fixed are C-contiguous (G, nx, ny, nz) stacks of G images, disp
+    vols and target are C-contiguous (G, nx, ny, nz) stacks of G images, disp
     and grad_out their component-major (G, 3, nx, ny, nz) fields.  roi holds
     the ascending flat indices of the ROI voxels in the raveled group (the
     `np.flatnonzero` of G stacked masks) and pred_log the predicted log
     signal on them, in the same order; scratch is a `GroupScratch` that
     fits the group.  Warps each image by its field and returns two (G,)
-    arrays: per image, the L1 distance to its fixed image (sum over its
+    arrays: per image, the L1 distance to its target image (sum over its
     voxels) and the squared log residual against pred_log (sum over its roi
     voxels).  Adds the chain-ruled gradient w.r.t. `disp` into `grad_out`
     using the prefactors sim_c (applied to the L1 subgradient) and mf_c
     (applied to 2 * residual / warped_value).  Warped values below
     floor_eps contribute log(floor_eps) and a zero model-fit gradient.
 
-    Per voxel, with w the warped value, r = w - fixed, wfl = w if
+    Per voxel, with w the warped value, r = w - target, wfl = w if
     w > floor_eps else floor_eps and res = log(wfl) - pred_log on roi, 0
     elsewhere: coeff = sign(r) * sim_c, plus (mf_c * 2 * res) / wfl where
     roi and w > floor_eps; grad_out[a] += dout_a * coeff, with dout as in
@@ -322,7 +322,7 @@ def match_terms(vols, disp, fixed, pred_log, roi, floor_eps, sim_c, mf_c, grad_o
     rows = scratch.rows[:, : vols.size]
     inside = scratch.inside[:, : vols.size]
     w, parts = _point_grad_parts(vols, np.moveaxis(disp, 1, 0), rows, inside)
-    r = np.subtract(w, fixed.reshape(-1), out=rows[1])
+    r = np.subtract(w, target.reshape(-1), out=rows[1])
     coeff = np.sign(r, out=rows[2])
     coeff *= sim_c
     sim_sums = np.abs(r, out=r).reshape(images, -1).sum(axis=1)

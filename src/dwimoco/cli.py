@@ -2,11 +2,11 @@
 
 Configuration comes from built-in defaults, optionally overlaid by a JSON
 config file (--config), optionally overlaid by explicit flags.  One config
-file serves every command of a study.  DEFAULTS holds every key and fixes
-its JSON type (`_has_type_of`); a key DEFAULTS lacks, or a value of another
-type, exits 2.  Each flag sets one key (SETTING_FLAGS), parsed as its type,
-and each command reads, checks and takes the flags of only these keys
-(COMMAND_FLAGS):
+file serves every command of a study.  DEFAULTS holds every key, at its
+library default if it has one, and fixes its JSON type (`_has_type_of`); a
+key DEFAULTS lacks, or a value of another type, exits 2.  Each flag sets one
+key (SETTING_FLAGS), parsed as its type, and each command reads, checks and
+takes the flags of only these keys (COMMAND_FLAGS):
 
 - simulate: seed, phantom.dims and phantom.ga_weeks; fit: none;
   morph: pipeline.*.
@@ -74,16 +74,16 @@ from .signal_model import (
 from .volume import DegenerateSeriesError, normalize_series
 
 DEFAULTS = {
-    "seed": 0,
+    "seed": PhantomSpec().seed,
     "pipeline": {
-        "alpha2": 1000.0,
-        "max_inner_steps": 100,
-        "plateau_window": 10,
-        "max_outer_iters": 50,
-        "converge_window": 5,
+        "alpha2": PipelineConfig().alpha2,
+        "max_inner_steps": InnerOptConfig().max_inner_steps,
+        "plateau_window": InnerOptConfig().plateau_window,
+        "max_outer_iters": PipelineConfig().max_outer_iters,
+        "converge_window": PipelineConfig().converge_window,
     },
     "phantom": {
-        "dims": [96, 96, 16],
+        "dims": list(PhantomSpec().dims),
         "ga_weeks": 30.0,
     },
     "cohort": {
@@ -266,7 +266,7 @@ def cmd_simulate(args) -> int:
     dio.write_volume(maps.adc, out / "truth_adc")
     dio.write_volume(maps.log_s0, out / "truth_log_s0")
     for b, f in zip(moved.bvalues, true_fields):
-        dio.write_field(f, out / f"truth_field_b{b:g}")
+        dio.write_field(f, out / f"truth_field_b{dio.fmt_bvalue(b)}")
     _progress(f"simulate: wrote case to {manifest}")
     return 0
 

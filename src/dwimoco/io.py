@@ -44,9 +44,12 @@ _ORDER_TAG = "x-fastest"
 _SIDE_KEYS = {"dims", "spacing", "dtype", "order", "bvalue", "components"}
 
 
-def _stem(path) -> Path:
+def _container_paths(path) -> tuple:
+    """The (sidecar, raw) paths of the container at `path`, its stem or its
+    .json; the stem's own dots stay (b1000.0004 is not b1000 + a suffix)."""
     p = Path(path)
-    return p.with_suffix("") if p.suffix == ".json" else p
+    stem = p.name.removesuffix(".json")
+    return p.with_name(stem + ".json"), p.with_name(stem + ".raw")
 
 
 def fmt(x: float) -> str:
@@ -54,11 +57,19 @@ def fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def fmt_bvalue(b: float) -> str:
+    """A b-value as file names and messages spell it: its shortest round-trip
+    text without a trailing '.0'.  Distinct floats get distinct names (not
+    so with '{:g}'), and one below 10^6 of at most 6 digits reads as '{:g}'."""
+    text = repr(float(b))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n")
 
 
-def _write_container(stem: Path, flat32: np.ndarray, dims, spacing, bvalue, components):
+def _write_container(path, flat32: np.ndarray, dims, spacing, bvalue, components):
     side = {
         "dims": [int(d) for d in dims],
         "spacing": [float(s) for s in spacing],
@@ -69,9 +80,10 @@ def _write_container(stem: Path, flat32: np.ndarray, dims, spacing, bvalue, comp
         side["bvalue"] = float(bvalue)
     if components is not None:
         side["components"] = int(components)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(stem.with_suffix(".json"), side)
-    stem.with_suffix(".raw").write_bytes(flat32.astype("<f4").tobytes())
+    side_path, raw_path = _container_paths(path)
+    side_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(side_path, side)
+    raw_path.write_bytes(flat32.astype("<f4").tobytes())
 
 
 def _is_integer(value) -> bool:
@@ -85,9 +97,7 @@ def _is_number(value) -> bool:
 
 
 def _read_container(path):
-    stem = _stem(path)
-    side_path = stem.with_suffix(".json")
-    raw_path = stem.with_suffix(".raw")
+    side_path, raw_path = _container_paths(path)
     if not side_path.is_file():
         raise SidecarFormatError(f"missing sidecar {side_path}")
     if not raw_path.is_file():
@@ -144,7 +154,7 @@ def _read_container(path):
 
 def write_volume(vol: ScalarVolume, path, bvalue=None) -> None:
     """Write one volume as a raw+JSON container at the given stem."""
-    _write_container(_stem(path), vol.data.ravel(order="F"), vol.dims, vol.spacing, bvalue, None)
+    _write_container(path, vol.data.ravel(order="F"), vol.dims, vol.spacing, bvalue, None)
 
 
 def _read_scalar(path):
@@ -163,7 +173,7 @@ def read_volume(path) -> ScalarVolume:
 
 def write_mask(mask: RoiMask, path) -> None:
     flat = mask.data.astype(np.float64).ravel(order="F")
-    _write_container(_stem(path), flat, mask.dims, (1.0, 1.0, 1.0), None, None)
+    _write_container(path, flat, mask.dims, (1.0, 1.0, 1.0), None, None)
 
 
 def read_mask(path) -> RoiMask:
@@ -173,7 +183,7 @@ def read_mask(path) -> RoiMask:
 
 def write_field(field: DisplacementField, path) -> None:
     """Write a displacement field: 3 x-fastest component blocks (ux, uy, uz)."""
-    _write_container(_stem(path), field.data.ravel(order="F"), field.dims, (1.0, 1.0, 1.0), None, 3)
+    _write_container(path, field.data.ravel(order="F"), field.dims, (1.0, 1.0, 1.0), None, 3)
 
 
 def read_field(path) -> DisplacementField:
@@ -204,7 +214,7 @@ def write_case(series: BValueSeries, roi: RoiMask, ga_weeks: float, case_id: str
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for b, vol in zip(series.bvalues, series.volumes):
-        name = f"b{b:g}"
+        name = f"b{fmt_bvalue(b)}"
         write_volume(vol, out / name, bvalue=b)
         entries.append({"bvalue": float(b), "path": f"{name}.json"})
     write_mask(roi, out / "roi")
@@ -262,16 +272,18 @@ def read_case(manifest_path):
         vol, side_b = _read_scalar(base / entry["path"])
         if side_b is not None and float(side_b) != b:
             raise ManifestError(
-                f"{entry['path']} records bvalue {side_b:g}, the manifest says {b:g}"
+                f"{entry['path']} records bvalue {fmt_bvalue(side_b)}, "
+                f"the manifest says {fmt_bvalue(b)}"
             )
         loaded.append((b, vol))
     loaded.sort(key=lambda t: t[0])
     dims, spacing = loaded[0][1].dims, loaded[0][1].spacing
     for b, vol in loaded:
+        at = f"volume at b={fmt_bvalue(b)}"
         if vol.dims != dims:
-            raise ManifestError(f"volume at b={b:g} has dims {vol.dims}, expected {dims}")
+            raise ManifestError(f"{at} has dims {vol.dims}, expected {dims}")
         if vol.spacing != spacing:
-            raise ManifestError(f"volume at b={b:g} has spacing {vol.spacing}, expected {spacing}")
+            raise ManifestError(f"{at} has spacing {vol.spacing}, expected {spacing}")
     if not isinstance(manifest["roi"], str):
         raise ManifestError(f"roi must be a path, got {manifest['roi']!r}")
     roi = read_mask(base / manifest["roi"])
@@ -511,11 +523,11 @@ def write_case_report(result: CaseResult, out_dir, case_id: str, variant: str):
     write_volume(result.best_maps.adc, out / "best_adc")
     write_volume(result.best_maps.log_s0, out / "best_log_s0")
     for b, f in zip(result.bvalues, result.best_fields):
-        write_field(f, out / f"best_field_b{b:g}")
+        write_field(f, out / f"best_field_b{fmt_bvalue(b)}")
     for b, vol in zip(result.bvalues, result.best_series.volumes):
-        write_volume(vol, out / f"compensated_b{b:g}", bvalue=b)
+        write_volume(vol, out / f"compensated_b{fmt_bvalue(b)}", bvalue=b)
     for b, vol in zip(result.bvalues, result.best_series_resampled.volumes):
-        write_volume(vol, out / f"compensated_single_resample_b{b:g}", bvalue=b)
+        write_volume(vol, out / f"compensated_single_resample_b{fmt_bvalue(b)}", bvalue=b)
 
 
 def write_cohort_report(points_by_method: dict, fits_by_method: dict, out_dir):

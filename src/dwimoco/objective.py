@@ -4,9 +4,10 @@ The total loss is
 
     L = L_similarity + ALPHA1 * L_smooth + alpha2 * L_model_fit
 
-where L_similarity is the mean absolute difference between the model
-reconstruction and the warped acquisition (averaged over b-values and the
-full domain), L_smooth penalizes the squared forward differences of every
+where L_similarity is the mean absolute difference between the warped
+acquisition and the target, the maps' reconstruction, which every function
+here builds from the maps it takes (averaged over b-values and the full
+domain), L_smooth penalizes the squared forward differences of every
 displacement field (the diffusion regularizer of VoxelMorph, Balakrishnan
 et al., IEEE TMI 2019), and L_model_fit is the mean squared log-domain decay
 residual of the warped signals inside the ROI, holding the parameter maps
@@ -25,9 +26,9 @@ consecutive images, as many as fit `_kernels.GROUP_VOXELS`, one kernel call
 each.  Each image writes only its own gradient slice, and the per-image
 sums are added in b-value order, so the result has the bits of one image
 per call on one thread at any group size and thread budget.  What every
-evaluation of a pass shares, the stacked images, the ROI indices, the
-predicted logs and the kernels' scratch, lives in a `Workspace` that the
-optimizer makes once per pass.
+evaluation of a pass shares, the target and the stacked images, the ROI
+indices, the predicted logs and the kernels' scratch, lives in a
+`Workspace` that the optimizer makes once per pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .signal_model import FLOOR_EPS, ParameterMaps, floored_log
+from .signal_model import FLOOR_EPS, ParameterMaps, floored_log, forward_signal, reconstruct
 from .volume import (
     BValueSeries,
     DimensionMismatchError,
@@ -74,18 +75,14 @@ class LossBreakdown:
         return cls(similarity, smooth, model_fit, total)
 
 
-def _check_series_pair(a: BValueSeries, b: BValueSeries):
-    if a.dims != b.dims or a.bvalues != b.bvalues:
-        raise DimensionMismatchError("series must share dims and b-values")
-
-
-def similarity_loss(fixed: BValueSeries, warped: BValueSeries) -> float:
+def similarity_loss(target: BValueSeries, warped: BValueSeries) -> float:
     """Mean absolute intensity difference over all b-values and voxels."""
-    _check_series_pair(fixed, warped)
+    if target.dims != warped.dims or target.bvalues != warped.bvalues:
+        raise DimensionMismatchError("series must share dims and b-values")
     total = 0.0
-    for f, w in zip(fixed.volumes, warped.volumes):
-        total += float(np.abs(f.data - w.data).mean())
-    return total / fixed.b_count
+    for t, w in zip(target.volumes, warped.volumes):
+        total += float(np.abs(t.data - w.data).mean())
+    return total / target.b_count
 
 
 def smoothness_loss(field: DisplacementField) -> float:
@@ -132,20 +129,16 @@ def _check_fields(series: BValueSeries, fields) -> list:
 
 
 def total_loss(
-    fixed: BValueSeries,
-    moving: BValueSeries,
-    fields,
-    maps: ParameterMaps,
-    roi: RoiMask,
-    alpha2: float,
+    moving: BValueSeries, fields, maps: ParameterMaps, roi: RoiMask, alpha2: float
 ) -> LossBreakdown:
-    """Warp `moving` by the per-b-value fields and evaluate all three terms."""
-    _check_series_pair(fixed, moving)
+    """Warp `moving` by the per-b-value fields and evaluate all three terms,
+    the similarity against `reconstruct(maps, moving.bvalues)`."""
     fields = _check_fields(moving, fields)
     warped = warp_series(moving, fields)
-    sim = similarity_loss(fixed, warped)
+    model_fit = model_fit_loss(warped, maps, roi)
+    sim = similarity_loss(reconstruct(maps, moving.bvalues), warped)
     smooth = sum(smoothness_loss(f) for f in fields)
-    return LossBreakdown.weighted(sim, smooth, model_fit_loss(warped, maps, roi), alpha2)
+    return LossBreakdown.weighted(sim, smooth, model_fit, alpha2)
 
 
 def stack_fields(fields) -> np.ndarray:
@@ -166,21 +159,19 @@ def unstack_fields(arr: np.ndarray) -> list:
 
 
 class Workspace:
-    """What every evaluation of one fixed/moving/maps/roi problem shares.
+    """What every evaluation of one moving/maps/roi problem shares.
 
-    Made once per optimizer pass: the moving and fixed images stacked
-    (B, nx, ny, nz) when a group holds several, the ROI's flat indices for
-    a group of images, each image's predicted log signal on the ROI, the
-    term scales, and the `_kernels.GroupScratch` of each thread range,
-    which the first evaluation that runs the range makes.  Raises
-    DimensionMismatchError for series, maps or roi on different grids or
-    b-values, and EmptyRoiError for an empty ROI.
+    Made once per optimizer pass: the target, the maps' reconstruction as
+    one (B, nx, ny, nz) stack with the bits of `signal_model.reconstruct`,
+    the moving images stacked the same way when a group holds several, the
+    ROI's flat indices for a group of images, each image's predicted log
+    signal on the ROI, the term scales, and the `_kernels.GroupScratch` of
+    each thread range, which the first evaluation that runs the range
+    makes.  Raises DimensionMismatchError for a series, maps or roi on
+    different grids, and EmptyRoiError for an empty ROI.
     """
 
-    def __init__(
-        self, fixed: BValueSeries, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask
-    ):
-        _check_series_pair(fixed, moving)
+    def __init__(self, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask):
         if roi.dims != moving.dims or maps.dims != moving.dims:
             raise DimensionMismatchError("series, maps and roi must share dims")
         if roi.count == 0:
@@ -191,9 +182,12 @@ class Workspace:
         self.scales = (moving.b_count * n_vox, moving.b_count * roi.count, n_vox)
         self.shape = (moving.b_count, 3) + moving.dims
         self.group = max(1, _kernels.GROUP_VOXELS // n_vox)  # images per kernel call
+        s0 = np.exp(maps.log_s0.data)
+        self.target = np.empty((moving.b_count,) + moving.dims)
+        for image, b in zip(self.target, moving.bvalues):
+            image[...] = forward_signal(s0, maps.adc.data, b)
         # a stack is a copy, so one image per group is read in place instead
-        self._series = (moving, fixed)
-        self._stacks = (moving.stack(), fixed.stack()) if self.group > 1 else None
+        self._moving = moving.stack() if self.group > 1 else moving.volumes
         roi_idx = np.flatnonzero(roi.data)
         # row g: the ROI of image g of a group, in the raveled group
         self.roi = roi_idx + n_vox * np.arange(min(self.group, moving.b_count))[:, None]
@@ -203,10 +197,9 @@ class Workspace:
         self._scratch = {}
 
     def images(self, i, j):
-        """The moving and fixed images i..j-1, two (j - i, nx, ny, nz) arrays."""
-        if self._stacks is None:
-            return tuple(series.volumes[i].data[None] for series in self._series)
-        return tuple(stack[i:j] for stack in self._stacks)
+        """The moving and target images i..j-1, two (j - i, nx, ny, nz) arrays."""
+        moving = self._moving[i:j] if self.group > 1 else self._moving[i].data[None]
+        return moving, self.target[i:j]
 
     def scratch(self, lo, hi):
         """The GroupScratch of the thread range of images lo..hi-1."""
@@ -237,11 +230,11 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
             j = min(i + ws.group, hi)
             g = grad[i:j]
             g.fill(0.0)
-            moving, fixed = ws.images(i, j)
+            moving, target = ws.images(i, j)
             sim, mf = _match_terms(
                 moving,
                 fields_arr[i:j],
-                fixed,
+                target,
                 ws.pred_log[i:j].reshape(-1),
                 ws.roi[: j - i].reshape(-1),
                 FLOOR_EPS,
@@ -269,7 +262,7 @@ def loss_and_gradient(
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
-    ws holds the fixed and moving series, maps and roi (`Workspace`).
+    ws holds the moving series, the maps' target and the ROI (`Workspace`).
     fields_arr and grad are component-major (B, 3, nx, ny, nz) C-contiguous
     float64 arrays (`stack_fields`); anything else raises
     DimensionMismatchError for a wrong shape and ValueError for a wrong
@@ -282,7 +275,7 @@ def loss_and_gradient(
     derivative is 0 where sampling was clamped, so the gradient is defined
     everywhere.
 
-    At an exact model fit (moving == fixed == reconstruct(maps), zero fields)
+    At an exact model fit (moving == reconstruct(maps), zero fields)
     the similarity and smoothness gradients are exactly 0.  The model-fit
     gradient is 0 only up to float64 rounding of log(exp(.)) in the residual
     (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
@@ -299,13 +292,7 @@ def loss_and_gradient(
     return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, alpha2)
 
 
-def per_term_gradients(
-    fixed: BValueSeries,
-    moving: BValueSeries,
-    fields,
-    maps: ParameterMaps,
-    roi: RoiMask,
-):
+def per_term_gradients(moving: BValueSeries, fields, maps: ParameterMaps, roi: RoiMask):
     """Unweighted gradient of each loss term separately (for verification).
 
     Runs the loop of `loss_and_gradient` once per term, with the other
@@ -314,7 +301,7 @@ def per_term_gradients(
     """
     fields = _check_fields(moving, fields)
     fields_arr = stack_fields(fields)
-    ws = Workspace(fixed, moving, maps, roi)
+    ws = Workspace(moving, maps, roi)
     n_sim, n_mf, n_vox = ws.scales
     prefactors = {
         "similarity": (1.0 / n_sim, 0.0, 0.0),

@@ -154,17 +154,17 @@ def simulate_series(maps: ParameterMaps, roi: RoiMask, bvalues, noise_sigma: flo
     return BValueSeries(tuple(float(b) for b in bvalues), tuple(vols))
 
 
-def _smooth_random_field(dims, amplitude, smoothness, rng) -> DisplacementField:
+def _smooth_random_field(dims, amplitude, rng) -> DisplacementField:
     """Low-frequency random field with max voxel magnitude == amplitude.
 
     Each component is a bulk translation term plus a few sinusoidal modes
-    whose per-axis cycle counts are capped by dims/smoothness; the whole
-    field is then rescaled so its largest displacement vector has length
-    `amplitude`.
+    whose per-axis cycle counts are capped by dims / MOTION_SMOOTHNESS; the
+    whole field is then rescaled so its largest displacement vector has
+    length `amplitude`.
     """
     if amplitude == 0.0:
         return DisplacementField.zero(dims)
-    max_cycles = [max(1, int(n / smoothness)) for n in dims]
+    max_cycles = [max(1, int(n / MOTION_SMOOTHNESS)) for n in dims]
     grids = [np.arange(n, dtype=np.float64) / n for n in dims]
     xg = grids[0][:, None, None]
     yg = grids[1][None, :, None]
@@ -202,9 +202,7 @@ def apply_synthetic_motion(series: BValueSeries, spec: PhantomSpec, seed: int):
     vols = [series.volumes[0]]
     for vol in series.volumes[1:]:
         severity = float(rng.uniform(0.3, 1.0)) if spec.motion_amplitude > 0 else 0.0
-        f = _smooth_random_field(
-            series.dims, severity * spec.motion_amplitude, MOTION_SMOOTHNESS, rng
-        )
+        f = _smooth_random_field(series.dims, severity * spec.motion_amplitude, rng)
         fields.append(f)
         vols.append(warp(vol, f))
     return BValueSeries(series.bvalues, tuple(vols)), fields

@@ -1,17 +1,19 @@
 """Outer motion-compensation loop and cohort-level studies.
 
 A case is normalized once, by the maximum b=0 intensity of the input.  One
-iteration fits the decay model per voxel (LLS) to the current series,
-reconstructs the model series, and optimizes the accumulated per-b-value
-fields against the normalized input, starting from the previous iteration's
-fields; the next iteration's series is the normalized input warped by those
-fields, so every series is one resample of the input.  The recorded
-per-iteration summary ADC comes from the robust L1 fit
+iteration fits the decay model per voxel (LLS) to the current series and
+optimizes the accumulated per-b-value fields, which warp the normalized
+input towards the fitted maps' reconstruction, starting from the previous
+iteration's fields; the next iteration's series is the normalized input
+warped by those fields, so every series is one resample of the input.  The
+recorded per-iteration summary ADC comes from the robust L1 fit
 (`signal_model.irls_fit`) of the ROI-mean decay curve.  Iteration 0 is
-always the uncompensated input state.  The loop stops once the ROI-mean ADC
-has changed by at most ADC_CHANGE_TOL, relative to the previous value, over
-converge_window consecutive iterations, and the run's result is the state
-where it stopped.
+always the uncompensated input state.  The loop stops at the first of: a
+pass that returns its starting fields bit for bit (the fixed point, which
+ended every phantom-study and simulated-cohort run measured so far), a
+ROI-mean ADC changed by at most ADC_CHANGE_TOL, relative to the previous
+value, over converge_window consecutive iterations, and max_outer_iters
+records (the step cap).  The run's result is the state where it stopped.
 
 A cohort study runs three methods on every case (`analyze_methods`):
 no compensation, which is record 0 of a registered run (the curve fit of
@@ -106,7 +108,6 @@ class CaseResult:
     ADC was stable or because a pass returned its starting fields unchanged.
     """
 
-    bvalues: tuple
     records: list
     best_maps: ParameterMaps
     best_fields: list
@@ -115,6 +116,10 @@ class CaseResult:
     converged: bool
     failed: bool = False
     failure_reason: str | None = None
+
+    @property
+    def bvalues(self) -> tuple:
+        return self.best_series.bvalues
 
     @property
     def best_iteration(self) -> int:
@@ -179,9 +184,8 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         raise DimensionMismatchError("roi dims must match series dims")
     if roi.count == 0:
         raise EmptyRoiError("empty ROI")
-    bvalues = series.bvalues
     normalized, scale = normalize_series(series)
-    fields = [DisplacementField.zero(series.dims) for _ in bvalues]
+    fields = [DisplacementField.zero(series.dims) for _ in series.bvalues]
 
     current = normalized
     records: list[CaseRecord] = []
@@ -191,11 +195,10 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
 
     for k in range(cfg.max_outer_iters):
         maps = lls_fit(current)
-        fixed = reconstruct(maps, bvalues)
         means, log_s0_c, adc_c, r2_c = _curve_stats(current, roi)
-        loss0 = LossBreakdown.weighted(
-            similarity_loss(fixed, current), 0.0, model_fit_loss(current, maps, roi), cfg.alpha2
-        )
+        # left unnamed, so only the pass's workspace holds a target
+        sim = similarity_loss(reconstruct(maps, series.bvalues), current)
+        loss0 = LossBreakdown.weighted(sim, 0.0, model_fit_loss(current, maps, roi), cfg.alpha2)
         records.append(CaseRecord(adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0))
         if check_convergence([r.roi_mean_adc for r in records], cfg.converge_window):
             converged = True
@@ -204,7 +207,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
             break
         try:
             new_fields, _trace = optimize_fields(
-                fixed, normalized, fields, maps, roi, cfg.alpha2, cfg.inner
+                normalized, fields, maps, roi, cfg.alpha2, cfg.inner
             )
         except DivergedError as err:
             failed = True
@@ -217,7 +220,6 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         current = warp_series(normalized, fields)
 
     return CaseResult(
-        bvalues=bvalues,
         records=records,
         best_maps=maps,
         best_fields=fields,
@@ -267,8 +269,10 @@ class CohortStudyResult:
     Every method's points cover the same cases: those on which all methods
     succeeded.  failures holds one (case_id, reason) per failed method, or
     per case that could not be analyzed at all, then one ("cohort", reason)
-    per method whose points admit no saturation fit.  true_points carries
-    the ground truth when the cohort was simulated and is empty otherwise.
+    per method whose points admit no saturation fit.  true_points holds each
+    simulated case's drawn lung ADC, empty for cases read from disk; it is
+    not the clean-curve reference the phantom study and the benchmark score
+    against, which differs from it by about 4.8% per case.
     """
 
     points: dict  # method -> list[CohortPoint]

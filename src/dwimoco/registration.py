@@ -102,7 +102,6 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
 
 
 def optimize_fields(
-    fixed: BValueSeries,
     moving: BValueSeries,
     init_fields,
     maps: ParameterMaps,
@@ -112,28 +111,27 @@ def optimize_fields(
 ):
     """Find per-b-value displacement fields minimizing the total loss.
 
-    Each b-value image of `moving` is registered to the same-b image of
-    `fixed`; all B fields are optimized jointly against the weighted total
-    of `loss_and_gradient`, for every model-fit weight alpha2 (alpha2 = 0 is
-    the registration-only method).  init_fields are the starting fields: the
-    outer loop passes the fields of its previous pass, so Adam resumes from
-    them with fresh moments.  Returns (fields, trace) where trace is the
-    per-step LossBreakdown list, every term unweighted, and fields is the
-    best-visited state, never worse than init_fields.  The iterate is one
-    C-contiguous component-major (B, 3, nx, ny, nz) stack of init_fields
-    (`objective.stack_fields`), made once here; Adam steps it in place, and
-    only the best state is turned back into (nx, ny, nz, 3) fields at the
-    end.  Every evaluation writes its gradient into one buffer of the same
-    layout, made here too, so the loop holds five arrays the size of all
-    fields: the iterate, the best state, the two moments and the gradient.
-    The evaluations share one `objective.Workspace`, made here and dropped
-    on return, which holds the stacked images and the kernels' scratch.
+    Each b-value image of `moving` is registered to the same-b image of the
+    maps' reconstruction; all B fields are optimized jointly against the
+    weighted total of `loss_and_gradient`, for every model-fit weight alpha2
+    (alpha2 = 0 is the registration-only method).  init_fields are the
+    starting fields: the outer loop passes the fields of its previous pass,
+    so Adam resumes from them with fresh moments.  Returns (fields, trace)
+    where trace is the per-step LossBreakdown list, every term unweighted,
+    and fields is the best-visited state, never worse than init_fields.  The
+    iterate is one C-contiguous component-major (B, 3, nx, ny, nz) stack of
+    init_fields (`objective.stack_fields`), made once here; Adam steps it in
+    place, and only the best state is turned back into (nx, ny, nz, 3)
+    fields at the end.  Every evaluation writes its gradient into one buffer
+    of the same layout, made here too, so the loop holds five arrays the
+    size of all fields: the iterate, the best state, the two moments and the
+    gradient.  The evaluations share one `objective.Workspace`, made here
+    and dropped on return, which holds the target built from the maps, the
+    stacked images and the kernels' scratch.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.
     """
-    if fixed.dims != moving.dims:
-        raise DimensionMismatchError("fixed and moving dims differ")
     init_fields = list(init_fields)
     if len(init_fields) != moving.b_count:
         raise DimensionMismatchError("need one init field per b-value")
@@ -141,7 +139,7 @@ def optimize_fields(
     shape = x.shape
     x = x.reshape(-1)
     grad = np.empty_like(x)
-    ws = Workspace(fixed, moving, maps, roi)
+    ws = Workspace(moving, maps, roi)
 
     def value_and_grad(x):
         bd = loss_and_gradient(ws, x.reshape(shape), alpha2, grad.reshape(shape))

@@ -291,6 +291,8 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(cases, tmp_path, comm
     argv = [command, *flag, "--out", str(out)]
     if command in ("fit", "morph"):
         argv += ["--case", str(cases / "sim001" / "manifest.json")]
+    # keeps a run that wrongly takes the flag short
+    argv += {"morph": CAPS, "cohort": SMALL_COHORT}.get(command, [])
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2
@@ -468,6 +470,32 @@ def test_one_voxel_thick_case_fits_and_morphs_in_plane(tmp_path, one_slice_case)
     fields = [dio.read_field(out / f"best_field_b{b:g}").data for b in series.bvalues]
     assert not any(f[..., 2].any() for f in fields)
     assert any(f[..., :2].any() for f in fields)
+
+
+def test_close_bvalues_get_their_own_files(tmp_path):
+    # '{:g}' names 1000 and 1000.0004 both b1000, so one file overwrote the other
+    dims = (12, 12, 6)
+    bvalues = (0.0, 200.0, 1000.0, 1000.0004)
+    x, y, _z = np.indices(dims)
+    s0 = 1.0 + 0.3 * np.sin(x / 2.0) * np.cos(y / 3.0)
+    series = dio.BValueSeries(
+        bvalues, tuple(dio.ScalarVolume(s0 * np.exp(-2e-3 * b)) for b in bvalues)
+    )
+    mask = np.zeros(dims, dtype=bool)
+    mask[4:8, 4:8, 2:4] = True
+    manifest = dio.write_case(series, dio.RoiMask(mask), 30.0, "close", tmp_path / "case")
+    back, _roi, _ga = dio.read_case(manifest)
+    assert back.bvalues == bvalues
+    for got, want in zip(back.volumes, series.volumes):
+        np.testing.assert_array_equal(got.data, want.data.astype("<f4"))
+    out = tmp_path / "morph"
+    assert cli.main(["morph", "--case", str(manifest), *CAPS, "--out", str(out)]) == 0
+    names = ["b0", "b200", "b1000", "b1000.0004"]
+    for prefix in ("compensated_", "best_field_"):
+        written = sorted(p.name for p in out.glob(f"{prefix}b*.json"))
+        assert written == sorted(f"{prefix}{n}.json" for n in names)
+    for b, name in zip(bvalues, names):
+        assert json.loads((out / f"compensated_{name}.json").read_text())["bvalue"] == b
 
 
 def _constant_case(tmp_path, value):

@@ -42,7 +42,8 @@ ALPHA2_SETTINGS = (1000.0, 0.0)
 
 @pytest.fixture(scope="module")
 def setup():
-    """Smooth fixed/moving pair with residuals bounded away from L1 ties."""
+    """The maps' reconstruction (the objective's target) and a smooth moving
+    series, with residuals bounded away from L1 ties."""
     maps, roi = make_phantom(PhantomSpec(dims=DIMS))
     fixed = reconstruct(maps, BVALUES)
     fac = 0.9 + 0.03 * np.sin(np.arange(DIMS[0]) / 3.0)[:, None, None] * np.ones(DIMS)
@@ -185,21 +186,21 @@ class TestTotalLoss:
     def test_global_minimum_is_zero(self, setup):
         maps, roi, fixed, _, _, _ = setup
         zero = [DisplacementField.zero(DIMS) for _ in BVALUES]
-        bd = total_loss(fixed, fixed, zero, maps, roi, 1000.0)
+        bd = total_loss(fixed, zero, maps, roi, 1000.0)
         assert bd.similarity == 0.0
         assert bd.smooth == 0.0
         assert bd.model_fit == pytest.approx(0.0, abs=1e-24)
         assert bd.total == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_weights_reduce_to_similarity(self, monkeypatch, setup):
-        maps, roi, fixed, moving, fields, _ = setup
+        maps, roi, _, moving, fields, _ = setup
         monkeypatch.setattr(objective, "ALPHA1", 0.0)
-        bd = total_loss(fixed, moving, fields, maps, roi, 0.0)
+        bd = total_loss(moving, fields, maps, roi, 0.0)
         assert bd.total == bd.similarity
 
     def test_weighted_sum_identity(self, setup):
-        maps, roi, fixed, moving, fields, _ = setup
-        bd = total_loss(fixed, moving, fields, maps, roi, 1000.0)
+        maps, roi, _, moving, fields, _ = setup
+        bd = total_loss(moving, fields, maps, roi, 1000.0)
         assert bd.total == bd.similarity + ALPHA1 * bd.smooth + 1000.0 * bd.model_fit
 
     def test_paper_weight_arithmetic(self):
@@ -208,11 +209,11 @@ class TestTotalLoss:
         assert bd.total == pytest.approx(0.33, rel=1e-12)
 
     def test_fused_path_matches_reference(self, setup):
-        maps, roi, fixed, moving, fields, _ = setup
+        maps, roi, _, moving, fields, _ = setup
         for alpha2 in ALPHA2_SETTINGS:
-            ref = total_loss(fixed, moving, fields, maps, roi, alpha2)
+            ref = total_loss(moving, fields, maps, roi, alpha2)
             uc = stack_fields(fields)
-            ws = Workspace(fixed, moving, maps, roi)
+            ws = Workspace(moving, maps, roi)
             fused = loss_and_gradient(ws, uc, alpha2, np.empty_like(uc))
             assert fused.similarity == pytest.approx(ref.similarity, rel=1e-12)
             assert fused.smooth == pytest.approx(ref.smooth, rel=1e-12)
@@ -223,15 +224,15 @@ class TestTotalLoss:
                     assert bd.total == bd.similarity + ALPHA1 * bd.smooth
 
 
-def _fd_term(term, fixed, moving, maps, roi, u, i, c, idx, h=1e-3):
+def _fd_term(term, moving, maps, roi, u, i, c, idx, h=1e-3):
     up = u.copy()
     up[(i,) + idx + (c,)] += h
     dn = u.copy()
     dn[(i,) + idx + (c,)] -= h
     f_up = [DisplacementField(up[j]) for j in range(u.shape[0])]
     f_dn = [DisplacementField(dn[j]) for j in range(u.shape[0])]
-    t_up = total_loss(fixed, moving, f_up, maps, roi, 1000.0)
-    t_dn = total_loss(fixed, moving, f_dn, maps, roi, 1000.0)
+    t_up = total_loss(moving, f_up, maps, roi, 1000.0)
+    t_dn = total_loss(moving, f_dn, maps, roi, 1000.0)
     return (getattr(t_up, term) - getattr(t_dn, term)) / (2 * h)
 
 
@@ -247,7 +248,7 @@ class TestFieldStack:
     def test_loss_and_gradient_needs_c_contiguous_float64(self, setup):
         # flat-stride differences read memory order, so a strided stack would
         # give wrong smoothness gradients instead of an error
-        maps, roi, fixed, moving, fields, _ = setup
+        maps, roi, _, moving, fields, _ = setup
         good = stack_fields(fields)
         strided = np.stack([np.moveaxis(f.data, -1, 0) for f in fields])
         assert strided.shape == good.shape and not strided.flags.c_contiguous
@@ -257,23 +258,45 @@ class TestFieldStack:
             ("fields_arr", good.astype(np.float32), np.empty_like(good)),
             ("grad", good, np.empty(good.shape, np.float32)),
         ]
-        ws = Workspace(fixed, moving, maps, roi)
+        ws = Workspace(moving, maps, roi)
         for name, fields_arr, grad in bad:
             with pytest.raises(ValueError, match=f"{name} must be a C-contiguous float64"):
                 loss_and_gradient(ws, fields_arr, 1000.0, grad)
         loss_and_gradient(ws, good, 1000.0, np.empty_like(good))
 
+    @pytest.mark.parametrize("one_image_groups", [False, True], ids=["one_stack", "per_image"])
+    def test_workspace_target_has_the_bits_of_reconstruct(self, monkeypatch, one_image_groups):
+        # 20x20x8 at B = 6 fits one group; with GROUP_VOXELS at one image
+        # every group is one image
+        dims = (20, 20, 8)
+        bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
+        rng = np.random.default_rng(3)
+        maps = ParameterMaps(
+            ScalarVolume(rng.normal(0.0, 0.5, dims)), ScalarVolume(rng.uniform(0.0, 3e-3, dims))
+        )
+        moving = BValueSeries(bvalues, tuple(ScalarVolume(rng.random(dims)) for _ in bvalues))
+        if one_image_groups:
+            monkeypatch.setattr(_kernels, "GROUP_VOXELS", int(np.prod(dims)))
+        ws = Workspace(moving, maps, RoiMask(rng.random(dims) < 0.3))
+        assert (ws.group == 1) if one_image_groups else (ws.group >= len(bvalues))
+        want = reconstruct(maps, bvalues).stack()
+        for i in range(0, len(bvalues), ws.group):
+            j = min(i + ws.group, len(bvalues))
+            moving_images, target = ws.images(i, j)
+            assert target.tobytes() == want[i:j].tobytes()
+            assert moving_images.tobytes() == moving.stack()[i:j].tobytes()
+
     def test_workspace_rejects_maps_or_roi_on_another_grid(self, setup):
         # the kernels gather the ROI with clamped indices, so a mask of
         # another grid would read wrong voxels instead of raising
-        maps, roi, fixed, moving, _, _ = setup
+        maps, roi, _, moving, _, _ = setup
         other = tuple(n + 1 for n in DIMS)
         other_maps = ParameterMaps(ScalarVolume(np.zeros(other)), ScalarVolume(np.zeros(other)))
         for bad_maps, bad_roi in ((maps, RoiMask(np.ones(other, bool))), (other_maps, roi)):
             with pytest.raises(DimensionMismatchError):
-                Workspace(fixed, moving, bad_maps, bad_roi)
+                Workspace(moving, bad_maps, bad_roi)
         with pytest.raises(EmptyRoiError):
-            Workspace(fixed, moving, maps, RoiMask(np.zeros(DIMS, bool)))
+            Workspace(moving, maps, RoiMask(np.zeros(DIMS, bool)))
 
 
 class TestGradients:
@@ -282,11 +305,9 @@ class TestGradients:
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
         alpha2 = 1000.0
         grad = np.full((len(BVALUES), 3) + DIMS, np.nan)  # every entry is overwritten
-        loss_and_gradient(Workspace(fixed, fixed, maps, roi), np.zeros_like(grad), alpha2, grad)
+        loss_and_gradient(Workspace(fixed, maps, roi), np.zeros_like(grad), alpha2, grad)
         grad = np.moveaxis(grad, 1, -1)
-        terms = per_term_gradients(
-            fixed, fixed, [DisplacementField(z) for z in zero], maps, roi
-        )
+        terms = per_term_gradients(fixed, [DisplacementField(z) for z in zero], maps, roi)
         np.testing.assert_allclose(terms["similarity"], 0.0, rtol=0, atol=0)
         np.testing.assert_allclose(terms["smooth"], 0.0, rtol=0, atol=0)
         # The model-fit residual log(exp(y)) - y with y = log_s0 - b * adc is
@@ -308,8 +329,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("term", ["similarity", "smooth", "model_fit"])
     def test_terms_match_finite_differences(self, setup, rng, term):
-        maps, roi, fixed, moving, fields, u = setup
-        grads = per_term_gradients(fixed, moving, fields, maps, roi)[term]
+        maps, roi, _, moving, fields, u = setup
+        grads = per_term_gradients(moving, fields, maps, roi)[term]
         n_b = len(BVALUES)
         worst = 0.0
         checked = 0
@@ -322,19 +343,19 @@ class TestGradients:
             else:
                 p = tuple(int(rng.integers(1, d - 1)) for d in DIMS)
             a = grads[(i,) + p + (c,)]
-            f = _fd_term(term, fixed, moving, maps, roi, u, i, c, p)
+            f = _fd_term(term, moving, maps, roi, u, i, c, p)
             rel = abs(a - f) / max(abs(a), abs(f), 1e-12)
             worst = max(worst, rel)
             checked += 1
         assert worst < 1e-4, f"{term}: worst rel err {worst}"
 
     def test_total_gradient_is_weighted_sum_of_terms(self, setup):
-        maps, roi, fixed, moving, fields, _ = setup
-        terms = per_term_gradients(fixed, moving, fields, maps, roi)
+        maps, roi, _, moving, fields, _ = setup
+        terms = per_term_gradients(moving, fields, maps, roi)
         for alpha2 in ALPHA2_SETTINGS:
             uc = stack_fields(fields)
             grad = np.empty_like(uc)
-            loss_and_gradient(Workspace(fixed, moving, maps, roi), uc, alpha2, grad)
+            loss_and_gradient(Workspace(moving, maps, roi), uc, alpha2, grad)
             grad = np.moveaxis(grad, 1, -1)
             combo = (
                 terms["similarity"] + ALPHA1 * terms["smooth"] + alpha2 * terms["model_fit"]
@@ -346,11 +367,10 @@ class TestGradients:
         dims = (7, 6, 5)
         u = np.zeros(dims + (3,))
         u[..., 0] = np.arange(dims[0], dtype=float)[:, None, None]
-        fixed = constant_series(dims, 1.0)
-        fields = [DisplacementField(u) for _ in fixed.bvalues]
+        moving = constant_series(dims, 1.0)  # the zero maps' reconstruction
+        fields = [DisplacementField(u) for _ in moving.bvalues]
         g = per_term_gradients(
-            fixed,
-            fixed,
+            moving,
             fields,
             ParameterMaps(ScalarVolume(np.zeros(dims)), ScalarVolume(np.zeros(dims))),
             RoiMask(np.ones(dims, dtype=bool)),
@@ -619,14 +639,14 @@ class TestImageGroups:
             ScalarVolume(rng.normal(0.0, 0.1, dims)), ScalarVolume(rng.uniform(0.0, 2e-3, dims))
         )
         roi = RoiMask(rng.random(dims) < 0.4)
-        fixed = reconstruct(maps, self.BVALUES)
+        target = reconstruct(maps, self.BVALUES)
         moving = BValueSeries(
             self.BVALUES,
-            tuple(ScalarVolume(v.data * rng.uniform(0.8, 1.2, dims)) for v in fixed.volumes),
+            tuple(ScalarVolume(v.data * rng.uniform(0.8, 1.2, dims)) for v in target.volumes),
         )
         u = rng.normal(0.0, 0.8, (len(self.BVALUES), 3) + dims)
         u[1, 0, :2] = -4.0  # samples clamped at the grid's edge
-        return fixed, moving, maps, roi, u
+        return moving, maps, roi, u
 
     @pytest.fixture
     def grouped(self, monkeypatch):
@@ -652,11 +672,11 @@ class TestImageGroups:
 
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
     def test_loss_and_gradient_bits_match_one_image_groups(self, problem, grouped, alpha2):
-        fixed, moving, maps, roi, u = problem
+        moving, maps, roi, u = problem
 
         def evaluate():
             grad = np.full_like(u, np.nan)  # an entry left unwritten stays NaN
-            bd = loss_and_gradient(Workspace(fixed, moving, maps, roi), u, alpha2, grad)
+            bd = loss_and_gradient(Workspace(moving, maps, roi), u, alpha2, grad)
             return bd, grad
 
         (want_bd, want_grad), _ = grouped(1, 1, evaluate)
@@ -671,8 +691,8 @@ class TestImageGroups:
                 np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
 
     def test_per_term_gradients_bits_match_one_image_groups(self, problem, grouped):
-        fixed, moving, maps, roi, u = problem
-        args = (per_term_gradients, fixed, moving, unstack_fields(u), maps, roi)
+        moving, maps, roi, u = problem
+        args = (per_term_gradients, moving, unstack_fields(u), maps, roi)
         want, _ = grouped(1, 1, *args)
         for images, split in self.SPLITS.items():
             for budget in (1, 2, 3):
@@ -773,12 +793,12 @@ class TestThreadBudget:
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
     def test_loss_and_gradient_bits_match_serial(self, setup, at_budget, alpha2):
         # 4 b-values: 2 images per thread, 1-1-2 at budget 3, 1 each at 4
-        maps, roi, fixed, moving, fields, _ = setup
+        maps, roi, _, moving, fields, _ = setup
         u = stack_fields(fields)
         out = {}
         for budget in (1, 2, 3, 4):
             grad = np.full_like(u, np.nan)
-            ws = Workspace(fixed, moving, maps, roi)
+            ws = Workspace(moving, maps, roi)
             bd = at_budget(budget, loss_and_gradient, ws, u, alpha2, grad)
             out[budget] = bd, grad
         for budget in (2, 3, 4):
@@ -786,10 +806,10 @@ class TestThreadBudget:
             np.testing.assert_array_equal(out[budget][1], out[1][1])
 
     def test_per_term_gradients_bits_match_serial(self, setup, at_budget):
-        maps, roi, fixed, moving, fields, _ = setup
-        serial = at_budget(1, per_term_gradients, fixed, moving, fields, maps, roi)
+        maps, roi, _, moving, fields, _ = setup
+        serial = at_budget(1, per_term_gradients, moving, fields, maps, roi)
         for budget in (2, 3, 4):
-            threaded = at_budget(budget, per_term_gradients, fixed, moving, fields, maps, roi)
+            threaded = at_budget(budget, per_term_gradients, moving, fields, maps, roi)
             for term, grad in serial.items():
                 np.testing.assert_array_equal(threaded[term], grad)
 

@@ -135,9 +135,9 @@ def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypa
     dims = (20, 20, 8)
     bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
     maps, roi = make_phantom(PhantomSpec(dims=dims))
-    fixed = reconstruct(maps, bvalues)
+    target = reconstruct(maps, bvalues)
     factor = 0.9 + 0.05 * np.sin(np.arange(dims[0]) / 2.0)[:, None, None]
-    moving = BValueSeries(bvalues, tuple(ScalarVolume(v.data * factor) for v in fixed.volumes))
+    moving = BValueSeries(bvalues, tuple(ScalarVolume(v.data * factor) for v in target.volumes))
     stack_bytes = len(bvalues) * int(np.prod(dims)) * 8  # one (B, nx, ny, nz) float64 array
     peaks = []
     evaluate = registration.loss_and_gradient
@@ -154,7 +154,7 @@ def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypa
     tracemalloc.start()
     try:
         cfg = InnerOptConfig(max_inner_steps=5, plateau_window=0)
-        registration.optimize_fields(fixed, moving, zero, maps, roi, 1000.0, cfg)
+        registration.optimize_fields(moving, zero, maps, roi, 1000.0, cfg)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 6
