@@ -1,16 +1,21 @@
 """Low-level numeric kernels shared by the warping and loss machinery.
 
-Each kernel has one vectorized numpy float64 implementation.  The inner
-registration loop calls them hundreds to thousands of times per case, so
-they work on raw arrays, write into buffers they own or the caller passes,
-and accumulate gradients into caller-owned buffers instead of allocating
-per-term results.  The tests check them against independent code: the
-scalar `volume.trilinear_sample`, the per-term losses in `objective`,
-`np.diff`, the textbook Adam step and finite differences.  Each kernel
-rounds exactly as the per-voxel formula in its docstring, evaluated in the
-written order, does; at most the sign of a zero gradient entry differs.
-So regrouping the array operations of a kernel, as long as every voxel
-still sees the same operations, changes no result bit.
+Each kernel has one vectorized numpy implementation, which works in the
+float dtype of its array arguments: float32 for the registration's images,
+fields, gradient and Adam state (`objective.WORK_DTYPE`), float64 for the
+warps of `volume`.  Every reduction accumulates in float64
+(`dtype=np.float64`), whatever the dtype of the values it adds.  The inner
+registration loop calls the kernels hundreds to thousands of times per
+case, so they work on raw arrays, write into buffers they own or the
+caller passes, and accumulate gradients into caller-owned buffers instead
+of allocating per-term results.  The tests check them against independent
+code: the scalar `volume.trilinear_sample`, the per-term losses in
+`objective`, `np.diff`, the textbook Adam step and finite differences.
+Each kernel rounds exactly as the per-voxel formula in its docstring,
+evaluated in the written order in its working dtype, does; at most the
+sign of a zero gradient entry differs.  So regrouping the array operations
+of a kernel, as long as every voxel still sees the same operations,
+changes no result bit.
 
 That is what lets the work use several threads without changing a bit.
 `fan_out_ranges` is the one thread primitive: it splits n items into one
@@ -63,7 +68,8 @@ C-contiguous, and `objective.loss_and_gradient` checks its buffers up
 front.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
-flat base index per voxel, offset by its image's place in a group, and a
+flat intp base index per voxel, built in integer arithmetic from the
+per-axis cell indices and offset by its image's place in a group, and a
 constant +1 stride per axis, so the 8 cell corners are 8 gathers from the
 raveled volumes.  `warp3d` computes no point gradient, because none of its
 callers differentiates the warped values: `volume.warp`, which resamples
@@ -85,7 +91,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 # Elements per block of the Adam step: the 6 block arrays (x, g, m, v and two
-# scratch rows) of 128 KiB each stay in L2 cache across the 13 passes.
+# scratch rows) of 64 KiB each in float32 (128 KiB in float64) stay in L2
+# cache across the 13 passes.
 ADAM_BLOCK = 16384
 
 # Threads `fan_out_ranges` may use in this process: the CPUs it may run on,
@@ -98,12 +105,15 @@ _pool = None
 # Array elements each range must hold before `fan_out_ranges` gives it a
 # thread.  Two threads hand the interpreter lock back and forth around every
 # numpy call, and on small arrays that costs more than the second core saves.
-# On 2 cores, `objective.loss_and_gradient` at 6 b-values took 2.3 ms on 1
-# thread and 2.7 ms on 2 at 20x20x8, 4.9 and 5.1 ms at 24x24x12, 6.4 and
-# 6.1 ms at 28x28x12 and 12.9 and 9.4 ms at 32x32x16: it breaks even at
-# about 8k voxels per b-value image, and threads from 7,282 voxels at 6
-# b-values (2 ranges of 3 images x 3 components).  `adam_update` breaks
-# even at about 180k elements (90k per range).
+# On 2 cores, `objective.loss_and_gradient` at 6 b-values took, in float64,
+# 2.3 ms on 1 thread and 2.7 ms on 2 at 20x20x8, 4.9 and 5.1 ms at 24x24x12,
+# 6.4 and 6.1 ms at 28x28x12 and 12.9 and 9.4 ms at 32x32x16: it breaks even
+# at about 8k voxels per b-value image, and threads from 7,282 voxels at 6
+# b-values (2 ranges of 3 images x 3 components).  In float32 it took 3.9
+# and 3.5 ms at 28x28x12 and 6.8 and 5.2 ms at 32x32x16 (medians of 4 runs):
+# the same break-even.  `adam_update` breaks even at about 180k elements
+# (90k per range) in float64, and in float32 gains little from a second
+# thread at any size.
 FAN_OUT_MIN_ELEMENTS = 1 << 16
 
 # Corner k of a trilinear cell sits at offsets (k & 1, (k >> 1) & 1, k >> 2)
@@ -117,14 +127,15 @@ _CORNER_BITS = np.array([[k & 1, (k >> 1) & 1, k >> 2] for k in range(8)], dtype
 # per group instead of once per image.  The smoothness passes run over the
 # whole group while one field (3 planes) fits, and one component plane at a
 # time beyond that.  On a 2-core x86 host (2 MiB L2 per core),
-# `objective.loss_and_gradient` at 6 b-values took 4.3, 2.6 and 2.4 ms per
-# call at 20x20x8 with groups of 1, 3 and 6 images (1 image also smooths
-# plane by plane there), 13.0, 11.4 and 8.3 ms at 32x32x16 with 1, 2 and 3
-# (on 2 threads, 3 images each) and 33.5, 33.5 and 34.6 ms at 64x64x16: a
-# group stops paying at about 64k voxels.  One field's smoothness took 0.23
-# ms plane by plane against 0.13 ms whole at 20x20x8, 1.0 against 1.0 ms at
-# 48x48x12, 2.0 against 3.2 ms at 64x64x16 and 5.8 against 6.9 ms at
-# 96x96x16.
+# `objective.loss_and_gradient` at 6 b-values took, in float64, 4.3, 2.6 and
+# 2.4 ms per call at 20x20x8 with groups of 1, 3 and 6 images (1 image also
+# smooths plane by plane there), 13.0, 11.4 and 8.3 ms at 32x32x16 with 1, 2
+# and 3 (on 2 threads, 3 images each) and 33.5, 33.5 and 34.6 ms at 64x64x16:
+# a group stops paying at about 64k voxels.  In float32 at 64x64x16 it took
+# 20.3 and 19.9 ms with groups of 1 and 2 (medians of 4 runs), within the
+# noise.  One field's smoothness took, in float64, 0.23 ms plane by plane
+# against 0.13 ms whole at 20x20x8, 1.0 against 1.0 ms at 48x48x12, 2.0
+# against 3.2 ms at 64x64x16 and 5.8 against 6.9 ms at 96x96x16.
 GROUP_VOXELS = 1 << 16
 
 # Full-size rows of a group's scratch: the arrays `_point_grad_parts` holds
@@ -137,15 +148,18 @@ class GroupScratch:
 
     Sized for groups of up to `images` images on a `dims` grid with
     `roi_voxels` ROI voxels each; a smaller group uses the leading part of
-    every row.  `objective` makes one per thread range and optimizer pass,
-    so no evaluation after the first allocates a full-size array.
+    every row.  The value rows are of the group's float dtype, the two
+    index rows intp, so a flat voxel index is exact on any grid.
+    `objective` makes one per thread range and optimizer pass, so no
+    evaluation after the first allocates a full-size array.
     """
 
-    def __init__(self, images, dims, roi_voxels):
+    def __init__(self, images, dims, roi_voxels, dtype):
         n = images * math.prod(dims)
-        self.rows = np.empty((_ROWS, n))
-        self.inside = np.empty((4, n), dtype=bool)
-        self.roi = np.empty((3, images * roi_voxels))
+        self.rows = np.empty((_ROWS, n), dtype)
+        self.index = np.empty((2, n), np.intp)
+        self.clamped = np.empty((4, n), dtype=bool)
+        self.roi = np.empty((3, images * roi_voxels), dtype)
         self.live = np.empty((2, images * roi_voxels), dtype=bool)
 
 
@@ -155,62 +169,76 @@ def _coords(planes, out):
     planes[a] is component a of the displacement over (..., nx, ny, nz):
     the contiguous planes of component-major fields, or a strided view
     (`np.moveaxis(disp, -1, 0)`) of a (nx, ny, nz, 3) field.  out holds 3
-    flat rows of as many elements; returns them shaped like planes[a].
+    flat rows of as many elements, of the planes' dtype, and the grid is
+    made in that dtype too, so the sum casts nothing; returns the rows
+    shaped like planes[a].
     """
     shape = planes[0].shape
     coords = []
     for a, n in enumerate(shape[-3:]):
-        grid = np.arange(n, dtype=np.float64).reshape([n if b == a else 1 for b in range(3)])
+        grid = np.arange(n, dtype=out[a].dtype).reshape([n if b == a else 1 for b in range(3)])
         coords.append(np.add(grid, planes[a], out=out[a].reshape(shape)))
     return coords
 
 
-def _cell(vols, coords, rows):
+def _cell_base(coords, shape, floor_row, index):
+    """Flat index, in one (nx, ny, nz) image, of each sample's cell base voxel.
+
+    coords are the 3 coordinate arrays of `_coords` on a grid of `shape`,
+    of any sample count; floor_row is one flat float row and index two
+    flat intp rows of that count.  Clamp-to-edge per axis: the coordinate
+    is clipped to [0, n-1] and the cell index to [0, n-2], so the upper
+    neighbour is always index + 1 (index + 0 on an axis of length 1).  The
+    coordinate arrays are overwritten with the fractions in [0, 1].  Each
+    axis's cell index is a whole float, converted to intp, and the flat
+    index ((ix * ny) + iy) * nz + iz is summed in intp, so it is exact on
+    any grid.  Returns index[0]; index[1] is free again.
+    """
+    i0 = floor_row.reshape(coords[0].shape)
+    base, part = (r.reshape(coords[0].shape) for r in index)
+    for a, n in enumerate(shape):
+        c = np.clip(coords[a], 0.0, n - 1.0, out=coords[a])
+        np.floor(c, out=i0)
+        np.fmin(i0, max(n - 2, 0), out=i0)  # fmin: a NaN coordinate still indexes
+        np.subtract(c, i0, out=c)
+        # whole numbers, so each cast is exact
+        if a:
+            base *= n
+            np.copyto(part, i0, casting="unsafe")
+            base += part
+        else:
+            np.copyto(base, i0, casting="unsafe")
+    return index[0]
+
+
+def _cell(vols, coords, rows, index):
     """Corners and fractions of the trilinear cell sampled at each voxel.
 
     vols is one (nx, ny, nz) volume or a C-contiguous (G, nx, ny, nz) group,
     each image sampled by its own coordinates; coords are the 3 arrays of
-    `_coords`.  Clamp-to-edge per axis: the coordinate is clipped to
-    [0, n-1] and the cell index to [0, n-2], so the upper neighbour is
-    always index + 1 (index + 0 on an axis of length 1).  The coordinate
-    arrays are overwritten with the fractions in [0, 1].  rows are 9 flat
-    scratch rows of vols.size.  Returns (corners, fracs): 8 flat corner
-    arrays in `_CORNER_BITS` order, which are rows[0] and rows[2:], and the
-    flat x, y and z fractions; rows[1] is free again.  Each corner is one
-    gather with the shared base index, the image's offset plus the cell's,
-    from the raveled group shifted by that corner's constant offset; 8
-    separate (n,) gathers, not one (8, n) gather, keep the scratch at one
-    row per corner.
+    `_coords`, which `_cell_base` turns into the fractions.  rows are 8 flat
+    scratch rows of vols.size and index 2 intp ones.  Returns (corners,
+    fracs): the 8 flat corner arrays in `_CORNER_BITS` order, which are the
+    rows, and the flat x, y and z fractions.  Each corner is one gather
+    with the shared base index, the image's offset plus the cell's, from
+    the raveled group shifted by that corner's constant offset; 8 separate
+    (n,) gathers, not one (8, n) gather, keep the scratch at one row per
+    corner.
     """
     shape = vols.shape[-3:]
-    strides = (shape[1] * shape[2], shape[2], 1)
-    base, spare = (r.reshape(coords[0].shape) for r in rows[:2])
-    for a, n in enumerate(shape):
-        c = np.clip(coords[a], 0.0, n - 1.0, out=coords[a])
-        i0 = spare if a else base
-        np.floor(c, out=i0)
-        np.fmin(i0, max(n - 2, 0), out=i0)  # fmin: a NaN coordinate still indexes
-        np.subtract(c, i0, out=c)
-        i0 *= strides[a]
-        if a:
-            base += i0
+    base = _cell_base(coords, shape, rows[0], index)
     n_vox = math.prod(shape)
     images = vols.size // n_vox
-    index = rows[1].view(np.intp)
-    # whole numbers below 2**53, so the float sum is exact before the cast
-    np.add(
-        base.reshape(images, n_vox),
-        np.arange(images)[:, None] * n_vox,
-        out=index.reshape(images, n_vox),
-        casting="unsafe",
-    )
+    if images > 1:
+        offsets = base.reshape(images, n_vox)
+        offsets += np.arange(images)[:, None] * n_vox
+    strides = (shape[1] * shape[2], shape[2], 1)
     steps = _CORNER_BITS @ np.array([s if n > 1 else 0 for s, n in zip(strides, shape)])
     flat = vols.reshape(-1)
-    corners = [rows[0], *rows[2:9]]
-    for s, out in zip(steps, corners):
+    for s, out in zip(steps, rows):
         # the indices are in range; mode "clip" only spares the copy "raise" makes
-        np.take(flat[s:], index, out=out, mode="clip")
-    return corners, [c.reshape(-1) for c in coords]
+        np.take(flat[s:], base, out=out, mode="clip")
+    return list(rows), [c.reshape(-1) for c in coords]
 
 
 def _lerp(lo, hi, f, g):
@@ -225,11 +253,17 @@ def warp3d(vol, disp):
     """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge.
 
     With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
-    c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.
+    c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.  vol and disp
+    are float64, as every `volume` caller passes them.  The rows are
+    separate arrays, so the result holds only its own row, and the two intp
+    index rows are views of two float64 rows that are free while `_cell`
+    needs them, so the integer index allocates nothing.
     """
     rows = [np.empty(vol.size) for _ in range(12)]
-    c, (fx, fy, fz) = _cell(vol, _coords(np.moveaxis(disp, -1, 0), rows[:3]), rows[3:])
-    gx = np.subtract(1.0, fx, out=rows[4])  # the row `_cell` freed
+    index = [rows[11].view(np.intp), rows[4].view(np.intp)]  # 1 - fx, corner 1
+    coords = _coords(np.moveaxis(disp, -1, 0), rows[:3])
+    c, (fx, fy, fz) = _cell(vol, coords, rows[3:11], index)
+    gx = np.subtract(1.0, fx, out=rows[11])
     c00, c10, c01, c11 = (_lerp(c[k], c[k + 1], fx, gx) for k in (0, 2, 4, 6))
     gy = np.subtract(1.0, fy, out=c[1])  # the upper x-corners are free now
     c0 = _lerp(c00, c10, fy, gy)
@@ -237,23 +271,23 @@ def warp3d(vol, disp):
     return _lerp(c0, c1, fz, np.subtract(1.0, fz, out=c[3])).reshape(vol.shape)
 
 
-def _point_grad_parts(vols, planes, rows, inside):
+def _point_grad_parts(vols, planes, rows, index, clamped):
     """Flat warped values and the 3 flat point-gradient components.
 
-    vols and planes as `_cell` and `_coords` take them; rows are 13 flat
-    scratch rows of vols.size and inside 4 boolean ones.  The values and
-    the parts come back in 4 of the rows; rows[1] and rows[2] are free
-    again.
+    vols and planes as `_cell` and `_coords` take them, of one float dtype;
+    rows are 13 flat scratch rows of vols.size of that dtype, index 2 intp
+    ones and clamped 4 boolean ones.  The values and the parts come back in
+    4 of the rows; rows[1] and rows[2] are free again.
     """
     coords = _coords(planes, rows[:3])
-    for c, n, ins in zip(coords, vols.shape[-3:], inside):
-        ins = np.greater_equal(c, 0.0, out=ins.reshape(c.shape))
-        ins &= np.less_equal(c, n - 1.0, out=inside[3].reshape(c.shape))
-    c, (fx, fy, fz) = _cell(vols, coords, rows[3:12])
-    gx = np.subtract(1.0, fx, out=rows[12])
+    for c, n, clamp in zip(coords, vols.shape[-3:], clamped):
+        clamp = np.less(c, 0.0, out=clamp.reshape(c.shape))
+        clamp |= np.greater(c, n - 1.0, out=clamped[3].reshape(c.shape))
+    c, (fx, fy, fz) = _cell(vols, coords, rows[3:11], index)
+    gx = np.subtract(1.0, fx, out=rows[11])
     # each x-edge: its difference into a free row, then its lerp in place,
     # which frees the edge's upper corner for the next difference
-    spare = rows[4]
+    spare = rows[12]
     d, e = [], []
     for k in (0, 2, 4, 6):
         d.append(np.subtract(c[k + 1], c[k], out=spare))
@@ -272,23 +306,25 @@ def _point_grad_parts(vols, planes, rows, inside):
     out = _lerp(c0, c1, fz, gz)
     dx = _lerp(ex0, ex1, fz, gz)
     dy = _lerp(dy0, dy1, fz, gz)
-    for part, ins in zip((dx, dy, dz), inside):
-        part *= ins
+    for part, clamp in zip((dx, dy, dz), clamped):
+        np.copyto(part, 0.0, where=clamp)
     return out, (dx, dy, dz)
 
 
 def warp3d_with_point_grad(vol, disp):
     """Warp plus the derivative of each sample w.r.t. its sample coordinate.
 
-    Returns (out, dout) with dout[..., a] = d out / d coordinate_a, zeroed
-    where the coordinate was clamped.  out is `warp3d`, bit for bit.  With
-    the edge differences d_yz = c_1yz - c_0yz:
-    dout_x = ((d_00 * gy + d_10 * fy) * gz + (d_01 * gy + d_11 * fy) * fz) * in_x,
-    dout_y = ((c_10 - c_00) * gz + (c_11 - c_01) * fz) * in_y,
-    dout_z = (c_1 - c_0) * in_z, where in_a is 1 inside [0, n_a - 1], else 0.
+    Returns (out, dout) with dout[..., a] = d out / d coordinate_a, set to
+    +0.0 where coordinate a was clamped, outside [0, n_a - 1].  out is
+    `warp3d`, bit for bit.  With the edge differences d_yz = c_1yz - c_0yz:
+    dout_x = (d_00 * gy + d_10 * fy) * gz + (d_01 * gy + d_11 * fy) * fz,
+    dout_y = (c_10 - c_00) * gz + (c_11 - c_01) * fz,
+    dout_z = c_1 - c_0.  Works in the float dtype of vol.
     """
-    scratch = GroupScratch(1, vol.shape, 0)
-    out, parts = _point_grad_parts(vol, np.moveaxis(disp, -1, 0), scratch.rows, scratch.inside)
+    scratch = GroupScratch(1, vol.shape, 0, vol.dtype)
+    out, parts = _point_grad_parts(
+        vol, np.moveaxis(disp, -1, 0), scratch.rows, scratch.index, scratch.clamped
+    )
     return out.reshape(vol.shape).copy(), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
 
@@ -315,17 +351,19 @@ def match_terms(vols, disp, target, pred_log, roi, floor_eps, sim_c, mf_c, grad_
     `warp3d_with_point_grad`.  Only the sign of a zero gradient entry can
     differ from that formula.  The model-fit steps run on the roi voxels
     alone, and their squares are summed in a zeroed full-size row per
-    image, in the order of a sum over the whole image.  A voxel's bits do
-    not depend on the size of its group.
+    image, in the order of a sum over the whole image.  Both sums
+    accumulate in float64.  A voxel's bits do not depend on the size of
+    its group.
     """
     images = vols.shape[0]
-    rows = scratch.rows[:, : vols.size]
-    inside = scratch.inside[:, : vols.size]
-    w, parts = _point_grad_parts(vols, np.moveaxis(disp, 1, 0), rows, inside)
+    rows, index, clamped = (
+        a[:, : vols.size] for a in (scratch.rows, scratch.index, scratch.clamped)
+    )
+    w, parts = _point_grad_parts(vols, np.moveaxis(disp, 1, 0), rows, index, clamped)
     r = np.subtract(w, target.reshape(-1), out=rows[1])
     coeff = np.sign(r, out=rows[2])
     coeff *= sim_c
-    sim_sums = np.abs(r, out=r).reshape(images, -1).sum(axis=1)
+    sim_sums = np.abs(r, out=r).reshape(images, -1).sum(axis=1, dtype=np.float64)
 
     wfl, res, sq_roi = scratch.roi[:, : roi.size]
     live, dead = scratch.live[:, : roi.size]
@@ -337,7 +375,7 @@ def match_terms(vols, disp, target, pred_log, roi, floor_eps, sim_c, mf_c, grad_
     sq = r
     sq.fill(0.0)
     np.put(sq, roi, np.multiply(res, res, out=sq_roi), mode="clip")
-    mf_sums = sq.reshape(images, -1).sum(axis=1)
+    mf_sums = sq.reshape(images, -1).sum(axis=1, dtype=np.float64)
     res *= mf_c * 2.0
     res /= wfl
     coeff_roi = np.take(coeff, roi, out=sq_roi, mode="clip")
@@ -391,10 +429,10 @@ def smooth_loss_grad(u, grad_out, weight, scratch):
     fields and scratch a `GroupScratch` that fits them.  Accumulates
     weight * d(loss)/d(u) into grad_out and returns the G raw losses, a
     list: the squares of `field_diff` of every component along x, y and z.
-    Each loss adds its field's per-(component, axis) row sums in
-    component-major order (u_0 along x, y, z, then u_1, then u_2), and each
-    component of grad_out receives (weight * 2) * adjoint(diff) along x,
-    then y, then z.  The passes run over the whole group while one field
+    Each loss adds its field's per-(component, axis) row sums, accumulated
+    in float64, in component-major order (u_0 along x, y, z, then u_1, then
+    u_2), and each component of grad_out receives (weight * 2) *
+    adjoint(diff) along x, then y, then z.  The passes run over the whole group while one field
     fits GROUP_VOXELS, and one component plane at a time beyond that, so
     the scratch stays cache-sized; every row sum and gradient entry keeps
     its bits either way.
@@ -414,7 +452,7 @@ def smooth_loss_grad(u, grad_out, weight, scratch):
         for a in range(3):
             field_diff(block, a + 1, d)
             np.multiply(d, d, out=work)
-            work.reshape(step, -1).sum(axis=1, out=sums[lo : lo + step, a])
+            work.reshape(step, -1).sum(axis=1, dtype=np.float64, out=sums[lo : lo + step, a])
             field_diff_adjoint(d, a + 1, work)
             work *= k
             grad_block += work
@@ -492,7 +530,7 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """
 
     def run(lo, hi):
-        scratch = np.empty((2, min(hi - lo, ADAM_BLOCK)))
+        scratch = np.empty((2, min(hi - lo, ADAM_BLOCK)), x.dtype)
         for i, j in near_equal_ranges(lo, hi, -(-(hi - lo) // ADAM_BLOCK)):
             xb, gb, mb, vb = x[i:j], g[i:j], m[i:j], v[i:j]
             s, t = scratch[:, : j - i]

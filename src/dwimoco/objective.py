@@ -29,6 +29,9 @@ per call on one thread at any group size and thread budget.  What every
 evaluation of a pass shares, the target and the stacked images, the ROI
 indices, the predicted logs and the kernels' scratch, lives in a
 `Workspace` that the optimizer makes once per pass.
+
+The fused route works in WORK_DTYPE, float32, and sums in float64; the
+per-term functions, the fields and every output stay float64.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ _smooth_loss_grad = _kernels.smooth_loss_grad
 
 
 ALPHA1 = 0.01  # weight of the smoothness term
+
+# The float dtype of the fused route's state: the stacked images and target,
+# the predicted logs, the kernels' scratch, the fields, the gradient and the
+# Adam moments.  The case files hold float32, so float32 images carry every
+# bit the input has; each kernel reduction accumulates in float64, so the
+# loss is a float64 sum.  float32 halves the bytes every full-volume pass
+# moves.  The tests set float64 here to pin the fused route to the per-term
+# float64 functions.
+WORK_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -142,33 +154,39 @@ def total_loss(
 
 
 def stack_fields(fields) -> np.ndarray:
-    """The fields as one C-contiguous component-major (B, 3, nx, ny, nz) array.
+    """The fields as one C-contiguous component-major (B, 3, nx, ny, nz)
+    WORK_DTYPE array.
 
-    This is the layout of the iterate in `loss_and_gradient`: each
-    component of each field is one contiguous plane.
+    This is the layout and dtype of the iterate in `loss_and_gradient`:
+    each component of each field is one contiguous plane.  A float32 value
+    is exact in float64, so `unstack_fields` and this round-trip a
+    float32 iterate bit for bit.
     """
-    out = np.empty((len(fields), 3) + fields[0].dims)
+    out = np.empty((len(fields), 3) + fields[0].dims, WORK_DTYPE)
     for i, f in enumerate(fields):
         out[i] = np.moveaxis(f.data, -1, 0)
     return out
 
 
 def unstack_fields(arr: np.ndarray) -> list:
-    """The DisplacementFields, (nx, ny, nz, 3) each, of a `stack_fields` array."""
-    return [DisplacementField(np.moveaxis(a, 0, -1)) for a in arr]
+    """The float64 DisplacementFields, (nx, ny, nz, 3) each, of a
+    `stack_fields` array; each field is converted and made voxel-major in
+    one copy."""
+    return [DisplacementField(np.moveaxis(a, 0, -1).astype(np.float64, order="C")) for a in arr]
 
 
 class Workspace:
     """What every evaluation of one moving/maps/roi problem shares.
 
     Made once per optimizer pass: the target, the maps' reconstruction as
-    one (B, nx, ny, nz) stack with the bits of `signal_model.reconstruct`,
-    the moving images stacked the same way when a group holds several, the
+    one (B, nx, ny, nz) stack with the bits of `signal_model.reconstruct`
+    rounded to WORK_DTYPE, the moving images stacked the same way, the
     ROI's flat indices for a group of images, each image's predicted log
-    signal on the ROI, the term scales, and the `_kernels.GroupScratch` of
-    each thread range, which the first evaluation that runs the range
-    makes.  Raises DimensionMismatchError for a series, maps or roi on
-    different grids, and EmptyRoiError for an empty ROI.
+    signal on the ROI, in WORK_DTYPE too, the term scales, and the
+    `_kernels.GroupScratch` of each thread range, which the first
+    evaluation that runs the range makes.  Raises DimensionMismatchError
+    for a series, maps or roi on different grids, and EmptyRoiError for an
+    empty ROI.
     """
 
     def __init__(self, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask):
@@ -183,30 +201,27 @@ class Workspace:
         self.shape = (moving.b_count, 3) + moving.dims
         self.group = max(1, _kernels.GROUP_VOXELS // n_vox)  # images per kernel call
         s0 = np.exp(maps.log_s0.data)
-        self.target = np.empty((moving.b_count,) + moving.dims)
-        for image, b in zip(self.target, moving.bvalues):
-            image[...] = forward_signal(s0, maps.adc.data, b)
-        # a stack is a copy, so one image per group is read in place instead
-        self._moving = moving.stack() if self.group > 1 else moving.volumes
+        self.target = np.empty((moving.b_count,) + moving.dims, WORK_DTYPE)
+        self.moving = np.empty_like(self.target)
+        for target, image, vol, b in zip(self.target, self.moving, moving.volumes, moving.bvalues):
+            target[...] = forward_signal(s0, maps.adc.data, b)
+            image[...] = vol.data
         roi_idx = np.flatnonzero(roi.data)
         # row g: the ROI of image g of a group, in the raveled group
         self.roi = roi_idx + n_vox * np.arange(min(self.group, moving.b_count))[:, None]
         log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
         adc = maps.adc.data.reshape(-1)[roi_idx]
-        self.pred_log = np.stack([log_s0 - b * adc for b in moving.bvalues])
+        self.pred_log = np.stack([log_s0 - b * adc for b in moving.bvalues]).astype(WORK_DTYPE)
         self._scratch = {}
-
-    def images(self, i, j):
-        """The moving and target images i..j-1, two (j - i, nx, ny, nz) arrays."""
-        moving = self._moving[i:j] if self.group > 1 else self._moving[i].data[None]
-        return moving, self.target[i:j]
 
     def scratch(self, lo, hi):
         """The GroupScratch of the thread range of images lo..hi-1."""
         scratch = self._scratch.get((lo, hi))
         if scratch is None:
             images = min(self.group, hi - lo)
-            scratch = _kernels.GroupScratch(images, self.shape[2:], self.roi.shape[1])
+            scratch = _kernels.GroupScratch(
+                images, self.shape[2:], self.roi.shape[1], self.target.dtype
+            )
             self._scratch[lo, hi] = scratch
         return scratch
 
@@ -230,11 +245,10 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
             j = min(i + ws.group, hi)
             g = grad[i:j]
             g.fill(0.0)
-            moving, target = ws.images(i, j)
             sim, mf = _match_terms(
-                moving,
+                ws.moving[i:j],
                 fields_arr[i:j],
-                target,
+                ws.target[i:j],
                 ws.pred_log[i:j].reshape(-1),
                 ws.roi[: j - i].reshape(-1),
                 FLOOR_EPS,
@@ -264,11 +278,14 @@ def loss_and_gradient(
 
     ws holds the moving series, the maps' target and the ROI (`Workspace`).
     fields_arr and grad are component-major (B, 3, nx, ny, nz) C-contiguous
-    float64 arrays (`stack_fields`); anything else raises
-    DimensionMismatchError for a wrong shape and ValueError for a wrong
-    dtype or memory order, since the kernels step through memory at the
-    axis strides.  Overwrites grad with d(total)/d(u), so the caller can
-    reuse one buffer across evaluations, and returns the LossBreakdown.
+    arrays of the workspace's dtype, WORK_DTYPE when it was made
+    (`stack_fields`); anything else raises DimensionMismatchError for a
+    wrong shape and ValueError for a wrong dtype or memory order, since the
+    kernels step through memory at the axis strides and a mixed dtype
+    would cast every pass.  The raw sums accumulate in float64 and the
+    returned terms are Python floats.  Overwrites grad with d(total)/d(u),
+    so the caller can reuse one buffer across evaluations, and returns the
+    LossBreakdown.
     Every term is evaluated for every alpha2; with alpha2 = 0 the model-fit
     term is reported unweighted and adds nothing to the total or the
     gradient.  The L1 subgradient is 0 at exact ties and the trilinear
@@ -277,14 +294,16 @@ def loss_and_gradient(
 
     At an exact model fit (moving == reconstruct(maps), zero fields)
     the similarity and smoothness gradients are exactly 0.  The model-fit
-    gradient is 0 only up to float64 rounding of log(exp(.)) in the residual
-    (see `model_fit_loss`), scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
+    gradient is 0 only up to the rounding of log(exp(.)) in the residual
+    (see `model_fit_loss`) and of the predicted log to the working dtype,
+    scaled by alpha2 * 2 / (B * n_roi) * |dw/du| / w.
     """
+    dtype = ws.target.dtype
     for name, arr in (("fields_arr", fields_arr), ("grad", grad)):
         if arr.shape != ws.shape:
             raise DimensionMismatchError(f"{name} shape {arr.shape} != {ws.shape}")
-        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous float64 array")
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous {dtype} array, got {arr.dtype}")
     n_sim, n_mf, n_vox = ws.scales
     sim_sum, mf_sum, smooth_sum = _term_sums(
         ws, fields_arr, 1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad

@@ -62,15 +62,18 @@ class AdamResult:
 def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
     """Minimize a scalar function of a flat parameter vector with Adam.
 
-    x is the flat float64 starting point; Adam steps it in place, so it
-    ends at the last visited state and no second copy of the start is
-    kept.  value_and_grad(x) must return (loss, grad, aux); aux is recorded
-    in the trace, and grad may be the same buffer on every call.  Every
-    step uses the learning rate LEARNING_RATE, also after a step whose loss
-    rose.  Returns the lowest-loss visited state.
+    x is the flat float32 or float64 starting point; Adam steps it in
+    place, so it ends at the last visited state and no second copy of the
+    start is kept.  The moments and the best state take x's dtype, and
+    grad must have it too.  value_and_grad(x) must return (loss, grad,
+    aux); aux is recorded in the trace, and grad may be the same buffer on
+    every call.  Every step uses the learning rate LEARNING_RATE, also
+    after a step whose loss rose.  Returns the lowest-loss visited state.
     """
-    if x.dtype != np.float64 or x.ndim != 1:
-        raise ValueError(f"x must be a flat float64 array, got {x.dtype} of shape {x.shape}")
+    if x.dtype not in (np.float32, np.float64) or x.ndim != 1:
+        raise ValueError(
+            f"x must be a flat float32 or float64 array, got {x.dtype} of shape {x.shape}"
+        )
     loss, grad, aux = value_and_grad(x)
     trace = [aux]
     if not np.isfinite(loss) or not np.isfinite(grad).all():
@@ -122,12 +125,13 @@ def optimize_fields(
     iterate is one C-contiguous component-major (B, 3, nx, ny, nz) stack of
     init_fields (`objective.stack_fields`), made once here; Adam steps it in
     place, and only the best state is turned back into (nx, ny, nz, 3)
-    fields at the end.  Every evaluation writes its gradient into one buffer
-    of the same layout, made here too, so the loop holds five arrays the
-    size of all fields: the iterate, the best state, the two moments and the
-    gradient.  The evaluations share one `objective.Workspace`, made here
-    and dropped on return, which holds the target built from the maps, the
-    stacked images and the kernels' scratch.
+    float64 fields at the end.  Every evaluation writes its gradient into
+    one buffer of the same layout, made here too, so the loop holds five
+    objective.WORK_DTYPE arrays the size of all fields: the iterate, the
+    best state, the two moments and the gradient.  The evaluations share
+    one `objective.Workspace`, made here and dropped on return, which holds
+    the target built from the maps, the stacked images and the kernels'
+    scratch.
 
     Raises DivergedError (with the partial trace attached) if the loss or
     gradient goes non-finite.

@@ -38,6 +38,16 @@ DIMS = (10, 9, 7)
 BVALUES = (0.0, 100.0, 300.0, 600.0)
 # the full method and the registration-only one, which is alpha2 = 0 on the same path
 ALPHA2_SETTINGS = (1000.0, 0.0)
+# the fused route's working dtypes: objective.WORK_DTYPE, and float64, in
+# which the tests pin it to the float64 per-term functions
+DTYPES = (np.float32, np.float64)
+
+
+@pytest.fixture
+def float64_route(monkeypatch):
+    """The fused route in float64, so it meets the float64 per-term oracles
+    at their tolerances."""
+    monkeypatch.setattr(objective, "WORK_DTYPE", np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +144,11 @@ class TestSmoothnessLoss:
         noise[..., 0] = 0.5 * rng.choice([-1.0, 1.0], dims)
         fields = [DisplacementField(u) for u in (checker, noise)]
         assert smoothness_loss(fields[0]) >= smoothness_loss(fields[1])
-        raw = [
-            _kernels.smooth_loss_grad(
-                stack_fields([f]), np.zeros((1, 3) + dims), 1.0, _kernels.GroupScratch(1, dims, 0)
-            )[0]
-            for f in fields
-        ]
+        raw = []
+        for f in fields:
+            u = stack_fields([f])
+            scratch = _kernels.GroupScratch(1, dims, 0, u.dtype)
+            raw.append(_kernels.smooth_loss_grad(u, np.zeros_like(u), 1.0, scratch)[0])
         assert raw[0] >= raw[1]
 
 
@@ -208,6 +217,7 @@ class TestTotalLoss:
         bd = LossBreakdown.weighted(0.2, 3.0, 1e-4, 1000.0)
         assert bd.total == pytest.approx(0.33, rel=1e-12)
 
+    @pytest.mark.usefixtures("float64_route")
     def test_fused_path_matches_reference(self, setup):
         maps, roi, _, moving, fields, _ = setup
         for alpha2 in ALPHA2_SETTINGS:
@@ -237,37 +247,49 @@ def _fd_term(term, moving, maps, roi, u, i, c, idx, h=1e-3):
 
 
 class TestFieldStack:
-    def test_stack_is_component_major_and_round_trips(self, setup):
+    def test_stack_is_component_major_and_round_trips(self, monkeypatch, setup):
         *_, fields, u = setup
-        stacked = stack_fields(fields)
-        assert stacked.flags.c_contiguous and stacked.dtype == np.float64
-        np.testing.assert_array_equal(stacked, np.moveaxis(u, -1, 1))
-        for back, f in zip(unstack_fields(stacked), fields):
-            np.testing.assert_array_equal(back.data, f.data)
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            stacked = stack_fields(fields)
+            assert stacked.flags.c_contiguous and stacked.dtype == dtype
+            np.testing.assert_array_equal(stacked, np.moveaxis(u, -1, 1).astype(dtype))
+            back = unstack_fields(stacked)
+            assert all(f.data.dtype == np.float64 for f in back)
+            # the next pass stacks the returned fields: the same iterate bits
+            assert stack_fields(back).tobytes() == stacked.tobytes()
+            if dtype == np.float64:
+                for b, f in zip(back, fields):
+                    np.testing.assert_array_equal(b.data, f.data)
 
-    def test_loss_and_gradient_needs_c_contiguous_float64(self, setup):
+    def test_loss_and_gradient_needs_c_contiguous_working_dtype(self, monkeypatch, setup):
         # flat-stride differences read memory order, so a strided stack would
-        # give wrong smoothness gradients instead of an error
+        # give wrong smoothness gradients instead of an error; a mixed dtype
+        # would cast on every pass
         maps, roi, _, moving, fields, _ = setup
-        good = stack_fields(fields)
-        strided = np.stack([np.moveaxis(f.data, -1, 0) for f in fields])
-        assert strided.shape == good.shape and not strided.flags.c_contiguous
-        bad = [
-            ("fields_arr", strided, np.empty_like(good)),
-            ("grad", good, np.empty_like(good, order="F")),
-            ("fields_arr", good.astype(np.float32), np.empty_like(good)),
-            ("grad", good, np.empty(good.shape, np.float32)),
-        ]
-        ws = Workspace(moving, maps, roi)
-        for name, fields_arr, grad in bad:
-            with pytest.raises(ValueError, match=f"{name} must be a C-contiguous float64"):
-                loss_and_gradient(ws, fields_arr, 1000.0, grad)
-        loss_and_gradient(ws, good, 1000.0, np.empty_like(good))
+        for dtype, other in zip(DTYPES, DTYPES[::-1]):
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            good = stack_fields(fields)
+            strided = np.stack([np.moveaxis(f.data, -1, 0) for f in fields]).astype(dtype)
+            assert strided.shape == good.shape and not strided.flags.c_contiguous
+            bad = [
+                ("fields_arr", strided, np.empty_like(good)),
+                ("grad", good, np.empty_like(good, order="F")),
+                ("fields_arr", good.astype(other), np.empty_like(good)),
+                ("grad", good, np.empty(good.shape, other)),
+            ]
+            ws = Workspace(moving, maps, roi)
+            for name, fields_arr, grad in bad:
+                match = f"{name} must be a C-contiguous {np.dtype(dtype)}"
+                with pytest.raises(ValueError, match=match):
+                    loss_and_gradient(ws, fields_arr, 1000.0, grad)
+            loss_and_gradient(ws, good, 1000.0, np.empty_like(good))
 
     @pytest.mark.parametrize("one_image_groups", [False, True], ids=["one_stack", "per_image"])
     def test_workspace_target_has_the_bits_of_reconstruct(self, monkeypatch, one_image_groups):
         # 20x20x8 at B = 6 fits one group; with GROUP_VOXELS at one image
-        # every group is one image
+        # every group is one image.  The stacks hold the float64 values
+        # rounded to the working dtype.
         dims = (20, 20, 8)
         bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
         rng = np.random.default_rng(3)
@@ -275,16 +297,15 @@ class TestFieldStack:
             ScalarVolume(rng.normal(0.0, 0.5, dims)), ScalarVolume(rng.uniform(0.0, 3e-3, dims))
         )
         moving = BValueSeries(bvalues, tuple(ScalarVolume(rng.random(dims)) for _ in bvalues))
+        roi = RoiMask(rng.random(dims) < 0.3)
         if one_image_groups:
             monkeypatch.setattr(_kernels, "GROUP_VOXELS", int(np.prod(dims)))
-        ws = Workspace(moving, maps, RoiMask(rng.random(dims) < 0.3))
-        assert (ws.group == 1) if one_image_groups else (ws.group >= len(bvalues))
-        want = reconstruct(maps, bvalues).stack()
-        for i in range(0, len(bvalues), ws.group):
-            j = min(i + ws.group, len(bvalues))
-            moving_images, target = ws.images(i, j)
-            assert target.tobytes() == want[i:j].tobytes()
-            assert moving_images.tobytes() == moving.stack()[i:j].tobytes()
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            ws = Workspace(moving, maps, roi)
+            assert (ws.group == 1) if one_image_groups else (ws.group >= len(bvalues))
+            assert ws.target.tobytes() == reconstruct(maps, bvalues).stack().astype(dtype).tobytes()
+            assert ws.moving.tobytes() == moving.stack().astype(dtype).tobytes()
 
     def test_workspace_rejects_maps_or_roi_on_another_grid(self, setup):
         # the kernels gather the ROI with clamped indices, so a mask of
@@ -300,6 +321,7 @@ class TestFieldStack:
 
 
 class TestGradients:
+    @pytest.mark.usefixtures("float64_route")
     def test_zero_gradient_at_global_minimum(self, setup):
         maps, roi, fixed, _, _, _ = setup
         zero = np.zeros((len(BVALUES),) + DIMS + (3,))
@@ -327,6 +349,7 @@ class TestGradients:
         assert bound.max() <= 1e-14
         assert np.all(np.abs(grad) <= bound), np.abs(grad).max()
 
+    @pytest.mark.usefixtures("float64_route")
     @pytest.mark.parametrize("term", ["similarity", "smooth", "model_fit"])
     def test_terms_match_finite_differences(self, setup, rng, term):
         maps, roi, _, moving, fields, u = setup
@@ -349,6 +372,7 @@ class TestGradients:
             checked += 1
         assert worst < 1e-4, f"{term}: worst rel err {worst}"
 
+    @pytest.mark.usefixtures("float64_route")
     def test_total_gradient_is_weighted_sum_of_terms(self, setup):
         maps, roi, _, moving, fields, _ = setup
         terms = per_term_gradients(moving, fields, maps, roi)
@@ -361,6 +385,45 @@ class TestGradients:
                 terms["similarity"] + ALPHA1 * terms["smooth"] + alpha2 * terms["model_fit"]
             )
             np.testing.assert_allclose(grad, combo, rtol=1e-9, atol=1e-15)
+
+    def test_float32_route_matches_float64_route(self, monkeypatch):
+        # 20x20x8 at B = 6, cohort_sim's grid, with generic fields: no sample
+        # sits within float32 rounding of a grid line or an L1 tie, where a
+        # derivative jumps.  float32 rounds each value to 2**-24 (6e-8) of
+        # itself and every sum accumulates in float64, so the terms are held
+        # to 1e-6 (16 float32 ulps) and each gradient entry to 1e-5 of the
+        # largest.
+        dims = (20, 20, 8)
+        bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
+        rng = np.random.default_rng(5)
+        maps, roi = make_phantom(PhantomSpec(dims=dims))
+        factor = 0.9 + 0.05 * np.sin(np.arange(dims[0]) / 2.0)[:, None, None]
+        moving = BValueSeries(
+            bvalues,
+            tuple(
+                ScalarVolume(v.data * factor * rng.uniform(0.97, 1.03, dims))
+                for v in reconstruct(maps, bvalues).volumes
+            ),
+        )
+        grid = np.stack(np.indices(dims), axis=-1) / np.array(dims)
+        fields = [
+            DisplacementField(
+                1.5 * np.sin(2 * np.pi * (grid + 0.1 * i)) + rng.uniform(-0.3, 0.3, dims + (3,))
+            )
+            for i in range(len(bvalues))
+        ]
+        for alpha2 in ALPHA2_SETTINGS:
+            out = {}
+            for dtype in DTYPES:
+                monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+                u = stack_fields(fields)
+                grad = np.empty_like(u)
+                bd = loss_and_gradient(Workspace(moving, maps, roi), u, alpha2, grad)
+                out[dtype] = bd, grad.astype(np.float64)
+            (bd32, g32), (bd64, g64) = out[np.float32], out[np.float64]
+            for term in ("similarity", "smooth", "model_fit", "total"):
+                assert getattr(bd32, term) == pytest.approx(getattr(bd64, term), rel=1e-6)
+            np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
 
     def test_smooth_gradient_vanishes_for_affine_interior(self):
         # discrete Laplacian of a linear field is zero away from borders
@@ -448,6 +511,35 @@ class TestKernelOracles:
                     want = trilinear_sample(sv, np.add(p, disp[p]))
                     assert out[p] == pytest.approx(want, rel=1e-13, abs=1e-15)
 
+    def test_cell_base_index_is_exact_above_2_24_voxels(self):
+        # 4100 x 4100 x 3 holds 50.4 M voxels, and float32 whole numbers are
+        # exact only up to 2**24 (16.8 M): the flat index is built in intp.
+        # A handful of samples on the grid, so no full-size array is made.
+        shape = (4100, 4100, 3)
+        points = np.array(
+            [
+                [4098.25, 4096.5, 1.75],  # interior, odd flat index
+                [4097.0, 4095.0, 0.5],
+                [4099.0, 4098.75, 2.0],  # on the far faces: cell n - 2, fraction 1
+                [4105.0, -3.0, 7.0],  # clamped on every axis
+                [1.5, 2.25, 0.0],
+            ]
+        )
+        cells = np.array(
+            [[4098, 4096, 1], [4097, 4095, 0], [4098, 4098, 1], [4098, 0, 1], [1, 2, 0]]
+        )
+        fracs = np.array(
+            [[0.25, 0.5, 0.75], [0.0, 0.0, 0.5], [1.0, 0.75, 1.0], [1.0, 0.0, 1.0], [0.5, 0.25, 0]]
+        )
+        want = np.ravel_multi_index(tuple(cells.T), shape)
+        assert any(int(np.float32(i)) != i for i in want)  # a float32 index would be off
+        for dtype in DTYPES:
+            coords = [np.array(col, dtype=dtype) for col in points.T]
+            index = np.full((2, len(points)), -1, dtype=np.intp)
+            got = _kernels._cell_base(coords, shape, np.empty(len(points), dtype), index)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.stack(coords, axis=-1), fracs)
+
     def test_plain_warp_equals_point_grad_warp(self, rng):
         for shape in [(6, 5, 7), (4, 3, 1), (2, 2, 2), (1, 1, 1)]:
             vol = rng.random(shape)
@@ -475,6 +567,7 @@ class TestKernelOracles:
                 ) / (2 * h)
                 assert dout[p + (a,)] == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.usefixtures("float64_route")
     def test_match_terms_sums_match_term_losses(self, setup):
         maps, roi, fixed, moving, fields, _ = setup
         uc = stack_fields(fields)
@@ -488,7 +581,7 @@ class TestKernelOracles:
             s, m = _kernels.match_terms(
                 moving.volumes[i].data[None], uc[i : i + 1], fixed.volumes[i].data[None], pred,
                 roi_idx, 1e-6, 0.3, 0.7, np.zeros((1, 3) + DIMS),
-                _kernels.GroupScratch(1, DIMS, roi.count),
+                _kernels.GroupScratch(1, DIMS, roi.count, np.float64),
             )
             sim_total += s[0]
             mf_total += m[0]
@@ -556,7 +649,8 @@ class TestKernelOracles:
                 grad = np.full((1, 3) + dims, -0.0)
                 got = _kernels.match_terms(
                     vol[None], disp_c[None], fixed[None], pred.reshape(-1)[idx], idx,
-                    FLOOR_EPS, sim_c, mf_c, grad, _kernels.GroupScratch(1, dims, idx.size),
+                    FLOOR_EPS, sim_c, mf_c, grad,
+                    _kernels.GroupScratch(1, dims, idx.size, np.float64),
                 )
                 assert (got[0][0], got[1][0]) == want, (name, sim_c, mf_c)
                 got_grad = np.moveaxis(grad[0], 0, -1)
@@ -572,7 +666,8 @@ class TestKernelOracles:
         u = rng.normal(0, 1, (1, 3) + dims)  # one component-major field
         grad = np.zeros_like(u)
         weight = 0.37
-        (loss,) = _kernels.smooth_loss_grad(u, grad, weight, _kernels.GroupScratch(1, dims, 0))
+        scratch = _kernels.GroupScratch(1, dims, 0, u.dtype)
+        (loss,) = _kernels.smooth_loss_grad(u, grad, weight, scratch)
         u, grad = u[0], grad[0]
         n_vox = np.prod(dims)
 
@@ -591,6 +686,38 @@ class TestKernelOracles:
                 n_vox * smoothness_loss(field(up)) - n_vox * smoothness_loss(field(dn))
             ) / (2 * h)
             assert grad[idx] == pytest.approx(weight * fd, rel=1e-7, abs=1e-9)
+
+    def test_float32_kernel_sums_accumulate_in_float64(self, rng):
+        # 3 images of 20x20x8: each sum adds 3,200 to 9,600 float32 values,
+        # so a float32 accumulator would be off by about 1e-7 of the sum
+        dims, images = (20, 20, 8), 3
+        f32 = np.float32
+        vols = rng.uniform(0.1, 1.0, (images,) + dims).astype(f32)
+        target = rng.uniform(0.1, 1.0, (images,) + dims).astype(f32)
+        u = rng.uniform(-1.5, 1.5, (images, 3) + dims).astype(f32)
+        roi = np.flatnonzero(rng.random((images,) + dims) < 0.3)
+        pred = rng.normal(-0.5, 0.3, roi.size).astype(f32)
+        scratch = _kernels.GroupScratch(images, dims, roi.size, f32)
+        grad = np.zeros_like(u)
+        sim, mf = _kernels.match_terms(
+            vols, u, target, pred, roi, FLOOR_EPS, 0.3, 0.7, grad, scratch
+        )
+        smooth = _kernels.smooth_loss_grad(u, grad, 1.0, scratch)
+        assert grad.dtype == f32 and sim.dtype == mf.dtype == np.float64
+        for g in range(images):
+            w, _ = _kernels.warp3d_with_point_grad(vols[g], np.moveaxis(u[g], 0, -1))
+            assert w.dtype == f32
+            want_sim = np.abs(w - target[g]).astype(np.float64).sum()
+            mask = roi[(roi >= g * w.size) & (roi < (g + 1) * w.size)] - g * w.size
+            res = np.log(np.maximum(w.reshape(-1)[mask], f32(FLOOR_EPS)))
+            res -= pred[np.isin(roi, mask + g * w.size)]
+            want_mf = np.square(res).astype(np.float64).sum()
+            want_smooth = sum(
+                np.square(np.diff(u[g], axis=a)).astype(np.float64).sum() for a in (1, 2, 3)
+            )
+            assert sim[g] == pytest.approx(want_sim, rel=1e-12)
+            assert mf[g] == pytest.approx(want_mf, rel=1e-12)
+            assert smooth[g] == pytest.approx(want_smooth, rel=1e-12)
 
     def test_adam_update_matches_textbook_adam(self, rng):
         # more than two blocks, the last one partial
@@ -624,7 +751,8 @@ class TestImageGroups:
     4 + 2, 3 + 3 and 1 x 6 at budget 1; one image per group also runs the
     smoothness one component plane at a time.  The size floor of
     `fan_out_ranges` is lowered so budgets 2 and 3 split the images between
-    threads, whose ranges are then cut into groups.
+    threads, whose ranges are then cut into groups.  Each test runs in
+    both working dtypes.
     """
 
     DIMS = (7, 6, 5)
@@ -671,37 +799,45 @@ class TestImageGroups:
         return run
 
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
-    def test_loss_and_gradient_bits_match_one_image_groups(self, problem, grouped, alpha2):
-        moving, maps, roi, u = problem
+    def test_loss_and_gradient_bits_match_one_image_groups(
+        self, monkeypatch, problem, grouped, alpha2
+    ):
+        moving, maps, roi, u64 = problem
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            u = u64.astype(dtype)
 
-        def evaluate():
-            grad = np.full_like(u, np.nan)  # an entry left unwritten stays NaN
-            bd = loss_and_gradient(Workspace(moving, maps, roi), u, alpha2, grad)
-            return bd, grad
+            def evaluate():
+                grad = np.full_like(u, np.nan)  # an entry left unwritten stays NaN
+                bd = loss_and_gradient(Workspace(moving, maps, roi), u, alpha2, grad)
+                return bd, grad
 
-        (want_bd, want_grad), _ = grouped(1, 1, evaluate)
-        assert np.isfinite(want_grad).all()
-        for images, split in self.SPLITS.items():
-            for budget in (1, 2, 3):
-                (bd, grad), sizes = grouped(images, budget, evaluate)
-                if budget == 1:
-                    assert sizes == split
-                assert bd == want_bd, (images, budget)
-                np.testing.assert_array_equal(grad, want_grad)
-                np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
+            (want_bd, want_grad), _ = grouped(1, 1, evaluate)
+            assert np.isfinite(want_grad).all()
+            for images, split in self.SPLITS.items():
+                for budget in (1, 2, 3):
+                    (bd, grad), sizes = grouped(images, budget, evaluate)
+                    if budget == 1:
+                        assert sizes == split
+                    assert bd == want_bd, (dtype, images, budget)
+                    np.testing.assert_array_equal(grad, want_grad)
+                    np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
 
-    def test_per_term_gradients_bits_match_one_image_groups(self, problem, grouped):
+    def test_per_term_gradients_bits_match_one_image_groups(self, monkeypatch, problem, grouped):
         moving, maps, roi, u = problem
         args = (per_term_gradients, moving, unstack_fields(u), maps, roi)
-        want, _ = grouped(1, 1, *args)
-        for images, split in self.SPLITS.items():
-            for budget in (1, 2, 3):
-                got, sizes = grouped(images, budget, *args)
-                if budget == 1:
-                    assert sizes == split * 3  # one pass per term
-                for term, grad in want.items():
-                    np.testing.assert_array_equal(got[term], grad)
-                    np.testing.assert_array_equal(np.signbit(got[term]), np.signbit(grad))
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            want, _ = grouped(1, 1, *args)
+            for images, split in self.SPLITS.items():
+                for budget in (1, 2, 3):
+                    got, sizes = grouped(images, budget, *args)
+                    if budget == 1:
+                        assert sizes == split * 3  # one pass per term
+                    for term, grad in want.items():
+                        assert grad.dtype == dtype
+                        np.testing.assert_array_equal(got[term], grad)
+                        np.testing.assert_array_equal(np.signbit(got[term]), np.signbit(grad))
 
 
 def _ranges_in_forked_worker():
@@ -714,7 +850,8 @@ class TestThreadBudget:
     """Budget 1 is the serial loop and the oracle: every budget gives its bits.
 
     The test arrays are small, so the size floor of `fan_out_ranges` is
-    lowered to let them take the threaded path.
+    lowered to let them take the threaded path.  The bit tests run in both
+    working dtypes.
     """
 
     @pytest.fixture
@@ -791,44 +928,52 @@ class TestThreadBudget:
         assert pools[0] is pools[1] is pools[2]
 
     @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
-    def test_loss_and_gradient_bits_match_serial(self, setup, at_budget, alpha2):
+    def test_loss_and_gradient_bits_match_serial(self, monkeypatch, setup, at_budget, alpha2):
         # 4 b-values: 2 images per thread, 1-1-2 at budget 3, 1 each at 4
         maps, roi, _, moving, fields, _ = setup
-        u = stack_fields(fields)
-        out = {}
-        for budget in (1, 2, 3, 4):
-            grad = np.full_like(u, np.nan)
-            ws = Workspace(moving, maps, roi)
-            bd = at_budget(budget, loss_and_gradient, ws, u, alpha2, grad)
-            out[budget] = bd, grad
-        for budget in (2, 3, 4):
-            assert out[budget][0] == out[1][0]
-            np.testing.assert_array_equal(out[budget][1], out[1][1])
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            u = stack_fields(fields)
+            out = {}
+            for budget in (1, 2, 3, 4):
+                grad = np.full_like(u, np.nan)
+                ws = Workspace(moving, maps, roi)
+                bd = at_budget(budget, loss_and_gradient, ws, u, alpha2, grad)
+                out[budget] = bd, grad
+            for budget in (2, 3, 4):
+                assert out[budget][0] == out[1][0], (dtype, budget)
+                np.testing.assert_array_equal(out[budget][1], out[1][1])
 
-    def test_per_term_gradients_bits_match_serial(self, setup, at_budget):
+    def test_per_term_gradients_bits_match_serial(self, monkeypatch, setup, at_budget):
         maps, roi, _, moving, fields, _ = setup
-        serial = at_budget(1, per_term_gradients, moving, fields, maps, roi)
-        for budget in (2, 3, 4):
-            threaded = at_budget(budget, per_term_gradients, moving, fields, maps, roi)
-            for term, grad in serial.items():
-                np.testing.assert_array_equal(threaded[term], grad)
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            serial = at_budget(1, per_term_gradients, moving, fields, maps, roi)
+            for budget in (2, 3, 4):
+                threaded = at_budget(budget, per_term_gradients, moving, fields, maps, roi)
+                for term, grad in serial.items():
+                    assert grad.dtype == dtype
+                    np.testing.assert_array_equal(threaded[term], grad)
 
     @pytest.mark.parametrize("budget", [2, 3])
     @pytest.mark.parametrize("n", [5, 3 * _kernels.ADAM_BLOCK + 5])
     def test_adam_update_bits_match_serial(self, rng, at_budget, budget, n):
         # one partial block, and 4 blocks with the last one partial, which
         # the parts split between whole blocks
-        start = [rng.normal(0, 1, n), np.zeros(n), np.zeros(n)]
-        out = {}
-        for b in (1, budget):
-            x, m, v = (a.copy() for a in start)
-            for t in range(1, 4):
-                g = np.random.default_rng(t).normal(0, 1, n)
-                bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-                at_budget(b, _kernels.adam_update, x, g, m, v, 0.1, 0.9, 0.999, 1e-8, bc1, bc2)
-            out[b] = x, m, v
-        for got, want in zip(out[budget], out[1]):
-            np.testing.assert_array_equal(got, want)
+        x0 = rng.normal(0, 1, n)
+        for dtype in DTYPES:
+            out = {}
+            for b in (1, budget):
+                x, m, v = x0.astype(dtype), np.zeros(n, dtype), np.zeros(n, dtype)
+                for t in range(1, 4):
+                    g = np.random.default_rng(t).normal(0, 1, n).astype(dtype)
+                    bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+                    args = (x, g, m, v, 0.1, 0.9, 0.999, 1e-8, bc1, bc2)
+                    at_budget(b, _kernels.adam_update, *args)
+                out[b] = x, m, v
+            for got, want in zip(out[budget], out[1]):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_forked_worker_makes_its_own_pool(self, at_budget):
         # the parent's pool exists before the fork; its threads do not

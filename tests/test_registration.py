@@ -129,6 +129,21 @@ def test_steps_the_start_in_place_and_rejects_other_layouts():
             adam_minimize(Recorder(square), bad, cfg)
 
 
+def test_steps_a_float32_start_in_place_and_keeps_its_dtype():
+    # the registration's iterate is float32: the moments and the best state
+    # take its dtype, and the steps are the float64 ones to float32 rounding
+    cfg = InnerOptConfig(max_inner_steps=4, plateau_window=0)
+    want = Recorder(square)
+    adam_minimize(want, np.array([1.0, -2.0]), cfg)
+    f = Recorder(square)
+    x = np.array([1.0, -2.0], dtype=np.float32)
+    res = adam_minimize(f, x, cfg)
+    assert x.dtype == res.x.dtype == np.float32
+    assert all(p.dtype == np.float32 for p in f.points)
+    np.testing.assert_array_equal(x, f.points[-1])
+    np.testing.assert_allclose(np.array(f.points), np.array(want.points), rtol=1e-6)
+
+
 def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypatch):
     # the pass's workspace holds every full-size temporary of an evaluation,
     # so only the first one, which makes the scratch, allocates that much

@@ -9,8 +9,13 @@ fixed set of `dwimoco` commands with each source tree (the working tree of
 this checkout and the exported ref), and compares the two output trees with
 `diff -rq`.  Standard error of every command is kept next to its outputs,
 with the output root replaced by a placeholder so that only the messages
-are compared.  Prints the differing files and exits 1 if any differ, 0 if
-the trees are identical.
+are compared.  Exits 1 if any file differs, 0 if the trees are identical.
+It prints each differing file, and under it how far the two copies are
+apart: for a `.raw` volume container (float32 little-endian values) the
+largest absolute difference, the largest relative one, |a - b| /
+max(|a|, |b|) per value, the largest magnitude and how many values differ,
+and for a CSV file each line that differs, the ref's line then the work
+tree's.
 
 The command set: `simulate` for seeds 1-3 at 24x24x8 and seed 4 at 48x48x12,
 `fit --method both`, `morph` with alpha2 = 1000 and with alpha2 = 0,
@@ -32,7 +37,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
+
+import numpy as np
 
 CAPS = ["--max-outer", "3", "--max-inner", "10"]
 # the morph config of perfbench's case_ref workload, written to {out}/morph_config.json
@@ -102,6 +110,46 @@ def run_commands(src: Path, out: Path) -> None:
         (target / "stderr.txt").write_text(log)
 
 
+def raw_difference(ref: Path, work: Path) -> str:
+    """The largest absolute and relative difference of two float32 containers,
+    their largest magnitude and the count of values that differ."""
+    a, b = (np.fromfile(p, dtype="<f4").astype(np.float64) for p in (ref, work))
+    if a.shape != b.shape:
+        return f"  {a.size} values against {b.size}"
+    diff = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return (
+        f"  max abs diff {diff.max():.6g}, max rel diff {rel.max():.6g}, "
+        f"max |value| {scale.max():.6g}, {np.count_nonzero(diff)} of {a.size} values differ"
+    )
+
+
+def csv_difference(ref: Path, work: Path) -> str:
+    """Each line that differs between two CSV files, numbered from 1."""
+    lines = []
+    pairs = zip_longest(ref.read_text().splitlines(), work.read_text().splitlines())
+    for k, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            lines += [f"  line {k} ref:  {a}", f"  line {k} work: {b}"]
+    return "\n".join(lines)
+
+
+def describe(diff_output: str) -> str:
+    """`diff -rq` output with the size of every .raw or .csv difference."""
+    lines = []
+    for line in diff_output.splitlines():
+        lines.append(line)
+        parts = line.split(" ")
+        if line.startswith("Files ") and line.endswith(" differ") and len(parts) == 5:
+            ref, work = Path(parts[1]), Path(parts[3])
+            if ref.suffix == ".raw":
+                lines.append(raw_difference(ref, work))
+            elif ref.suffix == ".csv":
+                lines.append(csv_difference(ref, work))
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git ref to compare against, e.g. HEAD~1")
@@ -124,10 +172,10 @@ def main(argv=None) -> int:
             capture_output=True,
             text=True,
         )
-    if diff.returncode == 0:
-        print(f"outputs identical to {args.ref}")
-        return 0
-    print(diff.stdout.replace(str(tmp), "<tmp>"), end="")
+        if diff.returncode == 0:
+            print(f"outputs identical to {args.ref}")
+            return 0
+        print(describe(diff.stdout).replace(str(tmp), "<tmp>"), end="")
     return 1
 
 
