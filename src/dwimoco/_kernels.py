@@ -26,18 +26,28 @@ returns the results in range order.  It has three users:
 
 - `objective` gives each thread one range of b-value images, which the
   thread cuts into groups of consecutive images, as many as fit
-  GROUP_VOXELS and at least one, and hands each group to the kernels in
-  one call; each image writes only its own gradient slice, and the
-  returned per-image sums are added in b-value order;
-- `adam_update` gives each thread one range of its flat arrays, which the
-  thread works through in cache-sized blocks;
-- `signal_model` does the same with the voxels of every decay fit, LLS
-  and the robust L1 fit.
+  GROUP_VOXELS and at least one.  For each group it takes the optimizer's
+  pending Adam step on the group's slice of the fields (`adam_update`, the
+  serial blocked step, called once per group), hands the group to the
+  kernels in one call and checks the group's gradient for non-finite
+  entries; each image writes only its own slices, and the returned
+  per-image sums are added in b-value order;
+- `pipeline` warps the input by the optimizer's field stack, one
+  `warp3d` per b-value image;
+- `signal_model` gives each thread one range of the voxels of every decay
+  fit, LLS and the robust L1 fit.
 
 numpy releases the interpreter lock inside its array loops, so the threads
 overlap.  A budget of 1, or work too small to pay for the handoffs
 (FAN_OUT_MIN_ELEMENTS per range), is the plain serial loop.  The pool
 holds budget - 1 threads and is made once per process and budget.
+`objective` and `pipeline` make every array a task keeps, and its
+scratch, on the calling thread before they hand the ranges out
+(`thread_ranges` tells them the ranges): glibc keeps what a helper thread
+allocates in that thread's own arena, which then stays resident beside the
+main one.  Their tasks reach the kernels through names the modules bind at
+import, so a tracer that wraps the names in this module sees no call from
+a helper thread.
 
 The objective's kernels, `match_terms` and `smooth_loss_grad`, take a
 group of G images and their displacement fields component-major, as a
@@ -50,7 +60,10 @@ large grid a group is one image.  They work in a `GroupScratch` that
 evaluation allocates no full-size array, and every voxel sees the same
 operations whatever its group.  `DisplacementField`, the warps and the
 case files keep the voxel-major (nx, ny, nz, 3) layout; only the
-optimizer's iterate is component-major (`objective.stack_fields`).  The
+optimizer's fields, which `pipeline.run_case` carries from pass to pass,
+are component-major (`objective.stack_fields`).  Their sample coordinates
+add the contiguous rows of the grid's `coordinate_grid`, which the
+workspace holds, where `warp3d` adds a broadcast `arange`.  The
 model-fit term lives on the ROI, a few percent of the voxels: `match_terms`
 takes the ROI as flat voxel indices and computes the floor, the log, the
 residual and its gradient coefficient on those voxels alone.  It scatters
@@ -61,9 +74,11 @@ whole-volume sum.
 `field_diff` and `field_diff_adjoint` are each one op over the flat
 array at the axis stride s, plus a fill or a negation.  In the difference
 the last plane of every row takes a wrong value from the next row's first
-plane, which `field_diff` then overwrites with 0.  In the adjoint each row's
-first plane adds the last plane of the row before, which `field_diff`
-left at 0.  This reads memory order, so both refuse arrays that are not
+plane, which `field_diff` then overwrites with 0.  In the adjoint's one
+subtract each row's first plane takes the last plane of the row before,
+which `field_diff` left at 0, minus its own; only the array's very first
+plane has no row before it, and is negated.  This reads memory order, so
+both refuse arrays that are not
 C-contiguous, and `objective.loss_and_gradient` checks its buffers up
 front.
 
@@ -72,12 +87,13 @@ flat intp base index per voxel, built in integer arithmetic from the
 per-axis cell indices and offset by its image's place in a group, and a
 constant +1 stride per axis, so the 8 cell corners are 8 gathers from the
 raveled volumes.  `warp3d` computes no point gradient, because none of its
-callers differentiates the warped values: `volume.warp`, which resamples
-the input once per outer iteration (`pipeline.run_case`), moves the
-phantoms and serves `objective.total_loss` (the per-term reference, scored
-against the maps' reconstruction), and `volume.compose_displacements`.  The
-pipeline calls neither of the last two: only the tests and the benchmark's
-name bindings in `pipeline` reach them.  `match_terms` is the one caller
+callers differentiates the warped values: `pipeline.run_case`, which
+resamples the input by the field stack once per outer iteration,
+`volume.warp`, which moves the phantoms and serves `objective.total_loss`
+(the per-term reference, scored against the maps' reconstruction), and
+`volume.compose_displacements`.  The pipeline calls neither of the last
+two: only the tests and the benchmark's name bindings in `pipeline` reach
+them.  `match_terms` is the one caller
 that needs the gradient; the tests use `warp3d_with_point_grad`, a
 one-image call of the same code, as its oracle.
 """
@@ -91,9 +107,15 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 # Elements per block of the Adam step: the 6 block arrays (x, g, m, v and two
-# scratch rows) of 64 KiB each in float32 (128 KiB in float64) stay in L2
-# cache across the 13 passes.
-ADAM_BLOCK = 16384
+# scratch rows) of 256 KiB each in float32 stay in L2 cache across the 13
+# passes, and the ~13 numpy calls per block are few enough that two threads
+# seldom wait on each other for the interpreter lock.  Taken inside the
+# evaluation's per-image tasks on a 2-core x86 host (2 MiB L2 per core), a
+# float32 step at 6 b-values cost, on 2 threads, 15.1-15.8 / 8.9-10.1 /
+# 7.4-7.9 / 6.3-7.7 ms with blocks of 16384 / 32768 / 65536 / 131072 at
+# 96x96x16 (6.1-7.5 ms on 1 thread at 32768-65536), and 0.26 / 0.22 / 0.20 /
+# 0.20 ms at 20x20x8 (medians of 30 and 200 evaluations).
+ADAM_BLOCK = 1 << 16
 
 # Threads `fan_out_ranges` may use in this process: the CPUs it may run on,
 # until `set_thread_budget` gives it a share of them.
@@ -149,13 +171,16 @@ class GroupScratch:
     Sized for groups of up to `images` images on a `dims` grid with
     `roi_voxels` ROI voxels each; a smaller group uses the leading part of
     every row.  The value rows are of the group's float dtype, the two
-    index rows intp, so a flat voxel index is exact on any grid.
+    index rows intp, so a flat voxel index is exact on any grid.  grid is
+    the `coordinate_grid` of dims in that dtype, which the scratches of one
+    `objective.Workspace` share read-only; it is made here when not given.
     `objective` makes one per thread range and optimizer pass, so no
     evaluation after the first allocates a full-size array.
     """
 
-    def __init__(self, images, dims, roi_voxels, dtype):
+    def __init__(self, images, dims, roi_voxels, dtype, grid=None):
         n = images * math.prod(dims)
+        self.grid = coordinate_grid(dims, dtype) if grid is None else grid
         self.rows = np.empty((_ROWS, n), dtype)
         self.index = np.empty((2, n), np.intp)
         self.clamped = np.empty((4, n), dtype=bool)
@@ -163,21 +188,32 @@ class GroupScratch:
         self.live = np.empty((2, images * roi_voxels), dtype=bool)
 
 
-def _coords(planes, out):
+def coordinate_grid(dims, dtype):
+    """The (3, nx, ny, nz) voxel coordinates of a grid: row a holds each
+    voxel's index along axis a, exact in `dtype`."""
+    return np.indices(dims, dtype=dtype)
+
+
+def _coords(planes, out, grid=None):
     """Sample coordinates p + u_a[p] per axis, written into the 3 rows of out.
 
     planes[a] is component a of the displacement over (..., nx, ny, nz):
     the contiguous planes of component-major fields, or a strided view
     (`np.moveaxis(disp, -1, 0)`) of a (nx, ny, nz, 3) field.  out holds 3
-    flat rows of as many elements, of the planes' dtype, and the grid is
-    made in that dtype too, so the sum casts nothing; returns the rows
+    flat rows of as many elements, of the planes' dtype or wider.  grid is
+    the grid's `coordinate_grid`, of out's dtype, added as contiguous rows;
+    without it each axis adds a broadcast `arange` of out's dtype.  Either
+    way the sum casts nothing and holds the same values.  Returns the rows
     shaped like planes[a].
     """
     shape = planes[0].shape
     coords = []
     for a, n in enumerate(shape[-3:]):
-        grid = np.arange(n, dtype=out[a].dtype).reshape([n if b == a else 1 for b in range(3)])
-        coords.append(np.add(grid, planes[a], out=out[a].reshape(shape)))
+        if grid is None:
+            row = np.arange(n, dtype=out[a].dtype).reshape([n if b == a else 1 for b in range(3)])
+        else:
+            row = grid[a]
+        coords.append(np.add(row, planes[a], out=out[a].reshape(shape)))
     return coords
 
 
@@ -249,17 +285,26 @@ def _lerp(lo, hi, f, g):
     return lo
 
 
-def warp3d(vol, disp):
+def warp3d(vol, disp, out=None, scratch=None):
     """Trilinear backward warp: out[p] = vol(p + disp[p]), clamp-to-edge.
 
     With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
-    c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.  vol and disp
-    are float64, as every `volume` caller passes them.  The rows are
-    separate arrays, so the result holds only its own row, and the two intp
-    index rows are views of two float64 rows that are free while `_cell`
-    needs them, so the integer index allocates nothing.
+    c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.  vol is
+    float64 and disp float64, as every `volume` caller passes it, or
+    float32, which `pipeline` passes and the sum with the float64 grid
+    widens exactly.  Writes into out, a C-contiguous float64 array shaped
+    like vol, and works in scratch, 11 flat float64 rows of vol.size; both
+    are made here when not given, and a caller that warps on helper threads
+    passes ones it made on its own thread.  The result holds only its own
+    row, and the two intp index rows are views of two float64 rows that are
+    free while `_cell` needs them, so the integer index allocates nothing.
+    Returns out.
     """
-    rows = [np.empty(vol.size) for _ in range(12)]
+    if out is None:
+        out = np.empty(vol.shape)
+    if scratch is None:
+        scratch = [np.empty(vol.size) for _ in range(11)]
+    rows = [*scratch[:3], out.reshape(-1), *scratch[3:]]
     index = [rows[11].view(np.intp), rows[4].view(np.intp)]  # 1 - fx, corner 1
     coords = _coords(np.moveaxis(disp, -1, 0), rows[:3])
     c, (fx, fy, fz) = _cell(vol, coords, rows[3:11], index)
@@ -268,18 +313,20 @@ def warp3d(vol, disp):
     gy = np.subtract(1.0, fy, out=c[1])  # the upper x-corners are free now
     c0 = _lerp(c00, c10, fy, gy)
     c1 = _lerp(c01, c11, fy, gy)
-    return _lerp(c0, c1, fz, np.subtract(1.0, fz, out=c[3])).reshape(vol.shape)
+    _lerp(c0, c1, fz, np.subtract(1.0, fz, out=c[3]))  # c0 is out's row
+    return out
 
 
-def _point_grad_parts(vols, planes, rows, index, clamped):
+def _point_grad_parts(vols, planes, rows, index, clamped, grid):
     """Flat warped values and the 3 flat point-gradient components.
 
-    vols and planes as `_cell` and `_coords` take them, of one float dtype;
-    rows are 13 flat scratch rows of vols.size of that dtype, index 2 intp
-    ones and clamped 4 boolean ones.  The values and the parts come back in
-    4 of the rows; rows[1] and rows[2] are free again.
+    vols and planes as `_cell` and `_coords` take them, of one float dtype,
+    and grid their grid's `coordinate_grid`; rows are 13 flat scratch rows
+    of vols.size of that dtype, index 2 intp ones and clamped 4 boolean
+    ones.  The values and the parts come back in 4 of the rows; rows[1]
+    and rows[2] are free again.
     """
-    coords = _coords(planes, rows[:3])
+    coords = _coords(planes, rows[:3], grid)
     for c, n, clamp in zip(coords, vols.shape[-3:], clamped):
         clamp = np.less(c, 0.0, out=clamp.reshape(c.shape))
         clamp |= np.greater(c, n - 1.0, out=clamped[3].reshape(c.shape))
@@ -323,7 +370,7 @@ def warp3d_with_point_grad(vol, disp):
     """
     scratch = GroupScratch(1, vol.shape, 0, vol.dtype)
     out, parts = _point_grad_parts(
-        vol, np.moveaxis(disp, -1, 0), scratch.rows, scratch.index, scratch.clamped
+        vol, np.moveaxis(disp, -1, 0), scratch.rows, scratch.index, scratch.clamped, scratch.grid
     )
     return out.reshape(vol.shape).copy(), np.stack(parts, axis=-1).reshape(vol.shape + (3,))
 
@@ -359,7 +406,9 @@ def match_terms(vols, disp, target, pred_log, roi, floor_eps, sim_c, mf_c, grad_
     rows, index, clamped = (
         a[:, : vols.size] for a in (scratch.rows, scratch.index, scratch.clamped)
     )
-    w, parts = _point_grad_parts(vols, np.moveaxis(disp, 1, 0), rows, index, clamped)
+    w, parts = _point_grad_parts(
+        vols, np.moveaxis(disp, 1, 0), rows, index, clamped, scratch.grid
+    )
     r = np.subtract(w, target.reshape(-1), out=rows[1])
     coeff = np.sign(r, out=rows[2])
     coeff *= sim_c
@@ -417,8 +466,8 @@ def field_diff_adjoint(w, axis, out):
     <diff(a), w> == <a, adjoint(w)> for every a.
     """
     (fw, s), (fo, _) = _flat(w, axis), _flat(out, axis)
-    np.negative(fw, out=fo)
-    np.add(fo[s:], fw[:-s], out=fo[s:])
+    np.subtract(fw[:-s], fw[s:], out=fo[s:])
+    np.negative(fw[:s], out=fo[:s])
     return out
 
 
@@ -491,24 +540,30 @@ def near_equal_ranges(lo, hi, parts):
     return list(zip(edges, edges[1:]))
 
 
-def fan_out_ranges(task, n, elements):
-    """[task(lo, hi), ...] over one contiguous range of 0..n-1 per thread.
+def thread_ranges(n, elements):
+    """The contiguous ranges of 0..n-1 that `fan_out_ranges` hands out.
 
-    The n items (b-value images, array elements, voxels) cover `elements`
-    array elements in all.  They are split into `near_equal_ranges`, at
-    most one per thread of the budget and only as many as hold
-    FAN_OUT_MIN_ELEMENTS elements each, so a budget of 1 or a small n is
-    one range: the serial loop.  The calling thread runs the first range
-    and the helpers the others.  Once every range has finished, the results
-    come back in range order, or the error of the first range that raised
-    is raised.  Tasks that write only their own outputs give the bits of
-    the serial loop.  A task must not call `fan_out_ranges`: the helpers
-    would wait on themselves.
+    The n items (b-value images, voxels) cover `elements` array elements in
+    all.  They are split into `near_equal_ranges`, at most one per thread
+    of the budget and only as many as hold FAN_OUT_MIN_ELEMENTS elements
+    each, so a budget of 1 or a small n is one range: the serial loop.
     """
     parts = max(1, min(_budget, n, elements // FAN_OUT_MIN_ELEMENTS))
-    if parts == 1:  # no handoff: a 1-voxel curve fit calls this once per solve
-        return [task(0, n)]
-    first, *rest = near_equal_ranges(0, n, parts)
+    return near_equal_ranges(0, n, parts)
+
+
+def fan_out_ranges(task, n, elements):
+    """[task(lo, hi), ...] over the `thread_ranges` of n items.
+
+    The calling thread runs the first range and the helpers the others.
+    Once every range has finished, the results come back in range order, or
+    the error of the first range that raised is raised.  Tasks that write
+    only their own outputs give the bits of the serial loop.  A task must
+    not call `fan_out_ranges`: the helpers would wait on themselves.
+    """
+    first, *rest = thread_ranges(n, elements)
+    if not rest:  # no handoff: a 1-voxel curve fit calls this once per solve
+        return [task(*first)]
     pool = _helpers()
     futures = [pool.submit(task, lo, hi) for lo, hi in rest]
     try:
@@ -518,35 +573,36 @@ def fan_out_ranges(task, n, elements):
     return [result] + [fut.result() for fut in futures]
 
 
-def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """One in-place Adam step on flat arrays; bc1/bc2 are 1 - beta^t.
+def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
+    """One in-place Adam step on flat arrays, serial; bc1/bc2 are 1 - beta^t.
 
     m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
-    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  `fan_out_ranges` gives
-    each thread one contiguous range, which it works through in near-equal
-    blocks of at most ADAM_BLOCK elements with two block-sized scratch rows,
-    so every block stays in cache across all the steps and no full-size
-    temporary is allocated.
+    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  It works through the
+    arrays in near-equal blocks of at most ADAM_BLOCK elements, in two
+    block-sized rows of scratch, a flat array of x's dtype with at least
+    2 * min(x.size, ADAM_BLOCK) elements, so every block stays in cache
+    across all the steps and nothing is allocated.  Each element sees the
+    same operations in any block or call, so the step may be taken range by
+    range: `objective` takes it one group of b-value images at a time, in
+    the group's own thread.
     """
-
-    def run(lo, hi):
-        scratch = np.empty((2, min(hi - lo, ADAM_BLOCK)), x.dtype)
-        for i, j in near_equal_ranges(lo, hi, -(-(hi - lo) // ADAM_BLOCK)):
-            xb, gb, mb, vb = x[i:j], g[i:j], m[i:j], v[i:j]
-            s, t = scratch[:, : j - i]
-            np.multiply(gb, 1.0 - beta1, out=s)
-            mb *= beta1
-            mb += s
-            np.multiply(gb, 1.0 - beta2, out=s)
-            s *= gb
-            vb *= beta2
-            vb += s
-            np.divide(mb, bc1, out=s)
-            s *= lr
-            np.divide(vb, bc2, out=t)
-            np.sqrt(t, out=t)
-            t += eps
-            s /= t
-            xb -= s
-
-    fan_out_ranges(run, x.size, x.size)
+    n = x.size
+    k = min(n, ADAM_BLOCK)
+    rows = scratch[: 2 * k].reshape(2, k)
+    for i, j in near_equal_ranges(0, n, -(-n // ADAM_BLOCK)):
+        xb, gb, mb, vb = x[i:j], g[i:j], m[i:j], v[i:j]
+        s, t = rows[:, : j - i]
+        np.multiply(gb, 1.0 - beta1, out=s)
+        mb *= beta1
+        mb += s
+        np.multiply(gb, 1.0 - beta2, out=s)
+        s *= gb
+        vb *= beta2
+        vb += s
+        np.divide(mb, bc1, out=s)
+        s *= lr
+        np.divide(vb, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        s /= t
+        xb -= s

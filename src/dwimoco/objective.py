@@ -25,9 +25,14 @@ them (`_kernels.fan_out_ranges`), which the thread cuts into groups of
 consecutive images, as many as fit `_kernels.GROUP_VOXELS`, one kernel call
 each.  Each image writes only its own gradient slice, and the per-image
 sums are added in b-value order, so the result has the bits of one image
-per call on one thread at any group size and thread budget.  What every
-evaluation of a pass shares, the target and the stacked images, the ROI
-indices, the predicted logs and the kernels' scratch, lives in a
+per call on one thread at any group size and thread budget.  The same
+tasks take the optimizer's pending Adam step (`registration.AdamStep`):
+each group steps its own slice of the fields just before it evaluates
+them and checks its own gradient slice for non-finite entries, so a
+registration step is one pass over each b-value image.  Adam is
+elementwise, so the step keeps its bits too.  What every evaluation of a
+pass shares, the target and the stacked images, the ROI indices, the
+predicted logs, the coordinate grid and the kernels' scratch, lives in a
 `Workspace` that the optimizer makes once per pass.
 
 The fused route works in WORK_DTYPE, float32, and sums in float64; the
@@ -54,7 +59,8 @@ from .volume import (
 
 # Bound at import: the per-b-value tasks run on helper threads, which must
 # not enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps
-# one span stack for all threads).
+# one span stack for all threads); the Adam step they take reaches
+# `_kernels.adam_update` through `registration`'s binding.
 _match_terms = _kernels.match_terms
 _smooth_loss_grad = _kernels.smooth_loss_grad
 
@@ -157,10 +163,11 @@ def stack_fields(fields) -> np.ndarray:
     """The fields as one C-contiguous component-major (B, 3, nx, ny, nz)
     WORK_DTYPE array.
 
-    This is the layout and dtype of the iterate in `loss_and_gradient`:
-    each component of each field is one contiguous plane.  A float32 value
-    is exact in float64, so `unstack_fields` and this round-trip a
-    float32 iterate bit for bit.
+    This is the layout and dtype of the iterate in `loss_and_gradient`, and
+    of the fields `pipeline.run_case` carries from pass to pass: each
+    component of each field is one contiguous plane.  A float32 value is
+    exact in float64, so `unstack_fields` and this round-trip a float32
+    iterate bit for bit.
     """
     out = np.empty((len(fields), 3) + fields[0].dims, WORK_DTYPE)
     for i, f in enumerate(fields):
@@ -182,11 +189,14 @@ class Workspace:
     one (B, nx, ny, nz) stack with the bits of `signal_model.reconstruct`
     rounded to WORK_DTYPE, the moving images stacked the same way, the
     ROI's flat indices for a group of images, each image's predicted log
-    signal on the ROI, in WORK_DTYPE too, the term scales, and the
+    signal on the ROI, in WORK_DTYPE too, the term scales, the grid's
+    coordinate rows (`_kernels.coordinate_grid`) and the
     `_kernels.GroupScratch` of each thread range, which the first
-    evaluation that runs the range makes.  Raises DimensionMismatchError
-    for a series, maps or roi on different grids, and EmptyRoiError for an
-    empty ROI.
+    evaluation that runs the range makes on the calling thread, before it
+    hands the ranges out.  grad_finite tells whether every entry of the
+    last gradient `loss_and_gradient` wrote is finite.  Raises
+    DimensionMismatchError for a series, maps or roi on different grids,
+    and EmptyRoiError for an empty ROI.
     """
 
     def __init__(self, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask):
@@ -212,6 +222,8 @@ class Workspace:
         log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
         adc = maps.adc.data.reshape(-1)[roi_idx]
         self.pred_log = np.stack([log_s0 - b * adc for b in moving.bvalues]).astype(WORK_DTYPE)
+        self.grid = _kernels.coordinate_grid(moving.dims, WORK_DTYPE)
+        self.grad_finite = True
         self._scratch = {}
 
     def scratch(self, lo, hi):
@@ -220,13 +232,13 @@ class Workspace:
         if scratch is None:
             images = min(self.group, hi - lo)
             scratch = _kernels.GroupScratch(
-                images, self.shape[2:], self.roi.shape[1], self.target.dtype
+                images, self.shape[2:], self.roi.shape[1], self.target.dtype, self.grid
             )
             self._scratch[lo, hi] = scratch
         return scratch
 
 
-def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
+def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad, step=None):
     """The fused kernels on every b-value image, one range of images per thread.
 
     Writes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
@@ -235,14 +247,28 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
     A zero prefactor adds only signed zeros, so one term is isolated
     exactly by zeroing the other two prefactors.  Each thread cuts its
     range into groups of ws.group consecutive images and hands each group
-    to the kernels in one call.
+    to the kernels in one call.  If step is given, the thread first calls
+    step.apply(x, g, lo, hi, scratch) on the group's flat range lo..hi-1
+    of the raveled fields_arr and grad, so the group's fields are stepped
+    just before they are read; scratch is the free rows of the group's
+    `_kernels.GroupScratch`.  Then it checks the group's gradient for
+    non-finite entries, and ws.grad_finite records whether there were
+    none.  Every range's scratch is made here, before the ranges are handed
+    out, so no array outlives a task that made it on a helper thread.
     """
+    per_image = fields_arr[0].size
+    flat_x, flat_grad = fields_arr.reshape(-1), grad.reshape(-1)
 
     def bvalue_range(lo, hi):
         scratch = ws.scratch(lo, hi)
         sums = []
+        finite = True
         for i in range(lo, hi, ws.group):
             j = min(i + ws.group, hi)
+            if step is not None:
+                step.apply(
+                    flat_x, flat_grad, i * per_image, j * per_image, scratch.rows.reshape(-1)
+                )
             g = grad[i:j]
             g.fill(0.0)
             sim, mf = _match_terms(
@@ -258,12 +284,18 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
                 scratch,
             )
             sums.extend(zip(sim, mf, _smooth_loss_grad(fields_arr[i:j], g, smooth_w, scratch)))
-        return sums
+            ok = scratch.clamped.reshape(-1)[: g.size].reshape(g.shape)
+            finite = finite and bool(np.isfinite(g, out=ok).all())
+        return sums, finite
 
+    for lo, hi in _kernels.thread_ranges(len(fields_arr), fields_arr.size):
+        ws.scratch(lo, hi)
     sim_sum = 0.0
     mf_sum = 0.0
     smooth_sum = 0.0
-    for sums in _kernels.fan_out_ranges(bvalue_range, len(fields_arr), fields_arr.size):
+    ws.grad_finite = True
+    for sums, finite in _kernels.fan_out_ranges(bvalue_range, len(fields_arr), fields_arr.size):
+        ws.grad_finite = ws.grad_finite and finite
         for s, m, smooth in sums:
             sim_sum += float(s)
             mf_sum += float(m)
@@ -272,7 +304,7 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad):
 
 
 def loss_and_gradient(
-    ws: Workspace, fields_arr: np.ndarray, alpha2: float, grad: np.ndarray
+    ws: Workspace, fields_arr: np.ndarray, alpha2: float, grad: np.ndarray, step=None
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
@@ -285,7 +317,12 @@ def loss_and_gradient(
     would cast every pass.  The raw sums accumulate in float64 and the
     returned terms are Python floats.  Overwrites grad with d(total)/d(u),
     so the caller can reuse one buffer across evaluations, and returns the
-    LossBreakdown.
+    LossBreakdown; ws.grad_finite then tells whether every gradient entry
+    is finite.  step is the optimizer's pending step (`registration.AdamStep`)
+    or None: given one, each group of images steps its slice of fields_arr
+    (reading its slice of grad, the previous gradient) just before it is
+    evaluated, in the group's own thread (`_term_sums`), so the step and
+    the evaluation make one pass over the images.
     Every term is evaluated for every alpha2; with alpha2 = 0 the model-fit
     term is reported unweighted and adds nothing to the total or the
     gradient.  The L1 subgradient is 0 at exact ties and the trilinear
@@ -306,7 +343,7 @@ def loss_and_gradient(
             raise ValueError(f"{name} must be a C-contiguous {dtype} array, got {arr.dtype}")
     n_sim, n_mf, n_vox = ws.scales
     sim_sum, mf_sum, smooth_sum = _term_sums(
-        ws, fields_arr, 1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad
+        ws, fields_arr, 1.0 / n_sim, alpha2 / n_mf, ALPHA1 / n_vox, grad, step
     )
     return LossBreakdown.weighted(sim_sum / n_sim, smooth_sum / n_vox, mf_sum / n_mf, alpha2)
 

@@ -6,6 +6,10 @@ optimizes the accumulated per-b-value fields, which warp the normalized
 input towards the fitted maps' reconstruction, starting from the previous
 iteration's fields; the next iteration's series is the normalized input
 warped by those fields, so every series is one resample of the input.  The
+fields go from pass to pass as the optimizer's component-major WORK_DTYPE
+stack (`objective.stack_fields`), which the warps read plane by plane,
+one b-value image per thread task, and become `DisplacementField`s once,
+for the result.  The
 recorded per-iteration summary ADC comes from the robust L1 fit
 (`signal_model.irls_fit`) of the ROI-mean decay curve.  Iteration 0 is
 always the uncompensated input state.  The loop stops at the first of: a
@@ -43,25 +47,32 @@ from .maturity import (
     predict_adc,
 )
 from .objective import (
+    WORK_DTYPE,
     LossBreakdown,
     model_fit_loss,
     similarity_loss,
     total_loss,  # noqa: F401  unused here; perfbench/spans.py wraps pipeline.total_loss
+    unstack_fields,
 )
 from .registration import DivergedError, InnerOptConfig, optimize_fields
 from .signal_model import ParameterMaps, irls_fit, lls_fit, reconstruct, roi_mean_signals
 from .volume import (
     BValueSeries,
     DimensionMismatchError,
-    DisplacementField,
     EmptyRoiError,
     RoiMask,
+    ScalarVolume,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
-    warp_series,
+    warp_series,  # noqa: F401  unused here; perfbench/spans.py wraps it
 )
 
 ADC_CHANGE_TOL = 1e-3  # relative ROI-mean ADC change that counts as stable
+
+# Bound at import: the per-b-value warps run on helper threads, which must
+# not enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps
+# one span stack for all threads).
+_warp3d = _kernels.warp3d
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,31 @@ def _curve_stats(series: BValueSeries, roi: RoiMask):
     return (means, *irls_fit(means, series.bvalues))
 
 
+def _warp_input(series: BValueSeries, stack: np.ndarray) -> BValueSeries:
+    """The series warped by a component-major (B, 3, nx, ny, nz) field stack.
+
+    One b-value image per task on `_kernels.fan_out_ranges`; each warp
+    reads its image's contiguous component planes of the stack.  The bits
+    are those of `warp_series` with `unstack_fields(stack)`, since a
+    float32 component is exact in float64.  The warped images and each
+    thread range's scratch are made here, on the calling thread, so no
+    array made on a helper thread outlives its task.
+    """
+    vols = series.volumes
+    ranges = _kernels.thread_ranges(series.b_count, stack.size)
+    scratch = {r: np.empty((11, vols[0].data.size)) for r in ranges}
+    warped = [np.empty(series.dims) for _ in vols]
+
+    def warp_images(lo, hi):
+        for i in range(lo, hi):
+            _warp3d(vols[i].data, np.moveaxis(stack[i], 0, -1), warped[i], scratch[lo, hi])
+
+    _kernels.fan_out_ranges(warp_images, series.b_count, stack.size)
+    return BValueSeries(
+        series.bvalues, tuple(ScalarVolume(w, v.spacing) for w, v in zip(warped, vols))
+    )
+
+
 def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseResult:
     """Run the full motion-compensation loop on one case.
 
@@ -173,9 +209,12 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     repeat (its record would duplicate the last one).  Both stops set
     converged.  A pass that diverges ends the run with failed set.  Whatever
     the stop, the result's maps, fields and series are those of the last
-    record.  Each record's loss is the objective at zero fields, the state
-    entering that iteration's registration: similarity and model fit of the
-    current series against its own fit, smoothness 0.
+    record.  Between passes the fields are carried as the optimizer's
+    component-major WORK_DTYPE stack (`optimize_fields`), and turned into
+    DisplacementFields once, for the result.  Each record's loss is the
+    objective at zero fields, the state entering that iteration's
+    registration: similarity and model fit of the current series against
+    its own fit, smoothness 0.
 
     Raises DimensionMismatchError for an ROI on another grid and
     EmptyRoiError for an empty ROI.
@@ -185,7 +224,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     if roi.count == 0:
         raise EmptyRoiError("empty ROI")
     normalized, scale = normalize_series(series)
-    fields = [DisplacementField.zero(series.dims) for _ in series.bvalues]
+    stack = np.zeros((series.b_count, 3) + series.dims, WORK_DTYPE)
 
     current = normalized
     records: list[CaseRecord] = []
@@ -206,23 +245,23 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         if k == cfg.max_outer_iters - 1:
             break
         try:
-            new_fields, _trace = optimize_fields(
-                normalized, fields, maps, roi, cfg.alpha2, cfg.inner
+            new_stack, _trace = optimize_fields(
+                normalized, stack, maps, roi, cfg.alpha2, cfg.inner
             )
         except DivergedError as err:
             failed = True
             failure_reason = str(err)
             break
-        if all(np.array_equal(new.data, old.data) for new, old in zip(new_fields, fields)):
+        if np.array_equal(new_stack, stack):
             converged = True
             break
-        fields = new_fields
-        current = warp_series(normalized, fields)
+        stack = new_stack
+        current = _warp_input(normalized, stack)
 
     return CaseResult(
         records=records,
         best_maps=maps,
-        best_fields=fields,
+        best_fields=unstack_fields(stack),
         best_series=current,
         normalization_scale=scale,
         converged=converged,

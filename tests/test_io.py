@@ -274,3 +274,22 @@ def test_ga_scatter_curve_starts_at_ga_0_below_1_week(tmp_path):
     first = svg.split('<polyline points="')[1].split(" ")[0]
     ax = dio._Axes((-0.5, 3.5), (0.0, 3e-3 * 1.15))
     assert first == f"{dio.fmt(ax.px(0.0))},{dio.fmt(ax.py(0.0))}"
+
+
+def test_containers_hold_the_float32_x_fastest_ravel_of_the_array(tmp_path, rng):
+    # the bytes of the float64 Fortran ravel cast to little-endian float32, on
+    # a grid whose axes all differ, for each writer
+    dims = (5, 4, 3)
+    data = rng.normal(0.0, 100.0, dims)
+    disp = rng.normal(0.0, 3.0, dims + (3,))
+    mask = rng.random(dims) > 0.5
+    dio.write_volume(ScalarVolume(data), tmp_path / "vol")
+    dio.write_field(DisplacementField(disp), tmp_path / "field")
+    dio.write_mask(RoiMask(mask), tmp_path / "mask")
+    want = {
+        "vol": data.ravel(order="F").astype("<f4").tobytes(),
+        "field": disp.ravel(order="F").astype("<f4").tobytes(),
+        "mask": mask.astype(np.float64).ravel(order="F").astype("<f4").tobytes(),
+    }
+    for stem, raw in want.items():
+        assert (tmp_path / f"{stem}.raw").read_bytes() == raw, stem

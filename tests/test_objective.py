@@ -731,11 +731,12 @@ class TestKernelOracles:
             # each update is a sum of two terms; rounding is relative to them
             assert np.all(np.abs(got - (a + b)) <= 1e-14 * (np.abs(a) + np.abs(b)))
 
+        scratch = np.full(2 * _kernels.ADAM_BLOCK, np.nan)
         for t in range(1, 4):
             g = rng.normal(0, 1, n)
             x0, m0, v0 = x.copy(), m.copy(), v.copy()
             _kernels.adam_update(
-                x, g, m, v, lr, beta1, beta2, eps, 1.0 - beta1**t, 1.0 - beta2**t
+                x, g, m, v, lr, beta1, beta2, eps, 1.0 - beta1**t, 1.0 - beta2**t, scratch
             )
             close(m, beta1 * m0, (1 - beta1) * g)
             close(v, beta2 * v0, (1 - beta2) * g**2)
@@ -956,20 +957,28 @@ class TestThreadBudget:
                     np.testing.assert_array_equal(threaded[term], grad)
 
     @pytest.mark.parametrize("budget", [2, 3])
-    @pytest.mark.parametrize("n", [5, 3 * _kernels.ADAM_BLOCK + 5])
-    def test_adam_update_bits_match_serial(self, rng, at_budget, budget, n):
-        # one partial block, and 4 blocks with the last one partial, which
-        # the parts split between whole blocks
+    @pytest.mark.parametrize("n", [5, 49157])
+    def test_adam_update_bits_match_serial(self, monkeypatch, rng, at_budget, budget, n):
+        # the step taken one thread range at a time, as the registration's
+        # evaluation takes it group by group, against one call over the
+        # whole array; with blocks of 4096, 49157 elements are 13 blocks
+        # with the last one partial, which the ranges split between blocks
+        monkeypatch.setattr(_kernels, "ADAM_BLOCK", 4096)
         x0 = rng.normal(0, 1, n)
         for dtype in DTYPES:
             out = {}
             for b in (1, budget):
                 x, m, v = x0.astype(dtype), np.zeros(n, dtype), np.zeros(n, dtype)
+
+                def step_range(lo, hi):
+                    scratch = np.full(2 * _kernels.ADAM_BLOCK, np.nan, dtype)
+                    args = (0.1, 0.9, 0.999, 1e-8, 1.0 - 0.9**t, 1.0 - 0.999**t, scratch)
+                    _kernels.adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], *args)
+                    return hi - lo
+
                 for t in range(1, 4):
                     g = np.random.default_rng(t).normal(0, 1, n).astype(dtype)
-                    bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-                    args = (x, g, m, v, 0.1, 0.9, 0.999, 1e-8, bc1, bc2)
-                    at_budget(b, _kernels.adam_update, *args)
+                    assert len(at_budget(b, _kernels.fan_out_ranges, step_range, n, n)) == b
                 out[b] = x, m, v
             for got, want in zip(out[budget], out[1]):
                 assert got.dtype == dtype

@@ -12,6 +12,7 @@ from dwimoco.registration import DivergedError, InnerOptConfig
 from dwimoco.signal_model import irls_fit, roi_mean_signals
 from dwimoco.volume import (
     DimensionMismatchError,
+    DisplacementField,
     EmptyRoiError,
     RoiMask,
     normalize_series,
@@ -201,12 +202,12 @@ def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatc
     series, roi = small_case()
     cfg = replace(RUN_CFG, max_outer_iters=6, converge_window=6)
     real = pipeline.optimize_fields
-    unchanged = []  # per pass: returned fields equal the starting fields
+    unchanged = []  # per pass: the returned stack equals the starting stack
 
-    def spy(moving, init_fields, *rest):
-        fields, trace = real(moving, init_fields, *rest)
-        unchanged.append(all(np.array_equal(a.data, b.data) for a, b in zip(fields, init_fields)))
-        return fields, trace
+    def spy(moving, init, *rest):
+        stack, trace = real(moving, init, *rest)
+        unchanged.append(np.array_equal(stack, init))
+        return stack, trace
 
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, cfg)
@@ -245,13 +246,13 @@ def test_run_case_returns_the_last_record_state_when_r2_falls(monkeypatch):
         calls.append(None)
         return means, log_s0, adc, 1.0 - 0.1 * len(calls)
 
-    fields_per_pass = []
+    stack_per_pass = []
     real_optimize = pipeline.optimize_fields
 
     def spy(*args, **kwargs):
-        fields, trace = real_optimize(*args, **kwargs)
-        fields_per_pass.append(fields)
-        return fields, trace
+        stack, trace = real_optimize(*args, **kwargs)
+        stack_per_pass.append(stack.copy())
+        return stack, trace
 
     monkeypatch.setattr(pipeline, "_curve_stats", r2_falls_every_iteration)
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
@@ -260,10 +261,12 @@ def test_run_case_returns_the_last_record_state_when_r2_falls(monkeypatch):
     assert len(r2) == 3 and r2[0] > r2[1] > r2[2] and result.converged is False
     assert result.best_iteration == 2
     assert result.best_record is result.records[-1]
-    # the fields of the second, last pass, and the input warped by them
-    assert len(fields_per_pass) == 2
-    for got, want in zip(result.best_fields, fields_per_pass[-1]):
-        assert got is want
+    # the fields of the second, last pass, bit for bit, and the input warped by them
+    assert len(stack_per_pass) == 2
+    assert len(result.best_fields) == len(stack_per_pass[-1])
+    for got, want in zip(result.best_fields, stack_per_pass[-1]):
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == np.moveaxis(want, 0, -1).astype(np.float64).tobytes()
     assert any(np.any(f.data != 0.0) for f in result.best_fields)
     normalized, _scale = pipeline.normalize_series(series)
     want = pipeline.warp_series(normalized, result.best_fields)
@@ -311,25 +314,34 @@ def test_best_series_resampled_is_best_series():
 def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch):
     series, roi = small_case()
     real = pipeline.optimize_fields
-    calls = []  # (moving, init_fields, returned fields) per pass
+    calls = []  # (moving, starting stack, returned stack) per pass
 
-    def spy(moving, init_fields, *rest):
-        fields, trace = real(moving, init_fields, *rest)
-        calls.append((moving, list(init_fields), fields))
-        return fields, trace
+    def spy(moving, init, *rest):
+        start = init.copy()
+        stack, trace = real(moving, init, *rest)
+        assert init.tobytes() == start.tobytes()  # the pass leaves its start alone
+        calls.append((moving, start, stack.copy()))
+        return stack, trace
 
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, RUN_CFG)
     assert len(calls) == len(result.records) - 1 == 2
     normalized, _ = pipeline.normalize_series(series)
-    previous = [np.zeros(series.dims + (3,)) for _ in series.bvalues]
-    for moving, init_fields, fields in calls:
+    # component-major (B, 3, nx, ny, nz) stacks of the working dtype
+    previous = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
+    for moving, start, stack in calls:
         for got, want in zip(moving.volumes, normalized.volumes):
             np.testing.assert_array_equal(got.data, want.data)
-        for got, want in zip(init_fields, previous):
-            np.testing.assert_array_equal(got.data, want)
-        previous = [f.data for f in fields]
-    assert any(np.any(p != 0.0) for p in previous)
+        assert start.dtype == previous.dtype and start.shape == previous.shape
+        assert start.tobytes() == previous.tobytes()
+        previous = stack
+    assert previous.any()
+    # the result is the last pass's stack, and the series one resample of the input by it
+    for got, want in zip(result.best_fields, previous):
+        assert got.data.tobytes() == np.moveaxis(want, 0, -1).astype(np.float64).tobytes()
+    want = pipeline.warp_series(normalized, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want.volumes):
+        assert got.data.tobytes() == w.data.tobytes()
 
 
 @pytest.mark.parametrize("alpha2", [1000.0, 0.0])
@@ -349,7 +361,7 @@ def test_record_loss_equals_total_loss_at_zero_fields(monkeypatch, alpha2):
     monkeypatch.setattr(pipeline, "lls_fit", spy)
     result = pipeline.run_case(series, roi, cfg)
     assert len(entering) == len(result.records) == 3
-    zero = [pipeline.DisplacementField.zero(series.dims) for _ in series.bvalues]
+    zero = [DisplacementField.zero(series.dims) for _ in series.bvalues]
     for current, rec in zip(entering, result.records):
         maps = real_lls_fit(current)
         want = total_loss(current, zero, maps, roi, alpha2)

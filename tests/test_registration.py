@@ -1,14 +1,15 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dwimoco import registration
-from dwimoco.phantom import PhantomSpec, make_phantom
+from dwimoco import _kernels, objective, registration
+from dwimoco.phantom import PhantomSpec, make_phantom, simulate_case
 from dwimoco.registration import DivergedError, InnerOptConfig, adam_minimize
-from dwimoco.signal_model import reconstruct
-from dwimoco.volume import BValueSeries, DisplacementField, ScalarVolume
+from dwimoco.signal_model import lls_fit, reconstruct
+from dwimoco.volume import BValueSeries, ScalarVolume, normalize_series
 
 
 class Recorder:
@@ -165,7 +166,7 @@ def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypa
         return result
 
     monkeypatch.setattr(registration, "loss_and_gradient", traced)
-    zero = [DisplacementField.zero(dims)] * len(bvalues)
+    zero = np.zeros((len(bvalues), 3) + dims, objective.WORK_DTYPE)
     tracemalloc.start()
     try:
         cfg = InnerOptConfig(max_inner_steps=5, plateau_window=0)
@@ -175,3 +176,173 @@ def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypa
     assert len(peaks) == 6
     assert peaks[0] > stack_bytes  # the scratch, so the tracing sees the kernels' arrays
     assert max(peaks[1:]) < stack_bytes, peaks
+
+
+def motion_case():
+    """(moving, maps, roi): a 16x16x6 phantom with motion, normalized, and
+    the decay maps fitted to it, as the first registration pass sees them."""
+    spec = PhantomSpec(dims=(16, 16, 6), noise_sigma=0.02, motion_amplitude=2.0, seed=7)
+    _maps, roi, _clean, moved, _fields = simulate_case(spec)
+    moving, _scale = normalize_series(moved)
+    return moving, lls_fit(moving), roi
+
+
+@pytest.fixture
+def at_budget(monkeypatch):
+    """Run with a given thread budget and images per group; the size floor
+    of the fan-out is lowered so a budget of 2 splits the 6 images 3 + 3."""
+    monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)
+
+    def run(budget, group, n_vox, fn, *args):
+        monkeypatch.setattr(_kernels, "_budget", budget)
+        monkeypatch.setattr(_kernels, "GROUP_VOXELS", group * n_vox)
+        return fn(*args)
+
+    return run
+
+
+def unfused_optimize(moving, init, maps, roi, alpha2, cfg):
+    """The registration pass as separate sweeps: an evaluation, a finiteness
+    check of the whole gradient, a best-state copy and a textbook Adam step
+    over the whole vector, in the order of the kernel's formula."""
+    lr, b1, b2, eps = (
+        registration.LEARNING_RATE, registration.ADAM_BETA1, registration.ADAM_BETA2,
+        registration.ADAM_EPS,
+    )
+    ws = objective.Workspace(moving, maps, roi)
+    x = init.copy()
+    grad = np.empty_like(x)
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    bd = objective.loss_and_gradient(ws, x, alpha2, grad)
+    trace = [bd]
+    if not np.isfinite(bd.total) or not np.isfinite(grad).all():
+        raise DivergedError("diverged: non-finite initial loss or gradient", trace)
+    best_x, best_loss, history = x.copy(), bd.total, [bd.total]
+    for t in range(1, cfg.max_inner_steps + 1):
+        m = m * b1 + grad * (1.0 - b1)
+        v = v * b2 + grad * (1.0 - b2) * grad
+        x -= m / (1.0 - b1**t) * lr / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        bd = objective.loss_and_gradient(ws, x, alpha2, grad)
+        trace.append(bd)
+        if not np.isfinite(bd.total) or not np.isfinite(grad).all():
+            raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace)
+        if bd.total < best_loss:
+            best_x, best_loss = x.copy(), bd.total
+        history.append(best_loss)
+        w = cfg.plateau_window
+        if w and t >= w and history[t - w] - best_loss <= (
+            registration.PLATEAU_REL_TOL * abs(best_loss)
+        ):
+            break
+    return best_x, trace
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+@pytest.mark.parametrize("group", [1, 6], ids=["one_image", "all_images"])
+@pytest.mark.parametrize(
+    "lr, cfg, stop",
+    [
+        (0.1, InnerOptConfig(max_inner_steps=6, plateau_window=0), "cap_last_best"),
+        (2.0, InnerOptConfig(max_inner_steps=8, plateau_window=0), "cap_last_worse"),
+        (2.0, InnerOptConfig(max_inner_steps=40, plateau_window=2), "plateau"),
+    ],
+    ids=["cap_last_best", "cap_last_worse", "plateau"],
+)
+def test_optimize_fields_bits_match_the_unfused_loop(
+    monkeypatch, at_budget, budget, group, lr, cfg, stop
+):
+    # the step taken group by group inside the evaluation gives the bits of
+    # an evaluation followed by a whole-vector step, for the returned stack
+    # and every term of every evaluation, whether the result is the last
+    # iterate or the best-state copy
+    monkeypatch.setattr(registration, "LEARNING_RATE", lr)
+    moving, maps, roi = motion_case()
+    n_vox = int(np.prod(moving.dims))
+    init = np.random.default_rng(3).normal(0.0, 0.2, (moving.b_count, 3) + moving.dims)
+    init = init.astype(objective.WORK_DTYPE)
+    start = init.copy()
+    args = (moving, init, maps, roi, 1000.0, cfg)
+    got, got_trace = at_budget(budget, group, n_vox, registration.optimize_fields, *args)
+    want, want_trace = at_budget(1, 1, n_vox, unfused_optimize, *args)
+    assert init.tobytes() == start.tobytes()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_trace == want_trace
+    totals = [bd.total for bd in want_trace]
+    last_is_best = min(totals) == totals[-1] < totals[0]
+    assert last_is_best == (stop == "cap_last_best")
+    assert (len(totals) - 1 < cfg.max_inner_steps) == (stop == "plateau")
+
+
+def test_non_finite_gradient_in_the_helper_range_diverges_at_the_same_step(
+    monkeypatch, at_budget
+):
+    # at evaluation 3 the helper thread writes an inf into the gradient of
+    # one of its images; the loss stays finite, so only the per-group check
+    # can see it
+    moving, maps, roi = motion_case()
+    n_vox = int(np.prod(moving.dims))
+    real = objective._smooth_loss_grad
+    lock = threading.Lock()
+    on_helper = []  # per call, 6 per evaluation: whether a helper thread made it
+
+    def smooth_loss_grad(u, grad_out, weight, scratch):
+        losses = real(u, grad_out, weight, scratch)
+        with lock:
+            on_helper.append(threading.current_thread() is not threading.main_thread())
+            if len(on_helper) > 18 and on_helper[18:].count(True) == 1 and on_helper[-1]:
+                grad_out[0, 1, 2, 3, 4] = np.inf
+        return losses
+
+    monkeypatch.setattr(objective, "_smooth_loss_grad", smooth_loss_grad)
+    init = np.zeros((moving.b_count, 3) + moving.dims, objective.WORK_DTYPE)
+    cfg = InnerOptConfig(max_inner_steps=10, plateau_window=0)
+    errors = []
+    for fn in (registration.optimize_fields, unfused_optimize):
+        on_helper.clear()
+        with pytest.raises(DivergedError) as err:
+            at_budget(2, 1, n_vox, fn, moving, init, maps, roi, 1000.0, cfg)
+        errors.append(err.value)
+        assert len(on_helper) == 24 and on_helper[18:].count(True) == 3
+    got, want = errors
+    assert str(got) == str(want) == "diverged: non-finite loss or gradient at step 3"
+    assert got.trace == want.trace and len(got.trace) == 4
+    assert np.isfinite(got.trace[-1].total)
+
+
+def test_a_pass_holds_five_field_sized_arrays_and_its_workspace():
+    # the iterate, the best state, the two moments and the gradient; the
+    # per-evaluation temporaries stay under one (B, nx, ny, nz) float64 stack,
+    # as test_evaluations_after_the_first_allocate_less_than_one_image_stack
+    # pins, so a sixth field-sized array would not fit
+    dims = (20, 20, 8)
+    spec = PhantomSpec(dims=dims, noise_sigma=0.02, motion_amplitude=2.0, seed=7)
+    _maps, roi, _clean, moved, _fields = simulate_case(spec)
+    moving, _scale = normalize_series(moved)
+    maps = lls_fit(moving)
+    init = np.zeros((moving.b_count, 3) + dims, objective.WORK_DTYPE)
+    field_bytes = init.nbytes
+    stack_bytes = moving.b_count * int(np.prod(dims)) * 8
+    assert stack_bytes < field_bytes
+    cfg = InnerOptConfig(max_inner_steps=5, plateau_window=0)
+    tracemalloc.start()
+    try:
+        # the workspace as the pass holds it: after one evaluation, which
+        # makes the scratch
+        grad = np.empty_like(init)
+        before = tracemalloc.get_traced_memory()[0]
+        ws = objective.Workspace(moving, maps, roi)
+        objective.loss_and_gradient(ws, init, 1000.0, grad)
+        ws_bytes = tracemalloc.get_traced_memory()[0] - before
+        del ws, grad
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stack, _trace = registration.optimize_fields(moving, init, maps, roi, 1000.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert stack.any()
+    assert 5 * field_bytes + ws_bytes <= peak < 5 * field_bytes + ws_bytes + stack_bytes, (
+        peak, field_bytes, ws_bytes,
+    )
