@@ -26,16 +26,19 @@ returns the results in range order.  It has three users:
 
 - `objective` gives each thread one range of b-value images, which the
   thread cuts into groups of consecutive images, as many as fit
-  GROUP_VOXELS and at least one.  For each group it takes the optimizer's
-  pending Adam step on the group's slice of the fields (`adam_update`, the
-  serial blocked step, called once per group), hands the group to the
-  kernels in one call and checks the group's gradient for non-finite
-  entries; each image writes only its own slices, and the returned
-  per-image sums are added in b-value order;
-- `pipeline` warps the input by the optimizer's field stack, one
-  `warp3d` per b-value image;
+  GROUP_VOXELS and at least one.  For each group it moves the group's
+  slice of the fields by the optimizer's pending Adam step (`adam_step`),
+  hands the group to the kernels in one call, which write the group's
+  gradient into the range's `GroupScratch`, checks that gradient for
+  non-finite entries and folds it into the group's slice of the Adam
+  moments (`adam_moments`); both Adam kernels are serial and blocked and
+  run once per group, so no whole gradient exists.  Each image writes only
+  its own slices, and the returned per-image sums are added in b-value
+  order;
+- `pipeline` divides the input by its normalization scale and warps it by
+  the optimizer's field stack, one `warp3d` per b-value image;
 - `signal_model` gives each thread one range of the voxels of every decay
-  fit, LLS and the robust L1 fit.
+  fit, LLS and the robust L1 fit with its R^2 map.
 
 numpy releases the interpreter lock inside its array loops, so the threads
 overlap.  A budget of 1, or work too small to pay for the handoffs
@@ -60,8 +63,9 @@ large grid a group is one image.  They work in a `GroupScratch` that
 evaluation allocates no full-size array, and every voxel sees the same
 operations whatever its group.  `DisplacementField`, the warps and the
 case files keep the voxel-major (nx, ny, nz, 3) layout; only the
-optimizer's fields, which `pipeline.run_case` carries from pass to pass,
-are component-major (`objective.stack_fields`).  Their sample coordinates
+optimizer's fields, which `pipeline.run_case` carries from pass to pass
+and the optimizer steps in place, are component-major
+(`objective.stack_fields`).  Their sample coordinates
 add the contiguous rows of the grid's `coordinate_grid`, which the
 workspace holds, where `warp3d` adds a broadcast `arange`.  The
 model-fit term lives on the ROI, a few percent of the voxels: `match_terms`
@@ -83,9 +87,10 @@ C-contiguous, and `objective.loss_and_gradient` checks its buffers up
 front.
 
 `warp3d` and `warp3d_with_point_grad` share the index math in `_cell`: one
-flat intp base index per voxel, built in integer arithmetic from the
-per-axis cell indices and offset by its image's place in a group, and a
-constant +1 stride per axis, so the 8 cell corners are 8 gathers from the
+flat intp base index per voxel, summed exactly in float64 from the
+per-axis cell indices in rows that are free at that point, cast to intp
+once and offset by its image's place in a group, and a constant +1 stride
+per axis, so the 8 cell corners are 8 gathers from the
 raveled volumes.  `warp3d` computes no point gradient, because none of its
 callers differentiates the warped values: `pipeline.run_case`, which
 resamples the input by the field stack once per outer iteration,
@@ -106,15 +111,17 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-# Elements per block of the Adam step: the 6 block arrays (x, g, m, v and two
-# scratch rows) of 256 KiB each in float32 stay in L2 cache across the 13
-# passes, and the ~13 numpy calls per block are few enough that two threads
-# seldom wait on each other for the interpreter lock.  Taken inside the
-# evaluation's per-image tasks on a 2-core x86 host (2 MiB L2 per core), a
-# float32 step at 6 b-values cost, on 2 threads, 15.1-15.8 / 8.9-10.1 /
-# 7.4-7.9 / 6.3-7.7 ms with blocks of 16384 / 32768 / 65536 / 131072 at
-# 96x96x16 (6.1-7.5 ms on 1 thread at 32768-65536), and 0.26 / 0.22 / 0.20 /
-# 0.20 ms at 20x20x8 (medians of 30 and 200 evaluations).
+# Elements per block of the Adam kernels: the block arrays of the moment fold
+# (g, m, v and one scratch row) and of the step (x, m, v and two scratch rows)
+# of 256 KiB each in float32 stay in L2 cache across each kernel's 7 passes,
+# and its 7 numpy calls per block are few enough that two threads seldom
+# wait on each other for the interpreter lock.  Taken whole (fold and move,
+# before they were split) inside the evaluation's per-image tasks on a 2-core
+# x86 host (2 MiB L2 per core), a float32 step at 6 b-values cost, on 2
+# threads, 15.1-15.8 / 8.9-10.1 / 7.4-7.9 / 6.3-7.7 ms with blocks of
+# 16384 / 32768 / 65536 / 131072 at 96x96x16 (6.1-7.5 ms on 1 thread at
+# 32768-65536), and 0.26 / 0.22 / 0.20 / 0.20 ms at 20x20x8 (medians of 30
+# and 200 evaluations).
 ADAM_BLOCK = 1 << 16
 
 # Threads `fan_out_ranges` may use in this process: the CPUs it may run on,
@@ -170,22 +177,32 @@ class GroupScratch:
 
     Sized for groups of up to `images` images on a `dims` grid with
     `roi_voxels` ROI voxels each; a smaller group uses the leading part of
-    every row.  The value rows are of the group's float dtype, the two
-    index rows intp, so a flat voxel index is exact on any grid.  grid is
-    the `coordinate_grid` of dims in that dtype, which the scratches of one
-    `objective.Workspace` share read-only; it is made here when not given.
-    `objective` makes one per thread range and optimizer pass, so no
-    evaluation after the first allocates a full-size array.
+    each buffer, laid out as the full one is, so its rows stay consecutive.
+    The value rows are of the group's float dtype and the index row intp,
+    so a flat voxel index is exact on any grid.  grad is the group's
+    component-major (images, 3, nx, ny, nz) gradient, which `objective`
+    fills and folds into the optimizer's moments before the next group.
+    grid is the `coordinate_grid` of dims in that dtype, which the
+    scratches of one `objective.Workspace` share read-only; it is made here
+    when not given.  `objective` makes one per thread range and optimizer
+    pass, so no evaluation after the first allocates a full-size array.
     """
 
     def __init__(self, images, dims, roi_voxels, dtype, grid=None):
         n = images * math.prod(dims)
         self.grid = coordinate_grid(dims, dtype) if grid is None else grid
         self.rows = np.empty((_ROWS, n), dtype)
-        self.index = np.empty((2, n), np.intp)
+        self.index = np.empty(n, np.intp)
         self.clamped = np.empty((4, n), dtype=bool)
         self.roi = np.empty((3, images * roi_voxels), dtype)
         self.live = np.empty((2, images * roi_voxels), dtype=bool)
+        self.grad = np.empty((images, 3) + tuple(dims), dtype)
+
+
+def _leading(buf, count):
+    """As many rows of count elements as the 2-d buf has, laid out
+    consecutively from the start of its memory."""
+    return buf.reshape(-1)[: len(buf) * count].reshape(len(buf), count)
 
 
 def coordinate_grid(dims, dtype):
@@ -217,43 +234,48 @@ def _coords(planes, out, grid=None):
     return coords
 
 
-def _cell_base(coords, shape, floor_row, index):
+def _cell_base(coords, shape, floor_row, wide, index):
     """Flat index, in one (nx, ny, nz) image, of each sample's cell base voxel.
 
     coords are the 3 coordinate arrays of `_coords` on a grid of `shape`,
-    of any sample count; floor_row is one flat float row and index two
-    flat intp rows of that count.  Clamp-to-edge per axis: the coordinate
-    is clipped to [0, n-1] and the cell index to [0, n-2], so the upper
-    neighbour is always index + 1 (index + 0 on an axis of length 1).  The
-    coordinate arrays are overwritten with the fractions in [0, 1].  Each
-    axis's cell index is a whole float, converted to intp, and the flat
-    index ((ix * ny) + iy) * nz + iz is summed in intp, so it is exact on
-    any grid.  Returns index[0]; index[1] is free again.
+    of any sample count; floor_row is one flat row of their dtype, wide two
+    flat float64 rows and index one flat intp row of that count.
+    Clamp-to-edge per axis: the coordinate is clipped to [0, n-1] and the
+    cell index to [0, n-2], so the upper neighbour is always index + 1
+    (index + 0 on an axis of length 1).  The coordinate arrays are
+    overwritten with the fractions in [0, 1].  Each axis's cell index is a
+    whole float, copied into wide[1] (a plain cast, which needs no ufunc
+    buffer), and the flat index ((ix * ny) + iy) * nz + iz is summed in
+    wide[0]: whole numbers below 2**53, so every sum is exact on any grid
+    that fits in memory, and the one cast to intp is too.  Returns index;
+    wide is free again.
     """
     i0 = floor_row.reshape(coords[0].shape)
-    base, part = (r.reshape(coords[0].shape) for r in index)
+    base, part = (r.reshape(coords[0].shape) for r in wide)
     for a, n in enumerate(shape):
         c = np.clip(coords[a], 0.0, n - 1.0, out=coords[a])
         np.floor(c, out=i0)
         np.fmin(i0, max(n - 2, 0), out=i0)  # fmin: a NaN coordinate still indexes
         np.subtract(c, i0, out=c)
-        # whole numbers, so each cast is exact
         if a:
             base *= n
-            np.copyto(part, i0, casting="unsafe")
+            np.copyto(part, i0)
             base += part
         else:
-            np.copyto(base, i0, casting="unsafe")
-    return index[0]
+            np.copyto(base, i0)
+    np.copyto(index, wide[0], casting="unsafe")
+    return index
 
 
-def _cell(vols, coords, rows, index):
+def _cell(vols, coords, rows, index, wide):
     """Corners and fractions of the trilinear cell sampled at each voxel.
 
     vols is one (nx, ny, nz) volume or a C-contiguous (G, nx, ny, nz) group,
     each image sampled by its own coordinates; coords are the 3 arrays of
     `_coords`, which `_cell_base` turns into the fractions.  rows are 8 flat
-    scratch rows of vols.size and index 2 intp ones.  Returns (corners,
+    scratch rows of vols.size, index an intp one and wide two float64 ones,
+    which may overlay rows[1:] since `_cell_base` is done with them before
+    the gathers.  Returns (corners,
     fracs): the 8 flat corner arrays in `_CORNER_BITS` order, which are the
     rows, and the flat x, y and z fractions.  Each corner is one gather
     with the shared base index, the image's offset plus the cell's, from
@@ -262,7 +284,7 @@ def _cell(vols, coords, rows, index):
     corner.
     """
     shape = vols.shape[-3:]
-    base = _cell_base(coords, shape, rows[0], index)
+    base = _cell_base(coords, shape, rows[0], wide, index)
     n_vox = math.prod(shape)
     images = vols.size // n_vox
     if images > 1:
@@ -296,18 +318,17 @@ def warp3d(vol, disp, out=None, scratch=None):
     like vol, and works in scratch, 11 flat float64 rows of vol.size; both
     are made here when not given, and a caller that warps on helper threads
     passes ones it made on its own thread.  The result holds only its own
-    row, and the two intp index rows are views of two float64 rows that are
-    free while `_cell` needs them, so the integer index allocates nothing.
-    Returns out.
+    row; the flat cell index is summed in the rows of corners 1 and 2 and
+    cast into an intp view of the row that later holds 1 - fx, all free
+    while `_cell` needs them, so the index allocates nothing.  Returns out.
     """
     if out is None:
         out = np.empty(vol.shape)
     if scratch is None:
         scratch = [np.empty(vol.size) for _ in range(11)]
     rows = [*scratch[:3], out.reshape(-1), *scratch[3:]]
-    index = [rows[11].view(np.intp), rows[4].view(np.intp)]  # 1 - fx, corner 1
     coords = _coords(np.moveaxis(disp, -1, 0), rows[:3])
-    c, (fx, fy, fz) = _cell(vol, coords, rows[3:11], index)
+    c, (fx, fy, fz) = _cell(vol, coords, rows[3:11], rows[11].view(np.intp), rows[4:6])
     gx = np.subtract(1.0, fx, out=rows[11])
     c00, c10, c01, c11 = (_lerp(c[k], c[k + 1], fx, gx) for k in (0, 2, 4, 6))
     gy = np.subtract(1.0, fy, out=c[1])  # the upper x-corners are free now
@@ -321,16 +342,21 @@ def _point_grad_parts(vols, planes, rows, index, clamped, grid):
     """Flat warped values and the 3 flat point-gradient components.
 
     vols and planes as `_cell` and `_coords` take them, of one float dtype,
-    and grid their grid's `coordinate_grid`; rows are 13 flat scratch rows
-    of vols.size of that dtype, index 2 intp ones and clamped 4 boolean
-    ones.  The values and the parts come back in 4 of the rows; rows[1]
-    and rows[2] are free again.
+    and grid their grid's `coordinate_grid`; rows are a C-contiguous (13,
+    vols.size) scratch array of that dtype, index one intp row and clamped
+    4 boolean ones.  The flat cell index is summed in float64 over the
+    memory of corner rows 1 to 4.  The values and the parts come back in 4
+    of the rows; rows[1] and rows[2] are free again.
     """
     coords = _coords(planes, rows[:3], grid)
     for c, n, clamp in zip(coords, vols.shape[-3:], clamped):
         clamp = np.less(c, 0.0, out=clamp.reshape(c.shape))
         clamp |= np.greater(c, n - 1.0, out=clamped[3].reshape(c.shape))
-    c, (fx, fy, fz) = _cell(vols, coords, rows[3:11], index)
+    # two float64 rows over the consecutive corner rows 1-4: all four in
+    # float32, the first two in float64
+    wide = rows[4:8].reshape(-1, copy=False).view(np.float64)[: 2 * vols.size]
+    wide = wide.reshape(2, vols.size)
+    c, (fx, fy, fz) = _cell(vols, coords, rows[3:11], index, wide)
     gx = np.subtract(1.0, fx, out=rows[11])
     # each x-edge: its difference into a free row, then its lerp in place,
     # which frees the edge's upper corner for the next difference
@@ -403,9 +429,8 @@ def match_terms(vols, disp, target, pred_log, roi, floor_eps, sim_c, mf_c, grad_
     its group.
     """
     images = vols.shape[0]
-    rows, index, clamped = (
-        a[:, : vols.size] for a in (scratch.rows, scratch.index, scratch.clamped)
-    )
+    rows, clamped = (_leading(buf, vols.size) for buf in (scratch.rows, scratch.clamped))
+    index = scratch.index[: vols.size]
     w, parts = _point_grad_parts(
         vols, np.moveaxis(disp, 1, 0), rows, index, clamped, scratch.grid
     )
@@ -573,25 +598,25 @@ def fan_out_ranges(task, n, elements):
     return [result] + [fut.result() for fut in futures]
 
 
-def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
-    """One in-place Adam step on flat arrays, serial; bc1/bc2 are 1 - beta^t.
+def _blocks(n):
+    """The near-equal blocks of at most ADAM_BLOCK elements of n elements."""
+    return near_equal_ranges(0, n, -(-n // ADAM_BLOCK))
+
+
+def adam_moments(g, m, v, beta1, beta2, scratch):
+    """Fold one gradient into the Adam moments, in place, serial.
 
     m = m * beta1 + (1 - beta1) * g, v = v * beta2 + ((1 - beta2) * g) * g,
-    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps).  It works through the
-    arrays in near-equal blocks of at most ADAM_BLOCK elements, in two
-    block-sized rows of scratch, a flat array of x's dtype with at least
-    2 * min(x.size, ADAM_BLOCK) elements, so every block stays in cache
-    across all the steps and nothing is allocated.  Each element sees the
-    same operations in any block or call, so the step may be taken range by
-    range: `objective` takes it one group of b-value images at a time, in
-    the group's own thread.
+    7 numpy calls per block of at most ADAM_BLOCK elements, in one
+    block-sized row of scratch, a flat array of g's dtype with at least
+    min(g.size, ADAM_BLOCK) elements.  `objective` folds each group's
+    gradient into the group's slice of the moments right after it makes it,
+    so no whole gradient exists.
     """
-    n = x.size
-    k = min(n, ADAM_BLOCK)
-    rows = scratch[: 2 * k].reshape(2, k)
-    for i, j in near_equal_ranges(0, n, -(-n // ADAM_BLOCK)):
-        xb, gb, mb, vb = x[i:j], g[i:j], m[i:j], v[i:j]
-        s, t = rows[:, : j - i]
+    s_row = scratch[: min(g.size, ADAM_BLOCK)]
+    for i, j in _blocks(g.size):
+        gb, mb, vb = g[i:j], m[i:j], v[i:j]
+        s = s_row[: j - i]
         np.multiply(gb, 1.0 - beta1, out=s)
         mb *= beta1
         mb += s
@@ -599,6 +624,22 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
         s *= gb
         vb *= beta2
         vb += s
+
+
+def adam_step(x, m, v, lr, eps, bc1, bc2, scratch):
+    """Move x by the Adam step of the moments, in place, serial; bc1/bc2
+    are 1 - beta^t.
+
+    x -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps), 7 numpy calls per block
+    of at most ADAM_BLOCK elements, in two block-sized rows of scratch, a
+    flat array of x's dtype with at least 2 * min(x.size, ADAM_BLOCK)
+    elements.
+    """
+    k = min(x.size, ADAM_BLOCK)
+    rows = scratch[: 2 * k].reshape(2, k)
+    for i, j in _blocks(x.size):
+        xb, mb, vb = x[i:j], m[i:j], v[i:j]
+        s, t = rows[:, : j - i]
         np.divide(mb, bc1, out=s)
         s *= lr
         np.divide(vb, bc2, out=t)
@@ -606,3 +647,18 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
         t += eps
         s /= t
         xb -= s
+
+
+def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
+    """One whole Adam step on flat arrays, serial: `adam_moments` of g, then
+    `adam_step`; scratch as `adam_step` takes it.
+
+    Every block stays in cache across its 7 passes and nothing is
+    allocated.  Each element sees the same operations in any block or call,
+    so the fold and the step may be taken range by range and apart in time:
+    `objective` folds each group's gradient as it makes it and steps the
+    group's fields at the next evaluation, in the group's own thread;
+    `registration.adam_minimize` calls this on the whole vector.
+    """
+    adam_moments(g, m, v, beta1, beta2, scratch)
+    adam_step(x, m, v, lr, eps, bc1, bc2, scratch)

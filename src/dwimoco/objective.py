@@ -26,13 +26,15 @@ consecutive images, as many as fit `_kernels.GROUP_VOXELS`, one kernel call
 each.  Each image writes only its own gradient slice, and the per-image
 sums are added in b-value order, so the result has the bits of one image
 per call on one thread at any group size and thread budget.  The same
-tasks take the optimizer's pending Adam step (`registration.AdamStep`):
-each group steps its own slice of the fields just before it evaluates
-them and checks its own gradient slice for non-finite entries, so a
-registration step is one pass over each b-value image.  Adam is
-elementwise, so the step keeps its bits too.  What every evaluation of a
-pass shares, the target and the stacked images, the ROI indices, the
-predicted logs, the coordinate grid and the kernels' scratch, lives in a
+tasks take the optimizer's Adam step (`registration.AdamStep`): each
+group steps its own slice of the fields just before it evaluates them,
+makes its gradient in a group-sized buffer, checks it for non-finite
+entries and folds it into its slice of the Adam moments, so a
+registration step is one pass over each b-value image and no whole
+gradient exists.  Adam is elementwise, so the step keeps its bits too.
+What every evaluation of a pass shares, the target and the stacked
+images, the ROI indices, the predicted logs, the coordinate grid and, per
+thread range, the kernels' scratch with the group gradient, lives in a
 `Workspace` that the optimizer makes once per pass.
 
 The fused route works in WORK_DTYPE, float32, and sums in float64; the
@@ -187,19 +189,24 @@ class Workspace:
 
     Made once per optimizer pass: the target, the maps' reconstruction as
     one (B, nx, ny, nz) stack with the bits of `signal_model.reconstruct`
-    rounded to WORK_DTYPE, the moving images stacked the same way, the
-    ROI's flat indices for a group of images, each image's predicted log
-    signal on the ROI, in WORK_DTYPE too, the term scales, the grid's
-    coordinate rows (`_kernels.coordinate_grid`) and the
-    `_kernels.GroupScratch` of each thread range, which the first
-    evaluation that runs the range makes on the calling thread, before it
-    hands the ranges out.  grad_finite tells whether every entry of the
-    last gradient `loss_and_gradient` wrote is finite.  Raises
+    rounded to WORK_DTYPE, the moving images divided by scale and stacked
+    the same way (with the bits of `volume.normalize_series` when scale is
+    the series' normalization scale, so a caller need not keep a
+    normalized copy), the ROI's flat indices for a group of images, each
+    image's predicted log signal on the ROI, in WORK_DTYPE too, the term
+    scales, the grid's coordinate rows (`_kernels.coordinate_grid`) and the
+    `_kernels.GroupScratch` of each thread range, with the range's group
+    gradient, which the first evaluation that runs the range makes on the
+    calling thread, before it hands the ranges out.  grad_finite tells
+    whether every entry of the last gradient that `loss_and_gradient` made
+    and folded into an Adam step's moments is finite.  Raises
     DimensionMismatchError for a series, maps or roi on different grids,
     and EmptyRoiError for an empty ROI.
     """
 
-    def __init__(self, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask):
+    def __init__(
+        self, moving: BValueSeries, maps: ParameterMaps, roi: RoiMask, scale: float = 1.0
+    ):
         if roi.dims != moving.dims or maps.dims != moving.dims:
             raise DimensionMismatchError("series, maps and roi must share dims")
         if roi.count == 0:
@@ -215,7 +222,7 @@ class Workspace:
         self.moving = np.empty_like(self.target)
         for target, image, vol, b in zip(self.target, self.moving, moving.volumes, moving.bvalues):
             target[...] = forward_signal(s0, maps.adc.data, b)
-            image[...] = vol.data
+            np.divide(vol.data, scale, out=image)
         roi_idx = np.flatnonzero(roi.data)
         # row g: the ROI of image g of a group, in the raveled group
         self.roi = roi_idx + n_vox * np.arange(min(self.group, moving.b_count))[:, None]
@@ -238,38 +245,43 @@ class Workspace:
         return scratch
 
 
-def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad, step=None):
+def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
     """The fused kernels on every b-value image, one range of images per thread.
 
-    Writes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
-    d(smoothness sum)/du into grad (shaped like fields_arr) and returns the
-    raw sums (similarity, model fit, smoothness), added in b-value order.
-    A zero prefactor adds only signed zeros, so one term is isolated
-    exactly by zeroing the other two prefactors.  Each thread cuts its
-    range into groups of ws.group consecutive images and hands each group
-    to the kernels in one call.  If step is given, the thread first calls
-    step.apply(x, g, lo, hi, scratch) on the group's flat range lo..hi-1
-    of the raveled fields_arr and grad, so the group's fields are stepped
-    just before they are read; scratch is the free rows of the group's
-    `_kernels.GroupScratch`.  Then it checks the group's gradient for
-    non-finite entries, and ws.grad_finite records whether there were
-    none.  Every range's scratch is made here, before the ranges are handed
-    out, so no array outlives a task that made it on a helper thread.
+    Makes sim_c * d(L1 sum)/du + mf_c * d(residual sum)/du + smooth_w *
+    d(smoothness sum)/du, shaped like fields_arr, group by group, and
+    returns the raw sums (similarity, model fit, smoothness), added in
+    b-value order.  A zero prefactor adds only signed zeros, so one term is
+    isolated exactly by zeroing the other two prefactors.  Each thread cuts
+    its range into groups of ws.group consecutive images and hands each
+    group to the kernels in one call.  A group's gradient goes into its
+    slice of grad, or, when grad is None, into the grad buffer of the
+    range's `_kernels.GroupScratch`, which the next group overwrites.
+
+    With step (`registration.AdamStep`), the thread calls
+    step.apply(x, lo, hi, scratch) on the group's flat range lo..hi-1 of
+    the raveled fields_arr before the kernels read it, and
+    step.fold(g, lo, hi, scratch, finite_row) on the group's flat gradient
+    after, which folds it into the moments and checks it for non-finite
+    entries; scratch is the flat rows of the range's GroupScratch, free
+    between kernel calls, and ws.grad_finite records whether every entry
+    was finite.  Every range's scratch is made here, before the ranges are
+    handed out, so no array outlives a task that made it on a helper
+    thread.
     """
     per_image = fields_arr[0].size
-    flat_x, flat_grad = fields_arr.reshape(-1), grad.reshape(-1)
+    flat_x = fields_arr.reshape(-1)
 
     def bvalue_range(lo, hi):
         scratch = ws.scratch(lo, hi)
+        rows = scratch.rows.reshape(-1)
         sums = []
         finite = True
         for i in range(lo, hi, ws.group):
             j = min(i + ws.group, hi)
             if step is not None:
-                step.apply(
-                    flat_x, flat_grad, i * per_image, j * per_image, scratch.rows.reshape(-1)
-                )
-            g = grad[i:j]
+                step.apply(flat_x, i * per_image, j * per_image, rows)
+            g = scratch.grad[: j - i] if grad is None else grad[i:j]
             g.fill(0.0)
             sim, mf = _match_terms(
                 ws.moving[i:j],
@@ -284,8 +296,10 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad, step=None):
                 scratch,
             )
             sums.extend(zip(sim, mf, _smooth_loss_grad(fields_arr[i:j], g, smooth_w, scratch)))
-            ok = scratch.clamped.reshape(-1)[: g.size].reshape(g.shape)
-            finite = finite and bool(np.isfinite(g, out=ok).all())
+            if step is not None:
+                ok = scratch.clamped.reshape(-1)[: g.size]
+                ok = step.fold(g.reshape(-1), i * per_image, j * per_image, rows, ok)
+                finite = finite and ok
         return sums, finite
 
     for lo, hi in _kernels.thread_ranges(len(fields_arr), fields_arr.size):
@@ -304,7 +318,7 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad, step=None):
 
 
 def loss_and_gradient(
-    ws: Workspace, fields_arr: np.ndarray, alpha2: float, grad: np.ndarray, step=None
+    ws: Workspace, fields_arr: np.ndarray, alpha2: float, grad=None, step=None
 ) -> LossBreakdown:
     """Fused evaluation of the total loss and its gradient w.r.t. the fields.
 
@@ -317,12 +331,15 @@ def loss_and_gradient(
     would cast every pass.  The raw sums accumulate in float64 and the
     returned terms are Python floats.  Overwrites grad with d(total)/d(u),
     so the caller can reuse one buffer across evaluations, and returns the
-    LossBreakdown; ws.grad_finite then tells whether every gradient entry
-    is finite.  step is the optimizer's pending step (`registration.AdamStep`)
-    or None: given one, each group of images steps its slice of fields_arr
-    (reading its slice of grad, the previous gradient) just before it is
-    evaluated, in the group's own thread (`_term_sums`), so the step and
-    the evaluation make one pass over the images.
+    LossBreakdown.  step is the optimizer's `registration.AdamStep` or
+    None: given one, each group of images takes the pending step on its
+    slice of fields_arr just before it is evaluated, and folds its
+    gradient into the step's moments as soon as it is made, in the group's
+    own thread (`_term_sums`), so a step and an evaluation make one pass
+    over the images; ws.grad_finite then tells whether every gradient
+    entry is finite.  With grad None each group's gradient lives only in
+    the workspace's group buffer until it is folded, so no whole gradient
+    is made.
     Every term is evaluated for every alpha2; with alpha2 = 0 the model-fit
     term is reported unweighted and adds nothing to the total or the
     gradient.  The L1 subgradient is 0 at exact ties and the trilinear
@@ -337,6 +354,8 @@ def loss_and_gradient(
     """
     dtype = ws.target.dtype
     for name, arr in (("fields_arr", fields_arr), ("grad", grad)):
+        if arr is None:
+            continue
         if arr.shape != ws.shape:
             raise DimensionMismatchError(f"{name} shape {arr.shape} != {ws.shape}")
         if arr.dtype != dtype or not arr.flags.c_contiguous:

@@ -1,23 +1,28 @@
 """Outer motion-compensation loop and cohort-level studies.
 
-A case is normalized once, by the maximum b=0 intensity of the input.  One
+A case is normalized by the maximum b=0 intensity of the input.  One
 iteration fits the decay model per voxel (LLS) to the current series and
 optimizes the accumulated per-b-value fields, which warp the normalized
 input towards the fitted maps' reconstruction, starting from the previous
 iteration's fields; the next iteration's series is the normalized input
 warped by those fields, so every series is one resample of the input.  The
 fields go from pass to pass as the optimizer's component-major WORK_DTYPE
-stack (`objective.stack_fields`), which the warps read plane by plane,
-one b-value image per thread task, and become `DisplacementField`s once,
-for the result.  The
-recorded per-iteration summary ADC comes from the robust L1 fit
-(`signal_model.irls_fit`) of the ROI-mean decay curve.  Iteration 0 is
-always the uncompensated input state.  The loop stops at the first of: a
-pass that returns its starting fields bit for bit (the fixed point, which
-ended every phantom-study and simulated-cohort run measured so far), a
-ROI-mean ADC changed by at most ADC_CHANGE_TOL, relative to the previous
-value, over converge_window consecutive iterations, and max_outer_iters
-records (the step cap).  The run's result is the state where it stopped.
+stack (`objective.stack_fields`), which the optimizer steps in place and
+the warps read plane by plane, one b-value image per thread task, and
+become `DisplacementField`s once, for the result.  No float64 series
+lives through a pass: the pass and the warps divide the caller's input by
+the scale image by image, and the series of the last record is made again,
+with the same bits, when the run ends on it.  The recorded per-iteration
+summary ADC comes from the robust L1 fit (`signal_model.irls_fit`) of the
+ROI-mean decay curve.  Iteration 0 is always the uncompensated input
+state.  The loop stops at the first of: a pass that returns its starting
+fields bit for bit (the fixed point, which ended every phantom-study and
+simulated-cohort run measured so far), a ROI-mean ADC changed by at most
+ADC_CHANGE_TOL, relative to the previous value, over converge_window
+consecutive iterations, a pass that diverges (after the run records the
+pass's best finite state, if it is not the pass's start), and
+max_outer_iters records (the step cap).  The run's result is the state
+where it stopped.
 
 A cohort study runs three methods on every case (`analyze_methods`):
 no compensation, which is record 0 of a registered run (the curve fit of
@@ -117,6 +122,9 @@ class CaseResult:
     normalization_scale, the input's maximum b=0 intensity, to return to
     input units.  converged is True when the run stopped because the ROI-mean
     ADC was stable or because a pass returned its starting fields unchanged.
+    failed is True when a pass diverged; the last record is then that pass's
+    best finite state, or the state the pass started from when no loss of
+    the pass fell below its first or the error carried no state.
     """
 
     records: list
@@ -168,29 +176,54 @@ def _curve_stats(series: BValueSeries, roi: RoiMask):
     return (means, *irls_fit(means, series.bvalues))
 
 
-def _warp_input(series: BValueSeries, stack: np.ndarray) -> BValueSeries:
-    """The series warped by a component-major (B, 3, nx, ny, nz) field stack.
+def _warp_input(series: BValueSeries, stack: np.ndarray, scale: float) -> BValueSeries:
+    """The series divided by scale and warped by a component-major (B, 3,
+    nx, ny, nz) field stack.
 
-    One b-value image per task on `_kernels.fan_out_ranges`; each warp
-    reads its image's contiguous component planes of the stack.  The bits
-    are those of `warp_series` with `unstack_fields(stack)`, since a
-    float32 component is exact in float64.  The warped images and each
-    thread range's scratch are made here, on the calling thread, so no
-    array made on a helper thread outlives its task.
+    One b-value image per task on `_kernels.fan_out_ranges`; each task
+    divides its image by scale into a scratch row and warps that row,
+    reading the image's contiguous component planes of the stack.  The bits
+    are those of `warp_series` with `unstack_fields(stack)` on
+    `normalize_series(series)` when scale is the series' normalization
+    scale, since the division is the same and a float32 component is exact
+    in float64; no normalized copy of the series is made.  The warped
+    images and each thread range's scratch are made here, on the calling
+    thread, so no array made on a helper thread outlives its task.
     """
     vols = series.volumes
     ranges = _kernels.thread_ranges(series.b_count, stack.size)
-    scratch = {r: np.empty((11, vols[0].data.size)) for r in ranges}
+    scratch = {r: np.empty((12, vols[0].data.size)) for r in ranges}
     warped = [np.empty(series.dims) for _ in vols]
 
     def warp_images(lo, hi):
+        *rows, image = scratch[lo, hi]
         for i in range(lo, hi):
-            _warp3d(vols[i].data, np.moveaxis(stack[i], 0, -1), warped[i], scratch[lo, hi])
+            np.divide(vols[i].data.reshape(-1), scale, out=image)
+            _warp3d(image.reshape(series.dims), np.moveaxis(stack[i], 0, -1), warped[i], rows)
 
     _kernels.fan_out_ranges(warp_images, series.b_count, stack.size)
     return BValueSeries(
         series.bvalues, tuple(ScalarVolume(w, v.spacing) for w, v in zip(warped, vols))
     )
+
+
+def _record(current: BValueSeries, roi: RoiMask, alpha2: float):
+    """(maps, CaseRecord) of a series state: its LLS maps, the robust fit of
+    its ROI-mean curve, and the objective at zero fields, the state entering
+    a registration: similarity and model fit of the series against its own
+    fit, smoothness 0."""
+    maps = lls_fit(current)
+    means, log_s0_c, adc_c, r2_c = _curve_stats(current, roi)
+    # left unnamed, so only the pass's workspace holds a target
+    sim = similarity_loss(reconstruct(maps, current.bvalues), current)
+    loss0 = LossBreakdown.weighted(sim, 0.0, model_fit_loss(current, maps, roi), alpha2)
+    return maps, CaseRecord(adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0)
+
+
+def _fell(trace) -> bool:
+    """Whether a pass's trace holds a total below its first, so the pass
+    returned another state than its start."""
+    return any(bd.total < trace[0].total for bd in trace[1:])
 
 
 def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseResult:
@@ -199,22 +232,30 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     Record k describes the series state after k registration passes
     (k = 0 is the raw input), so a run capped at max_outer_iters produces at
     most max_outer_iters records and performs one fewer registration pass.
-    The input is normalized once (normalization_scale is its maximum b=0
-    intensity).  Each pass optimizes the accumulated fields against the
-    normalized input, warm-started from the previous pass's fields, and the
-    next series is the normalized input warped by them: one resample each.
-    Stops early once the ROI-mean ADC is stable (`check_convergence`) for
-    converge_window consecutive iterations, or right after a pass that
-    returns its starting fields bit for bit, which every later pass would
-    repeat (its record would duplicate the last one).  Both stops set
-    converged.  A pass that diverges ends the run with failed set.  Whatever
-    the stop, the result's maps, fields and series are those of the last
-    record.  Between passes the fields are carried as the optimizer's
-    component-major WORK_DTYPE stack (`optimize_fields`), and turned into
-    DisplacementFields once, for the result.  Each record's loss is the
-    objective at zero fields, the state entering that iteration's
-    registration: similarity and model fit of the current series against
-    its own fit, smoothness 0.
+    The input is normalized by its maximum b=0 intensity
+    (normalization_scale).  Each pass optimizes the accumulated fields
+    against the normalized input, warm-started from the previous pass's
+    fields, and the next series is the normalized input warped by them:
+    one resample each.  Stops early once the ROI-mean ADC is stable
+    (`check_convergence`) for converge_window consecutive iterations, or
+    right after a pass that returns its starting fields, which every later
+    pass would repeat (its record would duplicate the last one); a pass
+    does that exactly when no total of its trace falls below the first.
+    Both stops set converged.  A pass that diverges ends the run with
+    failed set, after the run has taken the pass's best finite state
+    (`registration.DivergedError.state`) and, when it is not the pass's
+    start, recorded it; an error that carries no state leaves the fields
+    as they were.  Whatever the stop, the result's maps, fields and series
+    are those of the last record.
+
+    Between passes the fields are carried as the optimizer's
+    component-major WORK_DTYPE stack (`optimize_fields`, which steps it in
+    place), and turned into DisplacementFields once, for the result.  No
+    float64 series is held through a pass: neither a normalized copy of the
+    caller's input, which the pass and the warps divide image by image
+    (`_warp_input`), nor the series of the last record, which is made again
+    with the same bits if the run stops with it.  Each record's loss is the
+    objective at zero fields (`_record`).
 
     Raises DimensionMismatchError for an ROI on another grid and
     EmptyRoiError for an empty ROI.
@@ -223,41 +264,47 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         raise DimensionMismatchError("roi dims must match series dims")
     if roi.count == 0:
         raise EmptyRoiError("empty ROI")
-    normalized, scale = normalize_series(series)
+    current, scale = normalize_series(series)
     stack = np.zeros((series.b_count, 3) + series.dims, WORK_DTYPE)
 
-    current = normalized
+    moved = False  # whether stack is other than the zero start
     records: list[CaseRecord] = []
     failed = False
     failure_reason = None
     converged = False
 
     for k in range(cfg.max_outer_iters):
-        maps = lls_fit(current)
-        means, log_s0_c, adc_c, r2_c = _curve_stats(current, roi)
-        # left unnamed, so only the pass's workspace holds a target
-        sim = similarity_loss(reconstruct(maps, series.bvalues), current)
-        loss0 = LossBreakdown.weighted(sim, 0.0, model_fit_loss(current, maps, roi), cfg.alpha2)
-        records.append(CaseRecord(adc_c, r2_c, log_s0_c, tuple(means.tolist()), loss0))
+        maps, record = _record(current, roi, cfg.alpha2)
+        records.append(record)
         if check_convergence([r.roi_mean_adc for r in records], cfg.converge_window):
             converged = True
             break
         if k == cfg.max_outer_iters - 1:
             break
+        current = None
         try:
-            new_stack, _trace = optimize_fields(
-                normalized, stack, maps, roi, cfg.alpha2, cfg.inner
+            stack, trace = optimize_fields(
+                series, stack, maps, roi, cfg.alpha2, cfg.inner, scale
             )
         except DivergedError as err:
             failed = True
             failure_reason = str(err)
+            if err.state is not None:
+                stack = err.state
+                if _fell(err.trace[:-1]):
+                    moved = True
+                    current = _warp_input(series, stack, scale)
+                    maps, record = _record(current, roi, cfg.alpha2)
+                    records.append(record)
             break
-        if np.array_equal(new_stack, stack):
+        if not _fell(trace):
             converged = True
             break
-        stack = new_stack
-        current = _warp_input(normalized, stack)
+        moved = True
+        current = _warp_input(series, stack, scale)
 
+    if current is None:
+        current = _warp_input(series, stack, scale) if moved else normalize_series(series)[0]
     return CaseResult(
         records=records,
         best_maps=maps,

@@ -6,15 +6,22 @@ every step at the one learning rate LEARNING_RATE.  A step may raise the
 total loss; the loop keeps the best-visited state and returns it, so the
 final loss never exceeds the initial one.  Once the best-seen loss gains no
 more than PLATEAU_REL_TOL of itself over a window of steps, the loop stops.
+If the loss or the gradient goes non-finite, the loop raises DivergedError
+with the best finite state it visited.
 
-`adam_loop` is the one loop.  It hands each evaluation the step that is
-pending (`AdamStep`): the bias corrections, the moments, and whether the
-previous evaluation set a new best that must be copied first.  The
-registration's evaluation takes the step group by group of b-value images,
-inside the per-image tasks of `objective.loss_and_gradient`, so the copy,
-the step, the evaluation and the finiteness check make one trip through
-each image; `adam_minimize` takes it on the whole vector before calling a
-plain function.  Each element sees the same operations in the same order
+`adam_loop` is the one loop.  It hands each evaluation its `AdamStep`: the
+moments, the pending step's number, and whether the previous evaluation
+set a new best that must be copied first.  Adam's moments are elementwise
+running sums, so the registration's evaluation takes the step group by
+group of b-value images, inside the per-image tasks of
+`objective.loss_and_gradient`, and folds each group's gradient into the
+moments as soon as it has made it: the copy, the step, the evaluation, the
+finiteness check and the fold make one trip through each image, and no
+whole gradient exists.  The iterate is the caller's start, stepped in
+place, so a pass holds three arrays the size of all fields besides it: the
+best state and the two moments.  `adam_minimize` takes each step on the
+whole vector before calling a plain function, folding the previous
+gradient then.  Each element sees the same operations in the same order
 either way, so both give the same bits.
 """
 
@@ -54,11 +61,14 @@ class InnerOptConfig:
 
 
 class DivergedError(RuntimeError):
-    """Non-finite loss or gradient; carries the loss trace seen so far."""
+    """Non-finite loss or gradient; carries the loss trace seen so far and
+    state, the best finite state the loop visited (its start when no loss
+    fell below the first), or None when the raiser had no state to give."""
 
-    def __init__(self, message, trace):
+    def __init__(self, message, trace, state=None):
         super().__init__(message)
         self.trace = trace
+        self.state = state
 
 
 @dataclass
@@ -69,41 +79,57 @@ class AdamResult:
     steps: int
 
 
-# Bound at import: the registration's evaluation takes the Adam step on
+# Bound at import: the registration's evaluation takes the Adam kernels on
 # helper threads, which must not enter the names a tracer wraps in `_kernels`
 # (perfbench/spans.py keeps one span stack for all threads).
-_adam_update = _kernels.adam_update
+_adam_moments = _kernels.adam_moments
+_adam_step = _kernels.adam_step
 
 
 @dataclass(frozen=True)
 class AdamStep:
-    """The Adam step t that is pending when an evaluation starts.
+    """The Adam state one evaluation works with.
 
-    m and v are the moments and bc1, bc2 the bias corrections 1 - beta^t.
-    best, when set, is the best-state buffer, and the iterate is copied into
-    it before the step: the previous evaluation set a new best.  The
-    evaluation calls `apply` once on every flat range of the iterate, each
-    just before it reads that range, with the gradient the previous
-    evaluation left; the ranges may be stepped in any order and on any
-    thread, since every element sees the same operations.
+    t is the step pending when the evaluation starts, 0 for the first
+    evaluation, which takes none.  m and v are the moments; they hold every
+    gradient made before this evaluation.  best, when set, is the
+    best-state buffer, into which x is copied before step t moves it: the
+    previous evaluation set a new best.  The evaluation calls `apply` on
+    every flat range of x just before it reads that range, and `fold` on
+    the flat gradient of every range as soon as it has made it; the ranges
+    may be taken in any order and on any thread, since every element sees
+    the same operations.
     """
 
+    t: int
     m: np.ndarray
     v: np.ndarray
-    best: np.ndarray | None
-    bc1: float
-    bc2: float
+    best: np.ndarray | None = None
 
-    def apply(self, x, grad, lo, hi, scratch):
-        """Copy x[lo:hi] into best if set, then step it by grad[lo:hi];
-        scratch as `_kernels.adam_update` takes it."""
+    @property
+    def bias_corrections(self):
+        """(1 - beta1^t, 1 - beta2^t)."""
+        return 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+
+    def apply(self, x, lo, hi, scratch):
+        """Copy x[lo:hi] into best if set, then move it by step t (nothing
+        at t = 0); scratch as `_kernels.adam_step` takes it."""
+        if not self.t:
+            return
         r = slice(lo, hi)
         if self.best is not None:
             self.best[r] = x[r]
-        _adam_update(
-            x[r], grad[r], self.m[r], self.v[r], LEARNING_RATE,
-            ADAM_BETA1, ADAM_BETA2, ADAM_EPS, self.bc1, self.bc2, scratch,
+        _adam_step(
+            x[r], self.m[r], self.v[r], LEARNING_RATE, ADAM_EPS, *self.bias_corrections, scratch
         )
+
+    def fold(self, g, lo, hi, scratch, finite):
+        """Fold g, the flat gradient of x[lo:hi], into m[lo:hi] and
+        v[lo:hi], and return whether every entry of g is finite; scratch as
+        `_kernels.adam_moments` takes it, finite a bool row of g.size."""
+        r = slice(lo, hi)
+        _adam_moments(g, self.m[r], self.v[r], ADAM_BETA1, ADAM_BETA2, scratch)
+        return bool(np.isfinite(g, out=finite).all())
 
 
 def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
@@ -113,8 +139,9 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
     place, so it ends at the last visited state and no second copy of the
     start is kept.  value_and_grad(x) must return (loss, grad, aux) with
     grad of x's dtype; aux is recorded in the trace, and grad may be the
-    same buffer on every call.  The loop is `adam_loop`, and each pending
-    step (`AdamStep`) is taken on the whole vector before the call that
+    same buffer on every call.  The loop is `adam_loop`; each pending step
+    is one `_kernels.adam_update` of the whole vector, which folds the
+    previous gradient into the moments and moves x, before the call that
     follows it.  Returns the lowest-loss visited state.
     """
     grad = None
@@ -122,8 +149,13 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
 
     def evaluate(step):
         nonlocal grad
-        if step is not None:
-            step.apply(x, grad, 0, x.size, scratch)
+        if step.t:
+            if step.best is not None:
+                step.best[:] = x
+            _kernels.adam_update(
+                x, grad, step.m, step.v, LEARNING_RATE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                *step.bias_corrections, scratch,
+            )
         loss, grad, aux = value_and_grad(x)
         return loss, bool(np.isfinite(grad).all()), aux
 
@@ -133,43 +165,46 @@ def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamRes
 def adam_loop(evaluate, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
     """The Adam loop, with each step taken inside the evaluation that follows it.
 
-    evaluate(step) takes the pending `AdamStep` on x, all of it, or nothing
-    when step is None (the first evaluation), evaluates the loss and its
-    gradient at the new x and returns (loss, grad_finite, aux); aux is
+    evaluate(step) gets the `AdamStep` of every evaluation: it takes the
+    pending step on x, all of it (nothing on the first evaluation), sees
+    that the moments hold the new gradient before the next step moves x
+    (by folding it as it is made, or the previous one just before the
+    step), and returns (loss, grad_finite, aux) at the new x; aux is
     recorded in the trace.  Every step uses the learning rate
-    LEARNING_RATE, also after a step whose loss rose.  The moments and the
-    best-state buffer take x's dtype; they are made here, on the calling
-    thread, before the first step, and the moments are dropped on return.
+    LEARNING_RATE, also after a step whose loss rose.  x is stepped in
+    place.  The moments and the best-state buffer take x's dtype; they are
+    made here, on the calling thread, before the first evaluation, which
+    may fold into the moments, and the moments are dropped on return.
     Since a new best is copied only before the next step, the result is x
     itself when the last evaluation was the best, and the best-state buffer
     otherwise.  The loop stops after max_inner_steps steps, or once the
     best-seen loss gains no more than PLATEAU_REL_TOL of itself over
     plateau_window steps, in both cases without taking another step.
     Raises DivergedError, with the trace so far, after an evaluation whose
-    loss or gradient is not finite.
+    loss or gradient is not finite; its state is the best finite state
+    visited: x on the first evaluation, which moved nothing, and the
+    best-state buffer after a step, which holds the start when no loss fell
+    below the first.
     """
     if x.dtype not in (np.float32, np.float64) or x.ndim != 1:
         raise ValueError(
             f"x must be a flat float32 or float64 array, got {x.dtype} of shape {x.shape}"
         )
-    loss, finite, aux = evaluate(None)
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    loss, finite, aux = evaluate(AdamStep(0, m, v))
     trace = [aux]
     if not np.isfinite(loss) or not finite:
-        raise DivergedError("diverged: non-finite initial loss or gradient", trace)
+        raise DivergedError("diverged: non-finite initial loss or gradient", trace, x)
     best_loss = loss
     best_t = 0  # the evaluation that set the best loss
     best_history = [best_loss]
     best = np.empty_like(x)
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
     for t in range(1, cfg.max_inner_steps + 1):
-        step = AdamStep(
-            m, v, best if best_t == t - 1 else None, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-        )
-        loss, finite, aux = evaluate(step)
+        loss, finite, aux = evaluate(AdamStep(t, m, v, best if best_t == t - 1 else None))
         trace.append(aux)
         if not np.isfinite(loss) or not finite:
-            raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace)
+            raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace, best)
         if loss < best_loss:
             best_loss = loss
             best_t = t
@@ -189,44 +224,51 @@ def optimize_fields(
     roi: RoiMask,
     alpha2: float,
     cfg: InnerOptConfig,
+    scale: float,
 ):
     """Find per-b-value displacement fields minimizing the total loss.
 
-    Each b-value image of `moving` is registered to the same-b image of the
-    maps' reconstruction; all B fields are optimized jointly against the
-    weighted total of `loss_and_gradient`, for every model-fit weight alpha2
-    (alpha2 = 0 is the registration-only method).  init holds the starting
-    fields as one C-contiguous component-major (B, 3, nx, ny, nz)
+    Each b-value image of `moving`, divided by scale, is registered to the
+    same-b image of the maps' reconstruction; `pipeline.run_case` passes
+    the input and its normalization scale, so it keeps no normalized copy
+    through the pass.  All B fields are optimized jointly against the
+    weighted total of `loss_and_gradient`, for every model-fit weight
+    alpha2 (alpha2 = 0 is the registration-only method).  init holds the
+    starting fields as one C-contiguous component-major (B, 3, nx, ny, nz)
     objective.WORK_DTYPE stack (`objective.stack_fields`); the outer loop
     passes the result of its previous pass, so Adam resumes from it with
-    fresh moments, and init itself is left as it is.  Returns (stack,
-    trace): trace is the per-step LossBreakdown list, every term
-    unweighted, and stack the best-visited state in init's layout, never
-    worse than init.
+    fresh moments.  Adam steps init in place.  Returns (stack, trace):
+    trace is the per-step LossBreakdown list, every term unweighted, and
+    stack the best-visited state in init's layout, never worse than init:
+    init itself when the last evaluation was the best, else the best-state
+    buffer, which holds init's starting bits when no total fell below the
+    first.
 
-    The iterate is a copy of init, and every evaluation writes its gradient
-    into one buffer of the same layout, made here too.  With the best state
-    and the two moments of `adam_loop`, the pass holds five arrays the size
-    of all fields; the moments and whichever of the iterate and the best
-    state is not the result are dropped on return.  The
-    evaluations share one `objective.Workspace`, made here and dropped on
-    return, which holds the target built from the maps, the stacked images,
-    the grid and the kernels' scratch.  Each evaluation takes the pending
-    Adam step group by group of b-value images, in the thread that then
-    evaluates the group (`loss_and_gradient`), so a step makes one pass
-    over each image.
+    Besides init, the pass holds three arrays the size of all fields: the
+    best state and the two moments of `adam_loop`; the moments are dropped
+    on return.  The evaluations share one `objective.Workspace`, made here
+    and dropped on return, which holds the target built from the maps, the
+    stacked images, the grid and, per thread range, the kernels' scratch
+    and one group's gradient.  Each evaluation takes the pending Adam step
+    group by group of b-value images, in the thread that then evaluates
+    the group and folds the group's gradient into the moments
+    (`loss_and_gradient`), so no whole gradient exists and a step makes one
+    pass over each image.
 
     Raises DimensionMismatchError for an init of the wrong shape (from the
-    first evaluation), and DivergedError (with the partial trace attached)
-    if the loss or gradient goes non-finite.
+    first evaluation), and DivergedError if the loss or gradient goes
+    non-finite, with the partial trace and, as its state, the best finite
+    state in init's layout (init itself if the first evaluation diverged).
     """
-    ws = Workspace(moving, maps, roi)
-    x = init.copy()
-    grad = np.empty_like(x)
+    ws = Workspace(moving, maps, roi, scale)
 
     def evaluate(step):
-        bd = loss_and_gradient(ws, x, alpha2, grad, step)
+        bd = loss_and_gradient(ws, init, alpha2, None, step)
         return bd.total, ws.grad_finite, bd
 
-    res = adam_loop(evaluate, x.reshape(-1), cfg)
-    return res.x.reshape(ws.shape), res.trace
+    try:
+        res = adam_loop(evaluate, init.reshape(-1), cfg)
+    except DivergedError as err:
+        err.state = err.state.reshape(init.shape)
+        raise
+    return res.x.reshape(init.shape), res.trace

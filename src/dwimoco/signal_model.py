@@ -89,25 +89,26 @@ def _residuals(b, y, log_s0, adc, out=None):
     return resid
 
 
-def _fit_blocks(solve_block, y, scratch_rows):
-    """(log_s0, adc), each (N,): `solve_block` on every block of y (B, N).
+def _fit_blocks(solve_block, y, scratch_rows, outputs=2):
+    """`outputs` rows of (N,) results of `solve_block` on every block of y (B, N).
 
     `fan_out_ranges` gives each thread one contiguous range of voxels,
     which it cuts into `_kernels.near_equal_ranges` of at most FIT_BLOCK
     voxels and solves one after another as
-    solve_block(y_block, log_s0_block, adc_block, scratch) with one
-    (scratch_rows, block width) scratch buffer.  Both solves add the B rows
-    one by one, so a voxel's bits do not depend on its block's width.
+    solve_block(y_block, *output_blocks, scratch) with one (scratch_rows,
+    block width) scratch buffer; the outputs are (log_s0, adc) and, for a
+    third, the R^2 map.  Every solve adds the B rows one by one, so a
+    voxel's bits do not depend on its block's width.
     """
-    log_s0, adc = np.empty((2, y.shape[1]))
+    out = np.empty((outputs, y.shape[1]))
 
     def run(lo, hi):
         scratch = np.empty((scratch_rows, min(hi - lo, FIT_BLOCK)))
         for i, j in _kernels.near_equal_ranges(lo, hi, -(-(hi - lo) // FIT_BLOCK)):
-            solve_block(y[:, i:j], log_s0[i:j], adc[i:j], scratch[:, : j - i])
+            solve_block(y[:, i:j], *out[:, i:j], scratch[:, : j - i])
 
     _kernels.fan_out_ranges(run, y.shape[1], y.size)
-    return log_s0, adc
+    return out
 
 
 def _lls_block(b, sums, y, log_s0, adc, scratch):
@@ -150,24 +151,72 @@ def _lad_block(b, pairs, y, log_s0, adc, scratch):
     """Least-absolute-deviations line of y ~ log S0 - b * ADC on a block.
 
     pairs: the sample pairs (i, j), i < j, with b_i != b_j, in order.  Each
-    voxel gets the first pair's line with the lowest L1 cost (`_pair_line`).
-    The first pair seeds every voxel, so a voxel whose costs are all NaN
-    keeps that line.  y, log_s0, adc as in `_lls_block`; scratch: (B + 4, n).
+    voxel gets the first pair's line with the lowest L1 cost (`_pair_line`):
+    a pair wins only where its cost is below the lowest cost so far, and a
+    NaN cost never wins.  The first pair seeds every voxel, so a voxel
+    whose first cost is NaN keeps that line: its lowest cost starts at
+    -inf, which no cost is below.  The lowest cost so far is kept by fmin,
+    which passes over a NaN, and the winning pair's number by a
+    multiply-and-maximum, since the numbers rise; the winning line is
+    computed once, from its pair, with the operations of `_pair_line`.  y,
+    log_s0, adc as in `_lls_block`; scratch: (B + 5, n), whose last row
+    holds the winning pair numbers as intp and whose line rows hold the
+    bool and intp rows of each pair's test.
     """
-    resid, (line_s0, line_adc, cost, best) = scratch[: len(b)], scratch[len(b) :]
+    resid, (line_s0, line_adc, cost, best, won) = scratch[: len(b)], scratch[len(b) :]
+    won = won.view(np.intp)
+    # free once a pair's cost is made, the line rows hold its test
+    better, number = line_adc.view(bool)[: y.shape[1]], line_s0.view(np.intp)
     (i, j), *rest = pairs
-    _pair_line(b, y, i, j, log_s0, adc, best, resid)
-    for i, j in rest:
+    _pair_line(b, y, i, j, line_s0, line_adc, best, resid)
+    np.copyto(best, -np.inf, where=np.isnan(best))
+    won.fill(0)
+    for p, (i, j) in enumerate(rest, 1):
         _pair_line(b, y, i, j, line_s0, line_adc, cost, resid)
-        better = cost < best
-        np.copyto(log_s0, line_s0, where=better)
-        np.copyto(adc, line_adc, where=better)
-        np.copyto(best, cost, where=better)
+        np.less(cost, best, out=better)
+        np.fmin(best, cost, out=best)
+        np.multiply(better, p, out=number)
+        np.maximum(won, number, out=won)
+    first, second = np.array(pairs).T
+    voxels = np.arange(y.shape[1])
+    yi, yj = y[first[won], voxels], y[second[won], voxels]
+    np.subtract(yi, yj, out=adc)
+    adc /= (b[second] - b[first])[won]
+    np.multiply(adc, b[first][won], out=log_s0)
+    log_s0 += yi
+
+
+def _add_rows(rows, out):
+    """out = rows[0] + rows[1] + ..., added in row order, the order of a
+    numpy sum over axis 0."""
+    np.copyto(out, rows[0])
+    for row in rows[1:]:
+        out += row
+
+
+def _lad_r2_block(b, pairs, y, log_s0, adc, r2, scratch):
+    """`_lad_block`, then the R^2 of each voxel's line into r2: 1 - ss_res /
+    ss_tot where ss_tot > 0, else 0, every sum of squares and the mean added
+    row by row as numpy's whole-array sums over axis 0 add them."""
+    _lad_block(b, pairs, y, log_s0, adc, scratch)
+    sq, (ss_res, mean, ss_tot) = scratch[: len(b)], scratch[len(b) : len(b) + 3]
+    np.square(_residuals(b, y, log_s0, adc, out=sq), out=sq)
+    _add_rows(sq, ss_res)
+    _add_rows(y, mean)
+    mean /= len(b)
+    np.square(np.subtract(y, mean, out=sq), out=sq)
+    _add_rows(sq, ss_tot)
+    with np.errstate(divide="ignore", invalid="ignore"):  # per thread: set here
+        np.divide(ss_res, ss_tot, out=r2)
+    np.subtract(1.0, r2, out=r2)
+    np.copyto(r2, 0.0, where=np.logical_not(ss_tot > 0))
 
 
 def floored_log(signals):
-    """log(max(signals, FLOOR_EPS)): the log domain every fit and loss works in."""
-    return np.log(np.maximum(signals, FLOOR_EPS))
+    """log(max(signals, FLOOR_EPS)): the log domain every fit and loss works
+    in, taken in place in the array of the maximum."""
+    out = np.maximum(signals, FLOOR_EPS)
+    return np.log(out, out=out)
 
 
 def _lls(b, y):
@@ -187,16 +236,18 @@ def _lls(b, y):
     return _fit_blocks(partial(_lls_block, b, (sw, sb, sbb, det)), y, 2)
 
 
-def _lad(b, y):
+def _lad(b, y, r2=False):
     """Least-absolute-deviations fit of y: (B, N) log signals to b: (B,).
 
-    Returns (log_s0, adc), each (N,).  Raises DegenerateDesignError when no
-    two b-values differ.
+    Returns (log_s0, adc), each (N,), and with r2 the R^2 map of the fit
+    too, made in the same blocks (`_lad_r2_block`).  Raises
+    DegenerateDesignError when no two b-values differ.
     """
     pairs = [(i, j) for i in range(len(b)) for j in range(i + 1, len(b)) if b[i] != b[j]]
     if not pairs:
         raise DegenerateDesignError("degenerate design: b-values carry no spread")
-    return _fit_blocks(partial(_lad_block, b, pairs), y, len(b) + 4)
+    solve = partial(_lad_r2_block if r2 else _lad_block, b, pairs)
+    return _fit_blocks(solve, y, len(b) + 5, 3 if r2 else 2)
 
 
 def lls_fit(series: BValueSeries) -> ParameterMaps:
@@ -248,18 +299,12 @@ def irls_fit_volume(series: BValueSeries):
     """`_lad` on every voxel: the robust fit of each voxel's decay curve.
 
     Returns (ParameterMaps, r2 map as ScalarVolume); a voxel whose log
-    signals have zero variance gets R^2 = 0.  Both sums of squares are
-    built in one (B, N) buffer.
+    signals have zero variance gets R^2 = 0.  The R^2 map is made block by
+    block in the fit's own threads and scratch.
     """
     b = np.asarray(series.bvalues, dtype=np.float64)
     y = floored_log(series.stack()).reshape(len(b), -1)
-    log_s0, adc = _lad(b, y)
-    sq = _residuals(b, y, log_s0, adc)
-    ss_res = np.square(sq, out=sq).sum(axis=0)
-    ymean = y.mean(axis=0)
-    ss_tot = np.square(np.subtract(y, ymean, out=sq), out=sq).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
+    log_s0, adc, r2 = _lad(b, y, r2=True)
     spacing = series.volumes[0].spacing
     dims = series.dims
     maps = ParameterMaps(

@@ -513,7 +513,8 @@ class TestKernelOracles:
 
     def test_cell_base_index_is_exact_above_2_24_voxels(self):
         # 4100 x 4100 x 3 holds 50.4 M voxels, and float32 whole numbers are
-        # exact only up to 2**24 (16.8 M): the flat index is built in intp.
+        # exact only up to 2**24 (16.8 M): the flat index is summed in float64,
+        # exact up to 2**53, and cast to intp once.
         # A handful of samples on the grid, so no full-size array is made.
         shape = (4100, 4100, 3)
         points = np.array(
@@ -535,8 +536,10 @@ class TestKernelOracles:
         assert any(int(np.float32(i)) != i for i in want)  # a float32 index would be off
         for dtype in DTYPES:
             coords = [np.array(col, dtype=dtype) for col in points.T]
-            index = np.full((2, len(points)), -1, dtype=np.intp)
-            got = _kernels._cell_base(coords, shape, np.empty(len(points), dtype), index)
+            index = np.full(len(points), -1, dtype=np.intp)
+            got = _kernels._cell_base(
+                coords, shape, np.empty(len(points), dtype), np.empty((2, len(points))), index
+            )
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.stack(coords, axis=-1), fracs)
 

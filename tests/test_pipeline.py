@@ -1,4 +1,6 @@
 import os
+import threading
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ from dwimoco import _kernels, objective, pipeline
 from dwimoco.maturity import CohortPoint
 from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
-from dwimoco.signal_model import irls_fit, roi_mean_signals
+from dwimoco.signal_model import irls_fit, lls_fit, roi_mean_signals
 from dwimoco.volume import (
     DimensionMismatchError,
     DisplacementField,
@@ -205,8 +207,9 @@ def test_run_case_stops_after_a_pass_that_returns_its_starting_fields(monkeypatc
     unchanged = []  # per pass: the returned stack equals the starting stack
 
     def spy(moving, init, *rest):
+        start = init.copy()  # the pass steps init in place
         stack, trace = real(moving, init, *rest)
-        unchanged.append(np.array_equal(stack, init))
+        unchanged.append(np.array_equal(stack, start))
         return stack, trace
 
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
@@ -314,24 +317,24 @@ def test_best_series_resampled_is_best_series():
 def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch):
     series, roi = small_case()
     real = pipeline.optimize_fields
-    calls = []  # (moving, starting stack, returned stack) per pass
+    calls = []  # (moving, scale, starting stack, returned stack) per pass
 
-    def spy(moving, init, *rest):
+    def spy(moving, init, maps, roi_mask, alpha2, cfg, scale):
         start = init.copy()
-        stack, trace = real(moving, init, *rest)
-        assert init.tobytes() == start.tobytes()  # the pass leaves its start alone
-        calls.append((moving, start, stack.copy()))
+        stack, trace = real(moving, init, maps, roi_mask, alpha2, cfg, scale)
+        calls.append((moving, scale, start, stack.copy()))
         return stack, trace
 
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, RUN_CFG)
     assert len(calls) == len(result.records) - 1 == 2
-    normalized, _ = pipeline.normalize_series(series)
+    normalized, scale = pipeline.normalize_series(series)
+    assert scale != 1.0
     # component-major (B, 3, nx, ny, nz) stacks of the working dtype
     previous = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
-    for moving, start, stack in calls:
-        for got, want in zip(moving.volumes, normalized.volumes):
-            np.testing.assert_array_equal(got.data, want.data)
+    for moving, pass_scale, start, stack in calls:
+        # the pass registers the input divided by its scale: the normalized input
+        assert moving is series and pass_scale == scale
         assert start.dtype == previous.dtype and start.shape == previous.shape
         assert start.tobytes() == previous.tobytes()
         previous = stack
@@ -424,3 +427,100 @@ def test_check_convergence_after_an_adc_of_zero():
 def test_check_convergence_rejects_a_window_below_1(window):
     with pytest.raises(ValueError, match="window"):
         pipeline.check_convergence([1.0, 1.0], window)
+
+
+def test_workspace_of_the_input_and_its_scale_holds_the_normalized_images():
+    series, roi = small_case()
+    normalized, scale = normalize_series(series)
+    maps = lls_fit(normalized)
+    got = objective.Workspace(series, maps, roi, scale)
+    want = objective.Workspace(normalized, maps, roi)
+    assert got.moving.tobytes() == want.moving.tobytes()
+    assert got.target.tobytes() == want.target.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_a_pass_that_diverges_after_its_total_fell_ends_the_run_at_its_best_state(
+    monkeypatch, budget
+):
+    # at evaluation 3 of the first pass a group's gradient gets an inf, as in
+    # test_non_finite_gradient_in_the_helper_range_diverges_at_the_same_step;
+    # a run whose first pass stops after 2 steps reaches that pass's best
+    # state without diverging, so the diverged run must end with its
+    # records, maps, fields and series
+    series, roi = small_case()
+    monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)  # budget 2 splits 3 + 3
+    monkeypatch.setattr(_kernels, "_budget", budget)
+    monkeypatch.setattr(_kernels, "GROUP_VOXELS", int(np.prod(series.dims)))  # 1 image a group
+    capped = replace(RUN_CFG, inner=replace(RUN_CFG.inner, max_inner_steps=2), max_outer_iters=2)
+    want = pipeline.run_case(series, roi, capped)
+    assert len(want.records) == 2 and want.records[1] != want.records[0]
+
+    real = objective._smooth_loss_grad
+    lock = threading.Lock()
+    calls = []  # 6 per evaluation, one per image
+
+    def smooth_loss_grad(u, grad_out, weight, scratch):
+        losses = real(u, grad_out, weight, scratch)
+        with lock:
+            calls.append(threading.current_thread() is not threading.main_thread())
+            if len(calls) == 19:  # a group of evaluation 3
+                grad_out[0, 1, 2, 3, 4] = np.inf
+        return losses
+
+    monkeypatch.setattr(objective, "_smooth_loss_grad", smooth_loss_grad)
+    got = pipeline.run_case(series, roi, RUN_CFG)
+    assert len(calls) == 24 and (True in calls) == (budget == 2)
+    assert got.failed is True and got.converged is False
+    assert got.failure_reason == "diverged: non-finite loss or gradient at step 3"
+    assert got.records == want.records
+    assert got.best_maps.adc.data.tobytes() == want.best_maps.adc.data.tobytes()
+    assert got.best_maps.log_s0.data.tobytes() == want.best_maps.log_s0.data.tobytes()
+    for g, w in zip(got.best_fields, want.best_fields):
+        assert g.data.tobytes() == w.data.tobytes()
+    assert any(f.data.any() for f in got.best_fields)
+    normalized, _ = pipeline.normalize_series(series)
+    resampled = pipeline.warp_series(normalized, got.best_fields)
+    for g, w, r in zip(got.best_series.volumes, want.best_series.volumes, resampled.volumes):
+        assert g.data.tobytes() == w.data.tobytes() == r.data.tobytes()
+
+
+def test_a_run_holds_its_start_three_fields_its_workspace_and_one_image_stack():
+    # through a pass the run holds the fields it carries (the pass's start),
+    # the pass's best state and two moments and its workspace; no float64
+    # series is held through it, so the records' series, the maps and the
+    # result's float64 fields fit in one more (B, nx, ny, nz) float64 stack
+    # (at 32x32x12 the stack's slack leaves about 250 KB to spare, where the
+    # fixed-size numpy buffers of a float64 sum of float32 values would take
+    # most of it at 20x20x8)
+    spec = pipeline.phantom.PhantomSpec(
+        dims=(32, 32, 12), noise_sigma=0.02, motion_amplitude=2.0, seed=7
+    )
+    _maps, roi, _clean, series, _fields = pipeline.phantom.simulate_case(spec)
+    cfg = pipeline.PipelineConfig(
+        inner=InnerOptConfig(max_inner_steps=5, plateau_window=0),
+        max_outer_iters=3,
+        converge_window=3,
+    )
+    field_bytes = series.b_count * 3 * int(np.prod(series.dims)) * 4
+    stack_bytes = series.b_count * int(np.prod(series.dims)) * 8
+    normalized, scale = normalize_series(series)
+    maps = lls_fit(normalized)
+    del normalized
+    init = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ws = objective.Workspace(series, maps, roi, scale)
+        objective.loss_and_gradient(ws, init, cfg.alpha2)
+        ws_bytes = tracemalloc.get_traced_memory()[0] - before
+        del ws
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = pipeline.run_case(series, roi, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 3 and not result.failed
+    bound = 4 * field_bytes + ws_bytes + stack_bytes
+    assert peak < bound, (peak, bound, field_bytes, ws_bytes, stack_bytes)

@@ -170,7 +170,7 @@ def test_evaluations_after_the_first_allocate_less_than_one_image_stack(monkeypa
     tracemalloc.start()
     try:
         cfg = InnerOptConfig(max_inner_steps=5, plateau_window=0)
-        registration.optimize_fields(moving, zero, maps, roi, 1000.0, cfg)
+        registration.optimize_fields(moving, zero, maps, roi, 1000.0, cfg, 1.0)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 6
@@ -201,15 +201,16 @@ def at_budget(monkeypatch):
     return run
 
 
-def unfused_optimize(moving, init, maps, roi, alpha2, cfg):
+def unfused_optimize(moving, init, maps, roi, alpha2, cfg, scale):
     """The registration pass as separate sweeps: an evaluation, a finiteness
     check of the whole gradient, a best-state copy and a textbook Adam step
-    over the whole vector, in the order of the kernel's formula."""
+    over the whole vector, in the order of the kernel's formula.  init is
+    left alone; a DivergedError carries the best state as a copy."""
     lr, b1, b2, eps = (
         registration.LEARNING_RATE, registration.ADAM_BETA1, registration.ADAM_BETA2,
         registration.ADAM_EPS,
     )
-    ws = objective.Workspace(moving, maps, roi)
+    ws = objective.Workspace(moving, maps, roi, scale)
     x = init.copy()
     grad = np.empty_like(x)
     m = np.zeros_like(x)
@@ -217,7 +218,7 @@ def unfused_optimize(moving, init, maps, roi, alpha2, cfg):
     bd = objective.loss_and_gradient(ws, x, alpha2, grad)
     trace = [bd]
     if not np.isfinite(bd.total) or not np.isfinite(grad).all():
-        raise DivergedError("diverged: non-finite initial loss or gradient", trace)
+        raise DivergedError("diverged: non-finite initial loss or gradient", trace, x)
     best_x, best_loss, history = x.copy(), bd.total, [bd.total]
     for t in range(1, cfg.max_inner_steps + 1):
         m = m * b1 + grad * (1.0 - b1)
@@ -226,7 +227,9 @@ def unfused_optimize(moving, init, maps, roi, alpha2, cfg):
         bd = objective.loss_and_gradient(ws, x, alpha2, grad)
         trace.append(bd)
         if not np.isfinite(bd.total) or not np.isfinite(grad).all():
-            raise DivergedError(f"diverged: non-finite loss or gradient at step {t}", trace)
+            raise DivergedError(
+                f"diverged: non-finite loss or gradient at step {t}", trace, best_x
+            )
         if bd.total < best_loss:
             best_x, best_loss = x.copy(), bd.total
         history.append(best_loss)
@@ -252,20 +255,22 @@ def unfused_optimize(moving, init, maps, roi, alpha2, cfg):
 def test_optimize_fields_bits_match_the_unfused_loop(
     monkeypatch, at_budget, budget, group, lr, cfg, stop
 ):
-    # the step taken group by group inside the evaluation gives the bits of
-    # an evaluation followed by a whole-vector step, for the returned stack
-    # and every term of every evaluation, whether the result is the last
-    # iterate or the best-state copy
+    # the step taken group by group inside the evaluation, with each group's
+    # gradient folded into the moments as it is made, gives the bits of an
+    # evaluation followed by a whole-vector step, for the returned stack and
+    # every term of every evaluation, whether the result is the last
+    # iterate (the start, stepped in place) or the best-state copy
     monkeypatch.setattr(registration, "LEARNING_RATE", lr)
     moving, maps, roi = motion_case()
     n_vox = int(np.prod(moving.dims))
     init = np.random.default_rng(3).normal(0.0, 0.2, (moving.b_count, 3) + moving.dims)
     init = init.astype(objective.WORK_DTYPE)
-    start = init.copy()
-    args = (moving, init, maps, roi, 1000.0, cfg)
-    got, got_trace = at_budget(budget, group, n_vox, registration.optimize_fields, *args)
-    want, want_trace = at_budget(1, 1, n_vox, unfused_optimize, *args)
-    assert init.tobytes() == start.tobytes()
+    x = init.copy()
+    args = (maps, roi, 1000.0, cfg, 1.0)
+    optimize = registration.optimize_fields
+    got, got_trace = at_budget(budget, group, n_vox, optimize, moving, x, *args)
+    want, want_trace = at_budget(1, 1, n_vox, unfused_optimize, moving, init, *args)
+    assert np.shares_memory(got, x) == (stop == "cap_last_best")
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert got_trace == want_trace
@@ -302,20 +307,24 @@ def test_non_finite_gradient_in_the_helper_range_diverges_at_the_same_step(
     for fn in (registration.optimize_fields, unfused_optimize):
         on_helper.clear()
         with pytest.raises(DivergedError) as err:
-            at_budget(2, 1, n_vox, fn, moving, init, maps, roi, 1000.0, cfg)
+            at_budget(2, 1, n_vox, fn, moving, init.copy(), maps, roi, 1000.0, cfg, 1.0)
         errors.append(err.value)
         assert len(on_helper) == 24 and on_helper[18:].count(True) == 3
     got, want = errors
     assert str(got) == str(want) == "diverged: non-finite loss or gradient at step 3"
     assert got.trace == want.trace and len(got.trace) == 4
     assert np.isfinite(got.trace[-1].total)
+    # the error hands back the best finite state, in the stack's layout
+    assert got.state.shape == init.shape and got.state.tobytes() == want.state.tobytes()
 
 
-def test_a_pass_holds_five_field_sized_arrays_and_its_workspace():
-    # the iterate, the best state, the two moments and the gradient; the
-    # per-evaluation temporaries stay under one (B, nx, ny, nz) float64 stack,
-    # as test_evaluations_after_the_first_allocate_less_than_one_image_stack
-    # pins, so a sixth field-sized array would not fit
+def test_a_pass_holds_three_field_sized_arrays_besides_its_start_and_workspace():
+    # the best state and the two moments: the start is stepped in place and
+    # each group's gradient lives in the workspace until it is folded into
+    # the moments; the per-evaluation temporaries stay under one (B, nx, ny,
+    # nz) float64 stack, as
+    # test_evaluations_after_the_first_allocate_less_than_one_image_stack
+    # pins, so a fourth field-sized array would not fit
     dims = (20, 20, 8)
     spec = PhantomSpec(dims=dims, noise_sigma=0.02, motion_amplitude=2.0, seed=7)
     _maps, roi, _clean, moved, _fields = simulate_case(spec)
@@ -329,20 +338,19 @@ def test_a_pass_holds_five_field_sized_arrays_and_its_workspace():
     tracemalloc.start()
     try:
         # the workspace as the pass holds it: after one evaluation, which
-        # makes the scratch
-        grad = np.empty_like(init)
+        # makes the scratch and the group gradients
         before = tracemalloc.get_traced_memory()[0]
         ws = objective.Workspace(moving, maps, roi)
-        objective.loss_and_gradient(ws, init, 1000.0, grad)
+        objective.loss_and_gradient(ws, init, 1000.0)
         ws_bytes = tracemalloc.get_traced_memory()[0] - before
-        del ws, grad
+        del ws
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        stack, _trace = registration.optimize_fields(moving, init, maps, roi, 1000.0, cfg)
+        stack, _trace = registration.optimize_fields(moving, init, maps, roi, 1000.0, cfg, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert stack.any()
-    assert 5 * field_bytes + ws_bytes <= peak < 5 * field_bytes + ws_bytes + stack_bytes, (
+    assert 3 * field_bytes + ws_bytes <= peak < 3 * field_bytes + ws_bytes + stack_bytes, (
         peak, field_bytes, ws_bytes,
     )
