@@ -23,19 +23,23 @@ finite differences.  With the parameter maps held fixed, the b-value images
 are independent, so that loop gives each thread one contiguous range of
 them (`_kernels.fan_out_ranges`), which the thread cuts into groups of
 consecutive images, as many as fit `_kernels.GROUP_VOXELS`, one kernel call
-each.  Each image writes only its own gradient slice, and the per-image
-sums are added in b-value order, so the result has the bits of one image
-per call on one thread at any group size and thread budget.  The same
-tasks take the optimizer's Adam step (`registration.AdamStep`): each
-group steps its own slice of the fields just before it evaluates them,
-makes its gradient in a group-sized buffer, checks it for non-finite
-entries and folds it into its slice of the Adam moments, so a
-registration step is one pass over each b-value image and no whole
-gradient exists.  Adam is elementwise, so the step keeps its bits too.
-What every evaluation of a pass shares, the target and the stacked
-images, the ROI indices, the predicted logs, the coordinate grid and, per
-thread range, the kernels' scratch with the group gradient, lives in a
-`Workspace` that the optimizer makes once per pass.
+each; an image larger than that is one group, cut into `_kernels.slabs` of
+whole x-planes, one kernel call each, so no call's scratch holds more than
+GROUP_VOXELS voxels (or one plane, where a plane is larger).  Each image
+writes only its own gradient slice, and the per-image sums, carried from
+slab to slab (`_kernels.RowSums`), are added in b-value order, so the
+result has the bits of one image per call on one thread at any group or
+slab size and thread budget.  The same tasks take the optimizer's Adam
+step (`registration.AdamStep`): each group steps its own slice of the
+fields just before it evaluates them, then makes the gradient of each call
+in a call-sized buffer, checks it for non-finite entries and folds it into
+its slice of the Adam moments, so a registration step is one pass over
+each b-value image and no whole gradient exists.  Adam is elementwise, so
+the step keeps its bits too.  What every evaluation of a pass shares, the
+target and the stacked images, the ROI indices of each slab, the maps on
+the ROI, the coordinate grid and, per thread range, the kernels' scratch
+with one call's gradient and predicted logs, lives in a `Workspace` that
+the optimizer makes once per pass.
 
 The fused route works in WORK_DTYPE, float32, and sums in float64; the
 per-term functions, the fields and every output stay float64.
@@ -192,12 +196,17 @@ class Workspace:
     rounded to WORK_DTYPE, the moving images divided by scale and stacked
     the same way (with the bits of `volume.normalize_series` when scale is
     the series' normalization scale, so a caller need not keep a
-    normalized copy), the ROI's flat indices for a group of images, each
-    image's predicted log signal on the ROI, in WORK_DTYPE too, the term
-    scales, the grid's coordinate rows (`_kernels.coordinate_grid`) and the
-    `_kernels.GroupScratch` of each thread range, with the range's group
-    gradient, which the first evaluation that runs the range makes on the
-    calling thread, before it hands the ranges out.  grad_finite tells
+    normalized copy), the b-values and the two maps on the ROI, from which
+    each kernel call makes its images' predicted logs (`pred_log`), the
+    term scales, the grid's coordinate rows
+    (`_kernels.coordinate_grid`), slabs, which holds, per kernel call of an
+    image (`_kernels.slabs`: the whole image when it fits
+    `_kernels.GROUP_VOXELS`), its x-planes x0..x1-1, its share k0..k1-1 of
+    the ROI voxels and their flat indices in the call's raveled planes, row
+    g for image g of a group, and the `_kernels.GroupScratch` of each
+    thread range, sized to one call, with that call's gradient, which the
+    first evaluation that runs the range makes on the calling thread,
+    before it hands the ranges out.  grad_finite tells
     whether every entry of the last gradient that `loss_and_gradient` made
     and folded into an Adam step's moments is finite.  Raises
     DimensionMismatchError for a series, maps or roi on different grids,
@@ -211,25 +220,35 @@ class Workspace:
             raise DimensionMismatchError("series, maps and roi must share dims")
         if roi.count == 0:
             raise EmptyRoiError("model-fit loss needs a non-empty ROI")
-        n_vox = int(np.prod(moving.dims))
+        dims = moving.dims
+        n_vox = int(np.prod(dims))
+        plane = dims[1] * dims[2]
         # the divisors that turn raw kernel sums into the similarity, model
         # fit and smoothness means
         self.scales = (moving.b_count * n_vox, moving.b_count * roi.count, n_vox)
-        self.shape = (moving.b_count, 3) + moving.dims
+        self.shape = (moving.b_count, 3) + dims
         self.group = max(1, _kernels.GROUP_VOXELS // n_vox)  # images per kernel call
         s0 = np.exp(maps.log_s0.data)
-        self.target = np.empty((moving.b_count,) + moving.dims, WORK_DTYPE)
+        self.target = np.empty((moving.b_count,) + dims, WORK_DTYPE)
         self.moving = np.empty_like(self.target)
         for target, image, vol, b in zip(self.target, self.moving, moving.volumes, moving.bvalues):
             target[...] = forward_signal(s0, maps.adc.data, b)
             np.divide(vol.data, scale, out=image)
         roi_idx = np.flatnonzero(roi.data)
-        # row g: the ROI of image g of a group, in the raveled group
-        self.roi = roi_idx + n_vox * np.arange(min(self.group, moving.b_count))[:, None]
-        log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
-        adc = maps.adc.data.reshape(-1)[roi_idx]
-        self.pred_log = np.stack([log_s0 - b * adc for b in moving.bvalues]).astype(WORK_DTYPE)
-        self.grid = _kernels.coordinate_grid(moving.dims, WORK_DTYPE)
+        self.bvalues = np.array(moving.bvalues)
+        self.roi_log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
+        self.roi_adc = maps.adc.data.reshape(-1)[roi_idx]
+        # per slab: its planes x0..x1-1, its part k0..k1-1 of the ROI and,
+        # row g, that part's flat indices in image g of a group's raveled
+        # slab; a group of several images is one slab
+        slabs = _kernels.slabs(dims)
+        edges = np.searchsorted(roi_idx, [x0 * plane for x0, _ in slabs] + [n_vox]).tolist()
+        images = np.arange(min(self.group, moving.b_count))[:, None]
+        self.slabs = [
+            (x0, x1, k0, k1, roi_idx[k0:k1] - x0 * plane + (x1 - x0) * plane * images)
+            for (x0, x1), k0, k1 in zip(slabs, edges, edges[1:])
+        ]
+        self.grid = _kernels.coordinate_grid(dims, WORK_DTYPE)
         self.grad_finite = True
         self._scratch = {}
 
@@ -237,12 +256,29 @@ class Workspace:
         """The GroupScratch of the thread range of images lo..hi-1."""
         scratch = self._scratch.get((lo, hi))
         if scratch is None:
-            images = min(self.group, hi - lo)
             scratch = _kernels.GroupScratch(
-                images, self.shape[2:], self.roi.shape[1], self.target.dtype, self.grid
+                min(self.group, hi - lo),
+                self.shape[2:],
+                max(k1 - k0 for _, _, k0, k1, _ in self.slabs),
+                self.target.dtype,
+                self.grid,
+                max(x1 - x0 for x0, x1, *_ in self.slabs),
             )
             self._scratch[lo, hi] = scratch
         return scratch
+
+    def pred_log(self, i, j, k0, k1, scratch):
+        """The predicted log signal of images i..j-1 on ROI voxels
+        k0..k1-1, image by image, flat: log_s0 - b * adc in float64,
+        rounded to WORK_DTYPE, made in the buffers of scratch, the thread
+        range's `_kernels.GroupScratch`."""
+        shape = (j - i, k1 - k0)
+        wide = scratch.pred_wide[: shape[0] * shape[1]].reshape(shape)
+        np.multiply.outer(self.bvalues[i:j], self.roi_adc[k0:k1], out=wide)
+        np.subtract(self.roi_log_s0[k0:k1], wide, out=wide)
+        pred = scratch.pred[: wide.size]
+        np.copyto(pred.reshape(shape), wide, casting="same_kind")
+        return pred
 
 
 def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
@@ -254,52 +290,72 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
     b-value order.  A zero prefactor adds only signed zeros, so one term is
     isolated exactly by zeroing the other two prefactors.  Each thread cuts
     its range into groups of ws.group consecutive images and hands each
-    group to the kernels in one call.  A group's gradient goes into its
-    slice of grad, or, when grad is None, into the grad buffer of the
-    range's `_kernels.GroupScratch`, which the next group overwrites.
+    group to the kernels in one call per slab of ws.slabs, in x order; a
+    group of several images is one slab.  Each call's gradient goes into
+    the gradient buffer of the range's `_kernels.GroupScratch`, which the
+    next call overwrites, and is copied into its slice of grad when grad
+    is given.
 
     With step (`registration.AdamStep`), the thread calls
     step.apply(x, lo, hi, scratch) on the group's flat range lo..hi-1 of
-    the raveled fields_arr before the kernels read it, and
-    step.fold(g, lo, hi, scratch, finite_row) on the group's flat gradient
-    after, which folds it into the moments and checks it for non-finite
-    entries; scratch is the flat rows of the range's GroupScratch, free
-    between kernel calls, and ws.grad_finite records whether every entry
-    was finite.  Every range's scratch is made here, before the ranges are
+    the raveled fields_arr before the kernels read it, so every plane a
+    slab's warp or smoothness reads is stepped, and step.fold(g, lo, hi,
+    scratch, finite_row) on each call's flat gradient after, which folds it
+    into the moments and checks it for non-finite entries: once for whole
+    images, and once per component for a slab, whose components lie a
+    component volume apart in x.  scratch is the flat rows of the range's
+    GroupScratch, free between kernel calls, and ws.grad_finite records
+    whether every entry was finite.  Every range's scratch is made here, before the ranges are
     handed out, so no array outlives a task that made it on a helper
     thread.
     """
     per_image = fields_arr[0].size
+    n_vox = per_image // 3
+    nx = fields_arr.shape[2]
+    plane = n_vox // nx
     flat_x = fields_arr.reshape(-1)
 
     def bvalue_range(lo, hi):
         scratch = ws.scratch(lo, hi)
-        rows = scratch.rows.reshape(-1)
         sums = []
         finite = True
         for i in range(lo, hi, ws.group):
             j = min(i + ws.group, hi)
             if step is not None:
-                step.apply(flat_x, i * per_image, j * per_image, rows)
-            g = scratch.grad[: j - i] if grad is None else grad[i:j]
-            g.fill(0.0)
-            sim, mf = _match_terms(
-                ws.moving[i:j],
-                fields_arr[i:j],
-                ws.target[i:j],
-                ws.pred_log[i:j].reshape(-1),
-                ws.roi[: j - i].reshape(-1),
-                FLOOR_EPS,
-                sim_c,
-                mf_c,
-                g,
-                scratch,
-            )
-            sums.extend(zip(sim, mf, _smooth_loss_grad(fields_arr[i:j], g, smooth_w, scratch)))
-            if step is not None:
-                ok = scratch.clamped.reshape(-1)[: g.size]
-                ok = step.fold(g.reshape(-1), i * per_image, j * per_image, rows, ok)
-                finite = finite and ok
+                step.apply(flat_x, i * per_image, j * per_image, scratch.flat)
+            for x0, x1, k0, k1, roi in ws.slabs:
+                g = scratch.gradient(j - i, x1 - x0)
+                g.fill(0.0)
+                terms = _match_terms(
+                    ws.moving[i:j],
+                    fields_arr[i:j, :, x0:x1],
+                    ws.target[i:j, x0:x1],
+                    ws.pred_log(i, j, k0, k1, scratch),
+                    roi[: j - i].reshape(-1),
+                    FLOOR_EPS,
+                    sim_c,
+                    mf_c,
+                    g,
+                    scratch,
+                    x0,
+                )
+                smooth = _smooth_loss_grad(fields_arr[i:j], g, smooth_w, scratch, x0)
+                if grad is not None:
+                    grad[i:j, :, x0:x1] = g
+                if step is None:
+                    continue
+                # the flat ranges of x that g covers: one for whole images,
+                # one per component for a slab
+                if x1 - x0 == nx:
+                    runs = [(g.reshape(-1), i * per_image)]
+                else:
+                    slab = i * per_image + x0 * plane
+                    runs = [(g[0, c].reshape(-1), slab + c * n_vox) for c in range(3)]
+                for row, start in runs:
+                    ok = scratch.clamped.reshape(-1)[: row.size]
+                    ok = step.fold(row, start, start + row.size, scratch.flat, ok)
+                    finite = finite and ok
+            sums.extend(zip(*terms, smooth))
         return sums, finite
 
     for lo, hi in _kernels.thread_ranges(len(fields_arr), fields_arr.size):

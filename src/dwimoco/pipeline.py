@@ -181,22 +181,24 @@ def _warp_input(series: BValueSeries, stack: np.ndarray, scale: float) -> BValue
     nx, ny, nz) field stack.
 
     One b-value image per task on `_kernels.fan_out_ranges`; each task
-    divides its image by scale into a scratch row and warps that row,
-    reading the image's contiguous component planes of the stack.  The bits
-    are those of `warp_series` with `unstack_fields(stack)` on
+    divides its image by scale into an image-sized float64 row and warps
+    that row, slab by slab (`_kernels.slabs`), in 11 slab-sized float64
+    rows, reading the image's contiguous component planes of the stack.
+    The bits are those of `warp_series` with `unstack_fields(stack)` on
     `normalize_series(series)` when scale is the series' normalization
     scale, since the division is the same and a float32 component is exact
     in float64; no normalized copy of the series is made.  The warped
-    images and each thread range's scratch are made here, on the calling
+    images and each thread range's rows are made here, on the calling
     thread, so no array made on a helper thread outlives its task.
     """
     vols = series.volumes
     ranges = _kernels.thread_ranges(series.b_count, stack.size)
-    scratch = {r: np.empty((12, vols[0].data.size)) for r in ranges}
+    slab = _kernels.slab_voxels(series.dims)
+    scratch = {r: (np.empty(vols[0].data.size), np.empty((11, slab))) for r in ranges}
     warped = [np.empty(series.dims) for _ in vols]
 
     def warp_images(lo, hi):
-        *rows, image = scratch[lo, hi]
+        image, rows = scratch[lo, hi]
         for i in range(lo, hi):
             np.divide(vols[i].data.reshape(-1), scale, out=image)
             _warp3d(image.reshape(series.dims), np.moveaxis(stack[i], 0, -1), warped[i], rows)

@@ -249,11 +249,12 @@ def optimize_fields(
     on return.  The evaluations share one `objective.Workspace`, made here
     and dropped on return, which holds the target built from the maps, the
     stacked images, the grid and, per thread range, the kernels' scratch
-    and one group's gradient.  Each evaluation takes the pending Adam step
-    group by group of b-value images, in the thread that then evaluates
-    the group and folds the group's gradient into the moments
-    (`loss_and_gradient`), so no whole gradient exists and a step makes one
-    pass over each image.
+    and one kernel call's gradient, of at most `_kernels.GROUP_VOXELS`
+    voxels (one slab of an image larger than that) at any grid.  Each
+    evaluation takes the pending Adam step group by group of b-value
+    images, in the thread that then evaluates the group, call by call, and
+    folds each call's gradient into the moments (`loss_and_gradient`), so
+    no whole gradient exists and a step makes one pass over each image.
 
     Raises DimensionMismatchError for an init of the wrong shape (from the
     first evaluation), and DivergedError if the loss or gradient goes

@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dwimoco import _kernels, objective
+from dwimoco import _kernels, objective, registration
 from dwimoco.objective import (
     ALPHA1,
     EmptyRoiError,
@@ -23,6 +23,7 @@ from dwimoco.objective import (
     unstack_fields,
 )
 from dwimoco.phantom import PhantomSpec, make_phantom
+from dwimoco.registration import InnerOptConfig
 from dwimoco.signal_model import FLOOR_EPS, ParameterMaps, reconstruct
 from dwimoco.volume import (
     BValueSeries,
@@ -535,13 +536,13 @@ class TestKernelOracles:
         want = np.ravel_multi_index(tuple(cells.T), shape)
         assert any(int(np.float32(i)) != i for i in want)  # a float32 index would be off
         for dtype in DTYPES:
-            coords = [np.array(col, dtype=dtype) for col in points.T]
+            coords = np.array(points.T, dtype=dtype)
             index = np.full(len(points), -1, dtype=np.intp)
             got = _kernels._cell_base(
-                coords, shape, np.empty(len(points), dtype), np.empty((2, len(points))), index
+                coords, shape, np.empty_like(coords), np.empty((2, len(points))), index
             )
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.stack(coords, axis=-1), fracs)
+            np.testing.assert_array_equal(coords.T, fracs)
 
     def test_plain_warp_equals_point_grad_warp(self, rng):
         for shape in [(6, 5, 7), (4, 3, 1), (2, 2, 2), (1, 1, 1)]:
@@ -842,6 +843,201 @@ class TestImageGroups:
                         assert grad.dtype == dtype
                         np.testing.assert_array_equal(got[term], grad)
                         np.testing.assert_array_equal(np.signbit(got[term]), np.signbit(grad))
+
+
+class TestSlabs:
+    """An image cut into slabs of x-planes gives the bits of one image per call.
+
+    GROUP_VOXELS is set below a plane (17: one-plane slabs, each plane
+    larger than the bound), to one plane, to two planes (slabs of 1, 2, 2,
+    2, 2 planes), to three (3 + 3 + 3), to one image and to two images, at
+    thread budgets 1 and 2, and SUM_BLOCK at numpy's buffer and at 64, so a
+    sum's blocks both straddle the slabs and fill them.  The ROI leaves
+    planes 0-2 empty, so the first three-plane slab has no ROI voxel, and
+    covers the planes on both sides of every later slab boundary.  The
+    fields send samples of the image's first and last x-planes outside the
+    grid along x, samples of the planes at the slab boundaries into other
+    slabs, and samples on those planes outside the grid along y.  A
+    one-plane slab's scratch rows hold fewer elements than the Adam step
+    takes over one image.
+    """
+
+    DIMS = (9, 6, 5)
+    BVALUES = (0.0, 100.0, 400.0, 900.0)
+    # GROUP_VOXELS: (images per call, planes per slab in call order)
+    SETTINGS = {
+        17: (1, [1] * 9),
+        30: (1, [1] * 9),
+        60: (1, [1, 2, 2, 2, 2]),
+        90: (1, [3, 3, 3]),
+        270: (1, [9]),
+        540: (2, [9]),
+    }
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(11)
+        dims = self.DIMS
+        maps = ParameterMaps(
+            ScalarVolume(rng.normal(0.0, 0.1, dims)), ScalarVolume(rng.uniform(0.0, 2e-3, dims))
+        )
+        mask = rng.random(dims) < 0.5
+        mask[:3] = False
+        mask[3, 0, 0] = mask[5, -1, -1] = mask[6, 0, 0] = True
+        target = reconstruct(maps, self.BVALUES)
+        moving = BValueSeries(
+            self.BVALUES,
+            tuple(ScalarVolume(v.data * rng.uniform(0.8, 1.2, dims)) for v in target.volumes),
+        )
+        u = rng.normal(0.0, 0.8, (len(self.BVALUES), 3) + dims)
+        u[0, 0, 0] = -3.0  # the image's first plane samples below x = 0
+        u[1, 0, -1] = 3.0  # its last plane above x = nx - 1
+        u[2, 0, [2, 3, 5, 6]] = [[[2.5]], [[-2.5]], [[2.5]], [[-2.5]]]  # across the slabs
+        u[3, 1, [2, 3, 5, 6], 0] = -2.0  # the boundary planes below y = 0
+        return moving, maps, RoiMask(mask), u
+
+    @pytest.fixture
+    def slabbed(self, monkeypatch):
+        """run(group_voxels, budget, sum_block, fn, *args): fn's result at
+        those settings, and (images, planes) of each match_terms call."""
+        monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)
+        calls = []
+        match_terms = objective._match_terms
+
+        def recording(vols, disp, *args):
+            calls.append((len(vols), disp.shape[2]))
+            return match_terms(vols, disp, *args)
+
+        monkeypatch.setattr(objective, "_match_terms", recording)
+
+        def run(group_voxels, budget, sum_block, fn, *args):
+            monkeypatch.setattr(_kernels, "GROUP_VOXELS", group_voxels)
+            monkeypatch.setattr(_kernels, "SUM_BLOCK", sum_block)
+            monkeypatch.setattr(_kernels, "_budget", budget)
+            calls.clear()
+            return fn(*args), list(calls)
+
+        return run
+
+    def each_setting(self, slabbed, fn, *args, serial_calls=1):
+        """(want, [(label, got), ...]): fn at one image per call, budget 1,
+        against every setting, budget and sum block; at budget 1 each
+        setting's calls are checked against SETTINGS, serial_calls times."""
+        n_b = len(self.BVALUES)
+        for sum_block in (_kernels.SUM_BLOCK, 64):
+            want, _ = slabbed(270, 1, sum_block, fn, *args)
+            got = []
+            for voxels, (images, planes) in self.SETTINGS.items():
+                for budget in (1, 2):
+                    result, calls = slabbed(voxels, budget, sum_block, fn, *args)
+                    if budget == 1:
+                        per_pass = [(images, p) for p in planes] * (n_b // images)
+                        assert calls == per_pass * serial_calls
+                    got.append(((voxels, budget, sum_block), result))
+            yield want, got
+
+    @pytest.mark.parametrize("alpha2", ALPHA2_SETTINGS)
+    def test_loss_and_gradient_bits_match_one_image_calls(
+        self, monkeypatch, problem, slabbed, alpha2
+    ):
+        moving, maps, roi, u64 = problem
+        planes = np.flatnonzero(roi.data) // (self.DIMS[1] * self.DIMS[2])
+        assert set((planes // 3).tolist()) == {1, 2}  # none in the first three-plane slab
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            u = u64.astype(dtype)
+
+            def evaluate():
+                grad = np.full_like(u, np.nan)  # an entry left unwritten stays NaN
+                return loss_and_gradient(Workspace(moving, maps, roi), u, alpha2, grad), grad
+
+            for (want_bd, want_grad), got in self.each_setting(slabbed, evaluate):
+                assert np.isfinite(want_grad).all()
+                for label, (bd, grad) in got:
+                    assert bd == want_bd, (dtype, label)
+                    np.testing.assert_array_equal(grad, want_grad)
+                    np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
+
+    def test_per_term_gradients_bits_match_one_image_calls(self, monkeypatch, problem, slabbed):
+        moving, maps, roi, u = problem
+        args = (per_term_gradients, moving, unstack_fields(u), maps, roi)
+        for dtype in DTYPES:
+            monkeypatch.setattr(objective, "WORK_DTYPE", dtype)
+            for want, got in self.each_setting(slabbed, *args, serial_calls=3):
+                for label, terms in got:
+                    for term, grad in want.items():
+                        np.testing.assert_array_equal(terms[term], grad, err_msg=str(label))
+                        np.testing.assert_array_equal(np.signbit(terms[term]), np.signbit(grad))
+
+    def test_warp3d_bits_match_one_image_calls(self, problem, slabbed):
+        moving, _maps, _roi, u = problem
+        for b in range(len(self.BVALUES)):
+            vol, disp = moving.volumes[b].data, np.moveaxis(u[b], 0, -1)
+            for want, got in self.each_setting(slabbed, _kernels.warp3d, vol, disp, serial_calls=0):
+                for label, w in got:
+                    assert w.tobytes() == want.tobytes(), (b, label)
+
+    def test_optimize_fields_bits_match_one_image_calls(self, problem, slabbed):
+        # the Adam step, taken on the whole image before its first slab,
+        # and the fold of each slab's gradient, component by component
+        moving, maps, roi, u = problem
+        init = u.astype(objective.WORK_DTYPE) * 0.25
+        cfg = InnerOptConfig(max_inner_steps=4, plateau_window=0)
+
+        def optimize():
+            x = init.copy()
+            stack, trace = registration.optimize_fields(moving, x, maps, roi, 1000.0, cfg, 1.0)
+            return stack.tobytes(), trace
+
+        for want, got in self.each_setting(slabbed, optimize, serial_calls=5):
+            assert want[0] != init.tobytes()
+            for label, result in got:
+                assert result == want, label
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_row_sums_keep_their_bits_wherever_a_row_is_cut(self, monkeypatch, rng, dtype):
+        # the rule: sequential float64 sum of the pairwise sums of
+        # SUM_BLOCK-element blocks; pieces of any length give its bits
+        monkeypatch.setattr(_kernels, "SUM_BLOCK", 64)
+        rows = (rng.random((3, 1000)) * 10.0 ** rng.integers(-6, 6, (3, 1000))).astype(dtype)
+        want = [0.0] * 3
+        for lo in range(0, 1000, 64):
+            block = rows[:, lo : lo + 64].sum(axis=1, dtype=np.float64)
+            want = [w + float(s) for w, s in zip(want, block)]
+        for cuts in ([], [1, 2, 3, 64, 65, 127, 128, 500], sorted(rng.choice(999, 40) + 1)):
+            sums = _kernels.RowSums(5, dtype, pieces=True)
+            edges = [0, *sorted(set(cuts)), 1000]
+            for lo, hi in zip(edges, edges[1:]):
+                sums.add(2, rows[:, lo:hi], lo, hi == 1000)
+            assert sums.totals[2:] == want, cuts
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 49152, 51200, 147457])
+    def test_row_sums_of_float32_rows_have_the_bits_of_numpy_sum(self, rng, n):
+        # a whole row, and one cut where the slabs of a grid of n voxels cut it
+        rows = (rng.random((2, n)) * 10.0 ** rng.integers(-6, 6, (2, n))).astype(np.float32)
+        want = rows.sum(axis=1, dtype=np.float64).tolist()
+        sums = _kernels.RowSums(2, np.float32, pieces=True)
+        sums.add(0, rows, 0, True)
+        assert sums.totals == want
+        cut = n // 3
+        sums.add(0, rows[:, :cut], 0, False)
+        sums.add(0, rows[:, cut:], cut, True)
+        assert sums.totals == want
+
+    def test_slabs_are_near_equal_whole_planes_within_group_voxels(self):
+        assert _kernels.slabs((96, 96, 16)) == [(0, 32), (32, 64), (64, 96)]
+        assert _kernels.slabs((80, 80, 16)) == [(0, 40), (40, 80)]
+        assert _kernels.slabs((64, 64, 16)) == [(0, 64)]
+        assert _kernels.slabs((3, 300, 300)) == [(0, 1), (1, 2), (2, 3)]  # a plane above the bound
+        for dims in [(128, 128, 40), (97, 33, 21), (7, 6, 5), (1, 1000, 1000)]:
+            slabs = _kernels.slabs(dims)
+            plane = dims[1] * dims[2]
+            assert slabs[0][0] == 0 and slabs[-1][1] == dims[0]
+            assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
+            sizes = [x1 - x0 for x0, x1 in slabs]
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+            assert max(sizes) == 1 or max(sizes) * plane <= _kernels.GROUP_VOXELS
+            assert _kernels.slab_voxels(dims) == max(sizes) * plane
 
 
 def _ranges_in_forked_worker():

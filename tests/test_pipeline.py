@@ -460,8 +460,8 @@ def test_a_pass_that_diverges_after_its_total_fell_ends_the_run_at_its_best_stat
     lock = threading.Lock()
     calls = []  # 6 per evaluation, one per image
 
-    def smooth_loss_grad(u, grad_out, weight, scratch):
-        losses = real(u, grad_out, weight, scratch)
+    def smooth_loss_grad(u, grad_out, weight, scratch, *slab):
+        losses = real(u, grad_out, weight, scratch, *slab)
         with lock:
             calls.append(threading.current_thread() is not threading.main_thread())
             if len(calls) == 19:  # a group of evaluation 3

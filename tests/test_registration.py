@@ -8,8 +8,8 @@ import pytest
 from dwimoco import _kernels, objective, registration
 from dwimoco.phantom import PhantomSpec, make_phantom, simulate_case
 from dwimoco.registration import DivergedError, InnerOptConfig, adam_minimize
-from dwimoco.signal_model import lls_fit, reconstruct
-from dwimoco.volume import BValueSeries, ScalarVolume, normalize_series
+from dwimoco.signal_model import ParameterMaps, lls_fit, reconstruct
+from dwimoco.volume import BValueSeries, RoiMask, ScalarVolume, normalize_series
 
 
 class Recorder:
@@ -292,8 +292,8 @@ def test_non_finite_gradient_in_the_helper_range_diverges_at_the_same_step(
     lock = threading.Lock()
     on_helper = []  # per call, 6 per evaluation: whether a helper thread made it
 
-    def smooth_loss_grad(u, grad_out, weight, scratch):
-        losses = real(u, grad_out, weight, scratch)
+    def smooth_loss_grad(u, grad_out, weight, scratch, *slab):
+        losses = real(u, grad_out, weight, scratch, *slab)
         with lock:
             on_helper.append(threading.current_thread() is not threading.main_thread())
             if len(on_helper) > 18 and on_helper[18:].count(True) == 1 and on_helper[-1]:
@@ -354,3 +354,41 @@ def test_a_pass_holds_three_field_sized_arrays_besides_its_start_and_workspace()
     assert 3 * field_bytes + ws_bytes <= peak < 3 * field_bytes + ws_bytes + stack_bytes, (
         peak, field_bytes, ws_bytes,
     )
+
+
+def test_a_workspace_holds_one_slab_sized_scratch_per_thread_range(monkeypatch):
+    # 96x96x16 is three slabs of 32 x-planes an image, so each of the two
+    # thread ranges works in a scratch of at most GROUP_VOXELS voxels: 13
+    # value rows, the index, 3 flags and the gradient's 3 components per
+    # voxel, 4 values, a float64 and 2 flags per ROI voxel and the carry
+    # rows of 11 sums.  Scratches of one image a range would take more than twice that.
+    monkeypatch.setattr(_kernels, "_budget", 2)
+    dims = (96, 96, 16)
+    assert len(_kernels.slabs(dims)) == 3
+    bvalues = (0.0, 50.0, 100.0, 300.0, 600.0, 900.0)
+    rng = np.random.default_rng(5)
+    maps = ParameterMaps(
+        ScalarVolume(rng.normal(0.0, 0.1, dims)), ScalarVolume(rng.uniform(0.0, 3e-3, dims))
+    )
+    images = tuple(ScalarVolume(rng.uniform(0.5, 1.0, dims)) for _ in bvalues)
+    moving = BValueSeries(bvalues, images)
+    roi = RoiMask(rng.random(dims) < 0.1)
+    init = np.zeros((len(bvalues), 3) + dims, objective.WORK_DTYPE)
+    assert len(_kernels.thread_ranges(len(bvalues), init.size)) == 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ws = objective.Workspace(moving, maps, roi)
+        objective.loss_and_gradient(ws, init, 1000.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    size = init.itemsize
+    block = (
+        _kernels.GROUP_VOXELS * (16 * size + 8 + 3)
+        + roi.count * (4 * size + 8 + 2)
+        + 11 * _kernels.SUM_BLOCK * size
+    )
+    shared = ws.target.nbytes + ws.moving.nbytes + ws.grid.nbytes
+    shared += roi.count * 3 * 8  # the ROI's flat indices and its two maps
+    assert shared < held <= shared + 2 * block, (held, shared, block)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
@@ -178,6 +180,26 @@ class TestWarp:
         out = warp(vol, field)
         assert out.data.min() >= vol.data.min() - 1e-12
         assert out.data.max() <= vol.data.max() + 1e-12
+
+    def test_warp_of_a_three_slab_image_allocates_its_output_and_one_slabs_rows(self, rng):
+        # 96x96x16 is three slabs of 32 x-planes: the warp works in 11
+        # float64 rows of one slab, where rows of the whole image would
+        # take 11 outputs
+        dims = (96, 96, 16)
+        assert len(_kernels.slabs(dims)) == 3
+        vol = ScalarVolume(rng.random(dims))
+        field = DisplacementField(rng.uniform(-2.0, 2.0, dims + (3,)))
+        out_bytes = vol.data.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = warp(vol, field)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert out_bytes < peak < out_bytes + 11 * 8 * _kernels.GROUP_VOXELS, peak
 
     def test_warp_series_requires_one_field_per_bvalue(self):
         series = model_series((3, 3, 3))
