@@ -275,9 +275,10 @@ class GroupScratch:
     Adam kernels take over the fields of `images` images, so `objective`
     can lend it to them between kernel calls.  grad holds a call's
     component-major gradient (`gradient`), which `objective` fills and
-    folds into the optimizer's moments before the next call, and pred a
-    call's predicted logs, which `objective` rounds from float64 ones made
-    in pred_wide.  sums and smooth_sums carry the `RowSums` of
+    folds into the optimizer's moments before the next call.  roi and live
+    hold `match_terms`' value rows and flags on a call's ROI voxels; the
+    predicted logs it reads are `objective.Workspace.pred_log`'s, made once
+    per pass.  sums and smooth_sums carry the `RowSums` of
     `match_terms` and `smooth_loss_grad` from slab to slab of an image.
     grid is the `coordinate_grid` of dims in that dtype, which the
     scratches of one `objective.Workspace` share read-only; it is made
@@ -298,8 +299,6 @@ class GroupScratch:
         self.clamped = np.empty((3, n), dtype=bool)
         self.roi = np.empty((3, images * roi_voxels), dtype)
         self.live = np.empty((2, images * roi_voxels), dtype=bool)
-        self.pred = np.empty(images * roi_voxels, dtype)
-        self.pred_wide = np.empty(images * roi_voxels)
         self.grad = np.empty(3 * n, dtype)
         pieces = planes < dims[0]
         self.sums = RowSums(2 * images, dtype, pieces)
@@ -842,8 +841,9 @@ def adam_update(x, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch):
     allocated.  Each element sees the same operations in any block or call,
     so the fold and the step may be taken range by range and apart in time:
     `objective` folds each group's gradient as it makes it and steps the
-    group's fields at the next evaluation, in the group's own thread;
-    `registration.adam_minimize` calls this on the whole vector.
+    group's fields at the next evaluation, in the group's own thread.  No
+    library code calls this: the tests pin it to textbook Adam, and
+    `perfbench/spans.py` wraps its name.
     """
     adam_moments(g, m, v, beta1, beta2, scratch)
     adam_step(x, m, v, lr, eps, bc1, bc2, scratch)

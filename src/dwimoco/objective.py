@@ -36,10 +36,10 @@ in a call-sized buffer, checks it for non-finite entries and folds it into
 its slice of the Adam moments, so a registration step is one pass over
 each b-value image and no whole gradient exists.  Adam is elementwise, so
 the step keeps its bits too.  What every evaluation of a pass shares, the
-target and the stacked images, the ROI indices of each slab, the maps on
-the ROI, the coordinate grid and, per thread range, the kernels' scratch
-with one call's gradient and predicted logs, lives in a `Workspace` that
-the optimizer makes once per pass.
+target and the stacked images, the ROI indices of each slab, the predicted
+logs on the ROI, the coordinate grid and, per thread range, the kernels'
+scratch with one call's gradient, lives in a `Workspace` that the
+optimizer makes once per pass.
 
 The fused route works in WORK_DTYPE, float32, and sums in float64; the
 per-term functions, the fields and every output stay float64.
@@ -196,9 +196,10 @@ class Workspace:
     rounded to WORK_DTYPE, the moving images divided by scale and stacked
     the same way (with the bits of `volume.normalize_series` when scale is
     the series' normalization scale, so a caller need not keep a
-    normalized copy), the b-values and the two maps on the ROI, from which
-    each kernel call makes its images' predicted logs (`pred_log`), the
-    term scales, the grid's coordinate rows
+    normalized copy), pred_log, the (B, ROI voxels) predicted log signal
+    log_s0 - b * adc on the ROI, in float64 rounded to WORK_DTYPE, of which
+    a kernel call takes the rows of its images and the columns of its slab,
+    the term scales, the grid's coordinate rows
     (`_kernels.coordinate_grid`), slabs, which holds, per kernel call of an
     image (`_kernels.slabs`: the whole image when it fits
     `_kernels.GROUP_VOXELS`), its x-planes x0..x1-1, its share k0..k1-1 of
@@ -206,9 +207,9 @@ class Workspace:
     g for image g of a group, and the `_kernels.GroupScratch` of each
     thread range, sized to one call, with that call's gradient, which the
     first evaluation that runs the range makes on the calling thread,
-    before it hands the ranges out.  grad_finite tells
-    whether every entry of the last gradient that `loss_and_gradient` made
-    and folded into an Adam step's moments is finite.  Raises
+    before it hands the ranges out.  grad_finite tells whether every entry
+    of the last gradient that `loss_and_gradient` made and folded into an
+    Adam step's moments is finite.  Raises
     DimensionMismatchError for a series, maps or roi on different grids,
     and EmptyRoiError for an empty ROI.
     """
@@ -235,9 +236,11 @@ class Workspace:
             target[...] = forward_signal(s0, maps.adc.data, b)
             np.divide(vol.data, scale, out=image)
         roi_idx = np.flatnonzero(roi.data)
-        self.bvalues = np.array(moving.bvalues)
-        self.roi_log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
-        self.roi_adc = maps.adc.data.reshape(-1)[roi_idx]
+        log_s0 = maps.log_s0.data.reshape(-1)[roi_idx]
+        adc = maps.adc.data.reshape(-1)[roi_idx]
+        self.pred_log = np.empty((moving.b_count, roi.count), WORK_DTYPE)
+        for row, b in zip(self.pred_log, moving.bvalues):
+            row[...] = log_s0 - b * adc
         # per slab: its planes x0..x1-1, its part k0..k1-1 of the ROI and,
         # row g, that part's flat indices in image g of a group's raveled
         # slab; a group of several images is one slab
@@ -266,19 +269,6 @@ class Workspace:
             )
             self._scratch[lo, hi] = scratch
         return scratch
-
-    def pred_log(self, i, j, k0, k1, scratch):
-        """The predicted log signal of images i..j-1 on ROI voxels
-        k0..k1-1, image by image, flat: log_s0 - b * adc in float64,
-        rounded to WORK_DTYPE, made in the buffers of scratch, the thread
-        range's `_kernels.GroupScratch`."""
-        shape = (j - i, k1 - k0)
-        wide = scratch.pred_wide[: shape[0] * shape[1]].reshape(shape)
-        np.multiply.outer(self.bvalues[i:j], self.roi_adc[k0:k1], out=wide)
-        np.subtract(self.roi_log_s0[k0:k1], wide, out=wide)
-        pred = scratch.pred[: wide.size]
-        np.copyto(pred.reshape(shape), wide, casting="same_kind")
-        return pred
 
 
 def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
@@ -330,7 +320,7 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
                     ws.moving[i:j],
                     fields_arr[i:j, :, x0:x1],
                     ws.target[i:j, x0:x1],
-                    ws.pred_log(i, j, k0, k1, scratch),
+                    ws.pred_log[i:j, k0:k1].reshape(-1),
                     roi[: j - i].reshape(-1),
                     FLOOR_EPS,
                     sim_c,

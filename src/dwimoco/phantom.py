@@ -50,10 +50,10 @@ _NON_NEGATIVE_FIELDS = ("lung_adc", "noise_sigma", "motion_amplitude")
 class PhantomSpec:
     """Geometry, lung ADC, noise, motion and b-values of a synthetic case.
 
-    The lung ellipsoid sits at the volume center with radii of about 30% of
-    each extent (at least 2 voxels), so dims must leave room for it.  Every
-    number must be finite and >= 0, and the b-values as `BValueSeries`
-    requires them.
+    dims are three integers >= 2.  The lung ellipsoid sits at the volume
+    center with radii of about 30% of each extent (at least 2 voxels), so
+    dims must leave room for it.  Every number must be finite and >= 0,
+    and the b-values as `BValueSeries` requires them.
     """
 
     dims: tuple = (96, 96, 16)
@@ -64,14 +64,15 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        dims = tuple(self.dims)
+        if len(dims) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in dims):
+            raise ValueError(f"phantom dims must be three integers >= 2, got {list(dims)}")
         for name in _NON_NEGATIVE_FIELDS:
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         checked_bvalues(self.bvalues)
-        if min(self.dims) < 2:
-            raise ValueError("phantom dims must be >= 2 along every axis")
         center, radii = self.center(), self.radii()
         if any(c - r < 0 or c + r > n - 1 for c, r, n in zip(center, radii, self.dims)):
             raise ValueError(

@@ -187,9 +187,13 @@ def _warp_input(series: BValueSeries, stack: np.ndarray, scale: float) -> BValue
     The bits are those of `warp_series` with `unstack_fields(stack)` on
     `normalize_series(series)` when scale is the series' normalization
     scale, since the division is the same and a float32 component is exact
-    in float64; no normalized copy of the series is made.  The warped
-    images and each thread range's rows are made here, on the calling
-    thread, so no array made on a helper thread outlives its task.
+    in float64; no normalized copy of the series is made.  An all-zero
+    stack samples every voxel at its own place, with the other corners of
+    its cell weighted by 0, so it gives the bits of
+    `normalize_series(series)` itself, but for a -0.0 voxel, which comes
+    back as +0.0.  The warped images and each thread range's rows are made
+    here, on the calling thread, so no array made on a helper thread
+    outlives its task.
     """
     vols = series.volumes
     ranges = _kernels.thread_ranges(series.b_count, stack.size)
@@ -244,11 +248,12 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     pass would repeat (its record would duplicate the last one); a pass
     does that exactly when no total of its trace falls below the first.
     Both stops set converged.  A pass that diverges ends the run with
-    failed set, after the run has taken the pass's best finite state
-    (`registration.DivergedError.state`) and, when it is not the pass's
-    start, recorded it; an error that carries no state leaves the fields
-    as they were.  Whatever the stop, the result's maps, fields and series
-    are those of the last record.
+    failed set: its best finite state (`registration.DivergedError.state`)
+    and its trace without the diverged evaluation take the place of a
+    pass's result, so the state is recorded when that trace fell, and the
+    run stops after that record; an error that carries no state leaves the
+    fields as they were.  Whatever the stop, the result's maps, fields and
+    series are those of the last record.
 
     Between passes the fields are carried as the optimizer's
     component-major WORK_DTYPE stack (`optimize_fields`, which steps it in
@@ -256,8 +261,9 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     float64 series is held through a pass: neither a normalized copy of the
     caller's input, which the pass and the warps divide image by image
     (`_warp_input`), nor the series of the last record, which is made again
-    with the same bits if the run stops with it.  Each record's loss is the
-    objective at zero fields (`_record`).
+    with the same bits, by one more warp, if the run stops with it; at zero
+    fields that warp gives the bits of `normalize_series`.  Each record's
+    loss is the objective at zero fields (`_record`).
 
     Raises DimensionMismatchError for an ROI on another grid and
     EmptyRoiError for an empty ROI.
@@ -269,15 +275,15 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     current, scale = normalize_series(series)
     stack = np.zeros((series.b_count, 3) + series.dims, WORK_DTYPE)
 
-    moved = False  # whether stack is other than the zero start
     records: list[CaseRecord] = []
-    failed = False
     failure_reason = None
     converged = False
 
     for k in range(cfg.max_outer_iters):
         maps, record = _record(current, roi, cfg.alpha2)
         records.append(record)
+        if failure_reason is not None:
+            break
         if check_convergence([r.roi_mean_adc for r in records], cfg.converge_window):
             converged = True
             break
@@ -289,24 +295,17 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
                 series, stack, maps, roi, cfg.alpha2, cfg.inner, scale
             )
         except DivergedError as err:
-            failed = True
             failure_reason = str(err)
-            if err.state is not None:
-                stack = err.state
-                if _fell(err.trace[:-1]):
-                    moved = True
-                    current = _warp_input(series, stack, scale)
-                    maps, record = _record(current, roi, cfg.alpha2)
-                    records.append(record)
-            break
+            # the diverged evaluation is not a state; an error without a
+            # state leaves the fields as they were
+            stack, trace = (stack, []) if err.state is None else (err.state, err.trace[:-1])
         if not _fell(trace):
-            converged = True
+            converged = failure_reason is None
             break
-        moved = True
         current = _warp_input(series, stack, scale)
 
     if current is None:
-        current = _warp_input(series, stack, scale) if moved else normalize_series(series)[0]
+        current = _warp_input(series, stack, scale)
     return CaseResult(
         records=records,
         best_maps=maps,
@@ -314,7 +313,7 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         best_series=current,
         normalization_scale=scale,
         converged=converged,
-        failed=failed,
+        failed=failure_reason is not None,
         failure_reason=failure_reason,
     )
 
@@ -508,8 +507,9 @@ def make_cohort_case_specs(
     not wider than a point (a saturation fit needs GA spread), a motion
     range below 0 or reversed, a sat_adc or sat_alpha not inside (0, inf),
     an adc_bio_noise not inside [0, inf) and a case whose
-    `phantom.PhantomSpec` cannot be built (dims with no room for the lung
-    ROI, a noise_sigma not inside [0, inf)).
+    `phantom.PhantomSpec` cannot be built (dims that are not three integers
+    >= 2 or leave no room for the lung ROI, a noise_sigma not inside
+    [0, inf)).
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")

@@ -19,10 +19,10 @@ moments as soon as it has made it: the copy, the step, the evaluation, the
 finiteness check and the fold make one trip through each image, and no
 whole gradient exists.  The iterate is the caller's start, stepped in
 place, so a pass holds three arrays the size of all fields besides it: the
-best state and the two moments.  `adam_minimize` takes each step on the
-whole vector before calling a plain function, folding the previous
-gradient then.  Each element sees the same operations in the same order
-either way, so both give the same bits.
+best state and the two moments.  Each element sees the same operations in
+the same order on any range of images and any thread, so the pass has the
+bits of a whole-vector Adam step between whole evaluations, which the
+tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ class DivergedError(RuntimeError):
         super().__init__(message)
         self.trace = trace
         self.state = state
-
-
-@dataclass
-class AdamResult:
-    x: np.ndarray
-    loss: float
-    trace: list
-    steps: int
 
 
 # Bound at import: the registration's evaluation takes the Adam kernels on
@@ -132,57 +124,30 @@ class AdamStep:
         return bool(np.isfinite(g, out=finite).all())
 
 
-def adam_minimize(value_and_grad, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
-    """Minimize a scalar function of a flat parameter vector with Adam.
-
-    x is the flat float32 or float64 starting point; Adam steps it in
-    place, so it ends at the last visited state and no second copy of the
-    start is kept.  value_and_grad(x) must return (loss, grad, aux) with
-    grad of x's dtype; aux is recorded in the trace, and grad may be the
-    same buffer on every call.  The loop is `adam_loop`; each pending step
-    is one `_kernels.adam_update` of the whole vector, which folds the
-    previous gradient into the moments and moves x, before the call that
-    follows it.  Returns the lowest-loss visited state.
-    """
-    grad = None
-    scratch = np.empty(2 * min(x.size, _kernels.ADAM_BLOCK), x.dtype)
-
-    def evaluate(step):
-        nonlocal grad
-        if step.t:
-            if step.best is not None:
-                step.best[:] = x
-            _kernels.adam_update(
-                x, grad, step.m, step.v, LEARNING_RATE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                *step.bias_corrections, scratch,
-            )
-        loss, grad, aux = value_and_grad(x)
-        return loss, bool(np.isfinite(grad).all()), aux
-
-    return adam_loop(evaluate, x, cfg)
-
-
-def adam_loop(evaluate, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
+def adam_loop(evaluate, x: np.ndarray, cfg: InnerOptConfig):
     """The Adam loop, with each step taken inside the evaluation that follows it.
 
-    evaluate(step) gets the `AdamStep` of every evaluation: it takes the
-    pending step on x, all of it (nothing on the first evaluation), sees
-    that the moments hold the new gradient before the next step moves x
-    (by folding it as it is made, or the previous one just before the
-    step), and returns (loss, grad_finite, aux) at the new x; aux is
-    recorded in the trace.  Every step uses the learning rate
-    LEARNING_RATE, also after a step whose loss rose.  x is stepped in
-    place.  The moments and the best-state buffer take x's dtype; they are
-    made here, on the calling thread, before the first evaluation, which
-    may fold into the moments, and the moments are dropped on return.
-    Since a new best is copied only before the next step, the result is x
-    itself when the last evaluation was the best, and the best-state buffer
-    otherwise.  The loop stops after max_inner_steps steps, or once the
-    best-seen loss gains no more than PLATEAU_REL_TOL of itself over
-    plateau_window steps, in both cases without taking another step.
-    Raises DivergedError, with the trace so far, after an evaluation whose
-    loss or gradient is not finite; its state is the best finite state
-    visited: x on the first evaluation, which moved nothing, and the
+    evaluate(step) gets the `AdamStep` of every evaluation: it calls
+    step.apply on every range of x before it reads that range, so the
+    pending step moves all of x (nothing on the first evaluation), and
+    step.fold on the gradient of every range as it makes it, and returns
+    (loss, grad_finite, aux) at the new x; aux is recorded in the trace.
+    `optimize_fields` does this group by group of images inside
+    `objective.loss_and_gradient`; a plain function of the whole vector
+    takes one range, 0..x.size, as the tests' driver does.  Every step uses
+    the learning rate LEARNING_RATE, also after a step whose loss rose.  x
+    is stepped in place.  The moments and the best-state buffer take x's
+    dtype; they are made here, on the calling thread, before the first
+    evaluation, which may fold into the moments, and the moments are
+    dropped on return.  Returns (x_best, trace), x_best the lowest-loss
+    visited state: since a new best is copied only before the next step,
+    that is x itself when the last evaluation was the best, and the
+    best-state buffer otherwise.  The loop stops after max_inner_steps
+    steps, or once the best-seen loss gains no more than PLATEAU_REL_TOL of
+    itself over plateau_window steps, in both cases without taking another
+    step.  Raises DivergedError, with the trace so far, after an evaluation
+    whose loss or gradient is not finite; its state is the best finite
+    state visited: x on the first evaluation, which moved nothing, and the
     best-state buffer after a step, which holds the start when no loss fell
     below the first.
     """
@@ -213,8 +178,7 @@ def adam_loop(evaluate, x: np.ndarray, cfg: InnerOptConfig) -> AdamResult:
             gain = best_history[t - cfg.plateau_window] - best_loss
             if gain <= PLATEAU_REL_TOL * max(abs(best_loss), np.finfo(float).tiny):
                 break
-    steps = len(trace) - 1
-    return AdamResult(x if best_t == steps else best, best_loss, trace, steps)
+    return (x if best_t == len(trace) - 1 else best), trace
 
 
 def optimize_fields(
@@ -248,9 +212,10 @@ def optimize_fields(
     best state and the two moments of `adam_loop`; the moments are dropped
     on return.  The evaluations share one `objective.Workspace`, made here
     and dropped on return, which holds the target built from the maps, the
-    stacked images, the grid and, per thread range, the kernels' scratch
-    and one kernel call's gradient, of at most `_kernels.GROUP_VOXELS`
-    voxels (one slab of an image larger than that) at any grid.  Each
+    stacked images, the predicted logs on the ROI, the grid and, per thread
+    range, the kernels' scratch and one kernel call's gradient, of at most
+    `_kernels.GROUP_VOXELS` voxels (one slab of an image larger than that)
+    at any grid.  Each
     evaluation takes the pending Adam step group by group of b-value
     images, in the thread that then evaluates the group, call by call, and
     folds each call's gradient into the moments (`loss_and_gradient`), so
@@ -268,8 +233,8 @@ def optimize_fields(
         return bd.total, ws.grad_finite, bd
 
     try:
-        res = adam_loop(evaluate, init.reshape(-1), cfg)
+        x, trace = adam_loop(evaluate, init.reshape(-1), cfg)
     except DivergedError as err:
         err.state = err.state.reshape(init.shape)
         raise
-    return res.x.reshape(init.shape), res.trace
+    return x.reshape(init.shape), trace

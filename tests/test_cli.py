@@ -316,6 +316,26 @@ def test_cohort_cases_rejects_the_simulation_flags(cases, tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dims", [[4, 4], [], [8, 8, 8, 8], [1, 8, 8]], ids=["two", "none", "four", "one_plane"]
+)
+@pytest.mark.parametrize("command", ["simulate", "cohort"])
+def test_phantom_dims_that_are_not_three_integers_of_2_or_more_exit_2(
+    tmp_path, capsys, command, dims
+):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"phantom": {"dims": dims}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    if command == "cohort":
+        argv += ["--n-cases", "3", *CAPS]
+    assert cli.main(argv) == 2
+    section = "phantom" if command == "simulate" else "cohort"
+    want = f"error: invalid {section} config: phantom dims must be three integers >= 2, got {dims}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cohort_cases_with_fewer_than_3_cases_exits_2_before_work(
     cases, tmp_path, capsys, monkeypatch
 ):

@@ -13,10 +13,12 @@ from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
 from dwimoco.signal_model import irls_fit, lls_fit, roi_mean_signals
 from dwimoco.volume import (
+    BValueSeries,
     DimensionMismatchError,
     DisplacementField,
     EmptyRoiError,
     RoiMask,
+    ScalarVolume,
     normalize_series,
 )
 
@@ -293,6 +295,43 @@ def test_run_case_keeps_zero_fields_when_the_first_pass_diverges(monkeypatch):
     assert result.normalization_scale == scale
     for got, want in zip(result.best_series_resampled.volumes, normalized.volumes):
         np.testing.assert_array_equal(got.data, want.data)
+
+
+def slab_series():
+    """A 6-b-value 80x80x16 series of uniform noise: two slabs of 40
+    x-planes an image."""
+    rng = np.random.default_rng(11)
+    dims = (80, 80, 16)
+    assert len(_kernels.slabs(dims)) == 2
+    images = tuple(ScalarVolume(rng.uniform(0.05, 2.0, dims)) for _ in range(6))
+    return BValueSeries((0.0, 50.0, 100.0, 200.0, 400.0, 600.0), images)
+
+
+@pytest.mark.parametrize("unit_scale", [False, True], ids=["scaled", "unit_scale"])
+@pytest.mark.parametrize("case", ["small", "slabs", "one_slice"])
+def test_warping_the_input_by_a_zero_stack_gives_the_normalized_input(
+    request, case, unit_scale
+):
+    # run_case ends every run with this warp when its last record is not the
+    # current series, also a run whose fields never moved
+    series = {
+        "small": lambda: small_case()[0],
+        "slabs": slab_series,
+        "one_slice": lambda: request.getfixturevalue("one_slice_case")[0],
+    }[case]()
+    if unit_scale:
+        peak = series.volumes[0].data.max()
+        series = BValueSeries(
+            series.bvalues, tuple(ScalarVolume(v.data / peak) for v in series.volumes)
+        )
+    normalized, scale = normalize_series(series)
+    assert (scale == 1.0) == unit_scale
+    stack = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
+    got = pipeline._warp_input(series, stack, scale)
+    assert got.bvalues == normalized.bvalues
+    for g, w in zip(got.volumes, normalized.volumes):
+        assert g.data.dtype == w.data.dtype and g.data.shape == w.data.shape
+        assert g.data.tobytes() == w.data.tobytes()
 
 
 def test_best_series_is_one_resample_of_the_normalized_input():

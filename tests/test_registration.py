@@ -7,7 +7,7 @@ import pytest
 
 from dwimoco import _kernels, objective, registration
 from dwimoco.phantom import PhantomSpec, make_phantom, simulate_case
-from dwimoco.registration import DivergedError, InnerOptConfig, adam_minimize
+from dwimoco.registration import DivergedError, InnerOptConfig
 from dwimoco.signal_model import ParameterMaps, lls_fit, reconstruct
 from dwimoco.volume import BValueSeries, RoiMask, ScalarVolume, normalize_series
 
@@ -31,6 +31,23 @@ def square(x):
     return float(x @ x), 2.0 * x
 
 
+def minimize(value_and_grad, x, cfg):
+    """`registration.adam_loop` on a plain function of a flat vector, driven
+    as `optimize_fields` drives it: each evaluation takes the pending step
+    on x through `AdamStep.apply` and folds the gradient it makes into the
+    moments through `AdamStep.fold`, on one range, the whole of x.
+    value_and_grad(x) returns (loss, grad, aux); returns (x_best, trace)."""
+    scratch = np.empty(2 * min(x.size, _kernels.ADAM_BLOCK), x.dtype)
+    finite = np.empty(x.size, bool)
+
+    def evaluate(step):
+        step.apply(x, 0, x.size, scratch)
+        loss, grad, aux = value_and_grad(x)
+        return loss, step.fold(grad, 0, x.size, scratch, finite), aux
+
+    return registration.adam_loop(evaluate, x, cfg)
+
+
 def rising_steps(losses):
     return sum(1 for a, b in zip(losses, losses[1:]) if b > a)
 
@@ -39,13 +56,13 @@ def test_returns_best_visited_state_when_last_step_is_worse(monkeypatch):
     monkeypatch.setattr(registration, "LEARNING_RATE", 1.5)
     f = Recorder(square)
     cfg = InnerOptConfig(max_inner_steps=2, plateau_window=0)
-    res = adam_minimize(f, np.array([1.0]), cfg)
+    x, trace = minimize(f, np.array([1.0]), cfg)
     # the first step overshoots to -0.5; the second moves away again
     assert len(f.losses) == 3 and f.losses[2] > f.losses[1] < f.losses[0]
-    np.testing.assert_array_equal(res.x, f.points[1])
-    assert res.loss == f.losses[1]
-    assert res.trace == f.losses
-    assert res.steps == 2
+    np.testing.assert_array_equal(x, f.points[1])
+    assert min(trace) == f.losses[1]
+    assert trace == f.losses
+    assert len(trace) - 1 == 2
 
 
 def textbook_adam(grad_fn, x0, lr, steps):
@@ -66,14 +83,14 @@ def test_every_step_keeps_the_learning_rate_after_a_rising_step(monkeypatch):
     monkeypatch.setattr(registration, "LEARNING_RATE", 1.5)
     f = Recorder(square)
     cfg = InnerOptConfig(max_inner_steps=12, plateau_window=0)
-    res = adam_minimize(f, np.array([1.0]), cfg)
+    _x, trace = minimize(f, np.array([1.0]), cfg)
     expected = textbook_adam(lambda x: 2.0 * x, 1.0, 1.5, 12)
     # the trajectory overshoots zero again and again, so the oracle's
     # constant rate is checked on the steps that follow a rise
     assert rising_steps(f.losses) == 6
     np.testing.assert_array_equal(np.concatenate(f.points), expected)
-    assert res.steps == 12
-    assert res.loss == min(f.losses)
+    assert len(trace) - 1 == 12
+    assert min(trace) == min(f.losses)
 
 
 def test_plateau_stop_fires_after_window_steps_without_gain(monkeypatch):
@@ -86,14 +103,14 @@ def test_plateau_stop_fires_after_window_steps_without_gain(monkeypatch):
     window = 3
     f = Recorder(hinge)
     cfg = InnerOptConfig(max_inner_steps=20, plateau_window=window)
-    res = adam_minimize(f, np.array([3.5]), cfg)
+    _x, trace = minimize(f, np.array([3.5]), cfg)
     last_gain = max(i for i in range(1, len(f.losses)) if f.losses[i] < f.losses[i - 1])
     assert last_gain == 3
-    assert res.steps == last_gain + window
-    assert len(res.trace) == res.steps + 1
+    assert len(trace) - 1 == last_gain + window
+    assert trace == f.losses
 
-    res = adam_minimize(Recorder(hinge), np.array([3.5]), replace(cfg, plateau_window=0))
-    assert res.steps == 20
+    _x, trace = minimize(Recorder(hinge), np.array([3.5]), replace(cfg, plateau_window=0))
+    assert len(trace) - 1 == 20
 
 
 @pytest.mark.parametrize("bad_eval", [0, 3], ids=["initial", "step3"])
@@ -114,7 +131,7 @@ def test_diverged_error_carries_every_evaluation(bad_eval, part):
 
     cfg = InnerOptConfig(max_inner_steps=10, plateau_window=0)
     with pytest.raises(DivergedError) as err:
-        adam_minimize(value_and_grad, np.array([1.0, -2.0]), cfg)
+        minimize(value_and_grad, np.array([1.0, -2.0]), cfg)
     assert err.value.trace == list(range(bad_eval + 1))
     assert calls == list(range(bad_eval + 1))
 
@@ -123,11 +140,11 @@ def test_steps_the_start_in_place_and_rejects_other_layouts():
     f = Recorder(square)
     x = np.array([1.0, -2.0])
     cfg = InnerOptConfig(max_inner_steps=3, plateau_window=0)
-    adam_minimize(f, x, cfg)
+    minimize(f, x, cfg)
     np.testing.assert_array_equal(x, f.points[-1])
     for bad in (np.array([[1.0]]), np.array([1], dtype=np.int64)):
         with pytest.raises(ValueError):
-            adam_minimize(Recorder(square), bad, cfg)
+            minimize(Recorder(square), bad, cfg)
 
 
 def test_steps_a_float32_start_in_place_and_keeps_its_dtype():
@@ -135,11 +152,11 @@ def test_steps_a_float32_start_in_place_and_keeps_its_dtype():
     # take its dtype, and the steps are the float64 ones to float32 rounding
     cfg = InnerOptConfig(max_inner_steps=4, plateau_window=0)
     want = Recorder(square)
-    adam_minimize(want, np.array([1.0, -2.0]), cfg)
+    minimize(want, np.array([1.0, -2.0]), cfg)
     f = Recorder(square)
     x = np.array([1.0, -2.0], dtype=np.float32)
-    res = adam_minimize(f, x, cfg)
-    assert x.dtype == res.x.dtype == np.float32
+    best, _trace = minimize(f, x, cfg)
+    assert x.dtype == best.dtype == np.float32
     assert all(p.dtype == np.float32 for p in f.points)
     np.testing.assert_array_equal(x, f.points[-1])
     np.testing.assert_allclose(np.array(f.points), np.array(want.points), rtol=1e-6)
@@ -360,8 +377,10 @@ def test_a_workspace_holds_one_slab_sized_scratch_per_thread_range(monkeypatch):
     # 96x96x16 is three slabs of 32 x-planes an image, so each of the two
     # thread ranges works in a scratch of at most GROUP_VOXELS voxels: 13
     # value rows, the index, 3 flags and the gradient's 3 components per
-    # voxel, 4 values, a float64 and 2 flags per ROI voxel and the carry
-    # rows of 11 sums.  Scratches of one image a range would take more than twice that.
+    # voxel, 3 value rows and 2 flags per ROI voxel and the carry rows of
+    # 11 sums.  Scratches of one image a range would take more than twice
+    # that.  Besides the target, images and grid, the workspace shares the
+    # ROI's flat indices and the (B, ROI voxels) predicted logs.
     monkeypatch.setattr(_kernels, "_budget", 2)
     dims = (96, 96, 16)
     assert len(_kernels.slabs(dims)) == 3
@@ -386,9 +405,9 @@ def test_a_workspace_holds_one_slab_sized_scratch_per_thread_range(monkeypatch):
     size = init.itemsize
     block = (
         _kernels.GROUP_VOXELS * (16 * size + 8 + 3)
-        + roi.count * (4 * size + 8 + 2)
+        + roi.count * (3 * size + 2)
         + 11 * _kernels.SUM_BLOCK * size
     )
     shared = ws.target.nbytes + ws.moving.nbytes + ws.grid.nbytes
-    shared += roi.count * 3 * 8  # the ROI's flat indices and its two maps
+    shared += roi.count * (8 + len(bvalues) * size)
     assert shared < held <= shared + 2 * block, (held, shared, block)
