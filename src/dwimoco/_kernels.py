@@ -22,7 +22,9 @@ That is what lets the work use several threads without changing a bit.
 contiguous range per thread of the process's budget (the CPUs it may run
 on, or its share of them in a cohort worker), runs the first range in the
 calling thread and the others on the process's one helper pool, and
-returns the results in range order.  It has three users:
+returns the results in range order.  Each range works in scratch that the
+caller's factory makes for it, on the calling thread, before any range is
+handed out (`fan_out_ranges` says why).  It has three users:
 
 - `objective` gives each thread one range of b-value images, which the
   thread cuts into groups of consecutive images, as many as fit
@@ -36,23 +38,20 @@ returns the results in range order.  It has three users:
   kernels are serial and blocked, so no whole gradient exists.  Each image
   writes only its own slices, and the returned per-image sums are added in
   b-value order;
-- `pipeline` divides the input by its normalization scale and warps it by
-  the optimizer's field stack, one `warp3d` per b-value image, slab by
-  slab;
+- `volume.warp_series` divides a series by a scale and warps it by one
+  field per b-value image, one `warp3d` per image, slab by slab, in an
+  image row and 11 slab rows per range;
 - `signal_model` gives each thread one range of the voxels of every decay
-  fit, LLS and the robust L1 fit with its R^2 map.
+  fit, LLS and the robust L1 fit with its R^2 map, in one block's scratch
+  per range.
 
 numpy releases the interpreter lock inside its array loops, so the threads
 overlap.  A budget of 1, or work too small to pay for the handoffs
 (FAN_OUT_MIN_ELEMENTS per range), is the plain serial loop.  The pool
-holds budget - 1 threads and is made once per process and budget.
-`objective` and `pipeline` make every array a task keeps, and its
-scratch, on the calling thread before they hand the ranges out
-(`thread_ranges` tells them the ranges): glibc keeps what a helper thread
-allocates in that thread's own arena, which then stays resident beside the
-main one.  Their tasks reach the kernels through names the modules bind at
-import, so a tracer that wraps the names in this module sees no call from
-a helper thread.
+holds budget - 1 threads and is made once per process and budget.  The
+tasks of `objective` and `volume` reach the kernels through names the
+modules bind at import, so a tracer that wraps the names in this module
+sees no call from a helper thread.
 
 The objective's kernels, `match_terms` and `smooth_loss_grad`, take a
 group of G images and their displacement fields component-major, as a
@@ -101,15 +100,15 @@ per-axis cell indices in rows that are free at that point, cast to intp
 once and offset by its image's place in a group, and a constant +1 stride
 per axis, so the 8 cell corners are 8 gathers from the
 raveled volumes.  `warp3d` computes no point gradient, because none of its
-callers differentiates the warped values: `pipeline.run_case`, which
-resamples the input by the field stack once per outer iteration,
-`volume.warp`, which moves the phantoms and serves `objective.total_loss`
-(the per-term reference, scored against the maps' reconstruction), and
-`volume.compose_displacements`.  The pipeline calls neither of the last
-two: only the tests and the benchmark's name bindings in `pipeline` reach
-them.  `match_terms` is the one caller
-that needs the gradient; the tests use `warp3d_with_point_grad`, a
-one-image call of the same code, as its oracle.
+callers differentiates the warped values: `volume.warp_series`, through
+which `pipeline.run_case` resamples the input by the field stack once per
+outer iteration and `objective.total_loss` (the per-term reference,
+scored against the maps' reconstruction) warps its series, `volume.warp`,
+which moves the phantoms, and `volume.compose_displacements`, which only
+the tests and the benchmark's name binding in `pipeline` reach.
+`match_terms` is the one caller that needs the gradient; the tests use
+`warp3d_with_point_grad`, a one-image call of the same code, as its
+oracle.
 """
 
 from __future__ import annotations
@@ -442,11 +441,11 @@ def warp3d(vol, disp, out=None, scratch=None):
 
     With f and g = 1 - f the cell fractions: c_yz = c_0yz * gx + c_1yz * fx,
     c_z = c_0z * gy + c_1z * fy, out = c_0 * gz + c_1 * fz.  vol is
-    float64 and disp float64, as every `volume` caller passes it, or
-    float32, which `pipeline` passes and the sum with the float64 grid
-    widens exactly.  Writes into out, a C-contiguous float64 array shaped
-    like vol, one of `slabs(vol.shape)` at a time, and works in scratch,
-    an (11, m) float64 array of C-contiguous rows, m at least
+    float64 and disp float64 or float32 (the optimizer's stack, which
+    `pipeline.run_case` hands `volume.warp_series`), which the sum with the
+    float64 grid widens exactly.  Writes into out, a C-contiguous float64
+    array shaped like vol, one of `slabs(vol.shape)` at a time, and works
+    in scratch, an (11, m) float64 array of C-contiguous rows, m at least
     `slab_voxels(vol.shape)`; both are made here when not given, and a
     caller that warps on helper threads passes ones it made on its own
     thread.  Each slab's result holds only its own part of out; the flat
@@ -761,22 +760,27 @@ def thread_ranges(n, elements):
     return near_equal_ranges(0, n, parts)
 
 
-def fan_out_ranges(task, n, elements):
-    """[task(lo, hi), ...] over the `thread_ranges` of n items.
+def fan_out_ranges(task, n, elements, scratch):
+    """[task(lo, hi, scratch(lo, hi)), ...] over the `thread_ranges` of n items.
 
-    The calling thread runs the first range and the helpers the others.
-    Once every range has finished, the results come back in range order, or
-    the error of the first range that raised is raised.  Tasks that write
-    only their own outputs give the bits of the serial loop.  A task must
-    not call `fan_out_ranges`: the helpers would wait on themselves.
+    scratch(lo, hi) makes what the task of items lo..hi-1 works in.  It is
+    called on the calling thread, for every range, before any range is
+    handed out: glibc keeps what a helper thread allocates in that thread's
+    own arena, which then stays resident beside the main one, so a task
+    allocates no array of its own beyond numpy's temporaries.  The calling
+    thread runs the first range and the helpers the others.  Once every
+    range has finished, the results come back in range order, or the error
+    of the first range that raised is raised.  Tasks that write only their
+    own outputs give the bits of the serial loop.  A task must not call
+    `fan_out_ranges`: the helpers would wait on themselves.
     """
-    first, *rest = thread_ranges(n, elements)
+    (first, mine), *rest = [(r, scratch(*r)) for r in thread_ranges(n, elements)]
     if not rest:  # no handoff: a 1-voxel curve fit calls this once per solve
-        return [task(*first)]
+        return [task(*first, mine)]
     pool = _helpers()
-    futures = [pool.submit(task, lo, hi) for lo, hi in rest]
+    futures = [pool.submit(task, lo, hi, s) for (lo, hi), s in rest]
     try:
-        result = task(*first)
+        result = task(*first, mine)
     finally:
         wait(futures)
     return [result] + [fut.result() for fut in futures]

@@ -66,7 +66,8 @@ from .volume import (
 # Bound at import: the per-b-value tasks run on helper threads, which must
 # not enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps
 # one span stack for all threads); the Adam step they take reaches
-# `_kernels.adam_update` through `registration`'s binding.
+# `_kernels.adam_step` and `_kernels.adam_moments` through
+# `registration._adam_step` and `registration._adam_moments`.
 _match_terms = _kernels.match_terms
 _smooth_loss_grad = _kernels.smooth_loss_grad
 
@@ -158,7 +159,7 @@ def total_loss(
     """Warp `moving` by the per-b-value fields and evaluate all three terms,
     the similarity against `reconstruct(maps, moving.bvalues)`."""
     fields = _check_fields(moving, fields)
-    warped = warp_series(moving, fields)
+    warped = warp_series(moving, [f.data for f in fields])
     model_fit = model_fit_loss(warped, maps, roi)
     sim = similarity_loss(reconstruct(maps, moving.bvalues), warped)
     smooth = sum(smoothness_loss(f) for f in fields)
@@ -205,13 +206,12 @@ class Workspace:
     `_kernels.GROUP_VOXELS`), its x-planes x0..x1-1, its share k0..k1-1 of
     the ROI voxels and their flat indices in the call's raveled planes, row
     g for image g of a group, and the `_kernels.GroupScratch` of each
-    thread range, sized to one call, with that call's gradient, which the
-    first evaluation that runs the range makes on the calling thread,
-    before it hands the ranges out.  grad_finite tells whether every entry
-    of the last gradient that `loss_and_gradient` made and folded into an
-    Adam step's moments is finite.  Raises
-    DimensionMismatchError for a series, maps or roi on different grids,
-    and EmptyRoiError for an empty ROI.
+    thread range, sized to one call, with that call's gradient, which
+    `scratch` makes the first time `_kernels.fan_out_ranges` asks for it.
+    grad_finite tells whether every entry of the last gradient that
+    `loss_and_gradient` made and folded into an Adam step's moments is
+    finite.  Raises DimensionMismatchError for a series, maps or roi on
+    different grids, and EmptyRoiError for an empty ROI.
     """
 
     def __init__(
@@ -295,9 +295,8 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
     images, and once per component for a slab, whose components lie a
     component volume apart in x.  scratch is the flat rows of the range's
     GroupScratch, free between kernel calls, and ws.grad_finite records
-    whether every entry was finite.  Every range's scratch is made here, before the ranges are
-    handed out, so no array outlives a task that made it on a helper
-    thread.
+    whether every entry was finite.  `_kernels.fan_out_ranges` takes each
+    range's scratch from ws.scratch.
     """
     per_image = fields_arr[0].size
     n_vox = per_image // 3
@@ -305,8 +304,7 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
     plane = n_vox // nx
     flat_x = fields_arr.reshape(-1)
 
-    def bvalue_range(lo, hi):
-        scratch = ws.scratch(lo, hi)
+    def bvalue_range(lo, hi, scratch):
         sums = []
         finite = True
         for i in range(lo, hi, ws.group):
@@ -348,13 +346,12 @@ def _term_sums(ws, fields_arr, sim_c, mf_c, smooth_w, grad=None, step=None):
             sums.extend(zip(*terms, smooth))
         return sums, finite
 
-    for lo, hi in _kernels.thread_ranges(len(fields_arr), fields_arr.size):
-        ws.scratch(lo, hi)
     sim_sum = 0.0
     mf_sum = 0.0
     smooth_sum = 0.0
     ws.grad_finite = True
-    for sums, finite in _kernels.fan_out_ranges(bvalue_range, len(fields_arr), fields_arr.size):
+    per_range = _kernels.fan_out_ranges(bvalue_range, len(fields_arr), fields_arr.size, ws.scratch)
+    for sums, finite in per_range:
         ws.grad_finite = ws.grad_finite and finite
         for s, m, smooth in sums:
             sim_sum += float(s)

@@ -8,9 +8,9 @@ iteration's fields; the next iteration's series is the normalized input
 warped by those fields, so every series is one resample of the input.  The
 fields go from pass to pass as the optimizer's component-major WORK_DTYPE
 stack (`objective.stack_fields`), which the optimizer steps in place and
-the warps read plane by plane, one b-value image per thread task, and
+`volume.warp_series` reads as one voxel-major view per b-value image, and
 become `DisplacementField`s once, for the result.  No float64 series
-lives through a pass: the pass and the warps divide the caller's input by
+lives through a pass: the pass and the warp divide the caller's input by
 the scale image by image, and the series of the last record is made again,
 with the same bits, when the run ends on it.  The recorded per-iteration
 summary ADC comes from the robust L1 fit (`signal_model.irls_fit`) of the
@@ -66,18 +66,12 @@ from .volume import (
     DimensionMismatchError,
     EmptyRoiError,
     RoiMask,
-    ScalarVolume,
     compose_displacements,  # noqa: F401  unused here; perfbench/spans.py wraps it
     normalize_series,
-    warp_series,  # noqa: F401  unused here; perfbench/spans.py wraps it
+    warp_series,
 )
 
 ADC_CHANGE_TOL = 1e-3  # relative ROI-mean ADC change that counts as stable
-
-# Bound at import: the per-b-value warps run on helper threads, which must
-# not enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps
-# one span stack for all threads).
-_warp3d = _kernels.warp3d
 
 
 @dataclass(frozen=True)
@@ -176,43 +170,6 @@ def _curve_stats(series: BValueSeries, roi: RoiMask):
     return (means, *irls_fit(means, series.bvalues))
 
 
-def _warp_input(series: BValueSeries, stack: np.ndarray, scale: float) -> BValueSeries:
-    """The series divided by scale and warped by a component-major (B, 3,
-    nx, ny, nz) field stack.
-
-    One b-value image per task on `_kernels.fan_out_ranges`; each task
-    divides its image by scale into an image-sized float64 row and warps
-    that row, slab by slab (`_kernels.slabs`), in 11 slab-sized float64
-    rows, reading the image's contiguous component planes of the stack.
-    The bits are those of `warp_series` with `unstack_fields(stack)` on
-    `normalize_series(series)` when scale is the series' normalization
-    scale, since the division is the same and a float32 component is exact
-    in float64; no normalized copy of the series is made.  An all-zero
-    stack samples every voxel at its own place, with the other corners of
-    its cell weighted by 0, so it gives the bits of
-    `normalize_series(series)` itself, but for a -0.0 voxel, which comes
-    back as +0.0.  The warped images and each thread range's rows are made
-    here, on the calling thread, so no array made on a helper thread
-    outlives its task.
-    """
-    vols = series.volumes
-    ranges = _kernels.thread_ranges(series.b_count, stack.size)
-    slab = _kernels.slab_voxels(series.dims)
-    scratch = {r: (np.empty(vols[0].data.size), np.empty((11, slab))) for r in ranges}
-    warped = [np.empty(series.dims) for _ in vols]
-
-    def warp_images(lo, hi):
-        image, rows = scratch[lo, hi]
-        for i in range(lo, hi):
-            np.divide(vols[i].data.reshape(-1), scale, out=image)
-            _warp3d(image.reshape(series.dims), np.moveaxis(stack[i], 0, -1), warped[i], rows)
-
-    _kernels.fan_out_ranges(warp_images, series.b_count, stack.size)
-    return BValueSeries(
-        series.bvalues, tuple(ScalarVolume(w, v.spacing) for w, v in zip(warped, vols))
-    )
-
-
 def _record(current: BValueSeries, roi: RoiMask, alpha2: float):
     """(maps, CaseRecord) of a series state: its LLS maps, the robust fit of
     its ROI-mean curve, and the objective at zero fields, the state entering
@@ -259,10 +216,11 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     component-major WORK_DTYPE stack (`optimize_fields`, which steps it in
     place), and turned into DisplacementFields once, for the result.  No
     float64 series is held through a pass: neither a normalized copy of the
-    caller's input, which the pass and the warps divide image by image
-    (`_warp_input`), nor the series of the last record, which is made again
-    with the same bits, by one more warp, if the run stops with it; at zero
-    fields that warp gives the bits of `normalize_series`.  Each record's
+    caller's input, which the pass and `volume.warp_series` divide image by
+    image by normalization_scale, nor the series of the last record, which
+    is made again with the same bits, by one more warp, if the run stops
+    with it; at zero fields that warp gives the bits of `normalize_series`
+    but for the sign of a zero (`volume.warp_series`).  Each record's
     loss is the objective at zero fields (`_record`).
 
     Raises DimensionMismatchError for an ROI on another grid and
@@ -302,10 +260,10 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         if not _fell(trace):
             converged = failure_reason is None
             break
-        current = _warp_input(series, stack, scale)
+        current = warp_series(series, np.moveaxis(stack, 1, -1), scale)
 
     if current is None:
-        current = _warp_input(series, stack, scale)
+        current = warp_series(series, np.moveaxis(stack, 1, -1), scale)
     return CaseResult(
         records=records,
         best_maps=maps,

@@ -23,8 +23,9 @@ Both fits run on log signals flattened to (B, N), in `_fit_blocks`:
 `lls_fit` and `irls_fit_volume` pass a whole stack, `lls_fit_curve` and
 `irls_fit` one curve as N = 1.  `_kernels.fan_out_ranges` gives each thread
 one contiguous range of voxels (a stack too small to pay for a thread stays
-on the calling one), which the thread cuts into blocks of at most FIT_BLOCK
-voxels, so a block's arrays stay in cache through the whole solve.  Every
+on the calling one) and one block's scratch, which it makes on the calling
+thread; the thread cuts its range into blocks of at most FIT_BLOCK voxels,
+so a block's arrays stay in cache through the whole solve.  Every
 voxel sees the same operations in the same order whatever the blocks and
 threads, so both fits keep their bits at every thread budget.  Both fits
 add their per-sample terms row by row, so a curve also gets the bits of the
@@ -92,22 +93,24 @@ def _residuals(b, y, log_s0, adc, out=None):
 def _fit_blocks(solve_block, y, scratch_rows, outputs=2):
     """`outputs` rows of (N,) results of `solve_block` on every block of y (B, N).
 
-    `fan_out_ranges` gives each thread one contiguous range of voxels,
-    which it cuts into `_kernels.near_equal_ranges` of at most FIT_BLOCK
-    voxels and solves one after another as
-    solve_block(y_block, *output_blocks, scratch) with one (scratch_rows,
-    block width) scratch buffer; the outputs are (log_s0, adc) and, for a
-    third, the R^2 map.  Every solve adds the B rows one by one, so a
-    voxel's bits do not depend on its block's width.
+    `fan_out_ranges` gives each thread one contiguous range of voxels and
+    one (scratch_rows, block width) scratch buffer; the thread cuts its
+    range into `_kernels.near_equal_ranges` of at most FIT_BLOCK voxels and
+    solves them one after another as solve_block(y_block, *output_blocks,
+    scratch); the outputs are (log_s0, adc) and, for a third, the R^2 map.
+    Every solve adds the B rows one by one, so a voxel's bits do not depend
+    on its block's width.
     """
     out = np.empty((outputs, y.shape[1]))
 
-    def run(lo, hi):
-        scratch = np.empty((scratch_rows, min(hi - lo, FIT_BLOCK)))
+    def block_scratch(lo, hi):
+        return np.empty((scratch_rows, min(hi - lo, FIT_BLOCK)))
+
+    def run(lo, hi, scratch):
         for i, j in _kernels.near_equal_ranges(lo, hi, -(-(hi - lo) // FIT_BLOCK)):
             solve_block(y[:, i:j], *out[:, i:j], scratch[:, : j - i])
 
-    _kernels.fan_out_ranges(run, y.shape[1], y.size)
+    _kernels.fan_out_ranges(run, y.shape[1], y.size, block_scratch)
     return out
 
 

@@ -2,7 +2,10 @@
 gaussian blur.
 
 All coordinates and displacements are in voxel units; voxel spacing is
-carried as metadata only.  Arrays are indexed data[x, y, z]; the on-disk
+carried as metadata only.  `warp_series` is the one warp of a whole
+series, one b-value image per thread task (`_kernels.fan_out_ranges`):
+`pipeline.run_case` resamples its input with it and `objective.total_loss`
+warps its moving series.  Arrays are indexed data[x, y, z]; the on-disk
 x-fastest layout belongs to `io`.  `gaussian_blur` returns the bits of
 SciPy's `ndimage.gaussian_filter(data, sigma, mode="nearest")` in numpy
 alone, so the package needs no SciPy at run time; SciPy is the test oracle.
@@ -15,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+
+# Bound at import: `warp_series` warps on helper threads, which must not
+# enter the names a tracer wraps in `_kernels` (perfbench/spans.py keeps one
+# span stack for all threads).
+_warp3d = _kernels.warp3d
 
 
 class DimensionMismatchError(ValueError):
@@ -192,12 +200,47 @@ def warp(vol: ScalarVolume, disp: DisplacementField) -> ScalarVolume:
     return ScalarVolume(_kernels.warp3d(vol.data, disp.data), vol.spacing)
 
 
-def warp_series(series: BValueSeries, fields) -> BValueSeries:
-    """Warp each b-value image by its own field (matching order)."""
+def warp_series(series: BValueSeries, fields, scale: float = 1.0) -> BValueSeries:
+    """The series divided by scale and each b-value image backward-warped by
+    its own field: fields holds one (nx, ny, nz, 3) displacement array per
+    b-value, in order, float64 or float32.
+
+    One b-value image per task on `_kernels.fan_out_ranges`; each task
+    divides its image by scale into an image-sized float64 row and warps
+    that row, slab by slab (`_kernels.slabs`), in 11 slab-sized float64
+    rows.  An image's bits are those of `warp` of the image divided by
+    scale, since a float32 component is exact in float64; with scale the
+    series' normalization scale they are those of `warp` on
+    `normalize_series(series)`, of which no copy is made.  All-zero fields
+    sample every voxel at its own place, with the other corners of its cell
+    weighted by 0, so they give the bits of the divided image itself, but
+    for a -0.0 voxel, which comes back as +0.0 unless every corner of its
+    cell is -0.0 too.  Raises
+    DimensionMismatchError, before any work, unless there is one field per
+    b-value, each of the series' dims.
+    """
     fields = list(fields)
     if len(fields) != series.b_count:
         raise DimensionMismatchError("need exactly one field per b-value")
-    return BValueSeries(series.bvalues, tuple(warp(v, f) for v, f in zip(series.volumes, fields)))
+    dims = series.dims
+    if any(f.shape != dims + (3,) for f in fields):
+        raise DimensionMismatchError(f"field shapes must be {dims + (3,)}")
+    vols = series.volumes
+    warped = [np.empty(dims) for _ in vols]
+
+    def rows(lo, hi):
+        return np.empty(vols[0].data.size), np.empty((11, _kernels.slab_voxels(dims)))
+
+    def warp_images(lo, hi, scratch):
+        image, slab_rows = scratch
+        for i in range(lo, hi):
+            np.divide(vols[i].data.reshape(-1), scale, out=image)
+            _warp3d(image.reshape(dims), fields[i], warped[i], slab_rows)
+
+    _kernels.fan_out_ranges(warp_images, series.b_count, len(fields) * fields[0].size, rows)
+    return BValueSeries(
+        series.bvalues, tuple(ScalarVolume(w, v.spacing) for w, v in zip(warped, vols))
+    )
 
 
 def normalize_series(series: BValueSeries):

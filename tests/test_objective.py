@@ -589,7 +589,7 @@ class TestKernelOracles:
             )
             sim_total += s[0]
             mf_total += m[0]
-        warped = warp_series(moving, fields)
+        warped = warp_series(moving, [f.data for f in fields])
         assert sim_total / (n_b * n_vox) == pytest.approx(
             similarity_loss(fixed, warped), rel=1e-12
         )
@@ -1040,9 +1040,14 @@ class TestSlabs:
             assert _kernels.slab_voxels(dims) == max(sizes) * plane
 
 
+def _no_scratch(lo, hi):
+    """A `fan_out_ranges` scratch factory for tasks that need none."""
+    return None
+
+
 def _ranges_in_forked_worker():
     """0..5 in ranges at budget 2, and whether the pool is this process's."""
-    ranges = _kernels.fan_out_ranges(lambda lo, hi: list(range(lo, hi)), 6, 6)
+    ranges = _kernels.fan_out_ranges(lambda lo, hi, _s: list(range(lo, hi)), 6, 6, _no_scratch)
     return ranges, _kernels._pool[0] == os.getpid()
 
 
@@ -1066,7 +1071,10 @@ class TestThreadBudget:
 
     def test_fan_out_ranges_split_evenly_in_order(self, at_budget):
         def ranges(budget, n, elements):
-            return at_budget(budget, _kernels.fan_out_ranges, lambda lo, hi: (lo, hi), n, elements)
+            def task(lo, hi, _s):
+                return lo, hi
+
+            return at_budget(budget, _kernels.fan_out_ranges, task, n, elements, _no_scratch)
 
         assert ranges(3, 10, 10) == [(0, 3), (3, 6), (6, 10)]
         assert ranges(3, 2, 10) == [(0, 1), (1, 2)]  # no empty range
@@ -1075,26 +1083,26 @@ class TestThreadBudget:
         assert ranges(2, 0, 0) == [(0, 0)]
 
     def test_fan_out_ranges_raises_a_helper_range_error(self, at_budget):
-        def fail_in_last_range(lo, hi):
+        def fail_in_last_range(lo, hi, _s):
             if hi == 6:
                 raise KeyError(lo)
             return lo
 
         with pytest.raises(KeyError):
-            at_budget(3, _kernels.fan_out_ranges, fail_in_last_range, 6, 6)
+            at_budget(3, _kernels.fan_out_ranges, fail_in_last_range, 6, 6, _no_scratch)
 
-        def fail_everywhere(lo, hi):
+        def fail_everywhere(lo, hi, _s):
             raise (ValueError if lo == 0 else KeyError)(lo)
 
         with pytest.raises(ValueError):  # the first range's error, in range order
-            at_budget(3, _kernels.fan_out_ranges, fail_everywhere, 6, 6)
+            at_budget(3, _kernels.fan_out_ranges, fail_everywhere, 6, 6, _no_scratch)
 
     def test_fan_out_ranges_covers_each_item_once_under_thread_switching(self, at_budget):
         # more threads than cores and a thread switch at almost every
         # bytecode: an item run twice or never shows in `ran`
         ran = []
 
-        def task(lo, hi):
+        def task(lo, hi, _s):
             for i in range(lo, hi):
                 ran.append(i)
             return lo, hi
@@ -1104,7 +1112,7 @@ class TestThreadBudget:
         try:
             for _ in range(20):
                 ran.clear()
-                got = at_budget(8, _kernels.fan_out_ranges, task, 200, 200)
+                got = at_budget(8, _kernels.fan_out_ranges, task, 200, 200, _no_scratch)
                 assert got == [(25 * j, 25 * (j + 1)) for j in range(8)]
                 assert sorted(ran) == list(range(200))
         finally:
@@ -1116,14 +1124,43 @@ class TestThreadBudget:
         monkeypatch.setattr(_kernels, "_budget", 2)
         me = threading.get_ident()
         small = 2 * _kernels.FAN_OUT_MIN_ELEMENTS - 1  # two ranges would be below the floor
-        assert _kernels.fan_out_ranges(lambda lo, hi: threading.get_ident(), 4, small) == [me]
-        first, second = _kernels.fan_out_ranges(lambda lo, hi: threading.get_ident(), 4, small + 1)
+
+        def thread(lo, hi, _s):
+            return threading.get_ident()
+
+        assert _kernels.fan_out_ranges(thread, 4, small, _no_scratch) == [me]
+        first, second = _kernels.fan_out_ranges(thread, 4, small + 1, _no_scratch)
         assert first == me != second
+
+    def test_fan_out_ranges_makes_every_scratch_on_the_calling_thread_before_any_task(
+        self, at_budget
+    ):
+        # once per range, in range order, on this thread, before any task
+        # starts; each task gets the value made for its own range
+        me = threading.get_ident()
+        events = []
+
+        def scratch(lo, hi):
+            events.append(("scratch", lo, hi, threading.get_ident()))
+            return ["scratch of", lo, hi]
+
+        def task(lo, hi, s):
+            events.append(("task", lo, hi))
+            return lo, hi, s
+
+        for budget in (1, 2, 3):
+            events.clear()
+            got = at_budget(budget, _kernels.fan_out_ranges, task, 6, 6, scratch)
+            ranges = _kernels.near_equal_ranges(0, 6, budget)
+            assert events[: len(ranges)] == [("scratch", lo, hi, me) for lo, hi in ranges]
+            assert sorted(events[len(ranges) :]) == [("task", lo, hi) for lo, hi in ranges]
+            assert got == [(lo, hi, ["scratch of", lo, hi]) for lo, hi in ranges]
 
     def test_calls_with_different_part_counts_share_one_pool(self, at_budget):
         pools = []
         for n in (2, 3, 4):
-            assert len(at_budget(4, _kernels.fan_out_ranges, lambda lo, hi: lo, n, n)) == n
+            ranges = at_budget(4, _kernels.fan_out_ranges, lambda lo, hi, _s: lo, n, n, _no_scratch)
+            assert len(ranges) == n
             pools.append(_kernels._pool[-1])
         assert pools[0] is pools[1] is pools[2]
 
@@ -1169,15 +1206,18 @@ class TestThreadBudget:
             for b in (1, budget):
                 x, m, v = x0.astype(dtype), np.zeros(n, dtype), np.zeros(n, dtype)
 
-                def step_range(lo, hi):
-                    scratch = np.full(2 * _kernels.ADAM_BLOCK, np.nan, dtype)
+                def nan_scratch(lo, hi):
+                    return np.full(2 * _kernels.ADAM_BLOCK, np.nan, dtype)
+
+                def step_range(lo, hi, scratch):
                     args = (0.1, 0.9, 0.999, 1e-8, 1.0 - 0.9**t, 1.0 - 0.999**t, scratch)
                     _kernels.adam_update(x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], *args)
                     return hi - lo
 
                 for t in range(1, 4):
                     g = np.random.default_rng(t).normal(0, 1, n).astype(dtype)
-                    assert len(at_budget(b, _kernels.fan_out_ranges, step_range, n, n)) == b
+                    ranges = at_budget(b, _kernels.fan_out_ranges, step_range, n, n, nan_scratch)
+                    assert len(ranges) == b
                 out[b] = x, m, v
             for got, want in zip(out[budget], out[1]):
                 assert got.dtype == dtype
@@ -1186,7 +1226,7 @@ class TestThreadBudget:
     def test_forked_worker_makes_its_own_pool(self, at_budget):
         # the parent's pool exists before the fork; its threads do not
         # exist in the child, which must start its own
-        at_budget(2, _kernels.fan_out_ranges, lambda lo, hi: lo, 4, 4)
+        at_budget(2, _kernels.fan_out_ranges, lambda lo, hi, _s: lo, 4, 4, _no_scratch)
         assert _kernels._pool[:2] == (os.getpid(), 2)
         with ProcessPoolExecutor(
             1,

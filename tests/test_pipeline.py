@@ -13,13 +13,12 @@ from dwimoco.objective import total_loss
 from dwimoco.registration import DivergedError, InnerOptConfig
 from dwimoco.signal_model import irls_fit, lls_fit, roi_mean_signals
 from dwimoco.volume import (
-    BValueSeries,
     DimensionMismatchError,
     DisplacementField,
     EmptyRoiError,
     RoiMask,
-    ScalarVolume,
     normalize_series,
+    warp,
 )
 
 CFG = pipeline.PipelineConfig(inner=InnerOptConfig(max_inner_steps=3), max_outer_iters=2)
@@ -166,6 +165,13 @@ def test_run_cohort_starts_no_more_workers_than_cases(monkeypatch, n_cases, work
         assert case_ids(study.points[method]) == [s.case_id for s in specs]
 
 
+def resampled_input(series, fields):
+    """The normalized input warped image by image by `volume.warp`: the
+    oracle of the series a run ends with."""
+    normalized, _scale = normalize_series(series)
+    return [warp(v, f).data for v, f in zip(normalized.volumes, fields)]
+
+
 def small_case():
     """One 16x16x6 phantom with motion: (series, roi)."""
     spec = pipeline.phantom.PhantomSpec(
@@ -273,10 +279,9 @@ def test_run_case_returns_the_last_record_state_when_r2_falls(monkeypatch):
         assert got.data.dtype == np.float64
         assert got.data.tobytes() == np.moveaxis(want, 0, -1).astype(np.float64).tobytes()
     assert any(np.any(f.data != 0.0) for f in result.best_fields)
-    normalized, _scale = pipeline.normalize_series(series)
-    want = pipeline.warp_series(normalized, result.best_fields)
-    for got, w in zip(result.best_series.volumes, want.volumes):
-        np.testing.assert_array_equal(got.data, w.data)
+    want = resampled_input(series, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want):
+        np.testing.assert_array_equal(got.data, w)
 
 
 def test_run_case_keeps_zero_fields_when_the_first_pass_diverges(monkeypatch):
@@ -297,52 +302,14 @@ def test_run_case_keeps_zero_fields_when_the_first_pass_diverges(monkeypatch):
         np.testing.assert_array_equal(got.data, want.data)
 
 
-def slab_series():
-    """A 6-b-value 80x80x16 series of uniform noise: two slabs of 40
-    x-planes an image."""
-    rng = np.random.default_rng(11)
-    dims = (80, 80, 16)
-    assert len(_kernels.slabs(dims)) == 2
-    images = tuple(ScalarVolume(rng.uniform(0.05, 2.0, dims)) for _ in range(6))
-    return BValueSeries((0.0, 50.0, 100.0, 200.0, 400.0, 600.0), images)
-
-
-@pytest.mark.parametrize("unit_scale", [False, True], ids=["scaled", "unit_scale"])
-@pytest.mark.parametrize("case", ["small", "slabs", "one_slice"])
-def test_warping_the_input_by_a_zero_stack_gives_the_normalized_input(
-    request, case, unit_scale
-):
-    # run_case ends every run with this warp when its last record is not the
-    # current series, also a run whose fields never moved
-    series = {
-        "small": lambda: small_case()[0],
-        "slabs": slab_series,
-        "one_slice": lambda: request.getfixturevalue("one_slice_case")[0],
-    }[case]()
-    if unit_scale:
-        peak = series.volumes[0].data.max()
-        series = BValueSeries(
-            series.bvalues, tuple(ScalarVolume(v.data / peak) for v in series.volumes)
-        )
-    normalized, scale = normalize_series(series)
-    assert (scale == 1.0) == unit_scale
-    stack = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
-    got = pipeline._warp_input(series, stack, scale)
-    assert got.bvalues == normalized.bvalues
-    for g, w in zip(got.volumes, normalized.volumes):
-        assert g.data.dtype == w.data.dtype and g.data.shape == w.data.shape
-        assert g.data.tobytes() == w.data.tobytes()
-
-
 def test_best_series_is_one_resample_of_the_normalized_input():
     series, roi = small_case()
     result = pipeline.run_case(series, roi, RUN_CFG)
     # from the second pass on, re-warping the warped series would differ
     assert result.best_iteration == 2
-    normalized, _ = pipeline.normalize_series(series)
-    want = pipeline.warp_series(normalized, result.best_fields)
-    for got, w in zip(result.best_series.volumes, want.volumes):
-        np.testing.assert_array_equal(got.data, w.data)
+    want = resampled_input(series, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want):
+        np.testing.assert_array_equal(got.data, w)
 
 
 def test_best_series_resampled_is_best_series():
@@ -367,7 +334,7 @@ def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch
     monkeypatch.setattr(pipeline, "optimize_fields", spy)
     result = pipeline.run_case(series, roi, RUN_CFG)
     assert len(calls) == len(result.records) - 1 == 2
-    normalized, scale = pipeline.normalize_series(series)
+    _normalized, scale = pipeline.normalize_series(series)
     assert scale != 1.0
     # component-major (B, 3, nx, ny, nz) stacks of the working dtype
     previous = np.zeros((series.b_count, 3) + series.dims, objective.WORK_DTYPE)
@@ -381,9 +348,9 @@ def test_each_pass_starts_from_the_previous_fields_against_the_input(monkeypatch
     # the result is the last pass's stack, and the series one resample of the input by it
     for got, want in zip(result.best_fields, previous):
         assert got.data.tobytes() == np.moveaxis(want, 0, -1).astype(np.float64).tobytes()
-    want = pipeline.warp_series(normalized, result.best_fields)
-    for got, w in zip(result.best_series.volumes, want.volumes):
-        assert got.data.tobytes() == w.data.tobytes()
+    want = resampled_input(series, result.best_fields)
+    for got, w in zip(result.best_series.volumes, want):
+        assert got.data.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("alpha2", [1000.0, 0.0])
@@ -518,10 +485,9 @@ def test_a_pass_that_diverges_after_its_total_fell_ends_the_run_at_its_best_stat
     for g, w in zip(got.best_fields, want.best_fields):
         assert g.data.tobytes() == w.data.tobytes()
     assert any(f.data.any() for f in got.best_fields)
-    normalized, _ = pipeline.normalize_series(series)
-    resampled = pipeline.warp_series(normalized, got.best_fields)
-    for g, w, r in zip(got.best_series.volumes, want.best_series.volumes, resampled.volumes):
-        assert g.data.tobytes() == w.data.tobytes() == r.data.tobytes()
+    resampled = resampled_input(series, got.best_fields)
+    for g, w, r in zip(got.best_series.volumes, want.best_series.volumes, resampled):
+        assert g.data.tobytes() == w.data.tobytes() == r.tobytes()
 
 
 def test_a_run_holds_its_start_three_fields_its_workspace_and_one_image_stack():

@@ -380,15 +380,15 @@ class TestBlockedIrlsMatchesWholeArrayLoop:
         solves = []  # the (lo, hi) ranges of each whole-stack solve
         fan_out_ranges = _kernels.fan_out_ranges
 
-        def record_ranges(task, n, elements):
+        def record_ranges(task, n, elements, scratch):
             ranges = []
 
-            def recorded(lo, hi):
+            def recorded(lo, hi, s):
                 ranges.append((lo, hi))
-                return task(lo, hi)
+                return task(lo, hi, s)
 
             solves.append(ranges)
-            return fan_out_ranges(recorded, n, elements)
+            return fan_out_ranges(recorded, n, elements, scratch)
 
         monkeypatch.setattr(_kernels, "fan_out_ranges", record_ranges)
         n_voxels = y[0].size

@@ -201,10 +201,108 @@ class TestWarp:
         assert out.data.nbytes == out_bytes
         assert out_bytes < peak < out_bytes + 11 * 8 * _kernels.GROUP_VOXELS, peak
 
-    def test_warp_series_requires_one_field_per_bvalue(self):
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fan_out_ranges(*args):
+            raise AssertionError("the fields are checked before any work")
+
+        monkeypatch.setattr(_kernels, "fan_out_ranges", fan_out_ranges)
+
+    def test_warp_series_requires_one_field_per_bvalue(self, no_work):
         series = model_series((3, 3, 3))
-        with pytest.raises(DimensionMismatchError):
-            warp_series(series, [DisplacementField.zero((3, 3, 3))])
+        with pytest.raises(DimensionMismatchError, match="one field per b-value"):
+            warp_series(series, [np.zeros((3, 3, 3, 3))])
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, 4, 3), (3, 3, 3, 2), (3, 3, 3)], ids=["grid", "components", "rank"]
+    )
+    def test_warp_series_requires_fields_of_the_series_dims(self, no_work, shape):
+        series = model_series((3, 3, 3))
+        fields = [np.zeros((3, 3, 3, 3))] * (series.b_count - 1) + [np.zeros(shape)]
+        with pytest.raises(DimensionMismatchError, match="field shapes"):
+            warp_series(series, fields)
+
+
+def slab_series():
+    """A 6-b-value 80x80x16 series of uniform noise: two slabs of 40
+    x-planes an image."""
+    rng = np.random.default_rng(11)
+    dims = (80, 80, 16)
+    assert len(_kernels.slabs(dims)) == 2
+    images = tuple(ScalarVolume(rng.uniform(0.05, 2.0, dims)) for _ in range(6))
+    return BValueSeries((0.0, 50.0, 100.0, 200.0, 400.0, 600.0), images)
+
+
+def moved_phantom_series():
+    """A 16x16x6 phantom series with motion."""
+    spec = phantom.PhantomSpec(dims=(16, 16, 6), noise_sigma=0.02, motion_amplitude=2.0, seed=7)
+    return phantom.simulate_case(spec)[3]
+
+
+@pytest.fixture
+def at_budget(monkeypatch):
+    """fn(*args) on a thread budget; the size floor of `fan_out_ranges` is
+    lowered so that every budget splits the images between threads."""
+    monkeypatch.setattr(_kernels, "FAN_OUT_MIN_ELEMENTS", 1)
+
+    def run(budget, fn, *args):
+        monkeypatch.setattr(_kernels, "_budget", budget)
+        return fn(*args)
+
+    return run
+
+
+@pytest.mark.parametrize("unit_scale", [False, True], ids=["scaled", "unit_scale"])
+@pytest.mark.parametrize("case", ["small", "slabs", "one_slice"])
+def test_warping_the_input_by_a_zero_stack_gives_the_normalized_input(
+    request, rng, at_budget, case, unit_scale
+):
+    # pipeline.run_case warps its input by the optimizer's component-major
+    # float32 stack, and ends every run with this warp when its last record
+    # is not the current series, also a run whose fields never moved; a
+    # moved stack gives the bits of `warp` image by image
+    series = {
+        "small": moved_phantom_series,
+        "slabs": slab_series,
+        "one_slice": lambda: request.getfixturevalue("one_slice_case")[0],
+    }[case]()
+    if unit_scale:
+        peak = series.volumes[0].data.max()
+        series = BValueSeries(
+            series.bvalues, tuple(ScalarVolume(v.data / peak) for v in series.volumes)
+        )
+    normalized, scale = normalize_series(series)
+    assert (scale == 1.0) == unit_scale
+    zero = np.zeros((series.b_count, 3) + series.dims, np.float32)
+    moved = rng.uniform(-2.0, 2.0, zero.shape).astype(np.float32)
+    want = [
+        warp(ScalarVolume(v.data / scale), DisplacementField(np.moveaxis(u, 0, -1))).data
+        for v, u in zip(series.volumes, moved)
+    ]
+    for budget in (1, 2, 3):
+        got = at_budget(budget, warp_series, series, np.moveaxis(zero, 1, -1), scale)
+        assert got.bvalues == normalized.bvalues
+        for g, w in zip(got.volumes, normalized.volumes):
+            assert g.data.dtype == w.data.dtype and g.data.shape == w.data.shape
+            assert g.data.tobytes() == w.data.tobytes()
+        got = at_budget(budget, warp_series, series, np.moveaxis(moved, 1, -1), scale)
+        for g, w in zip(got.volumes, want):
+            assert g.data.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_zero_fields_make_negative_zero_positive_unless_its_cell_is_all(scale):
+    # each lerp adds lo * g + hi * f, (g, f) = (1, 0) at a voxel's own place:
+    # -0.0 + hi * 0 is +0.0 unless hi is -0.0 too
+    image = np.full((6, 5, 4), 0.5)
+    image[1, 1, 1] = -0.0
+    image[3:5, 2:4, 1:3] = -0.0  # the whole cell whose base voxel is (3, 2, 1)
+    series = BValueSeries((0.0, 500.0), (ScalarVolume(image), ScalarVolume(image / 2)))
+    got = warp_series(series, [np.zeros(image.shape + (3,))] * 2, scale)
+    for g, v in zip(got.volumes, series.volumes):
+        want = np.abs(v.data / scale)
+        want[3, 2, 1] = -0.0
+        assert g.data.tobytes() == want.tobytes()
 
 
 def forward_gradient(field):
