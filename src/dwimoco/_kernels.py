@@ -275,7 +275,7 @@ class GroupScratch:
     can lend it to them between kernel calls.  grad holds a call's
     component-major gradient (`gradient`), which `objective` fills and
     folds into the optimizer's moments before the next call.  roi and live
-    hold `match_terms`' value rows and flags on a call's ROI voxels; the
+    hold `match_terms`' value rows and flag row on a call's ROI voxels; the
     predicted logs it reads are `objective.Workspace.pred_log`'s, made once
     per pass.  sums and smooth_sums carry the `RowSums` of
     `match_terms` and `smooth_loss_grad` from slab to slab of an image.
@@ -297,7 +297,7 @@ class GroupScratch:
         self.index = np.empty(n, np.intp)
         self.clamped = np.empty((3, n), dtype=bool)
         self.roi = np.empty((3, images * roi_voxels), dtype)
-        self.live = np.empty((2, images * roi_voxels), dtype=bool)
+        self.live = np.empty(images * roi_voxels, dtype=bool)
         self.grad = np.empty(3 * n, dtype)
         pieces = planes < dims[0]
         self.sums = RowSums(2 * images, dtype, pieces)
@@ -566,10 +566,11 @@ def match_terms(
     warped_value).  Warped values below floor_eps contribute
     log(floor_eps) and a zero model-fit gradient.
 
-    Per voxel, with w the warped value, r = w - target, wfl = w if
-    w > floor_eps else floor_eps and res = log(wfl) - pred_log on roi, 0
-    elsewhere: coeff = sign(r) * sim_c, plus (mf_c * 2 * res) / wfl where
-    roi and w > floor_eps; grad_out[a] += dout_a * coeff, with dout as in
+    Per voxel, with w the warped value, r = w - target, wfl = max(w,
+    floor_eps), the floor of `signal_model.floored_log` (a NaN w stays
+    NaN), and res = log(wfl) - pred_log on roi, 0 elsewhere: coeff =
+    sign(r) * sim_c, plus (mf_c * 2 * res) / wfl where roi and
+    w > floor_eps; grad_out[a] += dout_a * coeff, with dout as in
     `warp3d_with_point_grad`.  Only the sign of a zero gradient entry can
     differ from that formula.  The model-fit steps run on the roi voxels
     alone, and their squares are summed in a zeroed full-size row per
@@ -593,10 +594,10 @@ def match_terms(
     sums.add(0, np.abs(r, out=r).reshape(images, -1), start, last)
 
     wfl, res, sq_roi = scratch.roi[:, : roi.size]
-    live, dead = scratch.live[:, : roi.size]
+    live = scratch.live[: roi.size]
     np.take(w, roi, out=wfl, mode="clip")
     np.greater(wfl, floor_eps, out=live)
-    np.copyto(wfl, floor_eps, where=np.logical_not(live, out=dead))
+    np.maximum(wfl, floor_eps, out=wfl)
     np.log(wfl, out=res)
     res -= pred_log
     sq = r

@@ -8,8 +8,9 @@ key DEFAULTS lacks, or a value of another type, exits 2.  Each flag sets one
 key (SETTING_FLAGS), parsed as its type, and each command reads, checks and
 takes the flags of only these keys (COMMAND_FLAGS):
 
-- simulate: seed, phantom.dims and phantom.ga_weeks; fit: none;
-  morph: pipeline.*.
+- simulate: seed, phantom.dims and phantom.ga_weeks; fit: none (it always
+  runs the least-squares fit, then the robust L1 line, and its --method
+  accepts only `both`); morph: pipeline.*.
 - cohort: pipeline.*, and for a simulated cohort seed, phantom.dims and
   cohort.n_cases.  With --cases their flags (--seed, --dims, --n-cases)
   exit 2.  Fewer than 3 cases exit 2 before any work.
@@ -276,18 +277,14 @@ def cmd_fit(args) -> int:
     series, roi, _ga = dio.read_case(args.case)
     norm, _scale = normalize_series(series)
     means = roi_mean_signals(norm, roi)
-    methods = ("lls", "irls") if args.method == "both" else (args.method,)
     # the curve fits come first: a flat ROI-mean curve stops the run before
     # anything is written
-    curves = {
-        m: (lls_fit_curve if m == "lls" else irls_fit)(means, norm.bvalues)[1:] for m in methods
-    }
+    curves = (lls_fit_curve(means, norm.bvalues)[1:], irls_fit(means, norm.bvalues)[1:])
     out = Path(args.out)
     echo_config(cfg, out)
     rows = []
-    for method in methods:
-        maps = lls_fit(norm) if method == "lls" else irls_fit_volume(norm)[0]
-        c_adc, c_r2 = curves[method]
+    fits = (("lls", lls_fit(norm)), ("irls", irls_fit_volume(norm)[0]))
+    for (method, maps), (c_adc, c_r2) in zip(fits, curves):
         dio.write_volume(maps.adc, out / f"{method}_adc")
         dio.write_volume(maps.log_s0, out / f"{method}_log_s0")
         roi_mean_adc = float(maps.adc.data[roi.data].mean())
@@ -399,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         subs[name].add_argument("--case", required=True, help="path to a case manifest.json")
     subs["fit"].add_argument(
         "--method",
-        choices=("lls", "irls", "both"),
+        choices=("both",),
         default="both",
-        help="lls: least squares; irls: robust least-absolute-deviations line (default: both)",
+        help="both, the one value: fit runs least squares, then the robust L1 line",
     )
     subs["cohort"].add_argument("--cases", help="directory of case subdirectories with manifests")
     subs["cohort"].add_argument("--workers", type=int, default=1, help="parallel case workers")

@@ -116,9 +116,10 @@ class CaseResult:
     normalization_scale, the input's maximum b=0 intensity, to return to
     input units.  converged is True when the run stopped because the ROI-mean
     ADC was stable or because a pass returned its starting fields unchanged.
-    failed is True when a pass diverged; the last record is then that pass's
-    best finite state, or the state the pass started from when no loss of
-    the pass fell below its first or the error carried no state.
+    failure_reason is the message of the pass that diverged, None if none
+    did; failed is derived from it.  After a divergence the last record is
+    that pass's best finite state, or the state the pass started from when
+    no loss of the pass fell below its first.
     """
 
     records: list
@@ -127,8 +128,12 @@ class CaseResult:
     best_series: BValueSeries
     normalization_scale: float
     converged: bool
-    failed: bool = False
     failure_reason: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        """Whether a pass diverged."""
+        return self.failure_reason is not None
 
     @property
     def bvalues(self) -> tuple:
@@ -204,13 +209,13 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
     right after a pass that returns its starting fields, which every later
     pass would repeat (its record would duplicate the last one); a pass
     does that exactly when no total of its trace falls below the first.
-    Both stops set converged.  A pass that diverges ends the run with
-    failed set: its best finite state (`registration.DivergedError.state`)
+    Both stops set converged.  A pass that diverges ends the run with its
+    message as failure_reason: its best finite state
+    (`registration.DivergedError.state`, which every such error carries)
     and its trace without the diverged evaluation take the place of a
     pass's result, so the state is recorded when that trace fell, and the
-    run stops after that record; an error that carries no state leaves the
-    fields as they were.  Whatever the stop, the result's maps, fields and
-    series are those of the last record.
+    run stops after that record.  Whatever the stop, the result's maps,
+    fields and series are those of the last record.
 
     Between passes the fields are carried as the optimizer's
     component-major WORK_DTYPE stack (`optimize_fields`, which steps it in
@@ -254,9 +259,8 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
             )
         except DivergedError as err:
             failure_reason = str(err)
-            # the diverged evaluation is not a state; an error without a
-            # state leaves the fields as they were
-            stack, trace = (stack, []) if err.state is None else (err.state, err.trace[:-1])
+            # the diverged evaluation is not a state
+            stack, trace = err.state, err.trace[:-1]
         if not _fell(trace):
             converged = failure_reason is None
             break
@@ -271,7 +275,6 @@ def run_case(series: BValueSeries, roi: RoiMask, cfg: PipelineConfig) -> CaseRes
         best_series=current,
         normalization_scale=scale,
         converged=converged,
-        failed=failure_reason is not None,
         failure_reason=failure_reason,
     )
 

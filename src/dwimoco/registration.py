@@ -63,9 +63,9 @@ class InnerOptConfig:
 class DivergedError(RuntimeError):
     """Non-finite loss or gradient; carries the loss trace seen so far and
     state, the best finite state the loop visited (its start when no loss
-    fell below the first), or None when the raiser had no state to give."""
+    fell below the first)."""
 
-    def __init__(self, message, trace, state=None):
+    def __init__(self, message, trace, state):
         super().__init__(message)
         self.trace = trace
         self.state = state
@@ -146,10 +146,10 @@ def adam_loop(evaluate, x: np.ndarray, cfg: InnerOptConfig):
     steps, or once the best-seen loss gains no more than PLATEAU_REL_TOL of
     itself over plateau_window steps, in both cases without taking another
     step.  Raises DivergedError, with the trace so far, after an evaluation
-    whose loss or gradient is not finite; its state is the best finite
-    state visited: x on the first evaluation, which moved nothing, and the
-    best-state buffer after a step, which holds the start when no loss fell
-    below the first.
+    whose loss or gradient is not finite; it always carries a state, the
+    best finite state visited: x on the first evaluation, which moved
+    nothing, and the best-state buffer after a step, which holds the start
+    when no loss fell below the first.
     """
     if x.dtype not in (np.float32, np.float64) or x.ndim != 1:
         raise ValueError(
@@ -223,8 +223,9 @@ def optimize_fields(
 
     Raises DimensionMismatchError for an init of the wrong shape (from the
     first evaluation), and DivergedError if the loss or gradient goes
-    non-finite, with the partial trace and, as its state, the best finite
-    state in init's layout (init itself if the first evaluation diverged).
+    non-finite, with the partial trace and always, as its state, the best
+    finite state in init's layout (init itself if the first evaluation
+    diverged).
     """
     ws = Workspace(moving, maps, roi, scale)
 

@@ -82,8 +82,9 @@ def forward_signal(s0, adc, b):
     return s0 * np.exp(-np.asarray(b, dtype=np.float64) * adc)
 
 
-def _residuals(b, y, log_s0, adc, out=None):
-    """(log_s0 - b * adc) - y: model minus data, per b-value row of y (B, n)."""
+def _residuals(b, y, log_s0, adc, out):
+    """(log_s0 - b * adc) - y: model minus data, per b-value row of y (B, n),
+    in out, a (B, n) buffer."""
     resid = np.multiply(b[:, None], adc, out=out)
     np.subtract(log_s0, resid, out=resid)
     resid -= y

@@ -50,7 +50,7 @@ def test_cohort_exits_3_and_lists_failures_when_every_case_diverges(
     cases, tmp_path, monkeypatch
 ):
     def diverge(*args, **kwargs):
-        raise DivergedError("diverged: injected, at step 0", [])
+        raise DivergedError("diverged: injected, at step 0", [], args[1])
 
     monkeypatch.setattr(pipeline, "optimize_fields", diverge)
     out = tmp_path / "cohort"
@@ -468,11 +468,29 @@ def test_fit_both_methods_exits_0_with_a_row_each(cases, tmp_path):
         assert (out / f"{method}_adc.raw").exists()
 
 
+@pytest.mark.parametrize("method", ["lls", "irls"])
+def test_fit_takes_no_single_method(cases, tmp_path, method):
+    out = tmp_path / "fit"
+    argv = ["fit", "--case", str(cases / "sim001" / "manifest.json"), "--method", method]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_fit_without_method_writes_the_files_of_method_both(cases, tmp_path):
+    argv = ["fit", "--case", str(cases / "sim001" / "manifest.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert cli.main(argv + ["--method", "both", "--out", str(tmp_path / "both")]) == 0
+    expected = [f"{m}_{name}.raw" for m in ("lls", "irls") for name in ("adc", "log_s0")]
+    _assert_same_files(tmp_path / "default", tmp_path / "both", ["roi_summary.csv", *expected])
+
+
 def test_morph_exits_3_and_writes_failure_when_registration_diverges(
     cases, tmp_path, monkeypatch
 ):
     def diverge(*args, **kwargs):
-        raise DivergedError("diverged: injected, at step 0", [])
+        raise DivergedError("diverged: injected, at step 0", [], args[1])
 
     monkeypatch.setattr(pipeline, "optimize_fields", diverge)
     out = tmp_path / "morph"

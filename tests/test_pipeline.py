@@ -81,7 +81,7 @@ def test_diverged_method_drops_its_case_from_every_fit(monkeypatch):
         alpha2 = args[4]
         if alpha2 == 0.0 and not diverged:
             diverged.append(True)
-            raise DivergedError("diverged: injected", [])
+            raise DivergedError("diverged: injected", [], args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "optimize_fields", diverge_once_without_model_fit)
@@ -288,7 +288,7 @@ def test_run_case_keeps_zero_fields_when_the_first_pass_diverges(monkeypatch):
     series, roi = small_case()
 
     def diverge(*args, **kwargs):
-        raise DivergedError("diverged: injected", [])
+        raise DivergedError("diverged: injected", [], args[1])
 
     monkeypatch.setattr(pipeline, "optimize_fields", diverge)
     result = pipeline.run_case(series, roi, RUN_CFG)

@@ -136,6 +136,11 @@ def test_diverged_error_carries_every_evaluation(bad_eval, part):
     assert calls == list(range(bad_eval + 1))
 
 
+def test_diverged_error_needs_a_state():
+    with pytest.raises(TypeError):
+        DivergedError("diverged: injected", [])
+
+
 def test_steps_the_start_in_place_and_rejects_other_layouts():
     f = Recorder(square)
     x = np.array([1.0, -2.0])

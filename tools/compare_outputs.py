@@ -20,7 +20,7 @@ tree's.
 The command set: `simulate` for seeds 1-3 at 24x24x8, seed 4 at 48x48x12
 and seed 5 at 96x96x16 (simulate only: the smaller grids draw one cycle per
 axis at most, this one the two-cycle motion modes of the benchmark's grid),
-`fit --method both`, `morph` with alpha2 = 1000 and with alpha2 = 0,
+`fit`, `morph` with alpha2 = 1000 and with alpha2 = 0,
 a longer `morph` (8 outer passes) that stops at a pass returning its
 starting fields, a `morph` of the 48x48x12 case, whose kernels are large
 enough to run on every thread the process may use (24x24x8 ones stay on
@@ -62,7 +62,7 @@ COMMANDS = [
     ],
     ("big", ["simulate", "--dims", "48,48,12", "--seed", "4"]),
     ("sim96", ["simulate", "--dims", "96,96,16", "--seed", "5"]),
-    ("fit", ["fit", "--case", "{out}/big/manifest.json", "--method", "both"]),
+    ("fit", ["fit", "--case", "{out}/big/manifest.json"]),
     ("morph_big", ["morph", "--case", "{out}/big/manifest.json", *CAPS]),
     (
         "morph_config",
